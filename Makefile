@@ -30,11 +30,13 @@ race:
 
 ## race-parallel: the intra-run parallelism suite under the race detector —
 ## the workers-vs-sequential parity fuzz across schedulers, radio models and
-## reception modes, the pool/precompute unit tests, and one short
-## city-scale benchmark iteration with the fan-out pool engaged (workers=4).
+## reception modes, the pool/precompute unit tests, the event-lane tests (the
+## pooled fan-out commits its legs through the same lane batch as the
+## sequential path), and one short city-scale benchmark iteration with the
+## fan-out pool engaged (workers=4).
 race-parallel:
 	$(GO) test -race -run 'TestParallelParityFuzz|TestParallelCancellationLeaksNothing|TestParallelNegativeWorkersRejected' .
-	$(GO) test -race -run 'Parallel|AtRO|Clone|Pool|Precompute|StopWorkers|Workers' ./internal/sim ./internal/mobility ./internal/phy ./internal/campaign
+	$(GO) test -race -run 'Parallel|AtRO|Clone|Pool|Precompute|StopWorkers|Workers|Lane' ./internal/sim ./internal/mobility ./internal/phy ./internal/campaign
 	ADHOCSIM_BENCH_WORKERS=4 $(GO) test -race -run '^$$' -bench 'BenchmarkSingleRunCityScaleParallel/5k-calendar' -benchtime 1x .
 
 ## campaign-smoke: drive a tiny 2-protocol × 2-seed campaign through the

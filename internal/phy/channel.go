@@ -117,6 +117,17 @@ type Channel struct {
 	scratch     []int32     // reusable candidate buffer
 	arrivalPool []*arrivalEvent
 
+	// The channel's own per-receiver events bypass the engine's priority
+	// queue through two monotone lanes (sim.Lane): one transmission's
+	// arrival legs all land within a propagation delay of now, and
+	// everything an arrival schedules — reception end, busy watchdog, SINR
+	// air departure — lands at arrival+duration, so in scheduling order the
+	// keys are already (almost always) non-decreasing. The rare event that
+	// is not falls through to the queue on its own.
+	arrivals *sim.Lane      // arrival legs, one sorted batch per transmit
+	ends     *sim.Lane      // reception ends, watchdogs, air departures
+	legBatch []sim.LaneItem // the current transmit's surviving legs
+
 	// Intra-run parallelism (Config.Workers > 0); see parallel.go. All
 	// lazily built on the first transmit and torn down by StopWorkers.
 	parInit   bool
@@ -146,7 +157,7 @@ func NewChannel(eng *sim.Engine, params RadioParams) *Channel {
 // RadioParams.Validate errors before a channel is built, so the old
 // constructor-time capture-ratio panic is gone.
 func NewChannelWithConfig(eng *sim.Engine, params RadioParams, cfg Config) *Channel {
-	c := &Channel{eng: eng, params: params, cfg: cfg}
+	c := &Channel{eng: eng, params: params, cfg: cfg, arrivals: eng.NewLane(), ends: eng.NewLane()}
 	// One type assertion up front, not one per transmission leg.
 	c.linkProp, _ = params.Prop.(LinkPropagation)
 	return c
@@ -311,18 +322,33 @@ func (c *Channel) transmit(r *Radio, payload any, dur sim.Duration) {
 		c.initParallel()
 	}
 	if c.cfg.BruteForce {
-		if c.fanoutReady(len(c.radios) - 1) {
-			c.fanoutAll(r, from, payload, dur, now)
-			return
-		}
-		for _, o := range c.radios {
-			if o == r || (c.downCount > 0 && !c.up[o.id]) {
-				continue
-			}
-			c.propagate(r, o, from, payload, dur, now)
-		}
+		c.transmitBrute(r, from, payload, dur, now)
+	} else {
+		c.transmitIndexed(r, from, payload, dur, now)
+	}
+	// Every path above committed its surviving legs in NodeID order; the
+	// batch numbers them in that order (the sequence numbers per-leg
+	// Schedule calls would have drawn) and appends them sorted by arrival.
+	c.arrivals.ScheduleBatch(c.legBatch)
+	c.legBatch = c.legBatch[:0]
+}
+
+// transmitBrute visits every other up radio, in NodeID order.
+func (c *Channel) transmitBrute(r *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
+	if c.fanoutReady(len(c.radios) - 1) {
+		c.fanoutAll(r, from, payload, dur, now)
 		return
 	}
+	for _, o := range c.radios {
+		if o == r || (c.downCount > 0 && !c.up[o.id]) {
+			continue
+		}
+		c.propagate(r, o, from, payload, dur, now)
+	}
+}
+
+// transmitIndexed visits the spatial index's candidates, in NodeID order.
+func (c *Channel) transmitIndexed(r *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
 	if c.needReindex(now) {
 		c.refreshIndex(now)
 	}
@@ -397,11 +423,18 @@ func (c *Channel) propagate(sender, o *Radio, from geo.Point, payload any, dur s
 	if propDelay < sim.Nanosecond {
 		propDelay = sim.Nanosecond
 	}
+	c.commitLeg(o, arrival{payload: payload, from: sender.id, power: power}, dur, now.Add(propDelay))
+}
+
+// commitLeg adds one surviving leg to the current transmit's batch. Every
+// transmit path — sequential, brute-force and the fan-out's commit loop —
+// ends here, called in NodeID order.
+func (c *Channel) commitLeg(o *Radio, a arrival, dur sim.Duration, at sim.Time) {
 	ae := c.allocArrival()
 	ae.o = o
 	ae.dur = dur
-	ae.a = arrival{payload: payload, from: sender.id, power: power}
-	c.eng.ScheduleIn(propDelay, ae.fire)
+	ae.a = a
+	c.legBatch = append(c.legBatch, sim.LaneItem{At: at, Fn: ae.fire})
 }
 
 // InRange reports whether b currently receives a's transmissions (power at

@@ -1,0 +1,79 @@
+package phy
+
+import (
+	"testing"
+
+	"adhocsim/internal/pkt"
+	"adhocsim/internal/sim"
+)
+
+// TestLaneBatchOnEveryTransmitPath: the indexed, brute-force and pooled
+// fan-out paths all commit through one batch, so after a transmit in a
+// single carrier-sense domain every leg sits in the arrival lane — none in
+// the queue — and once the legs have landed, every receiver's watchdog and
+// every decodable frame's end sit in the end lane.
+func TestLaneBatchOnEveryTransmitPath(t *testing.T) {
+	const n = 48
+	for name, cfg := range map[string]Config{
+		"indexed":        {},
+		"brute":          {BruteForce: true},
+		"indexed-fanout": {Workers: 4},
+		"brute-fanout":   {BruteForce: true, Workers: 4},
+		"sinr":           {SINR: true},
+	} {
+		eng, ch, cols := buildParallelWorld(n, cfg)
+		ch.Radio(7).Transmit("frame", sim.Millis(1))
+		if got := ch.arrivals.Len(); got != n-1 {
+			t.Fatalf("%s: arrival lane holds %d of %d legs", name, got, n-1)
+		}
+		// The sender's own busy watchdog is the only other pending event.
+		if ch.ends.Len() != 1 || eng.Len() != n {
+			t.Fatalf("%s: end lane holds %d, engine %d pending; want 1 and %d", name, ch.ends.Len(), eng.Len(), n)
+		}
+		if err := eng.Run(sim.Time(100 * sim.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+		if ch.arrivals.Len() != 0 {
+			t.Fatalf("%s: %d legs still in flight after 100 µs", name, ch.arrivals.Len())
+		}
+		if got := ch.ends.Len(); got != eng.Len() || got < n {
+			t.Fatalf("%s: end lane holds %d of %d pending end-of-frame events (at least %d watchdogs)", name, got, eng.Len(), n)
+		}
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		ch.StopWorkers()
+		delivered := 0
+		for i, c := range cols {
+			delivered += len(c.got)
+			if i != 7 && (c.busy != 1 || c.idle != 1) {
+				t.Fatalf("%s: node %d saw %d busy / %d idle edges, want 1/1", name, i, c.busy, c.idle)
+			}
+		}
+		if delivered == 0 || uint64(delivered) != ch.Deliveries {
+			t.Fatalf("%s: %d deliveries observed, channel counted %d", name, delivered, ch.Deliveries)
+		}
+	}
+}
+
+// BenchmarkTransmitDense prices one transmission in the paper's regime: 40
+// radios inside one carrier-sense domain, each Transmit fanning out to the
+// other 39 and drained to idle (arrival, reception end or carrier-only
+// energy, busy watchdog per receiver) with counting receivers. One op is one
+// transmission with everything it schedules.
+func BenchmarkTransmitDense(b *testing.B) {
+	const n = 40
+	eng, ch, _ := buildParallelWorld(n, Config{ReindexInterval: sim.Second, SpeedBound: 4})
+	for i := 0; i < n; i++ {
+		ch.Radio(pkt.NodeID(i)).SetReceiver(&countingReceiver{})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Radio(pkt.NodeID(i%n)).Transmit(nil, sim.Millisecond)
+		if err := eng.RunAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(eng.Executed)/float64(b.N), "events/op")
+}

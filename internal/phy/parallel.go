@@ -160,21 +160,17 @@ func (c *Channel) fanoutCands(sender *Radio, cands []int32, from geo.Point, payl
 		}
 	})
 	// Commit on the simulation goroutine in candidate (NodeID) order: the
-	// engine hands out sequence numbers in scheduling order, so committing
-	// in exactly the order the sequential loop schedules keeps every
-	// arrival's (time, seq) identity — and all downstream state —
-	// byte-identical. SINR air-power accounting happens when these
-	// arrivals fire, entirely on the commit side.
+	// engine hands out sequence numbers in batch order, so committing in
+	// exactly the order the sequential loop does keeps every arrival's
+	// (time, seq) identity — and all downstream state — byte-identical.
+	// SINR air-power accounting happens when these arrivals fire, entirely
+	// on the commit side.
 	for k, id := range cands {
 		lg := &legs[k]
 		if !lg.ok {
 			continue
 		}
-		ae := c.allocArrival()
-		ae.o = c.radios[id]
-		ae.dur = dur
-		ae.a = arrival{payload: payload, from: sid, power: lg.power}
-		c.eng.ScheduleIn(lg.delay, ae.fire)
+		c.commitLeg(c.radios[id], arrival{payload: payload, from: sid, power: lg.power}, dur, now.Add(lg.delay))
 	}
 }
 

@@ -243,7 +243,7 @@ func (r *Radio) addAir(power float64, end sim.Time) {
 	ae := r.ch.allocAir()
 	ae.r = r
 	ae.power = power
-	r.ch.eng.Schedule(end, ae.fire)
+	r.ch.ends.Schedule(end, ae.fire)
 }
 
 // receptionEvent is a pooled in-progress reception: the end-of-frame
@@ -278,7 +278,7 @@ func (r *Radio) startReception(a arrival) {
 	re.r = r
 	re.a = a
 	r.rx = &re.a
-	r.ch.eng.Schedule(a.end, re.fire)
+	r.ch.ends.Schedule(a.end, re.fire)
 }
 
 func (r *Radio) finishReception(a *arrival) {
@@ -329,7 +329,7 @@ func (r *Radio) armWatchdog() {
 	if r.watchdogFn == nil {
 		r.watchdogFn = r.watchdogFire
 	}
-	r.ch.eng.Schedule(until, r.watchdogFn)
+	r.ch.ends.Schedule(until, r.watchdogFn)
 }
 
 func (r *Radio) watchdogFire() {

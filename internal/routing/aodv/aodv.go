@@ -458,8 +458,12 @@ func (a *AODV) handleRREP(p *pkt.Packet, m *rrep, from pkt.NodeID) {
 		a.env.Drop(p, stats.DropNoRoute)
 		return
 	}
-	fwd := a.table[m.Dst]
-	fwd.precursors[rev.nextHop] = struct{}{}
+	// No forward entry exists when we are m.Dst ourselves (installRoute
+	// never installs a route to self): an intermediate node replied on our
+	// behalf and its reverse path to the origin leads through us.
+	if fwd := a.table[m.Dst]; fwd != nil {
+		fwd.precursors[rev.nextHop] = struct{}{}
+	}
 	rev.precursors[from] = struct{}{}
 	m2 := *m
 	m2.HopCount++

@@ -200,6 +200,7 @@ func (h eventHeap) siftDown(i int) {
 type Engine struct {
 	now     Time
 	queue   eventQueue
+	lanes   []*Lane // FIFO side channels dispatched alongside the queue (see Lane)
 	nextSeq uint64
 	free    []*event // recycled event structs (see alloc/recycle)
 	stopped bool
@@ -240,8 +241,15 @@ func NewEngineQueue(kind QueueKind) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Len returns the number of pending (non-cancelled) events.
-func (e *Engine) Len() int { return e.queue.size() }
+// Len returns the number of pending (non-cancelled) events, wherever they
+// are held: the queue plus every lane.
+func (e *Engine) Len() int {
+	n := e.queue.size()
+	for _, l := range e.lanes {
+		n += l.n
+	}
+	return n
+}
 
 // alloc takes an event struct from the free list, or heap-allocates one.
 // Pooling matters at scale: every transmission, timer and MAC slot is one
@@ -280,14 +288,27 @@ func (e *Engine) recycle(ev *event) {
 // Schedule runs fn at absolute time at. Scheduling in the past (before Now)
 // panics: it always indicates a model bug.
 func (e *Engine) Schedule(at Time, fn EventFunc) Handle {
+	ev := e.push(at, e.stamp(at), fn)
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// stamp validates a new event's timestamp and draws its sequence number.
+// Every event, whether it ends up in the queue or in a lane, is numbered
+// here, in call order.
+func (e *Engine) stamp(at Time) uint64 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.nextSeq++
+	return e.nextSeq
+}
+
+// push queues an already-numbered event.
+func (e *Engine) push(at Time, seq uint64, fn EventFunc) *event {
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = at, e.nextSeq, fn
+	ev.at, ev.seq, ev.fn = at, seq, fn
 	e.queue.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
+	return ev
 }
 
 // ScheduleIn runs fn after delay d (clamped to zero).
@@ -313,9 +334,10 @@ func (e *Engine) Cancel(h Handle) bool {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run dispatches events in timestamp order until the queue is empty, the
-// clock passes until, or Stop is called. Events scheduled exactly at until
-// still run. The clock is left at min(until, last event time).
+// Run dispatches events in (timestamp, sequence) order until nothing is
+// pending, the clock passes until, or Stop is called. Events scheduled
+// exactly at until still run. The clock is left at min(until, last event
+// time).
 func (e *Engine) Run(until Time) error {
 	e.stopped = false
 	every := e.InterruptEvery
@@ -323,12 +345,39 @@ func (e *Engine) Run(until Time) error {
 		every = 4096
 	}
 	for !e.stopped {
+		// The next event is the (at, seq)-minimum over the queue head and
+		// every lane head; src is the lane holding it, nil for the queue.
 		ev := e.queue.peek()
-		if ev == nil || ev.at > until {
+		var src *Lane
+		var at Time
+		var seq uint64
+		found := ev != nil
+		if found {
+			at, seq = ev.at, ev.seq
+		}
+		for _, l := range e.lanes {
+			if l.n == 0 {
+				continue
+			}
+			if h := &l.buf[l.head]; !found || h.At < at || (h.At == at && h.seq < seq) {
+				src, at, seq, found = l, h.At, h.seq, true
+			}
+		}
+		if !found || at > until {
 			break
 		}
-		e.queue.popMin()
-		e.now = ev.at
+		var fn EventFunc
+		if src != nil {
+			fn = src.pop()
+		} else {
+			e.queue.popMin()
+			fn = ev.fn
+			// Recycle before dispatch: ev is out of the queue, so fn (which
+			// may Schedule) can reuse the struct immediately, and its bumped
+			// generation makes self-cancellation from within fn a no-op.
+			e.recycle(ev)
+		}
+		e.now = at
 		e.Executed++
 		if e.Limit != 0 && e.Executed > e.Limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.Limit, e.now)
@@ -338,11 +387,6 @@ func (e *Engine) Run(until Time) error {
 				return err
 			}
 		}
-		fn := ev.fn
-		// Recycle before dispatch: ev is out of the heap, so fn (which may
-		// Schedule) can reuse the struct immediately, and its bumped
-		// generation makes self-cancellation from within fn a no-op.
-		e.recycle(ev)
 		fn()
 	}
 	if until != Never && e.now < until && !e.stopped {
