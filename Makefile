@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench bench-baseline bench-compare profile race race-parallel campaign-smoke dist-smoke scenario-smoke radio-smoke churn-smoke
+.PHONY: verify fmt vet build test figs bench bench-baseline bench-compare profile race campaign-smoke dist-smoke scenario-smoke radio-smoke churn-smoke
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -24,20 +24,11 @@ test:
 figs:
 	$(GO) run ./cmd/adhocfigs -json
 
-## race: the short test suite under the race detector.
+## race: the short test suite under the race detector. A run is one
+## goroutine, so this covers the harness, campaign and cluster layers; the
+## event-lane tests are not -short-gated and run here too.
 race:
 	$(GO) test -race -short ./...
-
-## race-parallel: the intra-run parallelism suite under the race detector —
-## the workers-vs-sequential parity fuzz across schedulers, radio models and
-## reception modes, the pool/precompute unit tests, the event-lane tests (the
-## pooled fan-out commits its legs through the same lane batch as the
-## sequential path), and one short city-scale benchmark iteration with the
-## fan-out pool engaged (workers=4).
-race-parallel:
-	$(GO) test -race -run 'TestParallelParityFuzz|TestParallelCancellationLeaksNothing|TestParallelNegativeWorkersRejected' .
-	$(GO) test -race -run 'Parallel|AtRO|Clone|Pool|Precompute|StopWorkers|Workers|Lane' ./internal/sim ./internal/mobility ./internal/phy ./internal/campaign
-	ADHOCSIM_BENCH_WORKERS=4 $(GO) test -race -run '^$$' -bench 'BenchmarkSingleRunCityScaleParallel/5k-calendar' -benchtime 1x .
 
 ## campaign-smoke: drive a tiny 2-protocol × 2-seed campaign through the
 ## adhocd HTTP API on a loopback port (submit → poll → results → delete).

@@ -88,7 +88,7 @@
 //
 // # Campaigns
 //
-// The campaign engine (CampaignSpec, RunCampaign, NewCampaignServer) runs
+// The campaign engine (CampaignSpec, RunCampaign, NewDistServer) runs
 // multi-seed replication campaigns on top of the experiment API: cells are
 // aggregated online with Welford moments and Student-t 95% confidence
 // intervals, replication stops early per cell once the estimate is tight

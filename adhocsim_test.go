@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -257,6 +258,35 @@ func TestFacadeSweepCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestRunCancellationLeaksNothing: a run is one goroutine from NewWorld to
+// Results, so cancelling it mid-flight must surface context.Canceled and
+// leave no goroutine behind.
+func TestRunCancellationLeaksNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-dependent cancellation run")
+	}
+	before := runtime.NumGoroutine()
+	spec := adhocsim.DefaultSpec()
+	spec.Nodes = 80
+	spec.Duration = 900 * adhocsim.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(100*time.Millisecond, cancel)
+	defer timer.Stop()
+	defer cancel()
+	_, err := adhocsim.RunContext(ctx, adhocsim.RunConfig{Spec: spec, Protocol: adhocsim.AODV, Seed: 3})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// The timer's own goroutine may still be returning from cancel.
+	for i := 0; i < 50; i++ {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
 func TestFacadeRunReplicatedDefaultSeeds(t *testing.T) {

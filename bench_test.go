@@ -12,9 +12,7 @@ import (
 	"context"
 	"io"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"adhocsim"
@@ -556,90 +554,6 @@ func TestLargeNAllocationBudgetAllSinks(t *testing.T) {
 	const budget = 2_000_000 // same cap as TestLargeNAllocationBudget
 	if mallocs > budget {
 		t.Fatalf("sinked large-N run performed %d heap allocations, budget %d", mallocs, budget)
-	}
-}
-
-// benchWorkers returns the worker count for the parallel benchmark tier:
-// ADHOCSIM_BENCH_WORKERS when set (CI's race step pins 4), 8 otherwise.
-func benchWorkers(b *testing.B) int {
-	if s := os.Getenv("ADHOCSIM_BENCH_WORKERS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			b.Fatalf("bad ADHOCSIM_BENCH_WORKERS=%q", s)
-		}
-		return n
-	}
-	return 8
-}
-
-// BenchmarkSingleRunCityScaleParallel is the workers-enabled twin of
-// BenchmarkSingleRunCityScale (identical subtest names, so benchjson
-// -compare pairs the two and prints the speedup column). The fan-out pool
-// and the pipelined reindex only pay off with real cores: on a single-CPU
-// host the numbers price the coordination overhead instead, which is why
-// the twin is a separate benchmark rather than a replacement.
-func BenchmarkSingleRunCityScaleParallel(b *testing.B) {
-	workers := benchWorkers(b)
-	for _, tc := range []struct {
-		name  string
-		nodes int
-		sched adhocsim.QueueKind
-	}{
-		{"5k-calendar", 5000, adhocsim.QueueCalendar},
-		{"10k-calendar", 10000, adhocsim.QueueCalendar},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			spec := cityScaleSpec(tc.nodes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := adhocsim.Run(adhocsim.RunConfig{
-					Spec:     spec,
-					Protocol: adhocsim.CBRP,
-					Seed:     1,
-					Phy: adhocsim.PhyConfig{
-						ReindexInterval: 5 * sim.Second,
-						Scheduler:       tc.sched,
-						Workers:         workers,
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.RoutingTxPackets == 0 {
-					b.Fatal("city-scale run produced no beacon traffic")
-				}
-			}
-		})
-	}
-}
-
-// TestParallelAllocationBudget holds the workers=8 large-N run to the same
-// 2M-malloc budget as the sequential tripwire: the fan-out arena and the
-// double-buffered grid are preallocated and reused, so enabling workers
-// must not introduce per-transmit allocation (the per-ParallelFor cost is
-// one channel send per worker, not a goroutine spawn).
-func TestParallelAllocationBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("one 900 s large-N run")
-	}
-	spec := largeNSpec()
-	phy := adhocsim.PhyConfig{ReindexInterval: 5 * sim.Second, Workers: 8}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := adhocsim.Run(adhocsim.RunConfig{Spec: spec, Protocol: adhocsim.CBRP, Seed: 1, Phy: phy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if res.RoutingTxPackets == 0 {
-		t.Fatal("large-N run produced no beacon traffic")
-	}
-	mallocs := after.Mallocs - before.Mallocs
-	const budget = 2_000_000 // same cap as TestLargeNAllocationBudget
-	if mallocs > budget {
-		t.Fatalf("parallel large-N run performed %d heap allocations, budget %d", mallocs, budget)
 	}
 }
 

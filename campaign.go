@@ -12,8 +12,8 @@ import (
 // aggregated online (Welford moments, Student-t 95% confidence intervals)
 // and may stop replicating early once its estimates are tight enough.
 // Completed runs are journaled to a JSONL checkpoint so an interrupted
-// campaign resumes bit-identically. NewCampaignServer exposes the same
-// engine over HTTP (see cmd/adhocd).
+// campaign resumes bit-identically. NewDistServer exposes the same engine
+// over HTTP (see cmd/adhocd).
 
 // CampaignSpec declares a replication campaign; see the campaign package.
 type CampaignSpec = campaign.Spec
@@ -52,16 +52,4 @@ func NewCampaign(spec CampaignSpec, opts CampaignOptions) (*Campaign, error) {
 // cancellation) and returns its aggregate.
 func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (*CampaignResult, error) {
 	return campaign.Run(ctx, spec, opts)
-}
-
-// CampaignServer serves campaigns over HTTP (submit, progress, results,
-// cancel); cmd/adhocd is a thin main around it.
-type CampaignServer = campaign.Server
-
-// CampaignServerOptions configure a CampaignServer.
-type CampaignServerOptions = campaign.ServerOptions
-
-// NewCampaignServer creates the HTTP simulation service.
-func NewCampaignServer(opts CampaignServerOptions) *CampaignServer {
-	return campaign.NewServer(opts)
 }

@@ -175,7 +175,7 @@ func main() {
 
 		campaignFile = flag.String("campaign", "", "run a replication campaign from this JSON spec file ('-' = stdin) instead of a single run")
 		checkpoint   = flag.String("checkpoint", "", "campaign journal path; an existing journal of the same spec is resumed")
-		workers      = flag.Int("workers", 0, "campaigns: worker pool size (0 = GOMAXPROCS); single runs: intra-run transmit fan-out workers (0 = sequential; results are identical either way)")
+		workers      = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -258,18 +258,10 @@ func main() {
 	for i := 0; i < *seeds; i++ {
 		seedList = append(seedList, *seed+int64(i))
 	}
-	// For single runs -workers selects intra-run parallelism: deterministic
-	// transmit fan-out plus pipelined reindexing inside the one simulation,
-	// byte-identical to the sequential path. More workers than cores only
-	// adds scheduling overhead, so clamp with a note rather than oblige.
-	if max := runtime.GOMAXPROCS(0); *workers > max {
-		fmt.Fprintf(os.Stderr, "adhocsim: -workers %d exceeds GOMAXPROCS, clamping to %d\n", *workers, max)
-		*workers = max
-	}
 	rc := adhocsim.RunConfig{
 		Spec:     spec,
 		Protocol: strings.ToUpper(*proto),
-		Phy:      adhocsim.PhyConfig{BruteForce: *brute, Scheduler: sched, Workers: *workers},
+		Phy:      adhocsim.PhyConfig{BruteForce: *brute, Scheduler: sched},
 	}
 	if *traceFile != "" {
 		if *seeds != 1 {

@@ -11,11 +11,9 @@
 // With -compare, the stdin stream is instead checked against a committed
 // baseline: every benchmark present in both is reported with its ns/op
 // ratio, drifts beyond -tolerance are flagged, and benchmarks present on
-// only one side are called out. When the stream contains *Parallel
-// benchmarks alongside their sequential twins (same name minus the
-// "Parallel" suffix), a speedup section pairs them within the run. The
-// exit status stays 0 unless -strict is set, so CI can surface the report
-// without gating merges on a noisy shared runner.
+// only one side are called out. The exit status stays 0 unless -strict is
+// set, so CI can surface the report without gating merges on a noisy shared
+// runner.
 //
 //	go test -bench . -benchtime 1x ./... | go run ./cmd/benchjson -compare BENCH_baseline.json
 package main
@@ -174,8 +172,6 @@ func compareBaseline(cur Report, path string, tol float64, strict bool) int {
 		fmt.Printf("%-58s %14s %14s %8s  missing from current run\n", name, "-", "-", "-")
 	}
 
-	printSpeedups(cur)
-
 	matched := len(base.Benchmarks) - len(missing)
 	fmt.Printf("summary: %d compared, %d regressions, %d improvements, %d new, %d missing\n",
 		matched, regressions, improvements, len(cur.Benchmarks)-matched, len(missing))
@@ -183,43 +179,6 @@ func compareBaseline(cur Report, path string, tol float64, strict bool) int {
 		return 1
 	}
 	return 0
-}
-
-// printSpeedups pairs every *Parallel benchmark in the current run with its
-// sequential twin — the benchmark whose top-level name is the same minus the
-// "Parallel" suffix, with an identical sub-benchmark path — and reports the
-// intra-run parallelism speedup (sequential ns/op ÷ parallel ns/op) within
-// this run. Both sides come from the same stream, so the column is
-// machine-consistent even when the committed baseline was recorded
-// elsewhere. Nothing is printed when the run has no such pairs.
-func printSpeedups(cur Report) {
-	type pair struct{ seq, par Benchmark }
-	byName := make(map[string]Benchmark, len(cur.Benchmarks))
-	for _, b := range cur.Benchmarks {
-		byName[b.Package+" "+b.Name] = b
-	}
-	var pairs []pair
-	for _, b := range cur.Benchmarks {
-		head, tail, _ := strings.Cut(b.Name, "/")
-		if !strings.HasSuffix(head, "Parallel") {
-			continue
-		}
-		seqName := strings.TrimSuffix(head, "Parallel")
-		if tail != "" {
-			seqName += "/" + tail
-		}
-		if seq, ok := byName[b.Package+" "+seqName]; ok && seq.NsPerOp > 0 && b.NsPerOp > 0 {
-			pairs = append(pairs, pair{seq, b})
-		}
-	}
-	if len(pairs) == 0 {
-		return
-	}
-	fmt.Printf("\nparallel speedup (sequential ns/op ÷ parallel ns/op, this run)\n")
-	fmt.Printf("%-58s %14s %14s %8s\n", "benchmark", "seq ns/op", "par ns/op", "speedup")
-	for _, p := range pairs {
-		fmt.Printf("%-58s %14.0f %14.0f %7.2fx\n", p.par.Name, p.seq.NsPerOp, p.par.NsPerOp, p.seq.NsPerOp/p.par.NsPerOp)
-	}
 }
 
 // parseBench parses one result line:

@@ -3,13 +3,11 @@ package campaign
 import (
 	"context"
 	"encoding/json"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // writeJournal writes a journal file from a header and entry lines.
@@ -246,90 +244,4 @@ func TestShadowingSINRResumeDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("resumed stochastic-radio campaign diverges from uninterrupted run")
 	}
-}
-
-// modelMatrixSpecJSON is the acceptance scenario of the model-registry PR:
-// a JSON campaign selecting Gauss-Markov mobility parameters and the expoo
-// VBR workload in the base patch, crossed with a mobility-model grid axis.
-const modelMatrixSpecJSON = `{
-  "name": "model-matrix",
-  "base": {
-    "nodes": 10, "area_w_m": 600, "duration_s": 10, "sources": 3,
-    "mobility": {"name": "gauss-markov", "params": {"alpha": 0.8}},
-    "traffic": {"name": "expoo", "params": {"on_s": 0.5, "off_s": 0.5}}
-  },
-  "protocols": ["DSR"],
-  "axes": [{"name": "mobility", "models": ["waypoint", "gauss-markov", "manhattan"]}],
-  "max_reps": 1
-}`
-
-// TestServerModelCampaignEndToEnd drives the acceptance criterion over real
-// HTTP: POST a campaign whose base selects gauss-markov/expoo and whose
-// grid axis sweeps mobility models, poll to completion, and require
-// distinct per-model metric cells in the results.
-func TestServerModelCampaignEndToEnd(t *testing.T) {
-	_, ts := startServer(t)
-	created := submit(t, ts, modelMatrixSpecJSON)
-	if created.Cells != 3 {
-		t.Fatalf("created = %+v", created)
-	}
-
-	deadline := time.Now().Add(2 * time.Minute)
-	var snap Snapshot
-	for {
-		resp, err := http.Get(ts.URL + "/campaigns/" + created.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decodeBody(t, resp, &snap)
-		if snap.State == StateDone || snap.State == StateFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign stuck: %+v", snap)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if snap.State != StateDone {
-		t.Fatalf("campaign ended %s: %s", snap.State, snap.Err)
-	}
-
-	resp, err := http.Get(ts.URL + "/campaigns/" + created.ID + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	decodeBody(t, resp, &res)
-	if len(res.Cells) != 3 {
-		t.Fatalf("cells = %d", len(res.Cells))
-	}
-	seenLabel := make(map[string]bool)
-	seenMetrics := make(map[string]bool)
-	for _, cell := range res.Cells {
-		if cell.Merged.DataSent == 0 {
-			t.Fatalf("degenerate cell %q: %+v", cell.Label, cell)
-		}
-		if !strings.Contains(cell.Label, "mobility_model=") {
-			t.Fatalf("cell label %q missing model name", cell.Label)
-		}
-		seenLabel[cell.Label] = true
-		// Distinct models must yield distinct metric cells (identical
-		// triples would mean the axis silently failed to apply).
-		fp := ""
-		for _, m := range []string{"pdr", "delay", "throughput"} {
-			fp += "|" + strconvF(cell.Metrics[m].Mean)
-		}
-		seenMetrics[fp] = true
-	}
-	if len(seenLabel) != 3 {
-		t.Fatalf("labels not distinct: %v", seenLabel)
-	}
-	if len(seenMetrics) < 2 {
-		t.Fatalf("per-model metric cells are not distinct: %v", seenMetrics)
-	}
-}
-
-func strconvF(v float64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
 }

@@ -26,7 +26,6 @@ import (
 
 	"adhocsim/internal/core"
 	"adhocsim/internal/metrics"
-	"adhocsim/internal/phy"
 	"adhocsim/internal/scenario"
 	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
@@ -76,13 +75,6 @@ type ScenarioPatch struct {
 	// with optional parameters, e.g. {"name": "onoff-fail", "params":
 	// {"mean_up_s": 60}}. Absent keeps the study's static membership.
 	Lifecycle *scenario.LifecycleSpec `json:"lifecycle,omitempty"`
-	// Workers enables intra-run parallelism (phy.Config.Workers) for every
-	// unit of the campaign. It is an execution knob, not a scenario field:
-	// results are byte-identical at any worker count, so it deliberately
-	// does NOT enter the cell specs, the plan hash, or the run-unit
-	// digests — cached results recorded at one worker count keep serving
-	// campaigns resubmitted at another.
-	Workers *int `json:"workers,omitempty"`
 }
 
 func (p ScenarioPatch) apply(s *scenario.Spec) {
@@ -194,9 +186,6 @@ type Plan struct {
 	Cells     []Cell
 	Metrics   []core.Metric
 	Hash      string
-	// Workers is the per-unit intra-run worker count (0 = sequential).
-	// Execution-only: excluded from Hash and UnitKey by construction.
-	Workers int
 }
 
 // MaxRuns is the size of the run set before early stopping.
@@ -224,7 +213,6 @@ func (p *Plan) ExecuteUnit(ctx context.Context, cell, rep int) (stats.Results, e
 		Spec:     c.spec,
 		Protocol: c.Protocol,
 		Seed:     p.SeedFor(cell, rep),
-		Phy:      phy.Config{Workers: p.Workers},
 		Sinks:    []metrics.Sink{sk, win},
 	})
 	if err != nil {
@@ -329,15 +317,6 @@ func (s Spec) Expand() (*Plan, error) {
 	s.Protocols = protocols
 
 	// Scenario: the Go-side override wins, else patch the study default.
-	// Workers rides on the patch for JSON convenience but is pulled out
-	// here — it must never reach the scenario (and so the digests).
-	workers := 0
-	if s.Base.Workers != nil {
-		workers = *s.Base.Workers
-		if workers < 0 {
-			return nil, fmt.Errorf("campaign: negative worker count %d", workers)
-		}
-	}
 	base := scenario.Default()
 	s.Base.apply(&base)
 	if s.Scenario != nil {
@@ -421,7 +400,6 @@ func (s Spec) Expand() (*Plan, error) {
 		Points:    cross,
 		Cells:     cells,
 		Metrics:   core.Metrics(),
-		Workers:   workers,
 	}
 	hash, err := p.hash()
 	if err != nil {

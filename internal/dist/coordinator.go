@@ -39,11 +39,11 @@ type ServerOptions struct {
 	Clock func() time.Time
 }
 
-// Server is the distributed campaign coordinator. It owns the campaign
-// lifecycle (submit, progress, results, cancel — the same HTTP API the
-// single-process campaign server exposes), plus the worker protocol
-// (lease, renew, release, commit, spec), a per-campaign SSE progress
-// stream, and the control stream workers watch for cancellations.
+// Server is the campaign coordinator and the one HTTP simulation service.
+// It owns the campaign lifecycle (submit, progress, results, cancel), the
+// worker protocol (lease, renew, release, commit, spec), a per-campaign SSE
+// progress stream, and the control stream workers watch for cancellations.
+// With its default local executors it needs no remote worker at all.
 type Server struct {
 	opts     ServerOptions
 	leaseTTL time.Duration
@@ -181,6 +181,10 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// maxSpecBytes caps a POST /campaigns body: ~1000× the largest in-tree
+// spec, so one request cannot make the coordinator buffer arbitrary input.
+const maxSpecBytes = 1 << 20
+
 // createdResponse is the POST /campaigns reply.
 type createdResponse struct {
 	ID      string `json:"id"`
@@ -193,10 +197,15 @@ type createdResponse struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec campaign.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("decoding spec: %w", err))
 		return
 	}
 	c, err := campaign.New(spec, campaign.Options{})

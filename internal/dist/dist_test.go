@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,13 +86,31 @@ func submitSpec(t *testing.T, base string, spec campaign.Spec) createdResponse {
 	if err != nil {
 		t.Fatalf("marshal spec: %v", err)
 	}
-	resp, err := http.Post(base+"/campaigns", "application/json", bytes.NewReader(body))
+	return submitJSON(t, base, string(body))
+}
+
+// submitJSON posts a spec exactly as a client would write it.
+func submitJSON(t *testing.T, base, spec string) createdResponse {
+	t.Helper()
+	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	var created createdResponse
 	decodeBody(t, resp, http.StatusCreated, &created)
 	return created
+}
+
+func deleteCampaign(t *testing.T, base, id string) campaign.Snapshot {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, base+"/campaigns/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	var snap campaign.Snapshot
+	decodeBody(t, resp, http.StatusOK, &snap)
+	return snap
 }
 
 func decodeBody(t *testing.T, resp *http.Response, want int, v any) {
@@ -422,14 +441,7 @@ func TestDeleteWhileRunning(t *testing.T) {
 		}
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, base+"/campaigns/"+created.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	var snap campaign.Snapshot
-	decodeBody(t, resp, http.StatusOK, &snap)
-	if snap.State != campaign.StateCancelled {
+	if snap := deleteCampaign(t, base, created.ID); snap.State != campaign.StateCancelled {
 		t.Fatalf("state after delete = %s, want cancelled", snap.State)
 	}
 
@@ -451,19 +463,14 @@ func TestDeleteWhileRunning(t *testing.T) {
 	if n := s.leases.count(created.ID); n != 0 {
 		t.Errorf("campaign still holds %d leases after delete", n)
 	}
-	resp, err = http.Get(base + "/campaigns/" + created.ID + "/results")
+	resp, err := http.Get(base + "/campaigns/" + created.ID + "/results")
 	if err != nil {
 		t.Fatalf("results: %v", err)
 	}
 	decodeBody(t, resp, http.StatusConflict, nil) // cancelled: no results
 
 	// Deleting again is idempotent.
-	req, _ = http.NewRequest(http.MethodDelete, base+"/campaigns/"+created.ID, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("second delete: %v", err)
-	}
-	decodeBody(t, resp, http.StatusOK, &snap)
+	deleteCampaign(t, base, created.ID)
 }
 
 // TestCacheResubmitZeroRecompute: after a campaign completes once, an

@@ -86,50 +86,6 @@ func (tb *Table) lookup(i int, t sim.Time) geo.Point {
 	return p
 }
 
-// Clone returns a table that shares the immutable segment arena with tb but
-// owns fresh lookup state (segment hints, memo). The channel's pipelined
-// reindex hands a clone to its background precompute goroutine, so the
-// epoch-ahead Positions sweep can run concurrently with the simulation
-// goroutine's own At probes without the two racing on the memo arrays —
-// segments are written once in NewTable and never mutated afterwards.
-func (tb *Table) Clone() *Table {
-	n := tb.Len()
-	cl := &Table{
-		segs:  tb.segs,
-		off:   tb.off,
-		seg:   make([]int32, n),
-		epoch: make([]sim.Time, n),
-		pos:   make([]geo.Point, n),
-	}
-	for i := 0; i < n; i++ {
-		cl.seg[i] = tb.off[i]
-		cl.epoch[i] = -1
-	}
-	return cl
-}
-
-// AtRO returns node i's position at time t without writing any lookup
-// state, so any number of goroutines may call it concurrently while the
-// owning simulation goroutine is quiescent (the parallel transmit fan-out:
-// the sim goroutine is parked inside ParallelFor while workers probe). The
-// memoised fast path is kept; a miss falls back to a pure binary search
-// over the node's segments, which selects exactly the segment lookup's
-// hint-walk would — the last segment whose Start is ≤ t, clamped to the
-// first segment for pre-track probes — so the returned position is
-// bit-identical to At's.
-func (tb *Table) AtRO(i int, t sim.Time) geo.Point {
-	if tb.epoch[i] == t {
-		return tb.pos[i]
-	}
-	segs := tb.segs
-	lo, hi := int(tb.off[i]), int(tb.off[i+1])
-	j := lo + sort.Search(hi-lo, func(k int) bool { return segs[lo+k].Start > t })
-	if j == lo {
-		j = lo + 1
-	}
-	return segs[j-1].posAt(t)
-}
-
 // Positions refreshes every node's position at time t into dst (which must
 // hold Len() points) in one pass — the batch form the radio channel's
 // reindex uses, so a 10k-node rebuild is one linear sweep over the arena

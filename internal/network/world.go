@@ -79,9 +79,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if err := cfg.Radio.Validate(); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
 	}
-	if cfg.Phy.Workers < 0 {
-		return nil, fmt.Errorf("network: negative worker count %d", cfg.Phy.Workers)
-	}
 	phyCfg := cfg.Phy
 	if !phyCfg.BruteForce {
 		if phyCfg.ReindexInterval <= 0 {
@@ -172,11 +169,6 @@ func (w *World) Run(ctx context.Context, until sim.Time) error {
 		w.Eng.Interrupt = nil
 	}
 	w.Collector.Begin(w.Eng.Now())
-	// The channel's parallel helpers (fan-out pool, pipelined reindex
-	// goroutine) must not outlive the run — campaigns build thousands of
-	// worlds per process. They re-create themselves lazily if a phased
-	// run continues past this call.
-	defer w.Channel.StopWorkers()
 	if err := w.Eng.Run(until); err != nil {
 		return err
 	}

@@ -65,18 +65,6 @@ type Config struct {
 	// and therefore every result — is bit-identical either way; the
 	// choice is purely a performance knob.
 	Scheduler sim.QueueKind
-	// Workers selects the intra-run parallel execution layer: N > 0 fans
-	// each transmit's per-candidate propagation math across N pool
-	// goroutines (plus the simulation goroutine) and pipelines the next
-	// epoch's position capture + spatial reindex on a background worker.
-	// Results are byte-identical to the sequential path — stochastic
-	// draws are content-derived per (seed, from, to, txSeq), evaluation
-	// is split from in-order commit, and the epoch grid stays within the
-	// SpeedBound×interval staleness window — so Workers is purely a
-	// performance knob, like Scheduler. The zero value keeps today's
-	// single-goroutine path instruction-identical. Negative values are
-	// rejected by network.NewWorld.
-	Workers int
 }
 
 // Channel is the shared wireless medium. It connects all radios of a run and
@@ -128,12 +116,6 @@ type Channel struct {
 	ends     *sim.Lane      // reception ends, watchdogs, air departures
 	legBatch []sim.LaneItem // the current transmit's surviving legs
 
-	// Intra-run parallelism (Config.Workers > 0); see parallel.go. All
-	// lazily built on the first transmit and torn down by StopWorkers.
-	parInit   bool
-	fanout    *sim.Pool    // phase=fanout leg-evaluation pool
-	legs      []legResult  // per-candidate fan-out results arena
-	pre       *precomputer // phase=reindex pipelined epoch builder
 	rxPool    []*receptionEvent
 	airPool   []*airEvent
 	Reindexes uint64 // spatial-index rebuilds (diagnostics)
@@ -194,7 +176,7 @@ func (c *Channel) NodeUp(id pkt.NodeID) bool { return c.up[id] }
 // SetNodeUp flips radio id's membership (the lifecycle layer's Join/Leave/
 // Fail/Recover events land here). A down radio neither radiates — its MAC
 // can keep draining queued frames, but transmit drops them at the channel —
-// nor appears as a fan-out/carrier-sense candidate for anyone else's
+// nor appears as a carrier-sense candidate for anyone else's
 // transmissions. Powering down destroys any reception in progress; energy
 // already in the air from the node's earlier transmissions keeps
 // propagating (it was radiated while up).
@@ -318,15 +300,12 @@ func (c *Channel) transmit(r *Radio, payload any, dur sim.Duration) {
 	now := c.eng.Now()
 	c.Transmissions++
 	from := c.posAt(r.id, now)
-	if c.cfg.Workers > 0 && !c.parInit {
-		c.initParallel()
-	}
 	if c.cfg.BruteForce {
 		c.transmitBrute(r, from, payload, dur, now)
 	} else {
 		c.transmitIndexed(r, from, payload, dur, now)
 	}
-	// Every path above committed its surviving legs in NodeID order; the
+	// Both paths above batched their surviving legs in NodeID order; the
 	// batch numbers them in that order (the sequence numbers per-leg
 	// Schedule calls would have drawn) and appends them sorted by arrival.
 	c.arrivals.ScheduleBatch(c.legBatch)
@@ -335,10 +314,6 @@ func (c *Channel) transmit(r *Radio, payload any, dur sim.Duration) {
 
 // transmitBrute visits every other up radio, in NodeID order.
 func (c *Channel) transmitBrute(r *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
-	if c.fanoutReady(len(c.radios) - 1) {
-		c.fanoutAll(r, from, payload, dur, now)
-		return
-	}
 	for _, o := range c.radios {
 		if o == r || (c.downCount > 0 && !c.up[o.id]) {
 			continue
@@ -350,19 +325,12 @@ func (c *Channel) transmitBrute(r *Radio, from geo.Point, payload any, dur sim.D
 // transmitIndexed visits the spatial index's candidates, in NodeID order.
 func (c *Channel) transmitIndexed(r *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
 	if c.needReindex(now) {
-		c.refreshIndex(now)
+		c.reindex(now)
 	}
-	// Down radios are masked out of the candidate set before the fan-out
-	// gate, so the sequential and pooled paths see the same candidates and
-	// take the same gate decision — the workers=N parity invariant.
 	if c.downCount > 0 {
 		c.scratch = c.grid.WithinSortedLive(from, c.queryRadius, int32(r.id), c.up, c.scratch[:0])
 	} else {
 		c.scratch = c.grid.WithinSorted(from, c.queryRadius, int32(r.id), c.scratch[:0])
-	}
-	if c.fanoutReady(len(c.scratch)) {
-		c.fanoutCands(r, c.scratch, from, payload, dur, now)
-		return
 	}
 	for _, id := range c.scratch {
 		c.propagate(r, c.radios[id], from, payload, dur, now)
@@ -411,8 +379,9 @@ func (c *Channel) legPower(sender, o *Radio, d float64) float64 {
 	return c.params.Prop.RxPower(c.params.TxPower, d)
 }
 
-// propagate delivers one transmission leg sender→o if the received power
-// clears the carrier-sense threshold.
+// propagate adds one transmission leg sender→o to the current transmit's
+// batch if the received power clears the carrier-sense threshold. Both
+// transmit paths call it in NodeID order.
 func (c *Channel) propagate(sender, o *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
 	d := c.posAt(o.id, now).Dist(from)
 	power := c.legPower(sender, o, d)
@@ -423,18 +392,11 @@ func (c *Channel) propagate(sender, o *Radio, from geo.Point, payload any, dur s
 	if propDelay < sim.Nanosecond {
 		propDelay = sim.Nanosecond
 	}
-	c.commitLeg(o, arrival{payload: payload, from: sender.id, power: power}, dur, now.Add(propDelay))
-}
-
-// commitLeg adds one surviving leg to the current transmit's batch. Every
-// transmit path — sequential, brute-force and the fan-out's commit loop —
-// ends here, called in NodeID order.
-func (c *Channel) commitLeg(o *Radio, a arrival, dur sim.Duration, at sim.Time) {
 	ae := c.allocArrival()
 	ae.o = o
 	ae.dur = dur
-	ae.a = a
-	c.legBatch = append(c.legBatch, sim.LaneItem{At: at, Fn: ae.fire})
+	ae.a = arrival{payload: payload, from: sender.id, power: power}
+	c.legBatch = append(c.legBatch, sim.LaneItem{At: now.Add(propDelay), Fn: ae.fire})
 }
 
 // InRange reports whether b currently receives a's transmissions (power at

@@ -3,25 +3,51 @@ package phy
 import (
 	"testing"
 
+	"adhocsim/internal/geo"
+	"adhocsim/internal/mobility"
 	"adhocsim/internal/pkt"
 	"adhocsim/internal/sim"
 )
 
-// TestLaneBatchOnEveryTransmitPath: the indexed, brute-force and pooled
-// fan-out paths all commit through one batch, so after a transmit in a
-// single carrier-sense domain every leg sits in the arrival lane — none in
-// the queue — and once the legs have landed, every receiver's watchdog and
-// every decodable frame's end sit in the end lane.
+// buildTableWorld wires n table-backed radios (the network layer's
+// configuration) on a fresh engine: spread deterministically over a 400 m
+// square — one carrier-sense domain — each drifting towards its mirror point.
+func buildTableWorld(n int, cfg Config) (*sim.Engine, *Channel, []*collector) {
+	const side = 400
+	tracks := make([]*mobility.Track, n)
+	for i := range tracks {
+		x := side * float64((i*31)%97) / 97
+		y := side * float64((i*57)%89) / 89
+		tracks[i] = mobility.MustTrack([]mobility.Segment{{
+			From:  geo.Point{X: x, Y: y},
+			To:    geo.Point{X: side - x, Y: side - y},
+			Speed: 4,
+		}})
+	}
+	eng := sim.NewEngine()
+	ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
+	ch.SetPositionTable(mobility.NewTable(tracks))
+	cols := make([]*collector, n)
+	for i := range cols {
+		cols[i] = &collector{}
+		ch.AttachRadio(pkt.NodeID(i), nil, cols[i])
+	}
+	return eng, ch, cols
+}
+
+// TestLaneBatchOnEveryTransmitPath: the indexed and brute-force paths both
+// commit through one batch, so after a transmit in a single carrier-sense
+// domain every leg sits in the arrival lane — none in the queue — and once
+// the legs have landed, every receiver's watchdog and every decodable
+// frame's end sit in the end lane.
 func TestLaneBatchOnEveryTransmitPath(t *testing.T) {
 	const n = 48
 	for name, cfg := range map[string]Config{
-		"indexed":        {},
-		"brute":          {BruteForce: true},
-		"indexed-fanout": {Workers: 4},
-		"brute-fanout":   {BruteForce: true, Workers: 4},
-		"sinr":           {SINR: true},
+		"indexed": {},
+		"brute":   {BruteForce: true},
+		"sinr":    {SINR: true},
 	} {
-		eng, ch, cols := buildParallelWorld(n, cfg)
+		eng, ch, cols := buildTableWorld(n, cfg)
 		ch.Radio(7).Transmit("frame", sim.Millis(1))
 		if got := ch.arrivals.Len(); got != n-1 {
 			t.Fatalf("%s: arrival lane holds %d of %d legs", name, got, n-1)
@@ -42,7 +68,6 @@ func TestLaneBatchOnEveryTransmitPath(t *testing.T) {
 		if err := eng.RunAll(); err != nil {
 			t.Fatal(err)
 		}
-		ch.StopWorkers()
 		delivered := 0
 		for i, c := range cols {
 			delivered += len(c.got)
@@ -63,7 +88,7 @@ func TestLaneBatchOnEveryTransmitPath(t *testing.T) {
 // transmission with everything it schedules.
 func BenchmarkTransmitDense(b *testing.B) {
 	const n = 40
-	eng, ch, _ := buildParallelWorld(n, Config{ReindexInterval: sim.Second, SpeedBound: 4})
+	eng, ch, _ := buildTableWorld(n, Config{ReindexInterval: sim.Second, SpeedBound: 4})
 	for i := 0; i < n; i++ {
 		ch.Radio(pkt.NodeID(i)).SetReceiver(&countingReceiver{})
 	}

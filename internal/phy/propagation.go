@@ -45,29 +45,6 @@ type LinkPropagation interface {
 	LinkRxPower(txPower, d float64, from, to pkt.NodeID, txSeq uint64) float64
 }
 
-// ConcurrentPropagation marks a propagation model whose RxPower (and
-// LinkRxPower, when implemented) may be called from multiple goroutines at
-// once. The parallel transmit fan-out evaluates candidate legs on a worker
-// pool; a model that memoises internally must guard that state (see
-// radio.Shadowing) before declaring itself safe, and a model that does not
-// declare itself safe is simply evaluated on the simulation goroutine —
-// correctness is never at stake, only the fan-out speedup.
-type ConcurrentPropagation interface {
-	ConcurrentSafe()
-}
-
-// concurrentSafe reports whether prop may be evaluated concurrently: the
-// built-in deterministic models are pure value types (stateless by
-// construction), anything else must opt in through ConcurrentPropagation.
-func concurrentSafe(prop Propagation) bool {
-	switch prop.(type) {
-	case FreeSpace, TwoRayGround, PathLossExp:
-		return true
-	}
-	_, ok := prop.(ConcurrentPropagation)
-	return ok
-}
-
 // GainBounded is implemented by stochastic propagation models to bound how
 // far above the nominal RxPower a single link or reception can land
 // (linear power factor ≥ 1). The channel widens its candidate query by

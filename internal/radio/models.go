@@ -3,7 +3,6 @@ package radio
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"adhocsim/internal/phy"
 	"adhocsim/internal/pkt"
@@ -40,11 +39,8 @@ type Shadowing struct {
 	Seed     int64
 
 	// cache memoises per-link linear gains. A simulation run owns its
-	// RadioParams (scenario.Generate builds fresh ones per run), but the
-	// parallel transmit fan-out probes links from a worker pool, so the
-	// map is guarded; the draw itself is a pure function of (seed, link),
-	// so a racing double-compute stores the same value twice.
-	mu    sync.RWMutex
+	// RadioParams (scenario.Generate builds fresh ones per run) and is one
+	// goroutine, so the map needs no guard.
 	cache map[uint64]float64
 }
 
@@ -70,10 +66,7 @@ func (s *Shadowing) LinkGain(a, b pkt.NodeID) float64 {
 		i, j = j, i
 	}
 	key := uint64(uint32(i))<<32 | uint64(uint32(j))
-	s.mu.RLock()
-	g, ok := s.cache[key]
-	s.mu.RUnlock()
-	if ok {
+	if g, ok := s.cache[key]; ok {
 		return g
 	}
 	z, _ := gaussPair(sim.DeriveSeed(s.Seed, fmt.Sprintf("shadow|%d|%d", i, j)))
@@ -83,19 +76,13 @@ func (s *Shadowing) LinkGain(a, b pkt.NodeID) float64 {
 	} else if dev < -s.MaxDevDB {
 		dev = -s.MaxDevDB
 	}
-	g = dbToLinear(dev)
-	s.mu.Lock()
+	g := dbToLinear(dev)
 	if s.cache == nil {
 		s.cache = make(map[uint64]float64)
 	}
 	s.cache[key] = g
-	s.mu.Unlock()
 	return g
 }
-
-// ConcurrentSafe implements phy.ConcurrentPropagation: the gain cache is
-// mutex-guarded and every draw is a pure function of (seed, link).
-func (s *Shadowing) ConcurrentSafe() {}
 
 // LinkRxPower implements phy.LinkPropagation.
 func (s *Shadowing) LinkRxPower(txPower, d float64, from, to pkt.NodeID, _ uint64) float64 {
@@ -155,7 +142,3 @@ func (f *Fading) LinkRxPower(txPower, d float64, from, to pkt.NodeID, txSeq uint
 
 // MaxGainLinear implements phy.GainBounded.
 func (f *Fading) MaxGainLinear() float64 { return f.MaxGain }
-
-// ConcurrentSafe implements phy.ConcurrentPropagation: every leg draw is a
-// stateless pure function of (seed, from, to, txSeq).
-func (f *Fading) ConcurrentSafe() {}
