@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench bench-baseline bench-compare profile race campaign-smoke dist-smoke scenario-smoke radio-smoke churn-smoke
+.PHONY: verify fmt vet build test figs bench profile race scenario-smoke radio-smoke
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -30,20 +30,6 @@ figs:
 race:
 	$(GO) test -race -short ./...
 
-## campaign-smoke: drive a tiny 2-protocol × 2-seed campaign through the
-## adhocd HTTP API on a loopback port (submit → poll → results → delete).
-campaign-smoke:
-	$(GO) run ./cmd/adhocd -smoke
-
-## dist-smoke: distributed execution end to end — one coordinator plus two
-## adhocd -worker child processes over loopback, one worker SIGKILLed and
-## replaced mid-campaign. Asserts the distributed result is
-## reflect.DeepEqual to the single-process result, that resubmitting the
-## spec completes entirely from the content-addressed result cache, and
-## that the SSE progress stream stays monotone.
-dist-smoke:
-	$(GO) run ./cmd/adhocd -smoke-dist
-
 ## scenario-smoke: run a tiny protocol × mobility × traffic model matrix
 ## through the campaign engine (exercises the scenario model registries).
 scenario-smoke:
@@ -55,35 +41,10 @@ scenario-smoke:
 radio-smoke:
 	$(GO) run ./examples/radio_matrix
 
-## churn-smoke: run the address-autoconfiguration protocol across a churn
-## model × population matrix through the adhocd HTTP API on a loopback
-## port, asserting every cell reports membership churn plus converged
-## time_to_converge / addr_collision_rate summaries in the results JSON.
-churn-smoke:
-	$(GO) run ./cmd/adhocd -smoke-churn
-
-## bench: smoke-scale benchmarks (1 iteration each, shape check).
+## bench: smoke-scale benchmarks (1 iteration each, shape check). The
+## measurement path is `go run ./benchmark` (see benchmark/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-## bench-baseline: record the committed benchmark baseline as JSON (same
-## ./... scope the CI bench-smoke step runs, so the two are comparable).
-## Two steps, not a pipe, so a benchmark failure fails the target.
-bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > bench.out.tmp
-	$(GO) run ./cmd/benchjson < bench.out.tmp > BENCH_baseline.json
-	@rm -f bench.out.tmp
-	@echo wrote BENCH_baseline.json
-
-## bench-compare: run the benchmarks and report per-benchmark ns/op drift
-## against the committed BENCH_baseline.json. Informational — a drift past
-## the tolerance prints REGRESSION but does not fail the target (pass
-## BENCHJSON_FLAGS=-strict to make it gate).
-BENCHJSON_FLAGS ?=
-bench-compare:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > bench.out.tmp
-	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json $(BENCHJSON_FLAGS) < bench.out.tmp
-	@rm -f bench.out.tmp
 
 ## profile: capture CPU + heap pprof profiles of a mid-size city-scale
 ## single run (2000 nodes, manhattan mobility, calendar scheduler) into

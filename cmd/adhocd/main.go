@@ -21,38 +21,28 @@
 //
 // SIGINT/SIGTERM drains gracefully: dispatch stops, in-flight runs finish
 // and are journaled, leases are released. A second signal forces exit.
-//
-// The -smoke flag runs a self-contained single-process smoke test; the
-// -smoke-dist flag runs a distributed one — one coordinator plus two
-// worker child processes over loopback, killing and replacing a worker
-// mid-campaign — and asserts the distributed result is reflect.DeepEqual
-// to the single-process result, that resubmitting the spec completes
-// entirely from the result cache, and that the SSE stream reports
-// monotonically increasing run counts. CI runs both via
-// `make campaign-smoke` and `make dist-smoke`.
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
-	"reflect"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"adhocsim"
+)
+
+// Server-side connection limits. There is no write timeout: the SSE
+// progress streams are long-lived.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -64,22 +54,11 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "worker lease duration")
 		workerMode = flag.Bool("worker", false, "run as a worker process (requires -join)")
 		join       = flag.String("join", "", "coordinator URL to join in worker mode")
-		smoke      = flag.Bool("smoke", false, "run the single-process loopback smoke test and exit")
-		smokeDist  = flag.Bool("smoke-dist", false, "run the distributed smoke test (coordinator + 2 worker processes) and exit")
-		smokeChurn = flag.Bool("smoke-churn", false, "run the churn×scale autoconfiguration smoke test and exit")
 	)
 	flag.Parse()
 
 	if *workerMode {
 		os.Exit(runWorkerMode(*join, *workers))
-	}
-	if *smokeDist {
-		if err := runSmokeDist(); err != nil {
-			fmt.Fprintln(os.Stderr, "adhocd: dist smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("dist smoke OK")
-		return
 	}
 
 	srv, err := newServer(*workers, *journalDir, *cacheDir, *leaseTTL)
@@ -88,24 +67,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *smoke {
-		if err := runSmoke(srv); err != nil {
-			fmt.Fprintln(os.Stderr, "adhocd: smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("campaign smoke OK")
-		return
+	// Listen before logging, so "-addr :0" reports the port it got.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "adhocd:", err)
+		os.Exit(1)
 	}
-	if *smokeChurn {
-		if err := runSmokeChurn(srv); err != nil {
-			fmt.Fprintln(os.Stderr, "adhocd: churn smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("churn smoke OK")
-		return
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -125,9 +97,8 @@ func main() {
 		cancel()
 		httpSrv.Close() // closes the listener and any open SSE streams
 	}()
-	fmt.Fprintf(os.Stderr, "adhocd: listening on %s\n", *addr)
-	err = httpSrv.ListenAndServe()
-	if err != nil && err != http.ErrServerClosed {
+	fmt.Fprintf(os.Stderr, "adhocd: listening on %s\n", ln.Addr())
+	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "adhocd:", err)
 		os.Exit(1)
 	}
@@ -166,6 +137,12 @@ func runWorkerMode(join string, slots int) int {
 		fmt.Fprintln(os.Stderr, "adhocd: -worker requires -join <coordinator URL>")
 		return 2
 	}
+	if slots < 0 {
+		// -1 means "pure coordinator" only in the other mode; a worker
+		// with no slots would lease nothing.
+		fmt.Fprintln(os.Stderr, "adhocd: -worker needs -workers >= 0 (0 = GOMAXPROCS)")
+		return 2
+	}
 	if slots == 0 {
 		slots = runtime.GOMAXPROCS(0)
 	}
@@ -196,489 +173,4 @@ func runWorkerMode(join string, slots int) int {
 	}
 	fmt.Fprintln(os.Stderr, "adhocd: worker exited cleanly")
 	return 0
-}
-
-// smokeSpec is the tiny campaign of the smoke tests: 2 protocols × 2
-// replication seeds on a 10-node, 10-second scenario — 4 runs, a few
-// seconds of wall clock. It selects non-default scenario models — for the
-// radio, log-normal shadowing decoded under cumulative-interference SINR —
-// so the smoke proves all three registry paths end to end over HTTP.
-const smokeSpec = `{
-  "name": "smoke",
-  "base": {
-    "nodes": 10, "area_w_m": 600, "duration_s": 10, "sources": 3,
-    "mobility": {"name": "gauss-markov", "params": {"alpha": 0.8}},
-    "traffic": {"name": "expoo", "params": {"on_s": 0.5, "off_s": 0.5}},
-    "radio": {"name": "shadowing", "params": {"sigma_db": 3}, "sinr": true}
-  },
-  "protocols": ["DSR", "AODV"],
-  "max_reps": 2
-}`
-
-// churnSpec is the churn×scale network-initialization campaign of the churn
-// smoke test: the AUTOCONF protocol crossed over two lifecycle models
-// (Ravelomanana-style staggered bootstrap and a flash-crowd burst) and two
-// population scales, exercising the lifecycle registry, the membership-aware
-// hot path and the autoconfiguration census end to end over HTTP.
-const churnSpec = `{
-  "name": "churn-smoke",
-  "base": {
-    "nodes": 10, "area_w_m": 600, "duration_s": 45, "sources": 3
-  },
-  "protocols": ["AUTOCONF"],
-  "axes": [
-    {"name": "lifecycle", "models": ["staggered-join", "flashcrowd"]},
-    {"name": "nodes", "values": [10, 20]}
-  ],
-  "max_reps": 2
-}`
-
-// serveLoopback binds a loopback port and serves the handler on it.
-func serveLoopback(h http.Handler) (base string, stop func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: h}
-	go hs.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
-}
-
-type createdInfo struct {
-	ID      string `json:"id"`
-	MaxRuns int    `json:"max_runs"`
-}
-
-// submitCampaign POSTs a campaign spec.
-func submitCampaign(base, spec string) (createdInfo, error) {
-	var created createdInfo
-	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return created, err
-	}
-	if err := decode(resp, http.StatusCreated, &created); err != nil {
-		return created, fmt.Errorf("submit: %w", err)
-	}
-	return created, nil
-}
-
-// waitDone polls a campaign until it settles.
-func waitDone(base, id string, timeout time.Duration) (adhocsim.CampaignSnapshot, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/campaigns/" + id)
-		if err != nil {
-			return adhocsim.CampaignSnapshot{}, err
-		}
-		var snap adhocsim.CampaignSnapshot
-		if err := decode(resp, http.StatusOK, &snap); err != nil {
-			return snap, fmt.Errorf("progress: %w", err)
-		}
-		switch snap.State {
-		case "done":
-			return snap, nil
-		case "failed", "cancelled":
-			return snap, fmt.Errorf("campaign ended %s: %s", snap.State, snap.Err)
-		}
-		if time.Now().After(deadline) {
-			return snap, fmt.Errorf("campaign stuck: %+v", snap)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// fetchResults GETs the final aggregate.
-func fetchResults(base, id string) (adhocsim.CampaignResult, error) {
-	var result adhocsim.CampaignResult
-	resp, err := http.Get(base + "/campaigns/" + id + "/results")
-	if err != nil {
-		return result, err
-	}
-	if err := decode(resp, http.StatusOK, &result); err != nil {
-		return result, fmt.Errorf("results: %w", err)
-	}
-	return result, nil
-}
-
-// runSmoke exercises the full submit → poll → results → delete cycle over a
-// real loopback TCP listener, single process.
-func runSmoke(srv *adhocsim.DistServer) error {
-	base, stop, err := serveLoopback(srv.Handler())
-	if err != nil {
-		return err
-	}
-	defer stop()
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "adhocd: smoke server on %s\n", base)
-
-	created, err := submitCampaign(base, smokeSpec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "adhocd: smoke campaign %s (%d runs max)\n", created.ID, created.MaxRuns)
-	if _, err := waitDone(base, created.ID, 5*time.Minute); err != nil {
-		return err
-	}
-	result, err := fetchResults(base, created.ID)
-	if err != nil {
-		return err
-	}
-	if len(result.Cells) != 2 {
-		return fmt.Errorf("expected 2 cells, got %d", len(result.Cells))
-	}
-	for _, cell := range result.Cells {
-		if cell.Reps != 2 || cell.Merged.DataSent == 0 {
-			return fmt.Errorf("degenerate cell: %+v", cell)
-		}
-		// The streaming pipeline must surface per-packet percentiles in the
-		// HTTP results JSON, monotone and covering every delivered packet.
-		q, ok := cell.Quantiles["delay"]
-		if !ok {
-			return fmt.Errorf("cell %s has no delay quantiles", cell.Label)
-		}
-		if q.Count != float64(cell.Merged.DataDelivered) {
-			return fmt.Errorf("cell %s delay sketch count %v != delivered %d",
-				cell.Label, q.Count, cell.Merged.DataDelivered)
-		}
-		if !(q.P50 > 0 && q.P50 <= q.P95 && q.P95 <= q.P99) {
-			return fmt.Errorf("cell %s percentiles not monotone: %+v", cell.Label, q)
-		}
-		if cell.Series == nil || len(cell.Series.Counts) == 0 {
-			return fmt.Errorf("cell %s has no time series", cell.Label)
-		}
-		pdr := cell.Metrics["pdr"]
-		fmt.Fprintf(os.Stderr, "adhocd: smoke %-6s pdr %.1f%% ±%.1f (n=%d), delay p50/p95/p99 %.2f/%.2f/%.2f ms\n",
-			cell.Protocol, pdr.Mean, pdr.CI95, pdr.N, q.P50*1e3, q.P95*1e3, q.P99*1e3)
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, base+"/campaigns/"+created.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	var final adhocsim.CampaignSnapshot
-	if err := decode(resp, http.StatusOK, &final); err != nil {
-		return fmt.Errorf("delete: %w", err)
-	}
-	return nil
-}
-
-// runSmokeChurn submits the churn×scale autoconfiguration campaign over
-// loopback HTTP and asserts the membership-aware metric plumbing end to end:
-// every cell must report joins, a positive time_to_converge with its CI95
-// summary, and an addr_collision_rate in [0,1].
-func runSmokeChurn(srv *adhocsim.DistServer) error {
-	base, stop, err := serveLoopback(srv.Handler())
-	if err != nil {
-		return err
-	}
-	defer stop()
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "adhocd: churn smoke server on %s\n", base)
-
-	created, err := submitCampaign(base, churnSpec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "adhocd: churn campaign %s (%d runs max)\n", created.ID, created.MaxRuns)
-	if _, err := waitDone(base, created.ID, 5*time.Minute); err != nil {
-		return err
-	}
-	result, err := fetchResults(base, created.ID)
-	if err != nil {
-		return err
-	}
-	if len(result.Cells) != 4 {
-		return fmt.Errorf("expected 4 cells (2 lifecycle models × 2 scales), got %d", len(result.Cells))
-	}
-	for _, cell := range result.Cells {
-		if cell.Merged.Joins == 0 {
-			return fmt.Errorf("cell %s saw no join events", cell.Label)
-		}
-		ttc, ok := cell.Metrics["time_to_converge"]
-		if !ok {
-			return fmt.Errorf("cell %s has no time_to_converge metric", cell.Label)
-		}
-		if ttc.Mean <= 0 {
-			return fmt.Errorf("cell %s time_to_converge %v not positive", cell.Label, ttc.Mean)
-		}
-		acr, ok := cell.Metrics["addr_collision_rate"]
-		if !ok {
-			return fmt.Errorf("cell %s has no addr_collision_rate metric", cell.Label)
-		}
-		if acr.Mean < 0 || acr.Mean > 1 {
-			return fmt.Errorf("cell %s addr_collision_rate %v outside [0,1]", cell.Label, acr.Mean)
-		}
-		fmt.Fprintf(os.Stderr, "adhocd: churn %-40s joins %d, ttc %.2fs ±%.2f (n=%d), collisions %.4f\n",
-			cell.Label, cell.Merged.Joins, ttc.Mean, ttc.CI95, ttc.N, acr.Mean)
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, base+"/campaigns/"+created.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	var final adhocsim.CampaignSnapshot
-	if err := decode(resp, http.StatusOK, &final); err != nil {
-		return fmt.Errorf("delete: %w", err)
-	}
-	return nil
-}
-
-// runSmokeDist is the distributed smoke test: a pure coordinator plus two
-// worker child processes over loopback, one of which is SIGKILLed
-// mid-campaign and replaced. Asserts the three distribution invariants:
-// the distributed aggregate is reflect.DeepEqual to the single-process
-// one, an identical resubmission on a fresh coordinator completes entirely
-// from the shared result cache, and the SSE progress stream reports
-// monotonically increasing committed-run counts through completion.
-func runSmokeDist() error {
-	tmp, err := os.MkdirTemp("", "adhocd-dist-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	cache, err := adhocsim.NewFSResultStore(filepath.Join(tmp, "cache"))
-	if err != nil {
-		return err
-	}
-
-	// Reference: the same spec, single process, no cache.
-	ref := adhocsim.NewDistServer(adhocsim.DistServerOptions{})
-	refBase, refStop, err := serveLoopback(ref.Handler())
-	if err != nil {
-		return err
-	}
-	refCreated, err := submitCampaign(refBase, smokeSpec)
-	if err == nil {
-		_, err = waitDone(refBase, refCreated.ID, 5*time.Minute)
-	}
-	var refResult adhocsim.CampaignResult
-	if err == nil {
-		refResult, err = fetchResults(refBase, refCreated.ID)
-	}
-	ref.Close()
-	refStop()
-	if err != nil {
-		return fmt.Errorf("single-process reference: %w", err)
-	}
-
-	// Distributed: a coordinator with no local executors — every run must
-	// arrive from a worker process. Short leases so the killed worker's
-	// unit re-issues quickly.
-	coord := adhocsim.NewDistServer(adhocsim.DistServerOptions{
-		LocalWorkers: -1,
-		Cache:        cache,
-		LeaseTTL:     2 * time.Second,
-		ReapInterval: 200 * time.Millisecond,
-	})
-	base, stop, err := serveLoopback(coord.Handler())
-	if err != nil {
-		return err
-	}
-	defer stop()
-	defer coord.Close()
-	fmt.Fprintf(os.Stderr, "adhocd: dist smoke coordinator on %s\n", base)
-
-	w1, err := spawnWorker(base)
-	if err != nil {
-		return err
-	}
-	defer reapWorker(w1)
-	w2, err := spawnWorker(base)
-	if err != nil {
-		return err
-	}
-	defer reapWorker(w2)
-
-	created, err := submitCampaign(base, smokeSpec)
-	if err != nil {
-		return err
-	}
-	watch := watchEvents(base, created.ID)
-
-	// Kill a worker as soon as the first run lands, then bring up a
-	// replacement: the campaign must still complete, identically.
-	select {
-	case <-watch.firstCommit:
-	case err := <-watch.done:
-		if err != nil {
-			return fmt.Errorf("SSE stream: %w", err)
-		}
-	case <-time.After(5 * time.Minute):
-		return fmt.Errorf("no run committed within 5 minutes")
-	}
-	fmt.Fprintln(os.Stderr, "adhocd: dist smoke: killing worker 1 mid-campaign")
-	w1.Process.Kill()
-	w3, err := spawnWorker(base)
-	if err != nil {
-		return err
-	}
-	defer reapWorker(w3)
-
-	select {
-	case err := <-watch.done:
-		if err != nil {
-			return fmt.Errorf("SSE stream: %w", err)
-		}
-	case <-time.After(5 * time.Minute):
-		return fmt.Errorf("distributed campaign did not finish within 5 minutes")
-	}
-	if _, err := waitDone(base, created.ID, time.Minute); err != nil {
-		return err
-	}
-	distResult, err := fetchResults(base, created.ID)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(refResult, distResult) {
-		return fmt.Errorf("distributed result differs from single-process result:\nsingle: %+v\ndist:   %+v", refResult, distResult)
-	}
-	fmt.Fprintln(os.Stderr, "adhocd: dist smoke: distributed result is DeepEqual to single-process")
-
-	// Resubmission on a fresh coordinator sharing only the cache directory:
-	// it has no local executors and no workers, so the only way it can
-	// finish is from cache — zero recomputed runs, at submission time.
-	coord2 := adhocsim.NewDistServer(adhocsim.DistServerOptions{LocalWorkers: -1, Cache: cache})
-	base2, stop2, err := serveLoopback(coord2.Handler())
-	if err != nil {
-		return err
-	}
-	defer stop2()
-	defer coord2.Close()
-	created2, err := submitCampaign(base2, smokeSpec)
-	if err != nil {
-		return err
-	}
-	snap2, err := waitDone(base2, created2.ID, time.Minute)
-	if err != nil {
-		return fmt.Errorf("cached resubmission: %w", err)
-	}
-	if snap2.RunsFromCache != snap2.RunsDone || snap2.RunsDone != created2.MaxRuns {
-		return fmt.Errorf("cached resubmission recomputed runs: %d done, %d from cache, want all %d cached",
-			snap2.RunsDone, snap2.RunsFromCache, created2.MaxRuns)
-	}
-	cachedResult, err := fetchResults(base2, created2.ID)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(refResult, cachedResult) {
-		return fmt.Errorf("cache-served result differs from single-process result")
-	}
-	fmt.Fprintf(os.Stderr, "adhocd: dist smoke: resubmission served %d/%d runs from cache\n",
-		snap2.RunsFromCache, snap2.RunsDone)
-	return nil
-}
-
-// spawnWorker starts this binary again as a worker child process.
-func spawnWorker(base string) (*exec.Cmd, error) {
-	cmd := exec.Command(os.Args[0], "-worker", "-join", base, "-workers", "1")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	return cmd, nil
-}
-
-// reapWorker asks a worker child to drain (SIGTERM) and reaps it, forcing
-// after a timeout.
-func reapWorker(cmd *exec.Cmd) {
-	if cmd.Process == nil {
-		return
-	}
-	cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		cmd.Process.Kill()
-		<-done
-	}
-}
-
-// eventWatch follows one campaign's SSE stream, asserting monotone
-// committed-run counts.
-type eventWatch struct {
-	firstCommit chan struct{}
-	done        chan error
-}
-
-func watchEvents(base, id string) *eventWatch {
-	ew := &eventWatch{firstCommit: make(chan struct{}), done: make(chan error, 1)}
-	go func() { ew.done <- ew.follow(base, id) }()
-	return ew
-}
-
-func (ew *eventWatch) follow(base, id string) error {
-	resp, err := http.Get(base + "/campaigns/" + id + "/events")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("events: status %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	last := -1
-	sawFirst := false
-	markFirst := func() {
-		if !sawFirst {
-			sawFirst = true
-			close(ew.firstCommit)
-		}
-	}
-	var data bytes.Buffer
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		case line == "":
-			if data.Len() == 0 {
-				continue
-			}
-			var e adhocsim.DistEvent
-			if err := json.Unmarshal(data.Bytes(), &e); err != nil {
-				return fmt.Errorf("events: %w", err)
-			}
-			data.Reset()
-			if e.Snapshot != nil {
-				if e.Snapshot.RunsDone < last {
-					return fmt.Errorf("SSE runs_done went backwards: %d after %d", e.Snapshot.RunsDone, last)
-				}
-				last = e.Snapshot.RunsDone
-				if last > 0 {
-					markFirst()
-				}
-			}
-			switch e.Type {
-			case adhocsim.DistEventCampaignDone:
-				markFirst()
-				if e.State != "done" {
-					return fmt.Errorf("campaign ended %s: %s", e.State, e.Err)
-				}
-				fmt.Fprintf(os.Stderr, "adhocd: dist smoke: SSE saw %d committed runs, all monotone\n", last)
-				return nil
-			case adhocsim.DistEventCampaignCancelled:
-				markFirst()
-				return fmt.Errorf("campaign was cancelled")
-			}
-		}
-	}
-	return fmt.Errorf("SSE stream ended before campaign finished: %v", sc.Err())
-}
-
-// decode checks the status code and unmarshals the JSON body.
-func decode(resp *http.Response, want int, v any) error {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != want {
-		return fmt.Errorf("status %d (want %d): %s", resp.StatusCode, want, body)
-	}
-	return json.Unmarshal(body, v)
 }

@@ -578,11 +578,15 @@ func Grid(ctx context.Context, opts Options, axes ...Axis) (*GridResult, error) 
 				axes[a].Apply(&spec, pt[a])
 			}
 			for _, seed := range opts.Seeds {
-				jobs = append(jobs, runJob{spec: spec, protocol: p, seed: seed, axis: axisLabel, x: pt[0]})
+				jobs = append(jobs, runJob{
+					rc:   RunConfig{Spec: spec, Protocol: p, Seed: seed, Mac: opts.Mac, Tweaks: opts.Tweaks},
+					axis: axisLabel,
+					x:    pt[0],
+				})
 			}
 		}
 	}
-	results, err := runJobs(ctx, opts, jobs)
+	results, err := runJobs(ctx, opts.Workers, opts.OnProgress, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -151,12 +151,9 @@ func Run(ctx context.Context, rc RunConfig) (stats.Results, error) {
 	return world.Collector.Finalize(), nil
 }
 
-// RunReplicated executes the run for each seed in parallel and merges the
-// results.
+// RunReplicated executes the run for each seed on the shared worker pool
+// and merges the results in seed order. A single seed is a plain Run.
 func RunReplicated(ctx context.Context, rc RunConfig, seeds []int64, workers int) (stats.Results, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
@@ -167,23 +164,13 @@ func RunReplicated(ctx context.Context, rc RunConfig, seeds []int64, workers int
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results := make([]stats.Results, len(seeds))
-	errs := make([]error, len(seeds))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	jobs := make([]runJob, len(seeds))
 	for i, seed := range seeds {
-		wg.Add(1)
-		go func(i int, seed int64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := rc
-			r.Seed = seed
-			results[i], errs[i] = Run(ctx, r)
-		}(i, seed)
+		jobs[i].rc = rc
+		jobs[i].rc.Seed = seed
 	}
-	wg.Wait()
-	if err := firstError(ctx, errs); err != nil {
+	results, err := runJobs(ctx, workers, nil, jobs)
+	if err != nil {
 		return stats.Results{}, err
 	}
 	return stats.MergeResults(results), nil
@@ -259,22 +246,19 @@ func (o Options) normalized() Options {
 }
 
 // runJob is one unit of work for the shared worker pool: a fully-resolved
-// scenario×protocol×seed triple plus the progress annotations of the axis
-// point it came from.
+// run plus the progress annotations of the axis point it came from.
 type runJob struct {
-	spec     scenario.Spec
-	protocol string
-	seed     int64
-	axis     string
-	x        float64
+	rc   RunConfig
+	axis string
+	x    float64
 }
 
-// runJobs executes every job on a shared worker pool and returns results in
-// job order (a flat indexed slice — deterministic, no per-job map
-// allocation or struct-key hashing on the dispatch path). Cancelling the
-// context stops dispatch and interrupts in-flight simulations; the
+// runJobs executes every job on a pool of workers goroutines and returns
+// results in job order (a flat indexed slice — deterministic, no per-job
+// map allocation or struct-key hashing on the dispatch path). Cancelling
+// the context stops dispatch and interrupts in-flight simulations; the
 // context's error is returned unless an earlier job failed on its own.
-func runJobs(ctx context.Context, opts Options, jobs []runJob) ([]stats.Results, error) {
+func runJobs(ctx context.Context, workers int, onProgress ProgressFunc, jobs []runJob) ([]stats.Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -284,7 +268,7 @@ func runJobs(ctx context.Context, opts Options, jobs []runJob) ([]stats.Results,
 	var progressMu sync.Mutex
 	done := 0
 	report := func(i int) {
-		if opts.OnProgress == nil {
+		if onProgress == nil {
 			return
 		}
 		j := jobs[i]
@@ -293,30 +277,23 @@ func runJobs(ctx context.Context, opts Options, jobs []runJob) ([]stats.Results,
 		p := Progress{
 			Done:     done,
 			Total:    len(jobs),
-			Protocol: j.protocol,
-			Seed:     j.seed,
+			Protocol: j.rc.Protocol,
+			Seed:     j.rc.Seed,
 			Axis:     j.axis,
 			X:        j.x,
 		}
-		opts.OnProgress(p)
+		onProgress(p)
 		progressMu.Unlock()
 	}
 
 	var wg sync.WaitGroup
 	ch := make(chan int)
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range ch {
-				j := jobs[i]
-				results[i], errs[i] = Run(ctx, RunConfig{
-					Spec:     j.spec,
-					Protocol: j.protocol,
-					Seed:     j.seed,
-					Mac:      opts.Mac,
-					Tweaks:   opts.Tweaks,
-				})
+				results[i], errs[i] = Run(ctx, jobs[i].rc)
 				report(i)
 			}
 		}()

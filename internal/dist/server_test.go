@@ -49,6 +49,19 @@ func TestServerEndToEnd(t *testing.T) {
 		if cell.Metrics["pdr"].N != 2 {
 			t.Fatalf("pdr summary = %+v", cell.Metrics["pdr"])
 		}
+		// The streaming pipeline must survive the HTTP results JSON:
+		// per-packet delay percentiles, monotone and covering every
+		// delivered packet, and a per-cell time series.
+		q := cell.Quantiles["delay"]
+		if q.Count != float64(cell.Merged.DataDelivered) {
+			t.Fatalf("cell %s delay sketch count %v != delivered %d", cell.Label, q.Count, cell.Merged.DataDelivered)
+		}
+		if !(q.P50 > 0 && q.P50 <= q.P95 && q.P95 <= q.P99) {
+			t.Fatalf("cell %s percentiles not monotone: %+v", cell.Label, q)
+		}
+		if cell.Series == nil || len(cell.Series.Counts) == 0 {
+			t.Fatalf("cell %s has no time series", cell.Label)
+		}
 	}
 
 	resp, err := http.Get(base + "/campaigns")
@@ -171,14 +184,16 @@ func TestServerRejections(t *testing.T) {
 }
 
 // modelMatrixSpecJSON is the acceptance scenario of the model-registry PR:
-// a JSON campaign selecting Gauss-Markov mobility parameters and the expoo
-// VBR workload in the base patch, crossed with a mobility-model grid axis.
+// a JSON campaign selecting Gauss-Markov mobility parameters, the expoo VBR
+// workload and log-normal shadowing decoded under cumulative-interference
+// SINR in the base patch, crossed with a mobility-model grid axis.
 const modelMatrixSpecJSON = `{
   "name": "model-matrix",
   "base": {
     "nodes": 10, "area_w_m": 600, "duration_s": 10, "sources": 3,
     "mobility": {"name": "gauss-markov", "params": {"alpha": 0.8}},
-    "traffic": {"name": "expoo", "params": {"on_s": 0.5, "off_s": 0.5}}
+    "traffic": {"name": "expoo", "params": {"on_s": 0.5, "off_s": 0.5}},
+    "radio": {"name": "shadowing", "params": {"sigma_db": 3}, "sinr": true}
   },
   "protocols": ["DSR"],
   "axes": [{"name": "mobility", "models": ["waypoint", "gauss-markov", "manhattan"]}],

@@ -1,11 +1,11 @@
 package geo
 
-// FlatGrid is the rebuild-oriented sibling of Grid: a uniform grid over a
-// dense id space (0..n-1) stored in one flat cell array, rebuilt wholesale
-// from a position slice. Queries do pure index arithmetic — no hashing, no
-// map lookups — which makes it the right structure for the radio channel's
-// periodic reindex (positions are recaptured for every node anyway) while
-// the hash-based Grid serves callers that move items incrementally.
+// FlatGrid is a uniform grid over a dense id space (0..n-1) stored in one
+// flat cell array, rebuilt wholesale from a position slice. Queries do pure
+// index arithmetic — no hashing, no map lookups — which makes it the right
+// structure for the radio channel's periodic reindex (positions are
+// recaptured for every node anyway). Each cell stores (id, position) pairs
+// so the inner distance test runs over a contiguous slice.
 type FlatGrid struct {
 	cell       float64
 	minX, minY float64
@@ -13,6 +13,11 @@ type FlatGrid struct {
 	cells      [][]gridItem // cols*rows buckets, storage reused across rebuilds
 	used       []int32      // bucket indices filled by the last Rebuild
 	n          int
+}
+
+type gridItem struct {
+	id int32
+	p  Point
 }
 
 // NewFlatGrid creates a grid with the given cell edge length in metres.
@@ -159,4 +164,20 @@ func (g *FlatGrid) clampRow(c int32) int32 {
 		return g.rows - 1
 	}
 	return c
+}
+
+// insertionSortIDs sorts a small id slice ascending in place without
+// allocating — the regime of grid query results (a handful of ids, one
+// short ascending run per visited cell), where insertion sort beats the
+// libraries.
+func insertionSortIDs(ids []int32) {
+	for i := 1; i < len(ids); i++ {
+		v := ids[i]
+		j := i - 1
+		for j >= 0 && ids[j] > v {
+			ids[j+1] = ids[j]
+			j--
+		}
+		ids[j+1] = v
+	}
 }

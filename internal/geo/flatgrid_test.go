@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -76,47 +75,5 @@ func TestFlatGridEmpty(t *testing.T) {
 	}
 	if got := g.WithinSorted(Pt(0, 0), 100, -1, nil); got != nil {
 		t.Fatalf("query on empty grid: %v", got)
-	}
-}
-
-func TestGridWithinSortedOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewGrid(120)
-	n := 60
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Pt(rng.Float64()*800, rng.Float64()*800)
-	}
-	// Insert in random order: output order must not depend on it.
-	for _, i := range rng.Perm(n) {
-		g.Insert(int32(i), pts[i])
-	}
-	for q := 0; q < 20; q++ {
-		center := Pt(rng.Float64()*800, rng.Float64()*800)
-		got := g.WithinSorted(center, 250, -1, nil)
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-			t.Fatalf("unsorted result: %v", got)
-		}
-		want := bruteWithin(pts, center, 250, -1)
-		if len(got) != len(want) {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("got %v, want %v", got, want)
-			}
-		}
-	}
-}
-
-func TestGridSameCellMoveUpdatesStoredPosition(t *testing.T) {
-	g := NewGrid(100)
-	g.Insert(1, Pt(10, 10))
-	g.Insert(1, Pt(90, 90)) // same cell, new position
-	if got := g.Within(Pt(12, 12), 10, -1, nil); len(got) != 0 {
-		t.Fatalf("stale cell position survived the move: %v", got)
-	}
-	if got := g.Within(Pt(90, 90), 5, -1, nil); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("moved item not found: %v", got)
 	}
 }

@@ -101,124 +101,17 @@ func TestRect(t *testing.T) {
 	}
 }
 
-func TestGridBasic(t *testing.T) {
-	g := NewGrid(10)
-	g.Insert(1, Pt(5, 5))
-	g.Insert(2, Pt(15, 5))
-	g.Insert(3, Pt(95, 95))
-	got := g.Within(Pt(0, 0), 20, -1, nil)
-	if len(got) != 2 {
-		t.Fatalf("Within found %v, want ids 1,2", got)
-	}
-	got = g.Within(Pt(0, 0), 20, 1, nil)
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Within with exclusion found %v, want [2]", got)
-	}
-	if g.Len() != 3 {
-		t.Fatal("Len")
-	}
-	p, ok := g.Position(3)
-	if !ok || p != Pt(95, 95) {
-		t.Fatal("Position")
-	}
-	g.Remove(2)
-	if got := g.Within(Pt(0, 0), 200, -1, nil); len(got) != 2 {
-		t.Fatalf("after Remove: %v", got)
-	}
-	g.Remove(2) // removing twice is a no-op
-	if g.Len() != 2 {
-		t.Fatal("Len after double remove")
-	}
-}
-
-func TestGridMove(t *testing.T) {
-	g := NewGrid(25)
-	g.Insert(7, Pt(0, 0))
-	g.Move(7, Pt(300, 300))
-	if got := g.Within(Pt(0, 0), 50, -1, nil); len(got) != 0 {
-		t.Fatalf("item still found at old cell: %v", got)
-	}
-	if got := g.Within(Pt(300, 300), 1, -1, nil); len(got) != 1 {
-		t.Fatalf("item not found at new cell: %v", got)
-	}
-	// Move within the same cell.
-	g.Move(7, Pt(301, 301))
-	if got := g.Within(Pt(301, 301), 2, -1, nil); len(got) != 1 {
-		t.Fatal("intra-cell move lost item")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Move of unknown id must panic")
-		}
-	}()
-	g.Move(99, Pt(0, 0))
-}
-
-func TestGridNegativeCoordinates(t *testing.T) {
-	g := NewGrid(10)
-	g.Insert(1, Pt(-5, -5))
-	g.Insert(2, Pt(-15, -25))
-	if got := g.Within(Pt(-10, -10), 30, -1, nil); len(got) != 2 {
-		t.Fatalf("negative-coordinate query found %v", got)
-	}
-}
-
-// TestGridMatchesBruteForce is the core correctness property: Within must
-// return exactly the set a brute-force distance scan returns.
-func TestGridMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		cell := 5 + r.Float64()*100
-		g := NewGrid(cell)
-		n := 50 + r.Intn(100)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(r.Float64()*1500, r.Float64()*300)
-			g.Insert(int32(i), pts[i])
-		}
-		for q := 0; q < 20; q++ {
-			c := Pt(r.Float64()*1500, r.Float64()*300)
-			radius := r.Float64() * 400
-			got := g.Within(c, radius, -1, nil)
-			want := map[int32]bool{}
-			for i, p := range pts {
-				if p.Dist(c) <= radius {
-					want[int32(i)] = true
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("cell=%.1f r=%.1f: grid found %d, brute force %d", cell, radius, len(got), len(want))
-			}
-			for _, id := range got {
-				if !want[id] {
-					t.Fatalf("grid returned id %d outside radius", id)
-				}
-			}
-		}
-	}
-}
-
-func TestGridForEach(t *testing.T) {
-	g := NewGrid(10)
-	for i := int32(0); i < 10; i++ {
-		g.Insert(i, Pt(float64(i)*7, 0))
-	}
-	seen := map[int32]bool{}
-	g.ForEach(func(id int32, p Point) { seen[id] = true })
-	if len(seen) != 10 {
-		t.Fatalf("ForEach visited %d items", len(seen))
-	}
-}
-
 func BenchmarkGridWithin(b *testing.B) {
-	g := NewGrid(250)
+	g := NewFlatGrid(250)
 	r := rand.New(rand.NewSource(1))
-	for i := int32(0); i < 100; i++ {
-		g.Insert(i, Pt(r.Float64()*1500, r.Float64()*300))
+	pts := make([]Point, 100)
+	for i := range pts {
+		pts[i] = Pt(r.Float64()*1500, r.Float64()*300)
 	}
+	g.Rebuild(pts)
 	buf := make([]int32, 0, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.Within(Pt(750, 150), 250, -1, buf[:0])
+		buf = g.WithinSorted(Pt(750, 150), 250, -1, buf[:0])
 	}
 }

@@ -76,6 +76,26 @@ func TestTrackArrivalBeforeNextSegment(t *testing.T) {
 	}
 }
 
+func TestTrackMaxSpeed(t *testing.T) {
+	tr := MustTrack([]Segment{
+		{Start: 0, From: geo.Pt(0, 0), To: geo.Pt(100, 0), Speed: 5},
+		{Start: sim.At(20), From: geo.Pt(100, 0), To: geo.Pt(0, 0), Speed: 12.5},
+	})
+	if got := tr.MaxSpeed(); got != 12.5 {
+		t.Fatalf("MaxSpeed = %v", got)
+	}
+	static := Static(geo.Pt(1, 1))
+	if got := static.MaxSpeed(); got != 0 {
+		t.Fatalf("static MaxSpeed = %v", got)
+	}
+	if got := MaxTrackSpeed([]*Track{tr, static}); got != 12.5 {
+		t.Fatalf("MaxTrackSpeed = %v", got)
+	}
+	if got := MaxTrackSpeed(nil); got != 0 {
+		t.Fatalf("MaxTrackSpeed(nil) = %v", got)
+	}
+}
+
 func TestRandomWaypointStaysInArea(t *testing.T) {
 	area := geo.Rect{W: 1500, H: 300}
 	m := RandomWaypoint{Area: area, MinSpeed: 1, MaxSpeed: 20, Pause: sim.Seconds(30)}

@@ -7,18 +7,20 @@ import (
 	"adhocsim/internal/sim"
 )
 
-// Table is the struct-of-arrays sibling of Cursor for a whole node
-// population: every track's segments live in one contiguous arena, and the
-// per-node lookup state (segment hint, memo epoch, memoised position) lives
-// in parallel flat slices instead of one heap object per node. At
-// city-scale populations this keeps the position lookup — the innermost
-// call of every transmission leg — walking dense arrays rather than chasing
-// a *Cursor and a *Track pointer per probe.
+// Table is the stateful position reader for a whole node population, built
+// for the hot lookup path of the radio channel: every track's segments live
+// in one contiguous arena, and the per-node lookup state (segment hint,
+// memo epoch, memoised position) lives in parallel flat slices instead of
+// one heap object per node. At city-scale populations this keeps the
+// position lookup — the innermost call of every transmission leg — walking
+// dense arrays rather than chasing a *Track pointer per probe.
 //
-// The lookup semantics are exactly Cursor.At's: within one virtual
-// timestamp a node's position is computed at most once; monotone queries
-// advance the segment hint linearly; out-of-order probes re-seek by binary
-// search. A Table belongs to one single-threaded simulation world.
+// Every lookup equals Track.At bit for bit. Within one virtual timestamp a
+// node's position is computed at most once, no matter how many
+// transmissions probe it; monotone queries advance the segment hint
+// linearly; out-of-order probes re-seek by binary search. A Table belongs
+// to one single-threaded simulation world; the Tracks stay immutable and
+// shareable.
 type Table struct {
 	segs []Segment // all tracks' segments, concatenated in node order
 	off  []int32   // node i's segments are segs[off[i]:off[i+1]]
@@ -89,7 +91,7 @@ func (tb *Table) lookup(i int, t sim.Time) geo.Point {
 // Positions refreshes every node's position at time t into dst (which must
 // hold Len() points) in one pass — the batch form the radio channel's
 // reindex uses, so a 10k-node rebuild is one linear sweep over the arena
-// instead of 10k indirect cursor calls. The memo is updated too: probes at
+// instead of 10k indirect calls. The memo is updated too: probes at
 // the same timestamp afterwards are pure array reads.
 func (tb *Table) Positions(t sim.Time, dst []geo.Point) {
 	for i := range dst {

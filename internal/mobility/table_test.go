@@ -8,11 +8,70 @@ import (
 	"adhocsim/internal/sim"
 )
 
-// TestTableMatchesCursor: the flattened table must reproduce Cursor.At (and
-// therefore Track.At) bit-for-bit under the same probe sequence — monotone
-// probes, exact repeats, and out-of-order re-seeks alike. The channel's
-// parity tests lean on this equivalence.
-func TestTableMatchesCursor(t *testing.T) {
+func randomTrack(t *testing.T, seed int64) *Track {
+	t.Helper()
+	m := RandomWaypoint{Area: geo.Rect{W: 1000, H: 500}, MinSpeed: 1, MaxSpeed: 20, Pause: 2 * sim.Second}
+	tracks, err := m.Generate(1, 300*sim.Second, sim.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tracks[0]
+}
+
+// TestTableMatchesTrack: the flattened table must reproduce the stateless
+// Track.At bit-for-bit under any probe sequence — monotone probes, exact
+// repeats, and out-of-order re-seeks alike. The channel's parity tests lean
+// on this equivalence.
+func TestTableMatchesTrack(t *testing.T) {
+	t.Run("monotone", func(t *testing.T) {
+		tr := randomTrack(t, 1)
+		tb := NewTable([]*Track{tr})
+		for s := 0.0; s < 320; s += 0.37 {
+			at := sim.At(s)
+			if got, want := tb.At(0, at), tr.At(at); got != want {
+				t.Fatalf("t=%v: table %v, track %v", at, got, want)
+			}
+		}
+	})
+
+	t.Run("random_order", func(t *testing.T) {
+		tr := randomTrack(t, 2)
+		tb := NewTable([]*Track{tr})
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 500; i++ {
+			at := sim.At(rng.Float64() * 320)
+			if got, want := tb.At(0, at), tr.At(at); got != want {
+				t.Fatalf("t=%v: table %v, track %v", at, got, want)
+			}
+		}
+	})
+
+	// Within one timestamp a position is computed at most once: a repeated
+	// probe must return the memoised point, not a recomputation.
+	t.Run("same_timestamp_memo", func(t *testing.T) {
+		tr := randomTrack(t, 3)
+		tb := NewTable([]*Track{tr})
+		at := sim.At(42.5)
+		if got, want := tb.At(0, at), tr.At(at); got != want {
+			t.Fatalf("first probe: table %v, track %v", got, want)
+		}
+		marker := geo.Point{X: -1, Y: -1}
+		tb.pos[0] = marker
+		for i := 0; i < 10; i++ {
+			if got := tb.At(0, at); got != marker {
+				t.Fatalf("repeated same-timestamp probe recomputed: %v", got)
+			}
+		}
+		next := at.Add(sim.Second)
+		if got, want := tb.At(0, next), tr.At(next); got != want {
+			t.Fatalf("new timestamp served from a stale memo: table %v, track %v", got, want)
+		}
+	})
+
+	t.Run("population", testTablePopulation)
+}
+
+func testTablePopulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var tracks []*Track
 	for n := 0; n < 20; n++ {
@@ -41,10 +100,6 @@ func TestTableMatchesCursor(t *testing.T) {
 	if tb.Len() != len(tracks) {
 		t.Fatalf("Len = %d, want %d", tb.Len(), len(tracks))
 	}
-	cursors := make([]*Cursor, len(tracks))
-	for i, tr := range tracks {
-		cursors[i] = NewCursor(tr)
-	}
 
 	var clock sim.Time
 	for probe := 0; probe < 5000; probe++ {
@@ -63,9 +118,9 @@ func TestTableMatchesCursor(t *testing.T) {
 		case 3: // far-future probe beyond the last segment
 			at = clock + sim.Time(rng.Int63n(int64(1000*sim.Second)))
 		}
-		got, want := tb.At(i, at), cursors[i].At(at)
+		got, want := tb.At(i, at), tracks[i].At(at)
 		if got != want {
-			t.Fatalf("probe %d: Table.At(%d, %v) = %v, Cursor.At = %v", probe, i, at, got, want)
+			t.Fatalf("probe %d: Table.At(%d, %v) = %v, Track.At = %v", probe, i, at, got, want)
 		}
 	}
 }

@@ -104,8 +104,8 @@ func NewWorld(cfg Config) (*World, error) {
 	w.Channel = phy.NewChannelWithConfig(w.Eng, cfg.Radio, phyCfg)
 	// One flattened position table for the whole population, precomputed
 	// off the event loop: the channel reads (and batch-refreshes) positions
-	// from struct-of-arrays state with Cursor's exact memoised semantics,
-	// instead of chasing one cursor object per node mid-dispatch.
+	// from struct-of-arrays state, memoised per (node, timestamp), instead
+	// of calling one closure per node mid-dispatch.
 	w.Channel.SetPositionTable(mobility.NewTable(cfg.Tracks))
 	root := sim.NewRNG(cfg.Seed)
 	for i, tr := range cfg.Tracks {

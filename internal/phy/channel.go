@@ -150,7 +150,7 @@ func (c *Channel) Params() RadioParams { return c.params }
 
 // AttachRadio creates and registers the radio for node id. Radios must be
 // attached in id order starting from 0. pos reports the node's position at
-// any virtual time (typically a mobility cursor lookup); it may be nil when
+// any virtual time; it may be nil when
 // a position table is installed (SetPositionTable), which then serves every
 // lookup for this radio.
 func (c *Channel) AttachRadio(id pkt.NodeID, pos func(sim.Time) geo.Point, rcv Receiver) *Radio {

@@ -30,10 +30,11 @@ func runScripted(t *testing.T, tracks []*mobility.Track, cfg Config, script []st
 	t.Helper()
 	eng := sim.NewEngine()
 	ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
+	ch.SetPositionTable(mobility.NewTable(tracks))
 	rcvs := make([]*countingReceiver, len(tracks))
-	for i, tr := range tracks {
+	for i := range tracks {
 		rcvs[i] = &countingReceiver{}
-		ch.AttachRadio(pkt.NodeID(i), mobility.NewCursor(tr).At, rcvs[i])
+		ch.AttachRadio(pkt.NodeID(i), nil, rcvs[i])
 	}
 	for _, s := range script {
 		s := s

@@ -69,10 +69,11 @@ func TestStochasticGridBruteforceParity(t *testing.T) {
 			run := func(cfg phy.Config) (*phy.Channel, []int) {
 				eng := sim.NewEngine()
 				ch := phy.NewChannelWithConfig(eng, params, cfg)
+				ch.SetPositionTable(mobility.NewTable(tracks))
 				rcvs := make([]*countingReceiver, nodes)
-				for i, tr := range tracks {
+				for i := range tracks {
 					rcvs[i] = &countingReceiver{}
-					ch.AttachRadio(pkt.NodeID(i), mobility.NewCursor(tr).At, rcvs[i])
+					ch.AttachRadio(pkt.NodeID(i), nil, rcvs[i])
 				}
 				for _, s := range script {
 					s := s
