@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench profile race scenario-smoke radio-smoke
+.PHONY: verify fmt vet build test figs bench profile race
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -29,17 +29,6 @@ figs:
 ## event-lane tests are not -short-gated and run here too.
 race:
 	$(GO) test -race -short ./...
-
-## scenario-smoke: run a tiny protocol × mobility × traffic model matrix
-## through the campaign engine (exercises the scenario model registries).
-scenario-smoke:
-	$(GO) run ./examples/model_matrix
-
-## radio-smoke: run a tiny protocol × radio model matrix under SINR
-## reception through the campaign engine (exercises the radio registry and
-## the cumulative-interference path).
-radio-smoke:
-	$(GO) run ./examples/radio_matrix
 
 ## bench: smoke-scale benchmarks (1 iteration each, shape check). The
 ## measurement path is `go run ./benchmark` (see benchmark/README.md).

@@ -48,32 +48,29 @@
 //	sweep, err := adhocsim.Sweep(ctx, opts, adhocsim.TxRangeAxis(nil))
 //	grid, err := adhocsim.Grid(ctx, opts, adhocsim.TxRangeAxis(nil), adhocsim.RateAxis(nil))
 //
-// Scenario families resolve through model registries: Spec.Mobility,
-// Spec.Traffic and Spec.Radio name registered mobility models (random
-// waypoint, Gauss-Markov, Manhattan grid, RPGM, random walk, static grid),
-// traffic models (CBR, Poisson, exponential on/off VBR) and radio models
-// (two-ray ground, free space, tunable path-loss exponent, log-normal
-// shadowing, Ricean/Rayleigh fading) with JSON-friendly parameter maps,
-// and RegisterMobilityModel / RegisterTrafficModel / RegisterRadioModel
-// plug in new ones. Spec.Radio.SINR switches frame reception from the
-// ns-2 pairwise capture test to cumulative-interference SINR. The model
-// axes (MobilityModelAxis, TrafficModelAxis, RadioModelAxis) sweep the
-// family itself as a grid dimension:
-//
-//	spec.Mobility = adhocsim.MobilitySpec{Name: "gauss-markov", Params: map[string]float64{"alpha": 0.85}}
-//	spec.Radio = adhocsim.RadioSpec{Name: "shadowing", Params: map[string]float64{"sigma_db": 6}, SINR: true}
-//	grid, err := adhocsim.Grid(ctx, opts, adhocsim.MobilityModelAxis(nil), adhocsim.TrafficModelAxis(nil))
-//
-// Node lifecycle is a fourth registry: Spec.Lifecycle names a churn model
-// (staggered joins, flash crowds, on/off failures, region-wide partitions)
-// that compiles into a deterministic per-run schedule of join/leave/fail/
-// recover events, RegisterLifecycleModel plugs in new ones, and
-// ChurnModelAxis sweeps the membership dimension. The AUTOCONF protocol
-// (randomized address claim → probe → defend) pairs with it to study
-// network initialization, reporting time_to_converge and
+// Scenario families resolve through one model-kind surface. A Spec names a
+// registered model of each of four kinds — Spec.Mobility (random waypoint,
+// Gauss-Markov, Manhattan grid, RPGM, random walk, static grid),
+// Spec.Traffic (CBR, Poisson, exponential on/off VBR), Spec.Radio (two-ray
+// ground, free space, tunable path-loss exponent, log-normal shadowing,
+// Ricean/Rayleigh fading) and Spec.Lifecycle (staggered joins, flash
+// crowds, on/off failures, region-wide partitions, compiled into a
+// deterministic per-run schedule of join/leave/fail/recover events) — as a
+// ModelSpec: a name plus a JSON-friendly parameter map. ModelKinds is the
+// table of the four, RegisteredModels(kind) lists a kind's registry,
+// ModelAxis(kind, names) sweeps the family itself as a grid dimension, and
+// the typed Register{Mobility,Traffic,Radio,Lifecycle}Model plug in new
+// models. Spec.Radio.SINR switches frame reception from the ns-2 pairwise
+// capture test to cumulative-interference SINR. The AUTOCONF protocol
+// (randomized address claim → probe → defend) pairs with the lifecycle
+// kind to study network initialization, reporting time_to_converge and
 // addr_collision_rate:
 //
-//	spec.Lifecycle = adhocsim.LifecycleSpec{Name: "onoff-fail", Params: map[string]float64{"mean_up_s": 60}}
+//	spec.Mobility = adhocsim.ModelSpec{Name: "gauss-markov", Params: map[string]float64{"alpha": 0.85}}
+//	spec.Radio = adhocsim.RadioSpec{Name: "shadowing", Params: map[string]float64{"sigma_db": 6}, SINR: true}
+//	spec.Lifecycle = adhocsim.ModelSpec{Name: "onoff-fail", Params: map[string]float64{"mean_up_s": 60}}
+//	mob, err := adhocsim.ModelAxis("mobility", nil)
+//	grid, err := adhocsim.Grid(ctx, opts, mob, adhocsim.RateAxis(nil))
 //	res, err := adhocsim.Run(adhocsim.RunConfig{Spec: spec, Protocol: adhocsim.Autoconf, Seed: 1})
 //
 // Long experiments are cancellable and observable: every runner threads a
@@ -105,6 +102,7 @@ import (
 	"adhocsim/internal/lifecycle"
 	"adhocsim/internal/mac"
 	"adhocsim/internal/mobility"
+	"adhocsim/internal/modelreg"
 	"adhocsim/internal/network"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/pkt"
@@ -150,38 +148,56 @@ func RegisterProtocol(name string, builder ProtocolBuilder) error {
 // Spec describes a scenario; see DefaultSpec for the study configuration.
 type Spec = scenario.Spec
 
-// MobilitySpec selects a registered mobility model by name with optional
+// ModelSpec selects a registered model of one kind by name with optional
 // parameters inside a Spec ({"name": "gauss-markov", "params": {...}}); the
-// zero value is the study's random waypoint.
-type MobilitySpec = scenario.MobilitySpec
+// zero value is the kind's study default (random waypoint, CBR, static
+// membership), bit-identical to a spec without the field. MobilitySpec,
+// TrafficSpec and LifecycleSpec are its per-kind names.
+type (
+	ModelSpec     = scenario.ModelSpec
+	MobilitySpec  = scenario.MobilitySpec
+	TrafficSpec   = scenario.TrafficSpec
+	LifecycleSpec = scenario.LifecycleSpec
+)
 
-// TrafficSpec selects a registered traffic model inside a Spec; the zero
-// value is the study's CBR workload.
-type TrafficSpec = scenario.TrafficSpec
-
-// RadioSpec selects a registered radio/propagation model inside a Spec
-// ({"name": "shadowing", "params": {"sigma_db": 6}, "sinr": true}); the
-// zero value is the study's two-ray ground with pairwise capture. SINR
-// switches reception to the cumulative-interference model.
+// RadioSpec is the radio kind's ModelSpec ({"name": "shadowing", "params":
+// {"sigma_db": 6}, "sinr": true}); the zero value is the study's two-ray
+// ground with pairwise capture. SINR switches reception to the
+// cumulative-interference model.
 type RadioSpec = scenario.RadioSpec
 
-// LifecycleSpec selects a registered node-lifecycle (churn) model inside a
-// Spec ({"name": "onoff-fail", "params": {"mean_up_s": 60}}); the zero
-// value is the study's static membership, bit-identical to a spec without
-// the field.
-type LifecycleSpec = scenario.LifecycleSpec
+// ModelKind describes one scenario-model kind: its name (CLI flag, campaign
+// axis, JSON field), axis label, registry listing (names, default,
+// parameter vocabulary) and where its model name and parameters sit in a
+// Spec.
+type ModelKind = scenario.ModelKind
 
-// Scenario-model extension surface: the types an external mobility or
-// traffic model implements against, re-exported so registrations need no
-// internal imports.
+// ModelKinds returns the kinds in presentation order: mobility, traffic,
+// radio, lifecycle.
+func ModelKinds() []ModelKind { return scenario.ModelKinds }
+
+// RegisteredModels lists every model name of one kind (any spelling
+// ModelAxis accepts), sorted; nil for an unknown kind.
+func RegisteredModels(kind string) []string {
+	if k, ok := scenario.ModelKindByName(kind); ok {
+		return k.Models.Names()
+	}
+	return nil
+}
+
+// ModelParams is the read-tracking parameter-map view handed to every
+// kind's builders.
+type ModelParams = modelreg.Params
+
+// Scenario-model extension surface: the types an external model of each
+// kind implements against, re-exported so registrations need no internal
+// imports.
 type (
 	// MobilityModel generates one movement track per node.
 	MobilityModel = mobility.Model
 	// MobilityEnv carries the spec-level area/speed/pause fields into a
 	// mobility model builder.
 	MobilityEnv = mobility.Env
-	// MobilityParams is the parameter map view handed to mobility builders.
-	MobilityParams = mobility.Params
 	// MobilityBuilder constructs a mobility model; see RegisterMobilityModel.
 	MobilityBuilder = mobility.Builder
 	// Track is a node's piecewise-linear movement schedule.
@@ -190,8 +206,6 @@ type (
 	TrafficGenerator = traffic.Generator
 	// TrafficEnv carries the spec-level traffic fields into a generator.
 	TrafficEnv = traffic.Env
-	// TrafficParams is the parameter map view handed to traffic builders.
-	TrafficParams = traffic.Params
 	// TrafficBuilder constructs a traffic generator; see RegisterTrafficModel.
 	TrafficBuilder = traffic.Builder
 	// TrafficConnection is one generated flow (the generator's output unit).
@@ -199,8 +213,6 @@ type (
 	// RadioEnv carries the spec-level range fields and the run seed into a
 	// radio model builder.
 	RadioEnv = radio.Env
-	// RadioModelParams is the parameter map view handed to radio builders.
-	RadioModelParams = radio.Params
 	// RadioBuilder constructs concrete radio parameters; see RegisterRadioModel.
 	RadioBuilder = radio.Builder
 	// Propagation computes received power as a function of distance.
@@ -217,8 +229,6 @@ type (
 	// LifecycleEnv carries the spec-level population/duration/area fields
 	// (and a position oracle) into a lifecycle model builder.
 	LifecycleEnv = lifecycle.Env
-	// LifecycleParams is the parameter map view handed to lifecycle builders.
-	LifecycleParams = lifecycle.Params
 	// LifecycleBuilder constructs a lifecycle model; see RegisterLifecycleModel.
 	LifecycleBuilder = lifecycle.Builder
 	// LifecycleEvent is one scheduled membership transition.
@@ -233,41 +243,21 @@ type (
 	Autoconfigured = network.Autoconfigured
 )
 
-// RegisterMobilityModel plugs a new mobility model into the registry under
-// the given case-insensitive name. Once registered it is selectable
-// everywhere a built-in is: Spec.Mobility, campaign patches and axes, and
-// the cmd tools.
-func RegisterMobilityModel(name string, b MobilityBuilder) error { return mobility.Register(name, b) }
-
-// RegisterTrafficModel plugs a new traffic model into the registry.
-func RegisterTrafficModel(name string, b TrafficBuilder) error { return traffic.Register(name, b) }
-
-// RegisterRadioModel plugs a new radio/propagation model into the registry
-// under the given case-insensitive name. Once registered it is selectable
-// everywhere a built-in is: Spec.Radio, campaign patches and axes, and the
-// cmd tools. Stochastic models must clamp their draws and implement
-// GainBounded so the spatial-index transmit path stays exact.
-func RegisterRadioModel(name string, b RadioBuilder) error { return radio.Register(name, b) }
-
-// RegisteredMobilityModels lists every mobility model name, sorted.
-func RegisteredMobilityModels() []string { return mobility.Registered() }
-
-// RegisteredTrafficModels lists every traffic model name, sorted.
-func RegisteredTrafficModels() []string { return traffic.Registered() }
-
-// RegisteredRadioModels lists every radio model name, sorted.
-func RegisteredRadioModels() []string { return radio.Registered() }
-
-// RegisterLifecycleModel plugs a new node-lifecycle (churn) model into the
-// registry under the given case-insensitive name. Once registered it is
-// selectable everywhere a built-in is: Spec.Lifecycle, campaign patches and
-// axes, and the cmd tools.
-func RegisterLifecycleModel(name string, b LifecycleBuilder) error {
-	return lifecycle.Register(name, b)
+// The typed registration calls, one per kind: a registered model is
+// selectable everywhere a built-in is — Spec, campaign patches and axes,
+// the cmd tools — under its case-insensitive name. Stochastic radio models
+// must clamp their draws and implement GainBounded so the spatial-index
+// transmit path stays exact.
+func RegisterMobilityModel(name string, b MobilityBuilder) error {
+	return mobility.Models.Register(name, b)
 }
-
-// RegisteredLifecycleModels lists every lifecycle model name, sorted.
-func RegisteredLifecycleModels() []string { return lifecycle.Registered() }
+func RegisterTrafficModel(name string, b TrafficBuilder) error {
+	return traffic.Models.Register(name, b)
+}
+func RegisterRadioModel(name string, b RadioBuilder) error { return radio.Models.Register(name, b) }
+func RegisterLifecycleModel(name string, b LifecycleBuilder) error {
+	return lifecycle.Models.Register(name, b)
+}
 
 // Rect is the simulation area type used in Spec.
 type Rect = geo.Rect
@@ -430,23 +420,18 @@ func CSRangeAxis(vs []float64) Axis   { return core.CSRangeAxis(vs) }
 func AreaWidthAxis(vs []float64) Axis { return core.AreaWidthAxis(vs) }
 func PayloadAxis(vs []float64) Axis   { return core.PayloadAxis(vs) }
 
-// MobilityModelAxis and TrafficModelAxis sweep the scenario family itself:
-// their values index a list of registered model names (nil selects the
-// whole registry), so a Grid can cross protocols × mobility × traffic
-// models. ModelAxisByName is the string-list form used by JSON campaign
-// specs ({"name": "mobility", "models": [...]}).
-func MobilityModelAxis(names []string) Axis { return core.MobilityModelAxis(names) }
-func TrafficModelAxis(names []string) Axis  { return core.TrafficModelAxis(names) }
-func RadioModelAxis(names []string) Axis    { return core.RadioModelAxis(names) }
-func ChurnModelAxis(names []string) Axis    { return core.ChurnModelAxis(names) }
-func ModelAxisByName(name string, models []string) (Axis, error) {
-	return core.ModelAxisByName(name, models)
-}
+// ModelAxis sweeps the scenario family itself: its values index a list of
+// one kind's registered model names (nil selects the whole registry), so a
+// Grid can cross protocols × mobility × traffic models.
+func ModelAxis(kind string, names []string) (Axis, error) { return core.ModelAxis(kind, names) }
 
 // AxisByName resolves a catalogue axis by CLI-friendly name ("txrange",
-// "pause", …); AxisNames lists them.
-func AxisByName(name string, vs []float64) (Axis, error) { return core.AxisByName(name, vs) }
-func AxisNames() []string                                { return core.AxisNames() }
+// "pause", "mobility", …) — numeric axes with values, model axes with model
+// names, nil for the defaults; AxisNames lists them.
+func AxisByName(name string, values []float64, models []string) (Axis, error) {
+	return core.AxisByName(name, values, models)
+}
+func AxisNames() []string { return core.AxisNames() }
 
 // PauseSweep sweeps pause time (mobility), the axis of Figures 1–4.
 // A nil pauses slice selects the Broch-style defaults.
@@ -471,6 +456,10 @@ func SpeedSweep(opts Options, speeds []float64) (*SweepResult, error) {
 
 // RenderFigure renders a figure as an aligned text table.
 func RenderFigure(f Figure) string { return core.RenderFigure(f) }
+
+// RenderRegistries lists every registered protocol and, per model kind,
+// every model with its parameter names (`adhocsim -list-models`).
+func RenderRegistries() string { return core.RenderRegistries() }
 
 // RenderFigureCSV renders a figure as CSV.
 func RenderFigureCSV(f Figure) string { return core.RenderFigureCSV(f) }

@@ -13,6 +13,7 @@
 //	adhocfigs -full -seeds 5           # full-length run
 //	adhocfigs -only fig1,tab1          # subset
 //	adhocfigs -axis txrange=100,150,200,250 -json
+//	adhocfigs -axis mobility=waypoint,manhattan
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"strconv"
 	"strings"
 
-	"adhocsim"
 	"adhocsim/internal/core"
 	"adhocsim/internal/sim"
 )
@@ -221,24 +221,30 @@ func main() {
 			}
 		}
 	}
-	_ = adhocsim.DSR // keep the facade linked for doc purposes
 }
 
-// parseAxis parses "-axis name=v1,v2,..."; an empty or omitted value list
-// selects the axis defaults.
+// parseAxis parses "-axis name=v1,v2,...": numbers for a numeric axis,
+// model names for a model axis ("mobility=waypoint,manhattan"); an empty or
+// omitted list selects the axis defaults.
 func parseAxis(s string) (core.Axis, error) {
 	name, list, _ := strings.Cut(s, "=")
 	var values []float64
+	var models []string
 	if strings.TrimSpace(list) != "" {
 		for _, field := range strings.Split(list, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return core.Axis{}, fmt.Errorf("bad axis value %q: %v", field, err)
+			field = strings.TrimSpace(field)
+			if v, err := strconv.ParseFloat(field, 64); err == nil {
+				values = append(values, v)
+			} else {
+				models = append(models, field)
 			}
-			values = append(values, v)
 		}
 	}
-	return core.AxisByName(name, values)
+	axis, err := core.AxisByName(name, values, models)
+	if err == nil && axis.Format != nil && values != nil {
+		err = fmt.Errorf("axis %q takes model names, not numbers", name)
+	}
+	return axis, err
 }
 
 func writeFile(dir, name string, content []byte) {

@@ -27,12 +27,8 @@ import (
 	"strings"
 
 	"adhocsim"
-	lifecyclereg "adhocsim/internal/lifecycle"
 	"adhocsim/internal/metrics"
-	mobilityreg "adhocsim/internal/mobility"
-	radioreg "adhocsim/internal/radio"
 	"adhocsim/internal/trace"
-	trafficreg "adhocsim/internal/traffic"
 )
 
 // parseModelFlag parses "name" or "name,key=value,key=value" into a model
@@ -61,37 +57,6 @@ func parseModelFlag(flagName, s string) (string, map[string]float64) {
 		params[strings.TrimSpace(key)] = x
 	}
 	return name, params
-}
-
-// listModels enumerates every registry — routing protocols plus the four
-// scenario-model registries — with each model's parameter vocabulary,
-// discovered by dry-building the model and observing which keys it reads.
-func listModels(w io.Writer) {
-	fmt.Fprintf(w, "protocols: %s\n", strings.Join(adhocsim.RegisteredProtocols(), ", "))
-	kinds := []struct {
-		kind   string
-		names  []string
-		params func(string) ([]string, error)
-	}{
-		{"mobility", mobilityreg.Registered(), mobilityreg.ParamNames},
-		{"traffic", trafficreg.Registered(), trafficreg.ParamNames},
-		{"radio", radioreg.Registered(), radioreg.ParamNames},
-		{"lifecycle", lifecyclereg.Registered(), lifecyclereg.ParamNames},
-	}
-	for _, k := range kinds {
-		fmt.Fprintf(w, "%s models:\n", k.kind)
-		for _, name := range k.names {
-			params, err := k.params(name)
-			switch {
-			case err != nil:
-				fmt.Fprintf(w, "  %-16s (error: %v)\n", name, err)
-			case len(params) == 0:
-				fmt.Fprintf(w, "  %-16s (no parameters)\n", name)
-			default:
-				fmt.Fprintf(w, "  %-16s %s\n", name, strings.Join(params, ", "))
-			}
-		}
-	}
 }
 
 // runCampaign executes a campaign spec end to end: progress on stderr, the
@@ -155,10 +120,6 @@ func main() {
 		payload     = flag.Int("payload", 64, "payload bytes per packet")
 		dur         = flag.Float64("dur", 150, "simulated duration (s)")
 		txRange     = flag.Float64("range", 250, "radio range (m)")
-		mobility    = flag.String("mobility", "", "mobility model, optionally with parameters (\"gauss-markov,alpha=0.85\"); models: "+strings.Join(adhocsim.RegisteredMobilityModels(), ", "))
-		traffic     = flag.String("traffic", "", "traffic model, optionally with parameters (\"expoo,on_s=0.5\"); models: "+strings.Join(adhocsim.RegisteredTrafficModels(), ", "))
-		radio       = flag.String("radio", "", "radio model, optionally with parameters (\"shadowing,sigma_db=6\"); models: "+strings.Join(adhocsim.RegisteredRadioModels(), ", "))
-		lcModel     = flag.String("lifecycle", "", "node-lifecycle (churn) model, optionally with parameters (\"onoff-fail,mean_up_s=60\"); models: "+strings.Join(adhocsim.RegisteredLifecycleModels(), ", "))
 		listModelsF = flag.Bool("list-models", false, "list every registered protocol and scenario model (with parameter names) and exit")
 		sinr        = flag.Bool("sinr", false, "cumulative-interference SINR reception instead of pairwise capture")
 		seed        = flag.Int64("seed", 1, "scenario seed")
@@ -177,15 +138,26 @@ func main() {
 		checkpoint   = flag.String("checkpoint", "", "campaign journal path; an existing journal of the same spec is resumed")
 		workers      = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
 	)
+	// One flag per scenario-model kind: -mobility, -traffic, -radio,
+	// -lifecycle.
+	kinds := adhocsim.ModelKinds()
+	modelFlags := make([]*string, len(kinds))
+	for i, k := range kinds {
+		modelFlags[i] = flag.String(k.Name, "", k.Name+" model, optionally with parameters (\"name,key=value,...\"); models: "+strings.Join(k.Models.Names(), ", "))
+	}
 	flag.Parse()
 
 	if *listModelsF {
-		listModels(os.Stdout)
+		fmt.Print(adhocsim.RenderRegistries())
 		return
 	}
 
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "adhocsim: -workers %d: worker count cannot be negative\n", *workers)
+		os.Exit(2)
+	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "adhocsim: -seeds %d: need at least one replication seed\n", *seeds)
 		os.Exit(2)
 	}
 
@@ -245,14 +217,13 @@ func main() {
 	spec.PayloadBytes = *payload
 	spec.Duration = adhocsim.Seconds(*dur)
 	spec.TxRange = *txRange
-	mobName, mobParams := parseModelFlag("mobility", *mobility)
-	spec.Mobility = adhocsim.MobilitySpec{Name: mobName, Params: mobParams}
-	traName, traParams := parseModelFlag("traffic", *traffic)
-	spec.Traffic = adhocsim.TrafficSpec{Name: traName, Params: traParams}
-	radName, radParams := parseModelFlag("radio", *radio)
-	spec.Radio = adhocsim.RadioSpec{Name: radName, Params: radParams, SINR: *sinr}
-	lcName, lcParams := parseModelFlag("lifecycle", *lcModel)
-	spec.Lifecycle = adhocsim.LifecycleSpec{Name: lcName, Params: lcParams}
+	spec.Radio.SINR = *sinr
+	anyModel := *sinr
+	for i, k := range kinds {
+		name, params := k.Ref(&spec)
+		*name, *params = parseModelFlag(k.Name, *modelFlags[i])
+		anyModel = anyModel || *name != ""
+	}
 
 	var seedList []int64
 	for i := 0; i < *seeds; i++ {
@@ -325,20 +296,23 @@ func main() {
 	fmt.Printf("protocol            %s\n", strings.ToUpper(*proto))
 	fmt.Printf("scenario            %d nodes, %.0fx%.0f m, pause %.0fs, speed %.0f m/s, %d srcs @ %.1f pkt/s, %.0fs\n",
 		*nodes, *areaW, *areaH, *pause, *speed, *sources, *rate, *dur)
-	if mobName != "" || traName != "" || radName != "" || lcName != "" || *sinr {
-		showModel := func(name, def string) string {
-			if name == "" {
-				return def + " (default)"
-			}
-			return name
-		}
+	if anyModel {
 		reception := "capture"
 		if *sinr {
 			reception = "sinr"
 		}
-		fmt.Printf("models              mobility %s, traffic %s, radio %s (%s), lifecycle %s\n",
-			showModel(mobName, "waypoint"), showModel(traName, "cbr"),
-			showModel(radName, "tworay"), reception, showModel(lcName, "static"))
+		shown := make([]string, len(kinds))
+		for i, k := range kinds {
+			name, _ := k.Ref(&spec)
+			shown[i] = k.Name + " " + *name
+			if *name == "" {
+				shown[i] = k.Name + " " + k.Models.Default() + " (default)"
+			}
+			if k.Name == "radio" { // the one kind with a second switch
+				shown[i] += " (" + reception + ")"
+			}
+		}
+		fmt.Printf("models              %s\n", strings.Join(shown, ", "))
 	}
 	fmt.Printf("data sent/received  %d / %d (+%d dup)\n", res.DataSent, res.DataDelivered, res.DupDelivered)
 	fmt.Printf("packet delivery     %.2f %%\n", res.PDR*100)

@@ -1,6 +1,6 @@
 // Command adhocverify replays the reproduction's acceptance criteria: it
 // runs the reference configurations and checks every documented qualitative
-// finding of the study (see EXPERIMENTS.md). Exit status 0 means all
+// finding of the study (listed by core.Findings). Exit status 0 means all
 // findings reproduced. Ctrl-C cancels the runs cleanly.
 //
 // Usage:

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -304,20 +305,50 @@ func TestCampaignCancel(t *testing.T) {
 	}
 }
 
-// TestPlanHashPinned pins the plan hash and a unit key of one fixed spec to
+// TestPlanHashPinned pins the plan hash and a unit key of two fixed specs to
 // their literal values: journals are matched by Plan.Hash and cached results
-// by UnitKey, so a change to either strands everything already on disk.
+// by UnitKey, so a change to either strands everything already on disk. The
+// second spec names a model of every kind in its base and sweeps two model
+// axes, so the kind table cannot relabel, reorder or re-serialise a kind
+// unnoticed.
 func TestPlanHashPinned(t *testing.T) {
-	plan, err := Spec{Protocols: []string{"DSR"}, MaxReps: 2}.Expand()
-	if err != nil {
+	var models Spec
+	if err := json.Unmarshal([]byte(`{
+	  "base": {"nodes": 12, "duration_s": 20,
+	    "mobility": {"name": "gauss-markov", "params": {"alpha": 0.8}},
+	    "traffic": {"name": "expoo", "params": {"on_s": 0.5, "off_s": 0.5}},
+	    "radio": {"name": "shadowing", "params": {"sigma_db": 3}, "sinr": true},
+	    "lifecycle": {"name": "onoff-fail", "params": {"mean_up_s": 60}}},
+	  "protocols": ["DSR"],
+	  "axes": [{"name": "radio", "models": ["tworay", "shadowing"]},
+	           {"name": "lifecycle", "models": ["static", "onoff-fail"]}],
+	  "max_reps": 2}`), &models); err != nil {
 		t.Fatal(err)
 	}
-	const wantHash = "7976893a4421490d0169fabf4fb4a9d2cba096b61366392c24a28fdbcba8f7ad"
-	const wantKey = "7ef5c8a1efbd9cc1cfb06bc8f7430c9c71c0156089b028ef368dec333b002d61"
-	if plan.Hash != wantHash {
-		t.Errorf("Plan.Hash = %s, want %s", plan.Hash, wantHash)
-	}
-	if got := plan.UnitKey(0, 0); got != wantKey {
-		t.Errorf("UnitKey(0,0) = %s, want %s", got, wantKey)
+	for _, tc := range []struct {
+		spec                     Spec
+		cell                     int
+		wantLabel, wantHash, key string
+	}{
+		{Spec{Protocols: []string{"DSR"}, MaxReps: 2}, 0, "DSR",
+			"7976893a4421490d0169fabf4fb4a9d2cba096b61366392c24a28fdbcba8f7ad",
+			"7ef5c8a1efbd9cc1cfb06bc8f7430c9c71c0156089b028ef368dec333b002d61"},
+		{models, 3, "DSR|radio_model=shadowing|lifecycle_model=onoff-fail",
+			"6ce5098ee23038d159c6e8b43d1c1574bd27dac231b02ac6d633187e4f8f8200",
+			"bb9d553b6924c14c7681ceb6f192c918332d248cc9e00e8a4e939c8eaf118b2c"},
+	} {
+		plan, err := tc.spec.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Hash != tc.wantHash {
+			t.Errorf("%s: Plan.Hash = %s, want %s", tc.wantLabel, plan.Hash, tc.wantHash)
+		}
+		if got := plan.Cells[tc.cell].Label; got != tc.wantLabel {
+			t.Errorf("cell %d label = %q, want %q", tc.cell, got, tc.wantLabel)
+		}
+		if got := plan.UnitKey(tc.cell, 0); got != tc.key {
+			t.Errorf("%s: UnitKey(%d,0) = %s, want %s", tc.wantLabel, tc.cell, got, tc.key)
+		}
 	}
 }

@@ -33,8 +33,9 @@ import (
 
 // AxisSpec names a catalogue axis ("pause", "nodes", "txrange", …; see
 // core.AxisNames) and the values to visit. Nil or empty Values select the
-// axis defaults. The categorical model axes ("mobility", "traffic") take
-// registry model names via Models instead — e.g.
+// axis defaults. The categorical model axes (scenario.ModelKinds:
+// "mobility", "traffic", "radio", "lifecycle") take registry model names
+// via Models instead — e.g.
 // {"name": "mobility", "models": ["waypoint", "gauss-markov", "manhattan"]} —
 // and sweep the scenario family as a grid dimension.
 type AxisSpec struct {
@@ -331,16 +332,7 @@ func (s Spec) Expand() (*Plan, error) {
 	labels := make([]string, len(s.Axes))
 	seenAxis := make(map[string]bool, len(s.Axes))
 	for i, as := range s.Axes {
-		var axis core.Axis
-		var err error
-		if len(as.Models) > 0 {
-			if len(as.Values) > 0 {
-				return nil, fmt.Errorf("campaign: axis %q sets both values and models", as.Name)
-			}
-			axis, err = core.ModelAxisByName(as.Name, as.Models)
-		} else {
-			axis, err = core.AxisByName(as.Name, as.Values)
-		}
+		axis, err := core.AxisByName(as.Name, as.Values, as.Models)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}

@@ -8,14 +8,10 @@ import (
 	"strconv"
 	"strings"
 
-	"adhocsim/internal/lifecycle"
-	"adhocsim/internal/mobility"
 	"adhocsim/internal/modelreg"
-	"adhocsim/internal/radio"
 	"adhocsim/internal/scenario"
 	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
-	"adhocsim/internal/traffic"
 )
 
 // Axis is one sweepable scenario dimension: a label for rendering, the
@@ -237,22 +233,62 @@ func PayloadAxis(vs []float64) Axis {
 	}}
 }
 
-// modelAxis builds a categorical axis over a model-name list: values are
-// indices into names, Apply writes the indexed name into the spec, Format
-// renders names into labels (and therefore into campaign cell labels and
-// content-derived replication seeds).
-func modelAxis(label string, names []string, apply func(*scenario.Spec, string)) Axis {
+// ModelAxis sweeps one scenario-model kind (any spelling in
+// scenario.ModelKinds: "mobility", "traffic_model", "churn", …) by registry
+// name — the scenario-family dimensions the study held fixed. Nil names
+// selects every registered model, sorted. Values are indices into names;
+// Format renders them back to names, so campaign cell labels — and the
+// replication seeds derived from them — carry model names, not list
+// positions. Every name is validated against the registry, so a typo fails
+// at expansion time rather than mid-campaign, and duplicates are rejected:
+// they would expand into cells with identical labels and seeds.
+//
+// When the applied name is the base spec's own model its tuned Params are
+// kept (so a parameterized base can be compared against other models);
+// switching to a different model resets Params to that model's defaults.
+// Spec fields outside the model spec — speed/pause, ranges, the radio
+// kind's SINR reception switch — shape every model either way.
+func ModelAxis(kind string, names []string) (Axis, error) {
+	k, ok := scenario.ModelKindByName(kind)
+	if !ok {
+		return Axis{}, fmt.Errorf("core: axis %q does not take model names (model axes: %s)",
+			kind, strings.Join(modelKindNames(), ", "))
+	}
+	if len(names) == 0 {
+		names = k.Models.Names()
+	}
 	names = append([]string(nil), names...)
+	seen := make(map[string]bool, len(names))
 	vs := make([]float64, len(names))
-	for i := range vs {
+	for i, m := range names {
+		if !k.Models.Known(m) {
+			return Axis{}, fmt.Errorf("core: unknown %s model %q (registered: %s)",
+				k.Name, m, strings.Join(k.Models.Names(), ", "))
+		}
+		canon := modelreg.Canonical(m)
+		if seen[canon] {
+			return Axis{}, fmt.Errorf("core: %s model %q listed twice", k.Name, canon)
+		}
+		seen[canon] = true
 		vs[i] = float64(i)
 	}
+	// resolve canonicalizes a name, the empty one to the kind's default.
+	resolve := func(name string) string {
+		if c := modelreg.Canonical(name); c != "" {
+			return c
+		}
+		return k.Models.Default()
+	}
 	return Axis{
-		Label:  label,
+		Label:  k.Label,
 		Values: vs,
 		Apply: func(s *scenario.Spec, x float64) {
 			if i := int(x); i >= 0 && i < len(names) {
-				apply(s, names[i])
+				name, params := k.Ref(s)
+				if resolve(*name) != resolve(names[i]) {
+					*params = nil
+				}
+				*name = names[i]
 			}
 		},
 		Format: func(x float64) string {
@@ -267,148 +303,20 @@ func modelAxis(label string, names []string, apply func(*scenario.Spec, string))
 			}
 			return nil
 		},
-	}
+	}, nil
 }
 
-// sameModelName compares two model names canonically, resolving the empty
-// name to the model kind's default.
-func sameModelName(a, b, def string) bool {
-	ca := modelreg.Canonical(a)
-	if ca == "" {
-		ca = def
+func modelKindNames() []string {
+	out := make([]string, len(scenario.ModelKinds))
+	for i, k := range scenario.ModelKinds {
+		out[i] = k.Name
 	}
-	cb := modelreg.Canonical(b)
-	if cb == "" {
-		cb = def
-	}
-	return ca == cb
+	return out
 }
 
-// MobilityModelAxis sweeps the mobility model by registry name (the
-// scenario-family dimension the study held fixed at random waypoint). Nil
-// names selects every registered model, sorted. When the applied name is
-// the base spec's own model its tuned Params are kept (so a parameterized
-// base can be compared against other models); switching to a different
-// model resets Params to that model's defaults. The generic speed/pause
-// fields shape every model through its environment either way.
-func MobilityModelAxis(names []string) Axis {
-	if len(names) == 0 {
-		names = mobility.Registered()
-	}
-	return modelAxis("mobility_model", names, func(s *scenario.Spec, name string) {
-		if sameModelName(s.Mobility.Name, name, mobility.DefaultModel) {
-			s.Mobility.Name = name
-			return
-		}
-		s.Mobility = scenario.MobilitySpec{Name: name}
-	})
-}
-
-// TrafficModelAxis sweeps the traffic model by registry name. Nil names
-// selects every registered model, sorted. Like MobilityModelAxis, the base
-// spec's own model keeps its tuned Params.
-func TrafficModelAxis(names []string) Axis {
-	if len(names) == 0 {
-		names = traffic.Registered()
-	}
-	return modelAxis("traffic_model", names, func(s *scenario.Spec, name string) {
-		if sameModelName(s.Traffic.Name, name, traffic.DefaultModel) {
-			s.Traffic.Name = name
-			return
-		}
-		s.Traffic = scenario.TrafficSpec{Name: name}
-	})
-}
-
-// RadioModelAxis sweeps the radio/propagation model by registry name (the
-// channel-condition dimension the study held fixed at two-ray ground). Nil
-// names selects every registered model, sorted. Like the other model axes
-// the base spec's own model keeps its tuned Params; switching models
-// resets Params but preserves the base's SINR reception-mode switch —
-// propagation and reception model are orthogonal, so a SINR campaign can
-// sweep propagation without flipping reception back to pairwise capture.
-func RadioModelAxis(names []string) Axis {
-	if len(names) == 0 {
-		names = radio.Registered()
-	}
-	return modelAxis("radio_model", names, func(s *scenario.Spec, name string) {
-		if sameModelName(s.Radio.Name, name, radio.DefaultModel) {
-			s.Radio.Name = name
-			return
-		}
-		s.Radio = scenario.RadioSpec{Name: name, SINR: s.Radio.SINR}
-	})
-}
-
-// ChurnModelAxis sweeps the node-lifecycle (churn) model by registry name —
-// the membership dimension the study held fixed at a static population. Nil
-// names selects every registered model, sorted. Like the other model axes
-// the base spec's own model keeps its tuned Params; switching models resets
-// Params to that model's defaults.
-func ChurnModelAxis(names []string) Axis {
-	if len(names) == 0 {
-		names = lifecycle.Registered()
-	}
-	return modelAxis("lifecycle_model", names, func(s *scenario.Spec, name string) {
-		if sameModelName(s.Lifecycle.Name, name, lifecycle.DefaultModel) {
-			s.Lifecycle.Name = name
-			return
-		}
-		s.Lifecycle = scenario.LifecycleSpec{Name: name}
-	})
-}
-
-// ModelAxisByName resolves the categorical model axes by CLI name
-// ("mobility", "traffic", "radio", "lifecycle") with an explicit model-name list (nil
-// selects the whole registry), validating every name against the registry
-// so a typo fails at expansion time rather than mid-campaign. Duplicate
-// names are rejected: they would expand into cells with identical labels
-// and therefore identical replication seeds.
-func ModelAxisByName(name string, models []string) (Axis, error) {
-	checkModels := func(kind string, known func(string) bool, registered func() []string) error {
-		seen := make(map[string]bool, len(models))
-		for _, m := range models {
-			if !known(m) {
-				return fmt.Errorf("core: unknown %s model %q (registered: %s)",
-					kind, m, strings.Join(registered(), ", "))
-			}
-			canon := strings.ToLower(strings.TrimSpace(m))
-			if seen[canon] {
-				return fmt.Errorf("core: %s model %q listed twice", kind, canon)
-			}
-			seen[canon] = true
-		}
-		return nil
-	}
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "mobility", "mobility_model":
-		if err := checkModels("mobility", mobility.Known, mobility.Registered); err != nil {
-			return Axis{}, err
-		}
-		return MobilityModelAxis(models), nil
-	case "traffic", "traffic_model":
-		if err := checkModels("traffic", traffic.Known, traffic.Registered); err != nil {
-			return Axis{}, err
-		}
-		return TrafficModelAxis(models), nil
-	case "radio", "radio_model":
-		if err := checkModels("radio", radio.Known, radio.Registered); err != nil {
-			return Axis{}, err
-		}
-		return RadioModelAxis(models), nil
-	case "lifecycle", "lifecycle_model", "churn":
-		if err := checkModels("lifecycle", lifecycle.Known, lifecycle.Registered); err != nil {
-			return Axis{}, err
-		}
-		return ChurnModelAxis(models), nil
-	}
-	return Axis{}, fmt.Errorf("core: axis %q does not take model names (model axes: mobility, traffic, radio, lifecycle)", name)
-}
-
-// axisConstructors maps CLI-friendly names to catalogue constructors. The
-// model axes take float indices here (the JSON/CLI string form goes
-// through ModelAxisByName); nil selects the full registry.
-var axisConstructors = map[string]func([]float64) Axis{
+// numericAxes maps CLI-friendly names to the numeric catalogue
+// constructors; the model axes are named by scenario.ModelKinds.
+var numericAxes = map[string]func([]float64) Axis{
 	"pause":   PauseAxis,
 	"nodes":   NodesAxis,
 	"scale":   ScaleAxis,
@@ -419,55 +327,40 @@ var axisConstructors = map[string]func([]float64) Axis{
 	"csrange": CSRangeAxis,
 	"width":   AreaWidthAxis,
 	"payload": PayloadAxis,
-	"mobility": func(vs []float64) Axis {
-		a := MobilityModelAxis(nil)
-		if vs != nil {
-			a = a.WithValues(vs)
-		}
-		return a
-	},
-	"traffic": func(vs []float64) Axis {
-		a := TrafficModelAxis(nil)
-		if vs != nil {
-			a = a.WithValues(vs)
-		}
-		return a
-	},
-	"radio": func(vs []float64) Axis {
-		a := RadioModelAxis(nil)
-		if vs != nil {
-			a = a.WithValues(vs)
-		}
-		return a
-	},
-	"lifecycle": func(vs []float64) Axis {
-		a := ChurnModelAxis(nil)
-		if vs != nil {
-			a = a.WithValues(vs)
-		}
-		return a
-	},
 }
 
 // AxisNames lists the catalogue names understood by AxisByName, sorted.
 func AxisNames() []string {
-	out := make([]string, 0, len(axisConstructors))
-	for name := range axisConstructors {
+	out := modelKindNames()
+	for name := range numericAxes {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// AxisByName resolves a catalogue axis by CLI name ("txrange", "pause", …)
-// with the given values (nil selects the axis defaults).
-func AxisByName(name string, vs []float64) (Axis, error) {
-	ctor := axisConstructors[strings.ToLower(strings.TrimSpace(name))]
+// AxisByName resolves a catalogue axis by CLI name ("txrange", "pause",
+// "mobility", …). A numeric axis visits values (nil selects the axis
+// defaults) and takes no models; a model axis visits the named models (nil
+// selects the whole registry), or indices into them when values are given
+// instead.
+func AxisByName(name string, values []float64, models []string) (Axis, error) {
+	if _, isKind := scenario.ModelKindByName(name); isKind || len(models) > 0 {
+		if len(values) > 0 && len(models) > 0 {
+			return Axis{}, fmt.Errorf("core: axis %q sets both values and models", name)
+		}
+		a, err := ModelAxis(name, models)
+		if err == nil && values != nil {
+			a = a.WithValues(values)
+		}
+		return a, err
+	}
+	ctor := numericAxes[strings.ToLower(strings.TrimSpace(name))]
 	if ctor == nil {
 		return Axis{}, fmt.Errorf("core: unknown axis %q (known: %s)",
 			name, strings.Join(AxisNames(), ", "))
 	}
-	return ctor(vs), nil
+	return ctor(values), nil
 }
 
 // GridResult holds merged results for each protocol at each point of a

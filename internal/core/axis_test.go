@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"adhocsim/internal/geo"
 	"adhocsim/internal/scenario"
 	"adhocsim/internal/sim"
+	"adhocsim/internal/stats"
 )
 
 // TestSweepCustomTxRangeAxis sweeps the transmission range — an axis the v1
@@ -173,7 +175,7 @@ func TestGridCrossProduct(t *testing.T) {
 }
 
 func TestAxisByName(t *testing.T) {
-	axis, err := AxisByName("txrange", nil)
+	axis, err := AxisByName("txrange", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +187,11 @@ func TestAxisByName(t *testing.T) {
 	if spec.TxRange != 123 {
 		t.Fatalf("apply did not set TxRange: %v", spec.TxRange)
 	}
-	if _, err := AxisByName("warp-factor", nil); err == nil {
+	if _, err := AxisByName("warp-factor", nil, nil); err == nil {
 		t.Fatal("unknown axis accepted")
 	}
 	for _, name := range AxisNames() {
-		a, err := AxisByName(name, nil)
+		a, err := AxisByName(name, nil, nil)
 		if err != nil {
 			t.Errorf("catalogue axis %q: %v", name, err)
 			continue
@@ -258,13 +260,23 @@ func TestScaleAxisHoldsDensity(t *testing.T) {
 			t.Fatalf("x=%v: scaled spec invalid: %v", x, err)
 		}
 	}
-	if _, err := AxisByName("scale", nil); err != nil {
+	if _, err := AxisByName("scale", nil, nil); err != nil {
 		t.Fatalf("scale axis not in catalogue: %v", err)
 	}
 }
 
+// mustModelAxis is ModelAxis for names the test knows are registered.
+func mustModelAxis(t *testing.T, kind string, names ...string) Axis {
+	t.Helper()
+	a, err := ModelAxis(kind, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestModelAxes(t *testing.T) {
-	a := MobilityModelAxis([]string{"waypoint", "gauss-markov"})
+	a := mustModelAxis(t, "mobility", "waypoint", "gauss-markov")
 	if a.Label != "mobility_model" || len(a.Values) != 2 {
 		t.Fatalf("axis = %+v", a)
 	}
@@ -280,7 +292,7 @@ func TestModelAxes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := TrafficModelAxis(nil) // full registry
+	tr := mustModelAxis(t, "traffic") // full registry
 	if len(tr.Values) < 3 {
 		t.Fatalf("registry traffic axis too small: %+v", tr)
 	}
@@ -289,19 +301,28 @@ func TestModelAxes(t *testing.T) {
 		t.Fatalf("traffic = %+v", s.Traffic)
 	}
 
-	if _, err := ModelAxisByName("mobility", []string{"teleport"}); err == nil {
+	if _, err := ModelAxis("mobility", []string{"teleport"}); err == nil {
 		t.Fatal("unknown mobility model accepted")
 	}
-	if _, err := ModelAxisByName("pause", []string{"waypoint"}); err == nil {
+	if _, err := ModelAxis("pause", []string{"waypoint"}); err == nil {
 		t.Fatal("non-model axis accepted model names")
 	}
-	// The catalogue route resolves the model axes by index.
-	axis, err := AxisByName("mobility", nil)
-	if err != nil {
-		t.Fatal(err)
+	// One resolver: every spelling of a kind resolves on both routes, with
+	// the whole registry when no names are given.
+	for spelling, label := range map[string]string{
+		"mobility": "mobility_model", "Traffic_Model": "traffic_model", "radio": "radio_model",
+		"lifecycle": "lifecycle_model", " churn ": "lifecycle_model",
+	} {
+		axis, err := AxisByName(spelling, nil, nil)
+		if err != nil || axis.Label != label || len(axis.Values) < 3 {
+			t.Errorf("AxisByName(%q) = %+v, %v", spelling, axis, err)
+		}
+		if axis, err = ModelAxis(spelling, nil); err != nil || axis.Label != label {
+			t.Errorf("ModelAxis(%q) = %+v, %v", spelling, axis, err)
+		}
 	}
-	if axis.Label != "mobility_model" || len(axis.Values) == 0 {
-		t.Fatalf("catalogue mobility axis = %+v", axis)
+	if _, err := AxisByName("mobility", []float64{0}, []string{"waypoint"}); err == nil {
+		t.Fatal("axis with both values and models accepted")
 	}
 }
 
@@ -310,7 +331,7 @@ func TestModelAxes(t *testing.T) {
 // model, and — unlike params — preserves the SINR reception switch across
 // model changes (propagation and reception are orthogonal dimensions).
 func TestRadioModelAxis(t *testing.T) {
-	a := RadioModelAxis([]string{"tworay", "shadowing"})
+	a := mustModelAxis(t, "radio", "tworay", "shadowing")
 	if a.Label != "radio_model" || a.FormatValue(1) != "shadowing" {
 		t.Fatalf("axis = %+v", a)
 	}
@@ -342,13 +363,13 @@ func TestRadioModelAxis(t *testing.T) {
 		t.Fatalf("default-name params dropped: %+v", s2.Radio)
 	}
 
-	if _, err := ModelAxisByName("radio", []string{"warpdrive"}); err == nil {
+	if _, err := ModelAxis("radio", []string{"warpdrive"}); err == nil {
 		t.Fatal("unknown radio model accepted")
 	}
-	if _, err := ModelAxisByName("radio", []string{"tworay", "TwoRay"}); err == nil {
+	if _, err := ModelAxis("radio", []string{"tworay", "TwoRay"}); err == nil {
 		t.Fatal("duplicate radio models accepted")
 	}
-	axis, err := AxisByName("radio", nil)
+	axis, err := AxisByName("radio", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,68 +378,54 @@ func TestRadioModelAxis(t *testing.T) {
 	}
 }
 
-// TestRadioModelSweepProducesDistinctCells: a real (tiny) sweep across
-// radio models must reshape the metrics — the end-to-end guarantee that
-// the channel condition actually reaches the PHY.
-func TestRadioModelSweepProducesDistinctCells(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Base.Nodes = 12
-	opts.Base.Area = geo.Rect{W: 600, H: 300}
-	opts.Base.Duration = 20 * sim.Second
-	opts.Base.Sources = 3
-	opts.Protocols = []string{DSR}
-	opts.Seeds = []int64{1}
-	sweep, err := Sweep(context.Background(), opts,
-		RadioModelAxis([]string{"tworay", "freespace", "shadowing"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := sweep.Cells[DSR]
-	if len(cells) != 3 {
-		t.Fatalf("cells = %d", len(cells))
-	}
-	if sweep.XTicks[2] != "shadowing" {
-		t.Fatalf("ticks = %v", sweep.XTicks)
-	}
-	distinct := false
-	for i := 1; i < len(cells); i++ {
-		if !reflect.DeepEqual(cells[i], cells[0]) {
-			distinct = true
-		}
-	}
-	if !distinct {
-		t.Fatal("every radio model produced identical results (axis not applied?)")
-	}
-}
-
 // TestModelAxisSweepProducesDistinctCells runs a tiny real sweep across
-// mobility models and requires the per-model metric cells to differ — the
-// end-to-end guarantee that the axis actually reshapes the workload.
+// models of each kind — the radio kind under both reception modes — and
+// requires one cell per model, traffic in every cell, and at least half the
+// cells distinct: the end-to-end guarantee that the axis actually reshapes
+// the workload (the channel condition reaches the PHY, the churn schedule
+// the nodes).
 func TestModelAxisSweepProducesDistinctCells(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Base.Nodes = 12
-	opts.Base.Area = geo.Rect{W: 600, H: 300}
-	opts.Base.Duration = 20 * sim.Second
-	opts.Base.Sources = 3
-	opts.Protocols = []string{DSR}
-	opts.Seeds = []int64{1}
-	sweep, err := Sweep(context.Background(), opts,
-		MobilityModelAxis([]string{"waypoint", "gauss-markov", "manhattan"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := sweep.Cells[DSR]
-	if len(cells) != 3 {
-		t.Fatalf("cells = %d", len(cells))
-	}
-	distinct := false
-	for i := 1; i < len(cells); i++ {
-		if !reflect.DeepEqual(cells[i], cells[0]) {
-			distinct = true
-		}
-	}
-	if !distinct {
-		t.Fatal("every mobility model produced identical results (axis not applied?)")
+	for _, tc := range []struct {
+		name, kind string
+		sinr       bool
+		models     []string
+	}{
+		{"mobility", "mobility", false, []string{"waypoint", "gauss-markov", "manhattan"}},
+		{"traffic", "traffic", false, []string{"cbr", "poisson", "expoo"}},
+		{"radio", "radio", false, []string{"tworay", "freespace", "shadowing"}},
+		{"radio-sinr", "radio", true, []string{"tworay", "freespace", "shadowing"}},
+		{"lifecycle", "lifecycle", false, []string{"static", "onoff-fail"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Base.Nodes = 12
+			opts.Base.Area = geo.Rect{W: 600, H: 300}
+			opts.Base.Duration = 20 * sim.Second
+			opts.Base.Sources = 3
+			opts.Base.Radio.SINR = tc.sinr
+			opts.Protocols = []string{DSR}
+			opts.Seeds = []int64{1}
+			sweep, err := Sweep(context.Background(), opts, mustModelAxis(t, tc.kind, tc.models...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := sweep.Cells[DSR]
+			if len(cells) != len(tc.models) || !reflect.DeepEqual(sweep.XTicks, tc.models) {
+				t.Fatalf("%d cells with ticks %v, want one per model of %v", len(cells), sweep.XTicks, tc.models)
+			}
+			distinct := 0
+			for i, c := range cells {
+				if c.DataSent == 0 {
+					t.Errorf("%s cell sent no data", tc.models[i])
+				}
+				if !slices.ContainsFunc(cells[:i], func(o stats.Results) bool { return reflect.DeepEqual(o, c) }) {
+					distinct++
+				}
+			}
+			if distinct < 2 || 2*distinct < len(cells) {
+				t.Fatalf("%d distinct cells of %d (axis not applied?)", distinct, len(cells))
+			}
+		})
 	}
 }
 
@@ -429,7 +436,7 @@ func TestModelAxisSweepProducesDistinctCells(t *testing.T) {
 func TestModelAxisRejectsBadIndices(t *testing.T) {
 	base := scenario.Default()
 	for _, vs := range [][]float64{{0, 99}, {-1}, {1.5}, {0, 0}} {
-		axis, err := AxisByName("mobility", vs)
+		axis, err := AxisByName("mobility", vs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +444,7 @@ func TestModelAxisRejectsBadIndices(t *testing.T) {
 			t.Fatalf("values %v accepted", vs)
 		}
 	}
-	axis, err := AxisByName("traffic", []float64{0, 2})
+	axis, err := AxisByName("traffic", []float64{0, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,10 +457,10 @@ func TestModelAxisRejectsBadIndices(t *testing.T) {
 // into cells with identical labels and therefore identical replication
 // seeds.
 func TestModelAxisRejectsDuplicateNames(t *testing.T) {
-	if _, err := ModelAxisByName("mobility", []string{"waypoint", "Waypoint"}); err == nil {
+	if _, err := ModelAxis("mobility", []string{"waypoint", "Waypoint"}); err == nil {
 		t.Fatal("duplicate model names accepted")
 	}
-	if _, err := ModelAxisByName("traffic", []string{"cbr", "cbr"}); err == nil {
+	if _, err := ModelAxis("traffic", []string{"cbr", "cbr"}); err == nil {
 		t.Fatal("duplicate traffic models accepted")
 	}
 }
@@ -461,7 +468,7 @@ func TestModelAxisRejectsDuplicateNames(t *testing.T) {
 // TestModelAxisKeepsBaseParams: re-selecting the base spec's own model on
 // a model axis must keep its tuned Params; switching models resets them.
 func TestModelAxisKeepsBaseParams(t *testing.T) {
-	a := MobilityModelAxis([]string{"waypoint", "gauss-markov"})
+	a := mustModelAxis(t, "mobility", "waypoint", "gauss-markov")
 	s := scenario.Default()
 	s.Mobility = scenario.MobilitySpec{Name: "gauss-markov", Params: map[string]float64{"alpha": 0.95}}
 	a.Apply(&s, 1) // gauss-markov: the base's own model
@@ -491,7 +498,7 @@ func TestSweepTicksCarryModelNames(t *testing.T) {
 	opts.Base.Sources = 2
 	opts.Protocols = []string{DSR}
 	opts.Seeds = []int64{1}
-	sweep, err := Sweep(context.Background(), opts, MobilityModelAxis([]string{"waypoint", "gauss-markov"}))
+	sweep, err := Sweep(context.Background(), opts, mustModelAxis(t, "mobility", "waypoint", "gauss-markov"))
 	if err != nil {
 		t.Fatal(err)
 	}

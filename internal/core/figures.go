@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"adhocsim/internal/scenario"
 	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
 )
@@ -248,6 +249,30 @@ func RenderParameters(opts Options) string {
 	b.WriteString("TABLE 3 — Simulation parameters\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-12s %s\n", r[0], r[1])
+	}
+	return b.String()
+}
+
+// RenderRegistries lists every registry — the routing protocols, then each
+// scenario-model kind with every model's parameter vocabulary, discovered
+// by dry-building the model and observing which keys it reads
+// (`adhocsim -list-models`).
+func RenderRegistries() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "protocols: %s\n", strings.Join(RegisteredProtocols(), ", "))
+	for _, k := range scenario.ModelKinds {
+		fmt.Fprintf(&b, "%s models:\n", k.Name)
+		for _, name := range k.Models.Names() {
+			params, err := k.Models.ParamNames(name)
+			switch {
+			case err != nil:
+				fmt.Fprintf(&b, "  %-16s (error: %v)\n", name, err)
+			case len(params) == 0:
+				fmt.Fprintf(&b, "  %-16s (no parameters)\n", name)
+			default:
+				fmt.Fprintf(&b, "  %-16s %s\n", name, strings.Join(params, ", "))
+			}
+		}
 	}
 	return b.String()
 }

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-
+	"adhocsim/internal/modelreg"
 	"adhocsim/internal/network"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/routing/aodv"
@@ -30,16 +26,10 @@ type BuildContext struct {
 // from many goroutines at once.
 type ProtocolBuilder func(BuildContext) (network.ProtocolFactory, error)
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]ProtocolBuilder)
-)
-
-// canonicalName normalizes protocol names: the registry is case-insensitive
-// and whitespace-trimmed, so "dsr" and "DSR" resolve to the same entry.
-func canonicalName(name string) string {
-	return strings.ToUpper(strings.TrimSpace(name))
-}
+// protocols is the routing-protocol registry: the same mechanism as the
+// scenario-model registries, with upper-case canonical names and no
+// default entry.
+var protocols = modelreg.New[ProtocolBuilder]("core", "protocol", "", modelreg.CanonicalUpper)
 
 // RegisterProtocol adds a routing protocol under the given name, making it
 // available to Run, the sweep helpers and every cmd tool. Registration is
@@ -48,60 +38,19 @@ func canonicalName(name string) string {
 // are case-insensitive; registering an empty name, a nil builder, or a name
 // already taken is an error.
 func RegisterProtocol(name string, builder ProtocolBuilder) error {
-	key := canonicalName(name)
-	if key == "" {
-		return fmt.Errorf("core: empty protocol name")
-	}
-	if builder == nil {
-		return fmt.Errorf("core: nil builder for protocol %q", name)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[key]; dup {
-		return fmt.Errorf("core: protocol %q already registered", key)
-	}
-	registry[key] = builder
-	return nil
-}
-
-// mustRegister is RegisterProtocol for the built-ins, where failure is a
-// programming error.
-func mustRegister(name string, builder ProtocolBuilder) {
-	if err := RegisterProtocol(name, builder); err != nil {
-		panic(err)
-	}
-}
-
-// UnregisterProtocol removes a registered protocol. It exists so tests can
-// clean up fixtures; built-ins should not be unregistered.
-func UnregisterProtocol(name string) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	delete(registry, canonicalName(name))
+	return protocols.Register(name, builder)
 }
 
 // RegisteredProtocols returns every registered protocol name, sorted.
-func RegisteredProtocols() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func RegisteredProtocols() []string { return protocols.Names() }
 
 // FactoryFor resolves a protocol name through the registry to a per-node
 // factory. Radio parameters are needed by PAODV (its warning threshold is a
 // received-power level).
 func FactoryFor(name string, radio phy.RadioParams, tweaks ProtocolTweaks) (network.ProtocolFactory, error) {
-	registryMu.RLock()
-	builder := registry[canonicalName(name)]
-	registryMu.RUnlock()
-	if builder == nil {
-		return nil, fmt.Errorf("core: unknown protocol %q (registered: %s)",
-			name, strings.Join(RegisteredProtocols(), ", "))
+	builder, _, err := protocols.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return builder(BuildContext{Radio: radio, Tweaks: tweaks})
 }
@@ -109,25 +58,25 @@ func FactoryFor(name string, radio phy.RadioParams, tweaks ProtocolTweaks) (netw
 // The study protocols self-register so that FactoryFor and external
 // registrations resolve through one mechanism.
 func init() {
-	mustRegister(DSR, func(bc BuildContext) (network.ProtocolFactory, error) {
+	protocols.MustRegister(DSR, func(bc BuildContext) (network.ProtocolFactory, error) {
 		return dsr.Factory(bc.Tweaks.DSR), nil
 	})
-	mustRegister(AODV, func(bc BuildContext) (network.ProtocolFactory, error) {
+	protocols.MustRegister(AODV, func(bc BuildContext) (network.ProtocolFactory, error) {
 		return aodv.Factory(bc.Tweaks.AODV), nil
 	})
-	mustRegister(PAODV, func(bc BuildContext) (network.ProtocolFactory, error) {
+	protocols.MustRegister(PAODV, func(bc BuildContext) (network.ProtocolFactory, error) {
 		return paodv.Factory(paodv.Config{AODV: bc.Tweaks.AODV, Radio: bc.Radio}), nil
 	})
-	mustRegister(CBRP, func(bc BuildContext) (network.ProtocolFactory, error) {
+	protocols.MustRegister(CBRP, func(bc BuildContext) (network.ProtocolFactory, error) {
 		return cbrp.Factory(bc.Tweaks.CBRP), nil
 	})
-	mustRegister(DSDV, func(bc BuildContext) (network.ProtocolFactory, error) {
+	protocols.MustRegister(DSDV, func(bc BuildContext) (network.ProtocolFactory, error) {
 		return dsdv.Factory(bc.Tweaks.DSDV), nil
 	})
-	mustRegister(Flood, func(bc BuildContext) (network.ProtocolFactory, error) {
+	protocols.MustRegister(Flood, func(bc BuildContext) (network.ProtocolFactory, error) {
 		return flood.Factory(flood.Config{}), nil
 	})
-	mustRegister(Autoconf, func(bc BuildContext) (network.ProtocolFactory, error) {
+	protocols.MustRegister(Autoconf, func(bc BuildContext) (network.ProtocolFactory, error) {
 		return autoconf.Factory(autoconf.Config{}), nil
 	})
 }

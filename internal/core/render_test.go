@@ -106,6 +106,40 @@ func TestRenderParameters(t *testing.T) {
 	}
 }
 
+// TestRenderRegistriesGolden pins the `adhocsim -list-models` text: the
+// protocol line, the four kinds in table order, every parameter vocabulary.
+func TestRenderRegistriesGolden(t *testing.T) {
+	const want = `protocols: AODV, AUTOCONF, CBRP, DSDV, DSR, FLOOD, PAODV
+mobility models:
+  gauss-markov     alpha, margin_m, max_speed_mps, mean_speed_mps, min_speed_mps, sigma_dir_rad, sigma_speed_mps, tick_s
+  manhattan        blocks_x, blocks_y, max_speed_mps, min_speed_mps, turn_prob
+  rpgm             groups, max_speed_mps, min_speed_mps, pause_s, resample_s, spread_m
+  static-grid      jitter_m
+  walk             max_speed_mps, min_speed_mps, step_s
+  waypoint         max_speed_mps, min_speed_mps, pause_s
+traffic models:
+  cbr              (no parameters)
+  expoo            off_s, on_s
+  poisson          (no parameters)
+radio models:
+  freespace        capture_ratio, noise_dbm
+  pathloss         capture_ratio, exponent, noise_dbm, ref_dist_m
+  rayleigh         capture_ratio, max_gain_db, noise_dbm
+  ricean           capture_ratio, k_db, max_gain_db, noise_dbm
+  shadowing        capture_ratio, exponent, max_dev_db, noise_dbm, ref_dist_m, sigma_db
+  tworay           capture_ratio, noise_dbm
+lifecycle models:
+  flashcrowd       at_s, base_frac, window_s
+  onoff-fail       mean_down_s, mean_up_s
+  partition-heal   at_s, outage_s, region_frac
+  staggered-join   start_s, window_s
+  static           (no parameters)
+`
+	if got := RenderRegistries(); got != want {
+		t.Errorf("RenderRegistries() =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestDefaultPausesScaling(t *testing.T) {
 	full := DefaultPauses(900 * 1e9)
 	if len(full) != 7 || full[6] != 900 {

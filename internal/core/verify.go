@@ -9,7 +9,7 @@ import (
 )
 
 // Finding is one qualitative claim of the study that the reproduction must
-// uphold (the "shape" acceptance criteria of EXPERIMENTS.md).
+// uphold (the "shape" acceptance criteria; Findings lists them all).
 type Finding struct {
 	ID    string
 	Claim string

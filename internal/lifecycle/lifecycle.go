@@ -102,68 +102,28 @@ type Model interface {
 
 // Builder constructs a configured Model from the scenario environment and a
 // model-specific parameter map. Builders must be pure and must reject
-// unknown parameter names (use Params.Err) so misspelled keys fail loudly
-// instead of silently selecting defaults.
-type Builder func(env Env, params Params) (Model, error)
+// unknown parameter names (use modelreg.Params.Err) so misspelled keys fail
+// loudly instead of silently selecting defaults.
+type Builder func(env Env, params modelreg.Params) (Model, error)
 
-// Params is the read-tracking parameter-map view handed to builders.
-type Params = modelreg.Params
+// Models is the churn-model registry; an empty name selects the static
+// fixed-population lifecycle. Every built model is validated with a
+// zero-node dry run, so an out-of-range parameter (flashcrowd base_frac=2,
+// onoff-fail mean_up_s=0, …) fails at Spec.Validate / campaign-submission
+// time rather than mid-campaign — which is why Model.Schedule must
+// tolerate n=0.
+var Models = modelreg.NewModels("lifecycle", "static",
+	func(b Builder, env Env, p modelreg.Params) (Model, error) { return b(env, p) },
+	func(m Model, env Env) error {
+		env.Nodes = 0
+		_, err := m.Schedule(env, sim.NewRNG(0))
+		return err
+	})
 
-// NewParams wraps a raw parameter map (nil is fine).
-func NewParams(m map[string]float64) Params { return modelreg.NewParams(m) }
-
-// DefaultModel is the model an empty spec name selects: the static
-// fixed-population lifecycle.
-const DefaultModel = "static"
-
-var registry = modelreg.New[Builder]("lifecycle", DefaultModel)
-
-// Register adds a churn model under the given case-insensitive name, making
-// it available to scenario specs, the campaign engine and the cmd tools.
-// Registration is open: code outside this package can plug in new models.
-// Registering an empty name, a nil builder, or a taken name is an error.
-func Register(name string, b Builder) error { return registry.Register(name, b) }
-
-// Registered returns every registered model name, sorted.
-func Registered() []string { return registry.Names() }
-
-// Known reports whether a model name resolves in the registry (the empty
-// name selects the default model and is always known).
-func Known(name string) bool { return registry.Known(name) }
-
-// ParamNames reports the parameter keys the named model consumes, observed
-// by dry-building it with an empty parameter map.
-func ParamNames(name string) ([]string, error) {
-	b, _, err := registry.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	p := NewParams(nil)
-	_, _ = b(Env{}, p)
-	return p.Used(), nil
-}
-
-// New resolves a model name through the registry and builds it for the
-// given environment. An empty name selects DefaultModel. The built model is
-// eagerly validated with a zero-node dry run, so an out-of-range parameter
-// (flashcrowd base_frac=2, onoff-fail mean_up_s=0, …) fails at
-// Spec.Validate / campaign-submission time rather than mid-campaign —
-// which is why Model.Schedule must tolerate n=0.
+// New resolves a model name through Models and builds it for the given
+// environment.
 func New(name string, env Env, params map[string]float64) (Model, error) {
-	b, key, err := registry.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	model, err := b(env, NewParams(params))
-	if err != nil {
-		return nil, fmt.Errorf("lifecycle: model %q: %w", key, err)
-	}
-	dry := env
-	dry.Nodes = 0
-	if _, err := model.Schedule(dry, sim.NewRNG(0)); err != nil {
-		return nil, fmt.Errorf("lifecycle: model %q: %w", key, err)
-	}
-	return model, nil
+	return Models.Build(name, env, params)
 }
 
 // Normalize sorts a schedule into the canonical application order: by time,

@@ -14,16 +14,8 @@ func testEnv(nodes int, dur sim.Duration) Env {
 
 func TestBuiltinsRegistered(t *testing.T) {
 	want := []string{"flashcrowd", "onoff-fail", "partition-heal", "staggered-join", "static"}
-	if got := Registered(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Registered() = %v, want %v", got, want)
-	}
-	for _, name := range append(want, "") {
-		if !Known(name) {
-			t.Errorf("Known(%q) = false", name)
-		}
-	}
-	if Known("no-such-model") {
-		t.Error("Known accepted an unregistered name")
+	if got := Models.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Models.Names() = %v, want %v", got, want)
 	}
 }
 
@@ -52,7 +44,7 @@ func TestScheduleDeterministic(t *testing.T) {
 	env.Pos = func(node int, at sim.Time) geo.Point {
 		return geo.Point{X: float64(node * 70), Y: 150}
 	}
-	for _, name := range Registered() {
+	for _, name := range Models.Names() {
 		m, err := New(name, env, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -324,7 +316,7 @@ func TestParamNames(t *testing.T) {
 		"partition-heal": {"at_s", "outage_s", "region_frac"},
 	}
 	for name, want := range cases {
-		got, err := ParamNames(name)
+		got, err := Models.ParamNames(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -332,10 +324,10 @@ func TestParamNames(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ParamNames(%s) = %v, want %v", name, got, want)
+			t.Errorf("Models.ParamNames(%s) = %v, want %v", name, got, want)
 		}
 	}
-	if _, err := ParamNames("no-such-model"); err == nil {
+	if _, err := Models.ParamNames("no-such-model"); err == nil {
 		t.Error("ParamNames accepted an unregistered name")
 	}
 }

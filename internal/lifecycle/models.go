@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"fmt"
 
+	"adhocsim/internal/modelreg"
 	"adhocsim/internal/sim"
 )
 
@@ -148,17 +149,17 @@ func (m PartitionHeal) Schedule(env Env, rng *sim.RNG) ([]Event, error) {
 // The built-in models self-register so that scenario specs, campaign axes
 // and external registrations all resolve through one mechanism.
 func init() {
-	registry.MustRegister(DefaultModel, func(env Env, p Params) (Model, error) {
+	Models.MustRegister("static", func(env Env, p modelreg.Params) (Model, error) {
 		return Static{}, p.Err()
 	})
-	registry.MustRegister("staggered-join", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("staggered-join", func(env Env, p modelreg.Params) (Model, error) {
 		m := StaggeredJoin{
 			Start:  p.Duration("start_s", 0),
 			Window: p.Duration("window_s", 30*sim.Second),
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("flashcrowd", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("flashcrowd", func(env Env, p modelreg.Params) (Model, error) {
 		m := FlashCrowd{
 			BaseFrac: p.Get("base_frac", 0.2),
 			At:       p.Duration("at_s", 10*sim.Second),
@@ -166,14 +167,14 @@ func init() {
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("onoff-fail", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("onoff-fail", func(env Env, p modelreg.Params) (Model, error) {
 		m := OnOffFail{
 			MeanUp:   p.Duration("mean_up_s", 60*sim.Second),
 			MeanDown: p.Duration("mean_down_s", 10*sim.Second),
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("partition-heal", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("partition-heal", func(env Env, p modelreg.Params) (Model, error) {
 		m := PartitionHeal{
 			At:         p.Duration("at_s", 30*sim.Second),
 			Outage:     p.Duration("outage_s", 30*sim.Second),

@@ -16,7 +16,7 @@ func testEnv() Env {
 // registry and driven by fresh same-seed RNGs, must emit identical tracks —
 // the cross-process determinism contract scenario compilation relies on.
 func TestRegistryDeterminism(t *testing.T) {
-	for _, name := range Registered() {
+	for _, name := range Models.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -50,7 +50,7 @@ func TestRegistryDeterminism(t *testing.T) {
 // would silently corrupt reception.
 func TestModelsRespectSpeedBound(t *testing.T) {
 	env := testEnv()
-	for _, name := range Registered() {
+	for _, name := range Models.Names() {
 		if name == "rpgm" {
 			// RPGM member speed is centre speed plus offset-resampling
 			// jitter and legitimately exceeds the centre bound; its tracks
@@ -76,7 +76,7 @@ func TestModelsRespectSpeedBound(t *testing.T) {
 // requires all positions to stay inside the scenario rectangle.
 func TestModelsStayInArea(t *testing.T) {
 	env := testEnv()
-	for _, name := range Registered() {
+	for _, name := range Models.Names() {
 		m, err := New(name, env, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestModelsStayInArea(t *testing.T) {
 // the default mobile environment every non-static model must displace nodes.
 func TestModelsActuallyMove(t *testing.T) {
 	env := testEnv()
-	for _, name := range Registered() {
+	for _, name := range Models.Names() {
 		if name == "static-grid" {
 			continue
 		}
@@ -176,18 +176,6 @@ func TestRegistryErrors(t *testing.T) {
 	}
 	if _, err := New("gauss-markov", testEnv(), map[string]float64{"alfa": 0.5}); err == nil {
 		t.Fatal("misspelled parameter accepted")
-	}
-	if err := Register("", func(Env, Params) (Model, error) { return nil, nil }); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := Register("waypoint", func(Env, Params) (Model, error) { return nil, nil }); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register("nilbuilder", nil); err == nil {
-		t.Fatal("nil builder accepted")
-	}
-	if !Known("") || !Known("WayPoint") || Known("no-such-model") {
-		t.Fatal("Known misreports registry membership")
 	}
 }
 

@@ -1,8 +1,6 @@
 package mobility
 
 import (
-	"fmt"
-
 	"adhocsim/internal/geo"
 	"adhocsim/internal/modelreg"
 	"adhocsim/internal/sim"
@@ -21,73 +19,35 @@ type Env struct {
 
 // Builder constructs a configured Model from the scenario environment and a
 // model-specific parameter map. Builders must be pure and must reject
-// unknown parameter names (use Params.Err) so misspelled keys fail loudly
-// instead of silently selecting defaults.
-type Builder func(env Env, params Params) (Model, error)
+// unknown parameter names (use modelreg.Params.Err) so misspelled keys fail
+// loudly instead of silently selecting defaults.
+type Builder func(env Env, params modelreg.Params) (Model, error)
 
-// Params is the read-tracking parameter-map view handed to builders.
-type Params = modelreg.Params
+// Models is the mobility-model registry: scenario specs, the campaign
+// engine and the cmd tools resolve names through it, and code outside this
+// package plugs new models in with Models.Register. An empty name selects
+// the study's random waypoint. Every built model is validated with a
+// zero-node dry run, so an out-of-range parameter (gauss-markov alpha=1.5,
+// manhattan turn_prob=2, …) fails at Spec.Validate / campaign-submission
+// time rather than mid-campaign — which is why Model.Generate must
+// tolerate n=0.
+var Models = modelreg.NewModels("mobility", "waypoint",
+	func(b Builder, env Env, p modelreg.Params) (Model, error) { return b(env, p) },
+	func(m Model, _ Env) error {
+		_, err := m.Generate(0, 0, sim.NewRNG(0))
+		return err
+	})
 
-// NewParams wraps a raw parameter map (nil is fine).
-func NewParams(m map[string]float64) Params { return modelreg.NewParams(m) }
-
-// DefaultModel is the model an empty spec name selects: the study's random
-// waypoint.
-const DefaultModel = "waypoint"
-
-var registry = modelreg.New[Builder]("mobility", DefaultModel)
-
-// Register adds a mobility model under the given case-insensitive name,
-// making it available to scenario specs, the campaign engine and the cmd
-// tools. Registration is open: code outside this package can plug in new
-// models. Registering an empty name, a nil builder, or a taken name is an
-// error.
-func Register(name string, b Builder) error { return registry.Register(name, b) }
-
-// Registered returns every registered model name, sorted.
-func Registered() []string { return registry.Names() }
-
-// Known reports whether a model name resolves in the registry (the empty
-// name selects the default model and is always known).
-func Known(name string) bool { return registry.Known(name) }
-
-// ParamNames reports the parameter keys the named model consumes, observed
-// by dry-building it with an empty parameter map.
-func ParamNames(name string) ([]string, error) {
-	b, _, err := registry.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	p := NewParams(nil)
-	_, _ = b(Env{}, p)
-	return p.Used(), nil
-}
-
-// New resolves a model name through the registry and builds it for the
-// given environment. An empty name selects DefaultModel. The built model
-// is eagerly validated with a zero-node dry run, so an out-of-range
-// parameter (gauss-markov alpha=1.5, manhattan turn_prob=2, …) fails at
-// Spec.Validate / campaign-submission time rather than mid-campaign —
-// which is why Model.Generate must tolerate n=0.
+// New resolves a model name through Models and builds it for the given
+// environment.
 func New(name string, env Env, params map[string]float64) (Model, error) {
-	b, key, err := registry.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	model, err := b(env, NewParams(params))
-	if err != nil {
-		return nil, fmt.Errorf("mobility: model %q: %w", key, err)
-	}
-	if _, err := model.Generate(0, 0, sim.NewRNG(0)); err != nil {
-		return nil, fmt.Errorf("mobility: model %q: %w", key, err)
-	}
-	return model, nil
+	return Models.Build(name, env, params)
 }
 
 // The built-in models self-register so that scenario specs, campaign axes
 // and external registrations all resolve through one mechanism.
 func init() {
-	registry.MustRegister(DefaultModel, func(env Env, p Params) (Model, error) {
+	Models.MustRegister("waypoint", func(env Env, p modelreg.Params) (Model, error) {
 		m := RandomWaypoint{
 			Area:     env.Area,
 			MinSpeed: p.Get("min_speed_mps", env.MinSpeed),
@@ -96,7 +56,7 @@ func init() {
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("walk", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("walk", func(env Env, p modelreg.Params) (Model, error) {
 		m := RandomWalk{
 			Area:     env.Area,
 			MinSpeed: p.Get("min_speed_mps", env.MinSpeed),
@@ -105,7 +65,7 @@ func init() {
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("gauss-markov", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("gauss-markov", func(env Env, p modelreg.Params) (Model, error) {
 		min := p.Get("min_speed_mps", env.MinSpeed)
 		max := p.Get("max_speed_mps", env.MaxSpeed)
 		m := GaussMarkov{
@@ -121,7 +81,7 @@ func init() {
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("manhattan", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("manhattan", func(env Env, p modelreg.Params) (Model, error) {
 		m := Manhattan{
 			Area:     env.Area,
 			BlocksX:  int(p.Get("blocks_x", 0)),
@@ -132,7 +92,7 @@ func init() {
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("rpgm", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("rpgm", func(env Env, p modelreg.Params) (Model, error) {
 		m := GroupMobility{
 			Area:     env.Area,
 			Groups:   int(p.Get("groups", 4)),
@@ -144,7 +104,7 @@ func init() {
 		}
 		return m, p.Err()
 	})
-	registry.MustRegister("static-grid", func(env Env, p Params) (Model, error) {
+	Models.MustRegister("static-grid", func(env Env, p modelreg.Params) (Model, error) {
 		m := StaticGrid{
 			Area:   env.Area,
 			Jitter: p.Get("jitter_m", 25),

@@ -1,10 +1,12 @@
-// Package modelreg is the shared machinery behind the scenario model
-// registries (mobility, traffic): a case-insensitive named-builder table
-// with a default entry, and the read-tracking parameter-map view builders
-// consume. The model packages wrap one Registry instance each with their
-// kind-specific Builder signature, so registration semantics (name
-// canonicalization, duplicate/nil rejection, error wording) cannot drift
-// between them.
+// Package modelreg is the one registry mechanism of the simulator. Its five
+// users are core's routing-protocol table and the four scenario-model kinds
+// (mobility, traffic, radio, lifecycle): a Registry is the case-insensitive
+// named-builder table with a default entry, Models adds what every model
+// kind needs on top — build by name with the kind's own validation hook and
+// parameter discovery — and Params is the read-tracking parameter-map view
+// builders consume. Registration semantics (name canonicalization,
+// duplicate/nil rejection, error wording) therefore cannot drift between
+// the five.
 package modelreg
 
 import (
@@ -22,36 +24,49 @@ func Canonical(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// Registry is a named-builder table for one model kind. B is the kind's
-// builder function type.
+// CanonicalUpper normalizes a protocol name: upper-case, trimmed.
+func CanonicalUpper(name string) string {
+	return strings.ToUpper(strings.TrimSpace(name))
+}
+
+// Registry is a named-builder table. B is the builder function type.
 type Registry[B any] struct {
-	kind        string // "mobility" / "traffic": error-message prefix
-	defaultName string // resolved when a lookup name is empty
+	kind        string // "mobility" / "core": error-message prefix
+	noun        string // "model" / "protocol": what errors call an entry
+	defaultName string // resolved when a lookup name is empty; "" for none
+	canonical   func(string) string
 
 	mu sync.RWMutex
 	m  map[string]B
 }
 
-// New creates a registry for the given kind whose empty-name lookups
-// resolve to defaultName.
-func New[B any](kind, defaultName string) *Registry[B] {
-	return &Registry[B]{kind: kind, defaultName: defaultName, m: make(map[string]B)}
+// New creates a registry whose errors read "<kind>: … <noun> …", whose
+// names are normalized by canonical, and whose empty-name lookups resolve
+// to defaultName.
+func New[B any](kind, noun, defaultName string, canonical func(string) string) *Registry[B] {
+	return &Registry[B]{kind: kind, noun: noun, defaultName: defaultName, canonical: canonical, m: make(map[string]B)}
 }
+
+// Kind returns the registry's kind name ("mobility", "traffic", …).
+func (r *Registry[B]) Kind() string { return r.kind }
+
+// Default returns the name an empty lookup resolves to.
+func (r *Registry[B]) Default() string { return r.defaultName }
 
 // Register adds a builder under the given case-insensitive name.
 // Registering an empty name, a nil builder, or a taken name is an error.
 func (r *Registry[B]) Register(name string, b B) error {
-	key := Canonical(name)
+	key := r.canonical(name)
 	if key == "" {
-		return fmt.Errorf("%s: empty model name", r.kind)
+		return fmt.Errorf("%s: empty %s name", r.kind, r.noun)
 	}
 	if rv := reflect.ValueOf(b); !rv.IsValid() || (rv.Kind() == reflect.Func && rv.IsNil()) {
-		return fmt.Errorf("%s: nil builder for model %q", r.kind, name)
+		return fmt.Errorf("%s: nil builder for %s %q", r.kind, r.noun, name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.m[key]; dup {
-		return fmt.Errorf("%s: model %q already registered", r.kind, key)
+		return fmt.Errorf("%s: %s %q already registered", r.kind, r.noun, key)
 	}
 	r.m[key] = b
 	return nil
@@ -65,7 +80,7 @@ func (r *Registry[B]) MustRegister(name string, b B) {
 	}
 }
 
-// Names returns every registered model name, sorted.
+// Names returns every registered name, sorted.
 func (r *Registry[B]) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -78,22 +93,16 @@ func (r *Registry[B]) Names() []string {
 }
 
 // Known reports whether a name resolves (the empty name selects the
-// default model).
+// default entry).
 func (r *Registry[B]) Known(name string) bool {
-	key := Canonical(name)
-	if key == "" {
-		key = r.defaultName
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.m[key]
-	return ok
+	_, _, err := r.Lookup(name)
+	return err == nil
 }
 
-// Lookup resolves a name (empty selects the default model) to its builder
+// Lookup resolves a name (empty selects the default entry) to its builder
 // and canonical name.
 func (r *Registry[B]) Lookup(name string) (B, string, error) {
-	key := Canonical(name)
+	key := r.canonical(name)
 	if key == "" {
 		key = r.defaultName
 	}
@@ -102,10 +111,68 @@ func (r *Registry[B]) Lookup(name string) (B, string, error) {
 	r.mu.RUnlock()
 	if !ok {
 		var zero B
-		return zero, key, fmt.Errorf("%s: unknown model %q (registered: %s)",
-			r.kind, name, strings.Join(r.Names(), ", "))
+		return zero, key, fmt.Errorf("%s: unknown %s %q (registered: %s)",
+			r.kind, r.noun, name, strings.Join(r.Names(), ", "))
 	}
 	return b, key, nil
+}
+
+// Models is the registry of one scenario-model kind: a Registry of the
+// kind's builders B, which turn an environment E and a parameter map into
+// a model M.
+type Models[B, E, M any] struct {
+	*Registry[B]
+	call  func(B, E, Params) (M, error)
+	check func(M, E) error
+}
+
+// NewModels creates a model-kind registry. call invokes one builder
+// (builder signatures are the kind's own); check, when non-nil, validates
+// every built model, so an out-of-range parameter fails at Spec.Validate /
+// campaign-submission time rather than mid-campaign.
+func NewModels[B, E, M any](kind, defaultName string, call func(B, E, Params) (M, error), check func(M, E) error) *Models[B, E, M] {
+	return &Models[B, E, M]{Registry: New[B](kind, "model", defaultName, Canonical), call: call, check: check}
+}
+
+// Build resolves a model name (empty selects the default model), builds it
+// for the given environment and validates the result.
+func (k *Models[B, E, M]) Build(name string, env E, params map[string]float64) (M, error) {
+	var zero M
+	b, key, err := k.Lookup(name)
+	if err != nil {
+		return zero, err
+	}
+	model, err := k.call(b, env, NewParams(params))
+	if err == nil && k.check != nil {
+		err = k.check(model, env)
+	}
+	if err != nil {
+		return zero, fmt.Errorf("%s: model %q: %w", k.kind, key, err)
+	}
+	return model, nil
+}
+
+// ParamNames reports the parameter keys the named model consumes, observed
+// by dry-building it on a zero environment with an empty parameter map.
+func (k *Models[B, E, M]) ParamNames(name string) ([]string, error) {
+	b, _, err := k.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	var env E
+	p := NewParams(nil)
+	_, _ = k.call(b, env, p) // only the keys it read matter
+	return p.Used(), nil
+}
+
+// Listing is the builder-type-free view of a Models registry — what a
+// table of model kinds holds.
+type Listing interface {
+	Kind() string
+	Default() string
+	Names() []string
+	Known(name string) bool
+	ParamNames(name string) ([]string, error)
 }
 
 // Params wraps a model's parameter map, tracking which keys were read so a
@@ -140,8 +207,7 @@ func (p Params) Duration(key string, def sim.Duration) sim.Duration {
 
 // Used returns the sorted parameter keys the builder has consumed so far
 // (via Get/Duration). Dry-building a model with an empty map and reading
-// Used afterwards yields the model's parameter vocabulary — the registry
-// listings behind `adhocsim -list-models` are produced this way.
+// Used afterwards yields the model's parameter vocabulary (ParamNames).
 func (p Params) Used() []string {
 	out := make([]string, 0, len(p.used))
 	for k := range p.used {

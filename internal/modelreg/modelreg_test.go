@@ -1,6 +1,7 @@
 package modelreg
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func TestCanonical(t *testing.T) {
 }
 
 func TestRegister(t *testing.T) {
-	r := New[builder]("mobility", "waypoint")
+	r := New[builder]("mobility", "model", "waypoint", Canonical)
 	if err := r.Register("Waypoint", one); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRegister(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	r := New[builder]("traffic", "cbr")
+	r := New[builder]("traffic", "model", "cbr", Canonical)
 	r.MustRegister("expoo", func() int { return 2 })
 	r.MustRegister("CBR", one)
 	r.MustRegister("burst", func() int { return 3 })
@@ -94,8 +95,57 @@ func TestLookup(t *testing.T) {
 	}
 
 	// A registry whose default was never registered fails the empty name.
-	if _, _, err := New[builder]("radio", "tworay").Lookup(""); err == nil {
+	if _, _, err := New[builder]("radio", "model", "tworay", Canonical).Lookup(""); err == nil {
 		t.Error("empty-name lookup resolved with no default registered")
+	}
+}
+
+// TestModels: Build wraps builder and check-hook failures with the kind and
+// canonical model name, passes the environment through, and ParamNames
+// reports the keys a dry build on the zero environment reads.
+func TestModels(t *testing.T) {
+	type build func(scale int, p Params) (int, error)
+	k := NewModels("gain", "unit",
+		func(b build, scale int, p Params) (int, error) { return b(scale, p) },
+		func(m int, _ int) error {
+			if m < 0 {
+				return errors.New("negative gain")
+			}
+			return nil
+		})
+	k.MustRegister("unit", func(scale int, p Params) (int, error) { return scale, p.Err() })
+	k.MustRegister("Linear", func(scale int, p Params) (int, error) {
+		return scale * int(p.Get("slope", 2)+p.Get("offset", 0)), p.Err()
+	})
+	if got, err := k.Build("", 7, nil); err != nil || got != 7 {
+		t.Errorf("Build of the default = (%d, %v), want 7", got, err)
+	}
+	if got, err := k.Build(" LINEAR ", 3, map[string]float64{"slope": 4}); err != nil || got != 12 {
+		t.Errorf("Build(linear, slope 4) = (%d, %v), want 12", got, err)
+	}
+	for what, tc := range map[string]struct {
+		params  map[string]float64
+		wantErr string
+	}{
+		"builder error":    {map[string]float64{"slop": 1}, `gain: model "linear": unknown parameter "slop" (known: offset, slope)`},
+		"check-hook error": {map[string]float64{"slope": -1}, `gain: model "linear": negative gain`},
+	} {
+		if _, err := k.Build("linear", 1, tc.params); err == nil || err.Error() != tc.wantErr {
+			t.Errorf("%s: err = %v, want %q", what, err, tc.wantErr)
+		}
+	}
+	if _, err := k.Build("cubic", 1, nil); err == nil || !strings.Contains(err.Error(), "registered: linear, unit") {
+		t.Errorf("unknown model: err = %v", err)
+	}
+	if got, err := k.ParamNames("linear"); err != nil || !reflect.DeepEqual(got, []string{"offset", "slope"}) {
+		t.Errorf("ParamNames(linear) = (%v, %v)", got, err)
+	}
+	if _, err := k.ParamNames("cubic"); err == nil {
+		t.Error("ParamNames accepted an unregistered name")
+	}
+	var l Listing = k
+	if l.Kind() != "gain" || l.Default() != "unit" || !l.Known("") {
+		t.Errorf("Listing = kind %q default %q", l.Kind(), l.Default())
 	}
 }
 

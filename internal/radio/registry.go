@@ -62,68 +62,23 @@ func (e Env) ranges() (rx, cs float64, err error) {
 
 // Builder constructs concrete radio parameters from the scenario
 // environment and a model-specific parameter map. Builders must be pure
-// and must reject unknown parameter names (use Params.Err) so misspelled
-// keys fail loudly instead of silently selecting defaults.
-type Builder func(env Env, params Params) (phy.RadioParams, error)
+// and must reject unknown parameter names (use modelreg.Params.Err) so
+// misspelled keys fail loudly instead of silently selecting defaults.
+type Builder func(env Env, params modelreg.Params) (phy.RadioParams, error)
 
-// Params is the read-tracking parameter-map view handed to builders.
-type Params = modelreg.Params
+// Models is the radio-model registry; an empty name selects the study's
+// two-ray ground reflection. Built parameters are validated eagerly
+// (phy.RadioParams.Validate), so a capture ratio at or below 1, inverted
+// thresholds, or an out-of-range model parameter fails at Spec.Validate /
+// campaign-submission time rather than mid-campaign.
+var Models = modelreg.NewModels("radio", "tworay",
+	func(b Builder, env Env, p modelreg.Params) (phy.RadioParams, error) { return b(env, p) },
+	func(p phy.RadioParams, _ Env) error { return p.Validate() })
 
-// NewParams wraps a raw parameter map (nil is fine).
-func NewParams(m map[string]float64) Params { return modelreg.NewParams(m) }
-
-// DefaultModel is the model an empty spec name selects: the study's
-// two-ray ground reflection.
-const DefaultModel = "tworay"
-
-var registry = modelreg.New[Builder]("radio", DefaultModel)
-
-// Register adds a radio model under the given case-insensitive name,
-// making it available to scenario specs, the campaign engine and the cmd
-// tools. Registration is open: code outside this package can plug in new
-// models. Registering an empty name, a nil builder, or a taken name is an
-// error.
-func Register(name string, b Builder) error { return registry.Register(name, b) }
-
-// Registered returns every registered radio model name, sorted.
-func Registered() []string { return registry.Names() }
-
-// Known reports whether a model name resolves in the registry (the empty
-// name selects the default model and is always known).
-func Known(name string) bool { return registry.Known(name) }
-
-// ParamNames reports the parameter keys the named model consumes, observed
-// by dry-building it with an empty parameter map.
-func ParamNames(name string) ([]string, error) {
-	b, _, err := registry.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	p := NewParams(nil)
-	_, _ = b(Env{}, p)
-	return p.Used(), nil
-}
-
-// New resolves a radio model name through the registry and builds it for
-// the given environment. An empty name selects DefaultModel. The built
-// parameters are eagerly validated (phy.RadioParams.Validate), so a
-// capture ratio at or below 1, inverted thresholds, or an out-of-range
-// model parameter fails at Spec.Validate / campaign-submission time
-// rather than mid-campaign — the registry analogue of the mobility
-// dry-run validation.
+// New resolves a radio model name through Models and builds it for the
+// given environment.
 func New(name string, env Env, params map[string]float64) (phy.RadioParams, error) {
-	b, key, err := registry.Lookup(name)
-	if err != nil {
-		return phy.RadioParams{}, err
-	}
-	p, err := b(env, NewParams(params))
-	if err != nil {
-		return phy.RadioParams{}, fmt.Errorf("radio: model %q: %w", key, err)
-	}
-	if err := p.Validate(); err != nil {
-		return phy.RadioParams{}, fmt.Errorf("radio: model %q: %w", key, err)
-	}
-	return p, nil
+	return Models.Build(name, env, params)
 }
 
 // studyTwoRay returns the CMU 914 MHz WaveLAN two-ray parameterisation
@@ -155,7 +110,7 @@ func paramsFor(prop phy.Propagation, rx, cs float64) phy.RadioParams {
 
 // common applies the parameters every builder understands: the capture /
 // SINR power ratio and the noise floor.
-func common(p *phy.RadioParams, params Params) {
+func common(p *phy.RadioParams, params modelreg.Params) {
 	p.CaptureRatio = params.Get("capture_ratio", p.CaptureRatio)
 	if dbm := params.Get("noise_dbm", math.Inf(-1)); !math.IsInf(dbm, -1) {
 		p.NoiseW = math.Pow(10, (dbm-30)/10)
@@ -164,7 +119,7 @@ func common(p *phy.RadioParams, params Params) {
 
 // pathLossFor builds the tunable-exponent nominal model shared by
 // "pathloss" and "shadowing".
-func pathLossFor(params Params, defExp float64) (phy.PathLossExp, error) {
+func pathLossFor(params modelreg.Params, defExp float64) (phy.PathLossExp, error) {
 	exp := params.Get("exponent", defExp)
 	d0 := params.Get("ref_dist_m", 1)
 	if exp <= 0 {
@@ -183,7 +138,7 @@ func init() {
 	// zero-valued env yields exactly phy.DefaultParams, and explicit
 	// ranges go through phy.ParamsForRange — the golden seed-parity tests
 	// pin this.
-	registry.MustRegister(DefaultModel, func(env Env, p Params) (phy.RadioParams, error) {
+	Models.MustRegister("tworay", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
 		if _, _, err := env.ranges(); err != nil {
 			return phy.RadioParams{}, err
 		}
@@ -198,7 +153,7 @@ func init() {
 		common(&params, p)
 		return params, p.Err()
 	})
-	registry.MustRegister("freespace", func(env Env, p Params) (phy.RadioParams, error) {
+	Models.MustRegister("freespace", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
 		rx, cs, err := env.ranges()
 		if err != nil {
 			return phy.RadioParams{}, err
@@ -207,7 +162,7 @@ func init() {
 		common(&params, p)
 		return params, p.Err()
 	})
-	registry.MustRegister("pathloss", func(env Env, p Params) (phy.RadioParams, error) {
+	Models.MustRegister("pathloss", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
 		rx, cs, err := env.ranges()
 		if err != nil {
 			return phy.RadioParams{}, err
@@ -220,7 +175,7 @@ func init() {
 		common(&params, p)
 		return params, p.Err()
 	})
-	registry.MustRegister("shadowing", func(env Env, p Params) (phy.RadioParams, error) {
+	Models.MustRegister("shadowing", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
 		rx, cs, err := env.ranges()
 		if err != nil {
 			return phy.RadioParams{}, err
@@ -242,7 +197,7 @@ func init() {
 		return params, p.Err()
 	})
 	fading := func(defaultKdB float64, fixedRayleigh bool) Builder {
-		return func(env Env, p Params) (phy.RadioParams, error) {
+		return func(env Env, p modelreg.Params) (phy.RadioParams, error) {
 			rx, cs, err := env.ranges()
 			if err != nil {
 				return phy.RadioParams{}, err
@@ -260,6 +215,6 @@ func init() {
 			return params, p.Err()
 		}
 	}
-	registry.MustRegister("ricean", fading(6, false))
-	registry.MustRegister("rayleigh", fading(0, true))
+	Models.MustRegister("ricean", fading(6, false))
+	Models.MustRegister("rayleigh", fading(0, true))
 }

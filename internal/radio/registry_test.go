@@ -3,9 +3,9 @@ package radio
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
+	"adhocsim/internal/modelreg"
 	"adhocsim/internal/phy"
 )
 
@@ -46,7 +46,7 @@ func TestDefaultModelMatchesLegacyPath(t *testing.T) {
 // TestRangesHonoured: every built-in model's thresholds imply exactly the
 // env's reception and carrier-sense ranges under its nominal propagation.
 func TestRangesHonoured(t *testing.T) {
-	for _, name := range Registered() {
+	for _, name := range Models.Names() {
 		p, err := New(name, Env{TxRange: 180, CSRange: 400, Seed: 9}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -94,15 +94,6 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-// TestUnknownModelErrorListsRegistry mirrors the mobility/traffic error
-// idiom: the message names the registered models.
-func TestUnknownModelErrorLists(t *testing.T) {
-	_, err := New("warpdrive", Env{}, nil)
-	if err == nil || !strings.Contains(err.Error(), "tworay") {
-		t.Fatalf("error %v does not list registered models", err)
-	}
-}
-
 // TestNoiseParam: noise_dbm converts to Watts on every builder.
 func TestNoiseParam(t *testing.T) {
 	p, err := New("tworay", Env{}, map[string]float64{"noise_dbm": -90})
@@ -121,28 +112,16 @@ func TestNoiseParam(t *testing.T) {
 	}
 }
 
-// TestRegisterOpenSurface: external registration works and duplicate
-// registration fails, like the other model registries.
+// TestRegisterOpenSurface: a model registered from outside the built-in
+// set builds under any spelling of its name.
 func TestRegisterOpenSurface(t *testing.T) {
-	err := Register("test-const", func(env Env, p Params) (phy.RadioParams, error) {
-		params := phy.DefaultParams()
-		return params, p.Err()
+	err := Models.Register("test-const", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
+		return phy.DefaultParams(), p.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Known("test-const") {
-		t.Fatal("registered model unknown")
-	}
 	if _, err := New("TEST-CONST", Env{}, nil); err != nil {
 		t.Fatal(err)
-	}
-	if err := Register("test-const", nil); err == nil {
-		t.Fatal("nil builder accepted")
-	}
-	if err := Register("tworay", func(Env, Params) (phy.RadioParams, error) {
-		return phy.RadioParams{}, nil
-	}); err == nil {
-		t.Fatal("duplicate registration accepted")
 	}
 }

@@ -3,48 +3,47 @@
 // lists (cbrgen) and radio parameters, all derived deterministically from a
 // seed.
 //
-// Mobility, traffic and radio models are named, parameterized and
-// JSON-serializable (MobilitySpec/TrafficSpec/RadioSpec) and resolve
-// through the open registries in the mobility, traffic and radio packages,
-// so campaigns and the HTTP service can select and sweep scenario families
-// without Go-side hooks. Zero-valued specs select the study models (random
-// waypoint, CBR, two-ray ground with pairwise capture) and compile
-// bit-identically to the pre-registry harness.
+// The four scenario-model kinds — mobility, traffic, radio, lifecycle — are
+// named, parameterized and JSON-serializable (ModelSpec) and resolve
+// through the open registries in their packages, so campaigns and the HTTP
+// service can select and sweep scenario families without Go-side hooks.
+// ModelKinds is the one table describing them; every layer above iterates
+// it instead of naming kinds. Zero-valued specs select the study models
+// (random waypoint, CBR, two-ray ground with pairwise capture, static
+// membership) and compile bit-identically to the pre-registry harness.
 package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"adhocsim/internal/geo"
 	"adhocsim/internal/lifecycle"
 	"adhocsim/internal/mobility"
+	"adhocsim/internal/modelreg"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/radio"
 	"adhocsim/internal/sim"
 	"adhocsim/internal/traffic"
 )
 
-// MobilitySpec names a registered mobility model with optional parameter
-// overrides. The zero value selects the study's random waypoint driven by
-// the Spec-level speed/pause fields. See mobility.Registered for the
-// built-in names and DESIGN.md for their parameters.
-type MobilitySpec struct {
+// ModelSpec names a registered model of one kind with optional parameter
+// overrides. The zero value selects the kind's study default, shaped by
+// the Spec-level fields (speed/pause, rate/payload, ranges).
+type ModelSpec struct {
 	Name   string             `json:"name,omitempty"`
 	Params map[string]float64 `json:"params,omitempty"`
 }
 
-// TrafficSpec names a registered traffic model with optional parameter
-// overrides. The zero value selects the study's CBR workload.
-type TrafficSpec struct {
-	Name   string             `json:"name,omitempty"`
-	Params map[string]float64 `json:"params,omitempty"`
-}
+// The per-kind names of ModelSpec.
+type (
+	MobilitySpec  = ModelSpec
+	TrafficSpec   = ModelSpec
+	LifecycleSpec = ModelSpec
+)
 
-// RadioSpec names a registered radio/propagation model with optional
-// parameter overrides, plus the reception-model switch. The zero value
-// selects the study's two-ray ground at the Spec-level TxRange/CSRange
-// fields with pairwise ns-2 capture, and compiles bit-identically to the
-// pre-registry radio path.
+// RadioSpec is a ModelSpec for the radio kind plus the reception-model
+// switch.
 type RadioSpec struct {
 	Name   string             `json:"name,omitempty"`
 	Params map[string]float64 `json:"params,omitempty"`
@@ -55,13 +54,44 @@ type RadioSpec struct {
 	SINR bool `json:"sinr,omitempty"`
 }
 
-// LifecycleSpec names a registered churn (node lifecycle) model with
-// optional parameter overrides. The zero value selects the static lifecycle
-// — the full population up for the whole run — and compiles bit-identically
-// to the fixed-population harness.
-type LifecycleSpec struct {
-	Name   string             `json:"name,omitempty"`
-	Params map[string]float64 `json:"params,omitempty"`
+// ModelKind is one row of the model-kind table.
+type ModelKind struct {
+	// Name is the kind's CLI flag, campaign axis and JSON field name.
+	Name string
+	// Label is the kind's axis label; cell labels, and therefore derived
+	// seeds and plan hashes, contain it.
+	Label string
+	// Aliases are further accepted spellings of the axis name, beyond
+	// Name and Label.
+	Aliases []string
+	// Models lists the kind's registry.
+	Models modelreg.Listing
+	// Ref locates the kind's model name and parameters inside a Spec.
+	Ref func(*Spec) (name *string, params *map[string]float64)
+}
+
+// ModelKinds is the table of scenario-model kinds, in presentation order.
+var ModelKinds = []ModelKind{
+	{Name: "mobility", Label: "mobility_model", Models: mobility.Models,
+		Ref: func(s *Spec) (*string, *map[string]float64) { return &s.Mobility.Name, &s.Mobility.Params }},
+	{Name: "traffic", Label: "traffic_model", Models: traffic.Models,
+		Ref: func(s *Spec) (*string, *map[string]float64) { return &s.Traffic.Name, &s.Traffic.Params }},
+	{Name: "radio", Label: "radio_model", Models: radio.Models,
+		Ref: func(s *Spec) (*string, *map[string]float64) { return &s.Radio.Name, &s.Radio.Params }},
+	{Name: "lifecycle", Label: "lifecycle_model", Aliases: []string{"churn"}, Models: lifecycle.Models,
+		Ref: func(s *Spec) (*string, *map[string]float64) { return &s.Lifecycle.Name, &s.Lifecycle.Params }},
+}
+
+// ModelKindByName resolves any accepted spelling of a kind ("mobility",
+// "mobility_model", …, "churn"), case-insensitively.
+func ModelKindByName(name string) (ModelKind, bool) {
+	name = modelreg.Canonical(name)
+	for _, k := range ModelKinds {
+		if name == k.Name || name == k.Label || slices.Contains(k.Aliases, name) {
+			return k, true
+		}
+	}
+	return ModelKind{}, false
 }
 
 // Spec describes one experiment configuration (before seeding).
@@ -206,8 +236,8 @@ func (s Spec) Validate() error {
 	if _, err := s.RadioModel(0); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	// The lifecycle model is dry-run twice: New's zero-node build catches
-	// malformed parameters, and a full-population seed-0 schedule (with
+	// The lifecycle model is dry-run twice: the registry's zero-node build
+	// catches malformed parameters, and a full-population seed-0 schedule (with
 	// origin-pinned positions, so no tracks are generated) is bounds-checked
 	// so churn that falls outside the run horizon — a join scheduled after
 	// Duration — fails at campaign submission, not mid-flight.

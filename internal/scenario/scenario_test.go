@@ -310,8 +310,8 @@ func TestRadioModelThreadsRunSeed(t *testing.T) {
 // tracks and connections (the registry analogue of TestGenerateDeterministic),
 // different seed ⇒ different mobility.
 func TestNewModelsGenerateDeterministically(t *testing.T) {
-	for _, mob := range mobility.Registered() {
-		for _, tra := range traffic.Registered() {
+	for _, mob := range mobility.Models.Names() {
+		for _, tra := range traffic.Models.Names() {
 			mob, tra := mob, tra
 			t.Run(mob+"/"+tra, func(t *testing.T) {
 				t.Parallel()

@@ -35,57 +35,18 @@ type Generator interface {
 }
 
 // Builder constructs a configured Generator from a model-specific parameter
-// map. Builders must reject unknown parameter names (use Params.Err).
-type Builder func(params Params) (Generator, error)
+// map. Builders must reject unknown parameter names (use modelreg.Params.Err).
+type Builder func(params modelreg.Params) (Generator, error)
 
-// Params is the read-tracking parameter-map view handed to builders.
-type Params = modelreg.Params
+// Models is the traffic-model registry; an empty name selects the study's
+// CBR. Builders take no environment (a generator sees it at Connections
+// time) and need no post-build validation.
+var Models = modelreg.NewModels("traffic", ProcessCBR,
+	func(b Builder, _ struct{}, p modelreg.Params) (Generator, error) { return b(p) }, nil)
 
-// NewParams wraps a raw parameter map (nil is fine).
-func NewParams(m map[string]float64) Params { return modelreg.NewParams(m) }
-
-// DefaultModel is the model an empty spec name selects: the study's CBR.
-const DefaultModel = ProcessCBR
-
-var registry = modelreg.New[Builder]("traffic", DefaultModel)
-
-// Register adds a traffic model under the given case-insensitive name,
-// making it available to scenario specs, the campaign engine and the cmd
-// tools. Registering an empty name, a nil builder, or a taken name is an
-// error.
-func Register(name string, b Builder) error { return registry.Register(name, b) }
-
-// Registered returns every registered traffic model name, sorted.
-func Registered() []string { return registry.Names() }
-
-// Known reports whether a model name resolves in the registry (the empty
-// name selects the default model).
-func Known(name string) bool { return registry.Known(name) }
-
-// ParamNames reports the parameter keys the named model consumes, observed
-// by dry-building it with an empty parameter map.
-func ParamNames(name string) ([]string, error) {
-	b, _, err := registry.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	p := NewParams(nil)
-	_, _ = b(p)
-	return p.Used(), nil
-}
-
-// New resolves a traffic model name through the registry and builds it. An
-// empty name selects DefaultModel.
+// New resolves a traffic model name through Models and builds it.
 func New(name string, params map[string]float64) (Generator, error) {
-	b, key, err := registry.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := b(NewParams(params))
-	if err != nil {
-		return nil, fmt.Errorf("traffic: model %q: %w", key, err)
-	}
-	return gen, nil
+	return Models.Build(name, struct{}{}, params)
 }
 
 // CBR is the study's cbrgen workload: Sources distinct (src,dst) pairs,
@@ -195,13 +156,13 @@ func drawPairs(env Env, rng *sim.RNG) ([]Connection, error) {
 
 // The built-in traffic models self-register.
 func init() {
-	registry.MustRegister(ProcessCBR, func(p Params) (Generator, error) {
+	Models.MustRegister(ProcessCBR, func(p modelreg.Params) (Generator, error) {
 		return CBR{}, p.Err()
 	})
-	registry.MustRegister(ProcessPoisson, func(p Params) (Generator, error) {
+	Models.MustRegister(ProcessPoisson, func(p modelreg.Params) (Generator, error) {
 		return Poisson{}, p.Err()
 	})
-	registry.MustRegister(ProcessExpOnOff, func(p Params) (Generator, error) {
+	Models.MustRegister(ProcessExpOnOff, func(p modelreg.Params) (Generator, error) {
 		g := ExpOnOff{OnMean: p.Get("on_s", 1), OffMean: p.Get("off_s", 1)}
 		if g.OnMean <= 0 {
 			return nil, fmt.Errorf("on_s must be positive, got %v", g.OnMean)

@@ -26,7 +26,7 @@ func testTrafficEnv() traffic.Env {
 // through fresh registries/RNGs, must emit reflect.DeepEqual connection
 // lists — the cross-process determinism contract.
 func TestGeneratorDeterminism(t *testing.T) {
-	for _, name := range traffic.Registered() {
+	for _, name := range traffic.Models.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -142,12 +142,6 @@ func TestTrafficRegistryErrors(t *testing.T) {
 	}
 	if _, err := traffic.New("expoo", map[string]float64{"on_s": 0}); err == nil {
 		t.Fatal("zero on_s accepted")
-	}
-	if err := traffic.Register("cbr", func(traffic.Params) (traffic.Generator, error) { return nil, nil }); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if !traffic.Known("") || !traffic.Known("CBR") || traffic.Known("warp") {
-		t.Fatal("Known misreports registry membership")
 	}
 }
 
