@@ -25,6 +25,8 @@ type Table struct {
 	segs []Segment // all tracks' segments, concatenated in node order
 	off  []int32   // node i's segments are segs[off[i]:off[i+1]]
 
+	restUntil sim.Time // earliest Start of a segment that changes a position
+
 	seg   []int32     // per-node hint: arena index of the last-used segment
 	epoch []sim.Time  // per-node timestamp of the memoised position (-1 = none)
 	pos   []geo.Point // per-node memoised position
@@ -42,12 +44,22 @@ func NewTable(tracks []*Track) *Table {
 		seg:   make([]int32, len(tracks)),
 		epoch: make([]sim.Time, len(tracks)),
 		pos:   make([]geo.Point, len(tracks)),
+
+		restUntil: sim.Never,
 	}
 	for i, tr := range tracks {
 		tb.off[i] = int32(len(tb.segs))
 		tb.seg[i] = int32(len(tb.segs))
 		tb.epoch[i] = -1 // no virtual timestamp is negative: never a false memo hit
 		tb.segs = append(tb.segs, tr.segs...)
+		for _, s := range tr.segs {
+			// Segments are sorted by Start: a track's first that departs
+			// from its opening point, or travels, ends its rest.
+			if s.From != tr.segs[0].From || (s.Speed != 0 && s.To != s.From) {
+				tb.restUntil = min(tb.restUntil, s.Start)
+				break
+			}
+		}
 	}
 	tb.off[len(tracks)] = int32(len(tb.segs))
 	return tb
@@ -55,6 +67,12 @@ func NewTable(tracks []*Track) *Table {
 
 // Len returns the number of nodes in the table.
 func (tb *Table) Len() int { return len(tb.off) - 1 }
+
+// RestUntil returns the time before which no node's position differs from
+// its position at time zero: the earliest Start of any segment that changes
+// a position, sim.Never when none does. The radio channel keeps its spatial
+// index and its per-sender link lists for exactly that long.
+func (tb *Table) RestUntil() sim.Time { return tb.restUntil }
 
 // At returns node i's position at time t, memoised per (node, timestamp).
 func (tb *Table) At(i int, t sim.Time) geo.Point {

@@ -157,3 +157,42 @@ func TestTablePositionsBatch(t *testing.T) {
 		t.Fatalf("fresh table at t=0: %v, want %v", got, want)
 	}
 }
+
+// TestTableRestUntil: the rest horizon is the first instant any node's
+// position can differ from its opening point — a segment that travels, or
+// one that starts somewhere else — and every position before it is the
+// opening one.
+func TestTableRestUntil(t *testing.T) {
+	a, b := geo.Pt(10, 10), geo.Pt(400, 10)
+	pause := func(at float64, p geo.Point) Segment { return Segment{Start: sim.At(at), From: p, To: p} }
+	for _, tc := range []struct {
+		name string
+		segs [][]Segment
+		want sim.Time
+	}{
+		{"static", [][]Segment{{pause(0, a)}, {pause(0, b), pause(30, b)}}, sim.Never},
+		{"zero-length trip", [][]Segment{{pause(0, a), {Start: sim.At(5), From: a, To: a, Speed: 3}}}, sim.Never},
+		{"moves from zero", [][]Segment{{pause(0, a)}, {{Start: 0, From: b, To: a, Speed: 1}}}, 0},
+		{"earliest departure", [][]Segment{
+			{pause(0, a), {Start: sim.At(70), From: a, To: b, Speed: 5}},
+			{pause(0, b), pause(20, b), {Start: sim.At(50), From: b, To: a, Speed: 5}},
+		}, sim.At(50)},
+		{"jump", [][]Segment{{pause(0, a), pause(12, b)}}, sim.At(12)},
+	} {
+		tracks := make([]*Track, len(tc.segs))
+		for i, segs := range tc.segs {
+			tracks[i] = MustTrack(segs)
+		}
+		tb := NewTable(tracks)
+		if got := tb.RestUntil(); got != tc.want {
+			t.Errorf("%s: RestUntil = %v, want %v", tc.name, got, tc.want)
+		}
+		for i, tr := range tracks {
+			for _, at := range []sim.Time{0, tc.want / 2, tc.want - 1} {
+				if at >= 0 && at < tc.want && tb.At(i, at) != tr.segs[0].From {
+					t.Errorf("%s: node %d at %v is %v before the rest horizon %v", tc.name, i, at, tb.At(i, at), tc.want)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"adhocsim/internal/geo"
 	"adhocsim/internal/mobility"
 	"adhocsim/internal/network"
 	"adhocsim/internal/phy"
@@ -119,4 +120,67 @@ func (d *direct) Snoop(*pkt.Packet, pkt.NodeID, pkt.NodeID, float64) {}
 func (d *direct) MacSent(*pkt.Packet, pkt.NodeID)                    {}
 func (d *direct) MacFailed(p *pkt.Packet, _ pkt.NodeID) {
 	d.env.Drop(p, stats.DropRetries)
+}
+
+// TestRestingSceneIndexesOnce: the channel's spatial index is rebuilt only
+// once something has moved. The paper's "no motion" endpoint (pause =
+// horizon) carries a moving segment that starts at the horizon, so its speed
+// bound is 20 m/s — it must still index once, like a static grid; a scene
+// that pauses 50 s indexes once until then and periodically afterwards.
+func TestRestingSceneIndexesOnce(t *testing.T) {
+	const horizon = 200 * sim.Second
+	area := geo.Rect{W: 1500, H: 300}
+	waypoint := func(pause sim.Duration) mobility.Model {
+		return mobility.RandomWaypoint{Area: area, MinSpeed: 1, MaxSpeed: 20, Pause: pause}
+	}
+	for _, tc := range []struct {
+		name  string
+		model mobility.Model
+		rest  sim.Time // the scene first moves here
+	}{
+		{"pause=horizon", waypoint(horizon), sim.At(200)},
+		{"static-grid", mobility.StaticGrid{Area: area, Jitter: 30}, sim.Never},
+		{"pause=50", waypoint(50 * sim.Second), sim.At(50)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracks, err := tc.model.Generate(20, horizon, sim.NewRNG(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mobility.NewTable(tracks).RestUntil(); got != tc.rest {
+				t.Fatalf("RestUntil = %v, want %v", got, tc.rest)
+			}
+			w, err := network.NewWorld(network.Config{
+				Tracks:   tracks,
+				Radio:    phy.DefaultParams(),
+				Protocol: flood.Factory(flood.Config{}),
+				Seed:     1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Start()
+			for s := 1.0; s < 200; s += 7 {
+				at := sim.At(s)
+				w.Eng.Schedule(at, func() { w.Node(0).Originate(pkt.DataPacket(0, 19, 0, 64, at)) })
+			}
+			for _, until := range []sim.Time{sim.At(49.9), sim.At(200)} {
+				if err := w.Run(context.Background(), until); err != nil {
+					t.Fatal(err)
+				}
+				n := w.Channel.Reindexes
+				// Nothing transmits at t=200 exactly, so the pause = horizon
+				// scene is at rest for every transmission of its run.
+				if until <= tc.rest && n != 1 {
+					t.Fatalf("%d reindexes by t=%v in a scene at rest until %v, want 1", n, until, tc.rest)
+				}
+				if until > tc.rest && n < 10 {
+					t.Fatalf("%d reindexes by t=%v in a scene moving since %v: index frozen", n, until, tc.rest)
+				}
+			}
+			if w.Channel.Transmissions < 100 {
+				t.Fatalf("degenerate scene: %d transmissions", w.Channel.Transmissions)
+			}
+		})
+	}
 }

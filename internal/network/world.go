@@ -87,12 +87,13 @@ func NewWorld(cfg Config) (*World, error) {
 		// The speed bound is a correctness input (it pads the index's
 		// query radius), so a caller-supplied value below what the
 		// tracks can actually do is raised, never trusted; and only the
-		// tracks themselves can prove a scenario static.
+		// tracks themselves — through the position table's rest horizon
+		// — can prove a scene at rest, for a while or for good.
 		bound := mobility.MaxTrackSpeed(cfg.Tracks)
 		if phyCfg.SpeedBound < bound {
 			phyCfg.SpeedBound = bound
 		}
-		phyCfg.Static = bound == 0
+		phyCfg.Static = false
 	}
 	w := &World{
 		Eng:       sim.NewEngineQueue(phyCfg.Scheduler),

@@ -1,7 +1,9 @@
 package phy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"adhocsim/internal/geo"
 	"adhocsim/internal/mobility"
@@ -47,8 +49,9 @@ type Config struct {
 	// index (set Static instead when positions provably never change).
 	SpeedBound float64
 	// Static declares that no position function ever returns a different
-	// point, so the index is built once and never refreshed. Set by
-	// network.NewWorld when the fastest track segment has speed zero.
+	// point: the rest horizon (see Channel) never ends. Channels fed by a
+	// position table need not set it — the table knows how long its tracks
+	// rest, which also covers a scene that only starts moving later.
 	Static bool
 	// SINR replaces the pairwise ns-2 capture test with cumulative-
 	// interference reception: a frame decodes only if its power stays at
@@ -76,6 +79,10 @@ type Config struct {
 // visits only the grid cells overlapping the padded carrier-sense disc, in
 // NodeID order, so results are bit-identical to the brute-force loop while
 // the per-transmission cost drops from O(N) to O(neighbourhood).
+//
+// Until the rest horizon — the position table's RestUntil, or never under
+// Config.Static — no radio has moved, so the index is built once and each
+// sender's sorted leg list is kept and replayed instead of re-derived.
 type Channel struct {
 	eng      *sim.Engine
 	params   RadioParams
@@ -104,6 +111,9 @@ type Channel struct {
 	pts         []geo.Point // reusable position buffer for reindex
 	scratch     []int32     // reusable candidate buffer
 	arrivalPool []*arrivalEvent
+
+	legs []leg   // the current transmit's legs, sorted by (delay, NodeID)
+	memo [][]leg // per sender, while at rest: its legs to every radio, up or down
 
 	// The channel's own per-receiver events bypass the engine's priority
 	// queue through two monotone lanes (sim.Lane): one transmission's
@@ -167,6 +177,7 @@ func (c *Channel) AttachRadio(id pkt.NodeID, pos func(sim.Time) geo.Point, rcv R
 	c.airPower = append(c.airPower, 0)
 	c.airCount = append(c.airCount, 0)
 	c.up = append(c.up, true)
+	c.memo = nil
 	return r
 }
 
@@ -206,6 +217,13 @@ func (c *Channel) SetPositionTable(tab *mobility.Table) {
 		panic(fmt.Sprintf("phy: position table covers %d nodes, %d radios attached", tab.Len(), len(c.radios)))
 	}
 	c.tab = tab
+	c.memo = nil
+}
+
+// atRest reports whether no radio can have moved by time now: always under
+// Config.Static, else until the position table's rest horizon.
+func (c *Channel) atRest(now sim.Time) bool {
+	return c.cfg.Static || (c.tab != nil && now < c.tab.RestUntil())
 }
 
 // posAt returns radio id's position at time t from the position table when
@@ -277,8 +295,8 @@ func (c *Channel) needReindex(now sim.Time) bool {
 	if !c.indexed || c.grid.Len() != len(c.radios) {
 		return true
 	}
-	if c.cfg.Static {
-		// Positions provably never change: the first index is forever.
+	if c.atRest(now) {
+		// Nothing has moved yet: the first index still holds.
 		return false
 	}
 	if c.cfg.ReindexInterval <= 0 || c.cfg.SpeedBound <= 0 {
@@ -289,9 +307,17 @@ func (c *Channel) needReindex(now sim.Time) bool {
 	return now.Sub(c.lastIndex) >= c.cfg.ReindexInterval
 }
 
+// leg is one receiver's share of a transmission.
+type leg struct {
+	to    pkt.NodeID
+	power float64
+	delay sim.Duration
+}
+
 // transmit propagates a frame from r to every radio in carrier-sense range.
 func (c *Channel) transmit(r *Radio, payload any, dur sim.Duration) {
-	if c.downCount > 0 && !c.up[r.id] {
+	masked := c.downCount > 0
+	if masked && !c.up[r.id] {
 		// A powered-down sender radiates nothing: the MAC's state machine
 		// still sees the transmission complete (txUntil was set), but no
 		// energy reaches the medium.
@@ -299,41 +325,89 @@ func (c *Channel) transmit(r *Radio, payload any, dur sim.Duration) {
 	}
 	now := c.eng.Now()
 	c.Transmissions++
-	from := c.posAt(r.id, now)
-	if c.cfg.BruteForce {
-		c.transmitBrute(r, from, payload, dur, now)
-	} else {
-		c.transmitIndexed(r, from, payload, dur, now)
+	// The legs are sorted by (delay, NodeID), so numbering them in slice
+	// order gives the dispatch order per-leg Schedule calls in NodeID order
+	// would have had, and the lane's own sort finds nothing to move.
+	for _, l := range c.legsFrom(r, now) {
+		if masked && !c.up[l.to] {
+			continue
+		}
+		ae := c.allocArrival()
+		ae.o = c.radios[l.to]
+		ae.dur = dur
+		ae.a = arrival{payload: payload, from: r.id, power: l.power}
+		c.legBatch = append(c.legBatch, sim.LaneItem{At: now.Add(l.delay), Fn: ae.fire})
 	}
-	// Both paths above batched their surviving legs in NodeID order; the
-	// batch numbers them in that order (the sequence numbers per-leg
-	// Schedule calls would have drawn) and appends them sorted by arrival.
 	c.arrivals.ScheduleBatch(c.legBatch)
 	c.legBatch = c.legBatch[:0]
 }
 
-// transmitBrute visits every other up radio, in NodeID order.
-func (c *Channel) transmitBrute(r *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
-	for _, o := range c.radios {
-		if o == r || (c.downCount > 0 && !c.up[o.id]) {
-			continue
-		}
-		c.propagate(r, o, from, payload, dur, now)
+// legsFrom returns r's legs at time now, sorted by (delay, NodeID). While
+// the scene is at rest and power depends on distance alone, the list is
+// built once per sender over every radio, up or down (transmit masks it),
+// and replayed; otherwise it is rebuilt over the up radios each time. The
+// brute-force loop never memoises: it is the oracle the memo is tested on.
+func (c *Channel) legsFrom(r *Radio, now sim.Time) []leg {
+	rest := c.atRest(now) && c.linkProp == nil && !c.cfg.BruteForce
+	if !rest {
+		c.memo = nil
+	} else if c.memo == nil {
+		c.memo = make([][]leg, len(c.radios))
+	} else if m := c.memo[r.id]; m != nil {
+		return m
 	}
+	from := c.posAt(r.id, now)
+	c.legs = c.legs[:0]
+	if c.cfg.BruteForce {
+		for _, o := range c.radios {
+			if o != r && (c.downCount == 0 || c.up[o.id]) {
+				c.propagate(r.id, o.id, from, now)
+			}
+		}
+	} else {
+		if c.needReindex(now) {
+			c.reindex(now)
+		}
+		if c.downCount > 0 && !rest {
+			c.scratch = c.grid.WithinSortedLive(from, c.queryRadius, int32(r.id), c.up, c.scratch[:0])
+		} else {
+			c.scratch = c.grid.WithinSorted(from, c.queryRadius, int32(r.id), c.scratch[:0])
+		}
+		for _, id := range c.scratch {
+			c.propagate(r.id, pkt.NodeID(id), from, now)
+		}
+	}
+	sortLegs(c.legs)
+	if rest {
+		c.memo[r.id] = append(make([]leg, 0, len(c.legs)), c.legs...)
+	}
+	return c.legs
 }
 
-// transmitIndexed visits the spatial index's candidates, in NodeID order.
-func (c *Channel) transmitIndexed(r *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
-	if c.needReindex(now) {
-		c.reindex(now)
+// insertionSortMax is the longest leg list sortLegs sorts by insertion.
+const insertionSortMax = 64
+
+// sortLegs orders legs found in NodeID order by (delay, NodeID). A dense
+// scene's few dozen go through a stable insertion sort, cheaper at that size
+// than calling a comparison function; insertion's quadratic moves would
+// show on a carrier-sense domain of hundreds, which gets slices.SortFunc.
+func sortLegs(legs []leg) {
+	if len(legs) > insertionSortMax {
+		slices.SortFunc(legs, func(a, b leg) int {
+			if c := cmp.Compare(a.delay, b.delay); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.to, b.to)
+		})
+		return
 	}
-	if c.downCount > 0 {
-		c.scratch = c.grid.WithinSortedLive(from, c.queryRadius, int32(r.id), c.up, c.scratch[:0])
-	} else {
-		c.scratch = c.grid.WithinSorted(from, c.queryRadius, int32(r.id), c.scratch[:0])
-	}
-	for _, id := range c.scratch {
-		c.propagate(r, c.radios[id], from, payload, dur, now)
+	for i := 1; i < len(legs); i++ {
+		l := legs[i]
+		j := i
+		for ; j > 0 && legs[j-1].delay > l.delay; j-- {
+			legs[j] = legs[j-1]
+		}
+		legs[j] = l
 	}
 }
 
@@ -367,36 +441,28 @@ func (c *Channel) allocArrival() *arrivalEvent {
 	return ae
 }
 
-// legPower computes the received power of one transmission leg: the
-// link/reception-dependent draw when the model declares one (shadowing,
-// fading — keyed by the current transmission's sequence number so grid and
-// brute-force candidate orders cannot diverge), else the plain distance
-// model.
-func (c *Channel) legPower(sender, o *Radio, d float64) float64 {
+// propagate adds the leg sender→to to the current transmit's list if the
+// received power clears the carrier-sense threshold: the link/reception-
+// dependent draw when the model declares one (shadowing, fading — keyed by
+// the current transmission's sequence number so grid and brute-force
+// candidate orders cannot diverge), else the plain distance model. Both
+// candidate loops call it in NodeID order.
+func (c *Channel) propagate(sender, to pkt.NodeID, from geo.Point, now sim.Time) {
+	d := c.posAt(to, now).Dist(from)
+	var power float64
 	if c.linkProp != nil {
-		return c.linkProp.LinkRxPower(c.params.TxPower, d, sender.id, o.id, c.Transmissions)
+		power = c.linkProp.LinkRxPower(c.params.TxPower, d, sender, to, c.Transmissions)
+	} else {
+		power = c.params.Prop.RxPower(c.params.TxPower, d)
 	}
-	return c.params.Prop.RxPower(c.params.TxPower, d)
-}
-
-// propagate adds one transmission leg sender→o to the current transmit's
-// batch if the received power clears the carrier-sense threshold. Both
-// transmit paths call it in NodeID order.
-func (c *Channel) propagate(sender, o *Radio, from geo.Point, payload any, dur sim.Duration, now sim.Time) {
-	d := c.posAt(o.id, now).Dist(from)
-	power := c.legPower(sender, o, d)
 	if power < c.params.CSThreshold {
 		return
 	}
-	propDelay := sim.Seconds(d / SpeedOfLight)
-	if propDelay < sim.Nanosecond {
-		propDelay = sim.Nanosecond
+	delay := sim.Seconds(d / SpeedOfLight)
+	if delay < sim.Nanosecond {
+		delay = sim.Nanosecond
 	}
-	ae := c.allocArrival()
-	ae.o = o
-	ae.dur = dur
-	ae.a = arrival{payload: payload, from: sender.id, power: power}
-	c.legBatch = append(c.legBatch, sim.LaneItem{At: now.Add(propDelay), Fn: ae.fire})
+	c.legs = append(c.legs, leg{to: to, power: power, delay: delay})
 }
 
 // InRange reports whether b currently receives a's transmissions (power at

@@ -11,8 +11,9 @@ import (
 
 // buildTableWorld wires n table-backed radios (the network layer's
 // configuration) on a fresh engine: spread deterministically over a 400 m
-// square — one carrier-sense domain — each drifting towards its mirror point.
-func buildTableWorld(n int, cfg Config) (*sim.Engine, *Channel, []*collector) {
+// square — one carrier-sense domain — each drifting towards its mirror point
+// at speed m/s (0: a scene at rest).
+func buildTableWorld(n int, speed float64, cfg Config) (*sim.Engine, *Channel, []*collector) {
 	const side = 400
 	tracks := make([]*mobility.Track, n)
 	for i := range tracks {
@@ -21,7 +22,7 @@ func buildTableWorld(n int, cfg Config) (*sim.Engine, *Channel, []*collector) {
 		tracks[i] = mobility.MustTrack([]mobility.Segment{{
 			From:  geo.Point{X: x, Y: y},
 			To:    geo.Point{X: side - x, Y: side - y},
-			Speed: 4,
+			Speed: speed,
 		}})
 	}
 	eng := sim.NewEngine()
@@ -47,7 +48,7 @@ func TestLaneBatchOnEveryTransmitPath(t *testing.T) {
 		"brute":   {BruteForce: true},
 		"sinr":    {SINR: true},
 	} {
-		eng, ch, cols := buildTableWorld(n, cfg)
+		eng, ch, cols := buildTableWorld(n, 4, cfg)
 		ch.Radio(7).Transmit("frame", sim.Millis(1))
 		if got := ch.arrivals.Len(); got != n-1 {
 			t.Fatalf("%s: arrival lane holds %d of %d legs", name, got, n-1)
@@ -84,21 +85,42 @@ func TestLaneBatchOnEveryTransmitPath(t *testing.T) {
 // BenchmarkTransmitDense prices one transmission in the paper's regime: 40
 // radios inside one carrier-sense domain, each Transmit fanning out to the
 // other 39 and drained to idle (arrival, reception end or carrier-only
-// energy, busy watchdog per receiver) with counting receivers. One op is one
-// transmission with everything it schedules.
+// energy, busy watchdog per receiver) with receivers that do nothing. One op
+// is one transmission with everything it schedules. rest is the scene
+// before anything moves — the sender's kept leg list replayed — and moving
+// re-derives and sorts the legs per transmit; both settle at 0 allocs/op.
+// moving500 is a domain of 500, past the size sortLegs sorts by insertion.
 func BenchmarkTransmitDense(b *testing.B) {
-	const n = 40
-	eng, ch, _ := buildTableWorld(n, Config{ReindexInterval: sim.Second, SpeedBound: 4})
-	for i := 0; i < n; i++ {
-		ch.Radio(pkt.NodeID(i)).SetReceiver(&countingReceiver{})
+	for _, bc := range []struct {
+		name  string
+		n     int
+		speed float64
+	}{{"rest", 40, 0}, {"moving", 40, 4}, {"moving500", 500, 4}} {
+		n, speed := bc.n, bc.speed
+		b.Run(bc.name, func(b *testing.B) {
+			eng, ch, _ := buildTableWorld(n, speed, Config{ReindexInterval: sim.Second, SpeedBound: speed})
+			for i := 0; i < n; i++ {
+				ch.Radio(pkt.NodeID(i)).SetReceiver(&countingReceiver{})
+			}
+			transmit := func(i int) {
+				ch.Radio(pkt.NodeID(i%n)).Transmit(nil, sim.Millisecond)
+				if err := eng.RunAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				transmit(i) // fill the pools (and, at rest, every sender's list)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				transmit(i)
+			}
+			b.StopTimer()
+			if (ch.memo != nil) != (speed == 0) {
+				b.Fatalf("leg lists kept: %v at %v m/s", ch.memo != nil, speed)
+			}
+			b.ReportMetric(float64(eng.Executed)/float64(b.N+n), "events/op")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.Radio(pkt.NodeID(i%n)).Transmit(nil, sim.Millisecond)
-		if err := eng.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(eng.Executed)/float64(b.N), "events/op")
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -33,26 +35,43 @@ func TestLaneDispatchOrderAndFallback(t *testing.T) {
 	}
 }
 
+// TestLaneBatchNumbersInSliceOrder: a batch fires in timestamp order, and in
+// slice order among equal timestamps — what Schedule calls in slice order
+// would have produced.
 func TestLaneBatchNumbersInSliceOrder(t *testing.T) {
-	e := NewEngine()
-	l := e.NewLane()
-	var got []int
-	items := make([]LaneItem, 6)
-	for i, at := range []float64{3, 1, 2, 1, 3, 1} {
-		i := i
-		items[i] = LaneItem{At: At(at), Fn: func() { got = append(got, i) }}
+	// A reversed run of triplicated timestamps, then a sorted run that
+	// repeats some of them.
+	long := make([]Time, 100)
+	for i := range long {
+		long[i] = Time(len(long)-i) / 3
+		if i > 2*len(long)/3 {
+			long[i] = Time(i) / 2
+		}
 	}
-	l.ScheduleBatch(items)
-	if l.Len() != 6 {
-		t.Fatalf("lane holds %d of a 6-item batch", l.Len())
-	}
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Timestamp order, and slice order among equal timestamps — what six
-	// Schedule calls in slice order would have produced.
-	if want := []int{1, 3, 5, 2, 0, 4}; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("dispatch order %v, want %v", got, want)
+	batches := map[string][]Time{"six": {At(3), At(1), At(2), At(1), At(3), At(1)}, "long": long}
+	for name, ats := range batches {
+		e := NewEngine()
+		l := e.NewLane()
+		var got, want []int
+		items := make([]LaneItem, len(ats))
+		for i, at := range ats {
+			items[i] = LaneItem{At: at, Fn: func() { got = append(got, i) }}
+			want = append(want, i)
+		}
+		sort.SliceStable(want, func(a, b int) bool { return ats[want[a]] < ats[want[b]] })
+		l.ScheduleBatch(items)
+		if l.Len() != len(ats) {
+			t.Fatalf("%s: lane holds %d of a %d-item batch", name, l.Len(), len(ats))
+		}
+		if err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: dispatch order %v, want %v", name, got, want)
+		}
+		if name == "six" && fmt.Sprint(got) != "[1 3 5 2 0 4]" {
+			t.Fatalf("dispatch order %v", got)
+		}
 	}
 }
 
@@ -331,6 +350,38 @@ func BenchmarkEngineLaneRun(b *testing.B) {
 			b.ResetTimer()
 			if err := e.RunAll(); err != nil {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkLaneScheduleBatch prices numbering, sorting and appending one
+// batch of near-future timestamps and draining it, in the shape the PHY
+// sends: already ascending, with repeats. 8 and 26 items are a sparse and a
+// dense scene's legs per transmission, 200 a crowded carrier-sense domain.
+func BenchmarkLaneScheduleBatch(b *testing.B) {
+	for _, n := range []int{8, 26, 200} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			e := NewEngine()
+			l := e.NewLane()
+			rng := rand.New(rand.NewSource(1))
+			lags := make([]Duration, n)
+			for i := range lags {
+				lags[i] = Duration(rng.Intn(1000)) * Nanosecond // ~300 m of propagation delay
+			}
+			slices.Sort(lags)
+			items := make([]LaneItem, n)
+			nop := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, lag := range lags {
+					items[k] = LaneItem{At: e.Now().Add(lag), Fn: nop}
+				}
+				l.ScheduleBatch(items)
+				if err := e.RunAll(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
