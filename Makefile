@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench profile race
+.PHONY: verify fmt vet build test figs bench profile race loc
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -29,6 +29,16 @@ figs:
 ## event-lane tests are not -short-gated and run here too.
 race:
 	$(GO) test -race -short ./...
+
+## loc: non-test Go lines outside benchmark/ — the figure ROADMAP tracks —
+## in total and per internal/ package.
+loc:
+	@printf '%-34s %6d\n' 'non-test Go outside benchmark/' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
+	@for d in $$(find internal -type d | sort); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs -r cat | wc -l); \
+		if [ $$n -gt 0 ]; then printf '  %-32s %6d\n' $$d $$n; fi; \
+	done
 
 ## bench: smoke-scale benchmarks (1 iteration each, shape check). The
 ## measurement path is `go run ./benchmark` (see benchmark/README.md).

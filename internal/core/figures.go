@@ -59,12 +59,6 @@ func SpeedSweep(ctx context.Context, opts Options, speeds []float64) (*SweepResu
 	return Sweep(ctx, opts, SpeedAxis(speeds))
 }
 
-// SourcesSweep varies the number of CBR connections (the 10/20/30-source
-// variants of Figures 1–2).
-func SourcesSweep(ctx context.Context, opts Options, sources []float64) (*SweepResult, error) {
-	return Sweep(ctx, opts, SourcesAxis(sources))
-}
-
 // Figures14 derives the four pause-time figures from one sweep.
 func Figures14(sweep *SweepResult) []Figure {
 	return []Figure{

@@ -206,14 +206,9 @@ func (m *Mac) onContendTimeout() {
 		return
 	}
 	p, to := m.cur.p, m.cur.to
-	switch {
-	case to == pkt.Broadcast:
+	if to == pkt.Broadcast || (m.cfg.RTSThreshold > 0 && p.Size+DataHdrBytes < m.cfg.RTSThreshold) {
 		m.transmitData()
-	case m.cfg.RTSThreshold > 0 && p.Size+DataHdrBytes < m.cfg.RTSThreshold:
-		m.transmitData()
-	case m.cfg.RTSThreshold == 0:
-		m.transmitRTS()
-	default:
+	} else {
 		m.transmitRTS()
 	}
 }
@@ -431,10 +426,3 @@ func (m *Mac) OnChannelBusy() { m.freeze() }
 
 // OnChannelIdle implements phy.Receiver.
 func (m *Mac) OnChannelIdle() { m.tryResume() }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -181,9 +181,6 @@ func (c *Channel) AttachRadio(id pkt.NodeID, pos func(sim.Time) geo.Point, rcv R
 	return r
 }
 
-// NodeUp reports radio id's membership state.
-func (c *Channel) NodeUp(id pkt.NodeID) bool { return c.up[id] }
-
 // SetNodeUp flips radio id's membership (the lifecycle layer's Join/Leave/
 // Fail/Recover events land here). A down radio neither radiates — its MAC
 // can keep draining queued frames, but transmit drops them at the channel —
@@ -239,9 +236,6 @@ func (c *Channel) posAt(id pkt.NodeID, t sim.Time) geo.Point {
 
 // Radio returns the radio attached for id.
 func (c *Channel) Radio(id pkt.NodeID) *Radio { return c.radios[id] }
-
-// NumRadios returns the number of attached radios.
-func (c *Channel) NumRadios() int { return len(c.radios) }
 
 // reindex re-captures every radio's position into the grid at time now,
 // building the grid on first use (cell size = one padded CS range, so a

@@ -59,9 +59,6 @@ func (r *Radio) ID() pkt.NodeID { return r.id }
 // in afterwards; no frames may arrive before the receiver is set.
 func (r *Radio) SetReceiver(rcv Receiver) { r.rcv = rcv }
 
-// Position returns the node position at time t.
-func (r *Radio) Position(t sim.Time) geo.Point { return r.ch.posAt(r.id, t) }
-
 // Busy reports physical carrier sense: the medium is busy at this radio.
 func (r *Radio) Busy() bool {
 	now := r.ch.eng.Now()

@@ -160,31 +160,22 @@ type route struct {
 	precursors map[pkt.NodeID]struct{}
 }
 
-// pendingDiscovery tracks an in-progress route request at the origin.
-type pendingDiscovery struct {
-	ttl      int
-	attempts int // network-wide attempts after ring phase
-	timer    *sim.Timer
-}
-
 // AODV is one node's agent.
 type AODV struct {
+	routing.Base
 	cfg Config
-	env network.Env
 
 	seq    uint32
 	rreqID uint32
 
-	table   map[pkt.NodeID]*route
-	pending map[pkt.NodeID]*pendingDiscovery
-	seen    *routing.SeenCache
-	buffer  *routing.SendBuffer
+	table map[pkt.NodeID]*route
+	disc  routing.Discovery
+	seen  *routing.SeenCache
 
 	lastWarn map[pkt.NodeID]sim.Time // per flow-source rate limit (preemptive)
 	warned   map[pkt.NodeID]sim.Time // at source: per-dst refresh rate limit
 
-	lastHeard   map[pkt.NodeID]sim.Time // neighbour liveness (hello mode)
-	helloTicker *sim.Ticker
+	lastHeard map[pkt.NodeID]sim.Time // neighbour liveness (hello mode)
 
 	rerrWindow sim.Time // RERR rate-limit window start
 	rerrCount  int
@@ -195,7 +186,6 @@ func New(cfg Config) *AODV {
 	return &AODV{
 		cfg:       cfg.withDefaults(),
 		table:     make(map[pkt.NodeID]*route),
-		pending:   make(map[pkt.NodeID]*pendingDiscovery),
 		seen:      routing.NewSeenCache(10 * sim.Second),
 		lastWarn:  make(map[pkt.NodeID]sim.Time),
 		warned:    make(map[pkt.NodeID]sim.Time),
@@ -205,27 +195,16 @@ func New(cfg Config) *AODV {
 
 // Start implements network.Protocol.
 func (a *AODV) Start(env network.Env) {
-	a.env = env
-	a.buffer = routing.NewSendBuffer(a.cfg.SendBufferCap, a.cfg.SendBufferTimeout, func(p *pkt.Packet, timeout bool) {
-		if timeout {
-			a.env.Drop(p, stats.DropSendBuffer)
-		} else {
-			a.env.Drop(p, stats.DropSendBufFull)
-		}
-	})
+	a.Env = env
+	a.disc.Init(&a.Base, a, a.cfg.SendBufferCap, a.cfg.SendBufferTimeout)
 	if a.cfg.HelloInterval > 0 {
-		a.helloTicker = sim.NewTicker(env.Engine(), a.cfg.HelloInterval, a.helloTick)
-		a.helloTicker.Jitter = func() sim.Duration {
-			iv := a.cfg.HelloInterval
-			return iv - iv/10 + a.env.RNG().Jitter(iv/5)
-		}
-		a.helloTicker.StartIn(a.env.RNG().Jitter(a.cfg.HelloInterval))
+		a.Beacon(a.cfg.HelloInterval, a.cfg.HelloInterval, a.helloTick)
 	}
 }
 
 // helloTick beacons (when routes are active) and expires silent neighbours.
 func (a *AODV) helloTick() {
-	now := a.env.Now()
+	now := a.Env.Now()
 	// Expire neighbours we route through but have not heard from.
 	deadline := sim.Duration(a.cfg.AllowedHelloLoss) * a.cfg.HelloInterval
 	for nb, last := range a.lastHeard {
@@ -238,13 +217,13 @@ func (a *AODV) helloTick() {
 	if !a.hasActiveRoutes() {
 		return
 	}
-	p := pkt.RoutingPacket("HELLO", a.env.ID(), pkt.Broadcast, 1, rrepBytes, now)
+	p := pkt.RoutingPacket("HELLO", a.Env.ID(), pkt.Broadcast, 1, rrepBytes, now)
 	p.Payload = &hello{}
-	a.env.SendMac(p, pkt.Broadcast)
+	a.Env.SendMac(p, pkt.Broadcast)
 }
 
 func (a *AODV) hasActiveRoutes() bool {
-	now := a.env.Now()
+	now := a.Env.Now()
 	for _, r := range a.table {
 		if r.valid && !now.After(r.expires) {
 			return true
@@ -259,17 +238,16 @@ func (a *AODV) hasActiveRoutes() bool {
 func (a *AODV) SendData(p *pkt.Packet) {
 	if r := a.validRoute(p.Dst); r != nil {
 		a.refresh(r)
-		a.env.SendMac(p, r.nextHop)
+		a.Env.SendMac(p, r.nextHop)
 		return
 	}
-	a.buffer.Push(p, a.env.Now())
-	a.discover(p.Dst)
+	a.disc.Hold(p)
 }
 
 // Recv implements network.Protocol.
 func (a *AODV) Recv(p *pkt.Packet, from pkt.NodeID, rxPower float64) {
 	if a.cfg.HelloInterval > 0 {
-		a.lastHeard[from] = a.env.Now()
+		a.lastHeard[from] = a.Env.Now()
 	}
 	if p.Kind == pkt.KindRouting {
 		switch m := p.Payload.(type) {
@@ -287,21 +265,21 @@ func (a *AODV) Recv(p *pkt.Packet, from pkt.NodeID, rxPower float64) {
 		return
 	}
 	p.Hops++
-	if a.cfg.Preemptive && rxPower < a.cfg.WarnPower && p.Src != a.env.ID() {
+	if a.cfg.Preemptive && rxPower < a.cfg.WarnPower && p.Src != a.Env.ID() {
 		a.maybeWarn(p)
 	}
-	if p.Dst == a.env.ID() {
-		a.env.Deliver(p, from)
+	if p.Dst == a.Env.ID() {
+		a.Env.Deliver(p, from)
 		return
 	}
 	if p.Hops >= pkt.DefaultTTL {
-		a.env.Drop(p, stats.DropTTL)
+		a.Env.Drop(p, stats.DropTTL)
 		return
 	}
 	r := a.validRoute(p.Dst)
 	if r == nil {
 		// Forwarding failure: drop and tell upstream.
-		a.env.Drop(p, stats.DropNoRoute)
+		a.Env.Drop(p, stats.DropNoRoute)
 		a.sendRERRFor(p.Dst)
 		return
 	}
@@ -310,30 +288,40 @@ func (a *AODV) Recv(p *pkt.Packet, from pkt.NodeID, rxPower float64) {
 	if rev, ok := a.table[p.Src]; ok && rev.valid {
 		a.refresh(rev)
 	}
-	a.env.SendMac(p, r.nextHop)
+	a.Env.SendMac(p, r.nextHop)
 }
 
 // --- discovery ----------------------------------------------------------
 
-func (a *AODV) discover(dst pkt.NodeID) {
-	if _, busy := a.pending[dst]; busy {
-		return
-	}
-	ttl := a.cfg.TTLStart
+// Request implements routing.Requester: an expanding ring (TTLStart, then
+// +TTLIncrement up to TTLThreshold), one flood at NetDiameter, then
+// RREQRetries more whose wait doubles each time (RFC 3561 binary
+// exponential backoff).
+func (a *AODV) Request(dst pkt.NodeID, try int) (sim.Duration, bool) {
+	ttl, retries := a.cfg.TTLStart, 0
 	if a.cfg.DisableExpandingRing {
 		ttl = a.cfg.NetDiameter
 	}
-	pd := &pendingDiscovery{ttl: ttl}
-	pd.timer = sim.NewTimer(a.env.Engine(), func() { a.discoveryTimeout(dst) })
-	a.pending[dst] = pd
-	a.sendRREQ(dst, pd)
-}
-
-func (a *AODV) sendRREQ(dst pkt.NodeID, pd *pendingDiscovery) {
+	for ; try > 0; try-- {
+		switch {
+		case ttl < a.cfg.TTLThreshold && !a.cfg.DisableExpandingRing:
+			ttl += a.cfg.TTLIncrement
+			if ttl > a.cfg.TTLThreshold {
+				ttl = a.cfg.NetDiameter
+			}
+		case ttl < a.cfg.NetDiameter:
+			ttl = a.cfg.NetDiameter
+		default:
+			retries++
+		}
+	}
+	if retries > a.cfg.RREQRetries {
+		return 0, false // unreachable
+	}
 	a.seq++
 	a.rreqID++
 	m := &rreq{
-		Origin:    a.env.ID(),
+		Origin:    a.Env.ID(),
 		OriginSeq: a.seq,
 		ID:        a.rreqID,
 		Dst:       dst,
@@ -341,74 +329,38 @@ func (a *AODV) sendRREQ(dst pkt.NodeID, pd *pendingDiscovery) {
 	if r, ok := a.table[dst]; ok && r.seqValid {
 		m.DstSeq, m.DstSeqValid = r.seq, true
 	}
-	a.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, a.env.Now())
-	p := pkt.RoutingPacket("RREQ", a.env.ID(), pkt.Broadcast, pd.ttl, rreqBytes, a.env.Now())
+	a.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, a.Env.Now())
+	p := pkt.RoutingPacket("RREQ", a.Env.ID(), pkt.Broadcast, ttl, rreqBytes, a.Env.Now())
 	p.Payload = m
-	a.env.SendMac(p, pkt.Broadcast)
-	// Ring traversal timeout: out-and-back across pd.ttl hops plus slack,
-	// doubled per network-wide retry (RFC 3561 binary exponential backoff).
-	timeout := 2 * a.cfg.NodeTraversalTime * sim.Duration(pd.ttl+2)
-	for i := 0; i < pd.attempts; i++ {
-		timeout *= 2
-	}
-	pd.timer.Reset(timeout)
-}
-
-func (a *AODV) discoveryTimeout(dst pkt.NodeID) {
-	pd, ok := a.pending[dst]
-	if !ok {
-		return
-	}
-	if !a.buffer.HasDest(dst, a.env.Now()) {
-		// Nothing left waiting; abandon the discovery.
-		delete(a.pending, dst)
-		return
-	}
-	switch {
-	case pd.ttl < a.cfg.TTLThreshold && !a.cfg.DisableExpandingRing:
-		pd.ttl += a.cfg.TTLIncrement
-		if pd.ttl > a.cfg.TTLThreshold {
-			pd.ttl = a.cfg.NetDiameter
-		}
-	case pd.ttl < a.cfg.NetDiameter:
-		pd.ttl = a.cfg.NetDiameter
-	default:
-		pd.attempts++
-		if pd.attempts > a.cfg.RREQRetries {
-			// Unreachable: flush the buffered packets.
-			for _, p := range a.buffer.PopDest(dst, a.env.Now()) {
-				a.env.Drop(p, stats.DropNoRoute)
-			}
-			delete(a.pending, dst)
-			return
-		}
-	}
-	a.sendRREQ(dst, pd)
+	a.Env.SendMac(p, pkt.Broadcast)
+	// Ring traversal time: out and back across ttl hops plus slack.
+	wait := 2 * a.cfg.NodeTraversalTime * sim.Duration(ttl+2)
+	return wait << retries, true
 }
 
 func (a *AODV) handleRREQ(p *pkt.Packet, m *rreq, from pkt.NodeID) {
-	if m.Origin == a.env.ID() {
+	if m.Origin == a.Env.ID() {
 		return
 	}
-	if a.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, a.env.Now()) {
+	if a.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, a.Env.Now()) {
 		return
 	}
 	// Install/refresh the reverse route to the origin.
 	a.installRoute(m.Origin, from, m.HopCount+1, m.OriginSeq, true)
 
-	if m.Dst == a.env.ID() {
+	if m.Dst == a.Env.ID() {
 		// RFC 3561 §6.6.1: the destination advances its sequence number
 		// before replying (and never lets it fall behind a requested
 		// value), so every RREP supersedes earlier knowledge of us.
-		if m.DstSeqValid && seqNewer(m.DstSeq, a.seq) {
+		if m.DstSeqValid && routing.SeqNewer(m.DstSeq, a.seq) {
 			a.seq = m.DstSeq
 		}
 		a.seq++
-		a.sendRREP(m.Origin, a.env.ID(), a.seq, 0, from)
+		a.sendRREP(m.Origin, a.Env.ID(), a.seq, 0, from)
 		return
 	}
 	if r := a.validRoute(m.Dst); r != nil && r.seqValid &&
-		(!m.DstSeqValid || !seqNewer(m.DstSeq, r.seq)) {
+		(!m.DstSeqValid || !routing.SeqNewer(m.DstSeq, r.seq)) {
 		// Intermediate reply from a fresh-enough route.
 		a.sendRREP(m.Origin, m.Dst, r.seq, r.hops, from)
 		// The next hop toward the destination becomes a precursor of
@@ -425,29 +377,23 @@ func (a *AODV) handleRREQ(p *pkt.Packet, m *rreq, from pkt.NodeID) {
 	m2 := *m
 	m2.HopCount++
 	p2.Payload = &m2
-	a.env.Engine().ScheduleIn(a.env.RNG().Jitter(routing.BroadcastJitter), func() {
-		a.env.SendMac(p2, pkt.Broadcast)
-	})
+	a.Rebroadcast(p2)
 }
 
 func (a *AODV) sendRREP(origin, dst pkt.NodeID, dstSeq uint32, hops int, nextHop pkt.NodeID) {
-	p := pkt.RoutingPacket("RREP", a.env.ID(), origin, pkt.DefaultTTL, rrepBytes, a.env.Now())
+	p := pkt.RoutingPacket("RREP", a.Env.ID(), origin, pkt.DefaultTTL, rrepBytes, a.Env.Now())
 	p.Payload = &rrep{Origin: origin, Dst: dst, DstSeq: dstSeq, HopCount: hops}
-	a.env.SendMac(p, nextHop)
+	a.Env.SendMac(p, nextHop)
 }
 
 func (a *AODV) handleRREP(p *pkt.Packet, m *rrep, from pkt.NodeID) {
 	// Install/refresh the forward route to the replied destination.
 	a.installRoute(m.Dst, from, m.HopCount+1, m.DstSeq, true)
 
-	if m.Origin == a.env.ID() {
+	if m.Origin == a.Env.ID() {
 		// Discovery complete: release buffered traffic.
-		if pd, ok := a.pending[m.Dst]; ok {
-			pd.timer.Stop()
-			delete(a.pending, m.Dst)
-		}
 		a.warned[m.Dst] = sim.Time(0)
-		for _, bp := range a.buffer.PopDest(m.Dst, a.env.Now()) {
+		for _, bp := range a.disc.Found(m.Dst) {
 			a.SendData(bp)
 		}
 		return
@@ -455,7 +401,7 @@ func (a *AODV) handleRREP(p *pkt.Packet, m *rrep, from pkt.NodeID) {
 	// Forward the RREP along the reverse route, growing precursor lists.
 	rev := a.validRoute(m.Origin)
 	if rev == nil {
-		a.env.Drop(p, stats.DropNoRoute)
+		a.Env.Drop(p, stats.DropNoRoute)
 		return
 	}
 	// No forward entry exists when we are m.Dst ourselves (installRoute
@@ -469,7 +415,7 @@ func (a *AODV) handleRREP(p *pkt.Packet, m *rrep, from pkt.NodeID) {
 	m2.HopCount++
 	p2 := p.Clone()
 	p2.Payload = &m2
-	a.env.SendMac(p2, rev.nextHop)
+	a.Env.SendMac(p2, rev.nextHop)
 }
 
 // --- error handling -------------------------------------------------------
@@ -486,20 +432,14 @@ func (a *AODV) MacFailed(p *pkt.Packet, to pkt.NodeID) {
 		return
 	}
 	a.linkBroke(to)
-	if p.Src == a.env.ID() {
-		// Origin: buffer and rediscover.
-		a.buffer.Push(p, a.env.Now())
-		a.discover(p.Dst)
+	if p.Src == a.Env.ID() || a.cfg.LocalRepair {
+		// The origin — or, under local repair, any node — holds the packet
+		// and re-discovers the destination from here; the RREP drain path
+		// forwards it.
+		a.disc.Hold(p)
 		return
 	}
-	if a.cfg.LocalRepair {
-		// Intermediate repair: hold the packet and re-discover the
-		// destination from here; the RREP drain path forwards it.
-		a.buffer.Push(p, a.env.Now())
-		a.discover(p.Dst)
-		return
-	}
-	a.env.Drop(p, stats.DropRetries)
+	a.Env.Drop(p, stats.DropRetries)
 }
 
 // linkBroke invalidates all routes through the dead neighbour and notifies
@@ -520,7 +460,7 @@ func (a *AODV) linkBroke(nb pkt.NodeID) {
 	if len(lost) == 0 {
 		return
 	}
-	a.env.FlushNextHop(nb)
+	a.Env.FlushNextHop(nb)
 	if len(notify) == 0 {
 		return
 	}
@@ -538,7 +478,7 @@ func (a *AODV) sendRERRFor(dst pkt.NodeID) {
 
 func (a *AODV) broadcastRERR(lost []unreach) {
 	// RERR_RATELIMIT (RFC 3561 §10): at most 10 RERRs per second.
-	now := a.env.Now()
+	now := a.Env.Now()
 	if now.Sub(a.rerrWindow) >= sim.Second {
 		a.rerrWindow = now
 		a.rerrCount = 0
@@ -548,9 +488,9 @@ func (a *AODV) broadcastRERR(lost []unreach) {
 		return
 	}
 	body := rerrBase + rerrDest*len(lost)
-	p := pkt.RoutingPacket("RERR", a.env.ID(), pkt.Broadcast, 1, body, now)
+	p := pkt.RoutingPacket("RERR", a.Env.ID(), pkt.Broadcast, 1, body, now)
 	p.Payload = &rerr{Unreachable: lost}
-	a.env.SendMac(p, pkt.Broadcast)
+	a.Env.SendMac(p, pkt.Broadcast)
 }
 
 func (a *AODV) handleRERR(m *rerr, from pkt.NodeID) {
@@ -577,7 +517,7 @@ func (a *AODV) handleRERR(m *rerr, from pkt.NodeID) {
 
 // maybeWarn sends a route-degradation warning back toward the data source.
 func (a *AODV) maybeWarn(p *pkt.Packet) {
-	now := a.env.Now()
+	now := a.Env.Now()
 	if last, ok := a.lastWarn[p.Src]; ok && now.Sub(last) < a.cfg.WarnGap {
 		return
 	}
@@ -586,35 +526,35 @@ func (a *AODV) maybeWarn(p *pkt.Packet) {
 		return
 	}
 	a.lastWarn[p.Src] = now
-	wp := pkt.RoutingPacket("WARN", a.env.ID(), p.Src, pkt.DefaultTTL, warnBytes, now)
+	wp := pkt.RoutingPacket("WARN", a.Env.ID(), p.Src, pkt.DefaultTTL, warnBytes, now)
 	wp.Payload = &warn{FlowDst: p.Dst}
-	a.env.SendMac(wp, rev.nextHop)
+	a.Env.SendMac(wp, rev.nextHop)
 }
 
 func (a *AODV) handleWarn(p *pkt.Packet, m *warn) {
-	if p.Dst != a.env.ID() {
+	if p.Dst != a.Env.ID() {
 		// Forward toward the source.
 		rev := a.validRoute(p.Dst)
 		if rev == nil {
 			return
 		}
-		a.env.SendMac(p.Clone(), rev.nextHop)
+		a.Env.SendMac(p.Clone(), rev.nextHop)
 		return
 	}
 	// At the source: refresh the route before it breaks, rate-limited.
-	now := a.env.Now()
+	now := a.Env.Now()
 	if last, ok := a.warned[m.FlowDst]; ok && now.Sub(last) < a.cfg.WarnGap {
 		return
 	}
 	a.warned[m.FlowDst] = now
-	a.discover(m.FlowDst)
+	a.disc.Start(m.FlowDst)
 }
 
 // --- table helpers ----------------------------------------------------------
 
 func (a *AODV) validRoute(dst pkt.NodeID) *route {
 	r, ok := a.table[dst]
-	if !ok || !r.valid || a.env.Now().After(r.expires) {
+	if !ok || !r.valid || a.Env.Now().After(r.expires) {
 		return nil
 	}
 	return r
@@ -625,7 +565,7 @@ func (a *AODV) refresh(r *route) {
 }
 
 func (a *AODV) extend(r *route, lifetime sim.Duration) {
-	exp := a.env.Now().Add(lifetime)
+	exp := a.Env.Now().Add(lifetime)
 	if exp.After(r.expires) {
 		r.expires = exp
 	}
@@ -640,7 +580,7 @@ func (a *AODV) netTraversalTime() sim.Duration {
 // installRoute adopts a route if it is fresher (higher seq), shorter at the
 // same freshness, or repairs an invalid/unknown entry.
 func (a *AODV) installRoute(dst, nextHop pkt.NodeID, hops int, seq uint32, seqValid bool) {
-	if dst == a.env.ID() {
+	if dst == a.Env.ID() {
 		return
 	}
 	r, ok := a.table[dst]
@@ -651,9 +591,9 @@ func (a *AODV) installRoute(dst, nextHop pkt.NodeID, hops int, seq uint32, seqVa
 	// An expired entry is as dead as an invalidated one; keeping its stale
 	// sequence number authoritative would let a silently-expired reverse
 	// route veto every future RREP for the destination.
-	usable := r.valid && !a.env.Now().After(r.expires)
+	usable := r.valid && !a.Env.Now().After(r.expires)
 	adopt := !usable ||
-		(seqValid && r.seqValid && seqNewer(seq, r.seq)) ||
+		(seqValid && r.seqValid && routing.SeqNewer(seq, r.seq)) ||
 		(seqValid && r.seqValid && seq == r.seq && hops < r.hops) ||
 		!r.seqValid
 	if !adopt {
@@ -673,14 +613,6 @@ func (a *AODV) installRoute(dst, nextHop pkt.NodeID, hops int, seq uint32, seqVa
 	}
 	a.extend(r, lifetime)
 }
-
-func seqNewer(a, b uint32) bool { return int32(a-b) > 0 }
-
-// Snoop implements network.Protocol (unused).
-func (a *AODV) Snoop(*pkt.Packet, pkt.NodeID, pkt.NodeID, float64) {}
-
-// MacSent implements network.Protocol (unused).
-func (a *AODV) MacSent(*pkt.Packet, pkt.NodeID) {}
 
 // NextHop exposes the active next hop toward dst (tests/diagnostics).
 func (a *AODV) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {

@@ -71,8 +71,8 @@ type claimPayload struct {
 
 // Autoconf is one node's autoconfiguration agent.
 type Autoconf struct {
+	routing.Base
 	cfg Config
-	env network.Env
 
 	// Separate duplicate caches: control floods are keyed by the agent's
 	// own message counter, data floods by the application sequence number,
@@ -103,7 +103,7 @@ func New(cfg Config) *Autoconf {
 
 // Start implements network.Protocol. Claiming begins at the Up hook, not
 // here: a node that starts the run powered down must not touch the medium.
-func (a *Autoconf) Start(env network.Env) { a.env = env }
+func (a *Autoconf) Start(env network.Env) { a.Env = env }
 
 // Up implements network.LifecycleAware: (re)start the address claim.
 func (a *Autoconf) Up(at sim.Time) {
@@ -128,13 +128,13 @@ func (a *Autoconf) AutoconfState() (uint32, bool, sim.Time) {
 
 // pick draws a fresh random address and restarts the probe schedule.
 func (a *Autoconf) pick() {
-	a.addr = uint32(a.env.RNG().Intn(a.cfg.Space))
+	a.addr = uint32(a.Env.RNG().Intn(a.cfg.Space))
 	a.haveAddr = true
 	a.converged = false
 	a.round = 0
 	a.epoch++
 	ep := a.epoch
-	a.env.Engine().ScheduleIn(a.env.RNG().Jitter(routing.BroadcastJitter), func() { a.probe(ep) })
+	a.JitterIn(0, func() { a.probe(ep) })
 }
 
 // probe sends one claim round, or declares convergence once every round
@@ -145,29 +145,29 @@ func (a *Autoconf) probe(ep int) {
 	}
 	if a.round >= a.cfg.Rounds {
 		a.converged = true
-		a.convergedAt = a.env.Now()
+		a.convergedAt = a.Env.Now()
 		return
 	}
 	a.round++
 	a.broadcastCtl("CLAIM")
-	a.env.Engine().ScheduleIn(a.cfg.Interval+a.env.RNG().Jitter(routing.BroadcastJitter), func() { a.probe(ep) })
+	a.JitterIn(a.cfg.Interval, func() { a.probe(ep) })
 }
 
 // broadcastCtl originates one CLAIM/DEFEND flood for the current address.
 func (a *Autoconf) broadcastCtl(msg string) {
 	a.seq++
-	p := pkt.RoutingPacket(msg, a.env.ID(), pkt.Broadcast, a.cfg.TTL, claimBytes, a.env.Now())
+	p := pkt.RoutingPacket(msg, a.Env.ID(), pkt.Broadcast, a.cfg.TTL, claimBytes, a.Env.Now())
 	p.Seq = a.seq
 	p.Payload = claimPayload{Addr: a.addr}
-	a.seenCtl.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.env.Now())
-	a.env.SendMac(p, pkt.Broadcast)
+	a.seenCtl.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now())
+	a.Env.SendMac(p, pkt.Broadcast)
 }
 
 // SendData implements network.Protocol: data packets are TTL-scoped floods.
 func (a *Autoconf) SendData(p *pkt.Packet) {
 	p.TTL = a.cfg.TTL
-	a.seenData.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.env.Now())
-	a.env.SendMac(p, pkt.Broadcast)
+	a.seenData.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now())
+	a.Env.SendMac(p, pkt.Broadcast)
 }
 
 // Recv implements network.Protocol.
@@ -176,7 +176,7 @@ func (a *Autoconf) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 		a.recvData(p, from)
 		return
 	}
-	if a.seenCtl.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.env.Now()) {
+	if a.seenCtl.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now()) {
 		return
 	}
 	if cl, ok := p.Payload.(claimPayload); ok {
@@ -192,7 +192,7 @@ func (a *Autoconf) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 
 // onClaim reacts to another node claiming an address.
 func (a *Autoconf) onClaim(addr uint32, claimant pkt.NodeID) {
-	if !a.up || !a.haveAddr || addr != a.addr || claimant == a.env.ID() {
+	if !a.up || !a.haveAddr || addr != a.addr || claimant == a.Env.ID() {
 		return
 	}
 	if a.converged {
@@ -203,7 +203,7 @@ func (a *Autoconf) onClaim(addr uint32, claimant pkt.NodeID) {
 	// Two unconverged claimants collided. The lower id keeps the address
 	// (both hear each other's probes, so exactly one side yields); the
 	// loser re-picks from scratch.
-	if claimant < a.env.ID() {
+	if claimant < a.Env.ID() {
 		a.pick()
 	}
 }
@@ -213,10 +213,10 @@ func (a *Autoconf) onClaim(addr uint32, claimant pkt.NodeID) {
 // converged duplicates that discover each other, the lower id keeps the
 // address and the higher id yields.
 func (a *Autoconf) onDefend(addr uint32, owner pkt.NodeID) {
-	if !a.up || !a.haveAddr || addr != a.addr || owner == a.env.ID() {
+	if !a.up || !a.haveAddr || addr != a.addr || owner == a.Env.ID() {
 		return
 	}
-	if a.converged && owner > a.env.ID() {
+	if a.converged && owner > a.Env.ID() {
 		a.broadcastCtl("DEFEND")
 		return
 	}
@@ -226,23 +226,20 @@ func (a *Autoconf) onDefend(addr uint32, owner pkt.NodeID) {
 // recvData is the flood-yardstick data path: deliver at the destination,
 // re-broadcast elsewhere until the TTL expires.
 func (a *Autoconf) recvData(p *pkt.Packet, from pkt.NodeID) {
-	if a.seenData.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.env.Now()) {
+	if a.seenData.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now()) {
 		return
 	}
 	p.Hops++
-	if p.Dst == a.env.ID() {
-		a.env.Deliver(p, from)
+	if p.Dst == a.Env.ID() {
+		a.Env.Deliver(p, from)
 		return
 	}
 	p.TTL--
 	if p.Expired() {
-		a.env.Drop(p, stats.DropTTL)
+		a.Env.Drop(p, stats.DropTTL)
 		return
 	}
-	q := p.Clone()
-	a.env.Engine().ScheduleIn(a.env.RNG().Jitter(routing.BroadcastJitter), func() {
-		a.env.SendMac(q, pkt.Broadcast)
-	})
+	a.Rebroadcast(p.Clone())
 }
 
 // forward continues a control flood under a new lineage from this node.
@@ -253,16 +250,8 @@ func (a *Autoconf) forward(p *pkt.Packet) {
 	}
 	q := p.Clone()
 	q.Hops++
-	a.env.Engine().ScheduleIn(a.env.RNG().Jitter(routing.BroadcastJitter), func() {
-		a.env.SendMac(q, pkt.Broadcast)
-	})
+	a.Rebroadcast(q)
 }
-
-// Snoop implements network.Protocol (unused).
-func (a *Autoconf) Snoop(*pkt.Packet, pkt.NodeID, pkt.NodeID, float64) {}
-
-// MacSent implements network.Protocol (unused).
-func (a *Autoconf) MacSent(*pkt.Packet, pkt.NodeID) {}
 
 // MacFailed implements network.Protocol: broadcasts never fail at the MAC,
 // so only queue overflow lands here; the packet is simply lost.

@@ -67,8 +67,6 @@ func Factory(cfg Config) network.ProtocolFactory {
 	return func(pkt.NodeID) network.Protocol { return New(cfg) }
 }
 
-// Message payloads.
-
 // hello is the periodic beacon.
 type hello struct {
 	Status    NodeStatus
@@ -76,51 +74,20 @@ type hello struct {
 	Neighbors []pkt.NodeID
 }
 
-// rreq floods (via heads/gateways) toward a target, recording the path.
-type rreq struct {
-	Origin pkt.NodeID
-	Target pkt.NodeID
-	ID     uint32
-	Record []pkt.NodeID
-}
-
-// rrep returns the complete route to the origin.
-type rrep struct {
-	Route []pkt.NodeID
-}
-
-// rerr reports broken link A→B toward the source.
-type rerr struct {
-	A, B pkt.NodeID
-}
-
-// Wire sizes (4-byte addresses; hello carries status+heads+neighbour list).
-const (
-	helloBase     = 4
-	rreqBaseBytes = 8
-	rrepBaseBytes = 8
-	rerrBytes     = 12
-	srBaseBytes   = 4
-)
-
-type pending struct {
-	attempts int
-	timer    *sim.Timer
-}
+// helloBase is the fixed part of a hello's wire size (4-byte addresses; the
+// beacon carries status + heads + neighbour list).
+const helloBase = 4
 
 // CBRP is one node's agent.
 type CBRP struct {
+	routing.SourceRouter
 	cfg Config
-	env network.Env
 
 	status    NodeStatus
 	neighbors *neighborTable
 	myHeads   map[pkt.NodeID]bool
 
-	seen  *routing.SeenCache
-	buf   *routing.SendBuffer
-	disc  map[pkt.NodeID]*pending
-	reqID uint32
+	disc routing.Discovery
 	// nextRREQ rate-limits discovery floods per target: a freshly
 	// repaired route that immediately fails again must not re-flood the
 	// network at MAC speed.
@@ -128,8 +95,6 @@ type CBRP struct {
 	// routes caches discovered source routes at the origin so that a
 	// 4 pkt/s CBR flow does not re-flood per packet.
 	routes map[pkt.NodeID]cachedRoute
-
-	helloTicker *sim.Ticker
 }
 
 // New creates a CBRP agent.
@@ -139,8 +104,6 @@ func New(cfg Config) *CBRP {
 		status:    Undecided,
 		neighbors: newNeighborTable(),
 		myHeads:   make(map[pkt.NodeID]bool),
-		seen:      routing.NewSeenCache(30 * sim.Second),
-		disc:      make(map[pkt.NodeID]*pending),
 		nextRREQ:  make(map[pkt.NodeID]sim.Time),
 		routes:    make(map[pkt.NodeID]cachedRoute),
 	}
@@ -148,19 +111,9 @@ func New(cfg Config) *CBRP {
 
 // Start implements network.Protocol.
 func (c *CBRP) Start(env network.Env) {
-	c.env = env
-	c.buf = routing.NewSendBuffer(c.cfg.SendBufferCap, c.cfg.SendBufferTimeout, func(p *pkt.Packet, timeout bool) {
-		if timeout {
-			c.env.Drop(p, stats.DropSendBuffer)
-		} else {
-			c.env.Drop(p, stats.DropSendBufFull)
-		}
-	})
-	c.helloTicker = sim.NewTicker(env.Engine(), c.cfg.HelloInterval, c.beacon)
-	c.helloTicker.Jitter = func() sim.Duration {
-		return c.cfg.HelloInterval - c.cfg.HelloInterval/10 + c.env.RNG().Jitter(c.cfg.HelloInterval/5)
-	}
-	c.helloTicker.StartIn(c.env.RNG().Jitter(c.cfg.HelloInterval / 2))
+	c.Init(env)
+	c.disc.Init(&c.Base, c, c.cfg.SendBufferCap, c.cfg.SendBufferTimeout)
+	c.Beacon(c.cfg.HelloInterval, c.cfg.HelloInterval/2, c.beacon)
 }
 
 // Status exposes the clustering role (tests/diagnostics).
@@ -175,7 +128,7 @@ func (c *CBRP) Heads() []pkt.NodeID {
 // --- beaconing & clustering -----------------------------------------------
 
 func (c *CBRP) beacon() {
-	now := c.env.Now()
+	now := c.Env.Now()
 	c.neighbors.expire(now)
 	c.refreshRole()
 	h := &hello{
@@ -184,13 +137,13 @@ func (c *CBRP) beacon() {
 		Neighbors: c.neighbors.ids(),
 	}
 	body := helloBase + 4*len(h.Heads) + 5*len(h.Neighbors)
-	p := pkt.RoutingPacket("HELLO", c.env.ID(), pkt.Broadcast, 1, body, now)
+	p := pkt.RoutingPacket("HELLO", c.Env.ID(), pkt.Broadcast, 1, body, now)
 	p.Payload = h
-	c.env.SendMac(p, pkt.Broadcast)
+	c.Env.SendMac(p, pkt.Broadcast)
 }
 
 func (c *CBRP) refreshRole() {
-	me := c.env.ID()
+	me := c.Env.ID()
 	heads := c.neighbors.headNeighbors()
 	switch {
 	case c.status == Head:
@@ -258,27 +211,26 @@ type cachedRoute struct {
 
 // SendData implements network.Protocol.
 func (c *CBRP) SendData(p *pkt.Packet) {
-	now := c.env.Now()
+	now := c.Env.Now()
 	// One-hop shortcut: the neighbour table is a free route.
 	if c.neighbors.fresh(p.Dst, now, c.cfg.HelloInterval) {
-		c.attachRoute(p, []pkt.NodeID{c.env.ID(), p.Dst})
-		c.env.SendMac(p, p.Dst)
+		routing.AttachRoute(p, []pkt.NodeID{c.Env.ID(), p.Dst})
+		c.Env.SendMac(p, p.Dst)
 		return
 	}
 	if cr, ok := c.routes[p.Dst]; ok && cr.expires.After(now) {
-		c.attachRoute(p, append([]pkt.NodeID(nil), cr.route...))
+		routing.AttachRoute(p, append([]pkt.NodeID(nil), cr.route...))
 		c.forwardData(p)
 		return
 	}
-	c.buf.Push(p, now)
-	c.discover(p.Dst)
+	c.disc.Hold(p)
 }
 
 // cacheRoute installs an origin-side route.
 func (c *CBRP) cacheRoute(dst pkt.NodeID, route []pkt.NodeID) {
 	c.routes[dst] = cachedRoute{
 		route:   append([]pkt.NodeID(nil), route...),
-		expires: c.env.Now().Add(c.cfg.RouteCacheTTL),
+		expires: c.Env.Now().Add(c.cfg.RouteCacheTTL),
 	}
 }
 
@@ -295,21 +247,11 @@ func (c *CBRP) invalidateRoutesVia(a, b pkt.NodeID) {
 	}
 }
 
-func (c *CBRP) attachRoute(p *pkt.Packet, route []pkt.NodeID) {
-	if p.SrcRoute != nil {
-		p.Size -= srBaseBytes + pkt.SrcRouteAddrBytes*len(p.SrcRoute)
-	}
-	p.SrcRoute = route
-	p.SRIndex = 0
-	p.Size += srBaseBytes + pkt.SrcRouteAddrBytes*len(route)
-}
-
 // forwardData sends p along its source route, applying shortening.
 func (c *CBRP) forwardData(p *pkt.Packet) {
-	me := c.env.ID()
-	idx := indexOf(p.SrcRoute, me)
-	if idx < 0 || idx+1 >= len(p.SrcRoute) {
-		c.env.Drop(p, stats.DropNoRoute)
+	idx, ok := routing.NextHop(p.SrcRoute, c.Env.ID())
+	if !ok {
+		c.Env.Drop(p, stats.DropNoRoute)
 		return
 	}
 	next := idx + 1
@@ -317,14 +259,14 @@ func (c *CBRP) forwardData(p *pkt.Packet) {
 		// Skip ahead to the farthest downstream node that is a fresh
 		// direct neighbour (stale entries would break the pipe).
 		for j := len(p.SrcRoute) - 1; j > next; j-- {
-			if c.neighbors.fresh(p.SrcRoute[j], c.env.Now(), c.cfg.HelloInterval) {
+			if c.neighbors.fresh(p.SrcRoute[j], c.Env.Now(), c.cfg.HelloInterval) {
 				next = j
 				break
 			}
 		}
 	}
 	p.SRIndex = idx
-	c.env.SendMac(p, p.SrcRoute[next])
+	c.Env.SendMac(p, p.SrcRoute[next])
 }
 
 // Recv implements network.Protocol.
@@ -332,23 +274,23 @@ func (c *CBRP) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 	if p.Kind == pkt.KindRouting {
 		switch m := p.Payload.(type) {
 		case *hello:
-			c.neighbors.update(m, from, c.env.Now(), c.env.Now().Add(c.cfg.NeighborExpiry))
-		case *rreq:
+			c.neighbors.update(m, from, c.Env.Now(), c.Env.Now().Add(c.cfg.NeighborExpiry))
+		case *routing.RouteRequest:
 			c.handleRREQ(p, m)
-		case *rrep:
+		case *routing.RouteReply:
 			c.handleRREP(p, m)
-		case *rerr:
+		case *routing.LinkError:
 			c.handleRERR(p, m)
 		}
 		return
 	}
 	p.Hops++
-	if p.Dst == c.env.ID() {
-		c.env.Deliver(p, from)
+	if p.Dst == c.Env.ID() {
+		c.Env.Deliver(p, from)
 		return
 	}
 	if p.Hops >= pkt.DefaultTTL {
-		c.env.Drop(p, stats.DropTTL)
+		c.Env.Drop(p, stats.DropTTL)
 		return
 	}
 	c.forwardData(p)
@@ -356,149 +298,59 @@ func (c *CBRP) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 
 // --- discovery ---------------------------------------------------------------
 
-func (c *CBRP) discover(target pkt.NodeID) {
-	if _, busy := c.disc[target]; busy {
-		return
+// Request implements routing.Requester: network-wide floods whose wait
+// doubles from DiscoveryBase up to DiscoveryMax. A search that starts inside
+// the target's cooldown waits the cooldown out first, and that wait counts
+// as try 0: its first flood already goes out with the doubled wait.
+func (c *CBRP) Request(target pkt.NodeID, try int) (sim.Duration, bool) {
+	now := c.Env.Now()
+	if allowed := c.nextRREQ[target]; try == 0 && allowed.After(now) {
+		return allowed.Sub(now), true
 	}
-	pd := &pending{}
-	pd.timer = sim.NewTimer(c.env.Engine(), func() { c.discoveryTimeout(target) })
-	c.disc[target] = pd
-	now := c.env.Now()
-	if allowed, ok := c.nextRREQ[target]; ok && allowed.After(now) {
-		// Cooldown: wait out the remainder before re-flooding.
-		pd.timer.ResetAt(allowed)
-		return
+	if try > routing.MaxRequestRetries {
+		return 0, false
 	}
-	c.sendRREQ(target, pd)
+	c.nextRREQ[target] = now.Add(c.cfg.DiscoveryBase / 2)
+	c.Originate(target, pkt.DefaultTTL)
+	return routing.Backoff(c.cfg.DiscoveryBase, c.cfg.DiscoveryMax, try), true
 }
 
-func (c *CBRP) sendRREQ(target pkt.NodeID, pd *pending) {
-	c.reqID++
-	c.nextRREQ[target] = c.env.Now().Add(c.cfg.DiscoveryBase / 2)
-	m := &rreq{
-		Origin: c.env.ID(),
-		Target: target,
-		ID:     c.reqID,
-		Record: []pkt.NodeID{c.env.ID()},
-	}
-	c.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, c.env.Now())
-	p := pkt.RoutingPacket("RREQ", c.env.ID(), pkt.Broadcast, pkt.DefaultTTL,
-		rreqBaseBytes+pkt.SrcRouteAddrBytes*len(m.Record), c.env.Now())
-	p.Payload = m
-	c.env.SendMac(p, pkt.Broadcast)
-	timeout := c.cfg.DiscoveryBase
-	for i := 0; i < pd.attempts && timeout < c.cfg.DiscoveryMax; i++ {
-		timeout *= 2
-	}
-	if timeout > c.cfg.DiscoveryMax {
-		timeout = c.cfg.DiscoveryMax
-	}
-	pd.timer.Reset(timeout)
-}
-
-func (c *CBRP) discoveryTimeout(target pkt.NodeID) {
-	pd, ok := c.disc[target]
-	if !ok {
+func (c *CBRP) handleRREQ(p *pkt.Packet, m *routing.RouteRequest) {
+	record := c.Accept(m)
+	if record == nil {
 		return
 	}
-	if !c.buf.HasDest(target, c.env.Now()) {
-		delete(c.disc, target)
-		return
-	}
-	pd.attempts++
-	if pd.attempts > 8 {
-		for _, p := range c.buf.PopDest(target, c.env.Now()) {
-			c.env.Drop(p, stats.DropNoRoute)
-		}
-		delete(c.disc, target)
-		return
-	}
-	c.sendRREQ(target, pd)
-}
-
-func (c *CBRP) handleRREQ(p *pkt.Packet, m *rreq) {
-	me := c.env.ID()
-	if m.Origin == me || indexOf(m.Record, me) >= 0 {
-		return
-	}
-	if c.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, c.env.Now()) {
-		return
-	}
-	record := append(append([]pkt.NodeID(nil), m.Record...), me)
-	if m.Target == me {
-		c.sendRREP(record)
+	if m.Target == c.Env.ID() {
+		c.SendReply(record)
 		return
 	}
 	// The target may be a direct neighbour: a cluster head (which knows
 	// its whole cluster) completes the route without further flooding.
 	// Restricting the shortcut to heads keeps one answer per cluster
-	// rather than one per common neighbour.
-	if c.status == Head && c.neighbors.fresh(m.Target, c.env.Now(), c.cfg.HelloInterval) {
-		c.sendRREP(append(record, m.Target))
+	// rather than one per common neighbour. The head appended the target
+	// itself, so it sits one short of the end of the route it returns.
+	if c.status == Head && c.neighbors.fresh(m.Target, c.Env.Now(), c.cfg.HelloInterval) {
+		c.SendReply(append(record, m.Target))
 		return
 	}
-	if !c.shouldReflood() {
-		return
+	if c.shouldReflood() {
+		c.Reflood(p, m, record)
 	}
-	p2 := p.Clone()
-	p2.TTL--
-	if p2.Expired() {
-		return
-	}
-	m2 := *m
-	m2.Record = record
-	p2.Payload = &m2
-	p2.Size = pkt.IPHeaderBytes + rreqBaseBytes + pkt.SrcRouteAddrBytes*len(record)
-	c.env.Engine().ScheduleIn(c.env.RNG().Jitter(routing.BroadcastJitter), func() {
-		c.env.SendMac(p2, pkt.Broadcast)
-	})
 }
 
-// sendRREP returns route (origin..target) to the origin along the reversed
-// record. When the replying node appended the target itself (neighbour
-// shortcut), it still sits one short of the end of the reverse path.
-func (c *CBRP) sendRREP(route []pkt.NodeID) {
-	me := c.env.ID()
-	i := indexOf(route, me)
-	if i < 1 {
-		return
-	}
-	back := make([]pkt.NodeID, 0, i+1)
-	for j := i; j >= 0; j-- {
-		back = append(back, route[j])
-	}
-	p := pkt.RoutingPacket("RREP", me, back[len(back)-1], pkt.DefaultTTL,
-		rrepBaseBytes+pkt.SrcRouteAddrBytes*(len(route)+len(back)), c.env.Now())
-	p.Payload = &rrep{Route: append([]pkt.NodeID(nil), route...)}
-	p.SrcRoute = back
-	p.SRIndex = 0
-	c.env.SendMac(p, back[1])
-}
-
-func (c *CBRP) handleRREP(p *pkt.Packet, m *rrep) {
-	me := c.env.ID()
-	if p.Dst == me {
+func (c *CBRP) handleRREP(p *pkt.Packet, m *routing.RouteReply) {
+	if p.Dst == c.Env.ID() {
 		target := m.Route[len(m.Route)-1]
-		if pd, ok := c.disc[target]; ok {
-			pd.timer.Stop()
-			delete(c.disc, target)
-		}
 		c.cacheRoute(target, m.Route)
-		for _, bp := range c.buf.PopDest(target, c.env.Now()) {
-			bp2 := bp
-			c.attachRoute(bp2, append([]pkt.NodeID(nil), m.Route...))
-			c.forwardData(bp2)
+		for _, bp := range c.disc.Found(target) {
+			routing.AttachRoute(bp, append([]pkt.NodeID(nil), m.Route...))
+			c.forwardData(bp)
 		}
 		return
 	}
-	idx := indexOf(p.SrcRoute, me)
-	if idx < 0 || idx+1 >= len(p.SrcRoute) {
-		c.env.Drop(p, stats.DropNoRoute)
-		return
+	if !c.Relay(p) {
+		c.Env.Drop(p, stats.DropNoRoute)
 	}
-	p2 := p.Clone()
-	p2.SRIndex = idx
-	c.env.SendMac(p2, p.SrcRoute[idx+1])
 }
 
 // --- maintenance --------------------------------------------------------------
@@ -510,31 +362,30 @@ func (c *CBRP) MacFailed(p *pkt.Packet, to pkt.NodeID) {
 	}
 	// The neighbour is gone as far as we can tell.
 	delete(c.neighbors.rows, to)
-	c.invalidateRoutesVia(c.env.ID(), to)
-	c.env.FlushNextHop(to)
+	c.invalidateRoutesVia(c.Env.ID(), to)
+	c.Env.FlushNextHop(to)
 	if p.Kind != pkt.KindData {
 		return
 	}
-	me := c.env.ID()
+	me := c.Env.ID()
 	if !c.cfg.DisableLocalRepair && c.localRepair(p, to) {
 		return
 	}
 	if p.Src == me {
-		c.buf.Push(p, c.env.Now())
-		c.discover(p.Dst)
+		c.disc.Hold(p)
 		return
 	}
-	c.sendRERR(p, me, to)
-	c.env.Drop(p, stats.DropSalvageFail)
+	// Tell the source, along the reversed prefix p has travelled.
+	c.SendLinkError(p.Src, me, to, routing.ReversePrefix(p.SrcRoute, slices.Index(p.SrcRoute, me)))
+	c.Env.Drop(p, stats.DropSalvageFail)
 }
 
 // localRepair tries to bridge the broken hop using 2-hop neighbour
 // knowledge: find a neighbour adjacent to the unreachable next hop (or the
 // hop after it) and splice it into the source route.
 func (c *CBRP) localRepair(p *pkt.Packet, failed pkt.NodeID) bool {
-	me := c.env.ID()
-	idx := indexOf(p.SrcRoute, me)
-	if idx < 0 || idx+1 >= len(p.SrcRoute) {
+	idx, ok := routing.NextHop(p.SrcRoute, c.Env.ID())
+	if !ok {
 		return false
 	}
 	// Targets to re-reach, in order of preference: the node after the
@@ -544,7 +395,7 @@ func (c *CBRP) localRepair(p *pkt.Packet, failed pkt.NodeID) bool {
 		targets = append(targets, p.SrcRoute[idx+2])
 	}
 	targets = append(targets, p.SrcRoute[idx+1])
-	now := c.env.Now()
+	now := c.Env.Now()
 	// Candidate bridging neighbours, visited from a random starting point
 	// and built lazily (the direct-repair branch usually wins first).
 	// The rotation matters: always preferring the lowest id lets two
@@ -558,8 +409,7 @@ func (c *CBRP) localRepair(p *pkt.Packet, failed pkt.NodeID) bool {
 	for _, tgt := range targets {
 		// Direct (fresh) neighbour?
 		if tgt != failed && c.neighbors.fresh(tgt, now, c.cfg.HelloInterval) {
-			newRoute := spliceRoute(p.SrcRoute, idx, tgt, false, 0)
-			c.attachRoute(p, newRoute)
+			routing.AttachRoute(p, spliceRoute(p.SrcRoute, idx, tgt, false, 0))
 			c.forwardData(p)
 			return true
 		}
@@ -568,7 +418,7 @@ func (c *CBRP) localRepair(p *pkt.Packet, failed pkt.NodeID) bool {
 			vias = c.neighbors.ids()
 			off = 0
 			if len(vias) > 1 {
-				off = c.env.RNG().Intn(len(vias))
+				off = c.Env.RNG().Intn(len(vias))
 			}
 		}
 		for k := range vias {
@@ -577,8 +427,7 @@ func (c *CBRP) localRepair(p *pkt.Packet, failed pkt.NodeID) bool {
 				continue
 			}
 			if c.neighbors.neighborOf(via, tgt) {
-				newRoute := spliceRoute(p.SrcRoute, idx, tgt, true, via)
-				c.attachRoute(p, newRoute)
+				routing.AttachRoute(p, spliceRoute(p.SrcRoute, idx, tgt, true, via))
 				c.forwardData(p)
 				return true
 			}
@@ -594,7 +443,7 @@ func spliceRoute(route []pkt.NodeID, idx int, tgt pkt.NodeID, hasVia bool, via p
 	if hasVia {
 		out = append(out, via)
 	}
-	ti := indexOf(route, tgt)
+	ti := slices.Index(route, tgt)
 	out = append(out, route[ti:]...)
 	// Remove accidental duplicates introduced by the splice (keep first).
 	seen := make(map[pkt.NodeID]bool, len(out))
@@ -609,51 +458,9 @@ func spliceRoute(route []pkt.NodeID, idx int, tgt pkt.NodeID, hasVia bool, via p
 	return clean
 }
 
-// sendRERR notifies the packet source of broken link a→b along the reversed
-// traversed prefix.
-func (c *CBRP) sendRERR(p *pkt.Packet, a, b pkt.NodeID) {
-	me := c.env.ID()
-	idx := indexOf(p.SrcRoute, me)
-	if idx < 1 {
-		return
-	}
-	back := make([]pkt.NodeID, 0, idx+1)
-	for j := idx; j >= 0; j-- {
-		back = append(back, p.SrcRoute[j])
-	}
-	ep := pkt.RoutingPacket("RERR", me, p.Src, pkt.DefaultTTL, rerrBytes, c.env.Now())
-	ep.Payload = &rerr{A: a, B: b}
-	ep.SrcRoute = back
-	ep.SRIndex = 0
-	c.env.SendMac(ep, back[1])
-}
-
-func (c *CBRP) handleRERR(p *pkt.Packet, m *rerr) {
-	me := c.env.ID()
+func (c *CBRP) handleRERR(p *pkt.Packet, m *routing.LinkError) {
 	c.invalidateRoutesVia(m.A, m.B)
-	if p.Dst == me {
-		return
+	if p.Dst != c.Env.ID() {
+		c.Relay(p)
 	}
-	idx := indexOf(p.SrcRoute, me)
-	if idx < 0 || idx+1 >= len(p.SrcRoute) {
-		return
-	}
-	p2 := p.Clone()
-	p2.SRIndex = idx
-	c.env.SendMac(p2, p.SrcRoute[idx+1])
-}
-
-// Snoop implements network.Protocol (unused; CBRP relies on HELLOs).
-func (c *CBRP) Snoop(*pkt.Packet, pkt.NodeID, pkt.NodeID, float64) {}
-
-// MacSent implements network.Protocol (unused).
-func (c *CBRP) MacSent(*pkt.Packet, pkt.NodeID) {}
-
-func indexOf(path []pkt.NodeID, n pkt.NodeID) int {
-	for i, v := range path {
-		if v == n {
-			return i
-		}
-	}
-	return -1
 }

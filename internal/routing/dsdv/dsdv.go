@@ -13,6 +13,7 @@ package dsdv
 import (
 	"adhocsim/internal/network"
 	"adhocsim/internal/pkt"
+	"adhocsim/internal/routing"
 	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
 )
@@ -79,11 +80,10 @@ const entryBytes = 9
 
 // DSDV is one node's agent.
 type DSDV struct {
+	routing.Base
 	cfg          Config
-	env          network.Env
 	table        map[pkt.NodeID]*entry
 	ownSeq       uint32
-	ticker       *sim.Ticker
 	lastTrigger  sim.Time
 	triggerArmed bool
 }
@@ -95,16 +95,9 @@ func New(cfg Config) *DSDV {
 
 // Start implements network.Protocol.
 func (d *DSDV) Start(env network.Env) {
-	d.env = env
-	d.ownSeq = 0
-	d.ticker = sim.NewTicker(env.Engine(), d.cfg.UpdateInterval, d.fullDump)
-	d.ticker.Jitter = func() sim.Duration {
-		// ±10% period jitter de-synchronizes neighbours.
-		base := d.cfg.UpdateInterval
-		return base - base/10 + d.env.RNG().Jitter(base/5)
-	}
+	d.Env = env
 	// First dump after a short random offset so nodes don't all flood at t=0.
-	d.ticker.StartIn(d.env.RNG().Jitter(d.cfg.UpdateInterval / 4))
+	d.Beacon(d.cfg.UpdateInterval, d.cfg.UpdateInterval/4, d.fullDump)
 }
 
 // SendData implements network.Protocol. DSDV drops packets without routes —
@@ -117,14 +110,14 @@ func (d *DSDV) SendData(p *pkt.Packet) {
 func (d *DSDV) forward(p *pkt.Packet) {
 	e := d.lookup(p.Dst)
 	if e == nil {
-		d.env.Drop(p, stats.DropNoRoute)
+		d.Env.Drop(p, stats.DropNoRoute)
 		return
 	}
 	if p.Hops >= pkt.DefaultTTL {
-		d.env.Drop(p, stats.DropTTL)
+		d.Env.Drop(p, stats.DropTTL)
 		return
 	}
-	d.env.SendMac(p, e.nextHop)
+	d.Env.SendMac(p, e.nextHop)
 }
 
 // lookup returns a valid, unexpired route to dst or nil.
@@ -133,7 +126,7 @@ func (d *DSDV) lookup(dst pkt.NodeID) *entry {
 	if !ok || e.metric >= Infinity {
 		return nil
 	}
-	if d.env.Now().Sub(e.updated) > d.cfg.RouteExpiry {
+	if d.Env.Now().Sub(e.updated) > d.cfg.RouteExpiry {
 		return nil
 	}
 	return e
@@ -148,8 +141,8 @@ func (d *DSDV) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 		return
 	}
 	p.Hops++
-	if p.Dst == d.env.ID() {
-		d.env.Deliver(p, from)
+	if p.Dst == d.Env.ID() {
+		d.Env.Deliver(p, from)
 		return
 	}
 	d.forward(p)
@@ -167,9 +160,9 @@ func (d *DSDV) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 //     the same generation;
 //   - any adoption marks the entry for the next triggered update.
 func (d *DSDV) handleUpdate(u *update, from pkt.NodeID) {
-	now := d.env.Now()
+	now := d.Env.Now()
 	for _, a := range u.Routes {
-		if a.Dst == d.env.ID() {
+		if a.Dst == d.Env.ID() {
 			// Someone advertising a route to me; my own seq authority
 			// is higher, ignore.
 			continue
@@ -178,7 +171,7 @@ func (d *DSDV) handleUpdate(u *update, from pkt.NodeID) {
 
 		if a.Metric >= Infinity {
 			switch {
-			case ok && cur.metric < Infinity && cur.nextHop == from && seqNewer(a.Seq, cur.seq):
+			case ok && cur.metric < Infinity && cur.nextHop == from && routing.SeqNewer(a.Seq, cur.seq):
 				cur.metric = Infinity
 				cur.seq = a.Seq
 				cur.updated = now
@@ -198,7 +191,7 @@ func (d *DSDV) handleUpdate(u *update, from pkt.NodeID) {
 		// its stale sequence number.
 		expired := ok && now.Sub(cur.updated) > d.cfg.RouteExpiry
 		adopt := !ok || expired ||
-			seqNewer(a.Seq, cur.seq) ||
+			routing.SeqNewer(a.Seq, cur.seq) ||
 			(a.Seq == cur.seq && metric < cur.metric) ||
 			(cur.metric >= Infinity && int32(a.Seq-cur.seq) >= -1)
 		if !adopt {
@@ -226,10 +219,6 @@ func (d *DSDV) handleUpdate(u *update, from pkt.NodeID) {
 	}
 }
 
-// seqNewer reports whether a is a fresher sequence number than b
-// (wraparound-aware).
-func seqNewer(a, b uint32) bool { return int32(a-b) > 0 }
-
 // MacFailed implements network.Protocol: a broken link invalidates every
 // route through that neighbour.
 func (d *DSDV) MacFailed(p *pkt.Packet, to pkt.NodeID) {
@@ -246,24 +235,18 @@ func (d *DSDV) MacFailed(p *pkt.Packet, to pkt.NodeID) {
 		}
 	}
 	if broke {
-		d.env.FlushNextHop(to)
+		d.Env.FlushNextHop(to)
 		d.scheduleTrigger()
 	}
 	if p.Kind == pkt.KindData {
-		d.env.Drop(p, stats.DropRetries)
+		d.Env.Drop(p, stats.DropRetries)
 	}
 }
-
-// MacSent implements network.Protocol (unused).
-func (d *DSDV) MacSent(*pkt.Packet, pkt.NodeID) {}
-
-// Snoop implements network.Protocol (unused).
-func (d *DSDV) Snoop(*pkt.Packet, pkt.NodeID, pkt.NodeID, float64) {}
 
 // fullDump broadcasts the entire table.
 func (d *DSDV) fullDump() {
 	d.ownSeq += 2
-	routes := []advert{{Dst: d.env.ID(), Metric: 0, Seq: d.ownSeq}}
+	routes := []advert{{Dst: d.Env.ID(), Metric: 0, Seq: d.ownSeq}}
 	for _, e := range d.table {
 		routes = append(routes, advert{Dst: e.dst, Metric: e.metric, Seq: e.seq})
 		e.changed = false
@@ -276,18 +259,18 @@ func (d *DSDV) scheduleTrigger() {
 	if d.cfg.DisableTriggered || d.triggerArmed {
 		return
 	}
-	now := d.env.Now()
-	wait := d.env.RNG().Jitter(100 * sim.Millisecond)
+	now := d.Env.Now()
+	wait := d.Env.RNG().Jitter(100 * sim.Millisecond)
 	if since := now.Sub(d.lastTrigger); since < d.cfg.MinTriggerGap {
 		wait += d.cfg.MinTriggerGap - since
 	}
 	d.triggerArmed = true
-	d.env.Engine().ScheduleIn(wait, d.fireTrigger)
+	d.Env.Engine().ScheduleIn(wait, d.fireTrigger)
 }
 
 func (d *DSDV) fireTrigger() {
 	d.triggerArmed = false
-	d.lastTrigger = d.env.Now()
+	d.lastTrigger = d.Env.Now()
 	var routes []advert
 	for _, e := range d.table {
 		if e.changed {
@@ -303,9 +286,9 @@ func (d *DSDV) fireTrigger() {
 
 func (d *DSDV) broadcastUpdate(routes []advert) {
 	body := 4 + entryBytes*len(routes)
-	p := pkt.RoutingPacket("UPDATE", d.env.ID(), pkt.Broadcast, 1, body, d.env.Now())
+	p := pkt.RoutingPacket("UPDATE", d.Env.ID(), pkt.Broadcast, 1, body, d.Env.Now())
 	p.Payload = &update{Routes: routes}
-	d.env.SendMac(p, pkt.Broadcast)
+	d.Env.SendMac(p, pkt.Broadcast)
 }
 
 // TableSize exposes the number of known destinations (diagnostics/tests).

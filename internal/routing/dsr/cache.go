@@ -1,6 +1,8 @@
 package dsr
 
 import (
+	"slices"
+
 	"adhocsim/internal/pkt"
 )
 
@@ -66,11 +68,11 @@ func equalPath(a, b []pkt.NodeID) bool {
 func (c *PathCache) Find(dst pkt.NodeID) []pkt.NodeID {
 	var best []pkt.NodeID
 	for _, path := range c.paths {
-		i := index(path, c.owner)
+		i := slices.Index(path, c.owner)
 		if i < 0 {
 			continue
 		}
-		j := index(path, dst)
+		j := slices.Index(path, dst)
 		if j <= i {
 			continue
 		}
@@ -83,15 +85,6 @@ func (c *PathCache) Find(dst pkt.NodeID) []pkt.NodeID {
 		return nil
 	}
 	return append([]pkt.NodeID(nil), best...)
-}
-
-func index(path []pkt.NodeID, n pkt.NodeID) int {
-	for i, v := range path {
-		if v == n {
-			return i
-		}
-	}
-	return -1
 }
 
 // RemoveLink deletes every cached path that traverses the directed link

@@ -69,71 +69,22 @@ func Factory(cfg Config) network.ProtocolFactory {
 	return func(id pkt.NodeID) network.Protocol { return New(cfg) }
 }
 
-// Message sizing (option headers per the DSR draft, 4-byte addresses).
-const (
-	rreqBaseBytes = 8
-	rrepBaseBytes = 8
-	rerrBytes     = 12
-	srBaseBytes   = 4
-)
-
-// rreq is a route request payload; Record holds the nodes traversed so far
-// including the originator.
-type rreq struct {
-	Origin pkt.NodeID
-	Target pkt.NodeID
-	ID     uint32
-	Record []pkt.NodeID
-}
-
-// rrep carries the discovered full route (origin..target).
-type rrep struct {
-	Route []pkt.NodeID
-}
-
-// rerr reports a broken link observed by From.
-type rerr struct {
-	From pkt.NodeID
-	A, B pkt.NodeID // broken directed link A→B
-}
-
-// pending tracks discovery state for one target.
-type pending struct {
-	attempts int
-	timer    *sim.Timer
-}
-
 // DSR is one node's agent.
 type DSR struct {
+	routing.SourceRouter
 	cfg   Config
-	env   network.Env
 	cache *PathCache
-	seen  *routing.SeenCache
-	buf   *routing.SendBuffer
-	reqID uint32
-	disc  map[pkt.NodeID]*pending
+	disc  routing.Discovery
 }
 
 // New creates a DSR agent.
-func New(cfg Config) *DSR {
-	return &DSR{
-		cfg:  cfg.withDefaults(),
-		seen: routing.NewSeenCache(30 * sim.Second),
-		disc: make(map[pkt.NodeID]*pending),
-	}
-}
+func New(cfg Config) *DSR { return &DSR{cfg: cfg.withDefaults()} }
 
 // Start implements network.Protocol.
 func (d *DSR) Start(env network.Env) {
-	d.env = env
+	d.Init(env)
 	d.cache = NewPathCache(env.ID(), d.cfg.CacheCapacity)
-	d.buf = routing.NewSendBuffer(d.cfg.SendBufferCap, d.cfg.SendBufferTimeout, func(p *pkt.Packet, timeout bool) {
-		if timeout {
-			d.env.Drop(p, stats.DropSendBuffer)
-		} else {
-			d.env.Drop(p, stats.DropSendBufFull)
-		}
-	})
+	d.disc.Init(&d.Base, d, d.cfg.SendBufferCap, d.cfg.SendBufferTimeout)
 }
 
 // Cache exposes the path cache (tests/diagnostics).
@@ -145,44 +96,33 @@ func (d *DSR) Cache() *PathCache { return d.cache }
 func (d *DSR) SendData(p *pkt.Packet) {
 	route := d.cache.Find(p.Dst)
 	if route == nil {
-		d.buf.Push(p, d.env.Now())
-		d.discover(p.Dst)
+		d.disc.Hold(p)
 		return
 	}
-	d.attachRoute(p, route)
+	routing.AttachRoute(p, route)
 	d.forwardAlongRoute(p)
-}
-
-// attachRoute installs a source route on p and charges its header bytes.
-func (d *DSR) attachRoute(p *pkt.Packet, route []pkt.NodeID) {
-	if p.SrcRoute != nil {
-		p.Size -= srBaseBytes + pkt.SrcRouteAddrBytes*len(p.SrcRoute)
-	}
-	p.SrcRoute = route
-	p.SRIndex = 0
-	p.Size += srBaseBytes + pkt.SrcRouteAddrBytes*len(route)
 }
 
 // forwardAlongRoute transmits p to the next node of its source route.
 func (d *DSR) forwardAlongRoute(p *pkt.Packet) {
-	idx := index(p.SrcRoute, d.env.ID())
-	if idx < 0 || idx+1 >= len(p.SrcRoute) {
-		d.env.Drop(p, stats.DropNoRoute)
+	idx, ok := routing.NextHop(p.SrcRoute, d.Env.ID())
+	if !ok {
+		d.Env.Drop(p, stats.DropNoRoute)
 		return
 	}
 	p.SRIndex = idx
-	d.env.SendMac(p, p.SrcRoute[idx+1])
+	d.Env.SendMac(p, p.SrcRoute[idx+1])
 }
 
 // Recv implements network.Protocol.
 func (d *DSR) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 	if p.Kind == pkt.KindRouting {
 		switch m := p.Payload.(type) {
-		case *rreq:
+		case *routing.RouteRequest:
 			d.handleRREQ(p, m)
-		case *rrep:
+		case *routing.RouteReply:
 			d.handleRREP(p, m)
-		case *rerr:
+		case *routing.LinkError:
 			d.handleRERR(p, m)
 		}
 		return
@@ -193,12 +133,12 @@ func (d *DSR) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 	if p.SrcRoute != nil {
 		d.cache.Add(p.SrcRoute)
 	}
-	if p.Dst == d.env.ID() {
-		d.env.Deliver(p, from)
+	if p.Dst == d.Env.ID() {
+		d.Env.Deliver(p, from)
 		return
 	}
 	if p.Hops >= pkt.DefaultTTL {
-		d.env.Drop(p, stats.DropTTL)
+		d.Env.Drop(p, stats.DropTTL)
 		return
 	}
 	d.forwardAlongRoute(p)
@@ -206,82 +146,33 @@ func (d *DSR) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 
 // --- discovery ---------------------------------------------------------------
 
-func (d *DSR) discover(target pkt.NodeID) {
-	if _, busy := d.disc[target]; busy {
-		return
+// Request implements routing.Requester: a non-propagating (TTL 1) first
+// try with a short wait, then network-wide floods whose wait doubles from
+// DiscoveryBase up to DiscoveryMax.
+func (d *DSR) Request(target pkt.NodeID, try int) (sim.Duration, bool) {
+	if try > routing.MaxRequestRetries {
+		return 0, false
 	}
-	pd := &pending{}
-	pd.timer = sim.NewTimer(d.env.Engine(), func() { d.discoveryTimeout(target) })
-	d.disc[target] = pd
-	d.sendRREQ(target, pd)
+	if !d.cfg.DisableNonPropagating {
+		if try == 0 {
+			d.Originate(target, 1)
+			return d.cfg.NonPropTimeout, true
+		}
+		try-- // the non-propagating try is not a doubling
+	}
+	d.Originate(target, pkt.DefaultTTL)
+	return routing.Backoff(d.cfg.DiscoveryBase, d.cfg.DiscoveryMax, try), true
 }
 
-func (d *DSR) sendRREQ(target pkt.NodeID, pd *pending) {
-	d.reqID++
-	ttl := pkt.DefaultTTL
-	timeout := d.cfg.DiscoveryBase
-	if !d.cfg.DisableNonPropagating && pd.attempts == 0 {
-		ttl = 1
-		timeout = d.cfg.NonPropTimeout
-	} else {
-		shift := pd.attempts
-		if d.cfg.DisableNonPropagating {
-			shift++
-		}
-		for i := 1; i < shift && timeout < d.cfg.DiscoveryMax; i++ {
-			timeout *= 2
-		}
-		if timeout > d.cfg.DiscoveryMax {
-			timeout = d.cfg.DiscoveryMax
-		}
-	}
-	m := &rreq{
-		Origin: d.env.ID(),
-		Target: target,
-		ID:     d.reqID,
-		Record: []pkt.NodeID{d.env.ID()},
-	}
-	d.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, d.env.Now())
-	p := pkt.RoutingPacket("RREQ", d.env.ID(), pkt.Broadcast, ttl,
-		rreqBaseBytes+pkt.SrcRouteAddrBytes*len(m.Record), d.env.Now())
-	p.Payload = m
-	d.env.SendMac(p, pkt.Broadcast)
-	pd.timer.Reset(timeout)
-}
-
-func (d *DSR) discoveryTimeout(target pkt.NodeID) {
-	pd, ok := d.disc[target]
-	if !ok {
-		return
-	}
-	if !d.buf.HasDest(target, d.env.Now()) {
-		delete(d.disc, target)
-		return
-	}
-	pd.attempts++
-	if pd.attempts > 8 {
-		for _, p := range d.buf.PopDest(target, d.env.Now()) {
-			d.env.Drop(p, stats.DropNoRoute)
-		}
-		delete(d.disc, target)
-		return
-	}
-	d.sendRREQ(target, pd)
-}
-
-func (d *DSR) handleRREQ(p *pkt.Packet, m *rreq) {
-	me := d.env.ID()
-	if m.Origin == me || index(m.Record, me) >= 0 {
-		return
-	}
-	if d.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, d.env.Now()) {
+func (d *DSR) handleRREQ(p *pkt.Packet, m *routing.RouteRequest) {
+	record := d.Accept(m)
+	if record == nil {
 		return
 	}
 	// The accumulated record is a path we can cache (origin..prev hop).
 	d.cache.Add(m.Record)
 
-	record := append(append([]pkt.NodeID(nil), m.Record...), me)
-	if m.Target == me {
+	if m.Target == d.Env.ID() {
 		d.sendRREP(record)
 		return
 	}
@@ -294,18 +185,7 @@ func (d *DSR) handleRREQ(p *pkt.Packet, m *rreq) {
 			}
 		}
 	}
-	p2 := p.Clone()
-	p2.TTL--
-	if p2.Expired() {
-		return
-	}
-	m2 := *m
-	m2.Record = record
-	p2.Payload = &m2
-	p2.Size = pkt.IPHeaderBytes + rreqBaseBytes + pkt.SrcRouteAddrBytes*len(record)
-	d.env.Engine().ScheduleIn(d.env.RNG().Jitter(routing.BroadcastJitter), func() {
-		d.env.SendMac(p2, pkt.Broadcast)
-	})
+	d.Reflood(p, m, record)
 }
 
 // spliceLoopFree joins head (…,me) and tail (me,…,target) rejecting overlap.
@@ -321,69 +201,25 @@ func spliceLoopFree(head, tail []pkt.NodeID) []pkt.NodeID {
 	return full
 }
 
-// sendRREP returns the full route (origin..target) to the origin,
-// source-routed along the reversed discovery record.
+// sendRREP learns route (origin..target, through this node) and returns it
+// to the origin.
 func (d *DSR) sendRREP(route []pkt.NodeID) {
-	origin := route[0]
-	me := d.env.ID()
 	d.cache.Add(route)
-	// Reverse path from me back to origin: the prefix of route up to me,
-	// reversed. (Links are symmetric under this PHY.)
-	i := index(route, me)
-	if i < 0 {
-		// Replying from cache: we are not on the route; route via our
-		// cached path toward the origin if we have one, else give up.
-		back := d.cache.Find(origin)
-		if back == nil {
-			return
-		}
-		d.transmitRREP(route, back)
-		return
-	}
-	back := make([]pkt.NodeID, 0, i+1)
-	for j := i; j >= 0; j-- {
-		back = append(back, route[j])
-	}
-	d.transmitRREP(route, back)
+	d.SendReply(route)
 }
 
-// transmitRREP sends the reply carrying route along the source route back.
-func (d *DSR) transmitRREP(route, back []pkt.NodeID) {
-	if len(back) < 2 {
-		return
-	}
-	p := pkt.RoutingPacket("RREP", d.env.ID(), back[len(back)-1], pkt.DefaultTTL,
-		rrepBaseBytes+pkt.SrcRouteAddrBytes*(len(route)+len(back)), d.env.Now())
-	p.Payload = &rrep{Route: append([]pkt.NodeID(nil), route...)}
-	p.SrcRoute = back
-	p.SRIndex = 0
-	d.env.SendMac(p, back[1])
-}
-
-func (d *DSR) handleRREP(p *pkt.Packet, m *rrep) {
+func (d *DSR) handleRREP(p *pkt.Packet, m *routing.RouteReply) {
 	d.cache.Add(m.Route)
-	me := d.env.ID()
-	if p.Dst == me {
+	if p.Dst == d.Env.ID() {
 		// Discovery satisfied for the route's target.
-		target := m.Route[len(m.Route)-1]
-		if pd, ok := d.disc[target]; ok {
-			pd.timer.Stop()
-			delete(d.disc, target)
-		}
-		for _, bp := range d.buf.PopDest(target, d.env.Now()) {
+		for _, bp := range d.disc.Found(m.Route[len(m.Route)-1]) {
 			d.SendData(bp)
 		}
 		return
 	}
-	// Forward along the reply's source route.
-	idx := index(p.SrcRoute, me)
-	if idx < 0 || idx+1 >= len(p.SrcRoute) {
-		d.env.Drop(p, stats.DropNoRoute)
-		return
+	if !d.Relay(p) {
+		d.Env.Drop(p, stats.DropNoRoute)
 	}
-	p2 := p.Clone()
-	p2.SRIndex = idx
-	d.env.SendMac(p2, p.SrcRoute[idx+1])
 }
 
 // --- maintenance ----------------------------------------------------------
@@ -394,16 +230,16 @@ func (d *DSR) MacFailed(p *pkt.Packet, to pkt.NodeID) {
 	if to == pkt.Broadcast {
 		return
 	}
-	me := d.env.ID()
+	me := d.Env.ID()
 	d.cache.RemoveLink(me, to)
-	d.env.FlushNextHop(to)
+	d.Env.FlushNextHop(to)
 
 	if p.Kind == pkt.KindRouting {
 		return // lost replies/errors are not recovered
 	}
 	// Route error back to the source (unless we are the source).
 	if p.Src != me {
-		d.sendRERR(p.Src, me, to, p.SrcRoute, p.SRIndex)
+		d.sendRERR(p, to)
 	}
 	d.salvage(p, to)
 }
@@ -411,59 +247,37 @@ func (d *DSR) MacFailed(p *pkt.Packet, to pkt.NodeID) {
 // salvage re-routes a failed data packet from the cache, or re-buffers it at
 // the origin, or drops it.
 func (d *DSR) salvage(p *pkt.Packet, failedHop pkt.NodeID) {
-	me := d.env.ID()
+	me := d.Env.ID()
 	if alt := d.cache.Find(p.Dst); alt != nil && p.Salvaged < d.cfg.MaxSalvageCount && alt[1] != failedHop {
 		p.Salvaged++
-		d.attachRoute(p, alt)
+		routing.AttachRoute(p, alt)
 		d.forwardAlongRoute(p)
 		return
 	}
 	if p.Src == me {
-		d.buf.Push(p, d.env.Now())
-		d.discover(p.Dst)
+		d.disc.Hold(p)
 		return
 	}
-	d.env.Drop(p, stats.DropSalvageFail)
+	d.Env.Drop(p, stats.DropSalvageFail)
 }
 
-// sendRERR reports broken link a→b to src along the reversed prefix of the
-// packet's source route (or a cached route as fallback).
-func (d *DSR) sendRERR(src, a, b pkt.NodeID, srcRoute []pkt.NodeID, srIndex int) {
-	me := d.env.ID()
+// sendRERR reports the broken link to failedHop to p's source, along the
+// reversed prefix of p's source route (or a cached route as fallback).
+func (d *DSR) sendRERR(p *pkt.Packet, failedHop pkt.NodeID) {
 	var back []pkt.NodeID
-	if srcRoute != nil && srIndex >= 1 && srIndex < len(srcRoute) {
-		back = make([]pkt.NodeID, 0, srIndex+1)
-		for j := srIndex; j >= 0; j-- {
-			back = append(back, srcRoute[j])
-		}
-	} else if cached := d.cache.Find(src); cached != nil {
-		back = cached
+	if p.SrcRoute != nil && p.SRIndex >= 1 && p.SRIndex < len(p.SrcRoute) {
+		back = routing.ReversePrefix(p.SrcRoute, p.SRIndex)
 	} else {
-		return
+		back = d.cache.Find(p.Src) // nil when unknown: nothing is sent
 	}
-	if len(back) < 2 || back[0] != me {
-		return
-	}
-	p := pkt.RoutingPacket("RERR", me, src, pkt.DefaultTTL, rerrBytes, d.env.Now())
-	p.Payload = &rerr{From: me, A: a, B: b}
-	p.SrcRoute = back
-	p.SRIndex = 0
-	d.env.SendMac(p, back[1])
+	d.SendLinkError(p.Src, d.Env.ID(), failedHop, back)
 }
 
-func (d *DSR) handleRERR(p *pkt.Packet, m *rerr) {
+func (d *DSR) handleRERR(p *pkt.Packet, m *routing.LinkError) {
 	d.cache.RemoveLink(m.A, m.B)
-	me := d.env.ID()
-	if p.Dst == me {
-		return
+	if p.Dst != d.Env.ID() {
+		d.Relay(p)
 	}
-	idx := index(p.SrcRoute, me)
-	if idx < 0 || idx+1 >= len(p.SrcRoute) {
-		return
-	}
-	p2 := p.Clone()
-	p2.SRIndex = idx
-	d.env.SendMac(p2, p.SrcRoute[idx+1])
 }
 
 // Snoop implements network.Protocol: promiscuous route learning.
@@ -474,13 +288,10 @@ func (d *DSR) Snoop(p *pkt.Packet, from, to pkt.NodeID, _ float64) {
 	if p.SrcRoute != nil {
 		d.cache.Add(p.SrcRoute)
 	}
-	if m, ok := p.Payload.(*rrep); ok {
+	if m, ok := p.Payload.(*routing.RouteReply); ok {
 		d.cache.Add(m.Route)
 	}
-	if m, ok := p.Payload.(*rerr); ok {
+	if m, ok := p.Payload.(*routing.LinkError); ok {
 		d.cache.RemoveLink(m.A, m.B)
 	}
 }
-
-// MacSent implements network.Protocol (unused).
-func (d *DSR) MacSent(*pkt.Packet, pkt.NodeID) {}

@@ -25,8 +25,8 @@ func Factory(cfg Config) network.ProtocolFactory {
 
 // Flood is one node's flooding agent.
 type Flood struct {
+	routing.Base
 	cfg  Config
-	env  network.Env
 	seen *routing.SeenCache
 }
 
@@ -39,42 +39,33 @@ func New(cfg Config) *Flood {
 }
 
 // Start implements network.Protocol.
-func (f *Flood) Start(env network.Env) { f.env = env }
+func (f *Flood) Start(env network.Env) { f.Env = env }
 
 // SendData implements network.Protocol: every data packet is broadcast.
 func (f *Flood) SendData(p *pkt.Packet) {
 	p.TTL = f.cfg.TTL
-	f.seen.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, f.env.Now())
-	f.env.SendMac(p, pkt.Broadcast)
+	f.seen.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, f.Env.Now())
+	f.Env.SendMac(p, pkt.Broadcast)
 }
 
 // Recv implements network.Protocol.
 func (f *Flood) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
-	if f.seen.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, f.env.Now()) {
+	if f.seen.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, f.Env.Now()) {
 		return
 	}
 	p.Hops++
-	if p.Dst == f.env.ID() {
-		f.env.Deliver(p, from)
+	if p.Dst == f.Env.ID() {
+		f.Env.Deliver(p, from)
 		return
 	}
 	p.TTL--
 	if p.Expired() {
-		f.env.Drop(p, stats.DropTTL)
+		f.Env.Drop(p, stats.DropTTL)
 		return
 	}
 	// Clone: the broadcast continues under a new lineage from this node.
-	q := p.Clone()
-	f.env.Engine().ScheduleIn(f.env.RNG().Jitter(routing.BroadcastJitter), func() {
-		f.env.SendMac(q, pkt.Broadcast)
-	})
+	f.Rebroadcast(p.Clone())
 }
-
-// Snoop implements network.Protocol (unused).
-func (f *Flood) Snoop(*pkt.Packet, pkt.NodeID, pkt.NodeID, float64) {}
-
-// MacSent implements network.Protocol (unused).
-func (f *Flood) MacSent(*pkt.Packet, pkt.NodeID) {}
 
 // MacFailed implements network.Protocol: broadcasts never fail at the MAC,
 // so only queue overflow lands here; the packet is simply lost.

@@ -1,10 +1,12 @@
-// Package routing hosts utilities shared by every routing protocol
-// implementation: the send buffer that holds data packets while a route is
-// being discovered, a duplicate cache for flood suppression, and broadcast
-// jitter conventions. The protocols themselves live in subpackages.
+// Package routing hosts the mechanics the routing protocols share: the Base
+// every agent embeds (jittered relays and beacons), the send buffer and
+// Discovery loop of the on-demand protocols, the SourceRouter toolkit of the
+// protocols that carry routes in packet headers, and a duplicate cache for
+// flood suppression. The protocols themselves live in subpackages.
 package routing
 
 import (
+	"adhocsim/internal/network"
 	"adhocsim/internal/pkt"
 	"adhocsim/internal/sim"
 )
@@ -14,6 +16,41 @@ import (
 // all received the same broadcast at the same instant (ns-2 uses a similar
 // 10 ms jitter).
 const BroadcastJitter = 10 * sim.Millisecond
+
+// Base is embedded by every routing agent: it holds the node's Env, leaves
+// the two hooks most protocols ignore empty, and is the one place a relayed
+// flood or a beacon is jittered.
+type Base struct{ Env network.Env }
+
+// Snoop implements network.Protocol for agents that do not overhear.
+func (*Base) Snoop(*pkt.Packet, pkt.NodeID, pkt.NodeID, float64) {}
+
+// MacSent implements network.Protocol for agents that ignore MAC completion.
+func (*Base) MacSent(*pkt.Packet, pkt.NodeID) {}
+
+// JitterIn runs fn after delay plus a uniform draw below BroadcastJitter.
+func (b *Base) JitterIn(delay sim.Duration, fn sim.EventFunc) {
+	b.Env.Engine().ScheduleIn(delay+b.Env.RNG().Jitter(BroadcastJitter), fn)
+}
+
+// Rebroadcast relays flooded packet p to every neighbour after the jitter.
+func (b *Base) Rebroadcast(p *pkt.Packet) {
+	b.JitterIn(0, func() { b.Env.SendMac(p, pkt.Broadcast) })
+}
+
+// Beacon calls fn every interval ±10 % (neighbours must not stay in step),
+// the first time after a uniform draw below spread.
+func (b *Base) Beacon(interval, spread sim.Duration, fn sim.EventFunc) {
+	tk := sim.NewTicker(b.Env.Engine(), interval, fn)
+	tk.Jitter = func() sim.Duration {
+		return interval - interval/10 + b.Env.RNG().Jitter(interval/5)
+	}
+	tk.StartIn(b.Env.RNG().Jitter(spread))
+}
+
+// SeqNewer reports whether sequence number a is fresher than b
+// (wraparound-aware).
+func SeqNewer(a, b uint32) bool { return int32(a-b) > 0 }
 
 // DefaultSendBufferCap and DefaultSendBufferTimeout follow the CMU
 // configuration: 64 packets held at the originator for at most 30 s while a
@@ -125,11 +162,15 @@ type SeenKey struct {
 type SeenCache struct {
 	horizon sim.Duration
 	seen    map[SeenKey]sim.Time
+	sweepAt int // map size past which expired entries are swept out
 }
+
+// seenSweepMin is the smallest map worth sweeping.
+const seenSweepMin = 4096
 
 // NewSeenCache creates a cache whose entries expire after horizon.
 func NewSeenCache(horizon sim.Duration) *SeenCache {
-	return &SeenCache{horizon: horizon, seen: make(map[SeenKey]sim.Time)}
+	return &SeenCache{horizon: horizon, seen: make(map[SeenKey]sim.Time), sweepAt: seenSweepMin}
 }
 
 // Seen records key at time now and reports whether it was already present
@@ -139,8 +180,11 @@ func (c *SeenCache) Seen(key SeenKey, now sim.Time) bool {
 		return true
 	}
 	c.seen[key] = now
-	if len(c.seen) > 4096 {
+	if len(c.seen) > c.sweepAt {
 		c.gc(now)
+		// Sweep again only once the map has doubled past the survivors:
+		// a sweep that frees nothing must not repeat on every insert.
+		c.sweepAt = max(seenSweepMin, 2*len(c.seen))
 	}
 	return false
 }

@@ -119,4 +119,36 @@ func TestSeenCacheGC(t *testing.T) {
 	if c.Seen(SeenKey{Origin: 1, ID: 0}, sim.At(10)) {
 		t.Fatal("ancient entry survived")
 	}
+	if len(c.seen) > 4096 {
+		t.Fatalf("expired entries not swept: %d keys", len(c.seen))
+	}
+
+	// All-live keys (FLOOD's 60 s horizon under load): a sweep that frees
+	// nothing must not repeat until the map has doubled, so 20 000 inserts
+	// sweep O(log n) times, and every answer is what it was.
+	c = NewSeenCache(60 * sim.Second)
+	const n = 20000
+	sweeps, last := 0, c.sweepAt
+	for i := uint32(0); i < n; i++ {
+		if c.Seen(SeenKey{Origin: 2, ID: i}, sim.At(float64(i)*0.001)) {
+			t.Fatalf("fresh key %d reported seen", i)
+		}
+		if c.sweepAt != last {
+			sweeps, last = sweeps+1, c.sweepAt
+		}
+	}
+	if sweeps < 1 || sweeps > 3 { // 4096 → 8194 → 16390 → 32782
+		t.Fatalf("%d sweeps over %d all-live inserts, want 1..3", sweeps, n)
+	}
+	if len(c.seen) != n {
+		t.Fatalf("live keys lost: %d of %d", len(c.seen), n)
+	}
+	for i := uint32(0); i < n; i += 97 {
+		if !c.Seen(SeenKey{Origin: 2, ID: i}, sim.At(21)) {
+			t.Fatalf("live key %d forgotten", i)
+		}
+	}
+	if c.Seen(SeenKey{Origin: 2, ID: 0}, sim.At(61)) {
+		t.Fatal("key past the horizon still suppressing")
+	}
 }

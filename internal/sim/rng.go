@@ -56,9 +56,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64(
 // Intn returns a uniform integer in [0,n). n must be > 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Exp returns an exponential draw with the given mean.
 func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
 
@@ -83,9 +80,3 @@ func (g *RNG) Jitter(max Duration) Duration {
 	}
 	return Duration(g.r.Int63n(int64(max)))
 }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements via swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
