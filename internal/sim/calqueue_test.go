@@ -414,3 +414,37 @@ func TestParseQueueKind(t *testing.T) {
 		t.Errorf("String() = %q, %q", QueueHeap, QueueCalendar)
 	}
 }
+
+// BenchmarkQueueHold is the classic hold model — every dispatched event
+// schedules its successor an exponential delay ahead, so the queue stays at
+// one depth — at depths from the paper regime's to a city-scale run's, on
+// both queue kinds.
+func BenchmarkQueueHold(b *testing.B) {
+	for _, depth := range []struct {
+		name string
+		n    int
+	}{{"3", 3}, {"50", 50}, {"200", 200}, {"500", 500}, {"1k", 1000}, {"10k", 10000}} {
+		for _, kind := range queueKinds {
+			b.Run(depth.name+"/"+kind.String(), func(b *testing.B) {
+				e := NewEngineQueue(kind)
+				rng := rand.New(rand.NewSource(1))
+				left := b.N
+				var fn EventFunc
+				fn = func() {
+					if left--; left <= 0 {
+						e.Stop()
+					}
+					e.ScheduleIn(Duration(rng.ExpFloat64()*float64(Millisecond)), fn)
+				}
+				for i := 0; i < depth.n; i++ {
+					e.ScheduleIn(Duration(rng.ExpFloat64()*float64(Millisecond)), fn)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				if err := e.RunAll(); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}

@@ -1,10 +1,16 @@
 package adhocsim_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"adhocsim"
+	"adhocsim/internal/core"
+	"adhocsim/internal/network"
+	"adhocsim/internal/sim"
+	"adhocsim/internal/topo"
+	"adhocsim/internal/traffic"
 )
 
 // TestSchedulerParityGoldenRuns: the calendar-queue scheduler must
@@ -69,5 +75,87 @@ func TestSchedulerParityGridBrute(t *testing.T) {
 	}
 	if !reflect.DeepEqual(brute, gridCal) {
 		t.Fatalf("grid+calendar diverges from brute+heap:\nbrute    %+v\ngrid/cal %+v", brute, gridCal)
+	}
+}
+
+// worldRun is core.Run's wiring with the world in hand.
+func worldRun(t *testing.T, rc adhocsim.RunConfig) adhocsim.Results {
+	t.Helper()
+	inst, err := rc.Spec.Generate(rc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := core.FactoryFor(rc.Protocol, inst.Radio, rc.Tweaks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := network.NewWorld(network.Config{
+		Tracks:    inst.Tracks,
+		Radio:     inst.Radio,
+		Phy:       rc.Phy,
+		Protocol:  factory,
+		Seed:      rc.Seed ^ 0x5eed,
+		Oracle:    topo.NewOracle(inst.Tracks, inst.Radio.RxRange()),
+		Lifecycle: inst.Lifecycle,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := sim.Time(0).Add(rc.Spec.Duration)
+	if _, err := traffic.Install(world, inst.Connections, horizon); err != nil {
+		t.Fatal(err)
+	}
+	world.Start()
+	if err := world.Run(context.Background(), horizon); err != nil {
+		t.Fatal(err)
+	}
+	return world.Collector.Finalize()
+}
+
+// TestSchedulerParityAcrossMigration pins, before the engine starts choosing
+// its own queue, the scene that choice will be tested on: 200 nodes whose
+// pending events pass 512 only once traffic is flowing, with and without
+// churn. Heap and calendar must finish DeepEqual, and the world assembled
+// here must match what the facade returns for the same run.
+func TestSchedulerParityAcrossMigration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six 8 s runs at 200 nodes")
+	}
+	for _, lifecycle := range []adhocsim.LifecycleSpec{
+		{},
+		{Name: "onoff-fail", Params: map[string]float64{"mean_up_s": 20, "mean_down_s": 5}},
+	} {
+		lifecycle := lifecycle
+		name := "static"
+		if lifecycle.Name != "" {
+			name = lifecycle.Name
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			spec := adhocsim.DefaultSpec()
+			spec.Nodes = 200
+			spec.Sources = 60
+			spec.StartMin = 1 * adhocsim.Second
+			spec.StartMax = 3 * adhocsim.Second
+			spec.Duration = 8 * adhocsim.Second
+			spec.Lifecycle = lifecycle
+			rc := adhocsim.RunConfig{Spec: spec, Protocol: adhocsim.AODV, Seed: 3}
+			heap := worldRun(t, rc)
+			if lifecycle.Name != "" && heap.Joins+heap.Leaves == 0 {
+				t.Error("churn run recorded no membership transitions")
+			}
+			cal := rc
+			cal.Phy.Scheduler = adhocsim.QueueCalendar
+			if got := worldRun(t, cal); !reflect.DeepEqual(heap, got) {
+				t.Error("calendar queue diverges from heap")
+			}
+			facade, err := adhocsim.Run(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(heap, facade) {
+				t.Errorf("worldRun diverges from adhocsim.Run:\nworld  %+v\nfacade %+v", heap, facade)
+			}
+		})
 	}
 }
