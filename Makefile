@@ -46,11 +46,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ## profile: capture CPU + heap pprof profiles of a mid-size city-scale
-## single run (2000 nodes, manhattan mobility, calendar scheduler) into
-## ./profiles. Inspect with `go tool pprof profiles/cpu.pprof`.
+## single run (2000 nodes, manhattan mobility) into ./profiles. Inspect
+## with `go tool pprof profiles/cpu.pprof`.
 profile:
 	@mkdir -p profiles
 	$(GO) run ./cmd/adhocsim -nodes 2000 -w 4000 -h 800 -dur 30 \
-		-proto CBRP -mobility manhattan -scheduler calendar \
+		-proto CBRP -mobility manhattan \
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
 	@echo wrote profiles/cpu.pprof profiles/mem.pprof

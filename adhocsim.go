@@ -298,25 +298,11 @@ type Figure = core.Figure
 // MacConfig tunes the 802.11 MAC (queue limit, RTS threshold).
 type MacConfig = mac.Config
 
-// PhyConfig tunes the channel's transmit fast path: the spatial-index
-// neighbourhood query (default) versus the legacy brute-force loop, the
-// index's reindex cadence, and the engine's event-queue implementation
-// (PhyConfig.Scheduler). See RunConfig.Phy.
+// PhyConfig tunes the channel's transmit fast path: the spatial index's
+// reindex cadence and the SINR reception switch. Its BruteForce and
+// Scheduler fields are oracle pins for tests and benchmarks; leave them
+// zero. See RunConfig.Phy.
 type PhyConfig = phy.Config
-
-// QueueKind selects the engine's event-queue implementation (see
-// PhyConfig.Scheduler). Both kinds dispatch the identical event sequence;
-// the calendar queue is the O(1)-amortized choice for city-scale runs.
-type QueueKind = sim.QueueKind
-
-// Event-queue kinds for PhyConfig.Scheduler.
-const (
-	QueueHeap     = sim.QueueHeap
-	QueueCalendar = sim.QueueCalendar
-)
-
-// ParseQueueKind resolves an event-queue kind by name ("heap", "calendar").
-func ParseQueueKind(s string) (QueueKind, error) { return sim.ParseQueueKind(s) }
 
 // Protocol-extension surface: the types an external routing protocol
 // implements against, re-exported so registrations need no internal

@@ -107,7 +107,7 @@ func churnEngineSpec() adhocsim.Spec {
 
 // TestChurnEngineParity: every execution-strategy pair that is provably
 // result-identical for fixed populations must stay identical under churn —
-// the spatial index's liveness masking and the calendar queue's ordering of
+// the spatial index's liveness masking and each event queue's ordering of
 // membership events both sit on the churn-touched hot path.
 func TestChurnEngineParity(t *testing.T) {
 	for _, proto := range []string{adhocsim.Autoconf, adhocsim.AODV} {
@@ -124,15 +124,12 @@ func TestChurnEngineParity(t *testing.T) {
 				}
 				return res
 			}
-			base := run(adhocsim.PhyConfig{})
+			base := requireQueueParity(t, run)
 			if base.Joins+base.Leaves == 0 {
 				t.Fatal("onoff-fail run recorded no membership transitions")
 			}
 			if brute := run(adhocsim.PhyConfig{BruteForce: true}); !reflect.DeepEqual(base, brute) {
 				t.Errorf("grid index diverges from brute force under churn:\ngrid:  %+v\nbrute: %+v", base, brute)
-			}
-			if cal := run(adhocsim.PhyConfig{Scheduler: adhocsim.QueueCalendar}); !reflect.DeepEqual(base, cal) {
-				t.Errorf("calendar queue diverges from heap under churn:\nheap: %+v\ncal:  %+v", base, cal)
 			}
 		})
 	}

@@ -128,8 +128,6 @@ func main() {
 		asJSON      = flag.Bool("json", false, "emit results as JSON instead of text")
 		traceFile   = flag.String("trace", "", "write an ns-2-style packet trace to this file (single seed only)")
 		metricsFile = flag.String("metrics", "", "dump the metric sample stream as JSONL to this file (single seed only)")
-		brute       = flag.Bool("brute", false, "disable the spatial-index transmit path (legacy O(N) loop)")
-		scheduler   = flag.String("scheduler", "", "event-queue implementation for single runs: heap (default) or calendar")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -198,12 +196,6 @@ func main() {
 		return
 	}
 
-	sched, err := adhocsim.ParseQueueKind(*scheduler)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adhocsim:", err)
-		os.Exit(2)
-	}
-
 	spec := adhocsim.DefaultSpec()
 	spec.Nodes = *nodes
 	spec.Area = adhocsim.Rect{W: *areaW, H: *areaH}
@@ -232,7 +224,6 @@ func main() {
 	rc := adhocsim.RunConfig{
 		Spec:     spec,
 		Protocol: strings.ToUpper(*proto),
-		Phy:      adhocsim.PhyConfig{BruteForce: *brute, Scheduler: sched},
 	}
 	if *traceFile != "" {
 		if *seeds != 1 {

@@ -86,14 +86,11 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		// The speed bound is a correctness input (it pads the index's
 		// query radius), so a caller-supplied value below what the
-		// tracks can actually do is raised, never trusted; and only the
-		// tracks themselves — through the position table's rest horizon
-		// — can prove a scene at rest, for a while or for good.
+		// tracks can actually do is raised, never trusted.
 		bound := mobility.MaxTrackSpeed(cfg.Tracks)
 		if phyCfg.SpeedBound < bound {
 			phyCfg.SpeedBound = bound
 		}
-		phyCfg.Static = false
 	}
 	w := &World{
 		Eng:       sim.NewEngineQueue(phyCfg.Scheduler),

@@ -46,12 +46,11 @@ type Config struct {
 	// reindex cannot be missed. The channel cannot verify the bound, so a
 	// non-positive value together with a positive ReindexInterval falls
 	// back to exact per-timestamp reindexing rather than risk a stale
-	// index (set Static instead when positions provably never change).
+	// index. A scene provably at rest needs neither: the position table's
+	// rest horizon says so.
 	SpeedBound float64
-	// Static declares that no position function ever returns a different
-	// point: the rest horizon (see Channel) never ends. Channels fed by a
-	// position table need not set it — the table knows how long its tracks
-	// rest, which also covers a scene that only starts moving later.
+	// Static is read nowhere — the position table's RestUntil proves how long
+	// a scene rests. The name stays for the callers that still assign it.
 	Static bool
 	// SINR replaces the pairwise ns-2 capture test with cumulative-
 	// interference reception: a frame decodes only if its power stays at
@@ -61,12 +60,11 @@ type Config struct {
 	// misjudges dense multihop scenes where many individually-weak
 	// interferers are collectively fatal (Fu, Liew & Huang).
 	SINR bool
-	// Scheduler selects the engine's event-queue implementation for runs
-	// assembled through network.NewWorld: the zero value keeps the 4-ary
-	// heap, sim.QueueCalendar switches to the calendar queue (O(1)
-	// amortized at city-scale pending-event populations). Dispatch order —
-	// and therefore every result — is bit-identical either way; the
-	// choice is purely a performance knob.
+	// Scheduler pins the event queue of runs assembled through
+	// network.NewWorld to one implementation — an oracle for parity tests
+	// and benchmarks. Leave it zero: the engine then picks by how many
+	// events it holds (sim.QueueKind). Dispatch order, and therefore every
+	// result, is bit-identical whichever queue holds the events.
 	Scheduler sim.QueueKind
 }
 
@@ -80,9 +78,9 @@ type Config struct {
 // NodeID order, so results are bit-identical to the brute-force loop while
 // the per-transmission cost drops from O(N) to O(neighbourhood).
 //
-// Until the rest horizon — the position table's RestUntil, or never under
-// Config.Static — no radio has moved, so the index is built once and each
-// sender's sorted leg list is kept and replayed instead of re-derived.
+// Until the rest horizon — the position table's RestUntil — no radio has
+// moved, so the index is built once and each sender's sorted leg list is kept
+// and replayed instead of re-derived.
 type Channel struct {
 	eng      *sim.Engine
 	params   RadioParams
@@ -217,10 +215,10 @@ func (c *Channel) SetPositionTable(tab *mobility.Table) {
 	c.memo = nil
 }
 
-// atRest reports whether no radio can have moved by time now: always under
-// Config.Static, else until the position table's rest horizon.
+// atRest reports whether no radio can have moved by time now: until the
+// position table's rest horizon.
 func (c *Channel) atRest(now sim.Time) bool {
-	return c.cfg.Static || (c.tab != nil && now < c.tab.RestUntil())
+	return c.tab != nil && now < c.tab.RestUntil()
 }
 
 // posAt returns radio id's position at time t from the position table when

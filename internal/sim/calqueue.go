@@ -42,10 +42,17 @@ type calQueue struct {
 // 64 buckets cost ~1.5 kB and avoid resize churn for small populations.
 const minCalBuckets = 64
 
-func newCalQueue() *calQueue {
-	q := &calQueue{width: Millisecond}
-	q.setBuckets(minCalBuckets)
-	q.seek(0)
+// newCalQueue returns a calendar holding evs, none of them earlier than now:
+// the cursor starts on now's day, the width comes from the events' spread,
+// and the bucket count is what push's doubling would have reached by then.
+// The events come from another queue with idx ≥ 0, all "queued" means here.
+func newCalQueue(now Time, evs []*event) *calQueue {
+	q := &calQueue{width: Millisecond, n: len(evs), lastAt: now}
+	nb := minCalBuckets
+	for len(evs) > 2*nb {
+		nb *= 2
+	}
+	q.rebuild(nb, evs)
 	return q
 }
 
@@ -184,18 +191,22 @@ func (q *calQueue) maybeShrink() {
 	}
 }
 
-// resize rebuilds the calendar with nb buckets and a day width matched to
-// the current event population, then rewinds the cursor to lastAt (a lower
-// bound on every queued event, so nothing can land behind the cursor).
+// resize rebuilds the calendar with nb buckets around its own events.
 func (q *calQueue) resize(nb int) {
 	if nb < minCalBuckets {
 		nb = minCalBuckets
 	}
 	evs := make([]*event, 0, q.n)
-	for i, b := range q.buckets {
+	for _, b := range q.buckets {
 		evs = append(evs, b...)
-		q.buckets[i] = nil
 	}
+	q.rebuild(nb, evs)
+}
+
+// rebuild lays evs out over nb buckets with a day width matched to their
+// spread, the cursor rewound to lastAt (a lower bound on every queued event,
+// so nothing can land behind the cursor).
+func (q *calQueue) rebuild(nb int, evs []*event) {
 	q.width = q.spreadWidth(evs)
 	q.setBuckets(nb)
 	q.seek(q.lastAt)

@@ -6,9 +6,29 @@ import (
 	"testing"
 )
 
-// queueKinds enumerates every event-queue implementation; dispatch-order
-// tests run against all of them.
-var queueKinds = []QueueKind{QueueHeap, QueueCalendar}
+// testQueue is one way an engine can hold its queue.
+type testQueue struct {
+	name string
+	new  func() *Engine
+}
+
+func (q testQueue) String() string { return q.name }
+
+// pinnedHeap is the reference every other testQueue is compared against.
+var pinnedHeap = testQueue{"heap", func() *Engine { return NewEngineQueue(QueueHeap) }}
+
+// queueKinds enumerates both pinned implementations and the self-selecting
+// engine at two thresholds: one the equivalence scripts pass while seeding
+// their ~440 initial events, one most of them pass mid-run, between cancels,
+// timer resets and lane appends. Dispatch-order tests run against all four.
+var queueKinds = []testQueue{
+	pinnedHeap,
+	{"calendar", func() *Engine { return NewEngineQueue(QueueCalendar) }},
+	{"auto-early", func() *Engine { return newEngineAuto(64) }},
+	{"auto-late", func() *Engine { return newEngineAuto(lateCalendarAt) }},
+}
+
+const lateCalendarAt = 500
 
 func TestCalendarEngineBasics(t *testing.T) {
 	t.Run("order", func(t *testing.T) {
@@ -156,8 +176,9 @@ type queueScript struct {
 	timers  []*Timer
 	nextID  int
 
-	accepted, fellBack int // lane appends that stayed in / fell out of a lane
-	heldAtStop         int // events pending in lanes when a Run(until) phase stopped
+	accepted, fellBack int       // lane appends that stayed in / fell out of a lane
+	heldAtStop         int       // events pending in lanes when a Run(until) phase stopped
+	seededOn           QueueKind // Engine.Queue() once the initial population was in
 }
 
 const (
@@ -169,8 +190,8 @@ const (
 	scriptLaneLag = 2 * Millisecond
 )
 
-func newQueueScript(kind QueueKind, src scriptSource, useLanes bool) *queueScript {
-	s := &queueScript{e: NewEngineQueue(kind), src: src}
+func newQueueScript(kind testQueue, src scriptSource, useLanes bool) *queueScript {
+	s := &queueScript{e: kind.new(), src: src}
 	if useLanes {
 		s.lanes = []*Lane{s.e.NewLane(), s.e.NewLane()}
 	}
@@ -304,6 +325,7 @@ func (s *queueScript) run(t testing.TB) []queueFiring {
 			s.laneSchedule(i%2, at/1024)
 		}
 	}
+	s.seededOn = s.e.Queue()
 	for _, until := range []Time{At(0.04), At(0.08), Never} {
 		if err := s.e.Run(until); err != nil {
 			t.Fatal(err)
@@ -320,7 +342,7 @@ func (s *queueScript) run(t testing.TB) []queueFiring {
 }
 
 // runQueueScript drives one engine through the seeded random script.
-func runQueueScript(t *testing.T, kind QueueKind, seed int64, useLanes bool) *queueScript {
+func runQueueScript(t *testing.T, kind testQueue, seed int64, useLanes bool) *queueScript {
 	t.Helper()
 	s := newQueueScript(kind, rand.New(rand.NewSource(seed)), useLanes)
 	s.run(t)
@@ -341,17 +363,19 @@ func diffFirings(want, got []queueFiring) string {
 }
 
 // TestQueueEquivalenceFuzz is the randomized scheduler equivalence guard:
-// for many seeded random schedule/cancel/reschedule/timer scripts, the heap
-// without lanes is the reference, and the calendar queue, the heap with
-// lanes and the calendar queue with lanes must each dispatch the identical
-// (at, seq) sequence, stop each Run(until) phase with the same number
-// pending, and count the same Executed. This is the property that makes the
-// calendar queue safe to enable on any scenario and lanes safe to schedule
-// through unconditionally — bit-identical results follow from identical
-// dispatch order.
+// for many seeded random schedule/cancel/reschedule/timer scripts, the pinned
+// heap without lanes is the reference, and every testQueue, with and without
+// lanes, must dispatch the identical (at, seq) sequence, stop each Run(until)
+// phase with the same number pending, and count the same Executed. This is
+// the property that makes the engine free to move from the heap to the
+// calendar whenever it likes and lanes safe to schedule through
+// unconditionally — bit-identical results follow from identical dispatch
+// order.
 func TestQueueEquivalenceFuzz(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		want := runQueueScript(t, QueueHeap, seed, false).log
+	const seeds = 12
+	migratedMidRun := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		want := runQueueScript(t, pinnedHeap, seed, false).log
 		if len(want) < 300 {
 			t.Fatalf("seed %d: script fired only %d events — not exercising the queues", seed, len(want))
 		}
@@ -365,8 +389,24 @@ func TestQueueEquivalenceFuzz(t *testing.T) {
 					t.Fatalf("seed %d: %d lane appends accepted, %d fell back, %d held across a Run(until) stop — not exercising all three",
 						seed, s.accepted, s.fellBack, s.heldAtStop)
 				}
+				switch kind.name {
+				case "auto-early":
+					if s.seededOn != QueueCalendar {
+						t.Fatalf("seed %d: auto-early engine still on the %v once seeded", seed, s.seededOn)
+					}
+				case "auto-late":
+					if s.seededOn != QueueHeap {
+						t.Fatalf("seed %d: auto-late engine left the heap while seeding", seed)
+					}
+					if s.e.Queue() == QueueCalendar {
+						migratedMidRun++
+					}
+				}
 			}
 		}
+	}
+	if migratedMidRun < seeds {
+		t.Fatalf("%d of %d auto-late scripts migrated mid-run — not exercising the migration under load", migratedMidRun, 2*seeds)
 	}
 }
 
@@ -375,7 +415,7 @@ func TestQueueEquivalenceFuzz(t *testing.T) {
 // for the rest of the run.
 func TestEngineFreeListCapped(t *testing.T) {
 	for _, kind := range queueKinds {
-		e := NewEngineQueue(kind)
+		e := kind.new()
 		n := maxFreeEvents + 5000
 		for i := 0; i < n; i++ {
 			e.Schedule(Time(i), func() {})
@@ -393,38 +433,100 @@ func TestEngineFreeListCapped(t *testing.T) {
 	}
 }
 
-func TestParseQueueKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want QueueKind
-		ok   bool
-	}{
-		{"", QueueHeap, true},
-		{"heap", QueueHeap, true},
-		{"Calendar", QueueCalendar, true},
-		{" calendar ", QueueCalendar, true},
-		{"ladder", 0, false},
-	} {
-		got, err := ParseQueueKind(tc.in)
-		if tc.ok != (err == nil) || got != tc.want {
-			t.Errorf("ParseQueueKind(%q) = %v, %v", tc.in, got, err)
+// TestEngineSelectsQueue: an engine that chooses for itself reports the heap
+// until its queue — lanes not counted — passes the threshold and the calendar
+// from then on, draining included; pinned engines never move.
+func TestEngineSelectsQueue(t *testing.T) {
+	e := NewEngine()
+	l := e.NewLane()
+	for i := 0; i < 3*autoCalendarAt; i++ {
+		l.Schedule(Time(i), func() {})
+	}
+	for i := 0; i < autoCalendarAt; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	if e.Queue() != QueueHeap {
+		t.Fatalf("on the %v with %d queued and %d in a lane; threshold is %d", e.Queue(), e.queue.size(), l.Len(), autoCalendarAt)
+	}
+	e.Schedule(0, func() {})
+	if e.Queue() != QueueCalendar || e.queue.size() != autoCalendarAt+1 {
+		t.Fatalf("on the %v holding %d after passing the threshold", e.Queue(), e.queue.size())
+	}
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Queue() != QueueCalendar || e.Executed != 4*autoCalendarAt+1 {
+		t.Fatalf("drained: on the %v, %d executed", e.Queue(), e.Executed)
+	}
+
+	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
+		e := NewEngineQueue(kind)
+		for i := 0; i < 4*autoCalendarAt; i++ {
+			e.Schedule(Time(i), func() {})
+		}
+		if e.Queue() != kind {
+			t.Fatalf("engine pinned to the %v reports the %v", kind, e.Queue())
 		}
 	}
-	if QueueHeap.String() != "heap" || QueueCalendar.String() != "calendar" {
-		t.Errorf("String() = %q, %q", QueueHeap, QueueCalendar)
+	if got := NewEngineQueue(0).Queue(); got != QueueHeap {
+		t.Fatalf("zero-kind engine starts on the %v", got)
+	}
+}
+
+// TestEngineMigratesLateAndFar: a migration long into a run, of events all
+// far ahead of the clock, must aim the calendar from the clock and the
+// events — not from day zero at the default width — and then fire them in
+// order with their cancel handles still good.
+func TestEngineMigratesLateAndFar(t *testing.T) {
+	e := newEngineAuto(100)
+	start := At(1e6)
+	e.Schedule(start, func() {})
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	var handles []Handle
+	for i := 0; i <= 100; i++ {
+		// Descending, an hour apart, the nearest a day ahead of the clock.
+		at := start.Add(Duration(24+100-i) * 3600 * Second)
+		handles = append(handles, e.Schedule(at, func() { got = append(got, i) }))
+	}
+	q, ok := e.queue.(*calQueue)
+	if !ok {
+		t.Fatal("101 events on a threshold of 100 did not migrate")
+	}
+	if q.dayStart > start || start >= q.dayEnd {
+		t.Fatalf("cursor day [%v, %v) does not hold the clock %v", q.dayStart, q.dayEnd, start)
+	}
+	if q.width < 3600*Second {
+		t.Fatalf("day width %v for events an hour apart", q.width)
+	}
+	if !e.Cancel(handles[50]) || e.Cancel(handles[50]) {
+		t.Fatal("a handle taken on the heap must cancel exactly once on the calendar")
+	}
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 100 {
+		t.Fatalf("fired %d of 100", len(got))
+	}
+	for k := 1; k < len(got); k++ {
+		if got[k] >= got[k-1] {
+			t.Fatalf("out of order at %d: %v", k, got)
+		}
 	}
 }
 
 // BenchmarkQueueHold is the classic hold model — every dispatched event
 // schedules its successor an exponential delay ahead, so the queue stays at
-// one depth — at depths from the paper regime's to a city-scale run's, on
-// both queue kinds.
+// one depth — at depths either side of autoCalendarAt, on the self-selecting
+// engine and on both pins. It is where that constant comes from.
 func BenchmarkQueueHold(b *testing.B) {
 	for _, depth := range []struct {
 		name string
 		n    int
 	}{{"3", 3}, {"50", 50}, {"200", 200}, {"500", 500}, {"1k", 1000}, {"10k", 10000}} {
-		for _, kind := range queueKinds {
+		for _, kind := range []QueueKind{queueAuto, QueueHeap, QueueCalendar} {
 			b.Run(depth.name+"/"+kind.String(), func(b *testing.B) {
 				e := NewEngineQueue(kind)
 				rng := rand.New(rand.NewSource(1))

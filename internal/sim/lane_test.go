@@ -11,7 +11,7 @@ import (
 
 func TestLaneDispatchOrderAndFallback(t *testing.T) {
 	for _, kind := range queueKinds {
-		e := NewEngineQueue(kind)
+		e := kind.new()
 		l := e.NewLane()
 		var got []int
 		note := func(i int) EventFunc { return func() { got = append(got, i) } }
@@ -95,7 +95,7 @@ func TestLaneSchedulePastPanics(t *testing.T) {
 // back — at every point of a phased run.
 func TestLaneLenCountsEverywhere(t *testing.T) {
 	for _, kind := range queueKinds {
-		e := NewEngineQueue(kind)
+		e := kind.new()
 		a, b := e.NewLane(), e.NewLane()
 		for i := 1; i <= 10; i++ {
 			e.Schedule(At(float64(i)), func() {})
@@ -230,7 +230,7 @@ func TestLaneRunGuards(t *testing.T) {
 		var want outcome
 		for _, kind := range queueKinds {
 			for hi, holder := range holders {
-				e := NewEngineQueue(kind)
+				e := kind.new()
 				l := e.NewLane()
 				fired := 0
 				if guard != nil {
@@ -260,7 +260,7 @@ func TestLaneRunGuards(t *testing.T) {
 					t.Fatal(err)
 				}
 				got.firedAfterGuard = fired
-				if kind == QueueHeap && hi == 0 {
+				if kind.name == pinnedHeap.name && hi == 0 {
 					want = got
 					if want.pending == 0 || want.fired == 10 {
 						t.Fatalf("%s: guard never tripped: %+v", name, want)
@@ -300,8 +300,9 @@ func (b *byteSource) Int63n(n int64) int64 {
 // FuzzLaneDispatchOrder is TestQueueEquivalenceFuzz with the decision
 // stream in the fuzzer's hands: whatever interleaving of schedules, cancels,
 // timer resets, monotone and out-of-order lane appends and tied batches the
-// bytes encode, both queue kinds with lanes must fire exactly the log the
-// lane-free heap fires.
+// bytes encode, every testQueue with lanes — both pins and the self-selecting
+// engine at both thresholds — must fire exactly the log the lane-free pinned
+// heap fires.
 func FuzzLaneDispatchOrder(f *testing.F) {
 	f.Add([]byte{})
 	for seed := int64(1); seed <= 4; seed++ {
@@ -310,7 +311,7 @@ func FuzzLaneDispatchOrder(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want := newQueueScript(QueueHeap, &byteSource{data: data}, false).run(t)
+		want := newQueueScript(pinnedHeap, &byteSource{data: data}, false).run(t)
 		for _, kind := range queueKinds {
 			got := newQueueScript(kind, &byteSource{data: data}, true).run(t)
 			if d := diffFirings(want, got); d != "" {

@@ -91,12 +91,12 @@ func TestGoldenParityWithSinksAttached(t *testing.T) {
 }
 
 // TestMetricStreamReplayParity: the sample stream is part of the determinism
-// contract — the spatial-grid and brute-force transmit paths, and the heap
-// and calendar schedulers, must all emit the identical stream, sample for
-// sample.
+// contract — the spatial-grid and brute-force transmit paths, and the
+// engine's own queue choice and both pinned queues, must all emit the
+// identical stream, sample for sample.
 func TestMetricStreamReplayParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three 60 s study runs")
+		t.Skip("four 60 s study runs")
 	}
 	spec := adhocsim.DefaultSpec()
 	spec.Duration = 60 * adhocsim.Second
@@ -111,15 +111,12 @@ func TestMetricStreamReplayParity(t *testing.T) {
 		}
 		return cap.samples
 	}
-	grid := run(adhocsim.PhyConfig{})
+	grid := requireQueueParity(t, run)
 	if len(grid) == 0 {
 		t.Fatal("no samples emitted")
 	}
 	if brute := run(adhocsim.PhyConfig{BruteForce: true}); !reflect.DeepEqual(grid, brute) {
 		t.Error("grid and brute-force paths emit different sample streams")
-	}
-	if cal := run(adhocsim.PhyConfig{Scheduler: adhocsim.QueueCalendar}); !reflect.DeepEqual(grid, cal) {
-		t.Error("heap and calendar schedulers emit different sample streams")
 	}
 }
 

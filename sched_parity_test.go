@@ -13,15 +13,34 @@ import (
 	"adhocsim/internal/traffic"
 )
 
-// TestSchedulerParityGoldenRuns: the calendar-queue scheduler must
-// reproduce the heap's golden DSR/AODV seed-1 study runs bit-for-bit.
-// TestSeedParityDefaultStudyRuns pins the heap results to the captured
-// golden numbers, so DeepEqual here transitively pins the calendar queue to
-// them too — (at, seq) is a strict total order, and a queue implementation
-// that dispatches it faithfully cannot perturb a single counter or float.
+// queuePins are the two event-queue oracles every scheduler parity check
+// compares the zero value — the engine choosing for itself — against.
+var queuePins = []sim.QueueKind{sim.QueueHeap, sim.QueueCalendar}
+
+// requireQueueParity runs once on the engine's own choice and once per pin,
+// and fails unless all three outcomes are reflect.DeepEqual. (at, seq) is a
+// strict total order, and a queue that dispatches it faithfully — or a move
+// from one such queue to the other mid-run — cannot perturb a single counter
+// or float.
+func requireQueueParity[T any](t *testing.T, run func(adhocsim.PhyConfig) T) T {
+	t.Helper()
+	auto := run(adhocsim.PhyConfig{})
+	for _, pin := range queuePins {
+		if got := run(adhocsim.PhyConfig{Scheduler: pin}); !reflect.DeepEqual(auto, got) {
+			t.Errorf("pinned %v queue diverges from the engine's own choice", pin)
+		}
+	}
+	return auto
+}
+
+// TestSchedulerParityGoldenRuns: the self-selecting engine and both pinned
+// queues must reproduce the golden DSR/AODV seed-1 study runs bit-for-bit.
+// TestSeedParityDefaultStudyRuns pins the default (self-selecting) results
+// to the captured golden numbers, so DeepEqual here transitively pins both
+// implementations to them too.
 func TestSchedulerParityGoldenRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four 150 s study runs")
+		t.Skip("six 150 s study runs")
 	}
 	spec := adhocsim.DefaultSpec()
 	spec.Duration = 150 * adhocsim.Second
@@ -29,57 +48,42 @@ func TestSchedulerParityGoldenRuns(t *testing.T) {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			t.Parallel()
-			heap, err := adhocsim.Run(adhocsim.RunConfig{Spec: spec, Protocol: proto, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cal, err := adhocsim.Run(adhocsim.RunConfig{
-				Spec: spec, Protocol: proto, Seed: 1,
-				Phy: adhocsim.PhyConfig{Scheduler: adhocsim.QueueCalendar},
+			requireQueueParity(t, func(phy adhocsim.PhyConfig) adhocsim.Results {
+				res, err := adhocsim.Run(adhocsim.RunConfig{Spec: spec, Protocol: proto, Seed: 1, Phy: phy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(heap, cal) {
-				t.Fatalf("calendar queue diverges from heap:\nheap     %+v\ncalendar %+v", heap, cal)
-			}
 		})
 	}
 }
 
 // TestSchedulerParityGridBrute extends the grid-vs-brute parity suite
-// across the scheduler axis: the spatial-index transmit path under the
-// calendar queue must match the brute-force path under the heap — two runs
-// sharing neither the receiver-candidate enumeration nor the event-queue
-// shape, equal only because both respect the same dispatch order and the
-// same exact per-leg power test.
+// across the scheduler axis: the spatial-index transmit path under either
+// pinned queue must match the brute-force path under the engine's own
+// choice — runs sharing neither the receiver-candidate enumeration nor the
+// event-queue shape, equal only because all respect the same dispatch order
+// and the same exact per-leg power test.
 func TestSchedulerParityGridBrute(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two 60 s study runs")
+		t.Skip("three 60 s study runs")
 	}
 	spec := adhocsim.DefaultSpec()
 	spec.Duration = 60 * adhocsim.Second
-	brute, err := adhocsim.Run(adhocsim.RunConfig{
-		Spec: spec, Protocol: adhocsim.DSR, Seed: 1,
-		Phy: adhocsim.PhyConfig{BruteForce: true},
+	requireQueueParity(t, func(phy adhocsim.PhyConfig) adhocsim.Results {
+		phy.BruteForce = phy.Scheduler == 0
+		res, err := adhocsim.Run(adhocsim.RunConfig{Spec: spec, Protocol: adhocsim.DSR, Seed: 1, Phy: phy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridCal, err := adhocsim.Run(adhocsim.RunConfig{
-		Spec: spec, Protocol: adhocsim.DSR, Seed: 1,
-		Phy: adhocsim.PhyConfig{Scheduler: adhocsim.QueueCalendar},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(brute, gridCal) {
-		t.Fatalf("grid+calendar diverges from brute+heap:\nbrute    %+v\ngrid/cal %+v", brute, gridCal)
-	}
 }
 
-// worldRun is core.Run's wiring with the world in hand.
-func worldRun(t *testing.T, rc adhocsim.RunConfig) adhocsim.Results {
+// worldRun is core.Run's wiring with the world in hand, so a test can see
+// which queue the engine is on before the first event and after the last.
+func worldRun(t *testing.T, rc adhocsim.RunConfig) (res adhocsim.Results, started, ended sim.QueueKind) {
 	t.Helper()
 	inst, err := rc.Spec.Generate(rc.Seed)
 	if err != nil {
@@ -106,23 +110,26 @@ func worldRun(t *testing.T, rc adhocsim.RunConfig) adhocsim.Results {
 		t.Fatal(err)
 	}
 	world.Start()
+	started = world.Eng.Queue()
 	if err := world.Run(context.Background(), horizon); err != nil {
 		t.Fatal(err)
 	}
-	return world.Collector.Finalize()
+	return world.Collector.Finalize(), started, world.Eng.Queue()
 }
 
-// TestSchedulerParityAcrossMigration pins, before the engine starts choosing
-// its own queue, the scene that choice will be tested on: 200 nodes whose
-// pending events pass 512 only once traffic is flowing, with and without
-// churn. Heap and calendar must finish DeepEqual, and the world assembled
-// here must match what the facade returns for the same run.
+// TestSchedulerParityAcrossMigration: a scene whose queue outgrows the
+// engine's threshold only once traffic is flowing — so the move from heap to
+// calendar happens mid-run, between MAC exchanges, route timers and (second
+// case) churn's membership events — must finish DeepEqual to both pinned
+// queues and to what the facade returns for the same run.
 func TestSchedulerParityAcrossMigration(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six 8 s runs at 200 nodes")
+		t.Skip("eight 8 s runs at 200 nodes")
 	}
 	for _, lifecycle := range []adhocsim.LifecycleSpec{
 		{},
+		// Few enough membership events that Start's bulk schedule of them
+		// stays under the threshold too.
 		{Name: "onoff-fail", Params: map[string]float64{"mean_up_s": 20, "mean_down_s": 5}},
 	} {
 		lifecycle := lifecycle
@@ -140,21 +147,29 @@ func TestSchedulerParityAcrossMigration(t *testing.T) {
 			spec.Duration = 8 * adhocsim.Second
 			spec.Lifecycle = lifecycle
 			rc := adhocsim.RunConfig{Spec: spec, Protocol: adhocsim.AODV, Seed: 3}
-			heap := worldRun(t, rc)
-			if lifecycle.Name != "" && heap.Joins+heap.Leaves == 0 {
+			auto := requireQueueParity(t, func(phy adhocsim.PhyConfig) adhocsim.Results {
+				rc := rc
+				rc.Phy = phy
+				res, started, ended := worldRun(t, rc)
+				wantStart, wantEnd := phy.Scheduler, phy.Scheduler
+				if phy.Scheduler == 0 {
+					wantStart, wantEnd = sim.QueueHeap, sim.QueueCalendar
+				}
+				if started != wantStart || ended != wantEnd {
+					t.Errorf("Scheduler %v: started on the %v, ended on the %v; want %v then %v",
+						phy.Scheduler, started, ended, wantStart, wantEnd)
+				}
+				return res
+			})
+			if lifecycle.Name != "" && auto.Joins+auto.Leaves == 0 {
 				t.Error("churn run recorded no membership transitions")
-			}
-			cal := rc
-			cal.Phy.Scheduler = adhocsim.QueueCalendar
-			if got := worldRun(t, cal); !reflect.DeepEqual(heap, got) {
-				t.Error("calendar queue diverges from heap")
 			}
 			facade, err := adhocsim.Run(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(heap, facade) {
-				t.Errorf("worldRun diverges from adhocsim.Run:\nworld  %+v\nfacade %+v", heap, facade)
+			if !reflect.DeepEqual(auto, facade) {
+				t.Errorf("worldRun diverges from adhocsim.Run:\nworld  %+v\nfacade %+v", auto, facade)
 			}
 		})
 	}
