@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adhocsim/internal/core"
@@ -104,6 +105,38 @@ func TestSpecExpandErrors(t *testing.T) {
 			t.Fatalf("spec %d accepted", i)
 		}
 	}
+	// Grids are bounded before they are enumerated: four axes of 1 000
+	// values would be 10¹² points, six of 10⁴ overflow an int, and either
+	// must fail without allocating the cross product.
+	values := make([]float64, maxCells)
+	for i := range values {
+		values[i] = float64(i + 1)
+	}
+	wide := func(n int, names ...string) Spec {
+		spec := Spec{Protocols: []string{"DSR"}, MaxReps: 1}
+		for _, name := range names {
+			spec.Axes = append(spec.Axes, AxisSpec{Name: name, Values: values[:n]})
+		}
+		return spec
+	}
+	tooMany := wide(maxCells/2+1, "pause")
+	tooMany.Protocols = []string{"DSR", "AODV"}
+	tooLong := wide(100, "pause", "rate")
+	tooLong.MaxReps = maxUnits/10_000 + 1
+	for name, spec := range map[string]Spec{
+		"1e12 points":    wide(1000, "pause", "rate", "speed", "txrange"),
+		"overflow":       wide(10_000, "pause", "rate", "speed", "txrange", "payload", "width"),
+		"cells":          tooMany,
+		"cells*max_reps": tooLong,
+	} {
+		if _, err := spec.Expand(); err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+	}
+	if plan, err := wide(50, "pause", "rate").Expand(); err != nil || len(plan.Cells) != 2500 {
+		t.Fatalf("50 × 50 grid: %v", err)
+	}
+
 	// max_reps=1 with epsilon is valid: the MinReps default clamps to the
 	// cap rather than rejecting a field the user never set.
 	plan, err := Spec{MaxReps: 1, Epsilon: map[string]float64{"pdr": 5}}.Expand()

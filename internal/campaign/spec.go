@@ -189,6 +189,14 @@ type Plan struct {
 	Hash      string
 }
 
+// maxCells and maxUnits bound a plan before it is enumerated: a 1 MiB POST
+// /campaigns body can name four axes of 1 000 values, 10¹² grid points. The
+// largest in-tree campaign is 20 cells × 200 replications.
+const (
+	maxCells = 1 << 16
+	maxUnits = 1 << 24
+)
+
 // MaxRuns is the size of the run set before early stopping.
 func (p *Plan) MaxRuns() int { return len(p.Cells) * p.Spec.MaxReps }
 
@@ -348,6 +356,19 @@ func (s Spec) Expand() (*Plan, error) {
 		labels[i] = axis.Label
 	}
 
+	// Every protocol list and axis is non-empty by now, so the divisions
+	// are safe and the product never leaves int range.
+	nCells := len(protocols)
+	for _, a := range axes {
+		if nCells > maxCells/len(a.Values) {
+			return nil, fmt.Errorf("campaign: protocols × axes expand to more than %d cells", maxCells)
+		}
+		nCells *= len(a.Values)
+	}
+	if s.MaxReps > maxUnits/nCells {
+		return nil, fmt.Errorf("campaign: %d cells × max_reps %d is more than %d runs", nCells, s.MaxReps, maxUnits)
+	}
+
 	// The cell grid enumerates in the same order core.Grid does. Each grid
 	// point's patched scenario is dry-run validated here — a sweep value
 	// that produces an impossible run (a churn window past the horizon, a
@@ -371,7 +392,7 @@ func (s Spec) Expand() (*Plan, error) {
 		pointLabels[pi] = label
 	}
 
-	cells := make([]Cell, 0, len(protocols)*len(cross))
+	cells := make([]Cell, 0, nCells)
 	for _, proto := range protocols {
 		for pi, pt := range cross {
 			cells = append(cells, Cell{

@@ -159,11 +159,27 @@ func TestServerRejections(t *testing.T) {
 	}
 	decodeBody(t, resp, http.StatusNotFound, nil)
 
+	// Four axes of 1 000 values fit the body cap 50 times over and name 10¹²
+	// grid points.
+	thousand := make([]float64, 1000)
+	for i := range thousand {
+		thousand[i] = float64(i + 1)
+	}
+	huge := campaign.Spec{Protocols: []string{"DSR"}}
+	for _, name := range []string{"pause", "rate", "speed", "txrange"} {
+		huge.Axes = append(huge.Axes, campaign.AxisSpec{Name: name, Values: thousand})
+	}
+	hugeBody, err := json.Marshal(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct {
 		name, body string
 		want       int
 	}{
 		{"malformed", `{not json`, http.StatusBadRequest},
+		{"10^12 cells", string(hugeBody), http.StatusBadRequest},
 		{"unknown protocol", `{"protocols": ["NOPE"]}`, http.StatusBadRequest},
 		{"min above max reps", `{"min_reps": 9, "max_reps": 2}`, http.StatusBadRequest},
 		{"unknown field", `{"unknown_field": 1}`, http.StatusBadRequest},
