@@ -107,6 +107,19 @@ func runCampaign(specPath, checkpoint string, workers int) {
 	}
 }
 
+// strayCampaignFlag returns the first of the set flags that -campaign would
+// silently ignore — the spec file describes the runs — or "" when all apply.
+func strayCampaignFlag(set []string) string {
+	for _, name := range set {
+		switch name {
+		case "campaign", "checkpoint", "workers", "cpuprofile", "memprofile":
+		default:
+			return name
+		}
+	}
+	return ""
+}
+
 func main() {
 	var (
 		proto       = flag.String("proto", adhocsim.DSR, "routing protocol: "+strings.Join(adhocsim.RegisteredProtocols(), ", "))
@@ -145,6 +158,14 @@ func main() {
 	}
 	flag.Parse()
 
+	if *campaignFile != "" {
+		var set []string
+		flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+		if name := strayCampaignFlag(set); name != "" {
+			fmt.Fprintf(os.Stderr, "adhocsim: -%s has no effect with -campaign: the spec file describes the runs\n", name)
+			os.Exit(2)
+		}
+	}
 	if *listModelsF {
 		fmt.Print(adhocsim.RenderRegistries())
 		return

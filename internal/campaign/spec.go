@@ -192,10 +192,7 @@ type Plan struct {
 // maxCells and maxUnits bound a plan before it is enumerated: a 1 MiB POST
 // /campaigns body can name four axes of 1 000 values, 10¹² grid points. The
 // largest in-tree campaign is 20 cells × 200 replications.
-const (
-	maxCells = 1 << 16
-	maxUnits = 1 << 24
-)
+const maxCells, maxUnits = 1 << 16, 1 << 24
 
 // MaxRuns is the size of the run set before early stopping.
 func (p *Plan) MaxRuns() int { return len(p.Cells) * p.Spec.MaxReps }
