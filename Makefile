@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench profile race loc
+.PHONY: verify fmt vet build test figs bench profile race loc changes-cap
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -39,6 +39,14 @@ loc:
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs -r cat | wc -l); \
 		if [ $$n -gt 0 ]; then printf '  %-32s %6d\n' $$d $$n; fi; \
 	done
+
+## changes-cap: the newest CHANGES.md entry — the last "- " line to the end
+## of the file — stays within 10 lines and 2 000 bytes. Measurement logs go
+## in the commit message beside the PR's BENCH_<n>.json.
+changes-cap:
+	@LC_ALL=C awk '/^- /{n=0; b=0} {n++; b+=length($$0)+1} \
+		END{printf "newest CHANGES.md entry: %d lines, %d bytes (cap 10, 2000)\n", n, b; \
+		exit (n>10 || b>2000)}' CHANGES.md
 
 ## bench: smoke-scale benchmarks (1 iteration each, shape check). The
 ## measurement path is `go run ./benchmark` (see benchmark/README.md).

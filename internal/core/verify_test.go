@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -41,6 +42,31 @@ func TestFindingsPassOnDocumentedShape(t *testing.T) {
 		if detail == "" {
 			t.Errorf("%s produced no detail", f.ID)
 		}
+	}
+}
+
+// TestPaperListsEveryFinding: PAPER.md's claims list is one "- `ID`: …" line
+// per finding, no finding missing and no line naming an unknown one.
+func TestPaperListsEveryFinding(t *testing.T) {
+	paper, err := os.ReadFile("../../PAPER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{}
+	for _, line := range strings.Split(string(paper), "\n") {
+		if rest, ok := strings.CutPrefix(line, "- `"); ok {
+			id, _, _ := strings.Cut(rest, "`")
+			listed[id]++
+		}
+	}
+	for _, f := range Findings() {
+		if listed[f.ID] != 1 {
+			t.Errorf("PAPER.md lists finding %s %d times, want once", f.ID, listed[f.ID])
+		}
+		delete(listed, f.ID)
+	}
+	for id := range listed {
+		t.Errorf("PAPER.md lists %q, which core.Findings() does not have", id)
 	}
 }
 

@@ -25,10 +25,8 @@ var queueKinds = []testQueue{
 	pinnedHeap,
 	{"calendar", func() *Engine { return NewEngineQueue(QueueCalendar) }},
 	{"auto-early", func() *Engine { return newEngineAuto(64) }},
-	{"auto-late", func() *Engine { return newEngineAuto(lateCalendarAt) }},
+	{"auto-late", func() *Engine { return newEngineAuto(500) }},
 }
-
-const lateCalendarAt = 500
 
 func TestCalendarEngineBasics(t *testing.T) {
 	t.Run("order", func(t *testing.T) {
