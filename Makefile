@@ -22,7 +22,7 @@ test:
 
 ## figs: regenerate the scaled evaluation figures (text + CSV + JSON).
 figs:
-	$(GO) run ./cmd/adhocfigs -json
+	$(GO) run ./cmd/adhocsim figs -json
 
 ## race: the short test suite under the race detector. A run is one
 ## goroutine, so this covers the harness, campaign and cluster layers; the

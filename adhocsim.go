@@ -32,8 +32,8 @@
 //
 // Protocols resolve through a registry. The built-ins self-register; call
 // RegisterProtocol to plug in a new routing protocol or ablation variant —
-// it then works everywhere a built-in does (Run, Compare, sweeps, the cmd
-// tools):
+// it then works everywhere a built-in does (Run, CompareContext, sweeps,
+// the adhocsim command):
 //
 //	adhocsim.RegisterProtocol("MYPROTO", func(bc adhocsim.BuildContext) (adhocsim.ProtocolFactory, error) {
 //		return func(id adhocsim.NodeID) adhocsim.Protocol { return newMyProto(id) }, nil
@@ -80,9 +80,6 @@
 // (ResultsJSON, SweepJSON, GridJSON, FigureJSON) alongside the text and
 // CSV renders.
 //
-// The v1 helpers (Run without a context, PauseSweep and friends) remain as
-// thin wrappers over the v2 API.
-//
 // # Campaigns
 //
 // The campaign engine (CampaignSpec, RunCampaign, NewDistServer) runs
@@ -113,7 +110,7 @@ import (
 	"adhocsim/internal/traffic"
 )
 
-// Protocol names understood by Run and the sweep helpers.
+// Protocol names understood by Run and Sweep.
 const (
 	DSR   = core.DSR
 	AODV  = core.AODV
@@ -139,8 +136,8 @@ func RegisteredProtocols() []string { return core.RegisteredProtocols() }
 
 // RegisterProtocol plugs a new routing protocol (or ablation variant) into
 // the harness under the given case-insensitive name. Once registered it is
-// accepted everywhere a built-in is: Run, Compare, Sweep, Grid and the cmd
-// tools. Registering a duplicate or empty name is an error.
+// accepted everywhere a built-in is: Run, CompareContext, Sweep, Grid and
+// the adhocsim command. Registering a duplicate or empty name is an error.
 func RegisterProtocol(name string, builder ProtocolBuilder) error {
 	return core.RegisterProtocol(name, builder)
 }
@@ -245,7 +242,7 @@ type (
 
 // The typed registration calls, one per kind: a registered model is
 // selectable everywhere a built-in is — Spec, campaign patches and axes,
-// the cmd tools — under its case-insensitive name. Stochastic radio models
+// the adhocsim command — under its case-insensitive name. Stochastic radio models
 // must clamp their draws and implement GainBounded so the spatial-index
 // transmit path stays exact.
 func RegisterMobilityModel(name string, b MobilityBuilder) error {
@@ -359,25 +356,21 @@ func Run(rc RunConfig) (Results, error) { return core.Run(context.Background(), 
 // event loop, so cancelling it aborts a long simulation promptly.
 func RunContext(ctx context.Context, rc RunConfig) (Results, error) { return core.Run(ctx, rc) }
 
-// RunReplicated executes rc once per seed (in parallel) and merges results.
-func RunReplicated(rc RunConfig, seeds []int64, workers int) (Results, error) {
-	return core.RunReplicated(context.Background(), rc, seeds, workers)
-}
-
-// RunReplicatedContext is RunReplicated with cancellation.
+// RunReplicatedContext executes rc once per seed (in parallel, workers ≤ 0
+// meaning GOMAXPROCS) and merges the results in seed order; nil seeds run
+// seed 1.
 func RunReplicatedContext(ctx context.Context, rc RunConfig, seeds []int64, workers int) (Results, error) {
-	return core.RunReplicated(ctx, rc, seeds, workers)
+	return core.RunReplicatedContext(ctx, rc, seeds, workers)
 }
 
-// Compare runs every protocol in opts on the base scenario (pause time as
-// configured) and returns per-protocol results.
-func Compare(opts Options) (map[string]Results, error) {
-	return core.SummaryTable(context.Background(), opts)
-}
-
-// CompareContext is Compare with cancellation.
+// CompareContext runs every protocol in opts on the base scenario at pause
+// 0 and returns per-protocol results.
 func CompareContext(ctx context.Context, opts Options) (map[string]Results, error) {
-	return core.SummaryTable(ctx, opts)
+	sweep, err := core.Sweep(ctx, opts, core.PauseAxis([]float64{0}))
+	if err != nil {
+		return nil, err
+	}
+	return core.SummaryTable(sweep), nil
 }
 
 // Sweep evaluates every protocol at every value of one axis, in parallel,
@@ -419,32 +412,11 @@ func AxisByName(name string, values []float64, models []string) (Axis, error) {
 }
 func AxisNames() []string { return core.AxisNames() }
 
-// PauseSweep sweeps pause time (mobility), the axis of Figures 1–4.
-// A nil pauses slice selects the Broch-style defaults.
-func PauseSweep(opts Options, pauses []float64) (*SweepResult, error) {
-	return core.PauseSweep(context.Background(), opts, pauses)
-}
-
-// DensitySweep sweeps the node count (Figure 6).
-func DensitySweep(opts Options, nodes []float64) (*SweepResult, error) {
-	return core.DensitySweep(context.Background(), opts, nodes)
-}
-
-// LoadSweep sweeps the offered load in packets/s (Figure 7).
-func LoadSweep(opts Options, rates []float64) (*SweepResult, error) {
-	return core.LoadSweep(context.Background(), opts, rates)
-}
-
-// SpeedSweep sweeps maximum node speed (Figure 8).
-func SpeedSweep(opts Options, speeds []float64) (*SweepResult, error) {
-	return core.SpeedSweep(context.Background(), opts, speeds)
-}
-
 // RenderFigure renders a figure as an aligned text table.
 func RenderFigure(f Figure) string { return core.RenderFigure(f) }
 
 // RenderRegistries lists every registered protocol and, per model kind,
-// every model with its parameter names (`adhocsim -list-models`).
+// every model with its parameter names (`adhocsim models`).
 func RenderRegistries() string { return core.RenderRegistries() }
 
 // RenderFigureCSV renders a figure as CSV.

@@ -52,7 +52,7 @@ func TestFacadeCompare(t *testing.T) {
 	opts.Base = smallSpec()
 	opts.Protocols = []string{adhocsim.DSR, adhocsim.DSDV}
 	opts.Seeds = []int64{1}
-	res, err := adhocsim.Compare(opts)
+	res, err := adhocsim.CompareContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFacadeSweepAndRender(t *testing.T) {
 	opts.Base = smallSpec()
 	opts.Protocols = []string{adhocsim.AODV}
 	opts.Seeds = []int64{1}
-	sweep, err := adhocsim.PauseSweep(opts, []float64{0, 40})
+	sweep, err := adhocsim.Sweep(context.Background(), opts, adhocsim.PauseAxis([]float64{0, 40}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +105,12 @@ func TestFacadeErrorPropagation(t *testing.T) {
 	if _, err := adhocsim.Run(adhocsim.RunConfig{Spec: smallSpec(), Protocol: "NOPE", Seed: 1}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	if _, err := adhocsim.RunReplicated(adhocsim.RunConfig{Spec: bad, Protocol: adhocsim.DSR}, []int64{1, 2}, 2); err == nil {
+	if _, err := adhocsim.RunReplicatedContext(context.Background(), adhocsim.RunConfig{Spec: bad, Protocol: adhocsim.DSR}, []int64{1, 2}, 2); err == nil {
 		t.Fatal("replicated run swallowed the error")
 	}
 	opts := adhocsim.DefaultOptions()
 	opts.Base = bad
-	if _, err := adhocsim.PauseSweep(opts, []float64{0}); err == nil {
+	if _, err := adhocsim.Sweep(context.Background(), opts, adhocsim.PauseAxis([]float64{0})); err == nil {
 		t.Fatal("sweep swallowed the error")
 	}
 }
@@ -197,12 +197,12 @@ func TestRegisterProtocolRoundTrip(t *testing.T) {
 		t.Fatalf("stub protocol moved no traffic: %+v", res)
 	}
 
-	// …and appears in Compare output next to the study protocols.
+	// …and appears in CompareContext output next to the study protocols.
 	opts := adhocsim.DefaultOptions()
 	opts.Base = smallSpec()
 	opts.Protocols = []string{adhocsim.DSR, name}
 	opts.Seeds = []int64{1}
-	cmp, err := adhocsim.Compare(opts)
+	cmp, err := adhocsim.CompareContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRunCancellationLeaksNothing(t *testing.T) {
 
 func TestFacadeRunReplicatedDefaultSeeds(t *testing.T) {
 	// Nil seed list must still run (single default seed).
-	res, err := adhocsim.RunReplicated(adhocsim.RunConfig{Spec: smallSpec(), Protocol: adhocsim.DSDV}, nil, 0)
+	res, err := adhocsim.RunReplicatedContext(context.Background(), adhocsim.RunConfig{Spec: smallSpec(), Protocol: adhocsim.DSDV}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Benchmarks that regenerate every figure and table of the reproduced
-// evaluation at smoke scale (the adhocfigs command runs the full-scale
+// evaluation at smoke scale (`adhocsim figs` runs the full-scale
 // versions). Each benchmark executes one complete experiment per iteration
 // and reports the headline metric(s) via b.ReportMetric, so `go test
 // -bench=.` doubles as a quick shape check: DSR should report the lowest
@@ -54,10 +54,21 @@ func runPauseSweep(b *testing.B, opts core.Options) *core.SweepResult {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.PauseSweep(context.Background(), opts, benchPauses)
+		sweep, err = core.Sweep(context.Background(), opts, core.PauseAxis(benchPauses))
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+	return sweep
+}
+
+// pauseZeroSweep runs the single pause-0 point that Figure 5 and Tables 1–2
+// view.
+func pauseZeroSweep(b *testing.B, opts core.Options) *core.SweepResult {
+	b.Helper()
+	sweep, err := core.Sweep(context.Background(), opts, core.PauseAxis([]float64{0}))
+	if err != nil {
+		b.Fatal(err)
 	}
 	return sweep
 }
@@ -94,11 +105,7 @@ func BenchmarkFig4_ThroughputVsPause(b *testing.B) {
 func BenchmarkFig5_PathOptimality(b *testing.B) {
 	opts := benchOptions()
 	for i := 0; i < b.N; i++ {
-		hist, err := core.PathOptimality(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p, h := range hist {
+		for p, h := range core.PathOptimality(pauseZeroSweep(b, opts)) {
 			var total, optimal uint64
 			for e, n := range h {
 				total += n
@@ -119,7 +126,7 @@ func BenchmarkFig6_Density(b *testing.B) {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.DensitySweep(context.Background(), opts, []float64{10, 20, 30})
+		sweep, err = core.Sweep(context.Background(), opts, core.NodesAxis([]float64{10, 20, 30}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +144,7 @@ func BenchmarkFig7_Load(b *testing.B) {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.LoadSweep(context.Background(), opts, []float64{1, 4, 8})
+		sweep, err = core.Sweep(context.Background(), opts, core.RateAxis([]float64{1, 4, 8}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +161,7 @@ func BenchmarkFig8_Speed(b *testing.B) {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.SpeedSweep(context.Background(), opts, []float64{1, 10, 20})
+		sweep, err = core.Sweep(context.Background(), opts, core.SpeedAxis([]float64{1, 10, 20}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,11 +177,7 @@ func BenchmarkFig8_Speed(b *testing.B) {
 func BenchmarkTable1_Summary(b *testing.B) {
 	opts := benchOptions()
 	for i := 0; i < b.N; i++ {
-		sum, err := core.SummaryTable(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p, r := range sum {
+		for p, r := range core.SummaryTable(pauseZeroSweep(b, opts)) {
 			b.ReportMetric(r.PDR*100, p+"_pdr")
 			b.ReportMetric(r.NormalizedRoutingLoad, p+"_nrl")
 		}
@@ -185,11 +188,7 @@ func BenchmarkTable1_Summary(b *testing.B) {
 func BenchmarkTable2_Breakdown(b *testing.B) {
 	opts := benchOptions()
 	for i := 0; i < b.N; i++ {
-		sum, err := core.SummaryTable(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p, r := range sum {
+		for p, r := range core.SummaryTable(pauseZeroSweep(b, opts)) {
 			var total uint64
 			for _, n := range r.RoutingByType {
 				total += n

@@ -1,369 +1,240 @@
-// Command adhocsim runs a single ad hoc network simulation and prints its
-// metrics, or — with -campaign — a whole replication campaign from a JSON
-// spec.
-//
-// Usage:
+// Command adhocsim is the simulator's command-line tool. With flags only it
+// runs one simulation and prints its metrics; a leading subcommand selects
+// the other operations:
 //
 //	adhocsim -proto DSR -nodes 40 -pause 0 -speed 20 -sources 10 -dur 150 -seed 1
 //	adhocsim -proto AODV -mobility gauss-markov,alpha=0.85 -traffic expoo,on_s=0.5,off_s=1
 //	adhocsim -proto DSR -radio shadowing,sigma_db=6 -sinr
 //	adhocsim -proto AUTOCONF -lifecycle onoff-fail,mean_up_s=60 -dur 120
-//	adhocsim -campaign spec.json -checkpoint run.jsonl
-//	adhocsim -list-models
+//	adhocsim campaign spec.json -checkpoint run.jsonl   # replication campaign ('-' = stdin)
+//	adhocsim figs -only fig1,tab1                       # the study's figures and tables
+//	adhocsim figs -axis txrange=100,150,200,250 -json   # any catalogue axis
+//	adhocsim verify -dur 900 -seeds 5                   # check the study's findings
+//	adhocsim scene -nodes 40 -every 10                  # inspect a scenario without traffic
+//	adhocsim models                                     # every registered protocol and model
+//
+// Each subcommand has its own flags (adhocsim <subcommand> -h). Usage errors
+// exit 2.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strconv"
 	"strings"
 
 	"adhocsim"
-	"adhocsim/internal/metrics"
-	"adhocsim/internal/trace"
+	"adhocsim/internal/scenario"
+	"adhocsim/internal/sim"
 )
 
-// parseModelFlag parses "name" or "name,key=value,key=value" into a model
-// name plus a parameter map ("" means the default model).
-func parseModelFlag(flagName, s string) (string, map[string]float64) {
-	if s == "" {
-		return "", nil
+// subcommands maps each name to its entry point; "run" is also the default
+// when the first argument is a flag.
+var subcommands = map[string]func(c *cli, args []string) int{
+	"run":      runCmd,
+	"campaign": campaignCmd,
+	"figs":     figsCmd,
+	"verify":   verifyCmd,
+	"scene":    sceneCmd,
+	"models":   modelsCmd,
+}
+
+const subcommandList = "run (default), campaign, figs, verify, scene, models"
+
+func main() { os.Exit(dispatch(os.Args[1:])) }
+
+func dispatch(args []string) int {
+	name := "run"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-	parts := strings.Split(s, ",")
-	name := strings.TrimSpace(parts[0])
-	var params map[string]float64
-	for _, kv := range parts[1:] {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "adhocsim: -%s: %q is not key=value\n", flagName, kv)
-			os.Exit(2)
+	cmd, ok := subcommands[name]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "adhocsim: unknown subcommand %q; subcommands: %s\n", name, subcommandList)
+		return 2
+	}
+	fsName := "adhocsim " + name
+	if name == "run" {
+		fsName = "adhocsim"
+	}
+	c := &cli{FlagSet: flag.NewFlagSet(fsName, flag.ExitOnError), stop: func() {}}
+	code := cmd(c, args)
+	c.stop()
+	return code
+}
+
+// cli is one subcommand's flag set plus the flags several subcommands
+// share. Each shared flag is defined once, in the method that registers it,
+// and checked once, in parse; a nil field means the subcommand does not
+// take that flag.
+type cli struct {
+	*flag.FlagSet
+	dur        *float64
+	seeds      *int
+	workers    *int
+	progress   *bool
+	cpuprofile *string
+	memprofile *string
+
+	progressLine bool   // a progress line may be half-drawn on stderr
+	stop         func() // flushes the profiles started by parse
+}
+
+func (c *cli) durFlag(def float64, usage string) {
+	c.dur = c.Float64("dur", def, usage)
+}
+
+func (c *cli) seedsFlag(def int, usage string) {
+	c.seeds = c.Int("seeds", def, usage)
+}
+
+func (c *cli) workersFlag() {
+	c.workers = c.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+}
+
+func (c *cli) progressFlag() {
+	c.progress = c.Bool("progress", true, "report per-run progress on stderr")
+}
+
+func (c *cli) profileFlags() {
+	c.cpuprofile = c.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
+	c.memprofile = c.String("memprofile", "", "write a pprof heap profile to this file on exit")
+}
+
+// scenarioFlags is the scenario block run and scene share.
+type scenarioFlags struct {
+	nodes              *int
+	w, h, pause, speed *float64
+	seed               *int64
+	dur                *float64
+}
+
+func (c *cli) scenarioFlags() *scenarioFlags {
+	s := &scenarioFlags{
+		nodes: c.Int("nodes", 40, "number of nodes"),
+		w:     c.Float64("w", 1500, "area width (m)"),
+		h:     c.Float64("h", 300, "area height (m)"),
+		pause: c.Float64("pause", 0, "random-waypoint pause time (s)"),
+		speed: c.Float64("speed", 20, "maximum node speed (m/s)"),
+		seed:  c.Int64("seed", 1, "scenario seed"),
+	}
+	c.durFlag(150, "simulated duration (s)")
+	s.dur = c.dur
+	return s
+}
+
+// apply writes the block into spec, clamping MinSpeed to the maximum.
+func (s *scenarioFlags) apply(spec *scenario.Spec) {
+	spec.Nodes = *s.nodes
+	spec.Area.W, spec.Area.H = *s.w, *s.h
+	spec.Pause = sim.Seconds(*s.pause)
+	spec.MaxSpeed = *s.speed
+	if spec.MinSpeed > *s.speed {
+		spec.MinSpeed = *s.speed
+	}
+	spec.Duration = sim.Seconds(*s.dur)
+}
+
+// parse parses args — flags may follow positional arguments — and exits 2
+// unless exactly want positional arguments remain and every shared flag
+// the subcommand takes holds a usable value. It then starts any requested
+// profiles, which dispatch stops after the subcommand returns.
+func (c *cli) parse(args []string, want int) []string {
+	var pos []string
+	for {
+		c.Parse(args)
+		if c.NArg() == 0 {
+			break
 		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+		pos = append(pos, c.Arg(0))
+		args = c.Args()[1:]
+	}
+	switch {
+	case len(pos) != want:
+		c.usageError("want %d argument(s), got %q; subcommands: %s", want, pos, subcommandList)
+	case c.dur != nil && *c.dur < 0:
+		c.usageError("-dur %g: duration cannot be negative", *c.dur)
+	case c.seeds != nil && *c.seeds < 1:
+		c.usageError("-seeds %d: need at least one replication seed", *c.seeds)
+	case c.workers != nil && *c.workers < 0:
+		c.usageError("-workers %d: worker count cannot be negative", *c.workers)
+	}
+	if c.cpuprofile != nil {
+		c.startProfiles()
+	}
+	return pos
+}
+
+func (c *cli) usageError(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, c.Name()+": "+format+"\n", a...)
+	os.Exit(2)
+}
+
+// fatal reports a runtime error — ending a half-drawn progress line first —
+// and exits 1. Profiles are skipped on such exits, which is fine for a
+// diagnostics flag.
+func (c *cli) fatal(err error) {
+	if c.progressLine {
+		fmt.Fprintln(os.Stderr)
+	}
+	fmt.Fprintln(os.Stderr, c.Name()+":", err)
+	os.Exit(1)
+}
+
+// seedList returns the -seeds consecutive seeds starting at first.
+func (c *cli) seedList(first int64) []int64 {
+	seeds := make([]int64, *c.seeds)
+	for i := range seeds {
+		seeds[i] = first + int64(i)
+	}
+	return seeds
+}
+
+// progressFunc returns the stderr progress printer, or nil under
+// -progress=false.
+func (c *cli) progressFunc() adhocsim.ProgressFunc {
+	if !*c.progress {
+		return nil
+	}
+	c.progressLine = true
+	return adhocsim.ProgressPrinter(os.Stderr)
+}
+
+func (c *cli) startProfiles() {
+	if *c.cpuprofile != "" {
+		f, err := os.Create(*c.cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adhocsim: -%s: %q: %v\n", flagName, kv, err)
-			os.Exit(2)
-		}
-		if params == nil {
-			params = make(map[string]float64)
-		}
-		params[strings.TrimSpace(key)] = x
-	}
-	return name, params
-}
-
-// runCampaign executes a campaign spec end to end: progress on stderr, the
-// aggregated Result as JSON on stdout. With -checkpoint, completed runs are
-// journaled and an interrupted campaign (Ctrl-C included) resumes from the
-// same file.
-func runCampaign(specPath, checkpoint string, workers int) {
-	var data []byte
-	var err error
-	if specPath == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(specPath)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adhocsim:", err)
-		os.Exit(1)
-	}
-	var spec adhocsim.CampaignSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		fmt.Fprintln(os.Stderr, "adhocsim: campaign spec:", err)
-		os.Exit(1)
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-	res, err := adhocsim.RunCampaign(ctx, spec, adhocsim.CampaignOptions{
-		Workers:     workers,
-		JournalPath: checkpoint,
-		OnProgress: func(s adhocsim.CampaignSnapshot) {
-			fmt.Fprintf(os.Stderr, "\r[%d/%d runs, %d/%d cells settled]   ",
-				s.RunsDone, s.MaxRuns, s.CellsStopped, s.Cells)
-		},
-	})
-	fmt.Fprintln(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adhocsim:", err)
-		if checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "adhocsim: rerun with -checkpoint %s to resume\n", checkpoint)
-		}
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		fmt.Fprintln(os.Stderr, "adhocsim:", err)
-		os.Exit(1)
-	}
-}
-
-// strayCampaignFlag returns the first of the set flags that -campaign would
-// silently ignore — the spec file describes the runs — or "" when all apply.
-func strayCampaignFlag(set []string) string {
-	for _, name := range set {
-		switch name {
-		case "campaign", "checkpoint", "workers", "cpuprofile", "memprofile":
-		default:
-			return name
-		}
-	}
-	return ""
-}
-
-func main() {
-	var (
-		proto       = flag.String("proto", adhocsim.DSR, "routing protocol: "+strings.Join(adhocsim.RegisteredProtocols(), ", "))
-		nodes       = flag.Int("nodes", 40, "number of nodes")
-		areaW       = flag.Float64("w", 1500, "area width (m)")
-		areaH       = flag.Float64("h", 300, "area height (m)")
-		pause       = flag.Float64("pause", 0, "random-waypoint pause time (s)")
-		speed       = flag.Float64("speed", 20, "maximum node speed (m/s)")
-		sources     = flag.Int("sources", 10, "number of CBR connections")
-		rate        = flag.Float64("rate", 4, "packets per second per connection")
-		payload     = flag.Int("payload", 64, "payload bytes per packet")
-		dur         = flag.Float64("dur", 150, "simulated duration (s)")
-		txRange     = flag.Float64("range", 250, "radio range (m)")
-		listModelsF = flag.Bool("list-models", false, "list every registered protocol and scenario model (with parameter names) and exit")
-		sinr        = flag.Bool("sinr", false, "cumulative-interference SINR reception instead of pairwise capture")
-		seed        = flag.Int64("seed", 1, "scenario seed")
-		seeds       = flag.Int("seeds", 1, "number of replication seeds (averaged)")
-		verbose     = flag.Bool("v", false, "print drop census and overhead breakdown")
-		asJSON      = flag.Bool("json", false, "emit results as JSON instead of text")
-		traceFile   = flag.String("trace", "", "write an ns-2-style packet trace to this file (single seed only)")
-		metricsFile = flag.String("metrics", "", "dump the metric sample stream as JSONL to this file (single seed only)")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-
-		campaignFile = flag.String("campaign", "", "run a replication campaign from this JSON spec file ('-' = stdin) instead of a single run")
-		checkpoint   = flag.String("checkpoint", "", "campaign journal path; an existing journal of the same spec is resumed")
-		workers      = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
-	)
-	// One flag per scenario-model kind: -mobility, -traffic, -radio,
-	// -lifecycle.
-	kinds := adhocsim.ModelKinds()
-	modelFlags := make([]*string, len(kinds))
-	for i, k := range kinds {
-		modelFlags[i] = flag.String(k.Name, "", k.Name+" model, optionally with parameters (\"name,key=value,...\"); models: "+strings.Join(k.Models.Names(), ", "))
-	}
-	flag.Parse()
-
-	if *campaignFile != "" {
-		var set []string
-		flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-		if name := strayCampaignFlag(set); name != "" {
-			fmt.Fprintf(os.Stderr, "adhocsim: -%s has no effect with -campaign: the spec file describes the runs\n", name)
-			os.Exit(2)
-		}
-	}
-	if *listModelsF {
-		fmt.Print(adhocsim.RenderRegistries())
-		return
-	}
-
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "adhocsim: -workers %d: worker count cannot be negative\n", *workers)
-		os.Exit(2)
-	}
-	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "adhocsim: -seeds %d: need at least one replication seed\n", *seeds)
-		os.Exit(2)
-	}
-
-	// Profiling wraps everything after flag parsing — single runs and
-	// campaigns alike — so hot-path regressions can be diagnosed straight
-	// from the CLI (`make profile`) without editing benchmark code. The
-	// profiles are skipped on error exits (os.Exit bypasses defers), which
-	// is fine for a diagnostics flag.
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adhocsim:", err)
-			os.Exit(1)
+			c.fatal(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "adhocsim:", err)
-			os.Exit(1)
+			c.fatal(err)
 		}
-		defer pprof.StopCPUProfile()
+		c.stop = pprof.StopCPUProfile
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
+	if path := *c.memprofile; path != "" {
+		stopCPU := c.stop
+		c.stop = func() {
+			stopCPU()
+			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "adhocsim:", err)
+				fmt.Fprintln(os.Stderr, c.Name()+":", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle to live objects so the profile shows retention
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "adhocsim:", err)
-			}
-		}()
-	}
-
-	if *campaignFile != "" {
-		runCampaign(*campaignFile, *checkpoint, *workers)
-		return
-	}
-
-	spec := adhocsim.DefaultSpec()
-	spec.Nodes = *nodes
-	spec.Area = adhocsim.Rect{W: *areaW, H: *areaH}
-	spec.Pause = adhocsim.Seconds(*pause)
-	spec.MaxSpeed = *speed
-	if spec.MinSpeed > *speed {
-		spec.MinSpeed = *speed
-	}
-	spec.Sources = *sources
-	spec.Rate = *rate
-	spec.PayloadBytes = *payload
-	spec.Duration = adhocsim.Seconds(*dur)
-	spec.TxRange = *txRange
-	spec.Radio.SINR = *sinr
-	anyModel := *sinr
-	for i, k := range kinds {
-		name, params := k.Ref(&spec)
-		*name, *params = parseModelFlag(k.Name, *modelFlags[i])
-		anyModel = anyModel || *name != ""
-	}
-
-	var seedList []int64
-	for i := 0; i < *seeds; i++ {
-		seedList = append(seedList, *seed+int64(i))
-	}
-	rc := adhocsim.RunConfig{
-		Spec:     spec,
-		Protocol: strings.ToUpper(*proto),
-	}
-	if *traceFile != "" {
-		if *seeds != 1 {
-			fmt.Fprintln(os.Stderr, "adhocsim: -trace requires -seeds 1")
-			os.Exit(2)
-		}
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adhocsim:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w := trace.NewWriter(f)
-		rc.Tracer = w
-		defer func() {
-			if err := w.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "adhocsim: trace:", err)
-			}
-		}()
-	}
-	if *metricsFile != "" {
-		if *seeds != 1 {
-			fmt.Fprintln(os.Stderr, "adhocsim: -metrics requires -seeds 1")
-			os.Exit(2)
-		}
-		f, err := os.Create(*metricsFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adhocsim:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sink := metrics.NewJSONLWriter(f)
-		rc.Sinks = append(rc.Sinks, sink)
-		defer func() {
-			if err := sink.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "adhocsim: metrics:", err)
-			}
-		}()
-	}
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSignals()
-	res, err := adhocsim.RunReplicatedContext(ctx, rc, seedList, 0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adhocsim:", err)
-		os.Exit(1)
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			Protocol string
-			adhocsim.Results
-		}{strings.ToUpper(*proto), res}); err != nil {
-			fmt.Fprintln(os.Stderr, "adhocsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Printf("protocol            %s\n", strings.ToUpper(*proto))
-	fmt.Printf("scenario            %d nodes, %.0fx%.0f m, pause %.0fs, speed %.0f m/s, %d srcs @ %.1f pkt/s, %.0fs\n",
-		*nodes, *areaW, *areaH, *pause, *speed, *sources, *rate, *dur)
-	if anyModel {
-		reception := "capture"
-		if *sinr {
-			reception = "sinr"
-		}
-		shown := make([]string, len(kinds))
-		for i, k := range kinds {
-			name, _ := k.Ref(&spec)
-			shown[i] = k.Name + " " + *name
-			if *name == "" {
-				shown[i] = k.Name + " " + k.Models.Default() + " (default)"
-			}
-			if k.Name == "radio" { // the one kind with a second switch
-				shown[i] += " (" + reception + ")"
+				fmt.Fprintln(os.Stderr, c.Name()+":", err)
 			}
 		}
-		fmt.Printf("models              %s\n", strings.Join(shown, ", "))
 	}
-	fmt.Printf("data sent/received  %d / %d (+%d dup)\n", res.DataSent, res.DataDelivered, res.DupDelivered)
-	fmt.Printf("packet delivery     %.2f %%\n", res.PDR*100)
-	fmt.Printf("avg e2e delay       %.2f ms (p50 %.2f, p95 %.2f)\n", res.AvgDelay*1e3, res.P50Delay*1e3, res.P95Delay*1e3)
-	fmt.Printf("throughput          %.1f kbit/s\n", res.ThroughputKbps)
-	fmt.Printf("routing overhead    %d pkts (%.1f kB), NRL %.2f\n",
-		res.RoutingTxPackets, float64(res.RoutingTxBytes)/1000, res.NormalizedRoutingLoad)
-	fmt.Printf("MAC ctl frames      %d, normalized MAC load %.2f\n", res.MacCtlFrames, res.NormalizedMacLoad)
-	fmt.Printf("avg hops            %.2f (optimal-path share %.1f %%)\n", res.AvgHops, res.PathOptimalityShare()*100)
-	if res.Joins > 0 || res.Leaves > 0 {
-		fmt.Printf("membership churn    %d joins, %d leaves\n", res.Joins, res.Leaves)
-	}
-	if res.TimeToConverge > 0 || res.AddrCollisionRate > 0 {
-		fmt.Printf("autoconfiguration   converged in %.2f s, addr collision rate %.4f\n",
-			res.TimeToConverge, res.AddrCollisionRate)
-	}
+}
 
-	if *verbose {
-		fmt.Println("\ndrops:")
-		type kv struct {
-			k string
-			v uint64
-		}
-		var drops []kv
-		for r, n := range res.Drops {
-			drops = append(drops, kv{string(r), n})
-		}
-		sort.Slice(drops, func(i, j int) bool { return drops[i].k < drops[j].k })
-		for _, d := range drops {
-			fmt.Printf("  %-22s %d\n", d.k, d.v)
-		}
-		fmt.Println("routing overhead by message type:")
-		var types []kv
-		for t, n := range res.RoutingByType {
-			types = append(types, kv{t, n})
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i].k < types[j].k })
-		for _, t := range types {
-			fmt.Printf("  %-22s %d\n", t.k, t.v)
-		}
-	}
+// modelsCmd lists every registered protocol and scenario model with its
+// parameter names.
+func modelsCmd(c *cli, args []string) int {
+	c.parse(args, 0)
+	fmt.Print(adhocsim.RenderRegistries())
+	return 0
 }

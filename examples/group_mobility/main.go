@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	fmt.Println("four 6-node teams roaming a 1200x600 m area (RPGM):")
 	fmt.Printf("%-8s %8s %10s %12s %10s\n", "proto", "PDR", "delay", "overhead", "NRL")
 	for _, proto := range adhocsim.StudyProtocols() {
-		res, err := adhocsim.RunReplicated(
+		res, err := adhocsim.RunReplicatedContext(context.Background(),
 			adhocsim.RunConfig{Spec: spec, Protocol: proto},
 			[]int64{1, 2}, 0)
 		if err != nil {
@@ -42,7 +43,7 @@ func main() {
 		fmt.Printf("%-8s %7.1f%% %8.1fms %9d tx %10.2f\n",
 			proto, res.PDR*100, res.AvgDelay*1e3, res.RoutingTxPackets, res.NormalizedRoutingLoad)
 	}
-	fmt.Println("\nCompare with `go run ./examples/pause_sweep` (independent random")
+	fmt.Println("\nCompare with `go run ./cmd/adhocsim figs -only fig1` (independent random")
 	fmt.Println("waypoint): grouped motion favours clustering — CBRP's HELLO cost is")
 	fmt.Println("amortized over stable intra-team links.")
 }

@@ -662,7 +662,7 @@ func (c *Campaign) Result() *Result {
 }
 
 // Run expands and executes a campaign in one call — the plain entry point
-// for Go callers and the -campaign CLI mode.
+// for Go callers and the adhocsim campaign subcommand.
 func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	c, err := New(spec, opts)
 	if err != nil {

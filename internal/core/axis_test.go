@@ -41,34 +41,30 @@ func TestSweepCustomTxRangeAxis(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersMatchGenericSweep pins the wrapper contract: the named
-// study sweeps must produce exactly what Sweep produces for the matching
-// catalogue axis.
-func TestLegacyWrappersMatchGenericSweep(t *testing.T) {
+// TestPauseZeroViewsMatchSinglePointSweep pins what lets the figure
+// harness read Figure 5 and Tables 1–2 off the pause sweep: column 0 of a
+// sweep starting at pause 0 is exactly a pause-0-only sweep, so the views
+// agree whichever sweep they read.
+func TestPauseZeroViewsMatchSinglePointSweep(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Base = smallSpec()
 	opts.Base.Duration = 30 * sim.Second
-	opts.Protocols = []string{AODV}
-	opts.Seeds = []int64{1}
-	pauses := []float64{0, 30}
+	opts.Protocols = []string{AODV, DSR}
+	opts.Seeds = []int64{1, 2}
 
-	legacy, err := PauseSweep(context.Background(), opts, pauses)
+	full, err := Sweep(context.Background(), opts, PauseAxis([]float64{0, 30}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic, err := Sweep(context.Background(), opts, PauseAxis(pauses))
+	point, err := Sweep(context.Background(), opts, PauseAxis([]float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.XLabel != generic.XLabel {
-		t.Fatalf("labels differ: %q vs %q", legacy.XLabel, generic.XLabel)
+	if !reflect.DeepEqual(SummaryTable(full), SummaryTable(point)) {
+		t.Fatal("summary table differs between the pause sweep and the pause-0 sweep")
 	}
-	for xi := range pauses {
-		l, g := legacy.Cells[AODV][xi], generic.Cells[AODV][xi]
-		if l.DataSent != g.DataSent || l.DataDelivered != g.DataDelivered ||
-			l.RoutingTxPackets != g.RoutingTxPackets || l.AvgDelay != g.AvgDelay {
-			t.Fatalf("point %d differs: %+v vs %+v", xi, l, g)
-		}
+	if !reflect.DeepEqual(PathOptimality(full), PathOptimality(point)) {
+		t.Fatal("path optimality differs between the pause sweep and the pause-0 sweep")
 	}
 }
 
@@ -234,7 +230,7 @@ func TestSweepRejectsInvalidAxis(t *testing.T) {
 	if _, err := Sweep(context.Background(), opts, PauseAxis([]float64{})); err == nil {
 		t.Fatal("empty pause list accepted")
 	}
-	if _, err := DensitySweep(context.Background(), opts, []float64{}); err == nil {
+	if _, err := Sweep(context.Background(), opts, NodesAxis([]float64{})); err == nil {
 		t.Fatal("empty density list accepted")
 	}
 }

@@ -192,7 +192,7 @@ func TestGridBruteforceParityEndToEnd(t *testing.T) {
 func TestRunReplicatedMergesSeeds(t *testing.T) {
 	spec := smallSpec()
 	spec.Duration = 30 * sim.Second
-	res, err := RunReplicated(context.Background(), RunConfig{Spec: spec, Protocol: DSR}, []int64{1, 2, 3}, 3)
+	res, err := RunReplicatedContext(context.Background(), RunConfig{Spec: spec, Protocol: DSR}, []int64{1, 2, 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

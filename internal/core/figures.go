@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,31 +33,6 @@ func DefaultPauses(duration sim.Duration) []float64 {
 	return out
 }
 
-// The study's named sweeps are thin wrappers over the generic Sweep with a
-// catalogue Axis.
-
-// PauseSweep runs the mobility experiment: pause time varies, everything
-// else fixed. It underlies Figures 1–4. A nil pauses slice selects the
-// Broch-style defaults scaled to the scenario duration.
-func PauseSweep(ctx context.Context, opts Options, pauses []float64) (*SweepResult, error) {
-	return Sweep(ctx, opts, PauseAxis(pauses))
-}
-
-// DensitySweep varies the node count (Figure 6).
-func DensitySweep(ctx context.Context, opts Options, nodes []float64) (*SweepResult, error) {
-	return Sweep(ctx, opts, NodesAxis(nodes))
-}
-
-// LoadSweep varies the per-connection packet rate (Figure 7).
-func LoadSweep(ctx context.Context, opts Options, rates []float64) (*SweepResult, error) {
-	return Sweep(ctx, opts, RateAxis(rates))
-}
-
-// SpeedSweep varies the maximum node speed (Figure 8).
-func SpeedSweep(ctx context.Context, opts Options, speeds []float64) (*SweepResult, error) {
-	return Sweep(ctx, opts, SpeedAxis(speeds))
-}
-
 // Figures14 derives the four pause-time figures from one sweep.
 func Figures14(sweep *SweepResult) []Figure {
 	return []Figure{
@@ -69,33 +43,25 @@ func Figures14(sweep *SweepResult) []Figure {
 	}
 }
 
-// PathOptimality runs the single-point path-optimality experiment
-// (Figure 5) and returns, per protocol, the histogram of hops beyond
-// optimal.
-func PathOptimality(ctx context.Context, opts Options) (map[string]map[int]uint64, error) {
-	sweep, err := Sweep(ctx, opts, PauseAxis([]float64{0}))
-	if err != nil {
-		return nil, err
-	}
+// PathOptimality views a sweep's first point (pause 0 on the pause sweep)
+// as Figure 5: per protocol, the histogram of hops beyond optimal.
+func PathOptimality(sweep *SweepResult) map[string]map[int]uint64 {
 	out := make(map[string]map[int]uint64)
 	for _, p := range sweep.Protocols {
 		out[p] = sweep.Cells[p][0].HopExcess
 	}
-	return out, nil
+	return out
 }
 
-// SummaryTable runs the headline single-configuration comparison (Table 1):
-// every metric for every protocol at the most stressful point (pause 0).
-func SummaryTable(ctx context.Context, opts Options) (map[string]stats.Results, error) {
-	sweep, err := Sweep(ctx, opts, PauseAxis([]float64{0}))
-	if err != nil {
-		return nil, err
-	}
+// SummaryTable views a sweep's first point — the most stressful, pause 0,
+// on the pause sweep — as the headline comparison (Tables 1 and 2): every
+// metric for every protocol.
+func SummaryTable(sweep *SweepResult) map[string]stats.Results {
 	out := make(map[string]stats.Results)
 	for _, p := range sweep.Protocols {
 		out[p] = sweep.Cells[p][0]
 	}
-	return out, nil
+	return out
 }
 
 // RenderFigure renders an ASCII table: one row per x, one column per
@@ -250,7 +216,7 @@ func RenderParameters(opts Options) string {
 // RenderRegistries lists every registry — the routing protocols, then each
 // scenario-model kind with every model's parameter vocabulary, discovered
 // by dry-building the model and observing which keys it reads
-// (`adhocsim -list-models`).
+// (`adhocsim models`).
 func RenderRegistries() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "protocols: %s\n", strings.Join(RegisteredProtocols(), ", "))

@@ -106,7 +106,7 @@ func TestRenderParameters(t *testing.T) {
 	}
 }
 
-// TestRenderRegistriesGolden pins the `adhocsim -list-models` text: the
+// TestRenderRegistriesGolden pins the `adhocsim models` text: the
 // protocol line, the four kinds in table order, every parameter vocabulary.
 func TestRenderRegistriesGolden(t *testing.T) {
 	const want = `protocols: AODV, AUTOCONF, CBRP, DSDV, DSR, FLOOD, PAODV

@@ -151,9 +151,9 @@ func Run(ctx context.Context, rc RunConfig) (stats.Results, error) {
 	return world.Collector.Finalize(), nil
 }
 
-// RunReplicated executes the run for each seed on the shared worker pool
+// RunReplicatedContext executes the run for each seed on the shared worker pool
 // and merges the results in seed order. A single seed is a plain Run.
-func RunReplicated(ctx context.Context, rc RunConfig, seeds []int64, workers int) (stats.Results, error) {
+func RunReplicatedContext(ctx context.Context, rc RunConfig, seeds []int64, workers int) (stats.Results, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}

@@ -52,10 +52,14 @@ func buildRigParams(positions []geo.Point, cfg Config, params phy.RadioParams) *
 	ch := phy.NewChannel(eng, params)
 	root := sim.NewRNG(99)
 	r := &rig{eng: eng, ch: ch}
+	tracks := make([]*mobility.Track, len(positions))
 	for i, p := range positions {
-		p := p
+		tracks[i] = mobility.Static(p)
+	}
+	ch.SetPositionTable(mobility.NewTable(tracks))
+	for i := range positions {
 		u := &upper{}
-		radio := ch.AttachRadio(pkt.NodeID(i), func(sim.Time) geo.Point { return p }, nil)
+		radio := ch.AttachRadio(pkt.NodeID(i), nil, nil)
 		m := New(eng, pkt.NodeID(i), radio, u, root.Fork(int64(i)), cfg)
 		attachReceiver(ch, pkt.NodeID(i), m)
 		r.macs = append(r.macs, m)

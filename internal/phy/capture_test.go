@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adhocsim/internal/geo"
+	"adhocsim/internal/mobility"
 	"adhocsim/internal/pkt"
 	"adhocsim/internal/sim"
 )
@@ -25,9 +26,11 @@ func TestCapturePropertyRandomized(t *testing.T) {
 		eng := sim.NewEngine()
 		ch := NewChannel(eng, params)
 		rx := &collector{}
-		ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, rx)
-		ch.AttachRadio(1, func(sim.Time) geo.Point { return geo.Pt(d1, 0) }, &collector{})
-		ch.AttachRadio(2, func(sim.Time) geo.Point { return geo.Pt(0, d2) }, &collector{})
+		attachTracks(ch, []*mobility.Track{
+			mobility.Static(geo.Pt(0, 0)),
+			mobility.Static(geo.Pt(d1, 0)),
+			mobility.Static(geo.Pt(0, d2)),
+		}, []Receiver{rx, &collector{}, &collector{}})
 		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("one", sim.Millis(1)) })
 		eng.Schedule(sim.Time(gap), func() { ch.Radio(2).Transmit("two", sim.Millis(1)) })
 		if err := eng.Run(sim.At(1)); err != nil {
@@ -82,9 +85,11 @@ func TestSINRPropertyRandomized(t *testing.T) {
 			eng := sim.NewEngine()
 			ch := NewChannelWithConfig(eng, params, cfg)
 			rx := &collector{}
-			ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, rx)
-			ch.AttachRadio(1, func(sim.Time) geo.Point { return geo.Pt(d1, 0) }, &collector{})
-			ch.AttachRadio(2, func(sim.Time) geo.Point { return geo.Pt(0, d2) }, &collector{})
+			attachTracks(ch, []*mobility.Track{
+				mobility.Static(geo.Pt(0, 0)),
+				mobility.Static(geo.Pt(d1, 0)),
+				mobility.Static(geo.Pt(0, d2)),
+			}, []Receiver{rx, &collector{}, &collector{}})
 			eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("one", sim.Millis(1)) })
 			eng.Schedule(sim.Time(gap), func() { ch.Radio(2).Transmit("two", sim.Millis(1)) })
 			if err := eng.Run(sim.At(1)); err != nil {
@@ -131,25 +136,18 @@ func TestSINRPropertyRandomized(t *testing.T) {
 // are collectively fatal (signal/Σ = 16/3 < 10). Capture delivers the
 // frame; SINR must corrupt it.
 func TestCumulativeInterferenceKillsReception(t *testing.T) {
-	positions := []geo.Point{
-		geo.Pt(0, 0),   // receiver
-		geo.Pt(100, 0), // signal sender
-		geo.Pt(0, 200), // interferers at 200 m: (200/100)⁴ = 16 per head
-		geo.Pt(-200, 0),
-		geo.Pt(0, -200),
+	tracks := []*mobility.Track{
+		mobility.Static(geo.Pt(0, 0)),   // receiver
+		mobility.Static(geo.Pt(100, 0)), // signal sender
+		mobility.Static(geo.Pt(0, 200)), // interferers at 200 m: (200/100)⁴ = 16 per head
+		mobility.Static(geo.Pt(-200, 0)),
+		mobility.Static(geo.Pt(0, -200)),
 	}
 	run := func(cfg Config) (*collector, *Channel) {
 		eng := sim.NewEngine()
 		ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
 		rx := &collector{}
-		for i, p := range positions {
-			p := p
-			var rcv Receiver = &collector{}
-			if i == 0 {
-				rcv = rx
-			}
-			ch.AttachRadio(pkt.NodeID(i), func(sim.Time) geo.Point { return p }, rcv)
-		}
+		attachTracks(ch, tracks, []Receiver{rx, &collector{}, &collector{}, &collector{}, &collector{}})
 		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("sig", sim.Millis(1)) })
 		for i, at := range []sim.Duration{100 * sim.Microsecond, 150 * sim.Microsecond, 200 * sim.Microsecond} {
 			who := pkt.NodeID(2 + i)
@@ -184,12 +182,13 @@ func TestSubRxCumulativeInterference(t *testing.T) {
 		eng := sim.NewEngine()
 		ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
 		rx := &collector{}
-		ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, rx)
-		ch.AttachRadio(1, func(sim.Time) geo.Point { return geo.Pt(240, 0) }, &collector{})
-		for i, p := range []geo.Point{geo.Pt(0, 430), geo.Pt(-430, 0), geo.Pt(0, -430)} {
-			p := p
-			ch.AttachRadio(pkt.NodeID(2+i), func(sim.Time) geo.Point { return p }, &collector{})
-		}
+		attachTracks(ch, []*mobility.Track{
+			mobility.Static(geo.Pt(0, 0)),
+			mobility.Static(geo.Pt(240, 0)),
+			mobility.Static(geo.Pt(0, 430)),
+			mobility.Static(geo.Pt(-430, 0)),
+			mobility.Static(geo.Pt(0, -430)),
+		}, []Receiver{rx, &collector{}, &collector{}, &collector{}, &collector{}})
 		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("sig", sim.Millis(1)) })
 		for i, at := range []sim.Duration{100 * sim.Microsecond, 150 * sim.Microsecond, 200 * sim.Microsecond} {
 			who := pkt.NodeID(2 + i)
@@ -216,8 +215,7 @@ func TestSINRSoloTrafficMatchesCapture(t *testing.T) {
 			eng := sim.NewEngine()
 			ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
 			rx := &collector{}
-			ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, rx)
-			ch.AttachRadio(1, func(sim.Time) geo.Point { return geo.Pt(d, 0) }, &collector{})
+			attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(d, 0))}, []Receiver{rx, &collector{}})
 			for i := 0; i < 3; i++ {
 				at := sim.At(float64(i) * 0.01)
 				eng.Schedule(at, func() { ch.Radio(1).Transmit("x", sim.Millis(1)) })
@@ -242,8 +240,7 @@ func TestInterferenceOnlyNeverDecodes(t *testing.T) {
 		eng := sim.NewEngine()
 		ch := NewChannel(eng, DefaultParams())
 		rx := &collector{}
-		ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, rx)
-		ch.AttachRadio(1, func(sim.Time) geo.Point { return geo.Pt(d, 0) }, &collector{})
+		attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(d, 0))}, []Receiver{rx, &collector{}})
 		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("x", sim.Millis(1)) })
 		if err := eng.Run(sim.At(1)); err != nil {
 			t.Fatal(err)
@@ -262,8 +259,7 @@ func TestRadioStatsAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := NewChannel(eng, DefaultParams())
 	rx := &collector{}
-	ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, rx)
-	ch.AttachRadio(1, func(sim.Time) geo.Point { return geo.Pt(100, 0) }, &collector{})
+	attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(100, 0))}, []Receiver{rx, &collector{}})
 	for i := 0; i < 5; i++ {
 		at := sim.At(float64(i) * 0.01)
 		eng.Schedule(at, func() { ch.Radio(1).Transmit("x", sim.Millis(1)) })

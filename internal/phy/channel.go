@@ -87,7 +87,7 @@ type Channel struct {
 	cfg      Config
 	radios   []*Radio        // indexed by NodeID
 	linkProp LinkPropagation // params.Prop when it is link/reception dependent, else nil
-	tab      *mobility.Table // flat position source (nil → per-radio pos funcs)
+	tab      *mobility.Table // flat position source for every radio
 
 	// Per-radio hot state, flattened struct-of-arrays style and indexed by
 	// NodeID. Every arrival touches a radio's deadlines (and, under SINR,
@@ -157,18 +157,17 @@ func NewChannelWithConfig(eng *sim.Engine, params RadioParams, cfg Config) *Chan
 func (c *Channel) Params() RadioParams { return c.params }
 
 // AttachRadio creates and registers the radio for node id. Radios must be
-// attached in id order starting from 0. pos reports the node's position at
-// any virtual time; it may be nil when
-// a position table is installed (SetPositionTable), which then serves every
-// lookup for this radio.
+// attached in id order starting from 0, after a position table covering id
+// is installed (SetPositionTable); the table serves every position lookup.
+// pos must be nil.
 func (c *Channel) AttachRadio(id pkt.NodeID, pos func(sim.Time) geo.Point, rcv Receiver) *Radio {
 	if int(id) != len(c.radios) {
 		panic(fmt.Sprintf("phy: radios must be attached densely; got id %v with %d attached", id, len(c.radios)))
 	}
-	if pos == nil && (c.tab == nil || int(id) >= c.tab.Len()) {
-		panic(fmt.Sprintf("phy: radio %v attached with nil pos and no position table covering it", id))
+	if pos != nil || c.tab == nil || int(id) >= c.tab.Len() {
+		panic(fmt.Sprintf("phy: radio %v needs a nil pos and a position table covering it", id))
 	}
-	r := &Radio{id: id, ch: c, pos: pos, rcv: rcv}
+	r := &Radio{id: id, ch: c, rcv: rcv}
 	c.radios = append(c.radios, r)
 	c.txUntil = append(c.txUntil, 0)
 	c.busyUntil = append(c.busyUntil, 0)
@@ -205,8 +204,7 @@ func (c *Channel) SetNodeUp(id pkt.NodeID, up bool) {
 // SetPositionTable installs a flattened position source covering every node
 // (NodeID = table index). With a table the channel reads positions straight
 // out of struct-of-arrays state — and refreshes them in one batch sweep per
-// reindex — instead of calling one closure per radio per probe. Install
-// before attaching radios that pass a nil pos.
+// reindex. Install before attaching radios.
 func (c *Channel) SetPositionTable(tab *mobility.Table) {
 	if tab != nil && tab.Len() < len(c.radios) {
 		panic(fmt.Sprintf("phy: position table covers %d nodes, %d radios attached", tab.Len(), len(c.radios)))
@@ -218,18 +216,15 @@ func (c *Channel) SetPositionTable(tab *mobility.Table) {
 // atRest reports whether no radio can have moved by time now: until the
 // position table's rest horizon.
 func (c *Channel) atRest(now sim.Time) bool {
-	return c.tab != nil && now < c.tab.RestUntil()
+	return now < c.tab.RestUntil()
 }
 
-// posAt returns radio id's position at time t from the position table when
-// one is installed, else from the radio's own position function. Both paths
-// memoise per (node, timestamp), so the exact per-leg position lookups in
-// propagate stay O(1) after the first probe of an event's timestamp.
+// posAt returns radio id's position at time t from the position table,
+// which memoises per (node, timestamp), so the exact per-leg position
+// lookups in propagate stay O(1) after the first probe of an event's
+// timestamp.
 func (c *Channel) posAt(id pkt.NodeID, t sim.Time) geo.Point {
-	if c.tab != nil {
-		return c.tab.At(int(id), t)
-	}
-	return c.radios[id].pos(t)
+	return c.tab.At(int(id), t)
 }
 
 // Radio returns the radio attached for id.
@@ -266,15 +261,8 @@ func (c *Channel) reindex(now sim.Time) {
 		c.pts = make([]geo.Point, len(c.radios))
 	}
 	c.pts = c.pts[:len(c.radios)]
-	if c.tab != nil {
-		// Batch refresh: one linear sweep over the flattened segment
-		// arena, instead of one indirect pos call per radio.
-		c.tab.Positions(now, c.pts)
-	} else {
-		for i, r := range c.radios {
-			c.pts[i] = r.pos(now)
-		}
-	}
+	// Batch refresh: one linear sweep over the flattened segment arena.
+	c.tab.Positions(now, c.pts)
 	c.grid.Rebuild(c.pts)
 	c.lastIndex = now
 	c.indexed = true

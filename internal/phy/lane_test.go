@@ -27,12 +27,8 @@ func buildTableWorld(n int, speed float64, cfg Config) (*sim.Engine, *Channel, [
 	}
 	eng := sim.NewEngine()
 	ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
-	ch.SetPositionTable(mobility.NewTable(tracks))
-	cols := make([]*collector, n)
-	for i := range cols {
-		cols[i] = &collector{}
-		ch.AttachRadio(pkt.NodeID(i), nil, cols[i])
-	}
+	cols := newCollectors(n)
+	attachTracks(ch, tracks, cols)
 	return eng, ch, cols
 }
 

@@ -30,12 +30,11 @@ func runScripted(t *testing.T, tracks []*mobility.Track, cfg Config, script []st
 	t.Helper()
 	eng := sim.NewEngine()
 	ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
-	ch.SetPositionTable(mobility.NewTable(tracks))
 	rcvs := make([]*countingReceiver, len(tracks))
-	for i := range tracks {
+	for i := range rcvs {
 		rcvs[i] = &countingReceiver{}
-		ch.AttachRadio(pkt.NodeID(i), nil, rcvs[i])
 	}
+	attachTracks(ch, tracks, rcvs)
 	for _, s := range script {
 		s := s
 		eng.Schedule(s.at, func() {
@@ -135,9 +134,8 @@ func TestIntervalWithoutSpeedBoundStaysExact(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := NewChannelWithConfig(eng, DefaultParams(), Config{ReindexInterval: 10 * sim.Second})
 	c0, c1 := &countingReceiver{}, &countingReceiver{}
-	ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, c0)
 	track := mobility.MustTrack([]mobility.Segment{{Start: 0, From: geo.Pt(5000, 0), To: geo.Pt(100, 0), Speed: 700}})
-	ch.AttachRadio(1, track.At, c1)
+	attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), track}, []*countingReceiver{c0, c1})
 	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("far", sim.Millis(1)) })
 	eng.Schedule(sim.At(7), func() { ch.Radio(0).Transmit("near", sim.Millis(1)) })
 	if err := eng.Run(sim.At(10)); err != nil {
@@ -155,10 +153,9 @@ func TestExactReindexDefault(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := NewChannel(eng, DefaultParams())
 	c0, c1 := &countingReceiver{}, &countingReceiver{}
-	ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, c0)
 	// Node 1 warps from far out of range to 100 m between transmissions.
 	track := mobility.MustTrack([]mobility.Segment{{Start: 0, From: geo.Pt(5000, 0), To: geo.Pt(100, 0), Speed: 700}})
-	ch.AttachRadio(1, track.At, c1)
+	attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), track}, []*countingReceiver{c0, c1})
 	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("far", sim.Millis(1)) })
 	eng.Schedule(sim.At(7), func() { ch.Radio(0).Transmit("near", sim.Millis(1)) })
 	if err := eng.Run(sim.At(10)); err != nil {

@@ -89,16 +89,29 @@ func (c *collector) OnReceive(payload any, from pkt.NodeID, rxPower float64) {
 func (c *collector) OnChannelBusy() { c.busy++ }
 func (c *collector) OnChannelIdle() { c.idle++ }
 
+// attachTracks installs a position table over tracks and attaches radio i
+// on it, delivering to rcvs[i] — the one way a test builds its radios.
+func attachTracks[R Receiver](ch *Channel, tracks []*mobility.Track, rcvs []R) {
+	ch.SetPositionTable(mobility.NewTable(tracks))
+	for i, rcv := range rcvs {
+		ch.AttachRadio(pkt.NodeID(i), nil, rcv)
+	}
+}
+
+// newCollectors returns n empty collectors.
+func newCollectors(n int) []*collector {
+	cols := make([]*collector, n)
+	for i := range cols {
+		cols[i] = &collector{}
+	}
+	return cols
+}
+
 // buildChain wires n static radios spaced apart on a line.
 func buildChain(eng *sim.Engine, n int, spacing float64) (*Channel, []*collector) {
 	ch := NewChannel(eng, DefaultParams())
-	tracks := mobility.Chain(n, spacing)
-	cols := make([]*collector, n)
-	for i := 0; i < n; i++ {
-		cols[i] = &collector{}
-		tr := tracks[i]
-		ch.AttachRadio(pkt.NodeID(i), func(t sim.Time) geo.Point { return tr.At(t) }, cols[i])
-	}
+	cols := newCollectors(n)
+	attachTracks(ch, mobility.Chain(n, spacing), cols)
 	return ch, cols
 }
 
@@ -141,16 +154,9 @@ func TestBeyondCSRangeSilence(t *testing.T) {
 
 func TestCollisionComparablePowers(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := NewChannel(eng, DefaultParams())
 	// Receiver in the middle of two equidistant senders: equal power,
 	// overlapping in time → collision, nothing delivered.
-	positions := []geo.Point{geo.Pt(0, 0), geo.Pt(200, 0), geo.Pt(400, 0)}
-	cols := make([]*collector, 3)
-	for i := range positions {
-		cols[i] = &collector{}
-		p := positions[i]
-		ch.AttachRadio(pkt.NodeID(i), func(sim.Time) geo.Point { return p }, cols[i])
-	}
+	ch, cols := buildChain(eng, 3, 200)
 	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("a", sim.Millis(1)) })
 	eng.ScheduleIn(sim.Micros(100), func() { ch.Radio(2).Transmit("b", sim.Millis(1)) })
 	if err := eng.Run(sim.At(1)); err != nil {
@@ -169,13 +175,9 @@ func TestCaptureStrongerFirst(t *testing.T) {
 	ch := NewChannel(eng, DefaultParams())
 	// Receiver at origin; strong sender 50 m away, weak sender 240 m away.
 	// Power ratio (240/50)⁴ ≫ 10, so the strong frame must survive.
-	positions := []geo.Point{geo.Pt(0, 0), geo.Pt(50, 0), geo.Pt(240, 0)}
-	cols := make([]*collector, 3)
-	for i := range positions {
-		cols[i] = &collector{}
-		p := positions[i]
-		ch.AttachRadio(pkt.NodeID(i), func(sim.Time) geo.Point { return p }, cols[i])
-	}
+	tracks := []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(50, 0)), mobility.Static(geo.Pt(240, 0))}
+	cols := newCollectors(3)
+	attachTracks(ch, tracks, cols)
 	eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("strong", sim.Millis(1)) })
 	eng.ScheduleIn(sim.Micros(50), func() { ch.Radio(2).Transmit("weak", sim.Millis(1)) })
 	if err := eng.Run(sim.At(1)); err != nil {
@@ -192,13 +194,9 @@ func TestCaptureStrongerFirst(t *testing.T) {
 func TestCaptureStrongerSecond(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := NewChannel(eng, DefaultParams())
-	positions := []geo.Point{geo.Pt(0, 0), geo.Pt(50, 0), geo.Pt(240, 0)}
-	cols := make([]*collector, 3)
-	for i := range positions {
-		cols[i] = &collector{}
-		p := positions[i]
-		ch.AttachRadio(pkt.NodeID(i), func(sim.Time) geo.Point { return p }, cols[i])
-	}
+	tracks := []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(50, 0)), mobility.Static(geo.Pt(240, 0))}
+	cols := newCollectors(3)
+	attachTracks(ch, tracks, cols)
 	// Weak frame first, strong frame second: the strong one captures.
 	eng.ScheduleIn(0, func() { ch.Radio(2).Transmit("weak", sim.Millis(1)) })
 	eng.ScheduleIn(sim.Micros(50), func() { ch.Radio(1).Transmit("strong", sim.Millis(1)) })
@@ -247,14 +245,7 @@ func TestSequentialFramesBothDelivered(t *testing.T) {
 
 func TestBusyIdleEdgesWithOverlap(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := NewChannel(eng, DefaultParams())
-	positions := []geo.Point{geo.Pt(0, 0), geo.Pt(200, 0), geo.Pt(400, 0)}
-	cols := make([]*collector, 3)
-	for i := range positions {
-		cols[i] = &collector{}
-		p := positions[i]
-		ch.AttachRadio(pkt.NodeID(i), func(sim.Time) geo.Point { return p }, cols[i])
-	}
+	ch, cols := buildChain(eng, 3, 200)
 	// Two overlapping transmissions as heard by the middle node: busy must
 	// be signalled once and idle once, at the end of the later frame.
 	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("a", sim.Millis(2)) })
@@ -284,10 +275,9 @@ func TestMovingNodeLeavesRange(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := NewChannel(eng, DefaultParams())
 	c0, c1 := &collector{}, &collector{}
-	ch.AttachRadio(0, func(sim.Time) geo.Point { return geo.Pt(0, 0) }, c0)
 	// Node 1 moves away at 100 m/s from 200 m to 800 m over 6 s.
 	track := mobility.MustTrack([]mobility.Segment{{Start: 0, From: geo.Pt(200, 0), To: geo.Pt(800, 0), Speed: 100}})
-	ch.AttachRadio(1, func(t sim.Time) geo.Point { return track.At(t) }, c1)
+	attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), track}, []*collector{c0, c1})
 	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("near", sim.Millis(1)) })
 	eng.Schedule(sim.At(5.8), func() { ch.Radio(0).Transmit("far", sim.Millis(1)) }) // node 1 at ~780 m
 	if err := eng.Run(sim.At(10)); err != nil {

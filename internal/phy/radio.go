@@ -1,7 +1,6 @@
 package phy
 
 import (
-	"adhocsim/internal/geo"
 	"adhocsim/internal/pkt"
 	"adhocsim/internal/sim"
 )
@@ -28,7 +27,6 @@ type arrival struct {
 type Radio struct {
 	id  pkt.NodeID
 	ch  *Channel
-	pos func(sim.Time) geo.Point // nil when the channel's position table serves this radio
 	rcv Receiver
 
 	// The per-arrival hot state — tx/busy deadlines and the SINR-mode

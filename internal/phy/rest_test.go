@@ -56,12 +56,11 @@ func runRest(t *testing.T, params RadioParams, tracks []*mobility.Track, cfg Con
 	t.Helper()
 	eng := sim.NewEngine()
 	ch := NewChannelWithConfig(eng, params, cfg)
-	ch.SetPositionTable(mobility.NewTable(tracks))
 	rcvs := make([]*countingReceiver, len(tracks))
-	for i := range tracks {
+	for i := range rcvs {
 		rcvs[i] = &countingReceiver{}
-		ch.AttachRadio(pkt.NodeID(i), nil, rcvs[i])
 	}
+	attachTracks(ch, tracks, rcvs)
 	if extra != nil {
 		extra(eng, ch)
 	}
