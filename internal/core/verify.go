@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"adhocsim/internal/stats"
@@ -19,7 +21,8 @@ type Finding struct {
 }
 
 // Findings returns the claim list derived from the study family's
-// documented conclusions.
+// documented conclusions. A check that picks one of several protocols walks
+// them in sorted order, so ties resolve the same way on every call.
 func Findings() []Finding {
 	return []Finding{
 		{
@@ -62,8 +65,8 @@ func Findings() []Finding {
 			Claim: "DSR has the lowest normalized routing load of all protocols under mobility",
 			Check: func(mobile, _ map[string]stats.Results) (bool, string) {
 				best, bestP := 1e18, ""
-				for p, r := range mobile {
-					if r.NormalizedRoutingLoad < best {
+				for _, p := range slices.Sorted(maps.Keys(mobile)) {
+					if r := mobile[p]; r.NormalizedRoutingLoad < best {
 						best, bestP = r.NormalizedRoutingLoad, p
 					}
 				}
@@ -75,8 +78,8 @@ func Findings() []Finding {
 			Claim: "the proactive protocol shows the lowest delay for delivered packets (routes pre-exist)",
 			Check: func(mobile, _ map[string]stats.Results) (bool, string) {
 				dsdv := mobile[DSDV].AvgDelay
-				for p, r := range mobile {
-					if p != DSDV && r.AvgDelay < dsdv {
+				for _, p := range slices.Sorted(maps.Keys(mobile)) {
+					if r := mobile[p]; p != DSDV && r.AvgDelay < dsdv {
 						return false, fmt.Sprintf("%s delay %.1f ms < DSDV %.1f ms", p, r.AvgDelay*1e3, dsdv*1e3)
 					}
 				}
@@ -96,8 +99,8 @@ func Findings() []Finding {
 			Claim: "every protocol is near-lossless on a static, connected network",
 			Check: func(_, static map[string]stats.Results) (bool, string) {
 				worst, worstP := 2.0, "(none)"
-				for p, r := range static {
-					if r.PDR < worst {
+				for _, p := range slices.Sorted(maps.Keys(static)) {
+					if r := static[p]; r.PDR < worst {
 						worst, worstP = r.PDR, p
 					}
 				}

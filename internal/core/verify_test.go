@@ -122,6 +122,52 @@ func TestFindingsCatchViolations(t *testing.T) {
 	}
 }
 
+// TestFindingsBreakTiesInOneOrder: a check that picks one of several tied
+// protocols names the same one — with the same verdict — on every call, not
+// whichever the map yields first.
+func TestFindingsBreakTiesInOneOrder(t *testing.T) {
+	byID := map[string]Finding{}
+	for _, f := range Findings() {
+		byID[f.ID] = f
+	}
+	tie := func(set map[string]stats.Results, edit func(*stats.Results)) {
+		for p, r := range set {
+			edit(&r)
+			set[p] = r
+		}
+	}
+	for _, tc := range []struct {
+		id   string
+		edit func(mobile, static map[string]stats.Results)
+		want string
+	}{
+		{"F4-dsr-best-nrl", func(mobile, _ map[string]stats.Results) {
+			tie(mobile, func(r *stats.Results) { r.NormalizedRoutingLoad = 1 })
+		}, "lowest NRL: AODV (1.00)"},
+		{"F5-proactive-lowest-delay", func(mobile, _ map[string]stats.Results) {
+			tie(mobile, func(r *stats.Results) { r.AvgDelay = 0.01 })
+			dsdv := mobile[DSDV]
+			dsdv.AvgDelay = 0.02
+			mobile[DSDV] = dsdv
+		}, "AODV delay 10.0 ms < DSDV 20.0 ms"},
+		{"F7-static-near-lossless", func(_, static map[string]stats.Results) {
+			tie(static, func(r *stats.Results) { r.PDR = 1 })
+		}, "worst static PDR: AODV 100.0%"},
+	} {
+		mobile, static := goodShape()
+		tc.edit(mobile, static)
+		first, detail := byID[tc.id].Check(mobile, static)
+		if detail != tc.want {
+			t.Errorf("%s: detail %q, want %q", tc.id, detail, tc.want)
+		}
+		for range 100 {
+			if ok, d := byID[tc.id].Check(mobile, static); ok != first || d != detail {
+				t.Fatalf("%s on tied input: (%v, %q), then (%v, %q)", tc.id, first, detail, ok, d)
+			}
+		}
+	}
+}
+
 func TestRenderVerify(t *testing.T) {
 	results := []VerifyResult{
 		{Finding: Finding{ID: "x", Claim: "c"}, Pass: true, Detail: "d1"},

@@ -2,6 +2,7 @@ package network_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"adhocsim/internal/geo"
@@ -184,6 +185,40 @@ func TestRestingSceneIndexesOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWorldBuildMemoryPerNode bounds the bytes NewWorld allocates per node.
+// A node forks three random streams; seeded eagerly, each held math/rand's
+// 4.9 KB register, and NewWorld took 17.8 KB a node. Lazily seeded, a stream
+// is 80 B until its 274th draw. The budget is ~3× the lazily seeded figure,
+// so an eagerly seeded stream cannot come back silently.
+func TestWorldBuildMemoryPerNode(t *testing.T) {
+	const nodes = 2000
+	model := mobility.RandomWaypoint{Area: geo.Rect{W: 15000, H: 1500}, MinSpeed: 1, MaxSpeed: 20}
+	tracks, err := model.Generate(nodes, 30*sim.Second, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, err := network.NewWorld(network.Config{
+		Tracks:   tracks,
+		Radio:    phy.DefaultParams(),
+		Protocol: cbrp.Factory(cbrp.Config{}),
+		Seed:     1,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+	t.Logf("NewWorld: %.0f B per node", perNode)
+	const budget = 5 << 10 // measured 1.7 KB
+	if perNode > budget {
+		t.Fatalf("NewWorld allocated %.0f B per node, budget %d", perNode, budget)
+	}
+	runtime.KeepAlive(w)
 }
 
 // TestWorldQueueFollowsPopulation: a world built with a zero Phy — what

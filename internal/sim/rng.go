@@ -6,12 +6,17 @@ import "math/rand"
 // forked substream so that, e.g., adding one extra MAC backoff draw does not
 // perturb the mobility pattern of an otherwise identical scenario.
 type RNG struct {
-	r *rand.Rand
+	src source
+	r   rand.Rand // draws from src, so an RNG is only ever used by pointer
 }
 
-// NewRNG creates a stream from a 64-bit seed.
+// NewRNG creates a stream from a 64-bit seed. Its draws are those of
+// rand.New(rand.NewSource(mix(seed))), at a fraction of the seeding cost.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(mix(seed)))}
+	g := &RNG{}
+	g.src.Seed(mix(seed))
+	g.r = *rand.New(&g.src)
+	return g
 }
 
 // mix applies a splitmix64 finalizer so that small consecutive seeds (0,1,2…)
