@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -452,14 +453,25 @@ func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 // a resumed campaign never depends on the cache still being populated.
 // Completions arriving after the campaign settled are dropped.
 func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) {
+	c.CompleteUnitEncoded(ci, rep, res, nil, fromCache)
+}
+
+// CompleteUnitEncoded is CompleteUnit for a caller that may already hold
+// enc, the json.Marshal encoding of res (a result cache keeps it beside the
+// result). The journal writes enc verbatim; only when enc is nil and a
+// journal is open is res encoded, once. It returns the encoding it
+// journaled — enc itself, the fresh one, or nil when nothing was encoded —
+// so the caller can keep it for the next reuse. Callers must not modify
+// enc afterwards.
+func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte, fromCache bool) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state != StateRunning {
-		return
+		return nil
 	}
 	cs := &c.cells[ci]
 	if cs.results[rep] != nil {
-		return // duplicate; first result wins
+		return nil // duplicate; first result wins
 	}
 	// Remote and cache completions may bypass NextUnit entirely.
 	cs.issued[rep] = true
@@ -469,20 +481,23 @@ func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) 
 		c.runsFromCache++
 	}
 	if c.journal != nil {
-		if err := c.journal.append(journalEntry{
-			Cell:    ci,
-			Rep:     rep,
-			Seed:    c.plan.SeedFor(ci, rep),
-			Results: res,
-		}); err != nil {
+		if enc == nil {
+			var err error
+			if enc, err = json.Marshal(res); err != nil {
+				c.setErrLocked(fmt.Errorf("campaign: encoding journal line: %w", err))
+				return nil
+			}
+		}
+		if err := c.journal.appendEncoded(ci, rep, c.plan.SeedFor(ci, rep), enc); err != nil {
 			c.setErrLocked(err)
-			return
+			return nil
 		}
 	}
 	c.commitLocked(ci)
 	if c.opts.OnProgress != nil {
 		c.opts.OnProgress(c.snapshotLocked())
 	}
+	return enc
 }
 
 // replayLocked feeds one journaled run back into the engine: the result is

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"strconv"
 
 	"adhocsim/internal/stats"
 )
@@ -41,7 +42,8 @@ type journalEntry struct {
 
 // journal appends completed runs to the checkpoint file.
 type journal struct {
-	f *os.File
+	f    *os.File
+	line []byte // entry line buffer, reused across appends
 }
 
 // openFileLocked opens the journal file and takes an exclusive advisory
@@ -171,22 +173,44 @@ func cutLine(data []byte) (line, rest []byte, ok bool) {
 	return data[:i], data[i+1:], true
 }
 
-// writeLine appends one JSON value as a line. Each line is a single Write
-// call, so concurrent appends (serialized by the campaign mutex) and crashes
-// can tear at most the final line.
+// writeLine appends one JSON value as a line.
 func (j *journal) writeLine(v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("campaign: encoding journal line: %w", err)
 	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
+	return j.write(append(b, '\n'))
+}
+
+// write appends one complete line in a single Write call, so concurrent
+// appends (serialized by the campaign mutex) and crashes can tear at most
+// the final line.
+func (j *journal) write(line []byte) error {
+	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("campaign: appending journal line: %w", err)
 	}
 	return nil
 }
 
-func (j *journal) append(e journalEntry) error { return j.writeLine(e) }
+// appendEncoded journals one run from enc, its Results as json.Marshal
+// encodes them (a compact value with no newline). The line is assembled
+// around enc exactly as json.Marshal lays out a journalEntry — fields in
+// declaration order, integers in decimal — so it is byte-identical to
+// append(json.Marshal(journalEntry{cell, rep, seed, res}), '\n') without
+// re-encoding the Results.
+func (j *journal) appendEncoded(cell, rep int, seed int64, enc []byte) error {
+	b := append(j.line[:0], `{"cell":`...)
+	b = strconv.AppendInt(b, int64(cell), 10)
+	b = append(b, `,"rep":`...)
+	b = strconv.AppendInt(b, int64(rep), 10)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, `,"results":`...)
+	b = append(b, enc...)
+	b = append(b, "}\n"...)
+	j.line = b
+	return j.write(b)
+}
 
 func (j *journal) Close() error {
 	if j == nil || j.f == nil {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,40 +21,64 @@ import (
 // before leasing any unit and resubmitted or overlapping campaigns reuse
 // finished runs instead of recomputing them.
 //
-// Implementations must be safe for concurrent use. Get reports a miss
+// A result travels with its encoding: enc is nil or json.Marshal(res)'s
+// output — more precisely, JSON that decodes to res and contains no
+// newline, so the journal can embed it verbatim as part of one line. The
+// coordinator saves the bytes its journal wrote on a live commit and
+// journals the loaded bytes on a hit, so a cached unit is never encoded
+// again. Callers must not modify enc.
+//
+// Implementations must be safe for concurrent use. Load reports a miss
 // with found == false; errors are reserved for real faults (I/O), and
 // callers are expected to degrade a faulty cache to a miss.
 type Store interface {
-	Get(key string) (res stats.Results, found bool, err error)
-	Put(key string, res stats.Results) error
+	Load(key string) (res stats.Results, enc []byte, found bool, err error)
+	Save(key string, res stats.Results, enc []byte) error
 }
 
-// MemStore is an in-memory Store: per-process reuse and tests.
+// MemStore is an in-memory Store: per-process reuse and tests. It keeps
+// each result decoded and encoded (about 5 KB more per entry with stream
+// digests), because decoding a hit would cost about three times what
+// encoding it does.
 type MemStore struct {
 	mu sync.Mutex
-	m  map[string]stats.Results
+	m  map[string]memEntry
+}
+
+type memEntry struct {
+	res stats.Results
+	enc []byte
 }
 
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{m: make(map[string]stats.Results)}
+	return &MemStore{m: make(map[string]memEntry)}
 }
 
-// Get looks a key up.
-func (s *MemStore) Get(key string) (stats.Results, bool, error) {
+// Load looks a key up; enc is nil when the result was saved without one.
+func (s *MemStore) Load(key string) (stats.Results, []byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, ok := s.m[key]
-	return res, ok, nil
+	e, ok := s.m[key]
+	return e.res, e.enc, ok, nil
 }
 
-// Put stores a result.
-func (s *MemStore) Put(key string, res stats.Results) error {
+// Save stores a result and its encoding (nil when the caller has none).
+func (s *MemStore) Save(key string, res stats.Results, enc []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[key] = res
+	s.m[key] = memEntry{res, enc}
 	return nil
 }
+
+// Get is Load without the encoding, kept for callers that predate it.
+func (s *MemStore) Get(key string) (stats.Results, bool, error) {
+	res, _, found, err := s.Load(key)
+	return res, found, err
+}
+
+// Put is Save without an encoding, kept for callers that predate it.
+func (s *MemStore) Put(key string, res stats.Results) error { return s.Save(key, res, nil) }
 
 // Len reports the number of cached results.
 func (s *MemStore) Len() int {
@@ -64,11 +89,12 @@ func (s *MemStore) Len() int {
 
 // FSStore is a filesystem-backed Store: one JSON file per result at
 // <dir>/<key[:2]>/<key>.json (the two-character fan-out keeps directories
-// small at scale). Writes are atomic — a temp file renamed into place —
-// so concurrent writers of the same key and crashes mid-write can never
-// leave a torn entry visible; a corrupt file (external tampering) reads
-// as a miss, never as a wrong result, because the key is content-derived
-// but the payload is re-validated only by JSON shape.
+// small at scale). The file holds the result's encoding, so a hit returns
+// the file bytes as enc. Writes are atomic — a temp file renamed into
+// place — so concurrent writers of the same key and crashes mid-write can
+// never leave a torn entry visible; a corrupt file (external tampering)
+// reads as a miss, never as a wrong result, because the key is
+// content-derived but the payload is re-validated only by JSON shape.
 type FSStore struct {
 	dir string
 }
@@ -88,27 +114,33 @@ func (s *FSStore) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
-// Get looks a key up; absent or undecodable files are misses.
-func (s *FSStore) Get(key string) (stats.Results, bool, error) {
+// Load looks a key up. Absent files are misses, and so are files that do
+// not decode or that hold a newline: enc must fit inside one journal line,
+// so a hand-edited entry can never tear one.
+func (s *FSStore) Load(key string) (stats.Results, []byte, bool, error) {
 	if len(key) < 2 {
-		return stats.Results{}, false, fmt.Errorf("dist: malformed cache key %q", key)
+		return stats.Results{}, nil, false, fmt.Errorf("dist: malformed cache key %q", key)
 	}
 	data, err := os.ReadFile(s.path(key))
 	if errors.Is(err, fs.ErrNotExist) {
-		return stats.Results{}, false, nil
+		return stats.Results{}, nil, false, nil
 	}
 	if err != nil {
-		return stats.Results{}, false, fmt.Errorf("dist: reading cache entry: %w", err)
+		return stats.Results{}, nil, false, fmt.Errorf("dist: reading cache entry: %w", err)
+	}
+	if bytes.IndexByte(data, '\n') >= 0 {
+		return stats.Results{}, nil, false, nil
 	}
 	var res stats.Results
 	if err := json.Unmarshal(data, &res); err != nil {
-		return stats.Results{}, false, nil // corrupt entry: treat as a miss
+		return stats.Results{}, nil, false, nil // corrupt entry: treat as a miss
 	}
-	return res, true, nil
+	return res, data, true, nil
 }
 
-// Put stores a result atomically.
-func (s *FSStore) Put(key string, res stats.Results) error {
+// Save stores a result atomically, writing enc as it is; only a nil enc
+// is encoded here.
+func (s *FSStore) Save(key string, res stats.Results, enc []byte) error {
 	if len(key) < 2 {
 		return fmt.Errorf("dist: malformed cache key %q", key)
 	}
@@ -116,15 +148,17 @@ func (s *FSStore) Put(key string, res stats.Results) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("dist: creating cache shard: %w", err)
 	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("dist: encoding cache entry: %w", err)
+	if enc == nil {
+		var err error
+		if enc, err = json.Marshal(res); err != nil {
+			return fmt.Errorf("dist: encoding cache entry: %w", err)
+		}
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("dist: writing cache entry: %w", err)
 	}
-	if _, err := tmp.Write(b); err != nil {
+	if _, err := tmp.Write(enc); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("dist: writing cache entry: %w", err)
@@ -139,3 +173,12 @@ func (s *FSStore) Put(key string, res stats.Results) error {
 	}
 	return nil
 }
+
+// Get is Load without the encoding, kept for callers that predate it.
+func (s *FSStore) Get(key string) (stats.Results, bool, error) {
+	res, _, found, err := s.Load(key)
+	return res, found, err
+}
+
+// Put is Save without an encoding, kept for callers that predate it.
+func (s *FSStore) Put(key string, res stats.Results) error { return s.Save(key, res, nil) }

@@ -319,8 +319,8 @@ func (s *Server) primeLocked(m *managed) {
 		if !ok {
 			return
 		}
-		if res, hit := s.cachedResult(m, ci, rep); hit {
-			s.commitLocked(m, ci, rep, res, true)
+		if res, enc, hit := s.cachedResult(m, ci, rep); hit {
+			s.commitLocked(m, ci, rep, res, enc, true)
 			continue
 		}
 		m.pending = append(m.pending, unitRef{ci, rep})
@@ -328,17 +328,17 @@ func (s *Server) primeLocked(m *managed) {
 	}
 }
 
-// cachedResult consults the content-addressed store; cache faults degrade
-// to misses.
-func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, hit bool) {
+// cachedResult consults the content-addressed store and returns a hit with
+// its stored encoding (possibly nil); cache faults degrade to misses.
+func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc []byte, hit bool) {
 	if s.cache == nil {
-		return res, false
+		return res, nil, false
 	}
-	got, found, err := s.cache.Get(m.c.Plan().UnitKey(ci, rep))
+	got, enc, found, err := s.cache.Load(m.c.Plan().UnitKey(ci, rep))
 	if err != nil || !found {
-		return res, false
+		return res, nil, false
 	}
-	return got, true
+	return got, enc, true
 }
 
 // dispatch hands out the next unit of a campaign, committing cache hits
@@ -368,8 +368,8 @@ func (s *Server) dispatch(m *managed, worker string, ttl time.Duration) (ci, rep
 				return 0, 0, nil, false
 			}
 		}
-		if res, hit := s.cachedResult(m, cell, rep); hit {
-			s.commitLocked(m, cell, rep, res, true)
+		if res, enc, hit := s.cachedResult(m, cell, rep); hit {
+			s.commitLocked(m, cell, rep, res, enc, true)
 			continue
 		}
 		var lease *Lease
@@ -409,20 +409,22 @@ func (s *Server) runLocal(m *managed) {
 func (s *Server) commit(m *managed, ci, rep int, res stats.Results, fromCache bool) (committed bool, winning stats.Results, haveWinner bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return s.commitLocked(m, ci, rep, res, fromCache)
+	return s.commitLocked(m, ci, rep, res, nil, fromCache)
 }
 
 // commitLocked lands one result: duplicate detection (first result wins),
 // the campaign engine's in-order commit, cache population, progress
-// events, and campaign settlement once every cell has stopped.
-func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, fromCache bool) (committed bool, winning stats.Results, haveWinner bool) {
+// events, and campaign settlement once every cell has stopped. enc is the
+// result's stored encoding on a cache hit and nil otherwise; a live result
+// is cached with the encoding its journal line was built from.
+func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []byte, fromCache bool) (committed bool, winning stats.Results, haveWinner bool) {
 	if prev, dup := m.c.UnitResult(ci, rep); dup {
 		return false, prev, true
 	}
 	if m.finished {
 		return false, stats.Results{}, false
 	}
-	m.c.CompleteUnit(ci, rep, res, fromCache)
+	enc = m.c.CompleteUnitEncoded(ci, rep, res, enc, fromCache)
 	if _, landed := m.c.UnitResult(ci, rep); !landed {
 		// The engine dropped it (campaign left the running state under us).
 		return false, stats.Results{}, false
@@ -434,7 +436,7 @@ func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, fromCa
 	}
 	if !fromCache && s.cache != nil {
 		// A faulty cache must not fail the campaign; it only costs reuse.
-		_ = s.cache.Put(m.c.Plan().UnitKey(ci, rep), res)
+		_ = s.cache.Save(m.c.Plan().UnitKey(ci, rep), res, enc)
 	}
 	snap := m.c.Snapshot()
 	cell, repIdx := ci, rep
@@ -658,7 +660,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.LeaseID != "" {
-		s.leases.release(req.LeaseID)
+		s.leases.releaseFor(req.LeaseID, m.id, req.Cell, req.Rep)
 	}
 	committed, winning, haveWinner := s.commit(m, req.Cell, req.Rep, req.Results, false)
 	if committed {

@@ -80,6 +80,17 @@ func (t *leaseTable) release(id string) (*Lease, bool) {
 	return l, ok
 }
 
+// releaseFor removes a lease only if it was granted for the given unit. A
+// commit releases the lease its unit ran under and never another one: a
+// mismatched or guessed id must not orphan a unit another worker holds.
+func (t *leaseTable) releaseFor(id, campaignID string, cell, rep int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if l, ok := t.leases[id]; ok && l.Campaign == campaignID && l.Cell == cell && l.Rep == rep {
+		delete(t.leases, id)
+	}
+}
+
 // expire removes and returns every lease whose deadline has passed.
 func (t *leaseTable) expire() []*Lease {
 	t.mu.Lock()

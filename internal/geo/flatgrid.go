@@ -1,5 +1,7 @@
 package geo
 
+import "math"
+
 // FlatGrid is a uniform grid over a dense id space (0..n-1) stored in one
 // flat cell array, rebuilt wholesale from a position slice. Queries do pure
 // index arithmetic — no hashing, no map lookups — which makes it the right
@@ -7,7 +9,8 @@ package geo
 // recaptured for every node anyway). Each cell stores (id, position) pairs
 // so the inner distance test runs over a contiguous slice.
 type FlatGrid struct {
-	cell       float64
+	minCell    float64 // requested cell edge
+	cell       float64 // edge of the last Rebuild, ≥ minCell
 	minX, minY float64
 	cols, rows int32
 	cells      [][]gridItem // cols*rows buckets, storage reused across rebuilds
@@ -20,12 +23,24 @@ type gridItem struct {
 	p  Point
 }
 
-// NewFlatGrid creates a grid with the given cell edge length in metres.
+// cellsPerItem caps the bucket count of a sparse field at about
+// cellsPerItem·n: Rebuild widens the cell edge to at least
+// √(extent area / (cellsPerItem·n)). Sized from the requested edge alone,
+// a 10 000-node city field of 113 km at a 101 m edge would take 1.26 M
+// bucket headers — 30 MB of pointers every GC scans, nearly all of them
+// empty. Queries still visit only the cells their disc overlaps and test
+// every candidate exactly, so a wider cell changes no answer, only how many
+// candidates a query tests; four cells per item keeps that near the
+// requested edge's count wherever items are dense enough to matter.
+const cellsPerItem = 4
+
+// NewFlatGrid creates a grid whose cells are at least cellSize metres on a
+// side (wider over fields too sparse for that edge; see cellsPerItem).
 func NewFlatGrid(cellSize float64) *FlatGrid {
 	if cellSize <= 0 {
 		panic("geo: non-positive grid cell size")
 	}
-	return &FlatGrid{cell: cellSize}
+	return &FlatGrid{minCell: cellSize, cell: cellSize}
 }
 
 // Len returns the number of stored items.
@@ -55,6 +70,7 @@ func (g *FlatGrid) Rebuild(pts []Point) {
 		}
 	}
 	g.minX, g.minY = minX, minY
+	g.cell = max(g.minCell, math.Sqrt((maxX-minX)*(maxY-minY)/float64(cellsPerItem*g.n)))
 	g.cols = int32((maxX-minX)/g.cell) + 1
 	g.rows = int32((maxY-minY)/g.cell) + 1
 	need := int(g.cols) * int(g.rows)
