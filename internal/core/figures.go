@@ -237,13 +237,6 @@ func RenderRegistries() string {
 	return b.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SortProtocols orders protocol names in canonical study order.
 func SortProtocols(ps []string) {
 	order := map[string]int{DSR: 0, AODV: 1, PAODV: 2, CBRP: 3, DSDV: 4, Flood: 5}

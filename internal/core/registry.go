@@ -77,6 +77,6 @@ func init() {
 		return flood.Factory(flood.Config{}), nil
 	})
 	protocols.MustRegister(Autoconf, func(bc BuildContext) (network.ProtocolFactory, error) {
-		return autoconf.Factory(autoconf.Config{}), nil
+		return autoconf.Factory(), nil
 	})
 }

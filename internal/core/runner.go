@@ -76,9 +76,6 @@ type RunConfig struct {
 	// world-derived reindexing defaults.
 	Phy    phy.Config
 	Tweaks ProtocolTweaks
-	// EventLimit guards against runaway loops (0 = a generous default
-	// scaled by duration and node count).
-	EventLimit uint64
 	// Tracer, when non-nil, receives every network-layer packet event
 	// (use only with a single seed; trace interleaving across parallel
 	// replications is not meaningful).
@@ -134,16 +131,9 @@ func Run(ctx context.Context, rc RunConfig) (stats.Results, error) {
 	if _, err := traffic.Install(world, inst.Connections, sim.Time(0).Add(rc.Spec.Duration)); err != nil {
 		return stats.Results{}, err
 	}
-	limit := rc.EventLimit
-	if limit == 0 {
-		// ~2M events per simulated second per 40 nodes is far beyond
-		// any sane protocol; treat exceeding it as a bug.
-		limit = uint64(rc.Spec.Duration.Seconds()*2e6) * uint64(rc.Spec.Nodes) / 40
-		if limit < 10_000_000 {
-			limit = 10_000_000
-		}
-	}
-	world.Eng.Limit = limit
+	// ~2M events per simulated second per 40 nodes is far beyond any sane
+	// protocol; treat exceeding it as a bug.
+	world.Eng.Limit = max(uint64(rc.Spec.Duration.Seconds()*2e6)*uint64(rc.Spec.Nodes)/40, 10_000_000)
 	world.Start()
 	if err := world.Run(ctx, sim.Time(0).Add(rc.Spec.Duration)); err != nil {
 		return stats.Results{}, fmt.Errorf("%s seed %d: %w", rc.Protocol, rc.Seed, err)

@@ -35,8 +35,6 @@ type ServerOptions struct {
 	LeaseTTL time.Duration
 	// ReapInterval is the expired-lease sweep cadence (default 1s).
 	ReapInterval time.Duration
-	// Clock is injectable for lease-expiry tests (default time.Now).
-	Clock func() time.Time
 }
 
 // Server is the campaign coordinator and the one HTTP simulation service.
@@ -47,7 +45,6 @@ type ServerOptions struct {
 type Server struct {
 	opts     ServerOptions
 	leaseTTL time.Duration
-	clock    func() time.Time
 
 	hub    *Hub
 	cache  Store
@@ -98,18 +95,13 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.ReapInterval <= 0 {
 		opts.ReapInterval = time.Second
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
 		leaseTTL:   opts.LeaseTTL,
-		clock:      clock,
 		hub:        NewHub(),
 		cache:      opts.Cache,
-		leases:     newLeaseTable(clock),
+		leases:     newLeaseTable(time.Now),
 		base:       base,
 		cancelBase: cancel,
 		campaigns:  make(map[string]*managed),

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -338,6 +339,126 @@ func TestWorkerHardAbortAndRestart(t *testing.T) {
 	}
 }
 
+// TestWorkerSurvivesCoordinatorRestart swaps the coordinator behind one
+// URL twice under a running worker. Campaign ids restart at c1 in every
+// coordinator process, so the worker must neither reuse the old c1's plan
+// for the new c1's different spec, nor treat the new c1 as the campaign its
+// previous control stream reported done.
+func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
+	type flush struct {
+		gen  int
+		text string
+	}
+	flushed := make(chan flush, 256)
+	var mu sync.Mutex
+	var cur *Server
+	var handler http.Handler
+	gen := 0
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		h, g := handler, gen
+		mu.Unlock()
+		if r.URL.Path == "/dist/events" {
+			w = &tapWriter{ResponseWriter: w, flushed: func(text string) {
+				select {
+				case flushed <- flush{g, text}:
+				default:
+				}
+			}}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	restart := func() *Server {
+		s := NewServer(ServerOptions{LocalWorkers: -1})
+		t.Cleanup(s.Close)
+		mu.Lock()
+		old := cur
+		cur, handler = s, s.Handler()
+		gen++
+		mu.Unlock()
+		if old != nil {
+			old.Close() // ends the worker's control stream
+		}
+		return s
+	}
+	// await waits until the current coordinator's control stream has
+	// flushed text to the worker.
+	await := func(text string) {
+		t.Helper()
+		mu.Lock()
+		g := gen
+		mu.Unlock()
+		deadline := time.After(10 * time.Second)
+		for {
+			select {
+			case f := <-flushed:
+				if f.gen == g && strings.Contains(f.text, text) {
+					return
+				}
+			case <-deadline:
+				t.Fatalf("control stream of coordinator %d never sent %q", g, text)
+			}
+		}
+	}
+
+	// The first coordinator dies mid-campaign, after the worker has
+	// expanded c1's plan.
+	s1 := restart()
+	startWorker(t, hs.URL, 1)
+	created := submitSpec(t, hs.URL, biggerSpec())
+	sub := s1.Hub().Subscribe(CampaignTopic(created.ID), 64)
+	defer sub.Cancel()
+	deadline := time.After(time.Minute)
+	for committed := false; !committed; {
+		select {
+		case e := <-sub.C():
+			committed = e.Type == EventRunCommitted
+		case <-deadline:
+			t.Fatal("no run committed within a minute")
+		}
+	}
+
+	// The second coordinator's c1 is another spec. It runs to completion
+	// while the worker listens, so the worker hears that c1 is done.
+	restart()
+	await("control stream open")
+	created = submitSpec(t, hs.URL, testSpec())
+	if created.ID != "c1" {
+		t.Fatalf("second coordinator named its campaign %s, want c1", created.ID)
+	}
+	waitDone(t, hs.URL, created.ID, 20*time.Second)
+	await("event: " + EventCampaignDone)
+
+	// The third coordinator's c1 is a new campaign, not the ended one.
+	spec := testSpec()
+	spec.Protocols = []string{"DSDV"}
+	s3 := restart()
+	created = submitSpec(t, hs.URL, spec)
+	waitDone(t, hs.URL, created.ID, 20*time.Second)
+	if got := s3.lookup(created.ID).c.Result(); !reflect.DeepEqual(singleProcessResult(t, spec), got) {
+		t.Error("result after coordinator restarts differs from single-process")
+	}
+}
+
+// tapWriter hands a test everything a streaming handler flushes.
+type tapWriter struct {
+	http.ResponseWriter
+	buf     []byte
+	flushed func(text string)
+}
+
+func (w *tapWriter) Write(b []byte) (int, error) {
+	w.buf = append(w.buf, b...)
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *tapWriter) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	w.flushed(string(w.buf))
+	w.buf = w.buf[:0]
+}
+
 // TestDuplicateCommitConflict checks the first-result-wins rule on the
 // wire: the second commit of a unit gets 409 carrying the winning result.
 func TestDuplicateCommitConflict(t *testing.T) {
@@ -414,6 +535,62 @@ func TestDuplicateCommitConflict(t *testing.T) {
 	decodeBody(t, resp, http.StatusConflict, nil)
 }
 
+// TestCommitReleasesOnlyItsOwnLease: a commit carrying another unit's lease
+// id must not release that lease, or the unit its holder is running would
+// be orphaned; the holder's renewals keep working and the campaign still
+// completes to the single-process result.
+func TestCommitReleasesOnlyItsOwnLease(t *testing.T) {
+	spec := testSpec()
+	s, base := newTestServer(t, ServerOptions{LocalWorkers: -1})
+	created := submitSpec(t, base, spec)
+
+	post := func(path string, in any, want int, out any) {
+		t.Helper()
+		body, _ := json.Marshal(in)
+		resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		decodeBody(t, resp, want, out)
+	}
+	var a, b LeaseGrant
+	post("/dist/lease", LeaseRequest{Worker: "wa"}, http.StatusOK, &a)
+	post("/dist/lease", LeaseRequest{Worker: "wb"}, http.StatusOK, &b)
+
+	plan, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(g LeaseGrant, leaseID string) {
+		t.Helper()
+		res, err := plan.ExecuteUnit(context.Background(), g.Cell, g.Rep)
+		if err != nil {
+			t.Fatalf("executing unit: %v", err)
+		}
+		post("/dist/commit", CommitRequest{
+			LeaseID: leaseID, Worker: "wa", Campaign: g.Campaign, SpecHash: g.SpecHash,
+			Cell: g.Cell, Rep: g.Rep, Results: res,
+		}, http.StatusOK, nil)
+	}
+
+	// a's unit commits under b's lease id: b's lease must survive it.
+	commit(a, b.LeaseID)
+	post("/dist/renew", RenewRequest{LeaseID: b.LeaseID}, http.StatusOK, nil)
+
+	// b's own commit releases it.
+	commit(b, b.LeaseID)
+	post("/dist/renew", RenewRequest{LeaseID: b.LeaseID}, http.StatusGone, nil)
+
+	startWorker(t, base, 1)
+	waitDone(t, base, created.ID, time.Minute)
+	if got := s.lookup(created.ID).c.Result(); !reflect.DeepEqual(singleProcessResult(t, spec), got) {
+		t.Error("result differs from single-process")
+	}
+	if n := s.leases.count(""); n != 0 {
+		t.Errorf("%d leases outstanding after the campaign finished", n)
+	}
+}
+
 // TestDeleteWhileRunning cancels a distributed campaign mid-flight over
 // HTTP: the delete must settle the campaign, drop every lease, notify the
 // control stream, and leave the worker idling harmlessly.
@@ -475,21 +652,39 @@ func TestDeleteWhileRunning(t *testing.T) {
 
 // TestCacheResubmitZeroRecompute: after a campaign completes once, an
 // identical submission against a fresh coordinator sharing only the result
-// cache must complete at submission time with every run served from cache.
+// cache must complete at submission time with every run served from cache,
+// and journal exactly the bytes the live run journaled. Both stores: the
+// in-memory one and the directory one a cluster shares.
 func TestCacheResubmitZeroRecompute(t *testing.T) {
-	spec := testSpec()
-	cache := NewMemStore()
+	fs, err := NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name  string
+		cache Store
+	}{{"mem", NewMemStore()}, {"fs", fs}} {
+		t.Run(arm.name, func(t *testing.T) {
+			testCacheResubmit(t, arm.cache)
+		})
+	}
+}
 
-	s1, base1 := newTestServer(t, ServerOptions{Cache: cache})
+func testCacheResubmit(t *testing.T, cache Store) {
+	spec := testSpec()
+
+	// One executor commits in plan order, the order a cache-served
+	// resubmission journals in.
+	s1, base1 := newTestServer(t, ServerOptions{LocalWorkers: 1, Cache: cache, JournalDir: t.TempDir()})
 	created1 := submitSpec(t, base1, spec)
 	waitDone(t, base1, created1.ID, time.Minute)
 	want := s1.lookup(created1.ID).c.Result()
-	if cache.Len() == 0 {
+	if mem, ok := cache.(*MemStore); ok && mem.Len() == 0 {
 		t.Fatal("completed campaign populated no cache entries")
 	}
 
 	// Fresh coordinator, no executors of any kind: cache is the only way.
-	s2, base2 := newTestServer(t, ServerOptions{LocalWorkers: -1, Cache: cache})
+	s2, base2 := newTestServer(t, ServerOptions{LocalWorkers: -1, Cache: cache, JournalDir: t.TempDir()})
 	created2 := submitSpec(t, base2, spec)
 	snap := waitDone(t, base2, created2.ID, 10*time.Second)
 	if snap.RunsFromCache != snap.RunsDone || snap.RunsDone != created2.MaxRuns {
@@ -498,6 +693,20 @@ func TestCacheResubmitZeroRecompute(t *testing.T) {
 	}
 	if got := s2.lookup(created2.ID).c.Result(); !reflect.DeepEqual(want, got) {
 		t.Errorf("cache-served result differs from computed result")
+	}
+	live, err := os.ReadFile(created1.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := os.ReadFile(created2.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(live, []byte("\n")); lines != 1+created1.MaxRuns {
+		t.Errorf("live journal holds %d lines, want header + %d runs", lines, created1.MaxRuns)
+	}
+	if !bytes.Equal(live, cached) {
+		t.Errorf("cache-served journal (%d bytes) differs from the live run's (%d bytes)", len(cached), len(live))
 	}
 
 	// Cross-campaign reuse: a different spec whose grid overlaps (same

@@ -38,25 +38,25 @@ type WorkerOptions struct {
 	// but lets in-flight runs finish and commit. Hard is the second-signal
 	// escalation.
 	Hard context.Context
-	// Client overrides the HTTP client (it must not set a global Timeout:
-	// the control stream is long-lived).
-	Client *http.Client
 	// Logf receives worker diagnostics (default: silent).
 	Logf func(format string, args ...any)
 }
 
 // worker is the client side of the distribution protocol.
 type worker struct {
-	opts   WorkerOptions
-	base   string
-	id     string
-	client *http.Client
-	hard   context.Context
-	logf   func(string, ...any)
+	opts WorkerOptions
+	base string
+	id   string
+	hard context.Context
+	logf func(string, ...any)
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// Campaign ids restart at c1 in every coordinator process, and a
+	// worker outlives coordinator restarts: so a plan is reused only under
+	// its spec hash, a rejection is remembered by spec hash, and ended
+	// holds only what the current control stream reported.
 	plans    map[string]*campaign.Plan // campaign id → locally expanded plan
-	bad      map[string]string         // campaign id → why its spec was rejected
+	bad      map[string]string         // spec hash → why its plan was rejected
 	ended    map[string]bool           // campaigns cancelled/finished per control stream
 	inflight map[*inflightRun]struct{}
 }
@@ -103,10 +103,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if hard == nil {
 		hard = context.Background()
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -115,7 +111,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		opts:     opts,
 		base:     strings.TrimRight(opts.Coordinator, "/"),
 		id:       opts.ID,
-		client:   client,
 		hard:     hard,
 		logf:     logf,
 		plans:    make(map[string]*campaign.Plan),
@@ -351,21 +346,19 @@ func (w *worker) release(leaseID string) {
 }
 
 // planFor returns the locally expanded plan for a campaign, fetching and
-// verifying the spec on first use. A plan that cannot be reconstructed
-// bit-identically (version skew between worker and coordinator binaries)
-// poisons the campaign locally: its leases are released immediately
-// instead of executing under a wrong model.
+// verifying the spec on first use of its id under the lease's spec hash. A
+// plan that cannot be reconstructed bit-identically (version skew between
+// worker and coordinator binaries) poisons its spec hash locally: leases
+// under it are released immediately instead of executing under a wrong
+// model.
 func (w *worker) planFor(ctx context.Context, id, hash string) (*campaign.Plan, error) {
 	w.mu.Lock()
-	if why, bad := w.bad[id]; bad {
+	if why, bad := w.bad[hash]; bad {
 		w.mu.Unlock()
 		return nil, fmt.Errorf("spec rejected earlier: %s", why)
 	}
-	if p := w.plans[id]; p != nil {
+	if p := w.plans[id]; p != nil && p.Hash == hash {
 		w.mu.Unlock()
-		if p.Hash != hash {
-			return nil, fmt.Errorf("coordinator changed spec hash mid-campaign (%.12s… → %.12s…)", p.Hash, hash)
-		}
 		return p, nil
 	}
 	w.mu.Unlock()
@@ -388,14 +381,16 @@ func (w *worker) planFor(ctx context.Context, id, hash string) (*campaign.Plan, 
 		return nil, err
 	}
 	plan, err := sr.Plan()
-	if err == nil && plan.Hash != hash {
-		err = fmt.Errorf("spec hash %.12s… does not match lease hash %.12s…", plan.Hash, hash)
-	}
 	if err != nil {
 		w.mu.Lock()
-		w.bad[id] = err.Error()
+		w.bad[sr.Hash] = err.Error()
 		w.mu.Unlock()
 		return nil, err
+	}
+	if plan.Hash != hash {
+		// The id names another campaign than the lease's: the coordinator
+		// restarted in between. Nothing is wrong with either spec.
+		return nil, fmt.Errorf("spec hash %.12s… does not match lease hash %.12s…", plan.Hash, hash)
 	}
 	w.mu.Lock()
 	w.plans[id] = plan
@@ -413,9 +408,16 @@ func (w *worker) watchControl(ctx context.Context) {
 		if err != nil {
 			return
 		}
-		resp, err := w.client.Do(req)
+		// The default client has no overall Timeout, which would cut this
+		// long-lived stream.
+		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
 			if resp.StatusCode == http.StatusOK {
+				// A new stream may be a new coordinator, whose campaign
+				// ids say nothing of the old one's.
+				w.mu.Lock()
+				clear(w.ended)
+				w.mu.Unlock()
 				_ = readSSE(ctx, resp.Body, func(e Event) {
 					if e.Type == EventCampaignCancelled || e.Type == EventCampaignDone {
 						w.endCampaign(e.Campaign)
@@ -505,7 +507,7 @@ func (w *worker) get(ctx context.Context, path string, out any) (int, string, er
 }
 
 func (w *worker) do(req *http.Request, out any) (int, string, error) {
-	resp, err := w.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, "", err
 	}

@@ -2,6 +2,8 @@ package geo
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -75,5 +77,69 @@ func TestFlatGridEmpty(t *testing.T) {
 	}
 	if got := g.WithinSorted(Pt(0, 0), 100, -1, nil); got != nil {
 		t.Fatalf("query on empty grid: %v", got)
+	}
+}
+
+// cityField scatters n points uniformly over a side×side square.
+func cityField(rng *rand.Rand, n int, side float64) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Pt(rng.Float64()*side, rng.Float64()*side)
+	}
+	return pts
+}
+
+// TestFlatGridSparseRebuildMemory pins the cellsPerItem rule: 10 000 points
+// over a city-sized field (≈113 km square) at a 101 m requested edge would
+// take 1.26 M bucket headers, about 30 MB. Capped at four cells per item
+// the first build stays under 2 MB.
+func TestFlatGridSparseRebuildMemory(t *testing.T) {
+	pts := cityField(rand.New(rand.NewSource(3)), 10_000, 113_000)
+	g := NewFlatGrid(101)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.Rebuild(pts)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("Rebuild of %d points allocated %d bytes, budget %d", len(pts), got, 2<<20)
+	}
+	if cells := int(g.cols) * int(g.rows); cells > cellsPerItem*len(pts)*11/10 {
+		t.Errorf("%d cells for %d points, want about %d", cells, len(pts), cellsPerItem*len(pts))
+	}
+}
+
+// TestFlatGridQueriesMatchBruteForce checks both queries against a full
+// scan where cellsPerItem widens the cells (a sparse city field) and where
+// it does not (a dense one), with a random quarter of the items down.
+func TestFlatGridQueriesMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, field := range []struct {
+		name    string
+		n       int
+		side, r float64
+	}{
+		{"sparse", 10_000, 113_000, 2_000},
+		{"dense", 2_000, 1_000, 250},
+	} {
+		pts := cityField(rng, field.n, field.side)
+		up := make([]bool, len(pts))
+		for i := range up {
+			up[i] = rng.Intn(4) != 0
+		}
+		g := NewFlatGrid(101)
+		g.Rebuild(pts)
+		for q := 0; q < 200; q++ {
+			center := Pt(rng.Float64()*field.side, rng.Float64()*field.side)
+			r := rng.Float64() * field.r
+			exclude := int32(rng.Intn(len(pts)))
+			want := bruteWithin(pts, center, r, exclude)
+			if got := g.WithinSorted(center, r, exclude, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s query %d: WithinSorted = %v, want %v", field.name, q, got, want)
+			}
+			live := slices.DeleteFunc(want, func(id int32) bool { return !up[id] })
+			if got := g.WithinSortedLive(center, r, exclude, up, nil); !slices.Equal(got, live) {
+				t.Fatalf("%s query %d: WithinSortedLive = %v, want %v", field.name, q, got, live)
+			}
+		}
 	}
 }

@@ -19,38 +19,23 @@ import (
 	"adhocsim/internal/stats"
 )
 
-// Config tunes AODV.
+// Config tunes AODV. The zero value is the CMU study configuration.
 type Config struct {
-	// ActiveRouteTimeout expires unused routes (default 3 s).
-	ActiveRouteTimeout sim.Duration
-	// NodeTraversalTime estimates per-hop latency for RREQ timeouts
-	// (default 40 ms).
-	NodeTraversalTime sim.Duration
-	// NetDiameter bounds flood TTL (default 35).
-	NetDiameter int
-	// RREQRetries is the number of network-wide retries after the
-	// expanding-ring phase (default 2).
-	RREQRetries int
-	// TTLStart/TTLIncrement/TTLThreshold drive the expanding-ring search
-	// (defaults 1/2/7). DisableExpandingRing floods at NetDiameter
-	// immediately (ablation bench).
-	TTLStart, TTLIncrement, TTLThreshold int
-	DisableExpandingRing                 bool
+	// DisableExpandingRing floods every request at netDiameter
+	// (ablation bench).
+	DisableExpandingRing bool
 
 	// Preemptive enables PAODV behaviour. WarnPower is the received
-	// power (Watts) below which a forwarding node warns the source;
-	// WarnGap rate-limits warnings per (source,prev-hop) (default 1 s).
+	// power (Watts) below which a forwarding node warns the source.
 	Preemptive bool
 	WarnPower  float64
-	WarnGap    sim.Duration
 
 	// HelloInterval enables periodic HELLO beacons for link monitoring
 	// (RFC 3561 §6.9). Zero (the default, matching the CMU study
 	// configuration) relies purely on link-layer feedback. A node
 	// beacons only while it has active routes, and declares a neighbour
-	// lost after AllowedHelloLoss missed intervals (default 2).
-	HelloInterval    sim.Duration
-	AllowedHelloLoss int
+	// lost after allowedHelloLoss missed intervals.
+	HelloInterval sim.Duration
 
 	// LocalRepair lets an intermediate node that loses a link attempt to
 	// re-discover the destination itself (RFC 3561 §6.12), salvaging the
@@ -58,43 +43,28 @@ type Config struct {
 	// is still sent immediately (simplified from the RFC's deferred
 	// variant — documented in DESIGN.md).
 	LocalRepair bool
-
-	// SendBufferCap/SendBufferTimeout bound the origin-side packet
-	// buffer (defaults 64 / 30 s).
-	SendBufferCap     int
-	SendBufferTimeout sim.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.ActiveRouteTimeout <= 0 {
-		c.ActiveRouteTimeout = 3 * sim.Second
-	}
-	if c.NodeTraversalTime <= 0 {
-		c.NodeTraversalTime = 40 * sim.Millisecond
-	}
-	if c.NetDiameter <= 0 {
-		c.NetDiameter = 35
-	}
-	if c.RREQRetries <= 0 {
-		c.RREQRetries = 2
-	}
-	if c.TTLStart <= 0 {
-		c.TTLStart = 1
-	}
-	if c.TTLIncrement <= 0 {
-		c.TTLIncrement = 2
-	}
-	if c.TTLThreshold <= 0 {
-		c.TTLThreshold = 7
-	}
-	if c.WarnGap <= 0 {
-		c.WarnGap = sim.Second
-	}
-	if c.AllowedHelloLoss <= 0 {
-		c.AllowedHelloLoss = 2
-	}
-	return c
-}
+// RFC 3561 §10 constants at the values of the CMU study.
+const (
+	activeRouteTimeout = 3 * sim.Second       // unused routes expire
+	nodeTraversalTime  = 40 * sim.Millisecond // per-hop latency estimate
+	netDiameter        = 35                   // flood TTL bound
+	// rreqRetries is the number of network-wide retries after the
+	// expanding-ring phase.
+	rreqRetries = 2
+	// The expanding-ring search starts at ttlStart and grows by
+	// ttlIncrement up to ttlThreshold before flooding at netDiameter.
+	ttlStart, ttlIncrement, ttlThreshold = 1, 2, 7
+	// allowedHelloLoss missed HELLO intervals declare a neighbour lost.
+	allowedHelloLoss = 2
+	// warnGap rate-limits PAODV warnings per flow source, and a source's
+	// warning-driven refreshes per destination.
+	warnGap = sim.Second
+	// netTraversalTime estimates a round trip across the network
+	// (NET_TRAVERSAL_TIME = 2 · NODE_TRAVERSAL_TIME · NET_DIAMETER).
+	netTraversalTime = 2 * nodeTraversalTime * netDiameter
+)
 
 // Factory returns a protocol factory.
 func Factory(cfg Config) network.ProtocolFactory {
@@ -184,7 +154,7 @@ type AODV struct {
 // New creates an AODV agent.
 func New(cfg Config) *AODV {
 	return &AODV{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		table:     make(map[pkt.NodeID]*route),
 		seen:      routing.NewSeenCache(10 * sim.Second),
 		lastWarn:  make(map[pkt.NodeID]sim.Time),
@@ -196,7 +166,7 @@ func New(cfg Config) *AODV {
 // Start implements network.Protocol.
 func (a *AODV) Start(env network.Env) {
 	a.Env = env
-	a.disc.Init(&a.Base, a, a.cfg.SendBufferCap, a.cfg.SendBufferTimeout)
+	a.disc.Init(&a.Base, a, 0, 0)
 	if a.cfg.HelloInterval > 0 {
 		a.Beacon(a.cfg.HelloInterval, a.cfg.HelloInterval, a.helloTick)
 	}
@@ -206,7 +176,7 @@ func (a *AODV) Start(env network.Env) {
 func (a *AODV) helloTick() {
 	now := a.Env.Now()
 	// Expire neighbours we route through but have not heard from.
-	deadline := sim.Duration(a.cfg.AllowedHelloLoss) * a.cfg.HelloInterval
+	deadline := allowedHelloLoss * a.cfg.HelloInterval
 	for nb, last := range a.lastHeard {
 		if now.Sub(last) <= deadline {
 			continue
@@ -293,29 +263,29 @@ func (a *AODV) Recv(p *pkt.Packet, from pkt.NodeID, rxPower float64) {
 
 // --- discovery ----------------------------------------------------------
 
-// Request implements routing.Requester: an expanding ring (TTLStart, then
-// +TTLIncrement up to TTLThreshold), one flood at NetDiameter, then
-// RREQRetries more whose wait doubles each time (RFC 3561 binary
+// Request implements routing.Requester: an expanding ring (ttlStart, then
+// +ttlIncrement up to ttlThreshold), one flood at netDiameter, then
+// rreqRetries more whose wait doubles each time (RFC 3561 binary
 // exponential backoff).
 func (a *AODV) Request(dst pkt.NodeID, try int) (sim.Duration, bool) {
-	ttl, retries := a.cfg.TTLStart, 0
+	ttl, retries := ttlStart, 0
 	if a.cfg.DisableExpandingRing {
-		ttl = a.cfg.NetDiameter
+		ttl = netDiameter
 	}
 	for ; try > 0; try-- {
 		switch {
-		case ttl < a.cfg.TTLThreshold && !a.cfg.DisableExpandingRing:
-			ttl += a.cfg.TTLIncrement
-			if ttl > a.cfg.TTLThreshold {
-				ttl = a.cfg.NetDiameter
+		case ttl < ttlThreshold && !a.cfg.DisableExpandingRing:
+			ttl += ttlIncrement
+			if ttl > ttlThreshold {
+				ttl = netDiameter
 			}
-		case ttl < a.cfg.NetDiameter:
-			ttl = a.cfg.NetDiameter
+		case ttl < netDiameter:
+			ttl = netDiameter
 		default:
 			retries++
 		}
 	}
-	if retries > a.cfg.RREQRetries {
+	if retries > rreqRetries {
 		return 0, false // unreachable
 	}
 	a.seq++
@@ -334,7 +304,7 @@ func (a *AODV) Request(dst pkt.NodeID, try int) (sim.Duration, bool) {
 	p.Payload = m
 	a.Env.SendMac(p, pkt.Broadcast)
 	// Ring traversal time: out and back across ttl hops plus slack.
-	wait := 2 * a.cfg.NodeTraversalTime * sim.Duration(ttl+2)
+	wait := 2 * nodeTraversalTime * sim.Duration(ttl+2)
 	return wait << retries, true
 }
 
@@ -518,7 +488,7 @@ func (a *AODV) handleRERR(m *rerr, from pkt.NodeID) {
 // maybeWarn sends a route-degradation warning back toward the data source.
 func (a *AODV) maybeWarn(p *pkt.Packet) {
 	now := a.Env.Now()
-	if last, ok := a.lastWarn[p.Src]; ok && now.Sub(last) < a.cfg.WarnGap {
+	if last, ok := a.lastWarn[p.Src]; ok && now.Sub(last) < warnGap {
 		return
 	}
 	rev := a.validRoute(p.Src)
@@ -543,7 +513,7 @@ func (a *AODV) handleWarn(p *pkt.Packet, m *warn) {
 	}
 	// At the source: refresh the route before it breaks, rate-limited.
 	now := a.Env.Now()
-	if last, ok := a.warned[m.FlowDst]; ok && now.Sub(last) < a.cfg.WarnGap {
+	if last, ok := a.warned[m.FlowDst]; ok && now.Sub(last) < warnGap {
 		return
 	}
 	a.warned[m.FlowDst] = now
@@ -561,7 +531,7 @@ func (a *AODV) validRoute(dst pkt.NodeID) *route {
 }
 
 func (a *AODV) refresh(r *route) {
-	a.extend(r, a.cfg.ActiveRouteTimeout)
+	a.extend(r, activeRouteTimeout)
 }
 
 func (a *AODV) extend(r *route, lifetime sim.Duration) {
@@ -569,12 +539,6 @@ func (a *AODV) extend(r *route, lifetime sim.Duration) {
 	if exp.After(r.expires) {
 		r.expires = exp
 	}
-}
-
-// netTraversalTime estimates a round trip across the network (RFC 3561
-// NET_TRAVERSAL_TIME = 2 · NODE_TRAVERSAL_TIME · NET_DIAMETER).
-func (a *AODV) netTraversalTime() sim.Duration {
-	return 2 * a.cfg.NodeTraversalTime * sim.Duration(a.cfg.NetDiameter)
 }
 
 // installRoute adopts a route if it is fresher (higher seq), shorter at the
@@ -607,11 +571,7 @@ func (a *AODV) installRoute(dst, nextHop pkt.NodeID, hops int, seq uint32, seqVa
 	// Fresh installations (reverse routes during discovery in particular)
 	// must outlive a full request/reply round trip, or replies from far
 	// destinations die on expired reverse paths (RFC 3561 §6.5).
-	lifetime := a.cfg.ActiveRouteTimeout
-	if ntt := 2 * a.netTraversalTime(); ntt > lifetime {
-		lifetime = ntt
-	}
-	a.extend(r, lifetime)
+	a.extend(r, max(activeRouteTimeout, 2*netTraversalTime))
 }
 
 // NextHop exposes the active next hop toward dst (tests/diagnostics).

@@ -26,42 +26,23 @@ import (
 // Message body size: the 4-byte claimed address.
 const claimBytes = 4
 
-// Config tunes the autoconfiguration agent.
-type Config struct {
-	// Space is the address-space size; addresses are drawn uniformly from
-	// [0, Space). Default 1024 — small enough that collisions are a real
-	// event at study scales, as in the adversarial-autoconf literature.
-	Space int
-	// Rounds is how many probe rounds a claim must survive undefended
-	// before it converges (default 3).
-	Rounds int
-	// Interval separates probe rounds (default 500 ms).
-	Interval sim.Duration
-	// TTL bounds the flood scope of claims, defends and data packets
-	// (default pkt.DefaultTTL).
-	TTL int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Space <= 0 {
-		c.Space = 1024
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 3
-	}
-	if c.Interval <= 0 {
-		c.Interval = 500 * sim.Millisecond
-	}
-	if c.TTL <= 0 {
-		c.TTL = pkt.DefaultTTL
-	}
-	return c
-}
+// Protocol constants. Claims, defends and data packets flood with
+// pkt.DefaultTTL.
+const (
+	// space is the address-space size; addresses are drawn uniformly from
+	// [0, space), small enough that collisions are a real event at study
+	// scales, as in the adversarial-autoconf literature.
+	space = 1024
+	// rounds is how many probe rounds a claim must survive undefended
+	// before it converges.
+	rounds = 3
+	// interval separates probe rounds.
+	interval = 500 * sim.Millisecond
+)
 
 // Factory returns a protocol factory for network.Config.
-func Factory(cfg Config) network.ProtocolFactory {
-	cfg = cfg.withDefaults()
-	return func(pkt.NodeID) network.Protocol { return New(cfg) }
+func Factory() network.ProtocolFactory {
+	return func(pkt.NodeID) network.Protocol { return New() }
 }
 
 // claimPayload is the immutable routing payload of CLAIM/DEFEND floods.
@@ -72,7 +53,6 @@ type claimPayload struct {
 // Autoconf is one node's autoconfiguration agent.
 type Autoconf struct {
 	routing.Base
-	cfg Config
 
 	// Separate duplicate caches: control floods are keyed by the agent's
 	// own message counter, data floods by the application sequence number,
@@ -93,9 +73,8 @@ type Autoconf struct {
 }
 
 // New creates an autoconfiguration agent.
-func New(cfg Config) *Autoconf {
+func New() *Autoconf {
 	return &Autoconf{
-		cfg:      cfg.withDefaults(),
 		seenCtl:  routing.NewSeenCache(60 * sim.Second),
 		seenData: routing.NewSeenCache(60 * sim.Second),
 	}
@@ -128,7 +107,7 @@ func (a *Autoconf) AutoconfState() (uint32, bool, sim.Time) {
 
 // pick draws a fresh random address and restarts the probe schedule.
 func (a *Autoconf) pick() {
-	a.addr = uint32(a.Env.RNG().Intn(a.cfg.Space))
+	a.addr = uint32(a.Env.RNG().Intn(space))
 	a.haveAddr = true
 	a.converged = false
 	a.round = 0
@@ -143,20 +122,20 @@ func (a *Autoconf) probe(ep int) {
 	if ep != a.epoch || !a.up {
 		return
 	}
-	if a.round >= a.cfg.Rounds {
+	if a.round >= rounds {
 		a.converged = true
 		a.convergedAt = a.Env.Now()
 		return
 	}
 	a.round++
 	a.broadcastCtl("CLAIM")
-	a.JitterIn(a.cfg.Interval, func() { a.probe(ep) })
+	a.JitterIn(interval, func() { a.probe(ep) })
 }
 
 // broadcastCtl originates one CLAIM/DEFEND flood for the current address.
 func (a *Autoconf) broadcastCtl(msg string) {
 	a.seq++
-	p := pkt.RoutingPacket(msg, a.Env.ID(), pkt.Broadcast, a.cfg.TTL, claimBytes, a.Env.Now())
+	p := pkt.RoutingPacket(msg, a.Env.ID(), pkt.Broadcast, pkt.DefaultTTL, claimBytes, a.Env.Now())
 	p.Seq = a.seq
 	p.Payload = claimPayload{Addr: a.addr}
 	a.seenCtl.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now())
@@ -165,7 +144,7 @@ func (a *Autoconf) broadcastCtl(msg string) {
 
 // SendData implements network.Protocol: data packets are TTL-scoped floods.
 func (a *Autoconf) SendData(p *pkt.Packet) {
-	p.TTL = a.cfg.TTL
+	p.TTL = pkt.DefaultTTL
 	a.seenData.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now())
 	a.Env.SendMac(p, pkt.Broadcast)
 }

@@ -15,7 +15,7 @@ func clique(t *testing.T, n int) (*rtest.Harness, []*Autoconf) {
 	t.Helper()
 	agents := make([]*Autoconf, n)
 	h := rtest.NewChain(t, n, 30, func(id pkt.NodeID) network.Protocol {
-		agents[id] = New(Config{})
+		agents[id] = New()
 		return agents[id]
 	})
 	return h, agents

@@ -19,45 +19,26 @@ import (
 
 // Config tunes CBRP.
 type Config struct {
-	// HelloInterval is the beacon period (default 2 s).
+	// HelloInterval is the beacon period (default 2 s). A neighbour
+	// unheard for three periods expires.
 	HelloInterval sim.Duration
-	// NeighborExpiry drops unheard neighbours (default 3 × hello).
-	NeighborExpiry sim.Duration
 	// DisableClusterFlooding makes every node re-flood RREQs (ablation:
 	// quantifies the saving from head/gateway-restricted flooding).
 	DisableClusterFlooding bool
 	// DisableLocalRepair turns off 2-hop route repair.
 	DisableLocalRepair bool
-	// DisableShortening turns off en-route path shortening.
-	DisableShortening bool
-	// DiscoveryBase / DiscoveryMax bound discovery retry backoff
-	// (defaults 500 ms / 10 s).
-	DiscoveryBase sim.Duration
-	DiscoveryMax  sim.Duration
-	// RouteCacheTTL bounds how long a source reuses a discovered route
-	// before it must be re-validated by a fresh discovery (default 10 s;
-	// link failures invalidate earlier).
-	RouteCacheTTL sim.Duration
-	// SendBufferCap / SendBufferTimeout bound the origin-side buffer.
-	SendBufferCap     int
+	// SendBufferTimeout bounds how long the origin-side buffer holds a
+	// packet (zero: routing.DefaultSendBufferTimeout).
 	SendBufferTimeout sim.Duration
 }
+
+// routeCacheTTL bounds how long a source reuses a discovered route before a
+// fresh discovery must re-validate it; link failures invalidate earlier.
+const routeCacheTTL = 10 * sim.Second
 
 func (c Config) withDefaults() Config {
 	if c.HelloInterval <= 0 {
 		c.HelloInterval = 2 * sim.Second
-	}
-	if c.NeighborExpiry <= 0 {
-		c.NeighborExpiry = 3 * c.HelloInterval
-	}
-	if c.DiscoveryBase <= 0 {
-		c.DiscoveryBase = 500 * sim.Millisecond
-	}
-	if c.DiscoveryMax <= 0 {
-		c.DiscoveryMax = 10 * sim.Second
-	}
-	if c.RouteCacheTTL <= 0 {
-		c.RouteCacheTTL = 10 * sim.Second
 	}
 	return c
 }
@@ -112,7 +93,7 @@ func New(cfg Config) *CBRP {
 // Start implements network.Protocol.
 func (c *CBRP) Start(env network.Env) {
 	c.Init(env)
-	c.disc.Init(&c.Base, c, c.cfg.SendBufferCap, c.cfg.SendBufferTimeout)
+	c.disc.Init(&c.Base, c, 0, c.cfg.SendBufferTimeout)
 	c.Beacon(c.cfg.HelloInterval, c.cfg.HelloInterval/2, c.beacon)
 }
 
@@ -230,7 +211,7 @@ func (c *CBRP) SendData(p *pkt.Packet) {
 func (c *CBRP) cacheRoute(dst pkt.NodeID, route []pkt.NodeID) {
 	c.routes[dst] = cachedRoute{
 		route:   append([]pkt.NodeID(nil), route...),
-		expires: c.Env.Now().Add(c.cfg.RouteCacheTTL),
+		expires: c.Env.Now().Add(routeCacheTTL),
 	}
 }
 
@@ -255,14 +236,12 @@ func (c *CBRP) forwardData(p *pkt.Packet) {
 		return
 	}
 	next := idx + 1
-	if !c.cfg.DisableShortening {
-		// Skip ahead to the farthest downstream node that is a fresh
-		// direct neighbour (stale entries would break the pipe).
-		for j := len(p.SrcRoute) - 1; j > next; j-- {
-			if c.neighbors.fresh(p.SrcRoute[j], c.Env.Now(), c.cfg.HelloInterval) {
-				next = j
-				break
-			}
+	// Skip ahead to the farthest downstream node that is a fresh direct
+	// neighbour (stale entries would break the pipe).
+	for j := len(p.SrcRoute) - 1; j > next; j-- {
+		if c.neighbors.fresh(p.SrcRoute[j], c.Env.Now(), c.cfg.HelloInterval) {
+			next = j
+			break
 		}
 	}
 	p.SRIndex = idx
@@ -274,7 +253,7 @@ func (c *CBRP) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 	if p.Kind == pkt.KindRouting {
 		switch m := p.Payload.(type) {
 		case *hello:
-			c.neighbors.update(m, from, c.Env.Now(), c.Env.Now().Add(c.cfg.NeighborExpiry))
+			c.neighbors.update(m, from, c.Env.Now(), c.Env.Now().Add(3*c.cfg.HelloInterval))
 		case *routing.RouteRequest:
 			c.handleRREQ(p, m)
 		case *routing.RouteReply:
@@ -299,9 +278,10 @@ func (c *CBRP) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 // --- discovery ---------------------------------------------------------------
 
 // Request implements routing.Requester: network-wide floods whose wait
-// doubles from DiscoveryBase up to DiscoveryMax. A search that starts inside
-// the target's cooldown waits the cooldown out first, and that wait counts
-// as try 0: its first flood already goes out with the doubled wait.
+// doubles from routing.DiscoveryBase up to routing.DiscoveryMax. A search
+// that starts inside the target's cooldown waits the cooldown out first, and
+// that wait counts as try 0: its first flood already goes out with the
+// doubled wait.
 func (c *CBRP) Request(target pkt.NodeID, try int) (sim.Duration, bool) {
 	now := c.Env.Now()
 	if allowed := c.nextRREQ[target]; try == 0 && allowed.After(now) {
@@ -310,9 +290,9 @@ func (c *CBRP) Request(target pkt.NodeID, try int) (sim.Duration, bool) {
 	if try > routing.MaxRequestRetries {
 		return 0, false
 	}
-	c.nextRREQ[target] = now.Add(c.cfg.DiscoveryBase / 2)
+	c.nextRREQ[target] = now.Add(routing.DiscoveryBase / 2)
 	c.Originate(target, pkt.DefaultTTL)
-	return routing.Backoff(c.cfg.DiscoveryBase, c.cfg.DiscoveryMax, try), true
+	return routing.Backoff(routing.DiscoveryBase, routing.DiscoveryMax, try), true
 }
 
 func (c *CBRP) handleRREQ(p *pkt.Packet, m *routing.RouteRequest) {

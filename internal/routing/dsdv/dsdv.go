@@ -23,16 +23,14 @@ const Infinity = 255
 
 // Config tunes DSDV.
 type Config struct {
-	// UpdateInterval is the periodic full-dump period (default 15 s).
+	// UpdateInterval is the periodic full-dump period (default 15 s). A
+	// route not refreshed for three periods expires.
 	UpdateInterval sim.Duration
 	// TriggeredUpdates enables immediate incremental updates on route
 	// changes (default on; the ablation bench turns it off).
 	DisableTriggered bool
 	// MinTriggerGap rate-limits triggered updates (default 1 s).
 	MinTriggerGap sim.Duration
-	// RouteExpiry invalidates routes not refreshed by updates
-	// (default 3 × UpdateInterval).
-	RouteExpiry sim.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -41,9 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinTriggerGap <= 0 {
 		c.MinTriggerGap = sim.Second
-	}
-	if c.RouteExpiry <= 0 {
-		c.RouteExpiry = 3 * c.UpdateInterval
 	}
 	return c
 }
@@ -126,7 +121,7 @@ func (d *DSDV) lookup(dst pkt.NodeID) *entry {
 	if !ok || e.metric >= Infinity {
 		return nil
 	}
-	if d.Env.Now().Sub(e.updated) > d.cfg.RouteExpiry {
+	if d.Env.Now().Sub(e.updated) > 3*d.cfg.UpdateInterval {
 		return nil
 	}
 	return e
@@ -189,7 +184,7 @@ func (d *DSDV) handleUpdate(u *update, from pkt.NodeID) {
 		metric := a.Metric + 1
 		// A silently-expired entry must not veto fresh information with
 		// its stale sequence number.
-		expired := ok && now.Sub(cur.updated) > d.cfg.RouteExpiry
+		expired := ok && now.Sub(cur.updated) > 3*d.cfg.UpdateInterval
 		adopt := !ok || expired ||
 			routing.SeqNewer(a.Seq, cur.seq) ||
 			(a.Seq == cur.seq && metric < cur.metric) ||

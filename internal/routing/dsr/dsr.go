@@ -19,50 +19,28 @@ import (
 	"adhocsim/internal/stats"
 )
 
-// Config tunes DSR.
+// Config tunes DSR. The zero value is the CMU study configuration.
 type Config struct {
-	// CacheCapacity bounds the path cache (default 64 paths).
-	CacheCapacity int
-	// NonPropagating enables the TTL-1 first discovery phase (default
-	// on; disable for ablation).
+	// DisableNonPropagating skips the TTL-1 first discovery phase
+	// (ablation).
 	DisableNonPropagating bool
-	// ReplyFromCache lets intermediate nodes answer RREQs from their
-	// cache (default on; disable for ablation).
+	// DisableReplyFromCache stops intermediate nodes answering RREQs from
+	// their cache (ablation).
 	DisableReplyFromCache bool
-	// PromiscuousLearning adds overheard source routes to the cache
-	// (default on).
+	// DisablePromiscuous stops adding overheard source routes to the
+	// cache.
 	DisablePromiscuous bool
-	// MaxSalvageCount bounds per-packet salvage operations (default 15).
-	MaxSalvageCount int
-	// NonPropTimeout is the wait after the TTL-1 request (default 30 ms).
-	NonPropTimeout sim.Duration
-	// DiscoveryBase is the first propagating-request timeout; it doubles
-	// per retry up to DiscoveryMax (defaults 500 ms / 10 s).
-	DiscoveryBase sim.Duration
-	DiscoveryMax  sim.Duration
-	// SendBufferCap/SendBufferTimeout bound the origin-side buffer.
-	SendBufferCap     int
+	// SendBufferTimeout bounds how long the origin-side buffer holds a
+	// packet (zero: routing.DefaultSendBufferTimeout).
 	SendBufferTimeout sim.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 64
-	}
-	if c.MaxSalvageCount <= 0 {
-		c.MaxSalvageCount = 15
-	}
-	if c.NonPropTimeout <= 0 {
-		c.NonPropTimeout = 30 * sim.Millisecond
-	}
-	if c.DiscoveryBase <= 0 {
-		c.DiscoveryBase = 500 * sim.Millisecond
-	}
-	if c.DiscoveryMax <= 0 {
-		c.DiscoveryMax = 10 * sim.Second
-	}
-	return c
-}
+// CMU study constants.
+const (
+	cacheCapacity   = 64                   // paths in the path cache
+	maxSalvageCount = 15                   // salvage operations per packet
+	nonPropTimeout  = 30 * sim.Millisecond // wait after the TTL-1 request
+)
 
 // Factory returns a protocol factory.
 func Factory(cfg Config) network.ProtocolFactory {
@@ -78,13 +56,13 @@ type DSR struct {
 }
 
 // New creates a DSR agent.
-func New(cfg Config) *DSR { return &DSR{cfg: cfg.withDefaults()} }
+func New(cfg Config) *DSR { return &DSR{cfg: cfg} }
 
 // Start implements network.Protocol.
 func (d *DSR) Start(env network.Env) {
 	d.Init(env)
-	d.cache = NewPathCache(env.ID(), d.cfg.CacheCapacity)
-	d.disc.Init(&d.Base, d, d.cfg.SendBufferCap, d.cfg.SendBufferTimeout)
+	d.cache = NewPathCache(env.ID(), cacheCapacity)
+	d.disc.Init(&d.Base, d, 0, d.cfg.SendBufferTimeout)
 }
 
 // Cache exposes the path cache (tests/diagnostics).
@@ -148,7 +126,7 @@ func (d *DSR) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 
 // Request implements routing.Requester: a non-propagating (TTL 1) first
 // try with a short wait, then network-wide floods whose wait doubles from
-// DiscoveryBase up to DiscoveryMax.
+// routing.DiscoveryBase up to routing.DiscoveryMax.
 func (d *DSR) Request(target pkt.NodeID, try int) (sim.Duration, bool) {
 	if try > routing.MaxRequestRetries {
 		return 0, false
@@ -156,12 +134,12 @@ func (d *DSR) Request(target pkt.NodeID, try int) (sim.Duration, bool) {
 	if !d.cfg.DisableNonPropagating {
 		if try == 0 {
 			d.Originate(target, 1)
-			return d.cfg.NonPropTimeout, true
+			return nonPropTimeout, true
 		}
 		try-- // the non-propagating try is not a doubling
 	}
 	d.Originate(target, pkt.DefaultTTL)
-	return routing.Backoff(d.cfg.DiscoveryBase, d.cfg.DiscoveryMax, try), true
+	return routing.Backoff(routing.DiscoveryBase, routing.DiscoveryMax, try), true
 }
 
 func (d *DSR) handleRREQ(p *pkt.Packet, m *routing.RouteRequest) {
@@ -248,7 +226,7 @@ func (d *DSR) MacFailed(p *pkt.Packet, to pkt.NodeID) {
 // the origin, or drops it.
 func (d *DSR) salvage(p *pkt.Packet, failedHop pkt.NodeID) {
 	me := d.Env.ID()
-	if alt := d.cache.Find(p.Dst); alt != nil && p.Salvaged < d.cfg.MaxSalvageCount && alt[1] != failedHop {
+	if alt := d.cache.Find(p.Dst); alt != nil && p.Salvaged < maxSalvageCount && alt[1] != failedHop {
 		p.Salvaged++
 		routing.AttachRoute(p, alt)
 		d.forwardAlongRoute(p)

@@ -21,6 +21,13 @@ const (
 // origin re-sends before it gives the target up.
 const MaxRequestRetries = 8
 
+// DiscoveryBase is a source-routing origin's wait after its first
+// network-wide route request; the wait doubles per retry up to DiscoveryMax.
+const (
+	DiscoveryBase = 500 * sim.Millisecond
+	DiscoveryMax  = 10 * sim.Second
+)
+
 // RouteRequest is a flooded route request; Record holds the nodes traversed
 // so far, originator first.
 type RouteRequest struct {

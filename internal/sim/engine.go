@@ -214,9 +214,19 @@ type Engine struct {
 // calendar (PR 24, -cpu 1, median of 5): 42 / 67 at 3 pending, 100 / 102 at
 // 50, 115 / 100 at 200, 141 / 104 at 500, 152 / 108 at 1k, 209 / 147 at 10k.
 // The hold model has one timescale, the calendar's best case; a run mixes µs
-// MAC slots with second-scale timers, and whole 10k-node runs put the two
-// within host noise. So the switch waits until the heap's log n is past doubt:
-// over 3× the paper regime's deepest queue (145), which never pays a migration.
+// MAC slots with second-scale timers. So the switch waits until the heap's
+// log n is past doubt: over 3× the paper regime's deepest queue (145), which
+// never pays a migration.
+//
+// Both queues stay because whole runs have ruled out neither. Prototypes with
+// one queue deleted, against this engine (shared 2-core Xeon 2.1 GHz, go1.24,
+// 20 s benchmark runs, alternating pairs, median [q1–q3]):
+//   - heap only, city_10k: run_s 2.52 [2.31–2.88] → 2.73 [2.46–3.01] s,
+//     faster in 5 of 10 pairs (an earlier 4-pair run read +28.7 %, 0 of 4);
+//     allocations −2 %.
+//   - calendar only, campaign_cluster: units_per_s 363 → 372, 1 of 4 pairs;
+//     allocs_per_run 5 398 → 5 615 (+4 %).
+//   - calendar only, paper_study: run_s 8.05 → 8.13 s, 1 of 4 pairs.
 const autoCalendarAt = 512
 
 // NewEngine returns an empty engine with the clock at time zero that picks
