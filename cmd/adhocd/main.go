@@ -51,7 +51,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "local executor slots (0 = GOMAXPROCS; -1 = pure coordinator, remote workers only)")
 		journalDir = flag.String("journal-dir", "", "checkpoint journals directory (empty = no checkpointing)")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory (empty = in-memory cache)")
-		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "worker lease duration")
+		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "worker lease duration; a remote run of a cancelled or finished campaign stops within a third of it")
 		workerMode = flag.Bool("worker", false, "run as a worker process (requires -join)")
 		join       = flag.String("join", "", "coordinator URL to join in worker mode")
 	)

@@ -36,16 +36,15 @@ func RunDistWorker(ctx context.Context, opts DistWorkerOptions) error {
 	return dist.RunWorker(ctx, opts)
 }
 
-// DistEvent is one progress or control event on the coordinator's bus.
+// DistEvent is one progress event on the coordinator's bus.
 type DistEvent = dist.Event
 
 // Event types carried by DistEvent.
 const (
-	DistEventSnapshot          = dist.EventSnapshot
-	DistEventRunCommitted      = dist.EventRunCommitted
-	DistEventCellConverged     = dist.EventCellConverged
-	DistEventCampaignDone      = dist.EventCampaignDone
-	DistEventCampaignCancelled = dist.EventCampaignCancelled
+	DistEventSnapshot      = dist.EventSnapshot
+	DistEventRunCommitted  = dist.EventRunCommitted
+	DistEventCellConverged = dist.EventCellConverged
+	DistEventCampaignDone  = dist.EventCampaignDone
 )
 
 // ResultStore is the content-addressed result cache interface.

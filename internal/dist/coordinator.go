@@ -39,8 +39,8 @@ type ServerOptions struct {
 
 // Server is the campaign coordinator and the one HTTP simulation service.
 // It owns the campaign lifecycle (submit, progress, results, cancel), the
-// worker protocol (lease, renew, release, commit, spec), a per-campaign SSE
-// progress stream, and the control stream workers watch for cancellations.
+// worker protocol (lease, renew, release, commit, spec) and a per-campaign
+// SSE progress stream.
 // With its default local executors it needs no remote worker at all.
 type Server struct {
 	opts     ServerOptions
@@ -112,7 +112,7 @@ func NewServer(opts ServerOptions) *Server {
 	return s
 }
 
-// Hub exposes the progress/control bus (in-process subscribers, tests).
+// Hub exposes the progress bus (in-process subscribers, tests).
 func (s *Server) Hub() *Hub { return s.hub }
 
 // reap periodically re-queues units whose leases expired without renewal.
@@ -153,7 +153,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /dist/release", s.handleRelease)
 	mux.HandleFunc("POST /dist/commit", s.handleCommit)
 	mux.HandleFunc("GET /dist/campaigns/{id}/spec", s.handleSpec)
-	mux.HandleFunc("GET /dist/events", s.handleControlEvents)
 	mux.HandleFunc("GET /dist/status", s.handleStatus)
 	return mux
 }
@@ -456,9 +455,10 @@ func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []
 
 // finishLocked settles a campaign exactly once: the engine computes the
 // final aggregate (or the terminal error), outstanding leases are dropped
-// so renewals start failing, terminal events go out on both the campaign
-// topic and the worker control topic, and local executors are cancelled —
-// any still-running speculative unit can no longer be committed.
+// so renewals start failing — that is how remote workers learn the
+// campaign ended — the terminal event goes out on the campaign topic, and
+// local executors are cancelled: any still-running speculative unit can no
+// longer be committed.
 func (s *Server) finishLocked(m *managed) {
 	if m.finished {
 		return
@@ -472,7 +472,6 @@ func (s *Server) finishLocked(m *managed) {
 		State: snap.State, Snapshot: &snap, Err: snap.Err,
 	}
 	s.hub.Publish(CampaignTopic(m.id), done)
-	s.hub.Publish(ControlTopic, done)
 	close(m.done)
 	m.cancel()
 }
@@ -538,16 +537,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Cancel the execution context first so in-flight local runs abort
-	// promptly, then settle. Workers learn three ways, fastest first: the
-	// control-stream cancellation event, failing renewals (leases dropped),
-	// and rejected commits.
+	// promptly, then settle. Remote workers learn from the dropped leases:
+	// their next renewal gets 410 and any commit is refused.
 	m.cancel()
 	m.mu.Lock()
-	if !m.finished {
-		s.hub.Publish(ControlTopic, Event{Type: EventCampaignCancelled, Campaign: m.id})
-		s.hub.Publish(CampaignTopic(m.id), Event{Type: EventCampaignCancelled, Campaign: m.id})
-		s.finishLocked(m)
-	}
+	s.finishLocked(m)
 	m.mu.Unlock()
 	m.wg.Wait() // local executors have drained; the campaign is settled
 	writeJSON(w, http.StatusOK, m.c.Snapshot())

@@ -6,8 +6,9 @@
 // aggregates stay pure functions of the spec, bit-identical to a
 // single-process run. A content-addressed result cache (Store) is
 // consulted before any lease is granted, and a topic-based pub/sub hub
-// streams per-campaign progress to SSE subscribers and cancel
-// notifications to workers.
+// streams per-campaign progress to SSE subscribers. Workers learn that a
+// campaign ended from its leases: the coordinator drops them, so the next
+// renewal fails.
 package dist
 
 import (
@@ -17,10 +18,9 @@ import (
 	"adhocsim/internal/metrics"
 )
 
-// Event is one message on the progress/control bus. The same shape is
-// published in-process (Hub), serialized to SSE subscribers of
-// GET /campaigns/{id}/events, and consumed by the worker's control-stream
-// listener.
+// Event is one message on the progress bus. The same shape is published
+// in-process (Hub) and serialized to SSE subscribers of
+// GET /campaigns/{id}/events.
 type Event struct {
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
@@ -45,20 +45,14 @@ type Event struct {
 
 // Event types.
 const (
-	EventSnapshot          = "snapshot"           // initial state for a new subscriber
-	EventRunCommitted      = "run_committed"      // one unit committed
-	EventCellConverged     = "cell_converged"     // a cell's stopping rule fired
-	EventCampaignDone      = "campaign_done"      // terminal: done, failed or cancelled
-	EventCampaignCancelled = "campaign_cancelled" // control: workers abort in-flight runs
+	EventSnapshot      = "snapshot"       // initial state for a new subscriber
+	EventRunCommitted  = "run_committed"  // one unit committed
+	EventCellConverged = "cell_converged" // a cell's stopping rule fired
+	EventCampaignDone  = "campaign_done"  // terminal: done, failed or cancelled
 )
 
 // CampaignTopic is the per-campaign progress topic.
 func CampaignTopic(id string) string { return "campaign/" + id }
-
-// ControlTopic carries coordinator→worker notifications (cancellation,
-// completion) for every campaign; workers hold one subscription for their
-// whole lifetime instead of one per campaign.
-const ControlTopic = "control"
 
 // Hub is a topic-based publish/subscribe bus. Publishing never blocks: a
 // subscriber that cannot keep up loses its oldest buffered events first,

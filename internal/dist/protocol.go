@@ -16,7 +16,6 @@ import (
 //	POST /dist/commit               deliver a result           → 200 CommitResponse |
 //	                                409 CommitResponse carrying the winning result on duplicates
 //	GET  /dist/campaigns/{id}/spec  fetch the campaign spec    → 200 SpecResponse
-//	GET  /dist/events               SSE control stream (cancellation, completion)
 //	GET  /dist/status               coordinator introspection  → 200 StatusResponse
 //
 // A worker never receives scenario objects per unit: it fetches the spec

@@ -1,13 +1,9 @@
 package dist
 
 import (
-	"bufio"
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"adhocsim/internal/campaign"
@@ -62,11 +58,6 @@ func (s *sseWriter) comment(text string) error {
 	return nil
 }
 
-// isTerminal reports whether an event ends a campaign's stream.
-func isTerminal(e Event) bool {
-	return e.Type == EventCampaignDone || e.Type == EventCampaignCancelled
-}
-
 // handleEvents streams one campaign's progress: an initial snapshot, then
 // run_committed / cell_converged events through to the terminal
 // campaign_done. Subscription happens before the initial snapshot is read,
@@ -104,7 +95,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if err := sw.event(e); err != nil {
 				return
 			}
-			if isTerminal(e) {
+			if e.Type == EventCampaignDone {
 				return
 			}
 		case <-hb.C:
@@ -124,74 +115,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func terminalState(st campaign.State) bool {
 	return st == campaign.StateDone || st == campaign.StateFailed || st == campaign.StateCancelled
-}
-
-// handleControlEvents streams coordinator→worker notifications for every
-// campaign (cancellations and completions). Workers hold one subscription
-// for their lifetime and abort in-flight runs whose campaign ends.
-func (s *Server) handleControlEvents(w http.ResponseWriter, r *http.Request) {
-	sub := s.hub.Subscribe(ControlTopic, 64)
-	defer sub.Cancel()
-	sw, ok := newSSEWriter(w)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
-		return
-	}
-	if err := sw.comment("control stream open"); err != nil {
-		return
-	}
-	hb := time.NewTicker(sseHeartbeat)
-	defer hb.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.base.Done():
-			return
-		case e := <-sub.C():
-			if err := sw.event(e); err != nil {
-				return
-			}
-		case <-hb.C:
-			if err := sw.comment("ping"); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// readSSE consumes a server-sent-events stream, invoking onEvent for every
-// complete event until the stream ends or ctx is cancelled. It is the
-// worker-side client for /dist/events (and works against
-// /campaigns/{id}/events too).
-func readSSE(ctx context.Context, body interface{ Read([]byte) (int, error) }, onEvent func(Event)) error {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var data bytes.Buffer
-	for sc.Scan() {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		line := sc.Text()
-		switch {
-		case line == "":
-			if data.Len() > 0 {
-				var e Event
-				if err := json.Unmarshal(data.Bytes(), &e); err == nil {
-					onEvent(e)
-				}
-				data.Reset()
-			}
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		default:
-			// event:/id:/retry: lines and comments — the type travels
-			// inside the JSON payload as well, so they carry no extra
-			// information for us.
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return ctx.Err()
 }

@@ -49,21 +49,16 @@ type worker struct {
 	id   string
 	hard context.Context
 	logf func(string, ...any)
-
-	mu sync.Mutex
-	// Campaign ids restart at c1 in every coordinator process, and a
-	// worker outlives coordinator restarts: so a plan is reused only under
-	// its spec hash, a rejection is remembered by spec hash, and ended
-	// holds only what the current control stream reported.
-	plans    map[string]*campaign.Plan // campaign id → locally expanded plan
-	bad      map[string]string         // spec hash → why its plan was rejected
-	ended    map[string]bool           // campaigns cancelled/finished per control stream
-	inflight map[*inflightRun]struct{}
 }
 
-type inflightRun struct {
-	campaign string
-	cancel   context.CancelFunc
+// slotPlan is one slot's current campaign plan. Campaign ids restart at c1
+// in every coordinator process, and a worker outlives coordinator restarts:
+// so the plan is keyed by spec hash, not by id. A spec whose plan could not
+// be reconstructed keeps its error instead.
+type slotPlan struct {
+	hash string
+	plan *campaign.Plan
+	err  error
 }
 
 // RunWorker joins a coordinator and executes leased run units until ctx is
@@ -71,6 +66,8 @@ type inflightRun struct {
 // taken, in-flight runs complete and commit, leases are released, and the
 // function returns nil. Cancelling opts.Hard aborts in-flight runs
 // immediately (their leases are released so the units re-issue promptly).
+// A run whose campaign ended — cancelled, or finished by other workers —
+// stops at its next lease renewal, which the coordinator answers 410.
 //
 // All coordinator calls retry with exponential backoff and full jitter, so
 // a worker survives coordinator restarts: it simply re-leases once the
@@ -108,22 +105,12 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		logf = func(string, ...any) {}
 	}
 	w := &worker{
-		opts:     opts,
-		base:     strings.TrimRight(opts.Coordinator, "/"),
-		id:       opts.ID,
-		hard:     hard,
-		logf:     logf,
-		plans:    make(map[string]*campaign.Plan),
-		bad:      make(map[string]string),
-		ended:    make(map[string]bool),
-		inflight: make(map[*inflightRun]struct{}),
+		opts: opts,
+		base: strings.TrimRight(opts.Coordinator, "/"),
+		id:   opts.ID,
+		hard: hard,
+		logf: logf,
 	}
-
-	// The control listener outlives the graceful drain (an in-flight run
-	// still wants cancellation news) but dies with the worker.
-	watchCtx, stopWatch := context.WithCancel(hard)
-	defer stopWatch()
-	go w.watchControl(watchCtx)
 
 	errs := make([]error, opts.Slots)
 	var wg sync.WaitGroup
@@ -143,8 +130,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	return nil
 }
 
-// runSlot is one lease → execute → commit loop.
+// runSlot is one lease → execute → commit loop. Dispatch serves the oldest
+// campaign first, so holding one plan per slot fetches a spec about once
+// per campaign.
 func (w *worker) runSlot(ctx context.Context) error {
+	var cur slotPlan
 	for {
 		if ctx.Err() != nil {
 			return nil // graceful drain complete
@@ -162,7 +152,7 @@ func (w *worker) runSlot(ctx context.Context) error {
 			}
 			continue
 		}
-		w.execute(ctx, grant)
+		w.execute(ctx, grant, &cur)
 	}
 }
 
@@ -203,12 +193,8 @@ func (w *worker) lease(ctx context.Context) (grant LeaseGrant, got bool, err err
 }
 
 // execute runs one leased unit end to end.
-func (w *worker) execute(ctx context.Context, grant LeaseGrant) {
-	if w.isEnded(grant.Campaign) {
-		w.release(grant.LeaseID)
-		return
-	}
-	plan, err := w.planFor(ctx, grant.Campaign, grant.SpecHash)
+func (w *worker) execute(ctx context.Context, grant LeaseGrant, cur *slotPlan) {
+	plan, err := w.planFor(ctx, grant, cur)
 	if err != nil {
 		w.logf("worker %s: campaign %s: %v", w.id, grant.Campaign, err)
 		w.release(grant.LeaseID)
@@ -226,17 +212,11 @@ func (w *worker) execute(ctx context.Context, grant LeaseGrant) {
 		return
 	}
 
-	// The run aborts on the hard context, a lost lease, or a cancelled
-	// campaign — never on the soft ctx: a graceful drain lets it finish.
+	// The run aborts on the hard context or a lost lease — an ended
+	// campaign drops its leases — never on the soft ctx: a graceful drain
+	// lets it finish.
 	runCtx, cancelRun := context.WithCancel(w.hard)
 	defer cancelRun()
-	h := &inflightRun{campaign: grant.Campaign, cancel: cancelRun}
-	if !w.track(h) {
-		// Campaign ended between the first check and tracking.
-		w.release(grant.LeaseID)
-		return
-	}
-	defer w.untrack(h)
 
 	hbCtx, stopHB := context.WithCancel(runCtx)
 	defer stopHB()
@@ -245,9 +225,8 @@ func (w *worker) execute(ctx context.Context, grant LeaseGrant) {
 	res, err := plan.ExecuteUnit(runCtx, grant.Cell, grant.Rep)
 	stopHB()
 	if err != nil {
-		// Aborted (campaign cancelled, lease lost, hard shutdown): give the
-		// unit back so it re-issues promptly rather than waiting out the
-		// lease deadline.
+		// Aborted (lease lost, hard shutdown): give the unit back so it
+		// re-issues promptly rather than waiting out the lease deadline.
 		w.release(grant.LeaseID)
 		return
 	}
@@ -345,27 +324,19 @@ func (w *worker) release(leaseID string) {
 	_, _, _ = w.post(ctx, "/dist/release", ReleaseRequest{LeaseID: leaseID}, nil)
 }
 
-// planFor returns the locally expanded plan for a campaign, fetching and
-// verifying the spec on first use of its id under the lease's spec hash. A
-// plan that cannot be reconstructed bit-identically (version skew between
-// worker and coordinator binaries) poisons its spec hash locally: leases
-// under it are released immediately instead of executing under a wrong
-// model.
-func (w *worker) planFor(ctx context.Context, id, hash string) (*campaign.Plan, error) {
-	w.mu.Lock()
-	if why, bad := w.bad[hash]; bad {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("spec rejected earlier: %s", why)
+// planFor returns the plan a lease runs under: the slot's current plan
+// when the spec hashes match, else one expanded from the campaign's fetched
+// spec, which becomes the slot's current plan. A plan that cannot be
+// reconstructed bit-identically (version skew between worker and
+// coordinator binaries) becomes the slot's current error: leases under its
+// hash are released immediately instead of executing under a wrong model.
+func (w *worker) planFor(ctx context.Context, grant LeaseGrant, cur *slotPlan) (*campaign.Plan, error) {
+	if cur.hash == grant.SpecHash {
+		return cur.plan, cur.err
 	}
-	if p := w.plans[id]; p != nil && p.Hash == hash {
-		w.mu.Unlock()
-		return p, nil
-	}
-	w.mu.Unlock()
-
 	var sr SpecResponse
 	err := retry(ctx, w.opts.BackoffBase, w.opts.BackoffMax, func() error {
-		status, body, err := w.get(ctx, "/dist/campaigns/"+id+"/spec", &sr)
+		status, body, err := w.get(ctx, "/dist/campaigns/"+grant.Campaign+"/spec", &sr)
 		if err != nil {
 			return err
 		}
@@ -382,105 +353,16 @@ func (w *worker) planFor(ctx context.Context, id, hash string) (*campaign.Plan, 
 	}
 	plan, err := sr.Plan()
 	if err != nil {
-		w.mu.Lock()
-		w.bad[sr.Hash] = err.Error()
-		w.mu.Unlock()
+		*cur = slotPlan{hash: sr.Hash, err: fmt.Errorf("spec rejected earlier: %w", err)}
 		return nil, err
 	}
-	if plan.Hash != hash {
+	if plan.Hash != grant.SpecHash {
 		// The id names another campaign than the lease's: the coordinator
 		// restarted in between. Nothing is wrong with either spec.
-		return nil, fmt.Errorf("spec hash %.12s… does not match lease hash %.12s…", plan.Hash, hash)
+		return nil, fmt.Errorf("spec hash %.12s… does not match lease hash %.12s…", plan.Hash, grant.SpecHash)
 	}
-	w.mu.Lock()
-	w.plans[id] = plan
-	w.mu.Unlock()
+	*cur = slotPlan{hash: plan.Hash, plan: plan}
 	return plan, nil
-}
-
-// watchControl follows the coordinator's control stream, marking ended
-// campaigns and aborting their in-flight runs. The connection is retried
-// forever — renewals failing against dropped leases are the fallback
-// cancellation signal while the stream is down.
-func (w *worker) watchControl(ctx context.Context) {
-	for ctx.Err() == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/dist/events", nil)
-		if err != nil {
-			return
-		}
-		// The default client has no overall Timeout, which would cut this
-		// long-lived stream.
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			if resp.StatusCode == http.StatusOK {
-				// A new stream may be a new coordinator, whose campaign
-				// ids say nothing of the old one's.
-				w.mu.Lock()
-				clear(w.ended)
-				w.mu.Unlock()
-				_ = readSSE(ctx, resp.Body, func(e Event) {
-					if e.Type == EventCampaignCancelled || e.Type == EventCampaignDone {
-						w.endCampaign(e.Campaign)
-					}
-				})
-			}
-			resp.Body.Close()
-		}
-		if !sleepCtx(ctx, 500*time.Millisecond) {
-			return
-		}
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d/2 + rand.N(d))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// endCampaign records a terminal campaign and aborts its in-flight runs.
-func (w *worker) endCampaign(id string) {
-	w.mu.Lock()
-	w.ended[id] = true
-	delete(w.plans, id) // free the expanded plan; it will not be needed again
-	var cancels []context.CancelFunc
-	for h := range w.inflight {
-		if h.campaign == id {
-			cancels = append(cancels, h.cancel)
-		}
-	}
-	w.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
-func (w *worker) isEnded(id string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ended[id]
-}
-
-// track registers an in-flight run; false means its campaign already ended.
-func (w *worker) track(h *inflightRun) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.ended[h.campaign] {
-		return false
-	}
-	w.inflight[h] = struct{}{}
-	return true
-}
-
-func (w *worker) untrack(h *inflightRun) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.inflight, h)
 }
 
 // post sends a JSON request; out (when non-nil) is decoded from 2xx and

@@ -218,15 +218,21 @@ type Engine struct {
 // log n is past doubt: over 3× the paper regime's deepest queue (145), which
 // never pays a migration.
 //
-// Both queues stay because whole runs have ruled out neither. Prototypes with
-// one queue deleted, against this engine (shared 2-core Xeon 2.1 GHz, go1.24,
-// 20 s benchmark runs, alternating pairs, median [q1–q3]):
-//   - heap only, city_10k: run_s 2.52 [2.31–2.88] → 2.73 [2.46–3.01] s,
-//     faster in 5 of 10 pairs (an earlier 4-pair run read +28.7 %, 0 of 4);
-//     allocations −2 %.
+// Both queues stay because the calendar measures ahead where it is used.
+// Prototypes with one queue deleted, against this engine (shared 2-core Xeon
+// 2.1 GHz, go1.24, 20 s benchmark runs, alternating pairs, median [q1–q3],
+// result digests identical):
+//   - heap only, city_10k, 20 pairs: run_s 1.85 [1.74–1.93] → 2.00
+//     [1.90–2.08] s (+8.0 %), heap faster in 6 of 20; allocs_per_run −2.0 %.
+//   - heap only, city_10k_churn, 20 pairs: run_s 1.63 [1.58–1.76] → 1.80
+//     [1.72–1.94] s (+10.8 %), heap faster in 3 of 20; allocs_per_run −5.1 %,
+//     setup_s −12.2 % (20 of 20).
 //   - calendar only, campaign_cluster: units_per_s 363 → 372, 1 of 4 pairs;
 //     allocs_per_run 5 398 → 5 615 (+4 %).
 //   - calendar only, paper_study: run_s 8.05 → 8.13 s, 1 of 4 pairs.
+//
+// Neither city loss clears 9 of 10 pairs, but neither row has the heap
+// ahead: one queue would trade city run time for less code.
 const autoCalendarAt = 512
 
 // NewEngine returns an empty engine with the clock at time zero that picks
