@@ -143,6 +143,9 @@ func openJournal(path string, plan *Plan) (*journal, []journalEntry, error) {
 			return nil, nil, fmt.Errorf("campaign: journal %s: entry (cell %d, rep %d) has seed %d, want %d",
 				path, e.Cell, e.Rep, e.Seed, want)
 		}
+		if err := e.Results.Streams.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("campaign: journal %s: entry (cell %d, rep %d) is malformed: %w", path, e.Cell, e.Rep, err)
+		}
 		entries = append(entries, e)
 		rest = tail
 		validLen = len(data) - len(rest)

@@ -9,14 +9,15 @@ import (
 	"strings"
 	"testing"
 
+	"adhocsim/internal/metrics"
 	"adhocsim/internal/stats"
 )
 
 // replayOracle is what openJournal must make of a journal whose header is
 // followed by tail: the entries of the longest run of complete lines that
 // each decode, and the byte length of that run. outOfPlan reports that one
-// of those entries names a unit or seed the plan does not hold, which
-// rejects the whole journal.
+// of those entries names a unit or seed the plan does not hold, or carries a
+// malformed sketch, which rejects the whole journal.
 func replayOracle(plan *Plan, tail []byte) (entries []journalEntry, valid int, outOfPlan bool) {
 	for rest := tail; ; {
 		i := bytes.IndexByte(rest, '\n')
@@ -28,7 +29,7 @@ func replayOracle(plan *Plan, tail []byte) (entries []journalEntry, valid int, o
 			return entries, valid, false
 		}
 		if e.Cell < 0 || e.Cell >= len(plan.Cells) || e.Rep < 0 || e.Rep >= plan.Spec.MaxReps ||
-			e.Seed != plan.SeedFor(e.Cell, e.Rep) {
+			e.Seed != plan.SeedFor(e.Cell, e.Rep) || e.Results.Streams.Validate() != nil {
 			return nil, 0, true
 		}
 		entries = append(entries, e)
@@ -44,7 +45,7 @@ func sameEntries(a, b []journalEntry) bool {
 // FuzzJournalReplay feeds openJournal a valid header followed by arbitrary
 // bytes. It must never panic; it must replay exactly the complete,
 // decodable prefix (cutting the rest off the file) or reject an entry
-// outside the plan; a second open must replay the same entries; and an
+// outside the plan or with a malformed sketch; a second open must replay the same entries; and an
 // entry appended from encoded bytes must be the line json.Marshal writes
 // for it and replay to its Results.
 func FuzzJournalReplay(f *testing.F) {
@@ -72,6 +73,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(line(len(plan.Cells), 0, 1, sample))                      // cell outside the plan
 	f.Add(line(0, 0, plan.SeedFor(0, 0)+1, sample))                 // wrong seed
 	f.Add([]byte("\n\n" + strings.Repeat("{\"cell\":", 3) + "\n"))  // empty lines first
+	f.Add(line(0, 0, plan.SeedFor(0, 0), malformedSketch()))        // sketch with a mean but no weight
 
 	enc, err := json.Marshal(sample)
 	if err != nil {
@@ -96,7 +98,8 @@ func FuzzJournalReplay(f *testing.F) {
 		want, valid, outOfPlan := replayOracle(plan, tail)
 		j, got, err := openJournal(path, plan)
 		if outOfPlan {
-			if err == nil || !strings.Contains(err.Error(), "outside the plan") && !strings.Contains(err.Error(), "has seed") {
+			if err == nil || !strings.Contains(err.Error(), "outside the plan") && !strings.Contains(err.Error(), "has seed") &&
+				!strings.Contains(err.Error(), "malformed") {
 				j.Close()
 				t.Fatalf("out-of-plan entry accepted: err=%v", err)
 			}
@@ -149,4 +152,45 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("appended entry replayed as %+v", last)
 		}
 	})
+}
+
+// malformedSketch is a result whose delay sketch has a mean but no weight:
+// folding it into a cell that already holds a sketch indexes past the
+// weights.
+func malformedSketch() stats.Results {
+	return stats.Results{Streams: &metrics.RunStreams{Sketches: map[string]metrics.SketchState{
+		"delay": {Compression: metrics.DefaultCompression, Count: 1, Means: []float64{1, 2}, Weights: []float64{1}},
+	}}}
+}
+
+// TestJournalRejectsMalformedSketch: a journaled run whose sketch would
+// panic the fold on replay makes the open fail with an error, and the file
+// stays as it was.
+func TestJournalRejectsMalformedSketch(t *testing.T) {
+	plan, err := resumeSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	j, _, err := startFresh(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.writeLine(journalEntry{Cell: 0, Rep: 0, Seed: plan.SeedFor(0, 0), Results: malformedSketch()}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _, err := openJournal(path, plan); err == nil || !strings.Contains(err.Error(), "(cell 0, rep 0) is malformed") {
+		if err == nil {
+			j.Close()
+		}
+		t.Fatalf("open = %v, want a malformed-entry error", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, written) {
+		t.Fatal("a rejected journal was modified")
+	}
 }

@@ -115,8 +115,8 @@ func (s *FSStore) path(key string) string {
 }
 
 // Load looks a key up. Absent files are misses, and so are files that do
-// not decode or that hold a newline: enc must fit inside one journal line,
-// so a hand-edited entry can never tear one.
+// not decode, that hold a malformed sketch, or that hold a newline: enc must
+// fit inside one journal line, so a hand-edited entry can never tear one.
 func (s *FSStore) Load(key string) (stats.Results, []byte, bool, error) {
 	if len(key) < 2 {
 		return stats.Results{}, nil, false, fmt.Errorf("dist: malformed cache key %q", key)
@@ -132,7 +132,7 @@ func (s *FSStore) Load(key string) (stats.Results, []byte, bool, error) {
 		return stats.Results{}, nil, false, nil
 	}
 	var res stats.Results
-	if err := json.Unmarshal(data, &res); err != nil {
+	if err := json.Unmarshal(data, &res); err != nil || res.Streams.Validate() != nil {
 		return stats.Results{}, nil, false, nil // corrupt entry: treat as a miss
 	}
 	return res, data, true, nil

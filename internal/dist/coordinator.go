@@ -645,6 +645,12 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unit (cell %d, rep %d) outside the plan", req.Cell, req.Rep))
 		return
 	}
+	if err := req.Results.Streams.Validate(); err != nil {
+		// Journaled, a malformed digest would panic the fold that follows
+		// and again on every replay.
+		httpError(w, http.StatusBadRequest, fmt.Errorf("unit (cell %d, rep %d): %w", req.Cell, req.Rep, err))
+		return
+	}
 	if req.LeaseID != "" {
 		s.leases.releaseFor(req.LeaseID, m.id, req.Cell, req.Rep)
 	}

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"adhocsim/internal/campaign"
+	"adhocsim/internal/metrics"
+	"adhocsim/internal/stats"
 )
 
 // testSpec is a small 2-protocol × 2-rep campaign (4 runs, milliseconds of
@@ -527,6 +529,68 @@ func TestCommitReleasesOnlyItsOwnLease(t *testing.T) {
 	}
 	if n := s.leases.count(""); n != 0 {
 		t.Errorf("%d leases outstanding after the campaign finished", n)
+	}
+}
+
+// TestCommitRejectsMalformedSketch: a commit whose stream digest holds a
+// sketch with a mean but no weight — one that would panic the cell's fold —
+// gets 400 and changes nothing. The lease stays held, the unit's good commit
+// lands, and the campaign completes to the single-process result.
+func TestCommitRejectsMalformedSketch(t *testing.T) {
+	spec := testSpec()
+	s, base := newTestServer(t, ServerOptions{LocalWorkers: -1})
+	created := submitSpec(t, base, spec)
+	post := func(path string, in any, want int) {
+		t.Helper()
+		body, _ := json.Marshal(in)
+		resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		decodeBody(t, resp, want, nil)
+	}
+	var g LeaseGrant
+	body, _ := json.Marshal(LeaseRequest{Worker: "w"})
+	resp, err := http.Post(base+"/dist/lease", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, http.StatusOK, &g)
+	plan, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.ExecuteUnit(context.Background(), g.Cell, g.Rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Streams == nil || len(res.Streams.Sketches) == 0 {
+		t.Fatal("a campaign unit carries no sketches")
+	}
+	bad := res
+	bad.Streams = &metrics.RunStreams{Sketches: map[string]metrics.SketchState{}}
+	for name, st := range res.Streams.Sketches {
+		st.Means = append(st.Means, 1)
+		bad.Streams.Sketches[name] = st
+	}
+	commit := func(r stats.Results, want int) {
+		t.Helper()
+		post("/dist/commit", CommitRequest{
+			LeaseID: g.LeaseID, Worker: "w", Campaign: g.Campaign, SpecHash: g.SpecHash,
+			Cell: g.Cell, Rep: g.Rep, Results: r,
+		}, want)
+	}
+	commit(bad, http.StatusBadRequest)
+	if got := s.lookup(created.ID).c.Snapshot().RunsDone; got != 0 {
+		t.Fatalf("%d runs recorded after a rejected commit", got)
+	}
+	post("/dist/renew", RenewRequest{LeaseID: g.LeaseID}, http.StatusOK)
+	commit(res, http.StatusOK)
+
+	startWorker(t, base, 1)
+	waitDone(t, base, created.ID, time.Minute)
+	if got := s.lookup(created.ID).c.Result(); !reflect.DeepEqual(singleProcessResult(t, spec), got) {
+		t.Error("result differs from single-process")
 	}
 }
 

@@ -68,7 +68,12 @@ type Mac struct {
 	cfg   Config
 
 	queue *ifQueue
-	cur   *outPkt
+	cur   outPkt // the packet in flight; cur.p is nil when there is none
+
+	// frame is rewritten in place for each transmission (see transmit).
+	frame Frame
+	// resp is the CTS or ACK waiting out its SIFS (see respondAfterSIFS).
+	resp Frame
 
 	state            macState
 	cw               int
@@ -80,6 +85,11 @@ type Mac struct {
 	responseTimer    *sim.Timer
 	resumeTimer      *sim.Timer
 	navUntil         sim.Time
+
+	// Event callbacks bound once, so scheduling one allocates nothing.
+	sendResponseFn sim.EventFunc
+	sendDataFn     sim.EventFunc
+	finishFn       sim.EventFunc
 
 	seq      uint16 // counter for issuing MAC sequence numbers
 	curSeq   uint16 // sequence number of the packet in flight (stable across retries)
@@ -107,6 +117,9 @@ func New(eng *sim.Engine, id pkt.NodeID, radio *phy.Radio, up UpperLayer, rng *s
 	m.contendTimer = sim.NewTimer(eng, m.onContendTimeout)
 	m.responseTimer = sim.NewTimer(eng, m.onResponseTimeout)
 	m.resumeTimer = sim.NewTimer(eng, m.tryResume)
+	m.sendResponseFn = m.sendResponse
+	m.sendDataFn = m.sendDataAfterCTS
+	m.finishFn = m.finishCurrent
 	return m
 }
 
@@ -139,13 +152,13 @@ func (m *Mac) FlushDest(to pkt.NodeID) {
 // --- transmit path -----------------------------------------------------
 
 func (m *Mac) nextPacket() {
-	if m.cur == nil {
+	if m.cur.p == nil {
 		op, ok := m.queue.pop()
 		if !ok {
 			m.state = stIdle
 			return
 		}
-		m.cur = &op
+		m.cur = op
 		m.seq++
 		m.curSeq = m.seq
 	}
@@ -163,7 +176,7 @@ func (m *Mac) newBackoff() {
 
 // tryResume (re)starts the DIFS+backoff countdown if the medium is free.
 func (m *Mac) tryResume() {
-	if m.state != stContend || m.cur == nil {
+	if m.state != stContend || m.cur.p == nil {
 		return
 	}
 	now := m.eng.Now()
@@ -196,7 +209,7 @@ func (m *Mac) freeze() {
 }
 
 func (m *Mac) onContendTimeout() {
-	if m.state != stContend || m.cur == nil {
+	if m.state != stContend || m.cur.p == nil {
 		return
 	}
 	now := m.eng.Now()
@@ -213,47 +226,66 @@ func (m *Mac) onContendTimeout() {
 	}
 }
 
+// dataBytes is the on-air size of the DATA frame carrying the packet in
+// flight, as FrameBytes counts it.
+func (m *Mac) dataBytes() int { return DataHdrBytes + m.cur.p.Size }
+
+// dataTxTime is the airtime of the DATA frame carrying the packet in flight.
+func (m *Mac) dataTxTime() sim.Duration { return TxTime(m.dataBytes()) }
+
 func (m *Mac) transmitRTS() {
-	dataTime := FrameTxTime(&Frame{Kind: FrameData, Pkt: m.cur.p})
-	nav := SIFS + TxTime(CTSBytes) + SIFS + dataTime + SIFS + TxTime(AckBytes)
-	f := &Frame{Kind: FrameRTS, From: m.id, To: m.cur.to, NAV: nav}
+	nav := SIFS + TxTime(CTSBytes) + SIFS + m.dataTxTime() + SIFS + TxTime(AckBytes)
 	m.Stats.RTSSent++
 	m.Stats.CtlBytes += RTSBytes
-	m.transmit(f)
+	dur := m.transmit(Frame{Kind: FrameRTS, From: m.id, To: m.cur.to, NAV: nav})
 	m.state = stWaitCTS
 	// Timeout: frame airtime + SIFS + CTS airtime + propagation slack.
-	m.responseTimer.Reset(FrameTxTime(f) + SIFS + TxTime(CTSBytes) + 2*SlotTime)
+	m.responseTimer.Reset(dur + SIFS + TxTime(CTSBytes) + 2*SlotTime)
 }
 
 func (m *Mac) transmitData() {
-	p, to := m.cur.p, m.cur.to
-	var nav sim.Duration
-	if to != pkt.Broadcast {
-		nav = SIFS + TxTime(AckBytes)
-	}
-	f := &Frame{Kind: FrameData, From: m.id, To: to, NAV: nav, Seq: m.curSeq, Pkt: p}
-	m.Stats.DataSent++
-	m.Stats.DataBytes += uint64(FrameBytes(f))
-	m.transmit(f)
-	if to == pkt.Broadcast {
+	dur := m.sendData()
+	if m.cur.to == pkt.Broadcast {
 		// Fire-and-forget: done when the frame leaves the air.
 		m.state = stTxBcast
-		done := m.eng.Now().Add(FrameTxTime(f))
-		m.eng.Schedule(done, func() {
-			m.finishCurrent(true)
-		})
+		m.eng.Schedule(m.eng.Now().Add(dur), m.finishFn)
 		return
 	}
 	m.state = stWaitACK
-	m.responseTimer.Reset(FrameTxTime(f) + SIFS + TxTime(AckBytes) + 2*SlotTime)
+	m.responseTimer.Reset(dur + SIFS + TxTime(AckBytes) + 2*SlotTime)
 }
 
-func (m *Mac) transmit(f *Frame) {
-	m.radio.Transmit(f, FrameTxTime(f))
+// sendData puts the packet in flight on the air in a DATA frame and returns
+// the frame's airtime.
+func (m *Mac) sendData() sim.Duration {
+	var nav sim.Duration
+	if m.cur.to != pkt.Broadcast {
+		nav = SIFS + TxTime(AckBytes)
+	}
+	m.Stats.DataSent++
+	m.Stats.DataBytes += uint64(m.dataBytes())
+	return m.transmit(Frame{Kind: FrameData, From: m.id, To: m.cur.to, NAV: nav, Seq: m.curSeq, Pkt: m.cur.p})
+}
+
+// transmit puts f on the air and returns its airtime. Receivers read a
+// frame through its pointer until their reception ends, so m.frame is
+// rewritten only once every frame the radio sent before has finished
+// arriving everywhere; one slot serves every kind. Before that — a receiver
+// farther away than the gap between two of this MAC's frames — f goes out
+// in a fresh frame.
+func (m *Mac) transmit(f Frame) sim.Duration {
+	slot := &m.frame
+	if m.eng.Now() <= m.radio.HeldUntil() {
+		slot = new(Frame)
+	}
+	*slot = f
+	dur := FrameTxTime(slot)
+	m.radio.Transmit(slot, dur)
+	return dur
 }
 
 func (m *Mac) onResponseTimeout() {
-	if m.cur == nil {
+	if m.cur.p == nil {
 		return
 	}
 	m.Stats.Retries++
@@ -281,7 +313,7 @@ func (m *Mac) onResponseTimeout() {
 
 func (m *Mac) giveUp() {
 	op := m.cur
-	m.cur = nil
+	m.cur = outPkt{}
 	m.cw = CWMin
 	m.state = stIdle
 	m.Stats.RetryDrops++
@@ -289,12 +321,14 @@ func (m *Mac) giveUp() {
 	m.nextPacket()
 }
 
-func (m *Mac) finishCurrent(success bool) {
+// finishCurrent completes the packet in flight: acknowledged, or a broadcast
+// that has left the air.
+func (m *Mac) finishCurrent() {
 	op := m.cur
-	m.cur = nil
+	m.cur = outPkt{}
 	m.cw = CWMin
 	m.state = stIdle
-	if op != nil && success {
+	if op.p != nil {
 		m.up.MacSent(op.p, op.to)
 	}
 	m.nextPacket()
@@ -341,12 +375,11 @@ func (m *Mac) onRTS(f *Frame) {
 	if now < m.navUntil {
 		return // deferring for someone else's exchange
 	}
-	cts := &Frame{Kind: FrameCTS, From: m.id, To: f.From, NAV: f.NAV - SIFS - TxTime(CTSBytes)}
-	m.respondAfterSIFS(cts)
+	m.respondAfterSIFS(Frame{Kind: FrameCTS, From: m.id, To: f.From, NAV: f.NAV - SIFS - TxTime(CTSBytes)})
 }
 
 func (m *Mac) onCTS(f *Frame) {
-	if m.state != stWaitCTS || m.cur == nil || f.From != m.cur.to {
+	if m.state != stWaitCTS || m.cur.p == nil || f.From != m.cur.to {
 		return
 	}
 	m.responseTimer.Stop()
@@ -354,21 +387,19 @@ func (m *Mac) onCTS(f *Frame) {
 	m.state = stWaitACK
 	// Arm the ACK timeout up front so a suppressed data send (pathological
 	// transmit overlap) still recovers via the normal retry path.
-	dataTime := FrameTxTime(&Frame{Kind: FrameData, Pkt: m.cur.p})
-	m.responseTimer.Reset(SIFS + dataTime + SIFS + TxTime(AckBytes) + 2*SlotTime)
-	m.eng.ScheduleIn(SIFS, func() {
-		if m.cur == nil || m.state != stWaitACK {
-			return
-		}
-		if m.radio.Transmitting() {
-			return // ACK timeout will retry
-		}
-		p, to := m.cur.p, m.cur.to
-		df := &Frame{Kind: FrameData, From: m.id, To: to, NAV: SIFS + TxTime(AckBytes), Seq: m.curSeq, Pkt: p}
-		m.Stats.DataSent++
-		m.Stats.DataBytes += uint64(FrameBytes(df))
-		m.transmit(df)
-	})
+	m.responseTimer.Reset(SIFS + m.dataTxTime() + SIFS + TxTime(AckBytes) + 2*SlotTime)
+	m.eng.ScheduleIn(SIFS, m.sendDataFn)
+}
+
+// sendDataAfterCTS sends the DATA frame SIFS after the CTS that cleared it.
+func (m *Mac) sendDataAfterCTS() {
+	if m.cur.p == nil || m.state != stWaitACK {
+		return
+	}
+	if m.radio.Transmitting() {
+		return // ACK timeout will retry
+	}
+	m.sendData()
 }
 
 func (m *Mac) onData(f *Frame, rxPower float64) {
@@ -380,8 +411,7 @@ func (m *Mac) onData(f *Frame, rxPower float64) {
 		return
 	}
 	// Unicast: ACK regardless of duplication, deliver only once.
-	ack := &Frame{Kind: FrameAck, From: m.id, To: f.From}
-	m.respondAfterSIFS(ack)
+	m.respondAfterSIFS(Frame{Kind: FrameAck, From: m.id, To: f.From})
 	if m.dupSeen[f.From] && m.dupCache[f.From] == f.Seq {
 		m.Stats.Duplicates++
 		return
@@ -393,30 +423,36 @@ func (m *Mac) onData(f *Frame, rxPower float64) {
 }
 
 func (m *Mac) onAck(f *Frame) {
-	if m.state != stWaitACK || m.cur == nil || f.From != m.cur.to {
+	if m.state != stWaitACK || m.cur.p == nil || f.From != m.cur.to {
 		return
 	}
 	m.responseTimer.Stop()
-	m.finishCurrent(true)
+	m.finishCurrent()
 }
 
 // respondAfterSIFS transmits a control response SIFS after the frame that
-// elicited it. Responses skip carrier sense per the standard.
-func (m *Mac) respondAfterSIFS(f *Frame) {
-	m.eng.ScheduleIn(SIFS, func() {
-		if m.radio.Transmitting() {
-			return // cannot preempt an ongoing transmission
-		}
-		switch f.Kind {
-		case FrameCTS:
-			m.Stats.CTSSent++
-			m.Stats.CtlBytes += CTSBytes
-		case FrameAck:
-			m.Stats.AckSent++
-			m.Stats.CtlBytes += AckBytes
-		}
-		m.transmit(f)
-	})
+// elicited it. Responses skip carrier sense per the standard. One slot,
+// m.resp, holds the pending response: the radio decodes one frame at a
+// time and the shortest frame outlasts SIFS, so a response has gone out or
+// been dropped before the next delivery can request another.
+func (m *Mac) respondAfterSIFS(f Frame) {
+	m.resp = f
+	m.eng.ScheduleIn(SIFS, m.sendResponseFn)
+}
+
+func (m *Mac) sendResponse() {
+	if m.radio.Transmitting() {
+		return // cannot preempt an ongoing transmission
+	}
+	switch m.resp.Kind {
+	case FrameCTS:
+		m.Stats.CTSSent++
+		m.Stats.CtlBytes += CTSBytes
+	case FrameAck:
+		m.Stats.AckSent++
+		m.Stats.CtlBytes += AckBytes
+	}
+	m.transmit(m.resp)
 }
 
 // --- carrier-sense callbacks --------------------------------------------

@@ -98,7 +98,7 @@ func TestSaturatedChannelDropsAreCounted(t *testing.T) {
 	dropped := r.macs[0].Stats.QueueDrops
 	pending := uint64(r.macs[0].QueueLen())
 	inFlight := uint64(0)
-	if r.macs[0].cur != nil {
+	if r.macs[0].cur.p != nil {
 		inFlight = 1
 	}
 	if delivered+dropped+pending+inFlight != n {

@@ -1,6 +1,9 @@
 package metrics
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // SketchSink routes samples of selected kinds into per-kind quantile
 // sketches. Kinds not selected are ignored at the cost of one array load.
@@ -45,6 +48,20 @@ func (s *SketchSink) States() map[string]SketchState {
 type RunStreams struct {
 	Sketches map[string]SketchState `json:"sketches,omitempty"`
 	Series   *SeriesState           `json:"series,omitempty"`
+}
+
+// Validate checks every sketch state in the digest (see
+// SketchState.Validate). A nil digest is valid.
+func (r *RunStreams) Validate() error {
+	if r == nil {
+		return nil
+	}
+	for name, st := range r.Sketches {
+		if err := st.Validate(); err != nil {
+			return fmt.Errorf("sketch %q: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // SketchedKinds is the kind set the campaign pipeline sketches: the

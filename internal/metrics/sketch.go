@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -291,6 +292,52 @@ func (s *Sketch) State() SketchState {
 		st.Weights = append([]float64(nil), s.weights...)
 	}
 	return st
+}
+
+// maxStateCompression bounds the compression a state may claim: FromState
+// sizes the sketch's buffers by it. It is 100× DefaultCompression.
+const maxStateCompression = 100 * DefaultCompression
+
+// maxStateCount bounds a state's Count below 2⁵³, where whole float64
+// counts stop being exact: below it, weights sum to Count in any order.
+const maxStateCount = 1 << 53
+
+// Validate reports whether st has the shape State gives: a compression
+// FromState can size buffers for, one weight per mean, whole weights of at
+// least 1 that sum exactly to Count, and means in ascending order within
+// [Min, Max] (a centroid's mean never leaves the range of the values it
+// folds). Merging a state without that shape can panic (a weight short of
+// its mean, or a count with no centroids) or silently skew quantiles (merge
+// and Quantile walk the means in order), so a state decoded from outside
+// the process is validated before it is merged.
+func (st SketchState) Validate() error {
+	if !(st.Compression <= maxStateCompression) {
+		return fmt.Errorf("metrics: sketch compression %v above %d", st.Compression, maxStateCompression)
+	}
+	if len(st.Means) != len(st.Weights) {
+		return fmt.Errorf("metrics: sketch has %d means and %d weights", len(st.Means), len(st.Weights))
+	}
+	var sum float64
+	for _, w := range st.Weights {
+		if !(w >= 1) || w != math.Trunc(w) {
+			return fmt.Errorf("metrics: sketch weight %v is not a count", w)
+		}
+		sum += w
+	}
+	if sum != st.Count || st.Count >= maxStateCount {
+		return fmt.Errorf("metrics: sketch count %v, weights sum to %v", st.Count, sum)
+	}
+	if st.Count > 0 && st.Min > st.Max {
+		return fmt.Errorf("metrics: sketch min %v above max %v", st.Min, st.Max)
+	}
+	prev := st.Min
+	for i, m := range st.Means {
+		if !(m >= prev && m <= st.Max) {
+			return fmt.Errorf("metrics: sketch mean %d (%v) out of order or outside [%v, %v]", i, m, st.Min, st.Max)
+		}
+		prev = m
+	}
+	return nil
 }
 
 // FromState reconstructs a sketch from a snapshot. The reconstruction is

@@ -308,7 +308,12 @@ func (c *Channel) transmit(r *Radio, payload any, dur sim.Duration) {
 	// The legs are sorted by (delay, NodeID), so numbering them in slice
 	// order gives the dispatch order per-leg Schedule calls in NodeID order
 	// would have had, and the lane's own sort finds nothing to move.
-	for _, l := range c.legsFrom(r, now) {
+	legs := c.legsFrom(r, now)
+	if n := len(legs); n > 0 {
+		// The slowest leg is last; its reception ends dur after it lands.
+		r.heldUntil = max(r.heldUntil, now.Add(dur+legs[n-1].delay))
+	}
+	for _, l := range legs {
 		if masked && !c.up[l.to] {
 			continue
 		}

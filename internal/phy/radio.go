@@ -38,6 +38,11 @@ type Radio struct {
 
 	rx *arrival // reception in progress, if any
 
+	// heldUntil is when the last leg of every frame this radio sent so far
+	// has finished arriving: until then some receiver may still hand that
+	// frame's payload to its upper layer.
+	heldUntil sim.Time
+
 	watchdogArmed bool
 	watchdogFn    sim.EventFunc // cached method value (armed per busy edge)
 	notifiedBusy  bool
@@ -72,6 +77,12 @@ func (r *Radio) BusyUntil() sim.Time {
 	}
 	return busy
 }
+
+// HeldUntil returns when every payload this radio has transmitted has
+// finished arriving at every receiver. A reception ending at exactly that
+// instant may not have been delivered yet, so a sender may reuse a payload
+// only once the clock is strictly past it.
+func (r *Radio) HeldUntil() sim.Time { return r.heldUntil }
 
 // Transmitting reports whether the radio is mid-transmission.
 func (r *Radio) Transmitting() bool { return r.ch.eng.Now() < r.ch.txUntil[r.id] }

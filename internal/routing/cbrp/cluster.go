@@ -49,15 +49,19 @@ func newNeighborTable() *neighborTable {
 	return &neighborTable{rows: make(map[pkt.NodeID]*neighborInfo)}
 }
 
-// update installs a fresh HELLO observation.
+// update installs a fresh HELLO observation. A known neighbour's row is
+// rewritten in place, reusing its slices: no row is referenced from outside
+// the table.
 func (t *neighborTable) update(h *hello, from pkt.NodeID, now, expiry sim.Time) {
-	t.rows[from] = &neighborInfo{
-		id:      from,
-		status:  h.Status,
-		heads:   append([]pkt.NodeID(nil), h.Heads...),
-		twoHop:  append([]pkt.NodeID(nil), h.Neighbors...),
-		expires: expiry,
+	r := t.rows[from]
+	if r == nil {
+		r = &neighborInfo{id: from}
+		t.rows[from] = r
 	}
+	r.status = h.Status
+	r.heads = append(r.heads[:0], h.Heads...)
+	r.twoHop = append(r.twoHop[:0], h.Neighbors...)
+	r.expires = expiry
 }
 
 // expire drops stale rows.

@@ -30,13 +30,12 @@ func (c *PathCache) Add(path []pkt.NodeID) {
 	if len(path) < 2 {
 		return
 	}
-	// Reject paths with repeated nodes (loops).
-	seen := make(map[pkt.NodeID]struct{}, len(path))
-	for _, n := range path {
-		if _, dup := seen[n]; dup {
+	// Reject paths with repeated nodes (loops). Source routes are short, so
+	// a quadratic scan beats building a set on every call.
+	for i, n := range path {
+		if slices.Contains(path[:i], n) {
 			return
 		}
-		seen[n] = struct{}{}
 	}
 	for _, existing := range c.paths {
 		if equalPath(existing, path) {
