@@ -60,6 +60,14 @@ func main() {
 	if *workerMode {
 		os.Exit(runWorkerMode(*join, *workers))
 	}
+	if *workers < -1 {
+		fmt.Fprintln(os.Stderr, "adhocd: -workers must be >= -1 (-1 = pure coordinator)")
+		os.Exit(2)
+	}
+	if *leaseTTL <= 0 {
+		fmt.Fprintln(os.Stderr, "adhocd: -lease-ttl must be positive")
+		os.Exit(2)
+	}
 
 	srv, err := newServer(*workers, *journalDir, *cacheDir, *leaseTTL)
 	if err != nil {

@@ -189,11 +189,23 @@ func TestProcessesEndToEnd(t *testing.T) {
 	cacheDir := filepath.Join(tmp, "cache")
 	coord, base := startCoordinator(t, "-cache-dir", cacheDir, "-journal-dir", filepath.Join(tmp, "j"), "-lease-ttl", "2s")
 
-	// -1 means "pure coordinator" only without -worker.
-	bad := startChild(t, "-worker", "-join", base, "-workers", "-1")
-	var exit *exec.ExitError
-	if err := bad.cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("-worker -workers -1: %v, want exit status 2", err)
+	// -1 means "pure coordinator" only without -worker; a coordinator
+	// rejects -workers below -1 and a lease TTL that is not positive.
+	for _, args := range [][]string{
+		{"-worker", "-join", base, "-workers", "-1"},
+		{"-addr", "127.0.0.1:0", "-workers", "-5"},
+		{"-addr", "127.0.0.1:0", "-lease-ttl", "0"},
+		{"-addr", "127.0.0.1:0", "-lease-ttl", "-1s"},
+	} {
+		bad := startChild(t, args...)
+		// A coordinator that accepted the flags would serve until killed.
+		kill := time.AfterFunc(10*time.Second, func() { bad.cmd.Process.Kill() })
+		err := bad.cmd.Wait()
+		kill.Stop()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%s: %v, want exit status 2", strings.Join(args, " "), err)
+		}
 	}
 
 	// Submitted first, so both workers lease on arrival instead of after an

@@ -100,8 +100,9 @@ type cellState struct {
 	// results[rep] is set when that replication has completed (executed or
 	// replayed from the journal); commits consume the contiguous prefix.
 	results []*stats.Results
-	// issued[rep] marks replications handed to a worker (or journaled), so
-	// the dispatcher never double-runs one.
+	// issued[rep] marks replications handed out and not released, or
+	// landed, so the cursor never double-runs one and Release queues each
+	// at most once.
 	issued []bool
 	// committed is the length of the prefix folded into acc, in replication
 	// order — this ordering is what makes aggregation completion-order
@@ -158,15 +159,21 @@ type Campaign struct {
 	mu              sync.Mutex
 	state           State
 	cells           []cellState
+	cellsStopped    int
 	journal         *journal
+	closed          bool // CloseJournal ran: completions are refused
 	cursorRound     int
 	cursorCell      int
+	released        []unit // re-issue queue, served before the cursor
 	runsDone        int
 	runsFromJournal int
 	runsFromCache   int
 	err             error
 	result          *Result
 }
+
+// unit names one (cell, replication) pair.
+type unit struct{ cell, rep int }
 
 // New validates and expands the spec into a ready-to-run campaign. The
 // journal (if any) is opened by Run, not New, so constructing a campaign has
@@ -221,7 +228,9 @@ func (c *Campaign) JournalPath() string {
 // (if configured), replays its entries, and readies the dispatch cursor. It
 // is the first half of Run, exported so external schedulers — the
 // distributed coordinator in internal/dist — can drive execution unit by
-// unit through NextUnit/CompleteUnit/Finish instead of a local pool.
+// unit through NextUnit/Release/CompleteUnit/Finish instead of a local
+// pool. The campaign keeps all per-unit dispatch state: a scheduler holds
+// no queue or shadow copy of its own.
 func (c *Campaign) Start() error {
 	c.mu.Lock()
 	if c.state != StatePending {
@@ -299,13 +308,14 @@ func (c *Campaign) Finish(ctx context.Context) (*Result, error) {
 }
 
 // CloseJournal flushes and closes the checkpoint journal without settling
-// the campaign. The graceful-shutdown path uses it to leave a suspended
-// campaign's journal as clean, resumable recovery state; Finish calls it on
-// the normal path.
+// the campaign, which accepts no completion from then on. The
+// graceful-shutdown path uses it to leave a suspended campaign's journal as
+// clean, resumable recovery state; Finish calls it on the normal path.
 func (c *Campaign) CloseJournal() {
 	c.mu.Lock()
 	j := c.journal
 	c.journal = nil
+	c.closed = true
 	c.mu.Unlock()
 	j.Close()
 }
@@ -337,13 +347,7 @@ func (c *Campaign) settle(ctx context.Context) (*Result, error) {
 	// that only interrupted speculative (never-to-be-committed) runs, or
 	// that landed after the final commit, must not throw the aggregate
 	// away — with no journal it would be unrecoverable.
-	allStopped := true
-	for i := range c.cells {
-		if !c.cells[i].stopped {
-			allStopped = false
-			break
-		}
-	}
+	allStopped := c.cellsStopped == len(c.cells)
 	if allStopped && isCancel(c.err) {
 		c.err = nil
 	}
@@ -413,19 +417,27 @@ func (c *Campaign) settle(ctx context.Context) (*Result, error) {
 	return c.result, nil
 }
 
-// NextUnit hands out the next useful (cell, replication) pair. Dispatch is
-// breadth-first (replication rounds across all cells) so early-stop
-// decisions are made before deep speculation, and forward-only: stopping
-// only removes work, so a single monotone cursor visits each pair at most
-// once. Workers exiting on !ok is correct because no new work ever appears
-// from the cursor — a distributed coordinator that must re-issue a unit
-// lost to a dead worker keeps its own re-issue queue and feeds the result
-// back through CompleteUnit.
+// NextUnit hands out the next useful (cell, replication) pair: first any
+// released unit still needed, in release order, then the cursor's next.
+// The cursor is breadth-first (replication rounds across all cells) so
+// early-stop decisions are made before deep speculation, and forward-only:
+// stopping only removes work, so it visits each pair at most once. New work
+// appears only through Release — the in-process pool never releases, so its
+// workers exit on !ok; a distributed coordinator releases the units of
+// expired or returned leases and polls again.
 func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return 0, 0, false
+	}
+	for len(c.released) > 0 {
+		u := c.released[0]
+		c.released = c.released[1:]
+		if cs := &c.cells[u.cell]; !cs.stopped && cs.results[u.rep] == nil {
+			cs.issued[u.rep] = true
+			return u.cell, u.rep, true
+		}
 	}
 	for c.cursorRound < c.plan.Spec.MaxReps {
 		for c.cursorCell < len(c.cells) {
@@ -444,6 +456,49 @@ func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 	return 0, 0, false
 }
 
+// Release returns a handed-out unit whose run will not complete — its
+// lease expired or its worker gave it back — so NextUnit serves it again.
+// A unit that landed, whose cell stopped, or that is not out is ignored.
+func (c *Campaign) Release(ci, rep int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cs := &c.cells[ci]
+	if c.state != StateRunning || c.err != nil || cs.stopped || cs.results[rep] != nil || !cs.issued[rep] {
+		return
+	}
+	cs.issued[rep] = false
+	c.released = append(c.released, unit{ci, rep})
+}
+
+// Released reports the length of the re-issue queue (stale entries, whose
+// unit landed or whose cell stopped while queued, included).
+func (c *Campaign) Released() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.released)
+}
+
+// Outcome is what one CompleteUnitEncoded call decided, under one lock.
+type Outcome struct {
+	// Landed reports that this call recorded the result. A duplicate does
+	// not land; Winner is then the result that landed first. Both are
+	// unset when the campaign accepts no completions.
+	Landed bool
+	Winner *stats.Results
+	// Failed reports that the campaign holds a fatal error (a journal write
+	// failed, say): the caller should Finish. When the journal write itself
+	// failed, the fields below are unset.
+	Failed bool
+	// Enc is enc itself or, when enc was nil, the fresh encoding the journal
+	// wrote (nil with no journal open).
+	Enc []byte
+	// Stopped reports that this result stopped its cell (once per cell);
+	// Done that every cell has now stopped, so the caller should Finish.
+	Stopped, Done bool
+	// Snapshot is the progress view this commit left.
+	Snapshot Snapshot
+}
+
 // CompleteUnit records one executed run: journal it, then commit in
 // replication order. Duplicates (journal overlap, a re-issued lease whose
 // original worker turned out to be alive) are ignored — the first result
@@ -451,27 +506,27 @@ func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 // results replayed from the content-addressed result cache; they are
 // counted separately in snapshots but journaled like live completions, so
 // a resumed campaign never depends on the cache still being populated.
-// Completions arriving after the campaign settled are dropped.
+// Completions arriving after the campaign settled or closed its journal
+// are dropped.
 func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) {
 	c.CompleteUnitEncoded(ci, rep, res, nil, fromCache)
 }
 
 // CompleteUnitEncoded is CompleteUnit for a caller that may already hold
 // enc, the json.Marshal encoding of res (a result cache keeps it beside the
-// result). The journal writes enc verbatim; only when enc is nil and a
-// journal is open is res encoded, once. It returns the encoding it
-// journaled — enc itself, the fresh one, or nil when nothing was encoded —
-// so the caller can keep it for the next reuse. Callers must not modify
-// enc afterwards.
-func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte, fromCache bool) []byte {
+// result), and that acts on the outcome. The journal writes enc verbatim;
+// only when enc is nil and a journal is open is res encoded, once. Callers
+// must not modify enc afterwards.
+func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte, fromCache bool) Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.state != StateRunning {
-		return nil
-	}
 	cs := &c.cells[ci]
-	if cs.results[rep] != nil {
-		return nil // duplicate; first result wins
+	if prev := cs.results[rep]; prev != nil {
+		winner := *prev
+		return Outcome{Winner: &winner} // duplicate; first result wins
+	}
+	if c.state != StateRunning || c.closed {
+		return Outcome{}
 	}
 	// Remote and cache completions may bypass NextUnit entirely.
 	cs.issued[rep] = true
@@ -481,23 +536,28 @@ func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byt
 		c.runsFromCache++
 	}
 	if c.journal != nil {
+		var err error
 		if enc == nil {
-			var err error
 			if enc, err = json.Marshal(res); err != nil {
-				c.setErrLocked(fmt.Errorf("campaign: encoding journal line: %w", err))
-				return nil
+				err = fmt.Errorf("campaign: encoding journal line: %w", err)
 			}
 		}
-		if err := c.journal.appendEncoded(ci, rep, c.plan.SeedFor(ci, rep), enc); err != nil {
+		if err == nil {
+			err = c.journal.appendEncoded(ci, rep, c.plan.SeedFor(ci, rep), enc)
+		}
+		if err != nil {
 			c.setErrLocked(err)
-			return nil
+			return Outcome{Landed: true, Failed: true}
 		}
 	}
-	c.commitLocked(ci)
+	out := Outcome{Landed: true, Enc: enc, Stopped: c.commitLocked(ci)}
+	out.Done = c.cellsStopped == len(c.cells)
+	out.Failed = c.err != nil
+	out.Snapshot = c.snapshotLocked()
 	if c.opts.OnProgress != nil {
-		c.opts.OnProgress(c.snapshotLocked())
+		c.opts.OnProgress(out.Snapshot)
 	}
-	return enc
+	return out
 }
 
 // replayLocked feeds one journaled run back into the engine: the result is
@@ -519,8 +579,9 @@ func (c *Campaign) replayLocked(e journalEntry) {
 // commitLocked folds the contiguous completed prefix of a cell into its
 // Welford accumulators — always in replication order, never past a stop
 // decision. Speculative results beyond the stop point stay uncommitted, so
-// the aggregate does not depend on scheduling.
-func (c *Campaign) commitLocked(ci int) {
+// the aggregate does not depend on scheduling. It reports whether the cell
+// stopped in this call.
+func (c *Campaign) commitLocked(ci int) bool {
 	cs := &c.cells[ci]
 	for !cs.stopped && cs.committed < c.plan.Spec.MaxReps && cs.results[cs.committed] != nil {
 		r := cs.results[cs.committed]
@@ -529,17 +590,21 @@ func (c *Campaign) commitLocked(ci int) {
 		}
 		if err := cs.foldStreams(r.Streams); err != nil {
 			c.setErrLocked(err)
-			return
+			return false
 		}
 		cs.committed++
 		if c.epsilonMetLocked(cs) {
-			cs.stopped = true
 			cs.stopReason = StopCI
 		} else if cs.committed == c.plan.Spec.MaxReps {
-			cs.stopped = true
 			cs.stopReason = StopMaxReps
 		}
+		if cs.stopReason != "" {
+			cs.stopped = true
+			c.cellsStopped++
+			return true
+		}
 	}
+	return false
 }
 
 // epsilonMetLocked evaluates the sequential stopping rule on the committed
@@ -551,53 +616,6 @@ func (c *Campaign) epsilonMetLocked(cs *cellState) bool {
 	}
 	for mi, eps := range c.epsIdx {
 		if cs.acc[mi].CI95() > eps {
-			return false
-		}
-	}
-	return true
-}
-
-// UnitNeeded reports whether a (cell, replication) unit would still
-// contribute: the campaign is running, the cell has not stopped, and no
-// result for the unit has landed yet. The distributed coordinator consults
-// it before re-issuing an expired lease.
-func (c *Campaign) UnitNeeded(ci, rep int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != StateRunning || c.err != nil {
-		return false
-	}
-	cs := &c.cells[ci]
-	return !cs.stopped && cs.results[rep] == nil
-}
-
-// UnitResult returns the recorded result of a unit, if any — the "winning"
-// result a duplicate committer is told about.
-func (c *Campaign) UnitResult(ci, rep int) (stats.Results, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs := &c.cells[ci]
-	if cs.results[rep] == nil {
-		return stats.Results{}, false
-	}
-	return *cs.results[rep], true
-}
-
-// CellStopped reports whether a cell's sequential stopping rule has fired
-// (or its replication cap was reached).
-func (c *Campaign) CellStopped(ci int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cells[ci].stopped
-}
-
-// AllStopped reports whether every cell has stopped — the moment a
-// coordinator should Finish the campaign.
-func (c *Campaign) AllStopped() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.cells {
-		if !c.cells[i].stopped {
 			return false
 		}
 	}
@@ -647,17 +665,11 @@ func (c *Campaign) Snapshot() Snapshot {
 }
 
 func (c *Campaign) snapshotLocked() Snapshot {
-	stopped := 0
-	for i := range c.cells {
-		if c.cells[i].stopped {
-			stopped++
-		}
-	}
 	s := Snapshot{
 		Name:            c.plan.Spec.Name,
 		State:           c.state,
 		Cells:           len(c.cells),
-		CellsStopped:    stopped,
+		CellsStopped:    c.cellsStopped,
 		RunsDone:        c.runsDone,
 		RunsFromJournal: c.runsFromJournal,
 		RunsFromCache:   c.runsFromCache,

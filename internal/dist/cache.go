@@ -71,13 +71,8 @@ func (s *MemStore) Save(key string, res stats.Results, enc []byte) error {
 	return nil
 }
 
-// Get is Load without the encoding, kept for callers that predate it.
-func (s *MemStore) Get(key string) (stats.Results, bool, error) {
-	res, _, found, err := s.Load(key)
-	return res, found, err
-}
-
-// Put is Save without an encoding, kept for callers that predate it.
+// Put is Save without an encoding, kept because the benchmark's tests seed
+// a store with it.
 func (s *MemStore) Put(key string, res stats.Results) error { return s.Save(key, res, nil) }
 
 // Len reports the number of cached results.
@@ -106,9 +101,6 @@ func NewFSStore(dir string) (*FSStore, error) {
 	}
 	return &FSStore{dir: dir}, nil
 }
-
-// Dir is the cache root.
-func (s *FSStore) Dir() string { return s.dir }
 
 func (s *FSStore) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
@@ -174,11 +166,13 @@ func (s *FSStore) Save(key string, res stats.Results, enc []byte) error {
 	return nil
 }
 
-// Get is Load without the encoding, kept for callers that predate it.
+// Get is Load without the encoding, kept because the benchmark's store
+// probe times it.
 func (s *FSStore) Get(key string) (stats.Results, bool, error) {
 	res, _, found, err := s.Load(key)
 	return res, found, err
 }
 
-// Put is Save without an encoding, kept for callers that predate it.
+// Put is Save without an encoding, kept because the benchmark's store
+// probe times it.
 func (s *FSStore) Put(key string, res stats.Results) error { return s.Save(key, res, nil) }

@@ -72,20 +72,16 @@ type managed struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// mu serializes dispatch, commit and finish for this campaign; the
-	// campaign's own mutex guards its accumulators, this one guards the
-	// scheduling state around it (re-issue queue, event fan-out order —
-	// which is what makes SSE run counts monotone).
-	mu          sync.Mutex
-	pending     []unitRef // re-issue queue: expired/released leases
-	stoppedSeen []bool    // cells whose convergence was already announced
-	finished    bool
-	done        chan struct{}
+	// mu serializes dispatch, commit and finish for this campaign. The
+	// campaign owns every per-unit decision (what runs next, what landed,
+	// which cell stopped); this lock keeps the cache walk, the event
+	// fan-out order — which is what makes SSE run counts monotone — and
+	// settlement in step with them.
+	mu       sync.Mutex
+	finished bool
 
 	wg sync.WaitGroup // local executors
 }
-
-type unitRef struct{ cell, rep int }
 
 // NewServer creates a coordinator and starts its lease reaper.
 func NewServer(opts ServerOptions) *Server {
@@ -126,15 +122,17 @@ func (s *Server) reap() {
 			return
 		case <-t.C:
 			for _, l := range s.leases.expire() {
-				if m := s.lookup(l.Campaign); m != nil {
-					m.mu.Lock()
-					if !m.finished && m.c.UnitNeeded(l.Cell, l.Rep) {
-						m.pending = append(m.pending, unitRef{l.Cell, l.Rep})
-					}
-					m.mu.Unlock()
-				}
+				s.release(l)
 			}
 		}
+	}
+}
+
+// release hands the unit of an expired or returned lease back to its
+// campaign's re-issue queue.
+func (s *Server) release(l *Lease) {
+	if m := s.lookup(l.Campaign); m != nil {
+		m.c.Release(l.Cell, l.Rep)
 	}
 }
 
@@ -218,8 +216,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		journalPath: journalPath,
 		ctx:         ctx,
 		cancel:      cancel,
-		stoppedSeen: make([]bool, len(c.Plan().Cells)),
-		done:        make(chan struct{}),
 	}
 
 	s.mu.Lock()
@@ -253,7 +249,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if err := c.Start(); err != nil {
 		m.mu.Lock()
 		m.finished = true
-		close(m.done)
 		m.mu.Unlock()
 		cancel()
 		httpError(w, http.StatusConflict, err)
@@ -264,10 +259,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// whole campaign) before any executor spins up: a fully-cached
 	// resubmission completes right here with zero leases granted.
 	m.mu.Lock()
-	if m.c.AllStopped() || m.c.Err() != nil {
+	if snap := c.Snapshot(); snap.CellsStopped == snap.Cells || snap.Err != "" {
 		s.finishLocked(m)
-	} else {
-		s.primeLocked(m)
+	} else if ci, rep, ok := s.nextLocked(m); ok {
+		c.Release(ci, rep) // the first miss waits for an executor
 	}
 	finished := m.finished
 	m.mu.Unlock()
@@ -299,26 +294,6 @@ func (m *managed) isFinished() bool {
 	return m.finished
 }
 
-// primeLocked walks the dispatch cursor committing consecutive cache hits;
-// the first miss is parked on the re-issue queue so no unit is lost. It
-// runs at submission so fully-cached campaigns complete without any
-// worker, and keeps dispatch lazy otherwise (early-stop decisions prune
-// speculative work before it is ever leased).
-func (s *Server) primeLocked(m *managed) {
-	for !m.finished {
-		ci, rep, ok := m.c.NextUnit()
-		if !ok {
-			return
-		}
-		if res, enc, hit := s.cachedResult(m, ci, rep); hit {
-			s.commitLocked(m, ci, rep, res, enc, true)
-			continue
-		}
-		m.pending = append(m.pending, unitRef{ci, rep})
-		return
-	}
-}
-
 // cachedResult consults the content-addressed store and returns a hit with
 // its stored encoding (possibly nil); cache faults degrade to misses.
 func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc []byte, hit bool) {
@@ -332,6 +307,25 @@ func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc [
 	return got, enc, true
 }
 
+// nextLocked walks the campaign's dispatch order (released units first,
+// then the cursor), committing cache hits, and returns the first unit that
+// must run. Submission calls it too, so a fully-cached campaign completes
+// without any worker, while dispatch stays lazy otherwise: early-stop
+// decisions prune speculative work before it is ever leased.
+func (s *Server) nextLocked(m *managed) (ci, rep int, ok bool) {
+	for !m.finished {
+		if ci, rep, ok = m.c.NextUnit(); !ok {
+			return 0, 0, false
+		}
+		res, enc, hit := s.cachedResult(m, ci, rep)
+		if !hit {
+			return ci, rep, true
+		}
+		s.commitLocked(m, ci, rep, res, enc, true)
+	}
+	return 0, 0, false
+}
+
 // dispatch hands out the next unit of a campaign, committing cache hits
 // inline. ttl > 0 grants a worker lease; local executors pass ttl == 0 and
 // run leaseless (they cannot die silently — process death takes the
@@ -343,33 +337,10 @@ func (s *Server) dispatch(m *managed, worker string, ttl time.Duration) (ci, rep
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for !m.finished {
-		var cell, rep int
-		if n := len(m.pending); n > 0 {
-			u := m.pending[0]
-			m.pending = m.pending[1:]
-			cell, rep = u.cell, u.rep
-			if !m.c.UnitNeeded(cell, rep) {
-				continue // committed or pruned while queued
-			}
-		} else {
-			var more bool
-			cell, rep, more = m.c.NextUnit()
-			if !more {
-				return 0, 0, nil, false
-			}
-		}
-		if res, enc, hit := s.cachedResult(m, cell, rep); hit {
-			s.commitLocked(m, cell, rep, res, enc, true)
-			continue
-		}
-		var lease *Lease
-		if ttl > 0 {
-			lease = s.leases.grant(m.id, cell, rep, worker, ttl)
-		}
-		return cell, rep, lease, true
+	if ci, rep, ok = s.nextLocked(m); ok && ttl > 0 {
+		l = s.leases.grant(m.id, ci, rep, worker, ttl)
 	}
-	return 0, 0, nil, false
+	return ci, rep, l, ok
 }
 
 // runLocal is one in-process executor: the same dispatch → execute →
@@ -392,45 +363,38 @@ func (s *Server) runLocal(m *managed) {
 			m.mu.Unlock()
 			return
 		}
-		s.commit(m, ci, rep, res, false)
+		s.commit(m, ci, rep, res)
 	}
 }
 
 // commit is the locked wrapper around commitLocked.
-func (s *Server) commit(m *managed, ci, rep int, res stats.Results, fromCache bool) (committed bool, winning stats.Results, haveWinner bool) {
+func (s *Server) commit(m *managed, ci, rep int, res stats.Results) campaign.Outcome {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return s.commitLocked(m, ci, rep, res, nil, fromCache)
+	return s.commitLocked(m, ci, rep, res, nil, false)
 }
 
-// commitLocked lands one result: duplicate detection (first result wins),
-// the campaign engine's in-order commit, cache population, progress
-// events, and campaign settlement once every cell has stopped. enc is the
-// result's stored encoding on a cache hit and nil otherwise; a live result
-// is cached with the encoding its journal line was built from.
-func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []byte, fromCache bool) (committed bool, winning stats.Results, haveWinner bool) {
-	if prev, dup := m.c.UnitResult(ci, rep); dup {
-		return false, prev, true
+// commitLocked lands one result through the campaign's single commit call
+// — which detects duplicates (first result wins), journals and commits in
+// replication order — then populates the cache, publishes progress events
+// and settles the campaign once it is done or failed. enc is the result's
+// stored encoding on a cache hit and nil otherwise; a live result is cached
+// with the encoding its journal line was built from.
+func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []byte, fromCache bool) campaign.Outcome {
+	out := m.c.CompleteUnitEncoded(ci, rep, res, enc, fromCache)
+	if !out.Landed {
+		return out
 	}
-	if m.finished {
-		return false, stats.Results{}, false
-	}
-	enc = m.c.CompleteUnitEncoded(ci, rep, res, enc, fromCache)
-	if _, landed := m.c.UnitResult(ci, rep); !landed {
-		// The engine dropped it (campaign left the running state under us).
-		return false, stats.Results{}, false
-	}
-	if err := m.c.Err(); err != nil {
-		// Journal append failed: the campaign is broken; settle as failed.
+	if out.Failed {
+		// A journal append failed, say: the campaign is broken; settle it.
 		s.finishLocked(m)
-		return true, res, true
+		return out
 	}
 	if !fromCache && s.cache != nil {
 		// A faulty cache must not fail the campaign; it only costs reuse.
-		_ = s.cache.Save(m.c.Plan().UnitKey(ci, rep), res, enc)
+		_ = s.cache.Save(m.c.Plan().UnitKey(ci, rep), res, out.Enc)
 	}
-	snap := m.c.Snapshot()
-	cell, repIdx := ci, rep
+	snap, cell, repIdx := out.Snapshot, ci, rep
 	runEvt := Event{
 		Type: EventRunCommitted, Campaign: m.id, Snapshot: &snap,
 		Cell: &cell, Rep: &repIdx, Label: m.c.Plan().Cells[ci].Label,
@@ -439,18 +403,16 @@ func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []
 		runEvt.Series = res.Streams.Series
 	}
 	s.hub.Publish(CampaignTopic(m.id), runEvt)
-	if m.c.CellStopped(ci) && !m.stoppedSeen[ci] {
-		m.stoppedSeen[ci] = true
-		cell := ci
+	if out.Stopped {
 		s.hub.Publish(CampaignTopic(m.id), Event{
 			Type: EventCellConverged, Campaign: m.id,
 			Cell: &cell, Label: m.c.Plan().Cells[ci].Label,
 		})
 	}
-	if m.c.AllStopped() {
+	if out.Done {
 		s.finishLocked(m)
 	}
-	return true, res, true
+	return out
 }
 
 // finishLocked settles a campaign exactly once: the engine computes the
@@ -472,7 +434,6 @@ func (s *Server) finishLocked(m *managed) {
 		State: snap.State, Snapshot: &snap, Err: snap.Err,
 	}
 	s.hub.Publish(CampaignTopic(m.id), done)
-	close(m.done)
 	m.cancel()
 }
 
@@ -612,13 +573,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if l, ok := s.leases.release(req.LeaseID); ok {
-		if m := s.lookup(l.Campaign); m != nil {
-			m.mu.Lock()
-			if !m.finished && m.c.UnitNeeded(l.Cell, l.Rep) {
-				m.pending = append(m.pending, unitRef{l.Cell, l.Rep})
-			}
-			m.mu.Unlock()
-		}
+		s.release(l)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -654,18 +609,13 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	if req.LeaseID != "" {
 		s.leases.releaseFor(req.LeaseID, m.id, req.Cell, req.Rep)
 	}
-	committed, winning, haveWinner := s.commit(m, req.Cell, req.Rep, req.Results, false)
-	if committed {
+	if out := s.commit(m, req.Cell, req.Rep, req.Results); out.Landed {
 		writeJSON(w, http.StatusOK, CommitResponse{Committed: true})
-		return
+	} else {
+		// Duplicate (or post-settlement) commit: 409 carrying the winning
+		// result, so the committer can reconcile instead of failing.
+		writeJSON(w, http.StatusConflict, CommitResponse{Results: out.Winner})
 	}
-	// Duplicate (or post-settlement) commit: 409 carrying the winning
-	// result, so the committer can reconcile instead of failing.
-	resp := CommitResponse{Committed: false}
-	if haveWinner {
-		resp.Results = &winning
-	}
-	writeJSON(w, http.StatusConflict, resp)
 }
 
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
@@ -696,8 +646,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		if !m.finished {
 			st.Running++
 		}
-		st.Pending += len(m.pending)
 		m.mu.Unlock()
+		st.Pending += m.c.Released()
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -747,7 +697,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			m.finished = true
 			s.leases.dropCampaign(m.id)
 			m.c.CloseJournal()
-			close(m.done)
 		}
 		m.mu.Unlock()
 	}

@@ -77,7 +77,7 @@ type Sub struct {
 }
 
 // Subscribe registers a subscriber on a topic with the given buffer
-// capacity (minimum 1).
+// capacity; a capacity below 1 selects 16.
 func (h *Hub) Subscribe(topic string, buf int) *Sub {
 	if buf < 1 {
 		buf = 16

@@ -94,16 +94,16 @@ func sampleResults(n int) stats.Results {
 
 func TestMemStore(t *testing.T) {
 	s := NewMemStore()
-	if _, found, err := s.Get("k1"); found || err != nil {
+	if _, _, found, err := s.Load("k1"); found || err != nil {
 		t.Fatalf("empty store: found=%v err=%v", found, err)
 	}
 	want := sampleResults(10)
-	if err := s.Put("k1", want); err != nil {
+	if err := s.Save("k1", want, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := s.Get("k1")
-	if err != nil || !found || !reflect.DeepEqual(got, want) {
-		t.Fatalf("roundtrip: got=%+v found=%v err=%v", got, found, err)
+	got, enc, found, err := s.Load("k1")
+	if err != nil || !found || enc != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("roundtrip: got=%+v enc=%q found=%v err=%v", got, enc, found, err)
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())

@@ -1,7 +1,10 @@
 package lifecycle
 
 import (
+	"cmp"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adhocsim/internal/geo"
@@ -330,4 +333,96 @@ func TestParamNames(t *testing.T) {
 	if _, err := Models.ParamNames("no-such-model"); err == nil {
 		t.Error("ParamNames accepted an unregistered name")
 	}
+}
+
+// FuzzLifecycleSchedule feeds arbitrary event lists — 7 bytes each: a
+// little-endian int32 time, an int16 node id and a kind byte — through
+// Normalize, Check and InitialUp. Nothing panics; Normalize sorts, is
+// idempotent and gives one order for every permutation of a list; Check
+// accepts exactly the lists whose node, time and kind fields are in range;
+// and InitialUp starts a node down exactly when its first event brings it
+// up, and leaves its input as it was.
+func FuzzLifecycleSchedule(f *testing.F) {
+	enc := func(evs ...Event) []byte {
+		var b []byte
+		for _, ev := range evs {
+			b = binary.LittleEndian.AppendUint32(b, uint32(int32(ev.At)))
+			b = binary.LittleEndian.AppendUint16(b, uint16(int16(ev.Node)))
+			b = append(b, byte(ev.Kind))
+		}
+		return b
+	}
+	f.Add(uint8(0), int32(0), enc())
+	f.Add(uint8(4), int32(100), enc(Event{50, 0, Fail}, Event{10, 1, Join}, Event{5, 2, Recover}, Event{30, 2, Fail}))
+	f.Add(uint8(10), int32(100), enc(Event{100, 9, Leave}, Event{100, 9, Leave}, Event{0, 0, Join}))
+	f.Add(uint8(10), int32(100), enc(Event{101, 0, Join}, Event{-1, 3, Fail}, Event{0, 10, Join}, Event{0, -1, Join}))
+	f.Add(uint8(3), int32(-5), enc(Event{0, 0, EventKind(200)}))
+	f.Fuzz(func(t *testing.T, nodes uint8, dur int32, data []byte) {
+		var events []Event
+		for ; len(data) >= 7; data = data[7:] {
+			events = append(events, Event{
+				At:   sim.Time(int32(binary.LittleEndian.Uint32(data))),
+				Node: int(int16(binary.LittleEndian.Uint16(data[4:]))),
+				Kind: EventKind(data[6]),
+			})
+		}
+		n, duration := int(nodes), sim.Duration(dur)
+
+		inRange := true
+		for _, ev := range events {
+			if ev.Node < 0 || ev.Node >= n || ev.At < 0 || int64(ev.At) > int64(dur) || ev.Kind >= numEventKinds {
+				inRange = false
+			}
+		}
+		if err := Check(events, n, duration); (err == nil) != inRange {
+			t.Fatalf("Check = %v for a list whose fields are in range: %v", err, inRange)
+		}
+
+		canon := slices.Clone(events)
+		Normalize(canon)
+		if !slices.IsSortedFunc(canon, func(a, b Event) int {
+			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Kind, b.Kind))
+		}) {
+			t.Fatalf("Normalize left %v out of order", canon)
+		}
+		again := slices.Clone(canon)
+		Normalize(again)
+		if !slices.Equal(again, canon) {
+			t.Fatal("Normalize is not idempotent")
+		}
+		perm := slices.Clone(events)
+		slices.Reverse(perm)
+		if len(perm) > 0 {
+			k := int(nodes) % len(perm)
+			perm = append(perm[k:], perm[:k]...)
+		}
+		Normalize(perm)
+		if !slices.Equal(perm, canon) {
+			t.Fatal("Normalize depends on the input order")
+		}
+
+		before := slices.Clone(events)
+		up := InitialUp(events, n)
+		if !slices.Equal(events, before) {
+			t.Fatal("InitialUp modified its input")
+		}
+		if len(events) == 0 {
+			if up != nil {
+				t.Fatalf("InitialUp of no events = %v, want nil", up)
+			}
+			return
+		}
+		if len(up) != n {
+			t.Fatalf("InitialUp gave %d nodes, want %d", len(up), n)
+		}
+		for node := range up {
+			want := true
+			if i := slices.IndexFunc(canon, func(ev Event) bool { return ev.Node == node }); i >= 0 {
+				want = !canon[i].Kind.IsUp()
+			}
+			if up[node] != want {
+				t.Fatalf("node %d starts up=%v, its first event says %v", node, up[node], want)
+			}
+		}
+	})
 }

@@ -103,13 +103,3 @@ type Capture struct {
 
 // Record appends the sample.
 func (c *Capture) Record(s Sample) { c.Samples = append(c.Samples, s) }
-
-// MultiSink fans one stream out to several sinks in order.
-type MultiSink []Sink
-
-// Record forwards the sample to each sink in order.
-func (m MultiSink) Record(s Sample) {
-	for _, sk := range m {
-		sk.Record(s)
-	}
-}
