@@ -318,7 +318,8 @@ type (
 	ProtocolBuilder = core.ProtocolBuilder
 	// NodeID identifies a node.
 	NodeID = pkt.NodeID
-	// Packet is the network-layer packet model.
+	// Packet is the network-layer packet model. A packet received in a
+	// broadcast is shared with the other receivers and read-only.
 	Packet = pkt.Packet
 	// RadioParams are the physical-layer parameters of a scenario.
 	RadioParams = phy.RadioParams

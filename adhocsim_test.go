@@ -143,17 +143,19 @@ func (s *stubFlood) Recv(p *adhocsim.Packet, from adhocsim.NodeID, _ float64) {
 		return
 	}
 	s.seen[s.key(p)] = true
-	p.Hops++
-	if p.Dst == s.env.ID() {
-		s.env.Deliver(p, from)
+	// A received broadcast is shared with its other receivers: change a copy.
+	q := p.Clone()
+	q.Hops++
+	if q.Dst == s.env.ID() {
+		s.env.Deliver(q, from)
 		return
 	}
-	p.TTL--
-	if p.Expired() {
-		s.env.Drop(p, adhocsim.DropReason("stub-ttl"))
+	q.TTL--
+	if q.Expired() {
+		s.env.Drop(q, adhocsim.DropReason("stub-ttl"))
 		return
 	}
-	s.env.SendMac(p.Clone(), adhocsim.Broadcast)
+	s.env.SendMac(q, adhocsim.Broadcast)
 }
 
 func (s *stubFlood) Snoop(*adhocsim.Packet, adhocsim.NodeID, adhocsim.NodeID, float64) {}

@@ -488,6 +488,37 @@ func TestLargeNAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestPaperRegimeAllocationBudget is the allocation tripwire of the paper's
+// own regime: one 200 s AODV run of the study scene (40 nodes, 1500×300 m,
+// pause 0), where route-request floods and HELLO beacons make broadcast
+// receptions the most common packet event. Every receiver of a broadcast
+// shares the sender's packet; the run makes about 50 000 allocations, and a
+// per-receiver copy would take it to about 150 000.
+func TestPaperRegimeAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one 200 s study run")
+	}
+	spec := adhocsim.DefaultSpec()
+	spec.Duration = 200 * sim.Second
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := adhocsim.Run(adhocsim.RunConfig{Spec: spec, Protocol: adhocsim.AODV, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if res.RoutingTxPackets == 0 {
+		t.Fatal("study run produced no routing traffic")
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	const budget = 90_000
+	if mallocs > budget {
+		t.Fatalf("study run performed %d heap allocations, budget %d", mallocs, budget)
+	}
+	t.Logf("%d heap allocations", mallocs)
+}
+
 // largeNSinks is one of every production metric sink: quantile sketches on
 // delay and hops, a 60-bucket time series, per-kind Welford cells, and a
 // JSONL dump to io.Discard. Matches what campaign execution attaches plus

@@ -10,7 +10,8 @@ import (
 type UpperLayer interface {
 	// MacRecv delivers a decoded data packet addressed to this node (or
 	// broadcast). from is the transmitting neighbour, rxPower the
-	// received signal power in Watts.
+	// received signal power in Watts. A broadcast packet is the sender's
+	// own, shared by every receiver, and read-only.
 	MacRecv(p *pkt.Packet, from pkt.NodeID, rxPower float64)
 	// MacSnoop observes unicast data frames addressed to other nodes
 	// (promiscuous mode), used by DSR-style optimizations. May be a no-op.
@@ -405,9 +406,10 @@ func (m *Mac) sendDataAfterCTS() {
 func (m *Mac) onData(f *Frame, rxPower float64) {
 	if f.To == pkt.Broadcast {
 		m.Stats.DataRecv++
-		// Every broadcast receiver gets its own copy: receivers mutate
-		// TTL/hop state, and the same frame fans out to many nodes.
-		m.up.MacRecv(f.Pkt.Clone(), f.From, rxPower)
+		// Every receiver of a broadcast gets the sender's packet: it is
+		// shared and read-only (see pkt.Packet), and a receiver that
+		// changes header state copies it first.
+		m.up.MacRecv(f.Pkt, f.From, rxPower)
 		return
 	}
 	// Unicast: ACK regardless of duplication, deliver only once.

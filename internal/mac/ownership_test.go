@@ -37,30 +37,34 @@ func sendAndSettle(tb testing.TB, r *rig, p *pkt.Packet, to pkt.NodeID) {
 	}
 }
 
-// exchangeRigs are the two scenes the allocation test and BenchmarkMACExchange
-// drive: an RTS/CTS/DATA/ACK exchange between two nodes in range, and a
-// broadcast whose only listener is inside carrier-sense range but outside
-// reception range, so no receiver copies the packet (that copy belongs to
-// the receiver, not to the exchange).
+// exchangeRigs are the scenes the allocation test and BenchmarkMACExchange
+// drive, node 0 sending to the others: an RTS/CTS/DATA/ACK exchange between
+// two nodes in range; a broadcast whose only listener is inside
+// carrier-sense range but outside reception range, so nobody decodes it;
+// and a broadcast that three receivers in range decode, each handed the
+// sender's packet itself.
 var exchangeRigs = []struct {
-	name string
-	peer geo.Point
-	to   pkt.NodeID
-	pkt  func() *pkt.Packet
+	name     string
+	peers    []geo.Point
+	to       pkt.NodeID
+	pkt      func() *pkt.Packet
+	decoders int // peers that decode each DATA frame
 }{
-	{"unicast", geo.Pt(200, 0), 1, func() *pkt.Packet { return data(0, 1, 512) }},
-	{"broadcast", geo.Pt(400, 0), pkt.Broadcast, func() *pkt.Packet {
-		return pkt.RoutingPacket("HELLO", 0, pkt.Broadcast, 1, 24, 0)
-	}},
+	{"unicast", []geo.Point{geo.Pt(200, 0)}, 1, func() *pkt.Packet { return data(0, 1, 512) }, 1},
+	{"broadcast", []geo.Point{geo.Pt(400, 0)}, pkt.Broadcast, hello, 0},
+	{"fanout", []geo.Point{geo.Pt(150, 0), geo.Pt(0, 150), geo.Pt(150, 150)}, pkt.Broadcast, hello, 3},
 }
+
+func hello() *pkt.Packet { return pkt.RoutingPacket("HELLO", 0, pkt.Broadcast, 1, 24, 0) }
 
 // TestExchangeAllocatesNothing pins the MAC's ownership rules: once warm, a
 // whole unicast exchange and a broadcast reuse the MAC's frame, its
-// packet-in-flight slot and its bound callbacks, and allocate nothing.
+// packet-in-flight slot and its bound callbacks, and a broadcast's
+// receivers share the sender's packet, so none of them allocates.
 func TestExchangeAllocatesNothing(t *testing.T) {
 	for _, tc := range exchangeRigs {
 		t.Run(tc.name, func(t *testing.T) {
-			r := quietRig([]geo.Point{geo.Pt(0, 0), tc.peer})
+			r := quietRig(append([]geo.Point{geo.Pt(0, 0)}, tc.peers...))
 			p := tc.pkt()
 			sendAndSettle(t, r, p, tc.to) // warm pools, lanes and the leg memo
 			allocs := testing.AllocsPerRun(20, func() { sendAndSettle(t, r, p, tc.to) })
@@ -75,6 +79,13 @@ func TestExchangeAllocatesNothing(t *testing.T) {
 			if tc.to != pkt.Broadcast && r.macs[1].Stats.AckSent != runs {
 				t.Fatalf("receiver acknowledged %d of %d", r.macs[1].Stats.AckSent, runs)
 			}
+			var decoded uint64
+			for _, m := range r.macs[1:] {
+				decoded += m.Stats.DataRecv
+			}
+			if want := uint64(tc.decoders * runs); decoded != want {
+				t.Fatalf("peers decoded %d DATA frames, want %d", decoded, want)
+			}
 		})
 	}
 }
@@ -85,7 +96,7 @@ func TestExchangeAllocatesNothing(t *testing.T) {
 func BenchmarkMACExchange(b *testing.B) {
 	for _, tc := range exchangeRigs {
 		b.Run(tc.name, func(b *testing.B) {
-			r := quietRig([]geo.Point{geo.Pt(0, 0), tc.peer})
+			r := quietRig(append([]geo.Point{geo.Pt(0, 0)}, tc.peers...))
 			p := tc.pkt()
 			sendAndSettle(b, r, p, tc.to)
 			b.ReportAllocs()

@@ -52,7 +52,10 @@ type Protocol interface {
 	SendData(p *pkt.Packet)
 	// Recv processes any packet arriving from the MAC: routing messages
 	// and data packets alike (including data addressed to this node —
-	// source-routed protocols still need to inspect the header).
+	// source-routed protocols still need to inspect the header). A packet
+	// that arrived in a broadcast frame is shared with every other
+	// receiver and is read-only: Clone it before changing it (see
+	// pkt.Packet).
 	Recv(p *pkt.Packet, from pkt.NodeID, rxPower float64)
 	// Snoop observes unicast data frames addressed to other nodes
 	// (promiscuous mode). Most protocols ignore it.

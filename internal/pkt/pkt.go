@@ -57,11 +57,24 @@ const (
 	DefaultTTL = 32
 )
 
-// Packet is a network-layer packet. Packets are passed by pointer along a
-// single node's stack but must be Cloned when handed to another node or
-// duplicated by a flood, because forwarding mutates TTL/hop state.
+// Packet is a network-layer packet, passed by pointer. Who may write to it
+// depends on how it arrived:
+//
+//   - A unicast packet is handed to the next hop with the frame. The next
+//     hop may change its header state (TTL, hops, source-route index) and
+//     forward the same object.
+//   - A broadcast packet is shared: every receiver of the frame gets the
+//     sender's pointer. Once sent it is read-only, to the sender and every
+//     receiver, header and payload alike. A receiver that changes header
+//     state, for a relay or a delivery, Clones it first and works on the
+//     copy.
 type Packet struct {
-	UID  uint64 // globally unique per transmission lineage (see Clone)
+	// UID names one packet object, issued when it is built or Cloned. A
+	// unicast packet keeps its UID hop to hop. A broadcast's UID names one
+	// transmission: every receiver shares the sender's, so the trace lines
+	// of one broadcast show one UID at the sender and at each receiver,
+	// and a relay shows the fresh UID of its copy.
+	UID  uint64
 	Kind Kind
 	// Msg labels routing messages ("RREQ", "RREP", …) for per-type
 	// overhead breakdowns; empty for data packets.
@@ -101,8 +114,8 @@ type Packet struct {
 	SRIndex  int
 
 	// Payload carries a protocol-specific routing header. Routing
-	// payloads must be treated as immutable once attached; Clone copies
-	// the reference only.
+	// payloads are immutable once attached; Clone copies the reference
+	// only, and a relay that changes the header attaches a new payload.
 	Payload any
 }
 
@@ -116,8 +129,10 @@ func NewUID() uint64 {
 	return nextUID.Add(1)
 }
 
-// Clone returns a copy of p with a fresh UID and a deep-copied source route.
-// The payload reference is shared (payloads are immutable by convention).
+// Clone returns a copy of p with a fresh UID and a deep-copied source route,
+// which the caller owns and may change. The payload reference is shared
+// (payloads are immutable). Cloning draws no randomness, so where a packet
+// is copied never moves results.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.UID = NewUID()

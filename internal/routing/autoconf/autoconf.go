@@ -208,26 +208,30 @@ func (a *Autoconf) recvData(p *pkt.Packet, from pkt.NodeID) {
 	if a.seenData.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now()) {
 		return
 	}
-	p.Hops++
-	if p.Dst == a.Env.ID() {
-		a.Env.Deliver(p, from)
+	// p is shared with every other receiver of the broadcast: this node's
+	// hop and TTL changes go on its own copy, which it also relays.
+	q := p.Clone()
+	q.Hops++
+	if q.Dst == a.Env.ID() {
+		a.Env.Deliver(q, from)
 		return
 	}
-	p.TTL--
-	if p.Expired() {
-		a.Env.Drop(p, stats.DropTTL)
+	q.TTL--
+	if q.Expired() {
+		a.Env.Drop(q, stats.DropTTL)
 		return
 	}
-	a.Rebroadcast(p.Clone())
+	a.Rebroadcast(q)
 }
 
-// forward continues a control flood under a new lineage from this node.
+// forward continues a control flood from this node, on its own copy of the
+// shared broadcast packet p.
 func (a *Autoconf) forward(p *pkt.Packet) {
-	p.TTL--
-	if p.Expired() {
+	q := p.Clone()
+	q.TTL--
+	if q.Expired() {
 		return
 	}
-	q := p.Clone()
 	q.Hops++
 	a.Rebroadcast(q)
 }

@@ -53,18 +53,20 @@ func (f *Flood) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 	if f.seen.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, f.Env.Now()) {
 		return
 	}
-	p.Hops++
-	if p.Dst == f.Env.ID() {
-		f.Env.Deliver(p, from)
+	// p is shared with every other receiver of the broadcast: this node's
+	// hop and TTL changes go on its own copy, which it also relays.
+	q := p.Clone()
+	q.Hops++
+	if q.Dst == f.Env.ID() {
+		f.Env.Deliver(q, from)
 		return
 	}
-	p.TTL--
-	if p.Expired() {
-		f.Env.Drop(p, stats.DropTTL)
+	q.TTL--
+	if q.Expired() {
+		f.Env.Drop(q, stats.DropTTL)
 		return
 	}
-	// Clone: the broadcast continues under a new lineage from this node.
-	f.Rebroadcast(p.Clone())
+	f.Rebroadcast(q)
 }
 
 // MacFailed implements network.Protocol: broadcasts never fail at the MAC,
