@@ -296,9 +296,9 @@ type Figure = core.Figure
 type MacConfig = mac.Config
 
 // PhyConfig tunes the channel's transmit fast path: the spatial index's
-// reindex cadence and the SINR reception switch. Its BruteForce and
-// Scheduler fields are oracle pins for tests and benchmarks; leave them
-// zero. See RunConfig.Phy.
+// reindex cadence and the SINR reception switch. Its BruteForce field is
+// an oracle pin for tests; leave it zero. Static and Scheduler are read
+// nowhere. See RunConfig.Phy.
 type PhyConfig = phy.Config
 
 // Protocol-extension surface: the types an external routing protocol

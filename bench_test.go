@@ -368,8 +368,8 @@ func BenchmarkSingleRunLargeNGaussMarkov(b *testing.B) {
 // (area grows with √n, exactly what core.ScaleAxis does) under
 // registry-selected Manhattan mobility — the city-scale regime: a street
 // grid of beaconing CBRP nodes, thousands of pending events, working sets
-// far beyond cache. Duration is one simulated minute so a full
-// heap/calendar × 5k/10k matrix stays benchable.
+// far beyond cache. Duration is one simulated minute so both tiers stay
+// benchable.
 func cityScaleSpec(n int) adhocsim.Spec {
 	s := largeNSpec()
 	k := math.Sqrt(float64(n) / float64(s.Nodes))
@@ -381,25 +381,16 @@ func cityScaleSpec(n int) adhocsim.Spec {
 }
 
 // BenchmarkSingleRunCityScale is the city-scale tier: 5k- and 10k-node
-// single runs under Manhattan mobility at the large-N density, on the
-// engine's own queue choice (auto: what every caller gets) and on both
-// pinned implementations. The heap/calendar ns/op ratio at each population
-// prices the scheduler (the calendar queue's O(1) amortized insert/pop vs
-// the heap's O(log n)), auto against calendar prices the one migration;
-// allocations per run are reported so a per-event allocation regression on
-// the flattened hot path is visible in the committed baseline.
+// single runs under Manhattan mobility at the large-N density. Allocations
+// per run are reported so a per-event allocation regression on the
+// flattened hot path is visible in the committed baseline.
 func BenchmarkSingleRunCityScale(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
 		nodes int
-		sched sim.QueueKind
 	}{
-		{"5k-auto", 5000, 0},
-		{"5k-heap", 5000, sim.QueueHeap},
-		{"5k-calendar", 5000, sim.QueueCalendar},
-		{"10k-auto", 10000, 0},
-		{"10k-heap", 10000, sim.QueueHeap},
-		{"10k-calendar", 10000, sim.QueueCalendar},
+		{"5k", 5000},
+		{"10k", 10000},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
@@ -410,10 +401,7 @@ func BenchmarkSingleRunCityScale(b *testing.B) {
 					Spec:     spec,
 					Protocol: adhocsim.CBRP,
 					Seed:     1,
-					Phy: adhocsim.PhyConfig{
-						ReindexInterval: 5 * sim.Second,
-						Scheduler:       tc.sched,
-					},
+					Phy:      adhocsim.PhyConfig{ReindexInterval: 5 * sim.Second},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -429,7 +417,7 @@ func BenchmarkSingleRunCityScale(b *testing.B) {
 // BenchmarkSingleRunCityScaleChurn prices dynamic membership at city
 // scale: the 10k-node run under the alternating-renewal failure model, so
 // thousands of nodes fail and recover mid-run. The delta against the
-// churn-free 10k-auto tier prices the liveness bitmap on the transmit hot
+// churn-free 10k tier prices the liveness bitmap on the transmit hot
 // path plus the Down/Up membership events themselves.
 func BenchmarkSingleRunCityScaleChurn(b *testing.B) {
 	spec := cityScaleSpec(10000)

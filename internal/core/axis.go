@@ -470,11 +470,13 @@ func Grid(ctx context.Context, opts Options, axes ...Axis) (*GridResult, error) 
 			for a := range axes {
 				axes[a].Apply(&spec, pt[a])
 			}
+			value := axes[0].FormatValue(pt[0])
 			for _, seed := range opts.Seeds {
 				jobs = append(jobs, runJob{
-					rc:   RunConfig{Spec: spec, Protocol: p, Seed: seed, Mac: opts.Mac, Tweaks: opts.Tweaks},
-					axis: axisLabel,
-					x:    pt[0],
+					rc:    RunConfig{Spec: spec, Protocol: p, Seed: seed, Mac: opts.Mac, Tweaks: opts.Tweaks},
+					axis:  axisLabel,
+					x:     pt[0],
+					value: value,
 				})
 			}
 		}

@@ -127,6 +127,32 @@ func TestSweepProgressReporting(t *testing.T) {
 	}
 }
 
+// TestProgressPrintsModelNames: a model axis's values are indices into its
+// name list; the progress line must print the name, as every other label
+// does, not the index.
+func TestProgressPrintsModelNames(t *testing.T) {
+	axis, err := ModelAxis("mobility", []string{"waypoint", "manhattan"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Base = smallSpec()
+	opts.Base.Duration = 10 * sim.Second
+	opts.Protocols = []string{DSR}
+	opts.Seeds = []int64{1}
+	opts.Workers = 1
+	var out strings.Builder
+	opts.OnProgress = ProgressPrinter(&out)
+	if _, err := Sweep(context.Background(), opts, axis); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"mobility_model=waypoint seed 1", "mobility_model=manhattan seed 1"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("progress output lacks %q:\n%q", want, out.String())
+		}
+	}
+}
+
 func TestGridCrossProduct(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Base = smallSpec()

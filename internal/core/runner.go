@@ -174,9 +174,11 @@ type Progress struct {
 	Protocol string
 	Seed     int64
 	// Axis is the swept axis label ("pause_s"); for Grid it names every
-	// axis joined by "×". X holds the primary axis value.
-	Axis string
-	X    float64
+	// axis joined by "×". X holds the primary axis value, and Value renders
+	// it as that axis labels it (a model axis's model name).
+	Axis  string
+	X     float64
+	Value string
 }
 
 // ProgressFunc observes sweep progress. Calls are serialized (never
@@ -190,8 +192,8 @@ type ProgressFunc func(Progress)
 // renderer of the cmd tools and examples.
 func ProgressPrinter(w io.Writer) ProgressFunc {
 	return func(p Progress) {
-		fmt.Fprintf(w, "\r[%d/%d] %s %s=%g seed %d        ",
-			p.Done, p.Total, p.Protocol, p.Axis, p.X, p.Seed)
+		fmt.Fprintf(w, "\r[%d/%d] %s %s=%s seed %d        ",
+			p.Done, p.Total, p.Protocol, p.Axis, p.Value, p.Seed)
 		if p.Done == p.Total {
 			fmt.Fprintln(w)
 		}
@@ -238,9 +240,10 @@ func (o Options) normalized() Options {
 // runJob is one unit of work for the shared worker pool: a fully-resolved
 // run plus the progress annotations of the axis point it came from.
 type runJob struct {
-	rc   RunConfig
-	axis string
-	x    float64
+	rc    RunConfig
+	axis  string
+	x     float64
+	value string
 }
 
 // runJobs executes every job on a pool of workers goroutines and returns
@@ -271,6 +274,7 @@ func runJobs(ctx context.Context, workers int, onProgress ProgressFunc, jobs []r
 			Seed:     j.rc.Seed,
 			Axis:     j.axis,
 			X:        j.x,
+			Value:    j.value,
 		}
 		onProgress(p)
 		progressMu.Unlock()

@@ -786,6 +786,56 @@ func TestSSEStreamMonotone(t *testing.T) {
 	}
 }
 
+// TestHubNeverReadingSubscribers pins Hub's contract: 100 subscribers that
+// read nothing while a campaign runs, each with a buffer too small for the
+// campaign's events, still hold campaign_done last once it ends, and the
+// committed-run counts they hold never decrease.
+func TestHubNeverReadingSubscribers(t *testing.T) {
+	s, base := newTestServer(t, ServerOptions{LocalWorkers: -1})
+	created := submitSpec(t, base, testSpec())
+	topic := CampaignTopic(created.ID)
+	subs := make([]*Sub, 100)
+	for i := range subs {
+		subs[i] = s.Hub().Subscribe(topic, 1+i%4)
+		defer subs[i].Cancel()
+	}
+	// Publish hands an event to every subscriber in one call, so once this
+	// reader sees campaign_done, every other buffer has it too.
+	watch := s.Hub().Subscribe(topic, 64)
+	defer watch.Cancel()
+	startWorker(t, base, 2)
+	for deadline := time.After(time.Minute); ; {
+		select {
+		case e := <-watch.C():
+			if e.Type != EventCampaignDone {
+				continue
+			}
+		case <-deadline:
+			t.Fatal("no campaign_done within a minute")
+		}
+		break
+	}
+	for i, sub := range subs {
+		var types []string
+		last := -1
+		for len(sub.C()) > 0 {
+			e := <-sub.C()
+			types = append(types, e.Type)
+			if e.Snapshot == nil {
+				continue
+			}
+			if e.Snapshot.RunsDone < last {
+				t.Errorf("subscriber %d: runs_done went backwards: %d after %d", i, e.Snapshot.RunsDone, last)
+			}
+			last = e.Snapshot.RunsDone
+		}
+		if len(types) == 0 || types[len(types)-1] != EventCampaignDone || last != 4 {
+			t.Errorf("subscriber %d (capacity %d) holds %v, runs_done %d; want campaign_done last and 4 runs",
+				i, 1+i%4, types, last)
+		}
+	}
+}
+
 // TestGracefulShutdownCheckpoints drains a coordinator mid-campaign and
 // checks the journal is left as a clean, resumable checkpoint: a fresh
 // coordinator on the same journal dir finishes the campaign and matches

@@ -58,6 +58,11 @@ func CampaignTopic(id string) string { return "campaign/" + id }
 // subscriber that cannot keep up loses its oldest buffered events first,
 // which is safe here because events carry cumulative snapshots — the
 // newest event always supersedes the dropped ones.
+//
+// The contract a campaign topic keeps for every subscriber, including one
+// that never reads: once the campaign ends, its buffer ends with the
+// campaign_done event, and the Snapshot.RunsDone values it holds never
+// decrease in buffer order.
 type Hub struct {
 	mu     sync.Mutex
 	topics map[string]map[*Sub]struct{}

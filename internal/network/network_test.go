@@ -220,57 +220,3 @@ func TestWorldBuildMemoryPerNode(t *testing.T) {
 	}
 	runtime.KeepAlive(w)
 }
-
-// TestWorldQueueFollowsPopulation: a world built with a zero Phy — what
-// campaign.ExecuteUnit, and so every campaign cell, coordinator slot and
-// worker, builds — keeps the paper's 40 beaconing nodes on the heap through
-// a run with traffic, and has a 1 000-node one on the calendar as soon as
-// every agent has armed its beacon timer.
-func TestWorldQueueFollowsPopulation(t *testing.T) {
-	start := func(n int, area geo.Rect, horizon sim.Duration) *network.World {
-		t.Helper()
-		model := mobility.RandomWaypoint{Area: area, MinSpeed: 1, MaxSpeed: 20}
-		tracks, err := model.Generate(n, horizon, sim.NewRNG(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := network.NewWorld(network.Config{
-			Tracks:   tracks,
-			Radio:    phy.DefaultParams(),
-			Protocol: cbrp.Factory(cbrp.Config{}),
-			Seed:     1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		return w
-	}
-
-	const horizon = 30 * sim.Second
-	w := start(40, geo.Rect{W: 1500, H: 300}, horizon)
-	sent, delivered := 0, 0
-	for _, n := range w.Nodes {
-		n.SetSink(func(*pkt.Packet, pkt.NodeID) { delivered++ })
-	}
-	sim.NewTicker(w.Eng, 50*sim.Millisecond, func() {
-		src := pkt.NodeID(sent % 40)
-		w.Node(src).Originate(pkt.DataPacket(src, (src+20)%40, 0, 64, w.Eng.Now()))
-		sent++
-	}).Start()
-	if err := w.Run(context.Background(), sim.Time(0).Add(horizon)); err != nil {
-		t.Fatal(err)
-	}
-	if res := w.Collector.Finalize(); delivered < sent/2 || res.RoutingTxPackets < 1000 {
-		t.Fatalf("degenerate run: %d of %d packets delivered, %d routing transmissions",
-			delivered, sent, res.RoutingTxPackets)
-	}
-	if got := w.Eng.Queue(); got != sim.QueueHeap {
-		t.Fatalf("a 40-node run ended on the %v", got)
-	}
-
-	// Constant density: the area grows with the population.
-	if got := start(1000, geo.Rect{W: 7500, H: 1500}, horizon).Eng.Queue(); got != sim.QueueCalendar {
-		t.Fatalf("1 000 beaconing nodes started on the %v", got)
-	}
-}

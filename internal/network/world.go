@@ -93,7 +93,7 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 	}
 	w := &World{
-		Eng:       sim.NewEngineQueue(phyCfg.Scheduler),
+		Eng:       sim.NewEngine(),
 		Collector: stats.NewCollector(),
 		Oracle:    cfg.Oracle,
 		Tracer:    cfg.Tracer,

@@ -60,11 +60,8 @@ type Config struct {
 	// misjudges dense multihop scenes where many individually-weak
 	// interferers are collectively fatal (Fu, Liew & Huang).
 	SINR bool
-	// Scheduler pins the event queue of runs assembled through
-	// network.NewWorld to one implementation — an oracle for parity tests
-	// and benchmarks. Leave it zero: the engine then picks by how many
-	// events it holds (sim.QueueKind). Dispatch order, and therefore every
-	// result, is bit-identical whichever queue holds the events.
+	// Scheduler is read nowhere: the engine has one event queue, the heap
+	// (sim.QueueKind). The name stays for the callers that still assign it.
 	Scheduler sim.QueueKind
 }
 

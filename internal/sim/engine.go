@@ -17,105 +17,85 @@ type Handle struct {
 }
 
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps, and determinism
 	gen uint64 // incremented on recycle; validates Handles
 	fn  EventFunc
-	idx int // queue-internal position (≥0 while queued), -1 once popped
+	idx int // heap slot while queued, -1 once popped or removed
 }
 
-// eventBefore is the strict total order every queue implementation must
-// dispatch in: timestamp first, then scheduling sequence. Because no two
-// events share (at, seq), any correct implementation of eventQueue yields
-// the same dispatch sequence — determinism does not depend on the queue
-// shape, which is what lets the calendar queue replace the heap without
-// perturbing a single result bit.
-func eventBefore(a, b *event) bool {
+// QueueKind names an event queue, for callers that still pass one. The
+// engine has one queue, the heap, and every kind selects it.
+type QueueKind uint8
+
+const (
+	// QueueHeap selects the heap, as every kind does.
+	QueueHeap QueueKind = iota + 1
+	// QueueCalendar selects the heap too; eventHeap says why there is no
+	// calendar queue.
+	QueueCalendar
+)
+
+// heapEntry is one queued event with its dispatch key held beside it, so
+// heap comparisons never dereference an event.
+type heapEntry struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal timestamps, and determinism
+	ev  *event
+}
+
+func (a *heapEntry) before(b *heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// eventQueue is the engine's pluggable priority queue. Implementations
-// must dispatch in eventBefore order, keep ev.idx ≥ 0 while an event is
-// queued and set it to -1 on pop/remove (Cancel keys off that), and return
-// nil from peek/popMin when empty.
-type eventQueue interface {
-	push(ev *event)
-	peek() *event
-	popMin() *event
-	remove(ev *event)
-	size() int
+// eventHeap is the engine's event queue: a hand-rolled 4-ary min-heap
+// ordered by (at, seq). Heap maintenance is the single hottest loop of a
+// large run, so the heap works directly on the concrete slice — no
+// container/heap interface dispatch per comparison — and the wider fan-out
+// halves the tree depth (pops do ~4 compares per level but half the levels
+// of a binary heap, a net win for the pop-heavy event loop). Sifts carry
+// the moving entry as a hole and write it once, instead of swapping pairs.
+// Because (at, seq) is a strict total order over events, any correct heap
+// yields the same dispatch sequence: determinism does not depend on the
+// heap shape.
+//
+// It is the only queue because a calendar queue (Brown 1988), which
+// engines used to move to past 512 pending events, did not pay for itself
+// in runs. Shared 2-core Xeon 2.1 GHz, go1.24, alternating pairs, median
+// [q1–q3], results identical:
+//   - hold model (BenchmarkQueueHold, -cpu 1, median of 5), ns per event,
+//     a heap of bare pointers / the calendar: 42 / 67 at 3 pending, 100 /
+//     102 at 50, 115 / 100 at 200, 141 / 104 at 500, 152 / 108 at 1k, 209 /
+//     147 at 10k. The hold model has one timescale, the calendar's best
+//     case; a run mixes µs MAC slots with second-scale timers.
+//   - the connected 1k-node AODV scene (waypoint 20 m/s, pause 0, 7.5 ×
+//     1.5 km, 50 flows, 20 s), 10 pairs: 11.89 [11.63–13.43] s with the
+//     move to the calendar, 10.35 [9.94–11.35] s on this heap, which was
+//     faster in all 10.
+//   - the 20 s city benchmark workloads, a heap of bare pointers against
+//     the calendar, 20 pairs each: run_s +8.0 % on city_10k (heap faster
+//     in 6 of 20), +10.8 % on city_10k_churn (3 of 20). This heap, keys
+//     inline, 10 pairs each: run_s 2.02 [1.84–2.05] → 1.98 [1.70–2.06] s
+//     on city_10k (6 of 10) and 1.79 [1.58–1.88] → 1.76 [1.58–1.88] s on
+//     city_10k_churn (7 of 10), with 3.5 % and 7.9 % fewer allocations.
+//   - the paper regime's deepest queue is 145 events: it never left the
+//     heap.
+type eventHeap []heapEntry
+
+// push queues ev under the key (at, seq).
+func (h *eventHeap) push(at Time, seq uint64, ev *event) {
+	*h = append(*h, heapEntry{at: at, seq: seq, ev: ev})
+	h.siftUp(len(*h) - 1)
 }
 
-// QueueKind names an eventQueue implementation. The zero value leaves the
-// choice to the engine: it starts on the heap and moves, once and one-way,
-// to the calendar queue when the queue outgrows autoCalendarAt. QueueHeap
-// and QueueCalendar pin one implementation for the whole run — they are the
-// test oracle and what the benchmark's per-implementation probes price.
-type QueueKind uint8
-
-const (
-	queueAuto QueueKind = iota
-	// QueueHeap is the 4-ary min-heap: O(log n) per operation, unbeatable
-	// constants at the study's 25–500 node populations.
-	QueueHeap
-	// QueueCalendar is the calendar queue (Brown 1988): O(1) amortized
-	// insert/pop, the better fit for city-scale runs whose pending-event
-	// populations reach the tens of thousands.
-	QueueCalendar
-)
-
-func (k QueueKind) String() string { return [...]string{"auto", "heap", "calendar"}[k] }
-
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). Heap
-// maintenance is the single hottest loop of a large run, so the heap works
-// directly on the concrete slice — no container/heap interface dispatch per
-// comparison — and the wider fan-out halves the tree depth (pops do ~4
-// compares per level but half the levels and half the swaps of a binary
-// heap, a net win for the pop-heavy event-loop workload). Because (at, seq)
-// is a strict total order over events, any correct heap yields the same
-// dispatch sequence: determinism does not depend on the heap shape.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev *event) {
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-	h.siftUp(ev.idx)
-}
-
-// peek returns the minimum event without removing it (nil when empty).
-func (h *eventHeap) peek() *event {
-	if len(*h) == 0 {
-		return nil
-	}
-	return (*h)[0]
-}
-
-func (h *eventHeap) size() int { return len(*h) }
-
-// remove unlinks a queued event (for cancellation).
-func (h *eventHeap) remove(ev *event) { h.removeAt(ev.idx) }
-
-// popMin removes and returns the minimum event (nil when empty).
+// popMin removes and returns the minimum event. The heap must not be empty.
 func (h *eventHeap) popMin() *event {
 	old := *h
-	if len(old) == 0 {
-		return nil
-	}
-	ev := old[0]
+	ev := old[0].ev
 	n := len(old) - 1
 	old[0] = old[n]
-	old[0].idx = 0
-	old[n] = nil
+	old[n] = heapEntry{}
 	*h = old[:n]
 	if n > 0 {
 		h.siftDown(0)
@@ -124,16 +104,13 @@ func (h *eventHeap) popMin() *event {
 	return ev
 }
 
-// removeAt removes the event at index i (for cancellation).
-func (h *eventHeap) removeAt(i int) {
+// remove unlinks the event in slot i (for cancellation).
+func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
-	ev := old[i]
-	if i != n {
-		old[i] = old[n]
-		old[i].idx = i
-	}
-	old[n] = nil
+	ev := old[i].ev
+	old[i] = old[n]
+	old[n] = heapEntry{}
 	*h = old[:n]
 	if i < n {
 		h.siftDown(i)
@@ -142,56 +119,63 @@ func (h *eventHeap) removeAt(i int) {
 	ev.idx = -1
 }
 
+// siftUp moves the entry in slot i towards the root until its parent is
+// before it.
 func (h eventHeap) siftUp(i int) {
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.less(i, parent) {
+		if !x.before(&h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].idx = i
-		h[parent].idx = parent
+		h[i] = h[parent]
+		h[i].ev.idx = i
 		i = parent
 	}
+	h[i] = x
+	x.ev.idx = i
 }
 
+// siftDown moves the entry in slot i towards the leaves until no child is
+// before it.
 func (h eventHeap) siftDown(i int) {
 	n := len(h)
+	x := h[i]
 	for {
-		min := i
 		first := 4*i + 1
+		if first >= n {
+			break
+		}
 		last := first + 4
 		if last > n {
 			last = n
 		}
-		for c := first; c < last; c++ {
-			if h.less(c, min) {
+		min := first
+		for c := first + 1; c < last; c++ {
+			if h[c].before(&h[min]) {
 				min = c
 			}
 		}
-		if min == i {
-			return
+		if !h[min].before(&x) {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
-		h[i].idx = i
-		h[min].idx = min
+		h[i] = h[min]
+		h[i].ev.idx = i
 		i = min
 	}
+	h[i] = x
+	x.ev.idx = i
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is NOT safe for
 // concurrent use; run one Engine per goroutine.
 type Engine struct {
-	now   Time
-	queue eventQueue
-	// heap is queue's concrete type while a self-selecting engine is still on
-	// it (push reads its length without an interface call), otherwise nil.
-	heap       *eventHeap
-	calendarAt int     // heap length above which the engine moves to the calendar
-	lanes      []*Lane // FIFO side channels dispatched alongside the queue (see Lane)
-	nextSeq    uint64
-	free       []*event // recycled event structs (see alloc/recycle)
-	stopped    bool
+	now     Time
+	queue   eventHeap
+	lanes   []*Lane // FIFO side channels dispatched alongside the queue (see Lane)
+	nextSeq uint64
+	free    []*event // recycled event structs (see alloc/recycle)
+	stopped bool
 
 	// Executed counts events actually dispatched (statistics / loop guards).
 	Executed uint64
@@ -209,63 +193,11 @@ type Engine struct {
 	InterruptEvery uint64
 }
 
-// autoCalendarAt is the queue length above which a self-selecting engine
-// leaves the heap for the calendar. BenchmarkQueueHold, ns per event heap /
-// calendar (PR 24, -cpu 1, median of 5): 42 / 67 at 3 pending, 100 / 102 at
-// 50, 115 / 100 at 200, 141 / 104 at 500, 152 / 108 at 1k, 209 / 147 at 10k.
-// The hold model has one timescale, the calendar's best case; a run mixes µs
-// MAC slots with second-scale timers. So the switch waits until the heap's
-// log n is past doubt: over 3× the paper regime's deepest queue (145), which
-// never pays a migration.
-//
-// Both queues stay because the calendar measures ahead where it is used.
-// Prototypes with one queue deleted, against this engine (shared 2-core Xeon
-// 2.1 GHz, go1.24, 20 s benchmark runs, alternating pairs, median [q1–q3],
-// result digests identical):
-//   - heap only, city_10k, 20 pairs: run_s 1.85 [1.74–1.93] → 2.00
-//     [1.90–2.08] s (+8.0 %), heap faster in 6 of 20; allocs_per_run −2.0 %.
-//   - heap only, city_10k_churn, 20 pairs: run_s 1.63 [1.58–1.76] → 1.80
-//     [1.72–1.94] s (+10.8 %), heap faster in 3 of 20; allocs_per_run −5.1 %,
-//     setup_s −12.2 % (20 of 20).
-//   - calendar only, campaign_cluster: units_per_s 363 → 372, 1 of 4 pairs;
-//     allocs_per_run 5 398 → 5 615 (+4 %).
-//   - calendar only, paper_study: run_s 8.05 → 8.13 s, 1 of 4 pairs.
-//
-// Neither city loss clears 9 of 10 pairs, but neither row has the heap
-// ahead: one queue would trade city run time for less code.
-const autoCalendarAt = 512
+// NewEngine returns an empty engine with the clock at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
-// NewEngine returns an empty engine with the clock at time zero that picks
-// its own event queue (see QueueKind).
-func NewEngine() *Engine { return newEngineAuto(autoCalendarAt) }
-
-// newEngineAuto lets tests cross the threshold with small scripts.
-func newEngineAuto(calendarAt int) *Engine {
-	h := new(eventHeap)
-	return &Engine{queue: h, heap: h, calendarAt: calendarAt}
-}
-
-// NewEngineQueue returns an empty engine pinned to the given implementation
-// (self-selecting for the zero value). Every kind dispatches the exact same
-// (at, seq) sequence.
-func NewEngineQueue(kind QueueKind) *Engine {
-	switch kind {
-	case QueueHeap:
-		return &Engine{queue: new(eventHeap)}
-	case QueueCalendar:
-		return &Engine{queue: newCalQueue(0, nil)}
-	}
-	return NewEngine()
-}
-
-// Queue reports the implementation in use: on a self-selecting engine,
-// QueueHeap until the migration and QueueCalendar from then on.
-func (e *Engine) Queue() QueueKind {
-	if _, ok := e.queue.(*calQueue); ok {
-		return QueueCalendar
-	}
-	return QueueHeap
-}
+// NewEngineQueue returns NewEngine(): every kind selects the heap.
+func NewEngineQueue(QueueKind) *Engine { return NewEngine() }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -273,7 +205,7 @@ func (e *Engine) Now() Time { return e.now }
 // Len returns the number of pending (non-cancelled) events, wherever they
 // are held: the queue plus every lane.
 func (e *Engine) Len() int {
-	n := e.queue.size()
+	n := len(e.queue)
 	for _, l := range e.lanes {
 		n += l.n
 	}
@@ -335,12 +267,8 @@ func (e *Engine) stamp(at Time) uint64 {
 // push queues an already-numbered event.
 func (e *Engine) push(at Time, seq uint64, fn EventFunc) *event {
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = at, seq, fn
-	e.queue.push(ev)
-	if e.heap != nil && len(*e.heap) > e.calendarAt {
-		// Nothing pending is earlier than the clock, so it seeds the cursor.
-		e.queue, e.heap = newCalQueue(e.now, *e.heap), nil
-	}
+	ev.fn = fn
+	e.queue.push(at, seq, ev)
 	return ev
 }
 
@@ -359,7 +287,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	if ev == nil || ev.gen != h.gen || ev.idx < 0 {
 		return false
 	}
-	e.queue.remove(ev)
+	e.queue.remove(ev.idx)
 	e.recycle(ev)
 	return true
 }
@@ -378,15 +306,14 @@ func (e *Engine) Run(until Time) error {
 		every = 4096
 	}
 	for !e.stopped {
-		// The next event is the (at, seq)-minimum over the queue head and
-		// every lane head; src is the lane holding it, nil for the queue.
-		ev := e.queue.peek()
+		// The next event is the (at, seq)-minimum over the heap's root and
+		// every lane head; src is the lane holding it, nil for the heap.
 		var src *Lane
 		var at Time
 		var seq uint64
-		found := ev != nil
+		found := len(e.queue) > 0
 		if found {
-			at, seq = ev.at, ev.seq
+			at, seq = e.queue[0].at, e.queue[0].seq
 		}
 		for _, l := range e.lanes {
 			if l.n == 0 {
@@ -403,7 +330,7 @@ func (e *Engine) Run(until Time) error {
 		if src != nil {
 			fn = src.pop()
 		} else {
-			e.queue.popMin()
+			ev := e.queue.popMin()
 			fn = ev.fn
 			// Recycle before dispatch: ev is out of the queue, so fn (which
 			// may Schedule) can reuse the struct immediately, and its bumped

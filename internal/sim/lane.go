@@ -25,7 +25,7 @@ import (
 //     every lane head. (at, seq) is a strict total order over all pending
 //     events wherever they are held, so the dispatch sequence — and with it
 //     Executed, Limit, Interrupt, Stop and Run(until) — is the one a single
-//     queue would have produced, under either queue kind.
+//     queue would have produced.
 //
 // Lane events are non-cancellable by design: entries are held by value with
 // no Handle, which is what makes them free of per-event allocation and

@@ -10,28 +10,26 @@ import (
 )
 
 func TestLaneDispatchOrderAndFallback(t *testing.T) {
-	for _, kind := range queueKinds {
-		e := kind.new()
-		l := e.NewLane()
-		var got []int
-		note := func(i int) EventFunc { return func() { got = append(got, i) } }
-		l.Schedule(At(2), note(0)) // accepted: lane empty
-		e.Schedule(At(2), note(1)) // queue, same timestamp, later seq
-		l.Schedule(At(1), note(2)) // before the tail: falls back to the queue
-		l.Schedule(At(2), note(3)) // ties the tail: accepted
-		l.Schedule(At(3), note(4))
-		if l.Len() != 3 || e.Len() != 5 {
-			t.Fatalf("%v: lane holds %d, engine %d pending; want 3 and 5", kind, l.Len(), e.Len())
-		}
-		if err := e.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		if want := []int{2, 0, 1, 3, 4}; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%v: dispatch order %v, want %v", kind, got, want)
-		}
-		if e.Executed != 5 || e.Len() != 0 {
-			t.Fatalf("%v: Executed %d, Len %d after drain", kind, e.Executed, e.Len())
-		}
+	e := NewEngine()
+	l := e.NewLane()
+	var got []int
+	note := func(i int) EventFunc { return func() { got = append(got, i) } }
+	l.Schedule(At(2), note(0)) // accepted: lane empty
+	e.Schedule(At(2), note(1)) // queue, same timestamp, later seq
+	l.Schedule(At(1), note(2)) // before the tail: falls back to the queue
+	l.Schedule(At(2), note(3)) // ties the tail: accepted
+	l.Schedule(At(3), note(4))
+	if l.Len() != 3 || e.Len() != 5 {
+		t.Fatalf("lane holds %d, engine %d pending; want 3 and 5", l.Len(), e.Len())
+	}
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 0, 1, 3, 4}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+	if e.Executed != 5 || e.Len() != 0 {
+		t.Fatalf("Executed %d, Len %d after drain", e.Executed, e.Len())
 	}
 }
 
@@ -94,29 +92,27 @@ func TestLaneSchedulePastPanics(t *testing.T) {
 // wherever they are held — the queue, each lane, and lane appends that fell
 // back — at every point of a phased run.
 func TestLaneLenCountsEverywhere(t *testing.T) {
-	for _, kind := range queueKinds {
-		e := kind.new()
-		a, b := e.NewLane(), e.NewLane()
-		for i := 1; i <= 10; i++ {
-			e.Schedule(At(float64(i)), func() {})
-			a.Schedule(At(float64(i)), func() {})
-			b.Schedule(At(float64(11-i)), func() {}) // descending: 9 fall back
-		}
-		if a.Len() != 10 || b.Len() != 1 || e.Len() != 30 {
-			t.Fatalf("%v: lanes hold %d and %d, engine %d; want 10, 1, 30", kind, a.Len(), b.Len(), e.Len())
-		}
-		if err := e.Run(At(4)); err != nil {
-			t.Fatal(err)
-		}
-		if e.Len() != 18 || e.Executed != 12 {
-			t.Fatalf("%v: %d pending, %d executed after Run(4); want 18, 12", kind, e.Len(), e.Executed)
-		}
-		if err := e.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		if e.Len() != 0 || a.Len() != 0 || b.Len() != 0 {
-			t.Fatalf("%v: %d pending after drain", kind, e.Len())
-		}
+	e := NewEngine()
+	a, b := e.NewLane(), e.NewLane()
+	for i := 1; i <= 10; i++ {
+		e.Schedule(At(float64(i)), func() {})
+		a.Schedule(At(float64(i)), func() {})
+		b.Schedule(At(float64(11-i)), func() {}) // descending: 9 fall back
+	}
+	if a.Len() != 10 || b.Len() != 1 || e.Len() != 30 {
+		t.Fatalf("lanes hold %d and %d, engine %d; want 10, 1, 30", a.Len(), b.Len(), e.Len())
+	}
+	if err := e.Run(At(4)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Len() != 18 || e.Executed != 12 {
+		t.Fatalf("%d pending, %d executed after Run(4); want 18, 12", e.Len(), e.Executed)
+	}
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Len() != 0 || a.Len() != 0 || b.Len() != 0 {
+		t.Fatalf("%d pending after drain", e.Len())
 	}
 }
 
@@ -228,48 +224,46 @@ func TestLaneRunGuards(t *testing.T) {
 	holders := []string{"queue", "lane", "alternate"}
 	for name, guard := range guards {
 		var want outcome
-		for _, kind := range queueKinds {
-			for hi, holder := range holders {
-				e := kind.new()
-				l := e.NewLane()
-				fired := 0
-				if guard != nil {
-					guard(e, &fired)
-				}
-				for i := 1; i <= 10; i++ {
-					fn := func() {
-						fired++
-						if name == "stop" && fired == 3 {
-							e.Stop()
-						}
-					}
-					if holder == "lane" || (holder == "alternate" && i%2 == 0) {
-						l.Schedule(At(float64(i)), fn)
-					} else {
-						e.Schedule(At(float64(i)), fn)
+		for hi, holder := range holders {
+			e := NewEngine()
+			l := e.NewLane()
+			fired := 0
+			if guard != nil {
+				guard(e, &fired)
+			}
+			for i := 1; i <= 10; i++ {
+				fn := func() {
+					fired++
+					if name == "stop" && fired == 3 {
+						e.Stop()
 					}
 				}
-				err := e.RunAll()
-				got := outcome{fired: fired, pending: e.Len(), executed: e.Executed, now: e.Now()}
-				if err != nil {
-					got.err = err.Error()
+				if holder == "lane" || (holder == "alternate" && i%2 == 0) {
+					l.Schedule(At(float64(i)), fn)
+				} else {
+					e.Schedule(At(float64(i)), fn)
 				}
-				// Whatever is left must still run, in order, afterwards.
-				e.Limit, e.Interrupt = 0, nil
-				if err := e.RunAll(); err != nil {
-					t.Fatal(err)
+			}
+			err := e.RunAll()
+			got := outcome{fired: fired, pending: e.Len(), executed: e.Executed, now: e.Now()}
+			if err != nil {
+				got.err = err.Error()
+			}
+			// Whatever is left must still run, in order, afterwards.
+			e.Limit, e.Interrupt = 0, nil
+			if err := e.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+			got.firedAfterGuard = fired
+			if hi == 0 {
+				want = got
+				if want.pending == 0 || want.fired == 10 {
+					t.Fatalf("%s: guard never tripped: %+v", name, want)
 				}
-				got.firedAfterGuard = fired
-				if kind.name == pinnedHeap.name && hi == 0 {
-					want = got
-					if want.pending == 0 || want.fired == 10 {
-						t.Fatalf("%s: guard never tripped: %+v", name, want)
-					}
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s, %v queue, events held by %s:\n got %+v\nwant %+v", name, kind, holder, got, want)
-				}
+				continue
+			}
+			if got != want {
+				t.Fatalf("%s, events held by %s:\n got %+v\nwant %+v", name, holder, got, want)
 			}
 		}
 	}
@@ -300,9 +294,8 @@ func (b *byteSource) Int63n(n int64) int64 {
 // FuzzLaneDispatchOrder is TestQueueEquivalenceFuzz with the decision
 // stream in the fuzzer's hands: whatever interleaving of schedules, cancels,
 // timer resets, monotone and out-of-order lane appends and tied batches the
-// bytes encode, every testQueue with lanes — both pins and the self-selecting
-// engine at both thresholds — must fire exactly the log the lane-free pinned
-// heap fires.
+// bytes encode, the engine with lanes must fire exactly the log the
+// lane-free engine fires.
 func FuzzLaneDispatchOrder(f *testing.F) {
 	f.Add([]byte{})
 	for seed := int64(1); seed <= 4; seed++ {
@@ -311,12 +304,10 @@ func FuzzLaneDispatchOrder(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want := newQueueScript(pinnedHeap, &byteSource{data: data}, false).run(t)
-		for _, kind := range queueKinds {
-			got := newQueueScript(kind, &byteSource{data: data}, true).run(t)
-			if d := diffFirings(want, got); d != "" {
-				t.Fatalf("%v queue with lanes: %s", kind, d)
-			}
+		want := newQueueScript(&byteSource{data: data}, false).run(t)
+		got := newQueueScript(&byteSource{data: data}, true).run(t)
+		if d := diffFirings(want, got); d != "" {
+			t.Fatalf("with lanes: %s", d)
 		}
 	})
 }

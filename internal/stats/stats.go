@@ -23,7 +23,6 @@ const (
 	DropTTL         DropReason = "ttl-expired"
 	DropSendBuffer  DropReason = "send-buffer-timeout"
 	DropSendBufFull DropReason = "send-buffer-full"
-	DropLoop        DropReason = "routing-loop"
 	DropSalvageFail DropReason = "salvage-failed"
 )
 

@@ -58,22 +58,11 @@ type Tracer interface {
 type Writer struct {
 	mu  sync.Mutex
 	w   io.Writer
-	n   uint64
 	err error
-
-	// Filter, when non-nil, suppresses events for which it returns false.
-	Filter func(ev Event) bool
 }
 
 // NewWriter creates a line-oriented tracer.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// Lines reports how many records have been written.
-func (t *Writer) Lines() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
 
 // Err returns the first write error, if any.
 func (t *Writer) Err() error {
@@ -84,9 +73,6 @@ func (t *Writer) Err() error {
 
 // Trace implements Tracer.
 func (t *Writer) Trace(ev Event) {
-	if t.Filter != nil && !t.Filter(ev) {
-		return
-	}
 	line := Format(ev)
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -95,9 +81,7 @@ func (t *Writer) Trace(ev Event) {
 	}
 	if _, err := io.WriteString(t.w, line+"\n"); err != nil {
 		t.err = err
-		return
 	}
-	t.n++
 }
 
 // Format renders one event as a trace line.
@@ -133,34 +117,4 @@ func Format(ev Event) string {
 		}
 	}
 	return b.String()
-}
-
-// Counter is a Tracer that only counts events by op — useful in tests and
-// for cheap statistics without I/O.
-type Counter struct {
-	Sends, Recvs, Delivers, Drops uint64
-}
-
-// Trace implements Tracer.
-func (c *Counter) Trace(ev Event) {
-	switch ev.Op {
-	case OpSend:
-		c.Sends++
-	case OpRecv:
-		c.Recvs++
-	case OpDeliver:
-		c.Delivers++
-	case OpDrop:
-		c.Drops++
-	}
-}
-
-// Multi fans events out to several tracers.
-type Multi []Tracer
-
-// Trace implements Tracer.
-func (m Multi) Trace(ev Event) {
-	for _, t := range m {
-		t.Trace(ev)
-	}
 }

@@ -63,18 +63,15 @@ func TestFormatRoutingLabel(t *testing.T) {
 	}
 }
 
-func TestWriterFilterAndCount(t *testing.T) {
+func TestWriterWritesLines(t *testing.T) {
 	var sb strings.Builder
 	w := trace.NewWriter(&sb)
-	w.Filter = func(ev trace.Event) bool { return ev.Op == trace.OpDrop }
 	w.Trace(mkEvent(trace.OpSend))
 	ev := mkEvent(trace.OpDrop)
 	ev.Reason = stats.DropTTL
 	w.Trace(ev)
-	if w.Lines() != 1 {
-		t.Fatalf("lines = %d, want 1 (filtered)", w.Lines())
-	}
-	if !strings.Contains(sb.String(), "ttl-expired") {
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "s ") || !strings.Contains(lines[1], "ttl-expired") {
 		t.Fatalf("output %q", sb.String())
 	}
 	if w.Err() != nil {
@@ -82,31 +79,16 @@ func TestWriterFilterAndCount(t *testing.T) {
 	}
 }
 
-func TestCounterAndMulti(t *testing.T) {
-	var c1, c2 trace.Counter
-	m := trace.Multi{&c1, &c2}
-	m.Trace(mkEvent(trace.OpSend))
-	m.Trace(mkEvent(trace.OpRecv))
-	m.Trace(mkEvent(trace.OpDeliver))
-	if c1.Sends != 1 || c1.Recvs != 1 || c1.Delivers != 1 || c1.Drops != 0 {
-		t.Fatalf("counter = %+v", c1)
-	}
-	if c2 != c1 {
-		t.Fatal("multi did not fan out")
-	}
-}
-
 // TestEndToEndTracing wires a tracer into a world and checks events flow.
 func TestEndToEndTracing(t *testing.T) {
 	var sb strings.Builder
 	wr := trace.NewWriter(&sb)
-	cnt := &trace.Counter{}
 	w, err := network.NewWorld(network.Config{
 		Tracks:   mobility.Chain(3, 200),
 		Radio:    phy.DefaultParams(),
 		Protocol: flood.Factory(flood.Config{}),
 		Seed:     1,
-		Tracer:   trace.Multi{wr, cnt},
+		Tracer:   wr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,17 +101,18 @@ func TestEndToEndTracing(t *testing.T) {
 	if err := w.Run(context.Background(), sim.At(3)); err != nil {
 		t.Fatal(err)
 	}
-	if cnt.Sends == 0 || cnt.Recvs == 0 || cnt.Delivers != 1 {
-		t.Fatalf("counter = %+v", cnt)
+	if wr.Err() != nil {
+		t.Fatal(wr.Err())
 	}
 	out := sb.String()
+	ops := map[byte]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		ops[line[0]]++
+	}
+	if ops['s'] == 0 || ops['r'] == 0 || ops['d'] != 1 {
+		t.Fatalf("lines by op = %v, want sends, receives and one delivery:\n%s", ops, out)
+	}
 	if !strings.Contains(out, "s 1.000000000 _0_") {
 		t.Fatalf("missing origination line:\n%s", out)
-	}
-	if !strings.Contains(out, "d ") {
-		t.Fatalf("missing delivery line:\n%s", out)
-	}
-	if wr.Lines() == 0 {
-		t.Fatal("no lines written")
 	}
 }
