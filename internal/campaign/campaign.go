@@ -513,10 +513,11 @@ func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) 
 }
 
 // CompleteUnitEncoded is CompleteUnit for a caller that may already hold
-// enc, the json.Marshal encoding of res (a result cache keeps it beside the
-// result), and that acts on the outcome. The journal writes enc verbatim;
-// only when enc is nil and a journal is open is res encoded, once. Callers
-// must not modify enc afterwards.
+// enc, an encoding of res — JSON that decodes to res and holds no newline,
+// such as json.Marshal(res) or the bytes a worker committed (a result cache
+// keeps it beside the result) — and that acts on the outcome. The journal
+// writes enc verbatim; only when enc is nil and a journal is open is res
+// encoded, once. Callers must not modify enc afterwards.
 func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte, fromCache bool) Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()

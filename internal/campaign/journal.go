@@ -195,10 +195,11 @@ func (j *journal) write(line []byte) error {
 	return nil
 }
 
-// appendEncoded journals one run from enc, its Results as json.Marshal
-// encodes them (a compact value with no newline). The line is assembled
-// around enc exactly as json.Marshal lays out a journalEntry — fields in
-// declaration order, integers in decimal — so it is byte-identical to
+// appendEncoded journals one run from enc, its Results as one compact JSON
+// value with no newline (json.Marshal's bytes, or the identical bytes a
+// worker committed). The line is assembled around enc exactly as
+// json.Marshal lays out a journalEntry — fields in declaration order,
+// integers in decimal — so it is byte-identical to
 // append(json.Marshal(journalEntry{cell, rep, seed, res}), '\n') without
 // re-encoding the Results.
 func (j *journal) appendEncoded(cell, rep int, seed int64, enc []byte) error {

@@ -38,8 +38,7 @@ type Store interface {
 
 // MemStore is an in-memory Store: per-process reuse and tests. It keeps
 // each result decoded and encoded (about 5 KB more per entry with stream
-// digests), because decoding a hit would cost about three times what
-// encoding it does.
+// digests), because decoding a hit would cost more than encoding it does.
 type MemStore struct {
 	mu sync.Mutex
 	m  map[string]memEntry

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -170,9 +171,37 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// maxSpecBytes caps a POST /campaigns body: ~1000× the largest in-tree
-// spec, so one request cannot make the coordinator buffer arbitrary input.
-const maxSpecBytes = 1 << 20
+// Request body caps, so one request cannot make the coordinator buffer
+// arbitrary input. maxSpecBytes (POST /campaigns) is ~1000× the largest
+// in-tree spec. maxResultBytes bounds a commit body, and a worker reads
+// replies up to the same size; a unit's results are about 5 KB. Lease,
+// renew and release bodies are a few ids.
+const (
+	maxSpecBytes    = 1 << 20
+	maxResultBytes  = 16 << 20
+	maxControlBytes = 64 << 10
+)
+
+// decodeRequest decodes r's JSON body, at most limit bytes, into v. On
+// failure it answers as decodeError does and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err != nil {
+		decodeError(w, what, err)
+	}
+	return err == nil
+}
+
+// decodeError answers a body that did not decode: 413 when it passed its
+// cap, 400 otherwise.
+func decodeError(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, fmt.Errorf("decoding %s: %w", what, err))
+}
 
 // createdResponse is the POST /campaigns reply.
 type createdResponse struct {
@@ -189,12 +218,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, fmt.Errorf("decoding spec: %w", err))
+		decodeError(w, "spec", err)
 		return
 	}
 	c, err := campaign.New(spec, campaign.Options{})
@@ -363,23 +387,24 @@ func (s *Server) runLocal(m *managed) {
 			m.mu.Unlock()
 			return
 		}
-		s.commit(m, ci, rep, res)
+		s.commit(m, ci, rep, res, nil)
 	}
 }
 
-// commit is the locked wrapper around commitLocked.
-func (s *Server) commit(m *managed, ci, rep int, res stats.Results) campaign.Outcome {
+// commit is the locked wrapper around commitLocked for a live result.
+func (s *Server) commit(m *managed, ci, rep int, res stats.Results, enc []byte) campaign.Outcome {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return s.commitLocked(m, ci, rep, res, nil, false)
+	return s.commitLocked(m, ci, rep, res, enc, false)
 }
 
 // commitLocked lands one result through the campaign's single commit call
 // — which detects duplicates (first result wins), journals and commits in
 // replication order — then populates the cache, publishes progress events
 // and settles the campaign once it is done or failed. enc is the result's
-// stored encoding on a cache hit and nil otherwise; a live result is cached
-// with the encoding its journal line was built from.
+// encoding when the caller holds one — a cache hit's stored bytes, a remote
+// commit's body — and nil otherwise; a live result is cached with the
+// encoding its journal line was built from.
 func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []byte, fromCache bool) campaign.Outcome {
 	out := m.c.CompleteUnitEncoded(ci, rep, res, enc, fromCache)
 	if !out.Landed {
@@ -512,10 +537,20 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding lease request: %w", err))
+	if !decodeRequest(w, r, maxControlBytes, "lease request", &req) {
 		return
 	}
+	if g := s.leaseNext(req.Worker); g != nil {
+		writeJSON(w, http.StatusOK, g)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// leaseNext grants worker a lease on the next unit of the oldest campaign
+// that has one, or returns nil when none has: the answer to a lease
+// request, and the next unit a commit asks for.
+func (s *Server) leaseNext(worker string) *LeaseGrant {
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.campaigns))
 	for id, m := range s.campaigns {
@@ -535,11 +570,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		if m == nil {
 			continue
 		}
-		ci, rep, l, ok := s.dispatch(m, req.Worker, s.leaseTTL)
+		ci, rep, l, ok := s.dispatch(m, worker, s.leaseTTL)
 		if !ok {
 			continue
 		}
-		writeJSON(w, http.StatusOK, LeaseGrant{
+		return &LeaseGrant{
 			LeaseID:  l.ID,
 			Campaign: m.id,
 			SpecHash: m.c.Plan().Hash,
@@ -547,16 +582,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			Rep:      rep,
 			Seed:     m.c.Plan().SeedFor(ci, rep),
 			TTLMs:    s.leaseTTL.Milliseconds(),
-		})
-		return
+		}
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding renew request: %w", err))
+	if !decodeRequest(w, r, maxControlBytes, "renew request", &req) {
 		return
 	}
 	if !s.leases.renew(req.LeaseID, s.leaseTTL) {
@@ -568,8 +601,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding release request: %w", err))
+	if !decodeRequest(w, r, maxControlBytes, "release request", &req) {
 		return
 	}
 	if l, ok := s.leases.release(req.LeaseID); ok {
@@ -578,11 +610,25 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// commitBody is a CommitRequest as the coordinator reads it: the results
+// stay the bytes the worker sent, for the journal and the cache to store
+// as they are, and are decoded from those.
+type commitBody struct {
+	CommitRequest
+	Results json.RawMessage `json:"results"`
+}
+
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	var req CommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding commit: %w", err))
+	var body commitBody
+	if !decodeRequest(w, r, maxResultBytes, "commit", &body) {
 		return
+	}
+	req := body.CommitRequest
+	if len(body.Results) > 0 {
+		if err := json.Unmarshal(body.Results, &req.Results); err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding commit results: %w", err))
+			return
+		}
 	}
 	m := s.lookup(req.Campaign)
 	if m == nil {
@@ -609,13 +655,33 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	if req.LeaseID != "" {
 		s.leases.releaseFor(req.LeaseID, m.id, req.Cell, req.Rep)
 	}
-	if out := s.commit(m, req.Cell, req.Rep, req.Results); out.Landed {
-		writeJSON(w, http.StatusOK, CommitResponse{Committed: true})
-	} else {
+	status, resp := http.StatusOK, CommitResponse{Committed: true}
+	if out := s.commit(m, req.Cell, req.Rep, req.Results, journalForm(body.Results)); !out.Landed {
 		// Duplicate (or post-settlement) commit: 409 carrying the winning
 		// result, so the committer can reconcile instead of failing.
-		writeJSON(w, http.StatusConflict, CommitResponse{Results: out.Winner})
+		status, resp = http.StatusConflict, CommitResponse{Results: out.Winner}
 	}
+	if req.Next {
+		resp.Next = s.leaseNext(req.Worker)
+	}
+	writeJSON(w, status, resp)
+}
+
+// journalForm returns a commit's results bytes as the journal embeds them —
+// compact, so they hold no newline — or nil when they are not an object (an
+// absent or null results field), which the campaign then encodes itself.
+func journalForm(raw json.RawMessage) []byte {
+	if len(raw) == 0 || raw[0] != '{' {
+		return nil
+	}
+	if !bytes.ContainsAny(raw, " \t\r\n") {
+		return raw
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, raw); err != nil {
+		return nil // unreachable: raw decoded
+	}
+	return buf.Bytes()
 }
 
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {

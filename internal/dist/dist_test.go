@@ -799,8 +799,9 @@ func TestHubNeverReadingSubscribers(t *testing.T) {
 		subs[i] = s.Hub().Subscribe(topic, 1+i%4)
 		defer subs[i].Cancel()
 	}
-	// Publish hands an event to every subscriber in one call, so once this
-	// reader sees campaign_done, every other buffer has it too.
+	// Publish hands an event to every subscriber in one call, under the
+	// hub's lock: once this reader sees campaign_done and that call has
+	// returned, every other buffer has it too.
 	watch := s.Hub().Subscribe(topic, 64)
 	defer watch.Cancel()
 	startWorker(t, base, 2)
@@ -815,6 +816,10 @@ func TestHubNeverReadingSubscribers(t *testing.T) {
 		}
 		break
 	}
+	// The reader wakes as soon as its send lands, while that Publish may
+	// still be filling the other buffers; taking the lock waits it out.
+	s.Hub().mu.Lock()
+	s.Hub().mu.Unlock()
 	for i, sub := range subs {
 		var types []string
 		last := -1

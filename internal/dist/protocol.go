@@ -14,9 +14,15 @@ import (
 //	POST /dist/renew                heartbeat a lease          → 200 RenewResponse | 410 lease lost
 //	POST /dist/release              give an unleased unit back → 204
 //	POST /dist/commit               deliver a result           → 200 CommitResponse |
-//	                                409 CommitResponse carrying the winning result on duplicates
+//	                                409 CommitResponse carrying the winning result on duplicates;
+//	                                either may carry the next lease (CommitRequest.Next)
 //	GET  /dist/campaigns/{id}/spec  fetch the campaign spec    → 200 SpecResponse
 //	GET  /dist/status               coordinator introspection  → 200 StatusResponse
+//
+// A worker leases a slot's first unit, and polls when idle, through
+// /dist/lease; after that each commit asks for its successor, so a busy
+// slot makes one round trip per unit. Commit bodies may hold up to 16 MiB,
+// lease, renew and release bodies 64 KiB; larger ones get 413.
 //
 // A worker never receives scenario objects per unit: it fetches the spec
 // once per campaign, expands it locally into the identical plan (seeds and
@@ -77,6 +83,9 @@ type CommitRequest struct {
 	Cell     int           `json:"cell"`
 	Rep      int           `json:"rep"`
 	Results  stats.Results `json:"results"`
+	// Next asks for the worker's next unit in the reply, saving a
+	// /dist/lease round trip. A draining worker leaves it unset.
+	Next bool `json:"next,omitempty"`
 }
 
 // CommitResponse reports a commit's fate. On a duplicate (HTTP 409) it
@@ -85,6 +94,9 @@ type CommitRequest struct {
 type CommitResponse struct {
 	Committed bool           `json:"committed"`
 	Results   *stats.Results `json:"results,omitempty"`
+	// Next is the lease a commit with Next set asked for: the unit that
+	// /dist/lease would have granted, or nil when there is no work.
+	Next *LeaseGrant `json:"next,omitempty"`
 }
 
 // SpecResponse lets a worker reconstruct a campaign's plan. Spec is the

@@ -44,11 +44,12 @@ type WorkerOptions struct {
 
 // worker is the client side of the distribution protocol.
 type worker struct {
-	opts WorkerOptions
-	base string
-	id   string
-	hard context.Context
-	logf func(string, ...any)
+	opts   WorkerOptions
+	base   string
+	id     string
+	hard   context.Context
+	logf   func(string, ...any)
+	client *http.Client
 }
 
 // slotPlan is one slot's current campaign plan. Campaign ids restart at c1
@@ -104,12 +105,23 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	// A slot's requests follow one another, and its heartbeats fall while
+	// it runs a unit, so Slots+1 connections carry a worker's traffic. All
+	// stay idle between requests (http.DefaultClient keeps two, so a
+	// many-slot worker dialled anew for most requests), and no more are
+	// dialled for a request that starts before its slot's last connection
+	// is back in the pool.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = opts.Slots + 1
+	transport.MaxConnsPerHost = opts.Slots + 1
+	defer transport.CloseIdleConnections()
 	w := &worker{
-		opts: opts,
-		base: strings.TrimRight(opts.Coordinator, "/"),
-		id:   opts.ID,
-		hard: hard,
-		logf: logf,
+		opts:   opts,
+		base:   strings.TrimRight(opts.Coordinator, "/"),
+		id:     opts.ID,
+		hard:   hard,
+		logf:   logf,
+		client: &http.Client{Transport: transport},
 	}
 
 	errs := make([]error, opts.Slots)
@@ -130,29 +142,39 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	return nil
 }
 
-// runSlot is one lease → execute → commit loop. Dispatch serves the oldest
-// campaign first, so holding one plan per slot fetches a spec about once
-// per campaign.
+// runSlot is one lease → execute → commit loop. Each commit asks for the
+// slot's next unit, so /dist/lease serves only a slot's first unit and its
+// idle polls. Dispatch serves the oldest campaign first, so holding one
+// plan per slot fetches a spec about once per campaign.
 func (w *worker) runSlot(ctx context.Context) error {
 	var cur slotPlan
+	var next *LeaseGrant
 	for {
 		if ctx.Err() != nil {
+			if next != nil {
+				// Granted as the drain began: give it back at once.
+				w.release(next.LeaseID)
+			}
 			return nil // graceful drain complete
 		}
-		grant, got, err := w.lease(ctx)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil
+		grant := next
+		if grant == nil {
+			g, got, err := w.lease(ctx)
+			if err != nil {
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					return nil
+				}
+				return err
 			}
-			return err
-		}
-		if !got {
-			if !w.idle(ctx) {
-				return nil
+			if !got {
+				if !w.idle(ctx) {
+					return nil
+				}
+				continue
 			}
-			continue
+			grant = &g
 		}
-		w.execute(ctx, grant, &cur)
+		next = w.execute(ctx, *grant, &cur)
 	}
 }
 
@@ -192,24 +214,25 @@ func (w *worker) lease(ctx context.Context) (grant LeaseGrant, got bool, err err
 	return grant, got, err
 }
 
-// execute runs one leased unit end to end.
-func (w *worker) execute(ctx context.Context, grant LeaseGrant, cur *slotPlan) {
+// execute runs one leased unit end to end and returns the next lease its
+// commit carried back (nil when there is none).
+func (w *worker) execute(ctx context.Context, grant LeaseGrant, cur *slotPlan) *LeaseGrant {
 	plan, err := w.planFor(ctx, grant, cur)
 	if err != nil {
 		w.logf("worker %s: campaign %s: %v", w.id, grant.Campaign, err)
 		w.release(grant.LeaseID)
-		return
+		return nil
 	}
 	// Cheap integrity probes on top of the plan-hash comparison.
 	if grant.Cell < 0 || grant.Cell >= len(plan.Cells) || grant.Rep < 0 || grant.Rep >= plan.Spec.MaxReps {
 		w.logf("worker %s: lease %s outside the plan", w.id, grant.LeaseID)
 		w.release(grant.LeaseID)
-		return
+		return nil
 	}
 	if seed := plan.SeedFor(grant.Cell, grant.Rep); seed != grant.Seed {
 		w.logf("worker %s: lease %s seed mismatch (%d != %d)", w.id, grant.LeaseID, seed, grant.Seed)
 		w.release(grant.LeaseID)
-		return
+		return nil
 	}
 
 	// The run aborts on the hard context or a lost lease — an ended
@@ -228,9 +251,9 @@ func (w *worker) execute(ctx context.Context, grant LeaseGrant, cur *slotPlan) {
 		// Aborted (lease lost, hard shutdown): give the unit back so it
 		// re-issues promptly rather than waiting out the lease deadline.
 		w.release(grant.LeaseID)
-		return
+		return nil
 	}
-	w.commit(grant, res)
+	return w.commit(ctx, grant, res)
 }
 
 // heartbeat renews the lease at TTL/3 cadence; a 410 means the lease was
@@ -276,12 +299,9 @@ func (w *worker) heartbeat(ctx context.Context, cancelRun context.CancelFunc, gr
 }
 
 // commit delivers a result; duplicates (409) reconcile silently against
-// the coordinator's winning copy.
-func (w *worker) commit(grant LeaseGrant, res stats.Results) {
-	// Commit must survive a graceful drain (soft ctx already cancelled),
-	// so it runs on the hard context, time-boxed.
-	ctx, cancel := context.WithTimeout(w.hard, time.Minute)
-	defer cancel()
+// the coordinator's winning copy. Unless ctx (the graceful signal) has
+// ended, the commit asks for the slot's next unit and returns its lease.
+func (w *worker) commit(ctx context.Context, grant LeaseGrant, res stats.Results) (next *LeaseGrant) {
 	req := CommitRequest{
 		LeaseID:  grant.LeaseID,
 		Worker:   w.id,
@@ -290,7 +310,12 @@ func (w *worker) commit(grant LeaseGrant, res stats.Results) {
 		Cell:     grant.Cell,
 		Rep:      grant.Rep,
 		Results:  res,
+		Next:     ctx.Err() == nil,
 	}
+	// Commit must survive a graceful drain (soft ctx already cancelled),
+	// so it runs on the hard context, time-boxed.
+	ctx, cancel := context.WithTimeout(w.hard, time.Minute)
+	defer cancel()
 	err := retry(ctx, w.opts.BackoffBase, w.opts.BackoffMax, func() error {
 		var resp CommitResponse
 		status, body, err := w.post(ctx, "/dist/commit", req, &resp)
@@ -299,10 +324,12 @@ func (w *worker) commit(grant LeaseGrant, res stats.Results) {
 		}
 		switch {
 		case status == http.StatusOK:
+			next = resp.Next
 			return nil
 		case status == http.StatusConflict:
 			// Duplicate commit: the coordinator answered with the winning
 			// result. Determinism makes it identical to ours; nothing to do.
+			next = resp.Next
 			return nil
 		case status >= 400 && status < 500:
 			return permanent(fmt.Errorf("commit rejected: %d: %s", status, body))
@@ -314,6 +341,7 @@ func (w *worker) commit(grant LeaseGrant, res stats.Results) {
 		w.logf("worker %s: commit (%s cell %d rep %d) failed: %v",
 			w.id, grant.Campaign, grant.Cell, grant.Rep, err)
 	}
+	return next
 }
 
 // release gives an unfinished unit back (best-effort: expiry is the
@@ -389,12 +417,12 @@ func (w *worker) get(ctx context.Context, path string, out any) (int, string, er
 }
 
 func (w *worker) do(req *http.Request, out any) (int, string, error) {
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return 0, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
 	if err != nil {
 		return 0, "", err
 	}

@@ -24,9 +24,10 @@ const DefaultCompression = 100
 // merges with a stable tie-break (existing centroids before new values, left
 // list before right on Merge), so the same values in the same order — and
 // the same Merge call order — reproduce bit-identical centroids. State
-// survives a JSON round-trip exactly (encoding/json emits shortest
-// round-trippable float64s), which the campaign journal and the distributed
-// result cache rely on for reflect.DeepEqual checkpoint equivalence.
+// survives a JSON round-trip exactly (its codec writes, as encoding/json
+// does, the shortest float64 that reads back exactly), which the campaign
+// journal and the distributed result cache rely on for reflect.DeepEqual
+// checkpoint equivalence.
 type Sketch struct {
 	compression float64
 	count       float64 // total weight incl. buffered values
@@ -195,38 +196,45 @@ func (s *Sketch) Merge(o *Sketch) {
 		return
 	}
 	o.compress()
-	if o.count == 0 {
+	s.mergeCentroids(o.count, o.min, o.max, o.means, o.weights)
+}
+
+// mergeCentroids folds a compressed digest — its count, range and sorted
+// centroids — into s. The interleave goes through s's scratch slices, so
+// a merge allocates nothing once they have grown.
+func (s *Sketch) mergeCentroids(count, lo, hi float64, means, weights []float64) {
+	if count == 0 {
 		return
 	}
 	if s.count == 0 {
-		s.min, s.max = o.min, o.max
+		s.min, s.max = lo, hi
 	} else {
-		if o.min < s.min {
-			s.min = o.min
+		if lo < s.min {
+			s.min = lo
 		}
-		if o.max > s.max {
-			s.max = o.max
+		if hi > s.max {
+			s.max = hi
 		}
 	}
-	s.count += o.count
+	s.count += count
 	s.compress()
 	// Two-pointer interleave of the two sorted centroid lists, s's centroids
 	// first on ties.
-	n := len(s.means) + len(o.means)
-	mm, mw := make([]float64, 0, n), make([]float64, 0, n)
+	mm, mw := s.scratchM[:0], s.scratchW[:0]
 	i, j := 0, 0
-	for i < len(s.means) || j < len(o.means) {
-		if j >= len(o.means) || (i < len(s.means) && s.means[i] <= o.means[j]) {
+	for i < len(s.means) || j < len(means) {
+		if j >= len(means) || (i < len(s.means) && s.means[i] <= means[j]) {
 			mm = append(mm, s.means[i])
 			mw = append(mw, s.weights[i])
 			i++
 		} else {
-			mm = append(mm, o.means[j])
-			mw = append(mw, o.weights[j])
+			mm = append(mm, means[j])
+			mw = append(mw, weights[j])
 			j++
 		}
 	}
 	s.means, s.weights = s.mergePass(mm, mw, s.means[:0], s.weights[:0])
+	s.scratchM, s.scratchW = mm[:0], mw[:0]
 }
 
 // Quantile returns the q-quantile estimate (q in [0,1]) with linear
@@ -268,8 +276,8 @@ func (s *Sketch) Quantile(q float64) float64 {
 }
 
 // SketchState is the serialized form of a Sketch. All fields round-trip
-// through encoding/json bit-exactly (weights are integer-valued counts well
-// below 2⁵³).
+// through JSON bit-exactly (weights are integer-valued counts well below
+// 2⁵³); codec.go writes and reads it byte for byte as encoding/json would.
 type SketchState struct {
 	Compression float64   `json:"compression"`
 	Count       float64   `json:"count"`
@@ -354,8 +362,12 @@ func FromState(st SketchState) *Sketch {
 }
 
 // MergeState folds a serialized sketch into s, equivalent to
-// s.Merge(FromState(st)).
-func (s *Sketch) MergeState(st SketchState) { s.Merge(FromState(st)) }
+// s.Merge(FromState(st)) but without building that sketch: a state's
+// centroids are already compressed, and its compression does not enter a
+// merge.
+func (s *Sketch) MergeState(st SketchState) {
+	s.mergeCentroids(st.Count, st.Min, st.Max, st.Means, st.Weights)
+}
 
 // QuantileSummary is the fixed percentile set served in campaign results.
 type QuantileSummary struct {

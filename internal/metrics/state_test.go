@@ -78,8 +78,9 @@ func TestRunStreamsValidateNamesTheSketch(t *testing.T) {
 // FuzzSketchState decodes arbitrary JSON into a SketchState, the way a
 // commit body, a journal line or a cache entry carries one. A state that
 // validates must merge without panicking into an empty and into a fed
-// sketch, add its count, and leave a state that validates and survives a
-// JSON round trip exactly.
+// sketch, add its count, leave what Merge(FromState(st)) leaves, twice in a
+// row, and leave a state that validates and survives a JSON round trip
+// exactly.
 func FuzzSketchState(f *testing.F) {
 	for _, s := range []*Sketch{NewSketch(DefaultCompression), fedSketch(1, 1), fedSketch(2, 3000)} {
 		blob, err := json.Marshal(s.State())
@@ -98,9 +99,21 @@ func FuzzSketchState(f *testing.F) {
 		}
 		for _, into := range []*Sketch{NewSketch(DefaultCompression), fedSketch(3, 500)} {
 			want := into.Count() + st.Count
+			ref := FromState(into.State())
 			into.MergeState(st)
 			if into.Count() != want {
 				t.Fatalf("merged count %v, want %v", into.Count(), want)
+			}
+			ref.Merge(FromState(st))
+			// The second merge reuses the scratch slices the first grew.
+			for i := range 2 {
+				if i > 0 {
+					into.MergeState(st)
+					ref.Merge(FromState(st))
+				}
+				if !reflect.DeepEqual(into.State(), ref.State()) {
+					t.Fatalf("merge %d: MergeState left another sketch than Merge(FromState(st))", i+1)
+				}
 			}
 			into.Summary()
 			got := into.State()
