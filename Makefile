@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench profile race loc changes-cap
+.PHONY: verify fmt vet build test figs bench profile allocs race loc changes-cap
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -62,3 +62,16 @@ profile:
 		-proto CBRP -mobility manhattan \
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
 	@echo wrote profiles/cpu.pprof profiles/mem.pprof
+
+## allocs: where a city run's allocations go. One BenchmarkSingleRunCityScale/10k
+## run with every allocation sampled (-memprofilerate 1, ~10 s), then the top
+## allocation sites by objects and by bytes. Binary and profile stay in
+## ./profiles.
+allocs:
+	@mkdir -p profiles
+	$(GO) test -run '^$$' -bench 'BenchmarkSingleRunCityScale$$/^10k$$' -benchtime 1x \
+		-memprofilerate 1 -memprofile profiles/allocs.pprof -o profiles/adhocsim.test .
+	@for idx in alloc_objects alloc_space; do \
+		$(GO) tool pprof -sample_index=$$idx -top -nodecount 12 profiles/adhocsim.test profiles/allocs.pprof 2>&1 | \
+			sed -E '/^(File|Build ID|Time):/d; s/\[go\.shape\.struct \{.*\}\]/[…]/'; \
+	done

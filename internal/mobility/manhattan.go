@@ -133,7 +133,8 @@ func (m Manhattan) chooseDir(ix, iy, prev int, turn bool, rng *sim.RNG) int {
 	if prev >= 0 {
 		reverse = prev ^ 1 // pairs are (0,1) east/west and (2,3) north/south
 	}
-	var candidates []int
+	var buf [len(manhattanDirs)]int
+	candidates := buf[:0]
 	for di, d := range manhattanDirs {
 		if di == reverse {
 			continue

@@ -170,6 +170,20 @@ func TestManhattanSnapsToStreets(t *testing.T) {
 	}
 }
 
+// TestManhattanTurnAllocatesNothing pins chooseDir's candidate list on the
+// stack: a turn at a crossing, a corner and a dead end cost no allocation.
+func TestManhattanTurnAllocatesNothing(t *testing.T) {
+	m := Manhattan{BlocksX: 3, BlocksY: 2}
+	rng := sim.NewRNG(1)
+	if n := testing.AllocsPerRun(100, func() {
+		m.chooseDir(1, 1, 0, true, rng)
+		m.chooseDir(0, 0, -1, false, rng)
+		m.chooseDir(3, 1, 0, false, rng)
+	}); n != 0 {
+		t.Fatalf("chooseDir made %v allocations, want 0", n)
+	}
+}
+
 func TestRegistryErrors(t *testing.T) {
 	if _, err := New("no-such-model", testEnv(), nil); err == nil {
 		t.Fatal("unknown model accepted")

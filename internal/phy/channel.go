@@ -115,8 +115,11 @@ type Channel struct {
 	// arrival legs all land within a propagation delay of now, and
 	// everything an arrival schedules — reception end, busy watchdog, SINR
 	// air departure — lands at arrival+duration, so in scheduling order the
-	// keys are already (almost always) non-decreasing. The rare event that
-	// is not falls through to the queue on its own.
+	// keys are mostly non-decreasing. An event that is not falls through to
+	// the queue on its own. On the ends lane that is common, not rare:
+	// frames of different airtimes and the busy watchdogs interleave there,
+	// and on a 1 000-node scene 12.95 M of its 19.90 M events (65 %) fall
+	// back to the heap.
 	arrivals *sim.Lane      // arrival legs, one sorted batch per transmit
 	ends     *sim.Lane      // reception ends, watchdogs, air departures
 	legBatch []sim.LaneItem // the current transmit's surviving legs

@@ -68,6 +68,10 @@ const (
 //     receiver, header and payload alike. A receiver that changes header
 //     state, for a relay or a delivery, Clones it first and works on the
 //     copy.
+//
+// The fields are laid out in 136 bytes (Seq fills Kind's word), so a
+// routing message fused with a body of up to 8 bytes by Routing stays in
+// the 144-byte size class of a bare packet.
 type Packet struct {
 	// UID names one packet object, issued when it is built or Cloned. A
 	// unicast packet keeps its UID hop to hop. A broadcast's UID names one
@@ -76,6 +80,9 @@ type Packet struct {
 	// and a relay shows the fresh UID of its copy.
 	UID  uint64
 	Kind Kind
+	// Seq is the application sequence number (per source), used by sinks
+	// to detect duplicates.
+	Seq uint32
 	// Msg labels routing messages ("RREQ", "RREP", …) for per-type
 	// overhead breakdowns; empty for data packets.
 	Msg string
@@ -95,10 +102,6 @@ type Packet struct {
 	// when the application handed the packet to the network layer).
 	CreatedAt sim.Time
 
-	// Seq is the application sequence number (per source), used by sinks
-	// to detect duplicates.
-	Seq uint32
-
 	// OptimalHops is the BFS shortest hop distance from Src to Dst at
 	// origination time, filled by the traffic layer for path-optimality
 	// accounting. Zero when unknown/unreachable.
@@ -113,9 +116,11 @@ type Packet struct {
 	SrcRoute []NodeID
 	SRIndex  int
 
-	// Payload carries a protocol-specific routing header. Routing
-	// payloads are immutable once attached; Clone copies the reference
-	// only, and a relay that changes the header attaches a new payload.
+	// Payload carries a protocol-specific routing header. Routing builds
+	// it in the packet's own allocation, and CloneRouting copies it into
+	// the copy's, so a payload may share its packet's object. Payloads are
+	// immutable once sent: Clone copies the reference only, and a relay
+	// that changes the payload takes a CloneRouting copy.
 	Payload any
 }
 
@@ -134,12 +139,18 @@ func NewUID() uint64 {
 // (payloads are immutable). Cloning draws no randomness, so where a packet
 // is copied never moves results.
 func (p *Packet) Clone() *Packet {
-	q := *p
+	q := new(Packet)
+	p.cloneInto(q)
+	return q
+}
+
+// cloneInto makes *q the Clone of p.
+func (p *Packet) cloneInto(q *Packet) {
+	*q = *p
 	q.UID = NewUID()
 	if p.SrcRoute != nil {
 		q.SrcRoute = append([]NodeID(nil), p.SrcRoute...)
 	}
-	return &q
 }
 
 // Expired reports whether the TTL has been exhausted.
@@ -169,10 +180,10 @@ func DataPacket(src, dst NodeID, seq uint32, payloadBytes int, at sim.Time) *Pac
 	}
 }
 
-// RoutingPacket builds a routing control packet. bodyBytes is the size of
-// the protocol message body; the IP header is added here.
-func RoutingPacket(msg string, src, dst NodeID, ttl, bodyBytes int, at sim.Time) *Packet {
-	return &Packet{
+// routingHeader is a routing control packet's header. bodyBytes is the size
+// of the protocol message body; the IP header is added here.
+func routingHeader(msg string, src, dst NodeID, ttl, bodyBytes int, at sim.Time) Packet {
+	return Packet{
 		UID:       NewUID(),
 		Kind:      KindRouting,
 		Msg:       msg,
@@ -182,4 +193,37 @@ func RoutingPacket(msg string, src, dst NodeID, ttl, bodyBytes int, at sim.Time)
 		Size:      bodyBytes + IPHeaderBytes,
 		CreatedAt: at,
 	}
+}
+
+// RoutingPacket builds a routing control packet without a payload. A
+// protocol message with a body is built by Routing.
+func RoutingPacket(msg string, src, dst NodeID, ttl, bodyBytes int, at sim.Time) *Packet {
+	p := routingHeader(msg, src, dst, ttl, bodyBytes, at)
+	return &p
+}
+
+// routingMsg is a routing packet and its payload in one object.
+type routingMsg[T any] struct {
+	p    Packet
+	body T
+}
+
+// Routing builds a routing control packet whose payload is a zero T held in
+// the same allocation, and returns both; the caller fills the body before
+// sending. bodyBytes is the size of the protocol message body; the IP
+// header is added here.
+func Routing[T any](msg string, src, dst NodeID, ttl, bodyBytes int, at sim.Time) (*Packet, *T) {
+	m := &routingMsg[T]{p: routingHeader(msg, src, dst, ttl, bodyBytes, at)}
+	m.p.Payload = &m.body
+	return &m.p, &m.body
+}
+
+// CloneRouting is Clone for a relay that changes the payload, a *T: the copy
+// and a copy of the payload share one new object, which the caller owns and
+// may change before sending.
+func CloneRouting[T any](p *Packet) (*Packet, *T) {
+	m := &routingMsg[T]{body: *p.Payload.(*T)}
+	p.cloneInto(&m.p)
+	m.p.Payload = &m.body
+	return &m.p, &m.body
 }

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"testing"
+	"unsafe"
 
 	"adhocsim/internal/sim"
 )
@@ -96,5 +97,61 @@ func TestStringSmoke(t *testing.T) {
 	r := RoutingPacket("RERR", 3, Broadcast, 1, 12, 0)
 	if r.String() == "" || r.String() == p.String() {
 		t.Fatal("routing String")
+	}
+}
+
+// body is a routing payload for the tests below.
+type body struct {
+	A, B  NodeID
+	Route []NodeID
+}
+
+var sinkPacket *Packet
+
+func TestRoutingSharesOneObject(t *testing.T) {
+	p, m := Routing[body]("RREQ", 1, Broadcast, 5, 24, sim.At(1))
+	if p.Size != 44 || p.Kind != KindRouting || p.Msg != "RREQ" || p.TTL != 5 || p.CreatedAt != sim.At(1) {
+		t.Fatalf("routing packet fields: %v", p)
+	}
+	if p.Payload.(*body) != m {
+		t.Fatal("payload is not the returned body")
+	}
+	q, _ := Routing[body]("RREQ", 1, Broadcast, 5, 24, 0)
+	if q.UID == p.UID {
+		t.Fatal("two routing packets share a UID")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sinkPacket, _ = Routing[body]("RREQ", 1, Broadcast, 5, 24, 0)
+	}); n != 1 {
+		t.Fatalf("Routing made %v allocations, want 1", n)
+	}
+}
+
+func TestCloneRoutingCopiesPayload(t *testing.T) {
+	p, m := Routing[body]("RREQ", 1, Broadcast, 5, 24, 0)
+	*m = body{A: 1, B: 2, Route: []NodeID{1}}
+	p.SrcRoute = []NodeID{1, 2}
+	q, m2 := CloneRouting[body](p)
+	if q.UID == p.UID || q.Payload.(*body) != m2 || m2 == m || m2.A != 1 || m2.B != 2 || len(m2.Route) != 1 {
+		t.Fatalf("clone %v payload %+v", q, m2)
+	}
+	m2.A, q.TTL, q.SrcRoute[0] = 9, 4, 7
+	if m.A != 1 || p.TTL != 5 || p.SrcRoute[0] != 1 {
+		t.Fatal("changing the clone changed the original")
+	}
+	p.SrcRoute = nil
+	if n := testing.AllocsPerRun(100, func() {
+		sinkPacket, _ = CloneRouting[body](p)
+	}); n != 1 {
+		t.Fatalf("CloneRouting made %v allocations, want 1", n)
+	}
+}
+
+// TestPacketLayout pins the packet at 136 bytes: a routing message with a
+// body of up to 8 bytes then stays in the 144-byte size class a bare packet
+// takes, so fusing never costs heap bytes for the smallest payloads.
+func TestPacketLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n != 136 {
+		t.Fatalf("Packet is %d bytes, want 136", n)
 	}
 }

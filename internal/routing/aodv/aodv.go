@@ -187,8 +187,7 @@ func (a *AODV) helloTick() {
 	if !a.hasActiveRoutes() {
 		return
 	}
-	p := pkt.RoutingPacket("HELLO", a.Env.ID(), pkt.Broadcast, 1, rrepBytes, now)
-	p.Payload = &hello{}
+	p, _ := pkt.Routing[hello]("HELLO", a.Env.ID(), pkt.Broadcast, 1, rrepBytes, now)
 	a.Env.SendMac(p, pkt.Broadcast)
 }
 
@@ -290,7 +289,8 @@ func (a *AODV) Request(dst pkt.NodeID, try int) (sim.Duration, bool) {
 	}
 	a.seq++
 	a.rreqID++
-	m := &rreq{
+	p, m := pkt.Routing[rreq]("RREQ", a.Env.ID(), pkt.Broadcast, ttl, rreqBytes, a.Env.Now())
+	*m = rreq{
 		Origin:    a.Env.ID(),
 		OriginSeq: a.seq,
 		ID:        a.rreqID,
@@ -300,8 +300,6 @@ func (a *AODV) Request(dst pkt.NodeID, try int) (sim.Duration, bool) {
 		m.DstSeq, m.DstSeqValid = r.seq, true
 	}
 	a.seen.Seen(routing.SeenKey{Origin: m.Origin, ID: m.ID}, a.Env.Now())
-	p := pkt.RoutingPacket("RREQ", a.Env.ID(), pkt.Broadcast, ttl, rreqBytes, a.Env.Now())
-	p.Payload = m
 	a.Env.SendMac(p, pkt.Broadcast)
 	// Ring traversal time: out and back across ttl hops plus slack.
 	wait := 2 * nodeTraversalTime * sim.Duration(ttl+2)
@@ -339,20 +337,18 @@ func (a *AODV) handleRREQ(p *pkt.Packet, m *rreq, from pkt.NodeID) {
 		return
 	}
 	// Re-flood.
-	p2 := p.Clone()
+	p2, m2 := pkt.CloneRouting[rreq](p)
 	p2.TTL--
 	if p2.Expired() {
 		return
 	}
-	m2 := *m
 	m2.HopCount++
-	p2.Payload = &m2
 	a.Rebroadcast(p2)
 }
 
 func (a *AODV) sendRREP(origin, dst pkt.NodeID, dstSeq uint32, hops int, nextHop pkt.NodeID) {
-	p := pkt.RoutingPacket("RREP", a.Env.ID(), origin, pkt.DefaultTTL, rrepBytes, a.Env.Now())
-	p.Payload = &rrep{Origin: origin, Dst: dst, DstSeq: dstSeq, HopCount: hops}
+	p, m := pkt.Routing[rrep]("RREP", a.Env.ID(), origin, pkt.DefaultTTL, rrepBytes, a.Env.Now())
+	*m = rrep{Origin: origin, Dst: dst, DstSeq: dstSeq, HopCount: hops}
 	a.Env.SendMac(p, nextHop)
 }
 
@@ -381,10 +377,8 @@ func (a *AODV) handleRREP(p *pkt.Packet, m *rrep, from pkt.NodeID) {
 		fwd.precursors[rev.nextHop] = struct{}{}
 	}
 	rev.precursors[from] = struct{}{}
-	m2 := *m
+	p2, m2 := pkt.CloneRouting[rrep](p)
 	m2.HopCount++
-	p2 := p.Clone()
-	p2.Payload = &m2
 	a.Env.SendMac(p2, rev.nextHop)
 }
 
@@ -458,8 +452,8 @@ func (a *AODV) broadcastRERR(lost []unreach) {
 		return
 	}
 	body := rerrBase + rerrDest*len(lost)
-	p := pkt.RoutingPacket("RERR", a.Env.ID(), pkt.Broadcast, 1, body, now)
-	p.Payload = &rerr{Unreachable: lost}
+	p, m := pkt.Routing[rerr]("RERR", a.Env.ID(), pkt.Broadcast, 1, body, now)
+	m.Unreachable = lost
 	a.Env.SendMac(p, pkt.Broadcast)
 }
 
@@ -496,8 +490,8 @@ func (a *AODV) maybeWarn(p *pkt.Packet) {
 		return
 	}
 	a.lastWarn[p.Src] = now
-	wp := pkt.RoutingPacket("WARN", a.Env.ID(), p.Src, pkt.DefaultTTL, warnBytes, now)
-	wp.Payload = &warn{FlowDst: p.Dst}
+	wp, m := pkt.Routing[warn]("WARN", a.Env.ID(), p.Src, pkt.DefaultTTL, warnBytes, now)
+	m.FlowDst = p.Dst
 	a.Env.SendMac(wp, rev.nextHop)
 }
 

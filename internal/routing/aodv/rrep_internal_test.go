@@ -31,9 +31,8 @@ func TestForwardRREPForSelf(t *testing.T) {
 
 	// Node 2 hands node 1 a reply for origin 0 about destination 1.
 	h.World.Eng.Schedule(sim.At(1.6), func() {
-		p := pkt.RoutingPacket("RREP", 2, 0, pkt.DefaultTTL, rrepBytes, h.World.Eng.Now())
-		m := &rrep{Origin: 0, Dst: 1, DstSeq: 7, HopCount: 0}
-		p.Payload = m
+		p, m := pkt.Routing[rrep]("RREP", 2, 0, pkt.DefaultTTL, rrepBytes, h.World.Eng.Now())
+		*m = rrep{Origin: 0, Dst: 1, DstSeq: 7, HopCount: 0}
 		agents[1].Recv(p, 2, 1)
 	})
 	h.Run(2)

@@ -135,9 +135,9 @@ func (a *Autoconf) probe(ep int) {
 // broadcastCtl originates one CLAIM/DEFEND flood for the current address.
 func (a *Autoconf) broadcastCtl(msg string) {
 	a.seq++
-	p := pkt.RoutingPacket(msg, a.Env.ID(), pkt.Broadcast, pkt.DefaultTTL, claimBytes, a.Env.Now())
+	p, cl := pkt.Routing[claimPayload](msg, a.Env.ID(), pkt.Broadcast, pkt.DefaultTTL, claimBytes, a.Env.Now())
 	p.Seq = a.seq
-	p.Payload = claimPayload{Addr: a.addr}
+	cl.Addr = a.addr
 	a.seenCtl.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now())
 	a.Env.SendMac(p, pkt.Broadcast)
 }
@@ -158,7 +158,7 @@ func (a *Autoconf) Recv(p *pkt.Packet, from pkt.NodeID, _ float64) {
 	if a.seenCtl.Seen(routing.SeenKey{Origin: p.Src, ID: p.Seq}, a.Env.Now()) {
 		return
 	}
-	if cl, ok := p.Payload.(claimPayload); ok {
+	if cl, ok := p.Payload.(*claimPayload); ok {
 		switch p.Msg {
 		case "CLAIM":
 			a.onClaim(cl.Addr, p.Src)

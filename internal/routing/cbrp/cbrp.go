@@ -48,11 +48,14 @@ func Factory(cfg Config) network.ProtocolFactory {
 	return func(pkt.NodeID) network.Protocol { return New(cfg) }
 }
 
-// hello is the periodic beacon.
+// hello is the periodic beacon. Heads and Neighbors share one backing
+// array; inline is that array when they hold two ids or fewer, so an
+// isolated or one-neighbour node's beacon is one object with its packet.
 type hello struct {
 	Status    NodeStatus
 	Heads     []pkt.NodeID
 	Neighbors []pkt.NodeID
+	inline    [2]pkt.NodeID
 }
 
 // helloBase is the fixed part of a hello's wire size (4-byte addresses; the
@@ -103,7 +106,7 @@ func (c *CBRP) Status() NodeStatus { return c.status }
 // Heads exposes the current cluster heads of this node, sorted ascending
 // (tests/diagnostics).
 func (c *CBRP) Heads() []pkt.NodeID {
-	return c.headSet()
+	return c.appendHeads(nil)
 }
 
 // --- beaconing & clustering -----------------------------------------------
@@ -112,26 +115,27 @@ func (c *CBRP) beacon() {
 	now := c.Env.Now()
 	c.neighbors.expire(now)
 	c.refreshRole()
-	h := &hello{
-		Status:    c.status,
-		Heads:     c.headSet(),
-		Neighbors: c.neighbors.ids(),
+	nh, nn := len(c.myHeads), len(c.neighbors.rows)
+	body := helloBase + 4*nh + 5*nn
+	p, h := pkt.Routing[hello]("HELLO", c.Env.ID(), pkt.Broadcast, 1, body, now)
+	h.Status = c.status
+	ids := h.inline[:0]
+	if nh+nn > len(h.inline) {
+		ids = make([]pkt.NodeID, 0, nh+nn)
 	}
-	body := helloBase + 4*len(h.Heads) + 5*len(h.Neighbors)
-	p := pkt.RoutingPacket("HELLO", c.Env.ID(), pkt.Broadcast, 1, body, now)
-	p.Payload = h
+	h.Heads = slices.Clip(c.appendHeads(ids))
+	h.Neighbors = c.neighbors.appendIDs(ids[nh:nh])
 	c.Env.SendMac(p, pkt.Broadcast)
 }
 
 func (c *CBRP) refreshRole() {
 	me := c.Env.ID()
-	heads := c.neighbors.headNeighbors()
 	switch {
 	case c.status == Head:
 		// A head abdicates only when another head with a lower ID is in
 		// range (CBRP contention resolution).
-		for _, h := range heads {
-			if h < me {
+		for id, r := range c.neighbors.rows {
+			if r.status == Head && id < me {
 				c.status = Member
 				break
 			}
@@ -145,8 +149,10 @@ func (c *CBRP) refreshRole() {
 		c.myHeads[me] = true
 		return
 	}
-	for _, h := range heads {
-		c.myHeads[h] = true
+	for id, r := range c.neighbors.rows {
+		if r.status == Head {
+			c.myHeads[id] = true
+		}
 	}
 }
 
@@ -156,7 +162,7 @@ func (c *CBRP) isGateway() bool {
 	if c.status == Head {
 		return false
 	}
-	if len(c.neighbors.headNeighbors()) >= 2 {
+	if c.neighbors.headCount() >= 2 {
 		return true
 	}
 	return len(c.neighbors.foreignHeads(c.myHeads)) > 0
@@ -170,15 +176,14 @@ func (c *CBRP) shouldReflood() bool {
 	return c.status == Head || c.isGateway()
 }
 
-func (c *CBRP) headSet() []pkt.NodeID {
-	if len(c.myHeads) == 0 {
-		return nil
-	}
-	out := make([]pkt.NodeID, 0, len(c.myHeads))
+// appendHeads appends this node's cluster heads to out, sorted ascending.
+func (c *CBRP) appendHeads(out []pkt.NodeID) []pkt.NodeID {
+	start := len(out)
+	out = slices.Grow(out, len(c.myHeads))
 	for h := range c.myHeads {
 		out = append(out, h)
 	}
-	slices.Sort(out)
+	slices.Sort(out[start:])
 	return out
 }
 
@@ -395,7 +400,7 @@ func (c *CBRP) localRepair(p *pkt.Packet, failed pkt.NodeID) bool {
 		}
 		// Via an intermediate fresh neighbour?
 		if off < 0 {
-			vias = c.neighbors.ids()
+			vias = c.neighbors.appendIDs(nil)
 			off = 0
 			if len(vias) > 1 {
 				off = c.Env.RNG().Intn(len(vias))

@@ -1,10 +1,12 @@
 package cbrp
 
 import (
+	"slices"
 	"testing"
 
 	"adhocsim/internal/pkt"
 	"adhocsim/internal/sim"
+	"adhocsim/internal/stats"
 )
 
 // fabricate builds a neighbour table from (id, status) pairs.
@@ -157,5 +159,59 @@ func TestGatewayDetection(t *testing.T) {
 	c.neighbors.rows[10] = &neighborInfo{id: 10, status: Head, expires: sim.Never}
 	if c.isGateway() {
 		t.Fatal("head misdetected as gateway")
+	}
+}
+
+// beaconEnv is a node whose MAC keeps only the last packet handed to it.
+type beaconEnv struct {
+	eng  *sim.Engine
+	last *pkt.Packet
+}
+
+func (e *beaconEnv) ID() pkt.NodeID                      { return 5 }
+func (e *beaconEnv) Now() sim.Time                       { return e.eng.Now() }
+func (e *beaconEnv) Engine() *sim.Engine                 { return e.eng }
+func (e *beaconEnv) RNG() *sim.RNG                       { return nil }
+func (e *beaconEnv) NumNodes() int                       { return 16 }
+func (e *beaconEnv) SendMac(p *pkt.Packet, _ pkt.NodeID) { e.last = p }
+func (e *beaconEnv) Deliver(*pkt.Packet, pkt.NodeID)     {}
+func (e *beaconEnv) Drop(*pkt.Packet, stats.DropReason)  {}
+func (e *beaconEnv) FlushNextHop(pkt.NodeID)             {}
+
+// TestBeaconAllocations pins a HELLO's cost: the packet, its payload and
+// the head and neighbour lists are one object when the lists hold two ids
+// or fewer (an isolated or one-neighbour node), and two beyond that. The
+// lists come out sorted, heads first in the one backing array.
+func TestBeaconAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		nbrs      map[pkt.NodeID]NodeStatus
+		heads     []pkt.NodeID
+		neighbors []pkt.NodeID
+		allocs    float64
+	}{
+		{"isolated", nil, []pkt.NodeID{5}, nil, 1},
+		{"one undecided neighbour", map[pkt.NodeID]NodeStatus{8: Undecided}, []pkt.NodeID{5}, []pkt.NodeID{8}, 1},
+		{"one head neighbour", map[pkt.NodeID]NodeStatus{2: Head}, []pkt.NodeID{2}, []pkt.NodeID{2}, 1},
+		{"three neighbours", map[pkt.NodeID]NodeStatus{9: Member, 7: Undecided, 6: Undecided},
+			[]pkt.NodeID{5}, []pkt.NodeID{6, 7, 9}, 2},
+		{"two heads", map[pkt.NodeID]NodeStatus{3: Head, 1: Head, 8: Member},
+			[]pkt.NodeID{1, 3}, []pkt.NodeID{1, 3, 8}, 2},
+	} {
+		env := &beaconEnv{eng: sim.NewEngine()}
+		c := New(Config{})
+		c.Env = env
+		c.neighbors = fabricate(tc.nbrs)
+		c.beacon()
+		h := env.last.Payload.(*hello)
+		if !slices.Equal(h.Heads, tc.heads) || !slices.Equal(h.Neighbors, tc.neighbors) || cap(h.Heads) != len(h.Heads) {
+			t.Errorf("%s: hello heads %v neighbours %v, want %v %v", tc.name, h.Heads, h.Neighbors, tc.heads, tc.neighbors)
+		}
+		if want := helloBase + 4*len(tc.heads) + 5*len(tc.neighbors) + pkt.IPHeaderBytes; env.last.Size != want {
+			t.Errorf("%s: hello size %d, want %d", tc.name, env.last.Size, want)
+		}
+		if n := testing.AllocsPerRun(100, c.beacon); n != tc.allocs {
+			t.Errorf("%s: beacon made %v allocations, want %v", tc.name, n, tc.allocs)
+		}
 	}
 }

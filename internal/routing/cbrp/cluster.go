@@ -91,36 +91,30 @@ func (t *neighborTable) fresh(id pkt.NodeID, now sim.Time, margin sim.Duration) 
 	return ok && r.expires.Sub(now) >= margin
 }
 
-// ids returns the live neighbour ids in ascending order. The order is part
-// of the protocol's determinism contract: local repair scans this list for
-// a bridging neighbour and takes the first match, so handing out Go's
-// randomised map order here made CBRP runs diverge across processes.
-func (t *neighborTable) ids() []pkt.NodeID {
-	if len(t.rows) == 0 {
-		return nil
-	}
-	out := make([]pkt.NodeID, 0, len(t.rows))
+// appendIDs appends the live neighbour ids to out in ascending order. The
+// order is part of the protocol's determinism contract: local repair scans
+// this list for a bridging neighbour and takes the first match, so handing
+// out Go's randomised map order here made CBRP runs diverge across
+// processes.
+func (t *neighborTable) appendIDs(out []pkt.NodeID) []pkt.NodeID {
+	start := len(out)
+	out = slices.Grow(out, len(t.rows))
 	for id := range t.rows {
 		out = append(out, id)
 	}
-	slices.Sort(out)
+	slices.Sort(out[start:])
 	return out
 }
 
-// headNeighbors returns neighbours currently acting as cluster heads, in
-// ascending order (see ids for why the order matters).
-func (t *neighborTable) headNeighbors() []pkt.NodeID {
-	if len(t.rows) == 0 {
-		return nil
-	}
-	var out []pkt.NodeID
-	for id, r := range t.rows {
+// headCount returns how many neighbours currently act as cluster heads.
+func (t *neighborTable) headCount() int {
+	n := 0
+	for _, r := range t.rows {
 		if r.status == Head {
-			out = append(out, id)
+			n++
 		}
 	}
-	slices.Sort(out)
-	return out
+	return n
 }
 
 // neighborOf reports whether via (one of our neighbours) is itself adjacent

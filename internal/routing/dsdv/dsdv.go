@@ -281,8 +281,8 @@ func (d *DSDV) fireTrigger() {
 
 func (d *DSDV) broadcastUpdate(routes []advert) {
 	body := 4 + entryBytes*len(routes)
-	p := pkt.RoutingPacket("UPDATE", d.Env.ID(), pkt.Broadcast, 1, body, d.Env.Now())
-	p.Payload = &update{Routes: routes}
+	p, m := pkt.Routing[update]("UPDATE", d.Env.ID(), pkt.Broadcast, 1, body, d.Env.Now())
+	m.Routes = routes
 	d.Env.SendMac(p, pkt.Broadcast)
 }
 

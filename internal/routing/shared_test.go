@@ -108,8 +108,8 @@ func TestRequestSequences(t *testing.T) {
 			name: "CBRP/cooldown", agent: cbrp.New(cbrp.Config{SendBufferTimeout: far}),
 			begin: func(t *testing.T, env *fakeEnv, a network.Protocol, p *pkt.Packet) {
 				a.SendData(p)
-				rep := pkt.RoutingPacket("RREP", dst, me, pkt.DefaultTTL, 20, 0)
-				rep.Payload = &routing.RouteReply{Route: []pkt.NodeID{me, 5, dst}}
+				rep, m := pkt.Routing[routing.RouteReply]("RREP", dst, me, pkt.DefaultTTL, 20, 0)
+				m.Route = []pkt.NodeID{me, 5, dst}
 				a.Recv(rep, 5, 0)
 				if last := env.sent[len(env.sent)-1]; last.p != p || last.to != 5 {
 					t.Fatalf("held packet not released along the reply's route: %+v", last)
@@ -413,9 +413,8 @@ func TestAcceptRequest(t *testing.T) {
 func TestRefloodAndReply(t *testing.T) {
 	const me = pkt.NodeID(2)
 	r, env := newRouter(me)
-	m := &routing.RouteRequest{Origin: 0, Target: 9, ID: 1, Record: []pkt.NodeID{0, 1}}
-	in := pkt.RoutingPacket("RREQ", 0, pkt.Broadcast, 1, 16, 0)
-	in.Payload = m
+	in, m := pkt.Routing[routing.RouteRequest]("RREQ", 0, pkt.Broadcast, 1, 16, 0)
+	*m = routing.RouteRequest{Origin: 0, Target: 9, ID: 1, Record: []pkt.NodeID{0, 1}}
 	r.Reflood(in, m, []pkt.NodeID{0, 1, me})
 	env.run(t, sim.Never)
 	if len(env.sent) != 0 {

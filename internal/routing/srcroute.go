@@ -104,10 +104,9 @@ func (s *SourceRouter) Init(env network.Env) {
 func (s *SourceRouter) Originate(target pkt.NodeID, ttl int) {
 	me, now := s.Env.ID(), s.Env.Now()
 	s.reqID++
-	m := &RouteRequest{Origin: me, Target: target, ID: s.reqID, Record: []pkt.NodeID{me}}
+	p, m := pkt.Routing[RouteRequest]("RREQ", me, pkt.Broadcast, ttl, rreqBaseBytes+pkt.SrcRouteAddrBytes, now)
+	*m = RouteRequest{Origin: me, Target: target, ID: s.reqID, Record: []pkt.NodeID{me}}
 	s.seen.Seen(SeenKey{Origin: me, ID: m.ID}, now)
-	p := pkt.RoutingPacket("RREQ", me, pkt.Broadcast, ttl, rreqBaseBytes+pkt.SrcRouteAddrBytes, now)
-	p.Payload = m
 	s.Env.SendMac(p, pkt.Broadcast)
 }
 
@@ -126,14 +125,12 @@ func (s *SourceRouter) Accept(m *RouteRequest) []pkt.NodeID {
 // Reflood relays request m, which arrived as p, one hop further under the
 // extended record, unless its TTL is spent.
 func (s *SourceRouter) Reflood(p *pkt.Packet, m *RouteRequest, record []pkt.NodeID) {
-	p2 := p.Clone()
+	p2, m2 := pkt.CloneRouting[RouteRequest](p)
 	p2.TTL--
 	if p2.Expired() {
 		return
 	}
-	m2 := *m
 	m2.Record = record
-	p2.Payload = &m2
 	p2.Size = pkt.IPHeaderBytes + rreqBaseBytes + pkt.SrcRouteAddrBytes*len(record)
 	s.Rebroadcast(p2)
 }
@@ -147,9 +144,9 @@ func (s *SourceRouter) SendReply(route []pkt.NodeID) {
 	if len(back) < 2 {
 		return
 	}
-	p := pkt.RoutingPacket("RREP", me, route[0], pkt.DefaultTTL,
+	p, m := pkt.Routing[RouteReply]("RREP", me, route[0], pkt.DefaultTTL,
 		rrepBaseBytes+pkt.SrcRouteAddrBytes*(len(route)+len(back)), s.Env.Now())
-	p.Payload = &RouteReply{Route: append([]pkt.NodeID(nil), route...)}
+	m.Route = append([]pkt.NodeID(nil), route...)
 	s.sendAlong(p, back)
 }
 
@@ -160,8 +157,8 @@ func (s *SourceRouter) SendLinkError(dst, a, b pkt.NodeID, back []pkt.NodeID) {
 	if len(back) < 2 || back[0] != me {
 		return
 	}
-	p := pkt.RoutingPacket("RERR", me, dst, pkt.DefaultTTL, rerrBytes, s.Env.Now())
-	p.Payload = &LinkError{A: a, B: b}
+	p, m := pkt.Routing[LinkError]("RERR", me, dst, pkt.DefaultTTL, rerrBytes, s.Env.Now())
+	*m = LinkError{A: a, B: b}
 	s.sendAlong(p, back)
 }
 

@@ -6,6 +6,8 @@
 package topo
 
 import (
+	"slices"
+
 	"adhocsim/internal/geo"
 	"adhocsim/internal/mobility"
 	"adhocsim/internal/sim"
@@ -22,32 +24,43 @@ type Graph struct {
 // snapshot costs O(N·k) rather than the N²/2 pair scan; each adjacency list
 // comes out sorted ascending, exactly as the pair scan produced it.
 func Snapshot(tracks []*mobility.Track, t sim.Time, radioRange float64) *Graph {
-	return snapshotInto(nil, tracks, t, radioRange)
+	g := new(Graph)
+	var sb snapshotBuf
+	sb.build(g, tracks, t, radioRange)
+	return g
 }
 
-// snapshotInto is Snapshot with a reusable spatial grid (nil builds a fresh
-// one); the Oracle passes its persistent grid so periodic refreshes reuse
-// the cell storage instead of reallocating the whole index.
-func snapshotInto(grid *geo.FlatGrid, tracks []*mobility.Track, t sim.Time, radioRange float64) *Graph {
+// snapshotBuf is the scratch a snapshot is built with: the spatial grid,
+// the node positions and the neighbour-query buffer. The Oracle keeps one
+// across refreshes, so a refresh reuses all three.
+type snapshotBuf struct {
+	grid    *geo.FlatGrid
+	pts     []geo.Point
+	scratch []int32
+}
+
+// build fills g with the connectivity graph at t, rewriting its rows in
+// place: a row whose capacity suffices is reused.
+func (sb *snapshotBuf) build(g *Graph, tracks []*mobility.Track, t sim.Time, radioRange float64) {
 	n := len(tracks)
-	g := &Graph{adj: make([][]int32, n)}
+	if len(g.adj) != n {
+		g.adj = make([][]int32, n)
+	}
 	if n == 0 {
-		return g
+		return
 	}
-	if grid == nil {
-		grid = geo.NewFlatGrid(radioRange + 1)
+	if sb.grid == nil {
+		sb.grid = geo.NewFlatGrid(radioRange + 1)
 	}
-	pts := make([]geo.Point, n)
-	for i, tr := range tracks {
-		pts[i] = tr.At(t)
+	sb.pts = slices.Grow(sb.pts[:0], n)
+	for _, tr := range tracks {
+		sb.pts = append(sb.pts, tr.At(t))
 	}
-	grid.Rebuild(pts)
-	var scratch []int32
-	for i := 0; i < n; i++ {
-		scratch = grid.WithinSorted(pts[i], radioRange, int32(i), scratch[:0])
-		g.adj[i] = append([]int32(nil), scratch...)
+	sb.grid.Rebuild(sb.pts)
+	for i, p := range sb.pts {
+		sb.scratch = sb.grid.WithinSorted(p, radioRange, int32(i), sb.scratch[:0])
+		g.adj[i] = append(g.adj[i][:0], sb.scratch...)
 	}
-	return g
 }
 
 // N returns the node count.
@@ -70,17 +83,21 @@ func (g *Graph) HopDist(src, dst int32) int {
 
 // BFS returns hop distances from src to every node (-1 when unreachable).
 func (g *Graph) BFS(src int32) []int {
-	n := len(g.adj)
-	dist := make([]int, n)
+	dist := make([]int, len(g.adj))
+	g.bfsInto(src, dist, make([]int32, 0, len(g.adj)))
+	return dist
+}
+
+// bfsInto writes the hop distances from src into dist, which holds one
+// entry per node, using queue's storage, and returns the queue for reuse.
+func (g *Graph) bfsInto(src int32, dist []int, queue []int32) []int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]int32, 0, n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
 		for _, v := range g.adj[u] {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
@@ -88,7 +105,7 @@ func (g *Graph) BFS(src int32) []int {
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // Connected reports whether the whole graph is one component.
@@ -145,16 +162,20 @@ func (g *Graph) AvgDegree() float64 {
 // Oracle answers hop-distance queries against a mobility scenario, caching
 // the snapshot graph and memoising BFS trees until the snapshot time moves
 // by more than resolution (default 1 s). Traffic layers call it once per
-// originated packet, so caching matters.
+// originated packet, so caching matters. A refresh rebuilds the graph in
+// place and hands the old trees to the next ones, so a warmed-up oracle
+// allocates nothing.
 type Oracle struct {
 	tracks     []*mobility.Track
 	radioRange float64
 	resolution sim.Duration
 
 	snapAt  sim.Time
-	snap    *Graph
-	grid    *geo.FlatGrid // reused across refreshes
+	snap    Graph
+	buf     snapshotBuf
 	bfsFrom map[int32][]int
+	free    [][]int // trees of earlier snapshots, for reuse
+	queue   []int32
 	valid   bool
 }
 
@@ -168,25 +189,25 @@ func NewOracle(tracks []*mobility.Track, radioRange float64) *Oracle {
 	}
 }
 
-// GraphAt returns the (cached) snapshot graph near time t.
+// GraphAt returns the cached snapshot graph near time t. The graph is the
+// oracle's own and stays valid only until its next refresh: a later query
+// at a time beyond the resolution rewrites it in place.
 func (o *Oracle) GraphAt(t sim.Time) *Graph {
 	o.refresh(t)
-	return o.snap
+	return &o.snap
 }
 
 func (o *Oracle) refresh(t sim.Time) {
 	if o.valid && t.Sub(o.snapAt) < o.resolution && t >= o.snapAt {
 		return
 	}
-	if o.grid == nil {
-		o.grid = geo.NewFlatGrid(o.radioRange + 1)
-	}
-	o.snap = snapshotInto(o.grid, o.tracks, t, o.radioRange)
+	o.buf.build(&o.snap, o.tracks, t, o.radioRange)
 	o.snapAt = t
 	o.valid = true
-	for k := range o.bfsFrom {
-		delete(o.bfsFrom, k)
+	for _, tree := range o.bfsFrom {
+		o.free = append(o.free, tree)
 	}
+	clear(o.bfsFrom)
 }
 
 // HopDist returns the BFS hop distance from src to dst near time t
@@ -195,7 +216,12 @@ func (o *Oracle) HopDist(t sim.Time, src, dst int32) int {
 	o.refresh(t)
 	tree, ok := o.bfsFrom[src]
 	if !ok {
-		tree = o.snap.BFS(src)
+		if k := len(o.free) - 1; k >= 0 {
+			tree, o.free = o.free[k], o.free[:k]
+		} else {
+			tree = make([]int, o.snap.N())
+		}
+		o.queue = o.snap.bfsInto(src, tree, o.queue)
 		o.bfsFrom[src] = tree
 	}
 	return tree[dst]

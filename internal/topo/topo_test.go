@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"adhocsim/internal/geo"
@@ -135,4 +136,69 @@ func TestEmptyGraph(t *testing.T) {
 	if g.Components() != 0 || g.N() != 0 || g.AvgDegree() != 0 {
 		t.Fatal("empty graph invariants")
 	}
+}
+
+// waypointTracks is n random-waypoint tracks over 30 s in a 1000×600 m
+// field: sparse enough for partitions at 250 m, moving fast enough that the
+// graph changes between refreshes.
+func waypointTracks(tb testing.TB, n int, seed int64) []*mobility.Track {
+	tb.Helper()
+	m := mobility.RandomWaypoint{Area: geo.Rect{W: 1000, H: 600}, MinSpeed: 1, MaxSpeed: 40}
+	tracks, err := m.Generate(n, 30*sim.Second, sim.NewRNG(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tracks
+}
+
+// TestOracleWarmAllocatesNothing pins the oracle's reuse: once a sequence
+// of queries has run, repeating it — a refresh on every time step, forward
+// and back — rebuilds the graph in its rows and recycles the BFS trees
+// without a single allocation.
+func TestOracleWarmAllocatesNothing(t *testing.T) {
+	tracks := waypointTracks(t, 30, 1)
+	o := NewOracle(tracks, 250)
+	times := []sim.Time{0, sim.At(2), sim.At(4.5), sim.At(1), sim.At(9)}
+	queries := func() {
+		for _, at := range times {
+			for src := int32(0); src < 30; src += 3 {
+				o.HopDist(at, src, 29-src)
+			}
+		}
+	}
+	queries()
+	if n := testing.AllocsPerRun(20, queries); n != 0 {
+		t.Fatalf("a warmed-up oracle made %v allocations per query sequence, want 0", n)
+	}
+}
+
+// FuzzOracleHopDist checks the oracle, which rebuilds its graph in place and
+// reuses its BFS trees across refreshes, against a fresh Snapshot at the
+// oracle's snapshot time. Each op is three bytes: a query time in 1/8 s
+// steps over 32 s, which moves back and forth across refresh boundaries, a
+// source and a destination.
+func FuzzOracleHopDist(f *testing.F) {
+	f.Add(int64(1), uint8(12), []byte{0, 0, 1, 4, 1, 2, 40, 3, 5, 9, 0, 7, 200, 6, 1, 9, 2, 2})
+	f.Add(int64(7), uint8(40), []byte{255, 39, 0, 0, 0, 39, 8, 12, 30, 7, 12, 30})
+	f.Fuzz(func(t *testing.T, seed int64, nodes uint8, ops []byte) {
+		n := 1 + int(nodes)%40
+		tracks := waypointTracks(t, n, seed)
+		const r = 250
+		o := NewOracle(tracks, r)
+		for ; len(ops) >= 3; ops = ops[3:] {
+			at := sim.Time(ops[0]) * sim.Time(125*sim.Millisecond)
+			src, dst := int32(int(ops[1])%n), int32(int(ops[2])%n)
+			got := o.HopDist(at, src, dst)
+			fresh := Snapshot(tracks, o.snapAt, r)
+			if want := fresh.HopDist(src, dst); got != want {
+				t.Fatalf("HopDist(%v, %d, %d) = %d, a fresh snapshot at %v says %d", at, src, dst, got, o.snapAt, want)
+			}
+			g := o.GraphAt(at)
+			for i := range n {
+				if !slices.Equal(g.Neighbors(int32(i)), fresh.Neighbors(int32(i))) {
+					t.Fatalf("at %v node %d: oracle neighbours %v, fresh snapshot %v", at, i, g.Neighbors(int32(i)), fresh.Neighbors(int32(i)))
+				}
+			}
+		}
+	})
 }
