@@ -31,14 +31,32 @@ race:
 	$(GO) test -race -short ./...
 
 ## loc: non-test Go lines outside benchmark/ — the figure ROADMAP tracks —
-## in total and per internal/ package.
+## in total and per internal/ package. `make loc BASE=<rev>` prints the same
+## counts for <rev> (from git archive, in a temp dir) beside the working
+## tree's, with the difference.
 loc:
+ifeq ($(BASE),)
 	@printf '%-34s %6d\n' 'non-test Go outside benchmark/' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
 	@for d in $$(find internal -type d | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs -r cat | wc -l); \
 		if [ $$n -gt 0 ]; then printf '  %-32s %6d\n' $$d $$n; fi; \
 	done
+else
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive '$(BASE)' | tar -x -C "$$tmp" && \
+	total() { (cd "$$1" && find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l); } && \
+	pkg() { (cd "$$1" && find "$$2" -maxdepth 1 -name '*.go' ! -name '*_test.go' 2>/dev/null | xargs -r cat | wc -l); } && \
+	a=$$(total "$$tmp") && b=$$(total .) && \
+	printf '%-34s %10.10s %10s %6s\n' '' '$(BASE)' 'tree' 'diff' && \
+	printf '%-34s %10d %10d %+6d\n' 'non-test Go outside benchmark/' $$a $$b $$((b-a)) && \
+	for d in $$( { (cd "$$tmp" && find internal -type d); find internal -type d; } | sort -u); do \
+		a=$$(pkg "$$tmp" $$d); b=$$(pkg . $$d); \
+		if [ $$a -gt 0 ] || [ $$b -gt 0 ]; then \
+			printf '  %-32s %10d %10d %+6d\n' $$d $$a $$b $$((b-a)); \
+		fi; \
+	done
+endif
 
 ## changes-cap: the newest CHANGES.md entry — the last "- " line to the end
 ## of the file — stays within 10 lines and 2 000 bytes. Measurement logs go

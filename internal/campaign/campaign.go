@@ -109,8 +109,7 @@ type cellState struct {
 	// independent and therefore resumable bit-identically.
 	committed  int
 	acc        []stats.Welford // parallel to Plan.Metrics
-	stopped    bool
-	stopReason string
+	stopReason string          // why the cell stopped; "" while it runs
 	// sketches and series aggregate the committed replications' stream
 	// digests, folded strictly in replication order by commitLocked — the
 	// same in-order discipline as acc, so resume and distributed execution
@@ -222,6 +221,14 @@ func (c *Campaign) JournalPath() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.opts.JournalPath
+}
+
+// Closed reports whether CloseJournal has run — by Finish, or directly —
+// so the campaign accepts no completion and its journal is free to reopen.
+func (c *Campaign) Closed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
 // Start transitions the campaign to running: it opens the checkpoint journal
@@ -434,7 +441,7 @@ func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 	for len(c.released) > 0 {
 		u := c.released[0]
 		c.released = c.released[1:]
-		if cs := &c.cells[u.cell]; !cs.stopped && cs.results[u.rep] == nil {
+		if cs := &c.cells[u.cell]; cs.stopReason == "" && cs.results[u.rep] == nil {
 			cs.issued[u.rep] = true
 			return u.cell, u.rep, true
 		}
@@ -444,7 +451,7 @@ func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 			i := c.cursorCell
 			c.cursorCell++
 			cs := &c.cells[i]
-			if cs.stopped || cs.issued[c.cursorRound] {
+			if cs.stopReason != "" || cs.issued[c.cursorRound] {
 				continue
 			}
 			cs.issued[c.cursorRound] = true
@@ -463,7 +470,7 @@ func (c *Campaign) Release(ci, rep int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs := &c.cells[ci]
-	if c.state != StateRunning || c.err != nil || cs.stopped || cs.results[rep] != nil || !cs.issued[rep] {
+	if c.state != StateRunning || c.err != nil || cs.stopReason != "" || cs.results[rep] != nil || !cs.issued[rep] {
 		return
 	}
 	cs.issued[rep] = false
@@ -584,7 +591,7 @@ func (c *Campaign) replayLocked(e journalEntry) {
 // stopped in this call.
 func (c *Campaign) commitLocked(ci int) bool {
 	cs := &c.cells[ci]
-	for !cs.stopped && cs.committed < c.plan.Spec.MaxReps && cs.results[cs.committed] != nil {
+	for cs.stopReason == "" && cs.committed < c.plan.Spec.MaxReps && cs.results[cs.committed] != nil {
 		r := cs.results[cs.committed]
 		for mi := range c.plan.Metrics {
 			cs.acc[mi].Add(c.plan.Metrics[mi].Value(*r))
@@ -600,7 +607,6 @@ func (c *Campaign) commitLocked(ci int) bool {
 			cs.stopReason = StopMaxReps
 		}
 		if cs.stopReason != "" {
-			cs.stopped = true
 			c.cellsStopped++
 			return true
 		}

@@ -236,8 +236,8 @@ func TestSequentialStopping(t *testing.T) {
 		c.CompleteUnit(0, rep, stats.Results{PDR: p}, false)
 	}
 	cs := &c.cells[0]
-	if cs.committed != 3 || !cs.stopped || cs.stopReason != StopCI {
-		t.Fatalf("committed %d, stopped %v (%s)", cs.committed, cs.stopped, cs.stopReason)
+	if cs.committed != 3 || cs.stopReason != StopCI {
+		t.Fatalf("committed %d, stop reason %q", cs.committed, cs.stopReason)
 	}
 	// Speculative results beyond the stop point were stored but never
 	// folded into the accumulators.
@@ -272,12 +272,12 @@ func TestStoppingNeedsMinReps(t *testing.T) {
 	c := stoppingCampaign(t, 3, 4, 1e9)
 	c.CompleteUnit(0, 0, stats.Results{PDR: 0.5}, false)
 	c.CompleteUnit(0, 1, stats.Results{PDR: 0.5}, false)
-	if c.cells[0].stopped {
+	if c.cells[0].stopReason != "" {
 		t.Fatal("stopped before MinReps")
 	}
 	c.CompleteUnit(0, 2, stats.Results{PDR: 0.5}, false)
 	cs := &c.cells[0]
-	if !cs.stopped || cs.stopReason != StopCI || cs.committed != 3 {
+	if cs.stopReason != StopCI || cs.committed != 3 {
 		t.Fatalf("state = %+v", cs)
 	}
 }

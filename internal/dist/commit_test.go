@@ -64,7 +64,7 @@ func newWrappedServer(t *testing.T, opts ServerOptions, wrap func(http.Handler) 
 func waitFinished(t *testing.T, s *Server, id string, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	for !s.lookup(id).isFinished() {
+	for !s.lookup(id).c.Closed() {
 		if time.Now().After(deadline) {
 			t.Fatalf("campaign %s stuck: %+v", id, s.lookup(id).c.Snapshot())
 		}

@@ -44,11 +44,9 @@ type ServerOptions struct {
 // SSE progress stream.
 // With its default local executors it needs no remote worker at all.
 type Server struct {
-	opts     ServerOptions
-	leaseTTL time.Duration
+	opts ServerOptions
 
 	hub    *Hub
-	cache  Store
 	leases *leaseTable
 
 	base       context.Context
@@ -64,11 +62,12 @@ type Server struct {
 	reapDone chan struct{}
 }
 
-// managed is one campaign under coordination.
+// managed is one campaign under coordination. Whether it is over, and
+// which journal it writes, are the campaign's own state (Closed,
+// JournalPath).
 type managed struct {
-	id          string
-	c           *campaign.Campaign
-	journalPath string
+	id string
+	c  *campaign.Campaign
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -78,8 +77,7 @@ type managed struct {
 	// which cell stopped); this lock keeps the cache walk, the event
 	// fan-out order — which is what makes SSE run counts monotone — and
 	// settlement in step with them.
-	mu       sync.Mutex
-	finished bool
+	mu sync.Mutex
 
 	wg sync.WaitGroup // local executors
 }
@@ -95,9 +93,7 @@ func NewServer(opts ServerOptions) *Server {
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
-		leaseTTL:   opts.LeaseTTL,
 		hub:        NewHub(),
-		cache:      opts.Cache,
 		leases:     newLeaseTable(time.Now),
 		base:       base,
 		cancelBase: cancel,
@@ -235,12 +231,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx, cancel := context.WithCancel(s.base)
-	m := &managed{
-		c:           c,
-		journalPath: journalPath,
-		ctx:         ctx,
-		cancel:      cancel,
-	}
+	m := &managed{c: c, ctx: ctx, cancel: cancel}
 
 	s.mu.Lock()
 	if s.draining {
@@ -254,7 +245,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		// advisory flock would also catch this, but a clear 409 beats a
 		// "file in use" 500.
 		for _, other := range s.campaigns {
-			if other.journalPath == journalPath && !other.isFinished() {
+			if other.c.JournalPath() == journalPath && !other.c.Closed() {
 				s.mu.Unlock()
 				cancel()
 				httpError(w, http.StatusConflict,
@@ -271,9 +262,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// Start opens and replays the journal; a spec-hash mismatch or a
 	// concurrently-locked checkpoint surfaces here, at submission time.
 	if err := c.Start(); err != nil {
-		m.mu.Lock()
-		m.finished = true
-		m.mu.Unlock()
+		c.CloseJournal()
 		cancel()
 		httpError(w, http.StatusConflict, err)
 		return
@@ -288,7 +277,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	} else if ci, rep, ok := s.nextLocked(m); ok {
 		c.Release(ci, rep) // the first miss waits for an executor
 	}
-	finished := m.finished
+	finished := c.Closed()
 	m.mu.Unlock()
 
 	if !finished {
@@ -312,19 +301,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (m *managed) isFinished() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.finished
-}
-
 // cachedResult consults the content-addressed store and returns a hit with
 // its stored encoding (possibly nil); cache faults degrade to misses.
 func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc []byte, hit bool) {
-	if s.cache == nil {
+	if s.opts.Cache == nil {
 		return res, nil, false
 	}
-	got, enc, found, err := s.cache.Load(m.c.Plan().UnitKey(ci, rep))
+	got, enc, found, err := s.opts.Cache.Load(m.c.Plan().UnitKey(ci, rep))
 	if err != nil || !found {
 		return res, nil, false
 	}
@@ -337,7 +320,7 @@ func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc [
 // without any worker, while dispatch stays lazy otherwise: early-stop
 // decisions prune speculative work before it is ever leased.
 func (s *Server) nextLocked(m *managed) (ci, rep int, ok bool) {
-	for !m.finished {
+	for !m.c.Closed() {
 		if ci, rep, ok = m.c.NextUnit(); !ok {
 			return 0, 0, false
 		}
@@ -415,9 +398,9 @@ func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []
 		s.finishLocked(m)
 		return out
 	}
-	if !fromCache && s.cache != nil {
+	if !fromCache && s.opts.Cache != nil {
 		// A faulty cache must not fail the campaign; it only costs reuse.
-		_ = s.cache.Save(m.c.Plan().UnitKey(ci, rep), res, out.Enc)
+		_ = s.opts.Cache.Save(m.c.Plan().UnitKey(ci, rep), res, out.Enc)
 	}
 	snap, cell, repIdx := out.Snapshot, ci, rep
 	runEvt := Event{
@@ -447,10 +430,9 @@ func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []
 // local executors are cancelled: any still-running speculative unit can no
 // longer be committed.
 func (s *Server) finishLocked(m *managed) {
-	if m.finished {
+	if m.c.Closed() {
 		return
 	}
-	m.finished = true
 	_, _ = m.c.Finish(m.ctx)
 	s.leases.dropCampaign(m.id)
 	snap := m.c.Snapshot()
@@ -554,7 +536,7 @@ func (s *Server) leaseNext(worker string) *LeaseGrant {
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.campaigns))
 	for id, m := range s.campaigns {
-		if !m.isFinished() {
+		if !m.c.Closed() {
 			ids = append(ids, id)
 		}
 	}
@@ -570,7 +552,7 @@ func (s *Server) leaseNext(worker string) *LeaseGrant {
 		if m == nil {
 			continue
 		}
-		ci, rep, l, ok := s.dispatch(m, worker, s.leaseTTL)
+		ci, rep, l, ok := s.dispatch(m, worker, s.opts.LeaseTTL)
 		if !ok {
 			continue
 		}
@@ -581,7 +563,7 @@ func (s *Server) leaseNext(worker string) *LeaseGrant {
 			Cell:     ci,
 			Rep:      rep,
 			Seed:     m.c.Plan().SeedFor(ci, rep),
-			TTLMs:    s.leaseTTL.Milliseconds(),
+			TTLMs:    s.opts.LeaseTTL.Milliseconds(),
 		}
 	}
 	return nil
@@ -592,11 +574,11 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, maxControlBytes, "renew request", &req) {
 		return
 	}
-	if !s.leases.renew(req.LeaseID, s.leaseTTL) {
+	if !s.leases.renew(req.LeaseID, s.opts.LeaseTTL) {
 		httpError(w, http.StatusGone, fmt.Errorf("lease %s is no longer held", req.LeaseID))
 		return
 	}
-	writeJSON(w, http.StatusOK, RenewResponse{TTLMs: s.leaseTTL.Milliseconds()})
+	writeJSON(w, http.StatusOK, RenewResponse{TTLMs: s.opts.LeaseTTL.Milliseconds()})
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -708,11 +690,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	st := StatusResponse{Campaigns: len(ms), Leases: s.leases.count("")}
 	for _, m := range ms {
-		m.mu.Lock()
-		if !m.finished {
+		if !m.c.Closed() {
 			st.Running++
 		}
-		m.mu.Unlock()
 		st.Pending += m.c.Released()
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -758,9 +738,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	for _, m := range ms {
 		m.mu.Lock()
-		if !m.finished {
+		if !m.c.Closed() {
 			// Suspend, don't settle: the journal is the recovery state.
-			m.finished = true
 			s.leases.dropCampaign(m.id)
 			m.c.CloseJournal()
 		}

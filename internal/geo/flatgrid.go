@@ -101,30 +101,7 @@ func (g *FlatGrid) Rebuild(pts []Point) {
 // in ascending id order (Rebuild inserts 0..n-1 sequentially), so the
 // result is a handful of merged ascending runs — insertion-sort territory.
 func (g *FlatGrid) WithinSorted(center Point, r float64, exclude int32, dst []int32) []int32 {
-	if g.n == 0 {
-		return dst
-	}
-	start := len(dst)
-	r2 := r * r
-	cx0 := g.clampCol(int32((center.X - r - g.minX) / g.cell))
-	cx1 := g.clampCol(int32((center.X + r - g.minX) / g.cell))
-	cy0 := g.clampRow(int32((center.Y - r - g.minY) / g.cell))
-	cy1 := g.clampRow(int32((center.Y + r - g.minY) / g.cell))
-	for cy := cy0; cy <= cy1; cy++ {
-		row := g.cells[cy*g.cols+cx0 : cy*g.cols+cx1+1]
-		for _, cell := range row {
-			for _, it := range cell {
-				if it.id == exclude {
-					continue
-				}
-				if it.p.Dist2(center) <= r2 {
-					dst = append(dst, it.id)
-				}
-			}
-		}
-	}
-	insertionSortIDs(dst[start:])
-	return dst
+	return g.WithinSortedLive(center, r, exclude, nil, dst)
 }
 
 // WithinSortedLive is WithinSorted restricted to items whose up[id] flag is
@@ -134,7 +111,7 @@ func (g *FlatGrid) WithinSorted(center Point, r float64, exclude int32, dst []in
 // materializes, so a down item is invisible to the caller exactly as if it
 // had not been indexed; the query geometry (and therefore the padding
 // bound the caller derived) is untouched, because masked items still do
-// not move.
+// not move. A nil mask admits every item.
 func (g *FlatGrid) WithinSortedLive(center Point, r float64, exclude int32, up []bool, dst []int32) []int32 {
 	if g.n == 0 {
 		return dst
@@ -149,7 +126,7 @@ func (g *FlatGrid) WithinSortedLive(center Point, r float64, exclude int32, up [
 		row := g.cells[cy*g.cols+cx0 : cy*g.cols+cx1+1]
 		for _, cell := range row {
 			for _, it := range cell {
-				if it.id == exclude || !up[it.id] {
+				if it.id == exclude || (up != nil && !up[it.id]) {
 					continue
 				}
 				if it.p.Dist2(center) <= r2 {

@@ -95,7 +95,6 @@ type Mac struct {
 	seq      uint16 // counter for issuing MAC sequence numbers
 	curSeq   uint16 // sequence number of the packet in flight (stable across retries)
 	dupCache map[pkt.NodeID]uint16
-	dupSeen  map[pkt.NodeID]bool
 
 	Stats Stats
 }
@@ -113,7 +112,6 @@ func New(eng *sim.Engine, id pkt.NodeID, radio *phy.Radio, up UpperLayer, rng *s
 		queue:    newIfQueue(cfg.QueueLimit),
 		cw:       CWMin,
 		dupCache: make(map[pkt.NodeID]uint16),
-		dupSeen:  make(map[pkt.NodeID]bool),
 	}
 	m.contendTimer = sim.NewTimer(eng, m.onContendTimeout)
 	m.responseTimer = sim.NewTimer(eng, m.onResponseTimeout)
@@ -414,11 +412,10 @@ func (m *Mac) onData(f *Frame, rxPower float64) {
 	}
 	// Unicast: ACK regardless of duplication, deliver only once.
 	m.respondAfterSIFS(Frame{Kind: FrameAck, From: m.id, To: f.From})
-	if m.dupSeen[f.From] && m.dupCache[f.From] == f.Seq {
+	if seq, seen := m.dupCache[f.From]; seen && seq == f.Seq {
 		m.Stats.Duplicates++
 		return
 	}
-	m.dupSeen[f.From] = true
 	m.dupCache[f.From] = f.Seq
 	m.Stats.DataRecv++
 	m.up.MacRecv(f.Pkt, f.From, rxPower)

@@ -2,7 +2,6 @@ package network
 
 import (
 	"adhocsim/internal/lifecycle"
-	"adhocsim/internal/pkt"
 	"adhocsim/internal/sim"
 )
 
@@ -41,29 +40,28 @@ func (w *World) scheduleLifecycle() {
 	}
 }
 
-// applyLifecycle flips one node's membership: the node and channel liveness
-// state, the collector's join/leave accounting, and the protocol's
-// lifecycle hooks. Transitions to the current state are no-ops, so models
-// may emit redundant events without double-counting.
+// applyLifecycle flips one node's membership: the channel's liveness bitmap
+// (its only holder, which every layer reads), the collector's join/leave
+// accounting, and the protocol's lifecycle hooks. Transitions to the
+// current state are no-ops, so models may emit redundant events without
+// double-counting.
 func (w *World) applyLifecycle(ev lifecycle.Event) {
 	n := w.Nodes[ev.Node]
 	if ev.Kind.IsUp() {
-		if n.up {
+		if n.Up() {
 			return
 		}
-		n.up = true
-		w.Channel.SetNodeUp(pkt.NodeID(ev.Node), true)
+		w.Channel.SetNodeUp(n.id, true)
 		w.Collector.OnJoin()
 		if la, ok := n.Proto.(LifecycleAware); ok {
 			la.Up(w.Eng.Now())
 		}
 		return
 	}
-	if !n.up {
+	if !n.Up() {
 		return
 	}
-	n.up = false
-	w.Channel.SetNodeUp(pkt.NodeID(ev.Node), false)
+	w.Channel.SetNodeUp(n.id, false)
 	w.Collector.OnLeave()
 	if la, ok := n.Proto.(LifecycleAware); ok {
 		la.Down(w.Eng.Now())
@@ -87,7 +85,7 @@ func (w *World) autoconfCensus() {
 	var members, colliding int
 	var ttc float64
 	for _, n := range w.Nodes {
-		if !n.up {
+		if !n.Up() {
 			continue
 		}
 		ac, ok := n.Proto.(Autoconfigured)

@@ -81,7 +81,6 @@ type Node struct {
 	Proto Protocol
 	rng   *sim.RNG
 	sink  SinkFunc
-	up    bool
 }
 
 var _ mac.UpperLayer = (*Node)(nil)
@@ -102,14 +101,15 @@ func (n *Node) RNG() *sim.RNG { return n.rng }
 // NumNodes implements Env.
 func (n *Node) NumNodes() int { return len(n.world.Nodes) }
 
-// Up reports the node's membership state (false while failed/left).
-func (n *Node) Up() bool { return n.up }
+// Up reports the node's membership state (false while failed/left), as the
+// channel's liveness bitmap holds it.
+func (n *Node) Up() bool { return n.world.Channel.NodeUp(n.id) }
 
 // SendMac implements Env: counts the transmission and enqueues at the MAC.
 // A down node's emissions vanish uncounted — a dead radio contributes
 // neither offered routing load nor data transmissions.
 func (n *Node) SendMac(p *pkt.Packet, nextHop pkt.NodeID) {
-	if !n.up {
+	if !n.Up() {
 		return
 	}
 	switch p.Kind {
@@ -152,7 +152,7 @@ func (n *Node) SetSink(s SinkFunc) { n.sink = s }
 // the node is down the packet is discarded silently: a dead source offers
 // no load, so PDR and overhead metrics only measure the up population.
 func (n *Node) Originate(p *pkt.Packet) {
-	if !n.up {
+	if !n.Up() {
 		return
 	}
 	opt := -1

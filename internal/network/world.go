@@ -108,7 +108,7 @@ func NewWorld(cfg Config) (*World, error) {
 	root := sim.NewRNG(cfg.Seed)
 	for i, tr := range cfg.Tracks {
 		id := pkt.NodeID(i)
-		n := &Node{id: id, world: w, Track: tr, up: true}
+		n := &Node{id: id, world: w, Track: tr}
 		nodeRNG := root.Fork(int64(i))
 		n.rng = nodeRNG.ForkNamed("proto")
 		n.Radio = w.Channel.AttachRadio(id, nil, nil)
@@ -123,7 +123,6 @@ func NewWorld(cfg Config) (*World, error) {
 	w.lifecycle = cfg.Lifecycle
 	for i, up := range lifecycle.InitialUp(cfg.Lifecycle, len(cfg.Tracks)) {
 		if !up {
-			w.Nodes[i].up = false
 			w.Channel.SetNodeUp(pkt.NodeID(i), false)
 		}
 	}
@@ -138,7 +137,7 @@ func (w *World) Start() {
 		n.Proto.Start(n)
 	}
 	for _, n := range w.Nodes {
-		if !n.up {
+		if !n.Up() {
 			continue
 		}
 		if la, ok := n.Proto.(LifecycleAware); ok {

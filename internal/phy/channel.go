@@ -95,12 +95,11 @@ type Channel struct {
 	busyUntil []sim.Time // medium observed busy until (any arrival ≥ CS, or own tx)
 	airPower  []float64  // SINR mode: summed power of every in-air arrival
 	airCount  []int32    // SINR mode: in-air arrival count (exact-zero reset)
-	up        []bool     // liveness bitmap: false while the node is down (churn)
+	up        []bool     // liveness bitmap: false while the node is down (churn); the only copy
 	downCount int        // number of down radios (fast path skips the mask at 0)
 
 	grid        *geo.FlatGrid
-	lastIndex   sim.Time // virtual time of the last reindex
-	indexed     bool
+	lastIndex   sim.Time    // virtual time of the last reindex
 	csRange     float64     // carrier-sense range implied by params (cached)
 	queryRadius float64     // csRange + movement slack
 	pts         []geo.Point // reusable position buffer for reindex
@@ -201,6 +200,10 @@ func (c *Channel) SetNodeUp(id pkt.NodeID, up bool) {
 	}
 }
 
+// NodeUp reports radio id's membership: the state SetNodeUp last set, true
+// from AttachRadio until then.
+func (c *Channel) NodeUp(id pkt.NodeID) bool { return c.up[id] }
+
 // SetPositionTable installs a flattened position source covering every node
 // (NodeID = table index). With a table the channel reads positions straight
 // out of struct-of-arrays state — and refreshes them in one batch sweep per
@@ -265,14 +268,13 @@ func (c *Channel) reindex(now sim.Time) {
 	c.tab.Positions(now, c.pts)
 	c.grid.Rebuild(c.pts)
 	c.lastIndex = now
-	c.indexed = true
 	c.Reindexes++
 }
 
 // needReindex reports whether the indexed positions are too stale to answer
 // a query at time now.
 func (c *Channel) needReindex(now sim.Time) bool {
-	if !c.indexed || c.grid.Len() != len(c.radios) {
+	if c.grid == nil || c.grid.Len() != len(c.radios) {
 		return true
 	}
 	if c.atRest(now) {

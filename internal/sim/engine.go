@@ -283,13 +283,19 @@ func (e *Engine) ScheduleIn(d Duration, fn EventFunc) Handle {
 // Cancel removes a pending event. Cancelling an already-fired or already-
 // cancelled handle is a no-op and reports false.
 func (e *Engine) Cancel(h Handle) bool {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.idx < 0 {
+	if !h.pending() {
 		return false
 	}
-	e.queue.remove(ev.idx)
-	e.recycle(ev)
+	e.queue.remove(h.ev.idx)
+	e.recycle(h.ev)
 	return true
+}
+
+// pending reports whether h's event is still queued: not fired, not
+// cancelled. Run unlinks an event and bumps its generation before
+// dispatching it, so a handle reads false inside its own callback.
+func (h Handle) pending() bool {
+	return h.ev != nil && h.ev.gen == h.gen && h.ev.idx >= 0
 }
 
 // Stop makes Run return after the current event completes.
@@ -360,50 +366,36 @@ func (e *Engine) RunAll() error { return e.Run(Never) }
 
 // Timer is a restartable one-shot timer bound to an engine, the building
 // block for protocol timeouts (route expiry, retransmission, hello beacons).
-// The zero value is unusable; create with NewTimer.
+// It schedules fn itself, and its handle is the only record of whether it
+// is armed: pending is the handle's state in the engine. The zero value is
+// unusable; create with NewTimer.
 type Timer struct {
-	e    *Engine
-	fn   EventFunc
-	fire EventFunc // wrapping closure, allocated once (Reset is hot)
-	h    Handle
-	on   bool
+	e  *Engine
+	fn EventFunc
+	h  Handle
 }
 
 // NewTimer binds fn to engine e. The timer starts stopped.
-func NewTimer(e *Engine, fn EventFunc) *Timer {
-	t := &Timer{e: e, fn: fn}
-	t.fire = func() {
-		t.on = false
-		t.fn()
-	}
-	return t
-}
+func NewTimer(e *Engine, fn EventFunc) *Timer { return &Timer{e: e, fn: fn} }
 
 // Reset (re)arms the timer to fire after d, cancelling any pending firing.
 func (t *Timer) Reset(d Duration) {
-	t.Stop()
-	t.on = true
-	t.h = t.e.ScheduleIn(d, t.fire)
+	t.e.Cancel(t.h)
+	t.h = t.e.ScheduleIn(d, t.fn)
 }
 
 // ResetAt (re)arms the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
-	t.Stop()
-	t.on = true
-	t.h = t.e.Schedule(at, t.fire)
+	t.e.Cancel(t.h)
+	t.h = t.e.Schedule(at, t.fn)
 }
 
 // Stop cancels a pending firing. It reports whether a firing was pending.
-func (t *Timer) Stop() bool {
-	if !t.on {
-		return false
-	}
-	t.on = false
-	return t.e.Cancel(t.h)
-}
+func (t *Timer) Stop() bool { return t.e.Cancel(t.h) }
 
-// Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.on }
+// Pending reports whether the timer is armed. It is false inside the
+// timer's own callback, until the callback re-arms it.
+func (t *Timer) Pending() bool { return t.h.pending() }
 
 // Ticker repeatedly invokes fn every interval until stopped. Intervals may be
 // jittered by the caller via the OnTick hook returning the next interval.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +168,9 @@ func TestTimerResetStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	tm := NewTimer(e, func() { fired++ })
+	if tm.Pending() || tm.Stop() {
+		t.Fatal("a timer never armed reads pending")
+	}
 	tm.Reset(Seconds(1))
 	tm.Reset(Seconds(2)) // supersedes first arming
 	if err := e.RunAll(); err != nil {
@@ -177,6 +181,9 @@ func TestTimerResetStop(t *testing.T) {
 	}
 	if e.Now() != At(2) {
 		t.Fatalf("fired at %v, want 2s", e.Now())
+	}
+	if tm.Pending() || tm.Stop() {
+		t.Fatal("a fired timer still reads pending")
 	}
 	tm.Reset(Seconds(1))
 	if !tm.Pending() {
@@ -190,6 +197,46 @@ func TestTimerResetStop(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("fired = %d after Stop, want 1", fired)
+	}
+	if tm.Pending() || tm.Stop() {
+		t.Fatal("a stopped timer still reads pending")
+	}
+
+	// The engine handle is the timer's only state, so inside its own
+	// callback the timer reads stopped, and a Reset from there re-arms it.
+	var fires []Time
+	tm = NewTimer(e, func() {
+		if tm.Pending() {
+			t.Fatalf("Pending = true inside the callback at %v", e.Now())
+		}
+		if tm.Stop() {
+			t.Fatalf("Stop = true inside the callback at %v", e.Now())
+		}
+		fires = append(fires, e.Now())
+		if len(fires) < 3 {
+			tm.Reset(Seconds(1))
+			if !tm.Pending() {
+				t.Fatal("Pending = false after a Reset inside the callback")
+			}
+		}
+	})
+	start := e.Now()
+	tm.Reset(Seconds(1))
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{start.Add(Seconds(1)), start.Add(Seconds(2)), start.Add(Seconds(3))}; !slices.Equal(fires, want) {
+		t.Fatalf("fired at %v, want %v", fires, want)
+	}
+	if tm.Pending() {
+		t.Fatal("Pending = true after the last firing")
+	}
+
+	// A timer is one object: no wrapper closure beside it.
+	fn := func() {}
+	var kept *Timer
+	if n := testing.AllocsPerRun(100, func() { kept = NewTimer(e, fn) }); n != 1 || kept == nil {
+		t.Fatalf("NewTimer made %.0f objects, want 1", n)
 	}
 }
 

@@ -35,7 +35,9 @@ type queueScript struct {
 	log     []queueFiring
 	handles []Handle
 	timers  []*Timer
+	armed   []bool // per timer, the script's own record of whether it is armed
 	nextID  int
+	t       testing.TB
 
 	accepted, fellBack int // lane appends that stayed in / fell out of a lane
 	heldAtStop         int // events pending in lanes when a Run(until) phase stopped
@@ -58,11 +60,22 @@ func newQueueScript(src scriptSource, useLanes bool) *queueScript {
 	for i := 0; i < 3; i++ {
 		id := -100 - i // timers re-fire, so they log under a fixed id
 		s.timers = append(s.timers, NewTimer(s.e, func() {
+			s.armed[i] = false
+			s.checkTimer(i, "firing")
 			s.log = append(s.log, queueFiring{id: id, at: s.e.Now()})
 			s.act()
 		}))
+		s.armed = append(s.armed, false)
 	}
 	return s
+}
+
+// checkTimer fails the run unless timer i's Pending agrees with the
+// script's record of it.
+func (s *queueScript) checkTimer(i int, after string) {
+	if got := s.timers[i].Pending(); got != s.armed[i] {
+		s.t.Fatalf("timer %d at %v: Pending = %v after %s, want %v", i, s.e.Now(), got, after, s.armed[i])
+	}
 }
 
 // body returns the next event's function: log the firing, then act.
@@ -164,9 +177,17 @@ func (s *queueScript) act() {
 		}
 		s.laneBatch(li, ats)
 	case 7: // timer churn between the lane traffic
-		s.timers[src.Intn(len(s.timers))].Reset(Duration(src.Int63n(int64(Second))))
+		i := src.Intn(len(s.timers))
+		s.timers[i].Reset(Duration(src.Int63n(int64(Second))))
+		s.armed[i] = true
+		s.checkTimer(i, "Reset")
 	case 8:
-		s.timers[src.Intn(len(s.timers))].Stop()
+		i := src.Intn(len(s.timers))
+		if stopped := s.timers[i].Stop(); stopped != s.armed[i] {
+			s.t.Fatalf("timer %d at %v: Stop = %v, want %v", i, s.e.Now(), stopped, s.armed[i])
+		}
+		s.armed[i] = false
+		s.checkTimer(i, "Stop")
 	}
 }
 
@@ -175,6 +196,7 @@ func (s *queueScript) act() {
 // events (lane events included) still pending.
 func (s *queueScript) run(t testing.TB) []queueFiring {
 	t.Helper()
+	s.t = t
 	for i := 0; i < 300; i++ {
 		at := Time(s.src.Int63n(int64(2 * Second)))
 		s.schedule(at)

@@ -126,35 +126,23 @@ func NewSource(w *network.World, conn Connection, horizon sim.Time) *Source {
 	return s
 }
 
-// startCBR is the study's fixed-interval emission (unchanged from the
-// pre-registry source: same event pattern, bit-identical runs).
+// startCBR is the study's fixed-interval emission: the first packet at
+// Start exactly, then one per interval from a ticker.
 func (s *Source) startCBR(w *network.World, horizon sim.Time) {
-	conn := s.conn
-	node := s.node
-	interval := sim.Seconds(1 / conn.Rate)
-	s.tick = sim.NewTicker(w.Eng, interval, func() {
+	s.tick = sim.NewTicker(w.Eng, sim.Seconds(1/s.conn.Rate), func() {
 		now := w.Eng.Now()
-		if conn.Stop != 0 && now.After(conn.Stop) {
+		if s.ended(now, horizon) {
 			s.tick.Stop()
 			return
 		}
-		if now.After(horizon) {
-			s.tick.Stop()
-			return
-		}
-		p := pkt.DataPacket(conn.Src, conn.Dst, s.seq, conn.PayloadBytes, now)
-		s.seq++
-		node.Originate(p)
+		s.emit(now)
 	})
-	// First packet at Start exactly; subsequent at the CBR interval.
-	w.Eng.Schedule(conn.Start, func() {
+	w.Eng.Schedule(s.conn.Start, func() {
 		now := w.Eng.Now()
-		if conn.Stop != 0 && now.After(conn.Stop) {
+		if s.ended(now, horizon) {
 			return
 		}
-		p := pkt.DataPacket(conn.Src, conn.Dst, s.seq, conn.PayloadBytes, now)
-		s.seq++
-		node.Originate(p)
+		s.emit(now)
 		s.tick.Start()
 	})
 }
