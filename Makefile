@@ -81,15 +81,18 @@ profile:
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
 	@echo wrote profiles/cpu.pprof profiles/mem.pprof
 
-## allocs: where a city run's allocations go. One BenchmarkSingleRunCityScale/10k
-## run with every allocation sampled (-memprofilerate 1, ~10 s), then the top
+## allocs: where a run's allocations go. One run of the benchmarks BENCH
+## matches, by default BenchmarkSingleRunCityScale/10k, with every allocation
+## sampled (-memprofilerate 1, ~10 s for the city run), then the top
 ## allocation sites by objects and by bytes. Binary and profile stay in
-## ./profiles.
+## ./profiles. The paper regime's sites:
+##   make allocs BENCH='BenchmarkFig1_PDRvsPause$'
+BENCH ?= BenchmarkSingleRunCityScale$/^10k$
 allocs:
 	@mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'BenchmarkSingleRunCityScale$$/^10k$$' -benchtime 1x \
+	$(GO) test -run '^$$' -bench '$(value BENCH)' -benchtime 1x \
 		-memprofilerate 1 -memprofile profiles/allocs.pprof -o profiles/adhocsim.test .
 	@for idx in alloc_objects alloc_space; do \
 		$(GO) tool pprof -sample_index=$$idx -top -nodecount 12 profiles/adhocsim.test profiles/allocs.pprof 2>&1 | \
-			sed -E '/^(File|Build ID|Time):/d; s/\[go\.shape\.struct \{.*\}\]/[…]/'; \
+			sed -E '/^(File|Build ID|Time):/d; s/\[go\.shape\..*\]/[…]/'; \
 	done

@@ -126,6 +126,10 @@ func New(eng *sim.Engine, id pkt.NodeID, radio *phy.Radio, up UpperLayer, rng *s
 // being transmitted).
 func (m *Mac) QueueLen() int { return m.queue.len() }
 
+// Holds reports whether p is queued or in flight: until it is neither, the
+// MAC may still put p on the air or hand it back to the upper layer.
+func (m *Mac) Holds(p *pkt.Packet) bool { return m.cur.p == p || m.queue.holds(p) }
+
 // Send enqueues p for transmission to the link-level next hop. Broadcast
 // packets use pkt.Broadcast.
 func (m *Mac) Send(p *pkt.Packet, nextHop pkt.NodeID) {

@@ -51,8 +51,10 @@ func (q *ifQueue) pop() (outPkt, bool) {
 		return outPkt{}, false
 	}
 	op := q.items[0]
+	n := len(q.items) - 1
 	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	q.items[n] = outPkt{} // the vacated slot must not keep a packet alive
+	q.items = q.items[:n]
 	if q.nRouting > 0 {
 		q.nRouting--
 	}
@@ -60,6 +62,16 @@ func (q *ifQueue) pop() (outPkt, bool) {
 }
 
 func (q *ifQueue) len() int { return len(q.items) }
+
+// holds reports whether p is queued.
+func (q *ifQueue) holds(p *pkt.Packet) bool {
+	for _, op := range q.items {
+		if op.p == p {
+			return true
+		}
+	}
+	return false
+}
 
 // removeDest drops every queued packet whose next hop is to, returning the
 // removed packets. Routing protocols call this when a link is declared

@@ -104,3 +104,47 @@ func TestQueueLimitZeroUsesDefault(t *testing.T) {
 		t.Fatal("51st packet accepted with default limit 50")
 	}
 }
+
+// TestQueueKeepsNoDeadPackets pins that a packet leaves the queue's backing
+// array with the packet: after any mix of pushes, pops and removeDest, no
+// slot past the queue's length holds a packet, and holds finds exactly the
+// packets still queued.
+func TestQueueKeepsNoDeadPackets(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	q := newIfQueue(16)
+	var gone []*pkt.Packet
+	for step := 0; step < 2000; step++ {
+		switch k := r.Intn(10); {
+		case k < 5:
+			to := pkt.NodeID(r.Intn(3))
+			p := pkt.DataPacket(0, to, 0, 8, 0)
+			if r.Intn(2) == 0 {
+				p = pkt.RoutingPacket("X", 0, to, 1, 8, 0)
+			}
+			q.push(outPkt{p: p, to: to})
+		case k < 9:
+			if op, ok := q.pop(); ok {
+				gone = append(gone, op.p)
+			}
+		default:
+			for _, op := range q.removeDest(pkt.NodeID(r.Intn(3))) {
+				gone = append(gone, op.p)
+			}
+		}
+		for i, op := range q.items[len(q.items):cap(q.items)] {
+			if op.p != nil {
+				t.Fatalf("step %d: slot %d past length %d holds %v", step, len(q.items)+i, len(q.items), op.p)
+			}
+		}
+		for _, p := range gone[max(0, len(gone)-4):] {
+			if q.holds(p) {
+				t.Fatalf("step %d: holds a packet that left the queue", step)
+			}
+		}
+		for _, op := range q.items {
+			if !q.holds(op.p) {
+				t.Fatalf("step %d: does not hold a queued packet", step)
+			}
+		}
+	}
+}

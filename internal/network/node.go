@@ -40,6 +40,12 @@ type Env interface {
 	// NumNodes is the total number of nodes in the scenario (protocols
 	// use it only for sizing tables, never for routing knowledge).
 	NumNodes() int
+	// Released reports whether nothing below the routing layer can still
+	// read p, a packet this node sent: the MAC neither queues it nor has
+	// it in flight, and every frame the radio has sent has finished
+	// arriving everywhere. Only then may the sender rebuild a broadcast
+	// in place (see pkt.Packet and pkt.Slot).
+	Released(p *pkt.Packet) bool
 }
 
 // Protocol is a routing agent bound to one node. Implementations must be
@@ -54,8 +60,9 @@ type Protocol interface {
 	// and data packets alike (including data addressed to this node —
 	// source-routed protocols still need to inspect the header). A packet
 	// that arrived in a broadcast frame is shared with every other
-	// receiver and is read-only: Clone it before changing it (see
-	// pkt.Packet).
+	// receiver and is read-only: Clone it before changing it, and copy
+	// what you keep past the call, since its sender may rebuild it once
+	// Released (see pkt.Packet).
 	Recv(p *pkt.Packet, from pkt.NodeID, rxPower float64)
 	// Snoop observes unicast data frames addressed to other nodes
 	// (promiscuous mode). Most protocols ignore it.
@@ -144,6 +151,13 @@ func (n *Node) Drop(p *pkt.Packet, reason stats.DropReason) {
 
 // FlushNextHop implements Env.
 func (n *Node) FlushNextHop(to pkt.NodeID) { n.Mac.FlushDest(to) }
+
+// Released implements Env. It is the MAC's frame rule applied to the
+// packet a frame carries: a reception ending exactly at the radio's
+// HeldUntil may not have been handed up yet, so the clock must be past it.
+func (n *Node) Released(p *pkt.Packet) bool {
+	return !n.Mac.Holds(p) && n.Now() > n.Radio.HeldUntil()
+}
 
 // SetSink installs the traffic sink for data packets addressed to this node.
 func (n *Node) SetSink(s SinkFunc) { n.sink = s }

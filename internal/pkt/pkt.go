@@ -67,7 +67,11 @@ const (
 //     sender's pointer. Once sent it is read-only, to the sender and every
 //     receiver, header and payload alike. A receiver that changes header
 //     state, for a relay or a delivery, Clones it first and works on the
-//     copy.
+//     copy, and a receiver copies whatever it keeps past its Recv call.
+//   - A broadcast stays read-only until its sender's network.Env.Released
+//     reports that nothing below the routing layer can still read it.
+//     From then on only the sender may touch it, and a sender that repeats
+//     a message rebuilds that object in place through a Slot.
 //
 // The fields are laid out in 136 bytes (Seq fills Kind's word), so a
 // routing message fused with a body of up to 8 bytes by Routing stays in
@@ -216,6 +220,44 @@ func Routing[T any](msg string, src, dst NodeID, ttl, bodyBytes int, at sim.Time
 	m := &routingMsg[T]{p: routingHeader(msg, src, dst, ttl, bodyBytes, at)}
 	m.p.Payload = &m.body
 	return &m.p, &m.body
+}
+
+// Body is the body of a routing message that a Slot rebuilds in place:
+// Truncate cuts each of its slices to length zero and keeps the arrays, so
+// the sender refills them without allocating.
+type Body[T any] interface {
+	*T
+	Truncate()
+}
+
+// Releaser reports whether nothing below the routing layer can still read a
+// packet its node sent; network.Env is one.
+type Releaser interface {
+	Released(p *Packet) bool
+}
+
+// Slot holds the one routing message, with a body T, that a sender sends
+// again and again: a beacon or a periodic table dump. The zero Slot is
+// empty and ready to use.
+type Slot[T any, B Body[T]] struct {
+	m *routingMsg[T]
+}
+
+// Routing is Routing for the slot's message. Once r has released the
+// slot's last packet, that object is rebuilt in place: its header is built
+// afresh, with a new UID, exactly as Routing builds one, and its body keeps
+// its contents except for the slices Truncate empties. Until then Routing
+// builds a new message, with a zero body, and the slot keeps that one
+// instead. Either way the caller refills the body before sending.
+func (s *Slot[T, B]) Routing(r Releaser, msg string, src, dst NodeID, ttl, bodyBytes int, at sim.Time) (*Packet, *T) {
+	if s.m != nil && r.Released(&s.m.p) {
+		B(&s.m.body).Truncate()
+	} else {
+		s.m = new(routingMsg[T])
+	}
+	s.m.p = routingHeader(msg, src, dst, ttl, bodyBytes, at)
+	s.m.p.Payload = &s.m.body
+	return &s.m.p, &s.m.body
 }
 
 // CloneRouting is Clone for a relay that changes the payload, a *T: the copy

@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -153,5 +154,55 @@ func TestCloneRoutingCopiesPayload(t *testing.T) {
 func TestPacketLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Packet{}); n != 136 {
 		t.Fatalf("Packet is %d bytes, want 136", n)
+	}
+}
+
+// Truncate makes body a Body for the Slot tests.
+func (b *body) Truncate() { b.Route = b.Route[:0] }
+
+// releaser answers every Released with itself.
+type releaser bool
+
+func (r releaser) Released(*Packet) bool { return bool(r) }
+
+func TestSlotRebuildsOnlyReleasedMessages(t *testing.T) {
+	var s Slot[body, *body]
+	p, m := s.Routing(releaser(true), "HELLO", 1, Broadcast, 1, 8, sim.At(1))
+	if p.Payload.(*body) != m || m.Route != nil {
+		t.Fatalf("an empty slot's first message: payload %v body %+v", p.Payload, m)
+	}
+	m.A, m.Route = 4, append(m.Route, 1, 2, 3)
+
+	// Held: a new message with a zero body, and the slot keeps it.
+	q, mq := s.Routing(releaser(false), "HELLO", 1, Broadcast, 1, 8, sim.At(2))
+	if q == p || mq.A != 0 || mq.Route != nil || m.A != 4 || len(m.Route) != 3 {
+		t.Fatalf("a held message was rebuilt: %v %+v, the held one %+v", q, mq, m)
+	}
+	mq.A, mq.Route = 5, append(mq.Route, 7, 8, 9)
+	q.TTL, q.Hops, q.SrcRoute, q.Salvaged = 0, 3, []NodeID{1, 2}, 1
+	heldUID := q.UID
+
+	// Released: the slot's last message, its header built afresh exactly
+	// as Routing builds one, its slices truncated with their arrays kept.
+	r, mr := s.Routing(releaser(true), "HELLO", 2, 9, 4, 12, sim.At(3))
+	want, _ := Routing[body]("HELLO", 2, 9, 4, 12, sim.At(3))
+	want.UID, want.Payload = r.UID, mr
+	if r != q || mr != mq || r.UID == heldUID {
+		t.Fatalf("released message not rebuilt in place: %v", r)
+	}
+	if !reflect.DeepEqual(*r, *want) {
+		t.Fatalf("rebuilt header %+v, want %+v", *r, *want)
+	}
+	if mr.A != 5 || len(mr.Route) != 0 || cap(mr.Route) < 3 {
+		t.Fatalf("rebuilt body %+v (cap %d), want A kept and Route truncated", mr, cap(mr.Route))
+	}
+	uid := r.UID
+	if n := testing.AllocsPerRun(100, func() {
+		sinkPacket, _ = s.Routing(releaser(true), "HELLO", 2, 9, 4, 12, 0)
+	}); n != 0 {
+		t.Fatalf("a released rebuild made %v allocations, want 0", n)
+	}
+	if sinkPacket != q || sinkPacket.UID <= uid {
+		t.Fatal("rebuilds did not draw fresh UIDs on the one object")
 	}
 }

@@ -49,14 +49,20 @@ func Factory(cfg Config) network.ProtocolFactory {
 }
 
 // hello is the periodic beacon. Heads and Neighbors share one backing
-// array; inline is that array when they hold two ids or fewer, so an
+// array, ids; inline is that array when they hold two ids or fewer, so an
 // isolated or one-neighbour node's beacon is one object with its packet.
+// A rebuilt beacon refills the array it already has when that is large
+// enough.
 type hello struct {
 	Status    NodeStatus
 	Heads     []pkt.NodeID
 	Neighbors []pkt.NodeID
+	ids       []pkt.NodeID
 	inline    [2]pkt.NodeID
 }
+
+// Truncate implements pkt.Body.
+func (h *hello) Truncate() { h.ids = h.ids[:0] }
 
 // helloBase is the fixed part of a hello's wire size (4-byte addresses; the
 // beacon carries status + heads + neighbour list).
@@ -70,6 +76,7 @@ type CBRP struct {
 	status    NodeStatus
 	neighbors *neighborTable
 	myHeads   map[pkt.NodeID]bool
+	helloMsg  pkt.Slot[hello, *hello]
 
 	disc routing.Discovery
 	// nextRREQ rate-limits discovery floods per target: a freshly
@@ -117,14 +124,16 @@ func (c *CBRP) beacon() {
 	c.refreshRole()
 	nh, nn := len(c.myHeads), len(c.neighbors.rows)
 	body := helloBase + 4*nh + 5*nn
-	p, h := pkt.Routing[hello]("HELLO", c.Env.ID(), pkt.Broadcast, 1, body, now)
+	p, h := c.helloMsg.Routing(c.Env, "HELLO", c.Env.ID(), pkt.Broadcast, 1, body, now)
 	h.Status = c.status
-	ids := h.inline[:0]
-	if nh+nn > len(h.inline) {
-		ids = make([]pkt.NodeID, 0, nh+nn)
+	if cap(h.ids) < nh+nn {
+		h.ids = h.inline[:0]
+		if nh+nn > len(h.inline) {
+			h.ids = make([]pkt.NodeID, 0, nh+nn)
+		}
 	}
-	h.Heads = slices.Clip(c.appendHeads(ids))
-	h.Neighbors = c.neighbors.appendIDs(ids[nh:nh])
+	h.ids = c.neighbors.appendIDs(c.appendHeads(h.ids))
+	h.Heads, h.Neighbors = h.ids[:nh:nh], h.ids[nh:]
 	c.Env.SendMac(p, pkt.Broadcast)
 }
 

@@ -162,10 +162,12 @@ func TestGatewayDetection(t *testing.T) {
 	}
 }
 
-// beaconEnv is a node whose MAC keeps only the last packet handed to it.
+// beaconEnv is a node whose MAC keeps only the last packet handed to it;
+// released says whether the node's radio has let go of it.
 type beaconEnv struct {
-	eng  *sim.Engine
-	last *pkt.Packet
+	eng      *sim.Engine
+	last     *pkt.Packet
+	released bool
 }
 
 func (e *beaconEnv) ID() pkt.NodeID                      { return 5 }
@@ -177,11 +179,28 @@ func (e *beaconEnv) SendMac(p *pkt.Packet, _ pkt.NodeID) { e.last = p }
 func (e *beaconEnv) Deliver(*pkt.Packet, pkt.NodeID)     {}
 func (e *beaconEnv) Drop(*pkt.Packet, stats.DropReason)  {}
 func (e *beaconEnv) FlushNextHop(pkt.NodeID)             {}
+func (e *beaconEnv) Released(*pkt.Packet) bool           { return e.released }
 
-// TestBeaconAllocations pins a HELLO's cost: the packet, its payload and
-// the head and neighbour lists are one object when the lists hold two ids
-// or fewer (an isolated or one-neighbour node), and two beyond that. The
-// lists come out sorted, heads first in the one backing array.
+// checkHello reports a HELLO whose lists or size differ from what the node
+// advertises.
+func checkHello(t *testing.T, name string, p *pkt.Packet, heads, neighbors []pkt.NodeID) {
+	t.Helper()
+	h := p.Payload.(*hello)
+	if !slices.Equal(h.Heads, heads) || !slices.Equal(h.Neighbors, neighbors) || cap(h.Heads) != len(h.Heads) {
+		t.Errorf("%s: hello heads %v neighbours %v, want %v %v", name, h.Heads, h.Neighbors, heads, neighbors)
+	}
+	if want := helloBase + 4*len(heads) + 5*len(neighbors) + pkt.IPHeaderBytes; p.Size != want {
+		t.Errorf("%s: hello size %d, want %d", name, p.Size, want)
+	}
+}
+
+// TestBeaconAllocations pins a HELLO's cost. While the radio still holds
+// the last one, a beacon is new: the packet, its payload and the head and
+// neighbour lists are one object when the lists hold two ids or fewer (an
+// isolated or one-neighbour node), and two beyond that. Once the radio has
+// released it, the beacon is the same object rebuilt, and allocates nothing
+// while its id array is large enough. The lists come out sorted, heads
+// first in the one backing array.
 func TestBeaconAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -203,15 +222,53 @@ func TestBeaconAllocations(t *testing.T) {
 		c.Env = env
 		c.neighbors = fabricate(tc.nbrs)
 		c.beacon()
-		h := env.last.Payload.(*hello)
-		if !slices.Equal(h.Heads, tc.heads) || !slices.Equal(h.Neighbors, tc.neighbors) || cap(h.Heads) != len(h.Heads) {
-			t.Errorf("%s: hello heads %v neighbours %v, want %v %v", tc.name, h.Heads, h.Neighbors, tc.heads, tc.neighbors)
-		}
-		if want := helloBase + 4*len(tc.heads) + 5*len(tc.neighbors) + pkt.IPHeaderBytes; env.last.Size != want {
-			t.Errorf("%s: hello size %d, want %d", tc.name, env.last.Size, want)
-		}
+		checkHello(t, tc.name, env.last, tc.heads, tc.neighbors)
 		if n := testing.AllocsPerRun(100, c.beacon); n != tc.allocs {
 			t.Errorf("%s: beacon made %v allocations, want %v", tc.name, n, tc.allocs)
+		}
+		held, heldUID := env.last, env.last.UID
+		env.released = true
+		if n := testing.AllocsPerRun(100, c.beacon); n != 0 {
+			t.Errorf("%s: released beacon made %v allocations, want 0", tc.name, n)
+		}
+		if env.last != held || env.last.UID == heldUID {
+			t.Errorf("%s: released beacon is not the held one rebuilt", tc.name)
+		}
+		checkHello(t, tc.name+" rebuilt", env.last, tc.heads, tc.neighbors)
+	}
+}
+
+// TestBeaconRebuildGrowsItsArray follows one node's HELLO from isolation to
+// three neighbours and back: a rebuilt beacon takes a larger id array only
+// when its lists outgrow the one it has, and each rebuild carries a fresh
+// UID.
+func TestBeaconRebuildGrowsItsArray(t *testing.T) {
+	env := &beaconEnv{eng: sim.NewEngine(), released: true}
+	c := New(Config{})
+	c.Env = env
+	c.beacon()
+	first := env.last
+	checkHello(t, "isolated", first, []pkt.NodeID{5}, nil)
+	uid := first.UID
+	for _, step := range []struct {
+		name      string
+		nbrs      map[pkt.NodeID]NodeStatus
+		heads     []pkt.NodeID
+		neighbors []pkt.NodeID
+	}{
+		{"three neighbours", map[pkt.NodeID]NodeStatus{9: Member, 7: Undecided, 6: Undecided}, []pkt.NodeID{5}, []pkt.NodeID{6, 7, 9}},
+		{"one neighbour", map[pkt.NodeID]NodeStatus{8: Undecided}, []pkt.NodeID{5}, []pkt.NodeID{8}},
+		{"two heads", map[pkt.NodeID]NodeStatus{3: Head, 1: Head, 8: Member}, []pkt.NodeID{1, 3}, []pkt.NodeID{1, 3, 8}},
+	} {
+		c.neighbors = fabricate(step.nbrs)
+		c.beacon()
+		if env.last != first || env.last.UID <= uid {
+			t.Fatalf("%s: beacon %v is not the first one rebuilt with a fresh UID", step.name, env.last)
+		}
+		uid = env.last.UID
+		checkHello(t, step.name, env.last, step.heads, step.neighbors)
+		if n := testing.AllocsPerRun(10, c.beacon); n != 0 {
+			t.Errorf("%s: rebuilt beacon made %v allocations once its array had grown, want 0", step.name, n)
 		}
 	}
 }

@@ -70,6 +70,9 @@ type update struct {
 	Routes []advert
 }
 
+// Truncate implements pkt.Body.
+func (u *update) Truncate() { u.Routes = u.Routes[:0] }
+
 // entryBytes is the wire size of one advertised route (addr+seq+metric).
 const entryBytes = 9
 
@@ -81,6 +84,11 @@ type DSDV struct {
 	ownSeq       uint32
 	lastTrigger  sim.Time
 	triggerArmed bool
+	// updateMsg is the message full dumps and triggered updates share.
+	updateMsg pkt.Slot[update, *update]
+	// triggerFn is fireTrigger, bound once so arming a trigger allocates
+	// nothing.
+	triggerFn sim.EventFunc
 }
 
 // New creates a DSDV agent.
@@ -91,6 +99,7 @@ func New(cfg Config) *DSDV {
 // Start implements network.Protocol.
 func (d *DSDV) Start(env network.Env) {
 	d.Env = env
+	d.triggerFn = d.fireTrigger
 	// First dump after a short random offset so nodes don't all flood at t=0.
 	d.Beacon(d.cfg.UpdateInterval, d.cfg.UpdateInterval/4, d.fullDump)
 }
@@ -241,12 +250,13 @@ func (d *DSDV) MacFailed(p *pkt.Packet, to pkt.NodeID) {
 // fullDump broadcasts the entire table.
 func (d *DSDV) fullDump() {
 	d.ownSeq += 2
-	routes := []advert{{Dst: d.Env.ID(), Metric: 0, Seq: d.ownSeq}}
+	p, m := d.newUpdate(1 + len(d.table))
+	m.Routes = append(m.Routes, advert{Dst: d.Env.ID(), Metric: 0, Seq: d.ownSeq})
 	for _, e := range d.table {
-		routes = append(routes, advert{Dst: e.dst, Metric: e.metric, Seq: e.seq})
+		m.Routes = append(m.Routes, advert{Dst: e.dst, Metric: e.metric, Seq: e.seq})
 		e.changed = false
 	}
-	d.broadcastUpdate(routes)
+	d.Env.SendMac(p, pkt.Broadcast)
 }
 
 // scheduleTrigger arranges an incremental update, rate-limited.
@@ -260,30 +270,39 @@ func (d *DSDV) scheduleTrigger() {
 		wait += d.cfg.MinTriggerGap - since
 	}
 	d.triggerArmed = true
-	d.Env.Engine().ScheduleIn(wait, d.fireTrigger)
+	d.Env.Engine().ScheduleIn(wait, d.triggerFn)
 }
 
 func (d *DSDV) fireTrigger() {
 	d.triggerArmed = false
 	d.lastTrigger = d.Env.Now()
-	var routes []advert
+	n := 0
 	for _, e := range d.table {
 		if e.changed {
-			routes = append(routes, advert{Dst: e.dst, Metric: e.metric, Seq: e.seq})
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	p, m := d.newUpdate(n)
+	for _, e := range d.table {
+		if e.changed {
+			m.Routes = append(m.Routes, advert{Dst: e.dst, Metric: e.metric, Seq: e.seq})
 			e.changed = false
 		}
 	}
-	if len(routes) == 0 {
-		return
-	}
-	d.broadcastUpdate(routes)
+	d.Env.SendMac(p, pkt.Broadcast)
 }
 
-func (d *DSDV) broadcastUpdate(routes []advert) {
-	body := 4 + entryBytes*len(routes)
-	p, m := pkt.Routing[update]("UPDATE", d.Env.ID(), pkt.Broadcast, 1, body, d.Env.Now())
-	m.Routes = routes
-	d.Env.SendMac(p, pkt.Broadcast)
+// newUpdate builds an update of n routes, from the slot full dumps and
+// triggered updates share, with room for the routes in its body.
+func (d *DSDV) newUpdate(n int) (*pkt.Packet, *update) {
+	p, m := d.updateMsg.Routing(d.Env, "UPDATE", d.Env.ID(), pkt.Broadcast, 1, 4+entryBytes*n, d.Env.Now())
+	if cap(m.Routes) < n {
+		m.Routes = make([]advert, 0, n)
+	}
+	return p, m
 }
 
 // TableSize exposes the number of known destinations (diagnostics/tests).

@@ -54,6 +54,10 @@ func (e *fakeEnv) Drop(p *pkt.Packet, why stats.DropReason) {
 }
 func (e *fakeEnv) FlushNextHop(pkt.NodeID) {}
 
+// Released implements network.Env: the log keeps every packet the agent
+// sent, so none is ever free to be rebuilt.
+func (e *fakeEnv) Released(*pkt.Packet) bool { return false }
+
 func (e *fakeEnv) run(t *testing.T, until sim.Time) {
 	t.Helper()
 	if err := e.eng.Run(until); err != nil {
