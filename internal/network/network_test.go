@@ -2,6 +2,7 @@ package network_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -103,6 +104,43 @@ func TestMacControlAggregated(t *testing.T) {
 	}
 	if res.DataDelivered != 1 {
 		t.Fatalf("delivered = %d", res.DataDelivered)
+	}
+}
+
+// TestPhasedRunMatchesOneRun: a world run in phases measures the whole run,
+// not its last phase, and counts each MAC control frame once.
+func TestPhasedRunMatchesOneRun(t *testing.T) {
+	run := func(phases ...float64) stats.Results {
+		w, err := network.NewWorld(network.Config{
+			Tracks:   mobility.Chain(2, 150),
+			Radio:    phy.DefaultParams(),
+			Protocol: func(pkt.NodeID) network.Protocol { return &direct{} },
+			Seed:     1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Node(1).SetSink(func(p *pkt.Packet, from pkt.NodeID) {
+			w.Collector.OnDataDelivered(p, w.Eng.Now(), false)
+		})
+		w.Start()
+		for i := 1; i < 9; i++ {
+			at := sim.At(float64(i))
+			w.Eng.Schedule(at, func() { w.Node(0).Originate(pkt.DataPacket(0, 1, uint32(i), 64, at)) })
+		}
+		for _, end := range phases {
+			if err := w.Run(context.Background(), sim.At(end)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w.Collector.Finalize()
+	}
+	one, phased := run(9), run(3, 6, 9)
+	if one.MacCtlFrames == 0 || one.DataDelivered != 8 {
+		t.Fatalf("degenerate run: %+v", one)
+	}
+	if !reflect.DeepEqual(one, phased) {
+		t.Fatalf("phased run differs from one run:\n one    %+v\n phased %+v", one, phased)
 	}
 }
 

@@ -129,10 +129,12 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// Start boots every routing agent (schedules beacons etc.), delivers the
-// initial Up hook to lifecycle-aware protocols on initially-up nodes, and
-// registers the membership schedule with the engine.
+// Start opens the collector's measurement window, boots every routing agent
+// (schedules beacons etc.), delivers the initial Up hook to lifecycle-aware
+// protocols on initially-up nodes, and registers the membership schedule
+// with the engine.
 func (w *World) Start() {
+	w.Collector.Begin(w.Eng.Now())
 	for _, n := range w.Nodes {
 		n.Proto.Start(n)
 	}
@@ -148,9 +150,11 @@ func (w *World) Start() {
 }
 
 // Run executes the simulation until the horizon and finalizes MAC counters
-// into the collector. The context, when cancellable, is polled periodically
-// inside the event loop so long simulations can be aborted; a nil context
-// is treated as context.Background().
+// into the collector. A world may run in phases, one call per phase: the
+// measurement window Start opened stays open, and each call replaces the
+// MAC totals with the cumulative ones. The context, when cancellable, is
+// polled periodically inside the event loop so long simulations can be
+// aborted; a nil context is treated as context.Background().
 func (w *World) Run(ctx context.Context, until sim.Time) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -165,7 +169,6 @@ func (w *World) Run(ctx context.Context, until sim.Time) error {
 		// since-expired context.
 		w.Eng.Interrupt = nil
 	}
-	w.Collector.Begin(w.Eng.Now())
 	if err := w.Eng.Run(until); err != nil {
 		return err
 	}

@@ -86,17 +86,10 @@ type Channel struct {
 	linkProp LinkPropagation // params.Prop when it is link/reception dependent, else nil
 	tab      *mobility.Table // flat position source for every radio
 
-	// Per-radio hot state, flattened struct-of-arrays style and indexed by
-	// NodeID. Every arrival touches a radio's deadlines (and, under SINR,
-	// its interference accumulator); keeping them in four dense arrays
-	// instead of scattered *Radio fields keeps a 10k-node scene's working
-	// set cache-resident through the event loop.
-	txUntil   []sim.Time // transmitting until (zero: idle)
-	busyUntil []sim.Time // medium observed busy until (any arrival ≥ CS, or own tx)
-	airPower  []float64  // SINR mode: summed power of every in-air arrival
-	airCount  []int32    // SINR mode: in-air arrival count (exact-zero reset)
-	up        []bool     // liveness bitmap: false while the node is down (churn); the only copy
-	downCount int        // number of down radios (fast path skips the mask at 0)
+	// Every other per-radio fact lives on the Radio; liveness is a slice
+	// because the grid's live scan (WithinSortedLive) reads it as a mask.
+	up        []bool // false while the node is down (churn); the only copy
+	downCount int    // number of down radios (fast path skips the mask at 0)
 
 	grid        *geo.FlatGrid
 	lastIndex   sim.Time    // virtual time of the last reindex
@@ -104,27 +97,25 @@ type Channel struct {
 	queryRadius float64     // csRange + movement slack
 	pts         []geo.Point // reusable position buffer for reindex
 	scratch     []int32     // reusable candidate buffer
-	arrivalPool []*arrivalEvent
+	legPool     []*legEvent // legs whose callbacks have all run
 
 	legs []leg   // the current transmit's legs, sorted by (delay, NodeID)
 	memo [][]leg // per sender, while at rest: its legs to every radio, up or down
 
 	// The channel's own per-receiver events bypass the engine's priority
-	// queue through two monotone lanes (sim.Lane): one transmission's
-	// arrival legs all land within a propagation delay of now, and
-	// everything an arrival schedules — reception end, busy watchdog, SINR
-	// air departure — lands at arrival+duration, so in scheduling order the
-	// keys are mostly non-decreasing. An event that is not falls through to
-	// the queue on its own. On the ends lane that is common, not rare:
-	// frames of different airtimes and the busy watchdogs interleave there,
-	// and on a 1 000-node scene 12.95 M of its 19.90 M events (65 %) fall
-	// back to the heap.
-	arrivals *sim.Lane      // arrival legs, one sorted batch per transmit
-	ends     *sim.Lane      // reception ends, watchdogs, air departures
-	legBatch []sim.LaneItem // the current transmit's surviving legs
+	// queue through two monotone lanes (sim.Lane): transmit schedules one
+	// transmission's legs in (delay, NodeID) order, so each lands at or
+	// after the one before it, and everything an arrival schedules —
+	// reception end, busy watchdog, SINR air departure — lands at
+	// arrival+duration, so in scheduling order the keys are mostly
+	// non-decreasing. An event that is not falls through to the queue on
+	// its own. On the ends lane that is common, not rare: frames of
+	// different airtimes and the busy watchdogs interleave there, and on a
+	// 1 000-node scene 12.95 M of its 19.90 M events (65 %) fall back to
+	// the heap.
+	arrivals *sim.Lane // arrival legs
+	ends     *sim.Lane // reception ends, watchdogs, air departures
 
-	rxPool    []*receptionEvent
-	airPool   []*airEvent
 	Reindexes uint64 // spatial-index rebuilds (diagnostics)
 
 	// Stats (aggregated across all radios).
@@ -167,11 +158,8 @@ func (c *Channel) AttachRadio(id pkt.NodeID, pos func(sim.Time) geo.Point, rcv R
 		panic(fmt.Sprintf("phy: radio %v needs a nil pos and a position table covering it", id))
 	}
 	r := &Radio{id: id, ch: c, rcv: rcv}
+	r.watchdogFn = r.watchdogFire
 	c.radios = append(c.radios, r)
-	c.txUntil = append(c.txUntil, 0)
-	c.busyUntil = append(c.busyUntil, 0)
-	c.airPower = append(c.airPower, 0)
-	c.airCount = append(c.airCount, 0)
 	c.up = append(c.up, true)
 	c.memo = nil
 	return r
@@ -307,26 +295,22 @@ func (c *Channel) transmit(r *Radio, payload any, dur sim.Duration) {
 	}
 	now := c.eng.Now()
 	c.Transmissions++
-	// The legs are sorted by (delay, NodeID), so numbering them in slice
-	// order gives the dispatch order per-leg Schedule calls in NodeID order
-	// would have had, and the lane's own sort finds nothing to move.
 	legs := c.legsFrom(r, now)
 	if n := len(legs); n > 0 {
 		// The slowest leg is last; its reception ends dur after it lands.
 		r.heldUntil = max(r.heldUntil, now.Add(dur+legs[n-1].delay))
 	}
+	// The legs come in (delay, NodeID) order: each lands at or after the
+	// one before it, so the arrival lane takes every one.
 	for _, l := range legs {
 		if masked && !c.up[l.to] {
 			continue
 		}
-		ae := c.allocArrival()
-		ae.o = c.radios[l.to]
-		ae.dur = dur
-		ae.a = arrival{payload: payload, from: r.id, power: l.power}
-		c.legBatch = append(c.legBatch, sim.LaneItem{At: now.Add(l.delay), Fn: ae.fire})
+		le := c.allocLeg()
+		le.to, le.payload, le.from, le.power = c.radios[l.to], payload, r.id, l.power
+		le.end, le.corrupted, le.refs = now.Add(l.delay+dur), false, 1
+		c.arrivals.Schedule(now.Add(l.delay), le.arrive)
 	}
-	c.arrivals.ScheduleBatch(c.legBatch)
-	c.legBatch = c.legBatch[:0]
 }
 
 // legsFrom returns r's legs at time now, sorted by (delay, NodeID). While
@@ -396,36 +380,6 @@ func sortLegs(legs []leg) {
 		}
 		legs[j] = l
 	}
-}
-
-// arrivalEvent is a pooled in-flight transmission leg: the scheduling
-// closure is created once per pooled struct, so steady-state propagation
-// allocates nothing.
-type arrivalEvent struct {
-	ch   *Channel
-	o    *Radio
-	a    arrival
-	dur  sim.Duration
-	fire sim.EventFunc
-}
-
-func (c *Channel) allocArrival() *arrivalEvent {
-	if n := len(c.arrivalPool); n > 0 {
-		ae := c.arrivalPool[n-1]
-		c.arrivalPool[n-1] = nil
-		c.arrivalPool = c.arrivalPool[:n-1]
-		return ae
-	}
-	ae := &arrivalEvent{ch: c}
-	ae.fire = func() {
-		a := ae.a
-		a.end = ae.ch.eng.Now().Add(ae.dur)
-		o := ae.o
-		ae.o, ae.a.payload = nil, nil
-		ae.ch.arrivalPool = append(ae.ch.arrivalPool, ae)
-		o.beginArrival(a)
-	}
-	return ae
 }
 
 // propagate adds the leg sender→to to the current transmit's list if the

@@ -33,8 +33,9 @@ func buildTableWorld(n int, speed float64, cfg Config) (*sim.Engine, *Channel, [
 }
 
 // TestLaneBatchOnEveryTransmitPath: the indexed and brute-force paths both
-// commit through one batch, so after a transmit in a single carrier-sense
-// domain every leg sits in the arrival lane — none in the queue — and once
+// schedule a transmission's legs in (delay, NodeID) order, so after a
+// transmit in a single carrier-sense domain the whole batch sits in the
+// arrival lane — none of it in the queue — and once
 // the legs have landed, every receiver's watchdog and every decodable
 // frame's end sit in the end lane.
 func TestLaneBatchOnEveryTransmitPath(t *testing.T) {

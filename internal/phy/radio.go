@@ -5,15 +5,6 @@ import (
 	"adhocsim/internal/sim"
 )
 
-// arrival is one transmission as seen by one receiver.
-type arrival struct {
-	payload   any
-	from      pkt.NodeID
-	power     float64
-	end       sim.Time
-	corrupted bool
-}
-
 // Radio is one node's transceiver. It is half-duplex: transmitting corrupts
 // any in-progress reception, and frames arriving while transmitting are
 // lost. Reception follows the ns-2 capture model: among overlapping
@@ -29,14 +20,14 @@ type Radio struct {
 	ch  *Channel
 	rcv Receiver
 
-	// The per-arrival hot state — tx/busy deadlines and the SINR-mode
-	// interference accumulators (summed in-air power plus an arrival count
-	// so the float sum resets exactly when the air clears) — lives in the
-	// channel's flat per-NodeID arrays (Channel.txUntil and friends), not
-	// here: arrivals fan out across many radios per transmission, and the
-	// dense arrays keep that scatter cache-resident at 10k nodes.
+	txUntil   sim.Time // transmitting until (zero: idle)
+	busyUntil sim.Time // medium observed busy until (any arrival ≥ CS, or own tx)
+	// SINR mode: the summed power of every in-air arrival, and their count
+	// so that the float sum resets exactly when the air clears.
+	airPower float64
+	airCount int32
 
-	rx *arrival // reception in progress, if any
+	rx *legEvent // reception in progress, if any
 
 	// heldUntil is when the last leg of every frame this radio sent so far
 	// has finished arriving: until then some receiver may still hand that
@@ -44,14 +35,8 @@ type Radio struct {
 	heldUntil sim.Time
 
 	watchdogArmed bool
-	watchdogFn    sim.EventFunc // cached method value (armed per busy edge)
+	watchdogFn    sim.EventFunc // r.watchdogFire, bound once in AttachRadio
 	notifiedBusy  bool
-
-	// Stats.
-	Collisions uint64 // receptions lost to overlapping arrivals
-	Captured   uint64 // receptions that survived via capture
-	TxFrames   uint64
-	RxFrames   uint64
 }
 
 // ID returns the radio's node id.
@@ -65,17 +50,16 @@ func (r *Radio) SetReceiver(rcv Receiver) { r.rcv = rcv }
 // Busy reports physical carrier sense: the medium is busy at this radio.
 func (r *Radio) Busy() bool {
 	now := r.ch.eng.Now()
-	return now < r.ch.txUntil[r.id] || now < r.ch.busyUntil[r.id]
+	return now < r.txUntil || now < r.busyUntil
 }
 
 // BusyUntil returns the earliest time the medium could become idle given
 // current knowledge (later arrivals may extend it).
 func (r *Radio) BusyUntil() sim.Time {
-	tx, busy := r.ch.txUntil[r.id], r.ch.busyUntil[r.id]
-	if tx > busy {
-		return tx
+	if r.txUntil > r.busyUntil {
+		return r.txUntil
 	}
-	return busy
+	return r.busyUntil
 }
 
 // HeldUntil returns when every payload this radio has transmitted has
@@ -85,28 +69,96 @@ func (r *Radio) BusyUntil() sim.Time {
 func (r *Radio) HeldUntil() sim.Time { return r.heldUntil }
 
 // Transmitting reports whether the radio is mid-transmission.
-func (r *Radio) Transmitting() bool { return r.ch.eng.Now() < r.ch.txUntil[r.id] }
+func (r *Radio) Transmitting() bool { return r.ch.eng.Now() < r.txUntil }
 
 // Transmit puts a frame on the air for dur. The MAC must not call this while
 // a previous transmission is still in progress.
 func (r *Radio) Transmit(payload any, dur sim.Duration) {
 	now := r.ch.eng.Now()
-	if now < r.ch.txUntil[r.id] {
+	if now < r.txUntil {
 		panic("phy: Transmit while already transmitting")
 	}
 	// Half-duplex: transmitting destroys any reception in progress.
 	if r.rx != nil && r.rx.end > now {
 		r.rx.corrupted = true
 	}
-	r.TxFrames++
-	until := now.Add(dur)
-	r.ch.txUntil[r.id] = until
-	r.extendBusy(until)
+	r.txUntil = now.Add(dur)
+	r.extendBusy(r.txUntil)
 	r.ch.transmit(r, payload, dur)
 }
 
-// beginArrival registers a frame starting to arrive at this radio.
-func (r *Radio) beginArrival(a arrival) {
+// legEvent is one transmission as seen by one receiver: a leg, from the
+// moment transmit schedules it until the last callback it scheduled has run.
+// Its two callbacks are bound once per pooled struct, so steady-state
+// propagation allocates nothing. arrive fires when the leg lands. leave fires
+// at the leg's end, once for each thing the arrival started: the SINR air
+// departure and a reception's end, in that order, because the air sum is
+// joined before a reception starts and both are scheduled at end. refs counts
+// the callbacks still pending; at zero the struct returns to the pool, so a
+// reception in progress (Radio.rx) always points at a live leg.
+type legEvent struct {
+	to        *Radio
+	payload   any
+	from      pkt.NodeID
+	power     float64
+	end       sim.Time
+	corrupted bool
+	inAir     bool // SINR mode: still counted in to's in-air sum
+	refs      int32
+	arrive    sim.EventFunc
+	leave     sim.EventFunc
+}
+
+func (c *Channel) allocLeg() *legEvent {
+	if n := len(c.legPool); n > 0 {
+		le := c.legPool[n-1]
+		c.legPool[n-1] = nil
+		c.legPool = c.legPool[:n-1]
+		return le
+	}
+	le := &legEvent{}
+	le.arrive = func() {
+		le.to.beginArrival(le)
+		le.release()
+	}
+	le.leave = func() {
+		r := le.to
+		switch {
+		case !le.inAir:
+			r.finishReception(le)
+		case r.airCount == 1:
+			// Reset exactly: float subtraction of every departure would
+			// otherwise leave residue that drifts across a long run.
+			le.inAir, r.airCount, r.airPower = false, 0, 0
+		default:
+			le.inAir = false
+			r.airCount--
+			r.airPower -= le.power
+		}
+		le.release()
+	}
+	return le
+}
+
+// await schedules leave at the leg's end.
+func (le *legEvent) await() {
+	le.refs++
+	le.to.ch.ends.Schedule(le.end, le.leave)
+}
+
+// release drops one pending callback's hold and pools the leg after the last.
+func (le *legEvent) release() {
+	le.refs--
+	if le.refs > 0 {
+		return
+	}
+	c := le.to.ch
+	le.payload = nil
+	c.legPool = append(c.legPool, le)
+}
+
+// beginArrival registers a leg starting to arrive at this radio.
+func (r *Radio) beginArrival(le *legEvent) {
 	if !r.ch.up[r.id] {
 		// The radio powered down after this leg was scheduled (candidate
 		// filtering stops new legs): the energy neither decodes nor
@@ -114,14 +166,14 @@ func (r *Radio) beginArrival(a arrival) {
 		return
 	}
 	now := r.ch.eng.Now()
-	r.extendBusy(a.end)
+	r.extendBusy(le.end)
 
 	if r.ch.cfg.SINR {
-		r.beginArrivalSINR(a, now)
+		r.beginArrivalSINR(le, now)
 		return
 	}
 
-	if now < r.ch.txUntil[r.id] {
+	if now < r.txUntil {
 		// Receiving while transmitting is impossible; the energy still
 		// occupied the medium (busy already extended).
 		return
@@ -132,27 +184,24 @@ func (r *Radio) beginArrival(a arrival) {
 		cur := r.rx
 		ratio := r.ch.params.CaptureRatio
 		switch {
-		case cur.power >= ratio*a.power:
+		case cur.power >= ratio*le.power:
 			// Current reception captures over the newcomer; the
 			// newcomer is absorbed as noise.
-			r.Captured++
 			r.ch.Captures++
-		case a.power >= ratio*cur.power && a.power >= r.ch.params.RxThreshold:
+		case le.power >= ratio*cur.power && le.power >= r.ch.params.RxThreshold:
 			// Newcomer captures: the old reception dies, the new
 			// one proceeds.
 			cur.corrupted = true
-			r.Captured++
 			r.ch.Captures++
-			r.startReception(a)
+			r.startReception(le)
 		default:
 			// Comparable powers: both corrupted.
 			cur.corrupted = true
-			r.Collisions++
 			r.ch.Collisions++
 		}
 	default:
-		if a.power >= r.ch.params.RxThreshold {
-			r.startReception(a)
+		if le.power >= r.ch.params.RxThreshold {
+			r.startReception(le)
 		}
 		// Otherwise sub-reception-threshold energy: carrier sense only.
 	}
@@ -166,10 +215,13 @@ func (r *Radio) beginArrival(a arrival) {
 // SINR test only needs re-evaluation when interference steps UP: the
 // signal power is constant and departures only improve the ratio, so
 // checking at each arrival start bounds the worst case over the frame.
-func (r *Radio) beginArrivalSINR(a arrival, now sim.Time) {
-	r.addAir(a.power, a.end)
+func (r *Radio) beginArrivalSINR(le *legEvent, now sim.Time) {
+	r.airCount++
+	r.airPower += le.power
+	le.inAir = true
+	le.await()
 
-	if now < r.ch.txUntil[r.id] {
+	if now < r.txUntil {
 		// Receiving while transmitting is impossible; the energy still
 		// occupied the medium and still counts as interference for
 		// frames arriving after our transmission ends.
@@ -181,128 +233,43 @@ func (r *Radio) beginArrivalSINR(a arrival, now sim.Time) {
 	if cur := r.rx; cur != nil && !cur.corrupted && cur.end > now {
 		// airPower includes the current signal itself; everything else
 		// competes with it, the newcomer included.
-		if cur.power >= ratio*(noise+r.ch.airPower[r.id]-cur.power) {
+		if cur.power >= ratio*(noise+r.airPower-cur.power) {
 			// The reception rides out the extra interference.
-			r.Captured++
 			r.ch.Captures++
 			return
 		}
 		cur.corrupted = true
-		r.Collisions++
 		r.ch.Collisions++
 		// Fall through: the newcomer may itself be decodable over the
 		// wreckage (the SINR analogue of newcomer capture).
 	}
-	r.tryStartSINR(a, ratio, noise)
-}
-
-// tryStartSINR starts receiving a if it is decodable against the noise
-// floor plus all other in-air power.
-func (r *Radio) tryStartSINR(a arrival, ratio, noise float64) {
-	if a.power < r.ch.params.RxThreshold {
+	// Decodable against the noise floor plus all other in-air power?
+	if le.power < r.ch.params.RxThreshold || le.power < ratio*(noise+r.airPower-le.power) {
 		return
 	}
-	if interf := noise + r.ch.airPower[r.id] - a.power; a.power < ratio*interf {
-		return
-	}
-	r.startReception(a)
+	r.startReception(le)
 }
 
-// airEvent is a pooled end-of-arrival marker for SINR interference
-// accounting: it removes the arrival's power from the radio's in-air sum
-// when the frame leaves the air.
-type airEvent struct {
-	r     *Radio
-	power float64
-	fire  sim.EventFunc
+func (r *Radio) startReception(le *legEvent) {
+	r.rx = le
+	le.await()
 }
 
-func (c *Channel) allocAir() *airEvent {
-	if n := len(c.airPool); n > 0 {
-		ae := c.airPool[n-1]
-		c.airPool[n-1] = nil
-		c.airPool = c.airPool[:n-1]
-		return ae
-	}
-	ae := &airEvent{}
-	ae.fire = func() {
-		r := ae.r
-		ch := r.ch
-		ch.airCount[r.id]--
-		if ch.airCount[r.id] == 0 {
-			// Reset exactly: float subtraction of every departure would
-			// otherwise leave residue that drifts across a long run.
-			ch.airPower[r.id] = 0
-		} else {
-			ch.airPower[r.id] -= ae.power
-		}
-		ae.r = nil
-		ch.airPool = append(ch.airPool, ae)
-	}
-	return ae
-}
-
-// addAir adds an arrival's power to the in-air sum until end.
-func (r *Radio) addAir(power float64, end sim.Time) {
-	r.ch.airCount[r.id]++
-	r.ch.airPower[r.id] += power
-	ae := r.ch.allocAir()
-	ae.r = r
-	ae.power = power
-	r.ch.ends.Schedule(end, ae.fire)
-}
-
-// receptionEvent is a pooled in-progress reception: the end-of-frame
-// closure is created once per pooled struct. The arrival lives inside the
-// struct so r.rx and the corrupting writers share one instance; the struct
-// returns to the pool when its end event fires.
-type receptionEvent struct {
-	r    *Radio
-	a    arrival
-	fire sim.EventFunc
-}
-
-func (c *Channel) allocReception() *receptionEvent {
-	if n := len(c.rxPool); n > 0 {
-		re := c.rxPool[n-1]
-		c.rxPool[n-1] = nil
-		c.rxPool = c.rxPool[:n-1]
-		return re
-	}
-	re := &receptionEvent{}
-	re.fire = func() {
-		r := re.r
-		r.finishReception(&re.a)
-		re.r, re.a = nil, arrival{}
-		r.ch.rxPool = append(r.ch.rxPool, re)
-	}
-	return re
-}
-
-func (r *Radio) startReception(a arrival) {
-	re := r.ch.allocReception()
-	re.r = r
-	re.a = a
-	r.rx = &re.a
-	r.ch.ends.Schedule(a.end, re.fire)
-}
-
-func (r *Radio) finishReception(a *arrival) {
-	if r.rx == a {
+func (r *Radio) finishReception(le *legEvent) {
+	if r.rx == le {
 		r.rx = nil
 	}
-	if a.corrupted {
+	if le.corrupted {
 		return
 	}
 	// A transmission that started mid-reception corrupts it (also handled
 	// in Transmit, but guard against exact-tie orderings).
-	if r.ch.eng.Now() < r.ch.txUntil[r.id] {
+	if r.ch.eng.Now() < r.txUntil {
 		return
 	}
-	r.RxFrames++
 	r.ch.Deliveries++
 	if r.rcv != nil {
-		r.rcv.OnReceive(a.payload, a.from, a.power)
+		r.rcv.OnReceive(le.payload, le.from, le.power)
 	}
 }
 
@@ -310,8 +277,8 @@ func (r *Radio) finishReception(a *arrival) {
 // notifications to the MAC.
 func (r *Radio) extendBusy(until sim.Time) {
 	now := r.ch.eng.Now()
-	if until > r.ch.busyUntil[r.id] {
-		r.ch.busyUntil[r.id] = until
+	if until > r.busyUntil {
+		r.busyUntil = until
 	}
 	if !r.notifiedBusy && r.BusyUntil() > now {
 		r.notifiedBusy = true
@@ -332,9 +299,6 @@ func (r *Radio) armWatchdog() {
 		return
 	}
 	r.watchdogArmed = true
-	if r.watchdogFn == nil {
-		r.watchdogFn = r.watchdogFire
-	}
 	r.ch.ends.Schedule(until, r.watchdogFn)
 }
 

@@ -183,15 +183,16 @@ type Engine struct {
 	// It is a guard against runaway protocol loops in tests.
 	Limit uint64
 
-	// Interrupt, when non-nil, is polled every InterruptEvery events during
+	// Interrupt, when non-nil, is polled every interruptEvery events during
 	// Run; a non-nil return aborts Run with that error. This is how external
 	// cancellation (context.Context) reaches the event loop without putting
 	// a channel receive on the per-event hot path.
 	Interrupt func() error
-	// InterruptEvery is the polling period in events (0 selects a default
-	// of 4096, frequent enough for sub-millisecond cancellation latency).
-	InterruptEvery uint64
 }
+
+// interruptEvery is Run's Interrupt polling period in events, frequent
+// enough for sub-millisecond cancellation latency.
+const interruptEvery = 4096
 
 // NewEngine returns an empty engine with the clock at time zero.
 func NewEngine() *Engine { return &Engine{} }
@@ -307,10 +308,6 @@ func (e *Engine) Stop() { e.stopped = true }
 // time).
 func (e *Engine) Run(until Time) error {
 	e.stopped = false
-	every := e.InterruptEvery
-	if every == 0 {
-		every = 4096
-	}
 	for !e.stopped {
 		// The next event is the (at, seq)-minimum over the heap's root and
 		// every lane head; src is the lane holding it, nil for the heap.
@@ -325,8 +322,8 @@ func (e *Engine) Run(until Time) error {
 			if l.n == 0 {
 				continue
 			}
-			if h := &l.buf[l.head]; !found || h.At < at || (h.At == at && h.seq < seq) {
-				src, at, seq, found = l, h.At, h.seq, true
+			if h := &l.buf[l.head]; !found || h.at < at || (h.at == at && h.seq < seq) {
+				src, at, seq, found = l, h.at, h.seq, true
 			}
 		}
 		if !found || at > until {
@@ -348,7 +345,7 @@ func (e *Engine) Run(until Time) error {
 		if e.Limit != 0 && e.Executed > e.Limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.Limit, e.now)
 		}
-		if e.Interrupt != nil && e.Executed%every == 0 {
+		if e.Interrupt != nil && e.Executed%interruptEvery == 0 {
 			if err := e.Interrupt(); err != nil {
 				return err
 			}

@@ -392,11 +392,10 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 
 func TestEngineInterrupt(t *testing.T) {
 	e := NewEngine()
-	e.InterruptEvery = 10
 	stop := errors.New("stop now")
 	var fired int
 	e.Interrupt = func() error {
-		if fired >= 25 {
+		if fired >= interruptEvery+25 {
 			return stop
 		}
 		return nil
@@ -411,9 +410,8 @@ func TestEngineInterrupt(t *testing.T) {
 	if !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want interrupt error", err)
 	}
-	// The poll period is 10 events, so the abort lands within one period
-	// of the trigger point.
-	if fired < 25 || fired > 40 {
+	// The abort lands within one poll period of the trigger point.
+	if fired < interruptEvery+25 || fired > 2*interruptEvery {
 		t.Fatalf("fired %d events before interrupt took effect", fired)
 	}
 }

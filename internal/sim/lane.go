@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Lane is a FIFO side channel into an Engine for event streams whose keys
 // are already (almost) non-decreasing in the order they are scheduled — one
 // transmission's arrival legs, or the end-of-frame events those arrivals
@@ -33,16 +28,15 @@ import (
 // Engine.Schedule or a Timer.
 type Lane struct {
 	e    *Engine
-	buf  []LaneItem // ring; len is zero or a power of two
-	head int        // index of the oldest pending entry
-	n    int        // pending entries
+	buf  []laneEntry // ring; len is zero or a power of two
+	head int         // index of the oldest pending entry
+	n    int         // pending entries
 }
 
-// LaneItem is one lane event: what a caller hands to ScheduleBatch, and,
-// once numbered, what the ring holds.
-type LaneItem struct {
-	At  Time
-	Fn  EventFunc
+// laneEntry is one numbered lane event as the ring holds it.
+type laneEntry struct {
+	at  Time
+	fn  EventFunc
 	seq uint64
 }
 
@@ -64,41 +58,15 @@ func (l *Lane) Len() int { return l.n }
 // Schedule runs fn at absolute time at. Like Engine.Schedule it panics on a
 // timestamp before Now; unlike it, the event cannot be cancelled.
 func (l *Lane) Schedule(at Time, fn EventFunc) {
-	l.add(LaneItem{At: at, Fn: fn, seq: l.e.stamp(at)})
-}
-
-// ScheduleBatch schedules every item, numbering them in slice order — the
-// sequence numbers are those a loop of Schedule calls over items would have
-// assigned — and then appending them in (at, seq) order, so a batch whose
-// timestamps are unsorted still lands in the lane instead of falling
-// through item by item. It reorders items in place; the caller may reuse
-// the slice once the call returns.
-func (l *Lane) ScheduleBatch(items []LaneItem) {
-	for i := range items {
-		items[i].seq = l.e.stamp(items[i].At)
-	}
-	slices.SortFunc(items, func(a, b LaneItem) int {
-		if c := cmp.Compare(a.At, b.At); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for _, it := range items {
-		l.add(it)
-	}
-}
-
-// add appends the event to the ring when that keeps the ring sorted, and
-// hands it to the engine's queue otherwise.
-func (l *Lane) add(it LaneItem) {
-	if l.n > 0 && it.At < l.buf[(l.head+l.n-1)&(len(l.buf)-1)].At {
-		l.e.push(it.At, it.seq, it.Fn)
+	seq := l.e.stamp(at)
+	if l.n > 0 && at < l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at {
+		l.e.push(at, seq, fn)
 		return
 	}
 	if l.n == len(l.buf) {
 		l.grow()
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = it
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: at, fn: fn, seq: seq}
 	l.n++
 }
 
@@ -108,19 +76,19 @@ func (l *Lane) grow() {
 	if size < minLaneCap {
 		size = minLaneCap
 	}
-	buf := make([]LaneItem, size)
+	buf := make([]laneEntry, size)
 	k := copy(buf, l.buf[l.head:])
 	copy(buf[k:], l.buf[:l.head])
 	l.buf, l.head = buf, 0
 }
 
 // pop removes the head entry and returns its function. The vacated slot's
-// Fn is cleared so a dispatched closure (and whatever payload it captured)
+// fn is cleared so a dispatched closure (and whatever payload it captured)
 // is not pinned until the ring wraps around to overwrite it.
 func (l *Lane) pop() EventFunc {
 	ent := &l.buf[l.head]
-	fn := ent.Fn
-	ent.Fn = nil
+	fn := ent.fn
+	ent.fn = nil
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	return fn

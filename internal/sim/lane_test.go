@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
 	"testing"
 )
 
@@ -30,46 +28,6 @@ func TestLaneDispatchOrderAndFallback(t *testing.T) {
 	}
 	if e.Executed != 5 || e.Len() != 0 {
 		t.Fatalf("Executed %d, Len %d after drain", e.Executed, e.Len())
-	}
-}
-
-// TestLaneBatchNumbersInSliceOrder: a batch fires in timestamp order, and in
-// slice order among equal timestamps — what Schedule calls in slice order
-// would have produced.
-func TestLaneBatchNumbersInSliceOrder(t *testing.T) {
-	// A reversed run of triplicated timestamps, then a sorted run that
-	// repeats some of them.
-	long := make([]Time, 100)
-	for i := range long {
-		long[i] = Time(len(long)-i) / 3
-		if i > 2*len(long)/3 {
-			long[i] = Time(i) / 2
-		}
-	}
-	batches := map[string][]Time{"six": {At(3), At(1), At(2), At(1), At(3), At(1)}, "long": long}
-	for name, ats := range batches {
-		e := NewEngine()
-		l := e.NewLane()
-		var got, want []int
-		items := make([]LaneItem, len(ats))
-		for i, at := range ats {
-			items[i] = LaneItem{At: at, Fn: func() { got = append(got, i) }}
-			want = append(want, i)
-		}
-		sort.SliceStable(want, func(a, b int) bool { return ats[want[a]] < ats[want[b]] })
-		l.ScheduleBatch(items)
-		if l.Len() != len(ats) {
-			t.Fatalf("%s: lane holds %d of a %d-item batch", name, l.Len(), len(ats))
-		}
-		if err := e.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: dispatch order %v, want %v", name, got, want)
-		}
-		if name == "six" && fmt.Sprint(got) != "[1 3 5 2 0 4]" {
-			t.Fatalf("dispatch order %v", got)
-		}
 	}
 }
 
@@ -155,7 +113,7 @@ func TestLaneBoundedAndUnpinned(t *testing.T) {
 		pending := (i-l.head)&(len(l.buf)-1) < l.n
 		if pending {
 			live++
-		} else if ent.Fn != nil {
+		} else if ent.fn != nil {
 			t.Fatalf("slot %d still references its dispatched event's function", i)
 		}
 	}
@@ -200,6 +158,8 @@ func TestLaneGrowKeepsOrder(t *testing.T) {
 // dispatch count and order, so where the crossing event was held — queue,
 // lane, or alternating — must not show in the outcome.
 func TestLaneRunGuards(t *testing.T) {
+	// Enough events that the interrupt poll comes round once.
+	const events = interruptEvery + 10
 	type outcome struct {
 		err             string
 		fired, pending  int
@@ -211,7 +171,6 @@ func TestLaneRunGuards(t *testing.T) {
 	guards := map[string]func(e *Engine, fired *int){
 		"limit": func(e *Engine, _ *int) { e.Limit = 5 },
 		"interrupt": func(e *Engine, fired *int) {
-			e.InterruptEvery = 4
 			e.Interrupt = func() error {
 				if *fired >= 6 {
 					return stop
@@ -231,7 +190,7 @@ func TestLaneRunGuards(t *testing.T) {
 			if guard != nil {
 				guard(e, &fired)
 			}
-			for i := 1; i <= 10; i++ {
+			for i := 1; i <= events; i++ {
 				fn := func() {
 					fired++
 					if name == "stop" && fired == 3 {
@@ -257,7 +216,7 @@ func TestLaneRunGuards(t *testing.T) {
 			got.firedAfterGuard = fired
 			if hi == 0 {
 				want = got
-				if want.pending == 0 || want.fired == 10 {
+				if want.pending == 0 || want.fired == events {
 					t.Fatalf("%s: guard never tripped: %+v", name, want)
 				}
 				continue
@@ -342,38 +301,6 @@ func BenchmarkEngineLaneRun(b *testing.B) {
 			b.ResetTimer()
 			if err := e.RunAll(); err != nil {
 				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkLaneScheduleBatch prices numbering, sorting and appending one
-// batch of near-future timestamps and draining it, in the shape the PHY
-// sends: already ascending, with repeats. 8 and 26 items are a sparse and a
-// dense scene's legs per transmission, 200 a crowded carrier-sense domain.
-func BenchmarkLaneScheduleBatch(b *testing.B) {
-	for _, n := range []int{8, 26, 200} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			e := NewEngine()
-			l := e.NewLane()
-			rng := rand.New(rand.NewSource(1))
-			lags := make([]Duration, n)
-			for i := range lags {
-				lags[i] = Duration(rng.Intn(1000)) * Nanosecond // ~300 m of propagation delay
-			}
-			slices.Sort(lags)
-			items := make([]LaneItem, n)
-			nop := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k, lag := range lags {
-					items[k] = LaneItem{At: e.Now().Add(lag), Fn: nop}
-				}
-				l.ScheduleBatch(items)
-				if err := e.RunAll(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -105,25 +105,6 @@ func (s *queueScript) laneSchedule(li int, at Time) {
 	s.count(1, l.Len()-before)
 }
 
-// laneBatch issues the timestamps as one batch through lane li; the
-// reference schedules them one by one in slice order.
-func (s *queueScript) laneBatch(li int, ats []Time) {
-	if s.lanes == nil {
-		for _, at := range ats {
-			s.e.Schedule(at, s.body())
-		}
-		return
-	}
-	items := make([]LaneItem, len(ats))
-	for i, at := range ats {
-		items[i] = LaneItem{At: at, Fn: s.body()}
-	}
-	l := s.lanes[li]
-	before := l.Len()
-	l.ScheduleBatch(items)
-	s.count(len(items), l.Len()-before)
-}
-
 // count books issued lane appends by whether the lane's length took them.
 func (s *queueScript) count(issued, accepted int) {
 	s.accepted += accepted
@@ -168,14 +149,16 @@ func (s *queueScript) act() {
 		far := now.Add(scriptLaneLag) + Time(src.Int63n(int64(scriptLaneLag/8)))
 		s.laneSchedule(li, far)
 		s.laneSchedule(li, now+Time(src.Int63n(int64(far-now))))
-	case 6: // unsorted batch with equal timestamps, some tying the lane tail
+	case 6: // a run of unsorted, tied appends in slice order, some tying the lane tail
 		li := src.Intn(2)
 		base := now.Add(scriptLaneLag)
 		ats := make([]Time, 2+src.Intn(6))
 		for i := range ats {
 			ats[i] = base + Time(src.Intn(3))*Time(Microsecond)
 		}
-		s.laneBatch(li, ats)
+		for _, at := range ats {
+			s.laneSchedule(li, at)
+		}
 	case 7: // timer churn between the lane traffic
 		i := src.Intn(len(s.timers))
 		s.timers[i].Reset(Duration(src.Int63n(int64(Second))))

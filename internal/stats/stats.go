@@ -159,10 +159,11 @@ func (c *Collector) OnDataTx(p *pkt.Packet) {
 	}
 }
 
-// OnMacControl records MAC control frames (RTS/CTS/ACK) in aggregate.
+// OnMacControl records the run's MAC control frames (RTS/CTS/ACK) so far,
+// in aggregate: cumulative totals that replace those of any earlier call.
 func (c *Collector) OnMacControl(frames, bytes uint64) {
-	c.macCtlFrames += frames
-	c.macCtlBytes += bytes
+	c.macCtlFrames = frames
+	c.macCtlBytes = bytes
 }
 
 // OnJoin records a node joining (or recovering into) the membership.
