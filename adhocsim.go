@@ -57,14 +57,12 @@
 // crowds, on/off failures, region-wide partitions, compiled into a
 // deterministic per-run schedule of join/leave/fail/recover events) — as a
 // ModelSpec: a name plus a JSON-friendly parameter map. ModelKinds is the
-// table of the four, RegisteredModels(kind) lists a kind's registry,
-// ModelAxis(kind, names) sweeps the family itself as a grid dimension, and
-// the typed Register{Mobility,Traffic,Radio,Lifecycle}Model plug in new
-// models. Spec.Radio.SINR switches frame reception from the ns-2 pairwise
-// capture test to cumulative-interference SINR. The AUTOCONF protocol
-// (randomized address claim → probe → defend) pairs with the lifecycle
-// kind to study network initialization, reporting time_to_converge and
-// addr_collision_rate:
+// table of the four, each with its registry, and ModelAxis(kind, names)
+// sweeps the family itself as a grid dimension. Spec.Radio.SINR switches
+// frame reception from the ns-2 pairwise capture test to
+// cumulative-interference SINR. The AUTOCONF protocol (randomized address
+// claim → probe → defend) pairs with the lifecycle kind to study network
+// initialization, reporting time_to_converge and addr_collision_rate:
 //
 //	spec.Mobility = adhocsim.ModelSpec{Name: "gauss-markov", Params: map[string]float64{"alpha": 0.85}}
 //	spec.Radio = adhocsim.RadioSpec{Name: "shadowing", Params: map[string]float64{"sigma_db": 6}, SINR: true}
@@ -96,18 +94,12 @@ import (
 
 	"adhocsim/internal/core"
 	"adhocsim/internal/geo"
-	"adhocsim/internal/lifecycle"
-	"adhocsim/internal/mac"
-	"adhocsim/internal/mobility"
-	"adhocsim/internal/modelreg"
 	"adhocsim/internal/network"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/pkt"
-	"adhocsim/internal/radio"
 	"adhocsim/internal/scenario"
 	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
-	"adhocsim/internal/traffic"
 )
 
 // Protocol names understood by Run and Sweep.
@@ -148,12 +140,11 @@ type Spec = scenario.Spec
 // ModelSpec selects a registered model of one kind by name with optional
 // parameters inside a Spec ({"name": "gauss-markov", "params": {...}}); the
 // zero value is the kind's study default (random waypoint, CBR, static
-// membership), bit-identical to a spec without the field. MobilitySpec,
-// TrafficSpec and LifecycleSpec are its per-kind names.
+// membership), bit-identical to a spec without the field. MobilitySpec and
+// LifecycleSpec are its per-kind names.
 type (
 	ModelSpec     = scenario.ModelSpec
 	MobilitySpec  = scenario.MobilitySpec
-	TrafficSpec   = scenario.TrafficSpec
 	LifecycleSpec = scenario.LifecycleSpec
 )
 
@@ -173,88 +164,9 @@ type ModelKind = scenario.ModelKind
 // radio, lifecycle.
 func ModelKinds() []ModelKind { return scenario.ModelKinds }
 
-// RegisteredModels lists every model name of one kind (any spelling
-// ModelAxis accepts), sorted; nil for an unknown kind.
-func RegisteredModels(kind string) []string {
-	if k, ok := scenario.ModelKindByName(kind); ok {
-		return k.Models.Names()
-	}
-	return nil
-}
-
-// ModelParams is the read-tracking parameter-map view handed to every
-// kind's builders.
-type ModelParams = modelreg.Params
-
-// Scenario-model extension surface: the types an external model of each
-// kind implements against, re-exported so registrations need no internal
-// imports.
-type (
-	// MobilityModel generates one movement track per node.
-	MobilityModel = mobility.Model
-	// MobilityEnv carries the spec-level area/speed/pause fields into a
-	// mobility model builder.
-	MobilityEnv = mobility.Env
-	// MobilityBuilder constructs a mobility model; see RegisterMobilityModel.
-	MobilityBuilder = mobility.Builder
-	// Track is a node's piecewise-linear movement schedule.
-	Track = mobility.Track
-	// TrafficGenerator expands a traffic environment into connections.
-	TrafficGenerator = traffic.Generator
-	// TrafficEnv carries the spec-level traffic fields into a generator.
-	TrafficEnv = traffic.Env
-	// TrafficBuilder constructs a traffic generator; see RegisterTrafficModel.
-	TrafficBuilder = traffic.Builder
-	// TrafficConnection is one generated flow (the generator's output unit).
-	TrafficConnection = traffic.Connection
-	// RadioEnv carries the spec-level range fields and the run seed into a
-	// radio model builder.
-	RadioEnv = radio.Env
-	// RadioBuilder constructs concrete radio parameters; see RegisterRadioModel.
-	RadioBuilder = radio.Builder
-	// Propagation computes received power as a function of distance.
-	Propagation = phy.Propagation
-	// LinkPropagation extends Propagation with per-link / per-reception
-	// power draws (shadowing, fading).
-	LinkPropagation = phy.LinkPropagation
-	// GainBounded declares a stochastic propagation model's upward power
-	// bound so the spatial index stays exact.
-	GainBounded = phy.GainBounded
-	// LifecycleModel derives a deterministic membership schedule; see
-	// RegisterLifecycleModel.
-	LifecycleModel = lifecycle.Model
-	// LifecycleEnv carries the spec-level population/duration/area fields
-	// (and a position oracle) into a lifecycle model builder.
-	LifecycleEnv = lifecycle.Env
-	// LifecycleBuilder constructs a lifecycle model; see RegisterLifecycleModel.
-	LifecycleBuilder = lifecycle.Builder
-	// LifecycleEvent is one scheduled membership transition.
-	LifecycleEvent = lifecycle.Event
-	// LifecycleEventKind labels a membership transition (join/leave/fail/recover).
-	LifecycleEventKind = lifecycle.EventKind
-	// LifecycleAware is the optional protocol extension receiving Up/Down
-	// hooks at membership transitions.
-	LifecycleAware = network.LifecycleAware
-	// Autoconfigured is the optional protocol extension exposing address-
-	// autoconfiguration state to the end-of-run census.
-	Autoconfigured = network.Autoconfigured
-)
-
-// The typed registration calls, one per kind: a registered model is
-// selectable everywhere a built-in is — Spec, campaign patches and axes,
-// the adhocsim command — under its case-insensitive name. Stochastic radio models
-// must clamp their draws and implement GainBounded so the spatial-index
-// transmit path stays exact.
-func RegisterMobilityModel(name string, b MobilityBuilder) error {
-	return mobility.Models.Register(name, b)
-}
-func RegisterTrafficModel(name string, b TrafficBuilder) error {
-	return traffic.Models.Register(name, b)
-}
-func RegisterRadioModel(name string, b RadioBuilder) error { return radio.Models.Register(name, b) }
-func RegisterLifecycleModel(name string, b LifecycleBuilder) error {
-	return lifecycle.Models.Register(name, b)
-}
+// GainBounded declares a stochastic propagation model's upward power bound
+// so the spatial index stays exact.
+type GainBounded = phy.GainBounded
 
 // Rect is the simulation area type used in Spec.
 type Rect = geo.Rect
@@ -280,7 +192,7 @@ type ProgressFunc = core.ProgressFunc
 func ProgressPrinter(w io.Writer) ProgressFunc { return core.ProgressPrinter(w) }
 
 // Axis is one sweepable scenario dimension; see the axis catalogue
-// (PauseAxis and friends) and AxisByName.
+// (PauseAxis and friends) and ModelAxis.
 type Axis = core.Axis
 
 // SweepResult holds per-protocol results along a swept axis.
@@ -291,9 +203,6 @@ type GridResult = core.GridResult
 
 // Figure is a sweep viewed through one metric, ready to render.
 type Figure = core.Figure
-
-// MacConfig tunes the 802.11 MAC (queue limit, RTS threshold).
-type MacConfig = mac.Config
 
 // PhyConfig tunes the channel's transmit fast path: the spatial index's
 // reindex cadence and the SINR reception switch. Its BruteForce field is
@@ -321,8 +230,6 @@ type (
 	// Packet is the network-layer packet model. A packet received in a
 	// broadcast is shared with the other receivers and read-only.
 	Packet = pkt.Packet
-	// RadioParams are the physical-layer parameters of a scenario.
-	RadioParams = phy.RadioParams
 	// DropReason labels packet losses in the drop census.
 	DropReason = stats.DropReason
 )
@@ -330,11 +237,8 @@ type (
 // Broadcast is the link/network broadcast address.
 const Broadcast = pkt.Broadcast
 
-// Duration and Time re-export the virtual-clock types used in Spec.
-type (
-	Duration = sim.Duration
-	Time     = sim.Time
-)
+// Duration re-exports the virtual-clock duration type used in Spec.
+type Duration = sim.Duration
 
 // Second is one simulated second.
 const Second = sim.Second
@@ -404,14 +308,6 @@ func PayloadAxis(vs []float64) Axis   { return core.PayloadAxis(vs) }
 // one kind's registered model names (nil selects the whole registry), so a
 // Grid can cross protocols × mobility × traffic models.
 func ModelAxis(kind string, names []string) (Axis, error) { return core.ModelAxis(kind, names) }
-
-// AxisByName resolves a catalogue axis by CLI-friendly name ("txrange",
-// "pause", "mobility", …) — numeric axes with values, model axes with model
-// names, nil for the defaults; AxisNames lists them.
-func AxisByName(name string, values []float64, models []string) (Axis, error) {
-	return core.AxisByName(name, values, models)
-}
-func AxisNames() []string { return core.AxisNames() }
 
 // RenderFigure renders a figure as an aligned text table.
 func RenderFigure(f Figure) string { return core.RenderFigure(f) }

@@ -36,18 +36,6 @@ type CampaignSnapshot = campaign.Snapshot
 // per-metric summaries with 95% confidence half-widths.
 type CampaignResult = campaign.Result
 
-// CampaignCellResult is one cell of a CampaignResult.
-type CampaignCellResult = campaign.CellResult
-
-// Campaign is a prepared campaign; create with NewCampaign, execute with
-// its Run method, observe with Snapshot.
-type Campaign = campaign.Campaign
-
-// NewCampaign validates and expands a campaign without running it.
-func NewCampaign(spec CampaignSpec, opts CampaignOptions) (*Campaign, error) {
-	return campaign.New(spec, opts)
-}
-
 // RunCampaign expands and executes a campaign to completion (or
 // cancellation) and returns its aggregate.
 func RunCampaign(ctx context.Context, spec CampaignSpec, opts CampaignOptions) (*CampaignResult, error) {

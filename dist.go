@@ -36,17 +36,6 @@ func RunDistWorker(ctx context.Context, opts DistWorkerOptions) error {
 	return dist.RunWorker(ctx, opts)
 }
 
-// DistEvent is one progress event on the coordinator's bus.
-type DistEvent = dist.Event
-
-// Event types carried by DistEvent.
-const (
-	DistEventSnapshot      = dist.EventSnapshot
-	DistEventRunCommitted  = dist.EventRunCommitted
-	DistEventCellConverged = dist.EventCellConverged
-	DistEventCampaignDone  = dist.EventCampaignDone
-)
-
 // ResultStore is the content-addressed result cache interface.
 type ResultStore = dist.Store
 

@@ -35,14 +35,16 @@ func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
 // Dist2 returns the squared distance between p and q (cheaper than Dist).
 func (p Point) Dist2(q Point) float64 {
+	// Each product is rounded by float64(…) before the sum, so no CPU fuses
+	// them into one multiply-add: results do not depend on the architecture.
 	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Lerp returns the point a fraction t of the way from p to q.
 // t=0 yields p, t=1 yields q; t outside [0,1] extrapolates.
 func (p Point) Lerp(q Point, t float64) Point {
-	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
+	return Point{p.X + float64((q.X-p.X)*t), p.Y + float64((q.Y-p.Y)*t)}
 }
 
 // Unit returns p normalized to length 1, or the zero point if p is zero.

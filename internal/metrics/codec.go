@@ -17,6 +17,14 @@ import (
 // Encoding allocates a quarter as often but takes about as long, because
 // encoding/json validates a MarshalJSON result byte by byte.
 //
+// End to end, on the benchmark's campaign_cluster workload (2-core Xeon,
+// go1.24.0, seed 1, 20 s; 8 alternating pairs each, median, pairs where the
+// deletion won), neither half is free to delete. Without the codec,
+// allocs_per_run rose 1 546 -> 1 811 (+17 %, 0/8), units_per_s fell 441 ->
+// 417 (2/8) and cached_units_per_s 24 772 -> 23 385 (2/8). Without only the
+// encoder, allocs_per_run rose 1 545 -> 1 616 (+4.6 %, 0/8) while
+// alloc_mb_per_run fell 0.217 -> 0.207 (8/8).
+//
 // The bytes written are exactly encoding/json's for the same value: fields
 // in declaration order, omitempty as tagged, map keys sorted, and floats as
 // encoding/json's float encoder writes them. Journal lines, cache entries

@@ -97,7 +97,9 @@ func (m GaussMarkov) generateOne(horizon sim.Duration, rng *sim.RNG) *Track {
 	speed := m.MeanSpeed
 	dir := rng.Uniform(0, 2*math.Pi)
 	meanDir := dir
-	noise := math.Sqrt(1 - m.Alpha*m.Alpha)
+	// Each product is rounded by float64(…) before it feeds a sum, so no
+	// CPU fuses the two into one multiply-add (H/2 compiles to a multiply).
+	noise := math.Sqrt(1 - float64(m.Alpha*m.Alpha))
 	tickSec := m.Tick.Seconds()
 
 	var segs []Segment
@@ -109,20 +111,20 @@ func (m GaussMarkov) generateOne(horizon sim.Duration, rng *sim.RNG) *Track {
 		// it so the turn actually happens within a couple of ticks.
 		if pos.X < m.Margin || pos.X > m.Area.W-m.Margin ||
 			pos.Y < m.Margin || pos.Y > m.Area.H-m.Margin {
-			meanDir = math.Atan2(m.Area.H/2-pos.Y, m.Area.W/2-pos.X)
-			dir += 0.5 * angleDiff(dir, meanDir)
+			meanDir = math.Atan2(float64(m.Area.H/2)-pos.Y, float64(m.Area.W/2)-pos.X)
+			dir += float64(0.5 * angleDiff(dir, meanDir))
 		}
-		speed = m.Alpha*speed + (1-m.Alpha)*m.MeanSpeed + noise*m.SigmaSpeed*rng.Normal(0, 1)
+		speed = float64(m.Alpha*speed) + float64((1-m.Alpha)*m.MeanSpeed) + float64(noise*m.SigmaSpeed*rng.Normal(0, 1))
 		if speed < m.MinSpeed {
 			speed = m.MinSpeed
 		}
 		if speed > m.MaxSpeed {
 			speed = m.MaxSpeed
 		}
-		dir = m.Alpha*dir + (1-m.Alpha)*meanDir + noise*m.SigmaDir*rng.Normal(0, 1)
+		dir = float64(m.Alpha*dir) + float64((1-m.Alpha)*meanDir) + float64(noise*m.SigmaDir*rng.Normal(0, 1))
 
 		step := speed * tickSec
-		dst := m.Area.Clamp(geo.Pt(pos.X+step*math.Cos(dir), pos.Y+step*math.Sin(dir)))
+		dst := m.Area.Clamp(geo.Pt(pos.X+float64(step*math.Cos(dir)), pos.Y+float64(step*math.Sin(dir))))
 		// The emitted segment speed is the actual clamped displacement per
 		// tick, ≤ the drawn speed, so the track's MaxSpeed stays a sound
 		// bound for spatial-index query padding.

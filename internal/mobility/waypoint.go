@@ -118,7 +118,8 @@ func (m RandomWalk) generateOne(horizon sim.Duration, rng *sim.RNG) *Track {
 		// inside the area).
 		ang := rng.Uniform(0, 2*3.141592653589793)
 		distance := speed * m.Step.Seconds()
-		raw := geo.Pt(pos.X+distance*cos(ang), pos.Y+distance*sin(ang))
+		// float64(x*y) rounds the product, so no CPU fuses it into the sum.
+		raw := geo.Pt(pos.X+float64(distance*cos(ang)), pos.Y+float64(distance*sin(ang)))
 		dst := m.Area.Clamp(raw)
 		segs = append(segs, Segment{Start: t, From: pos, To: dst, Speed: speed})
 		actual := pos.Dist(dst)

@@ -128,7 +128,8 @@ func (f *Fading) RxPower(txPower, d float64) float64 { return f.Base.RxPower(txP
 func (f *Fading) LegGain(from, to pkt.NodeID, txSeq uint64) float64 {
 	x, y := gaussPair(sim.DeriveSeedValues(f.Seed, int64(from), int64(to), int64(txSeq)))
 	los := math.Sqrt(2 * f.K)
-	g := ((x+los)*(x+los) + y*y) / (2 * (f.K + 1))
+	// float64(x*y) rounds the product, so no CPU fuses it into the sum.
+	g := (float64((x+los)*(x+los)) + float64(y*y)) / (2 * (f.K + 1))
 	if g > f.MaxGain {
 		g = f.MaxGain
 	}

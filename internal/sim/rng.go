@@ -55,8 +55,9 @@ func (g *RNG) ForkNamed(name string) *RNG {
 // Float64 returns a uniform draw in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// Uniform returns a uniform draw in [lo,hi).
-func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
+// Uniform returns a uniform draw in [lo,hi). float64(…) keeps the product
+// rounded on every CPU: no fused multiply-add.
+func (g *RNG) Uniform(lo, hi float64) float64 { return lo + float64((hi-lo)*g.r.Float64()) }
 
 // Intn returns a uniform integer in [0,n). n must be > 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }

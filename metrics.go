@@ -33,24 +33,6 @@ type MetricSample = metrics.Sample
 // MetricSink consumes a run's sample stream; attach via RunConfig.Sinks.
 type MetricSink = metrics.Sink
 
-// QuantileSketch is a deterministic bounded-memory t-digest.
-type QuantileSketch = metrics.Sketch
-
-// QuantileSketchState is the JSON-exact serialized form of a QuantileSketch.
-type QuantileSketchState = metrics.SketchState
-
-// QuantileSummary is the fixed percentile set campaign results serve.
-type QuantileSummary = metrics.QuantileSummary
-
-// MetricSeries is the serialized fixed-bucket time series of a run or cell.
-type MetricSeries = metrics.SeriesState
-
-// NewQuantileSketch creates a sketch with compression δ (centroid budget ~δ).
-func NewQuantileSketch(compression float64) *QuantileSketch { return metrics.NewSketch(compression) }
-
-// QuantileSketchFromState reconstructs a sketch exactly from its state.
-func QuantileSketchFromState(st QuantileSketchState) *QuantileSketch { return metrics.FromState(st) }
-
 // NewSketchSink creates a MetricSink sketching the given kinds.
 func NewSketchSink(compression float64, kinds ...MetricKind) *metrics.SketchSink {
 	return metrics.NewSketchSink(compression, kinds...)
