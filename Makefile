@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench profile allocs race loc changes-cap
+.PHONY: verify fmt vet build test figs bench profile allocs race loc changes-cap fuzz
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -65,6 +65,27 @@ changes-cap:
 	@LC_ALL=C awk '/^- /{n=0; b=0} {n++; b+=length($$0)+1} \
 		END{printf "newest CHANGES.md entry: %d lines, %d bytes (cap 10, 2000)\n", n, b; \
 		exit (n>10 || b>2000)}' CHANGES.md
+
+## fuzz: every fuzz target, as package:Target under internal/, for 20 s
+## each. Minimising a merely-interesting input would eat the whole budget,
+## so it is off; a failing input is still written to testdata/. Every
+## target runs, and the loop fails at the end if any failed or is missing
+## (go test passes a -fuzz pattern that matches nothing). FUZZ selects a
+## subset: make fuzz FUZZ='sim:FuzzEventHeap topo:FuzzOracleHopDist'
+FUZZ ?= sim:FuzzLaneDispatchOrder sim:FuzzEventHeap sim:FuzzRNGMatchesMathRand \
+	campaign:FuzzJournalReplay campaign:FuzzSpecExpand campaign:FuzzUnitDispatch \
+	metrics:FuzzSketchState metrics:FuzzStreamsJSON topo:FuzzOracleHopDist \
+	lifecycle:FuzzLifecycleSchedule
+fuzz:
+	@failed=; for t in $(FUZZ); do \
+		pkg=$${t%%:*}; fn=$${t#*:}; \
+		echo "== $$fn (./internal/$$pkg)"; \
+		if ! $(GO) test -list "^$$fn\$$" ./internal/$$pkg | grep -qx "$$fn"; then \
+			echo "no fuzz target $$fn in ./internal/$$pkg"; failed="$$failed $$t"; continue; \
+		fi; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 20s -fuzzminimizetime 0 ./internal/$$pkg || failed="$$failed $$t"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz targets failed:$$failed"; exit 1; fi
 
 ## bench: smoke-scale benchmarks (1 iteration each, shape check). The
 ## measurement path is `go run ./benchmark` (see benchmark/README.md).

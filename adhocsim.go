@@ -57,7 +57,7 @@
 // crowds, on/off failures, region-wide partitions, compiled into a
 // deterministic per-run schedule of join/leave/fail/recover events) — as a
 // ModelSpec: a name plus a JSON-friendly parameter map. ModelKinds is the
-// table of the four, each with its registry, and ModelAxis(kind, names)
+// table of the four, each with its model listing, and ModelAxis(kind, names)
 // sweeps the family itself as a grid dimension. Spec.Radio.SINR switches
 // frame reception from the ns-2 pairwise capture test to
 // cumulative-interference SINR. The AUTOCONF protocol (randomized address
@@ -155,7 +155,7 @@ type (
 type RadioSpec = scenario.RadioSpec
 
 // ModelKind describes one scenario-model kind: its name (CLI flag, campaign
-// axis, JSON field), axis label, registry listing (names, default,
+// axis, JSON field), axis label, model listing (names, default,
 // parameter vocabulary) and where its model name and parameters sit in a
 // Spec.
 type ModelKind = scenario.ModelKind
@@ -163,10 +163,6 @@ type ModelKind = scenario.ModelKind
 // ModelKinds returns the kinds in presentation order: mobility, traffic,
 // radio, lifecycle.
 func ModelKinds() []ModelKind { return scenario.ModelKinds }
-
-// GainBounded declares a stochastic propagation model's upward power bound
-// so the spatial index stays exact.
-type GainBounded = phy.GainBounded
 
 // Rect is the simulation area type used in Spec.
 type Rect = geo.Rect
@@ -305,7 +301,7 @@ func AreaWidthAxis(vs []float64) Axis { return core.AreaWidthAxis(vs) }
 func PayloadAxis(vs []float64) Axis   { return core.PayloadAxis(vs) }
 
 // ModelAxis sweeps the scenario family itself: its values index a list of
-// one kind's registered model names (nil selects the whole registry), so a
+// one kind's model names (nil selects every model of the kind), so a
 // Grid can cross protocols × mobility × traffic models.
 func ModelAxis(kind string, names []string) (Axis, error) { return core.ModelAxis(kind, names) }
 

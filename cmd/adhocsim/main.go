@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -125,8 +126,13 @@ func (c *cli) scenarioFlags() *scenarioFlags {
 	return s
 }
 
-// apply writes the block into spec, clamping MinSpeed to the maximum.
-func (s *scenarioFlags) apply(spec *scenario.Spec) {
+// apply writes the block into spec, clamping MinSpeed to the maximum. Go
+// leaves the conversion of NaN or ±Inf seconds to a sim.Duration to the
+// implementation, so a non-finite -pause stops here.
+func (s *scenarioFlags) apply(c *cli, spec *scenario.Spec) {
+	if math.IsNaN(*s.pause) || math.IsInf(*s.pause, 0) {
+		c.usageError("-pause %g: pause must be a finite number of seconds", *s.pause)
+	}
 	spec.Nodes = *s.nodes
 	spec.Area.W, spec.Area.H = *s.w, *s.h
 	spec.Pause = sim.Seconds(*s.pause)
@@ -154,8 +160,8 @@ func (c *cli) parse(args []string, want int) []string {
 	switch {
 	case len(pos) != want:
 		c.usageError("want %d argument(s), got %q; subcommands: %s", want, pos, subcommandList)
-	case c.dur != nil && *c.dur < 0:
-		c.usageError("-dur %g: duration cannot be negative", *c.dur)
+	case c.dur != nil && (!(*c.dur >= 0) || math.IsInf(*c.dur, 1)):
+		c.usageError("-dur %g: duration must be a finite, non-negative number of seconds", *c.dur)
 	case c.seeds != nil && *c.seeds < 1:
 		c.usageError("-seeds %d: need at least one replication seed", *c.seeds)
 	case c.workers != nil && *c.workers < 0:

@@ -70,7 +70,7 @@ func runCmd(c *cli, args []string) int {
 	c.parse(args, 0)
 
 	spec := adhocsim.DefaultSpec()
-	scene.apply(&spec)
+	scene.apply(c, &spec)
 	spec.Sources = *sources
 	spec.Rate = *rate
 	spec.PayloadBytes = *payload

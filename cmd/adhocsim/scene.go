@@ -22,7 +22,7 @@ func sceneCmd(c *cli, args []string) int {
 	}
 
 	spec := scenario.Default()
-	scene.apply(&spec)
+	scene.apply(c, &spec)
 	inst, err := spec.Generate(*scene.seed)
 	if err != nil {
 		c.fatal(err)

@@ -60,6 +60,11 @@ func (a Axis) validate() error {
 	}
 	seen := make(map[string]bool, len(a.Values))
 	for _, v := range a.Values {
+		// Apply converts values to durations and counts, and Go leaves
+		// converting NaN or ±Inf to an integer to the implementation.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: axis %q: value %v is not a finite number", a.Label, v)
+		}
 		if a.CheckValue != nil {
 			if err := a.CheckValue(v); err != nil {
 				return fmt.Errorf("core: axis %q: %w", a.Label, err)

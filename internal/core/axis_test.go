@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -258,6 +259,15 @@ func TestSweepRejectsInvalidAxis(t *testing.T) {
 	}
 	if _, err := Sweep(context.Background(), opts, NodesAxis([]float64{})); err == nil {
 		t.Fatal("empty density list accepted")
+	}
+	// Pause and counts convert to integers, where NaN and ±Inf are left to
+	// the implementation.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, axis := range []Axis{PauseAxis([]float64{v}), NodesAxis([]float64{v}), PayloadAxis([]float64{10, v})} {
+			if _, err := Sweep(context.Background(), opts, axis); err == nil || !strings.Contains(err.Error(), "not a finite number") {
+				t.Errorf("axis %q value %v: err = %v, want it refused as not finite", axis.Label, v, err)
+			}
+		}
 	}
 }
 

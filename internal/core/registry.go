@@ -26,9 +26,8 @@ type BuildContext struct {
 // from many goroutines at once.
 type ProtocolBuilder func(BuildContext) (network.ProtocolFactory, error)
 
-// protocols is the routing-protocol registry: the same mechanism as the
-// scenario-model registries, with upper-case canonical names and no
-// default entry.
+// protocols is the routing-protocol registry, the one name table code can
+// add to: upper-case canonical names and no default entry.
 var protocols = modelreg.New[ProtocolBuilder]("core", "protocol", "", modelreg.CanonicalUpper)
 
 // RegisterProtocol adds a routing protocol under the given name, making it

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,63 +20,78 @@ func stubBuilder(BuildContext) (network.ProtocolFactory, error) {
 	return func(pkt.NodeID) network.Protocol { return flood.New(flood.Config{}) }, nil
 }
 
-// registrySemantics checks one of the five registries against the shared
-// contract: empty names, nil builders and (case-variant) duplicates are
-// rejected, lookup is case-insensitive, an unknown name's error lists the
-// registered names, and the empty name selects the default — or, for the
-// protocol registry, which has none, is unknown.
-func registrySemantics[B any](r *modelreg.Registry[B], builtin string, stub B) func(*testing.T) {
-	return func(t *testing.T) {
-		before := r.Names()
-		var nilBuilder B
-		for what, tc := range map[string]struct {
-			name    string
-			b       B
-			wantErr string
-		}{
-			"empty name":             {"  ", stub, "empty"},
-			"nil builder":            {"regtest-nil", nilBuilder, "nil builder"},
-			"duplicate":              {builtin, stub, "already registered"},
-			"case-variant duplicate": {" " + strings.ToUpper(builtin[:1]) + strings.ToLower(builtin[1:]) + " ", stub, "already registered"},
-		} {
-			err := r.Register(tc.name, tc.b)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.HasPrefix(err.Error(), r.Kind()+": ") {
-				t.Errorf("%s: err = %v, want %q-prefixed error containing %q", what, err, r.Kind(), tc.wantErr)
-			}
+// names is what the protocol registry and every model kind share: a kind,
+// a default entry and case-insensitive name resolution.
+type names interface {
+	Kind() string
+	Default() string
+	Names() []string
+	Known(name string) bool
+}
+
+// lookupSemantics checks one of the five name tables against the shared
+// lookup contract: lookup is case-insensitive, an unknown name's error
+// (from resolve) lists the names, and the empty name selects the default —
+// or, for the protocol registry, which has none, is unknown.
+func lookupSemantics(t *testing.T, r names, builtin string, resolve func(string) error) {
+	for _, name := range []string{builtin, strings.ToLower(builtin), " " + strings.ToUpper(builtin) + " "} {
+		if !r.Known(name) || resolve(name) != nil {
+			t.Errorf("%s: %q does not resolve", r.Kind(), name)
 		}
-		if got := r.Names(); len(got) != len(before) {
-			t.Errorf("rejected registrations changed the registry: %v → %v", before, got)
+	}
+	err := resolve("no-such-entry")
+	if err == nil || r.Known("no-such-entry") ||
+		!strings.Contains(err.Error(), "(registered: "+strings.Join(r.Names(), ", ")+")") {
+		t.Errorf("%s: unknown-name error %v does not list the names", r.Kind(), err)
+	}
+	if def := r.Default(); def == "" {
+		if r.Known("") {
+			t.Errorf("%s: the empty name resolved in a table with no default", r.Kind())
 		}
-		for _, name := range []string{builtin, strings.ToLower(builtin), " " + strings.ToUpper(builtin) + " "} {
-			if _, key, err := r.Lookup(name); err != nil || !strings.EqualFold(key, builtin) {
-				t.Errorf("Lookup(%q) = %q, %v", name, key, err)
-			}
-		}
-		_, _, err := r.Lookup("no-such-entry")
-		if err == nil || !strings.Contains(err.Error(), "(registered: "+strings.Join(before, ", ")+")") {
-			t.Errorf("unknown-name error %v does not list the registered names", err)
-		}
-		_, key, err := r.Lookup("")
-		if def := r.Default(); def == "" {
-			if err == nil || r.Known("") {
-				t.Errorf("empty name resolved to %q in a registry with no default", key)
-			}
-		} else if err != nil || key != def || !r.Known("") {
-			t.Errorf("empty name = %q, %v; want the default %q", key, err, def)
-		}
+	} else if !r.Known("") || !slices.Contains(r.Names(), def) {
+		t.Errorf("%s: the default %q does not resolve", r.Kind(), def)
 	}
 }
 
+// TestRegistrySemantics: the protocol registry, the one table code can add
+// to, rejects empty names, nil builders and (case-variant) duplicates with a
+// kind-prefixed error; it and every model kind resolve names alike.
 func TestRegistrySemantics(t *testing.T) {
-	t.Run("protocols", registrySemantics(protocols, DSR, stubBuilder))
-	t.Run("mobility", registrySemantics(mobility.Models.Registry, "waypoint",
-		func(mobility.Env, modelreg.Params) (mobility.Model, error) { return nil, nil }))
-	t.Run("traffic", registrySemantics(traffic.Models.Registry, "cbr",
-		func(modelreg.Params) (traffic.Generator, error) { return nil, nil }))
-	t.Run("radio", registrySemantics(radio.Models.Registry, "tworay",
-		func(radio.Env, modelreg.Params) (phy.RadioParams, error) { return phy.RadioParams{}, nil }))
-	t.Run("lifecycle", registrySemantics(lifecycle.Models.Registry, "static",
-		func(lifecycle.Env, modelreg.Params) (lifecycle.Model, error) { return nil, nil }))
+	t.Run("protocols", func(t *testing.T) {
+		before := protocols.Names()
+		for what, tc := range map[string]struct {
+			name    string
+			b       ProtocolBuilder
+			wantErr string
+		}{
+			"empty name":             {"  ", stubBuilder, "empty"},
+			"nil builder":            {"regtest-nil", nil, "nil builder"},
+			"duplicate":              {DSR, stubBuilder, "already registered"},
+			"case-variant duplicate": {" Dsr ", stubBuilder, "already registered"},
+		} {
+			err := protocols.Register(tc.name, tc.b)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.HasPrefix(err.Error(), "core: ") {
+				t.Errorf("%s: err = %v, want a core-prefixed error containing %q", what, err, tc.wantErr)
+			}
+		}
+		if got := protocols.Names(); len(got) != len(before) {
+			t.Errorf("rejected registrations changed the registry: %v → %v", before, got)
+		}
+		lookupSemantics(t, protocols, DSR, func(name string) error { _, _, err := protocols.Lookup(name); return err })
+	})
+	for _, k := range []struct {
+		models  modelreg.Listing
+		builtin string
+	}{
+		{mobility.Models, "waypoint"},
+		{traffic.Models, "cbr"},
+		{radio.Models, "tworay"},
+		{lifecycle.Models, "static"},
+	} {
+		t.Run(k.models.Kind(), func(t *testing.T) {
+			lookupSemantics(t, k.models, k.builtin, func(name string) error { _, err := k.models.ParamNames(name); return err })
+		})
+	}
 }
 
 func TestFactoryForUnknownProtocolListsRegistered(t *testing.T) {

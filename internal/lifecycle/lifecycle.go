@@ -1,7 +1,7 @@
 // Package lifecycle compiles named churn models into deterministic per-run
 // schedules of node membership events (Join/Leave/Fail/Recover). It is the
-// fourth modelreg-backed scenario registry, next to mobility, traffic and
-// radio: a scenario.Spec names a lifecycle model (scenario.LifecycleSpec),
+// fourth scenario-model kind, next to mobility, traffic and radio: a
+// scenario.Spec names a lifecycle model (scenario.LifecycleSpec),
 // the model's builder shapes it from parameters, and Schedule expands it
 // into a concrete event list from the run's "lifecycle" RNG substream — so
 // identical (spec, seed) pairs replay the same churn across processes.
@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"adhocsim/internal/geo"
-	"adhocsim/internal/modelreg"
 	"adhocsim/internal/sim"
 )
 
@@ -93,32 +92,12 @@ func (e Env) posAt(node int, at sim.Time) geo.Point {
 type Model interface {
 	// Schedule returns the run's membership events. It must be pure: the
 	// same env and the same rng state must yield the same schedule, and it
-	// must tolerate env.Nodes == 0 (the registry dry-runs every built
-	// model with a zero-node env, so bad parameters fail at Spec.Validate
-	// / campaign-submission time). Returned events need not be sorted;
+	// must tolerate env.Nodes == 0 (Models dry-runs every built model
+	// with a zero-node env, so bad parameters fail at Spec.Validate /
+	// campaign-submission time). Returned events need not be sorted;
 	// callers Normalize before applying.
 	Schedule(env Env, rng *sim.RNG) ([]Event, error)
 }
-
-// Builder constructs a configured Model from the scenario environment and a
-// model-specific parameter map. Builders must be pure and must reject
-// unknown parameter names (use modelreg.Params.Err) so misspelled keys fail
-// loudly instead of silently selecting defaults.
-type Builder func(env Env, params modelreg.Params) (Model, error)
-
-// Models is the churn-model registry; an empty name selects the static
-// fixed-population lifecycle. Every built model is validated with a
-// zero-node dry run, so an out-of-range parameter (flashcrowd base_frac=2,
-// onoff-fail mean_up_s=0, …) fails at Spec.Validate / campaign-submission
-// time rather than mid-campaign — which is why Model.Schedule must
-// tolerate n=0.
-var Models = modelreg.NewModels("lifecycle", "static",
-	func(b Builder, env Env, p modelreg.Params) (Model, error) { return b(env, p) },
-	func(m Model, env Env) error {
-		env.Nodes = 0
-		_, err := m.Schedule(env, sim.NewRNG(0))
-		return err
-	})
 
 // New resolves a model name through Models and builds it for the given
 // environment.

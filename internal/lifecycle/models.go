@@ -146,40 +146,48 @@ func (m PartitionHeal) Schedule(env Env, rng *sim.RNG) ([]Event, error) {
 	return events, nil
 }
 
-// The built-in models self-register so that scenario specs, campaign axes
-// and external registrations all resolve through one mechanism.
-func init() {
-	Models.MustRegister("static", func(env Env, p modelreg.Params) (Model, error) {
+// Models is the churn-model table; an empty name selects the static
+// fixed-population lifecycle. Every built model is validated with a
+// zero-node dry run, so an out-of-range parameter (flashcrowd base_frac=2,
+// onoff-fail mean_up_s=0, …) fails at Spec.Validate / campaign-submission
+// time rather than mid-campaign — which is why Model.Schedule must
+// tolerate n=0.
+var Models = modelreg.NewModels("lifecycle", "static", map[string]func(Env, modelreg.Params) (Model, error){
+	"static": func(env Env, p modelreg.Params) (Model, error) {
 		return Static{}, p.Err()
-	})
-	Models.MustRegister("staggered-join", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"staggered-join": func(env Env, p modelreg.Params) (Model, error) {
 		m := StaggeredJoin{
 			Start:  p.Duration("start_s", 0),
 			Window: p.Duration("window_s", 30*sim.Second),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("flashcrowd", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"flashcrowd": func(env Env, p modelreg.Params) (Model, error) {
 		m := FlashCrowd{
 			BaseFrac: p.Get("base_frac", 0.2),
 			At:       p.Duration("at_s", 10*sim.Second),
 			Window:   p.Duration("window_s", 2*sim.Second),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("onoff-fail", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"onoff-fail": func(env Env, p modelreg.Params) (Model, error) {
 		m := OnOffFail{
 			MeanUp:   p.Duration("mean_up_s", 60*sim.Second),
 			MeanDown: p.Duration("mean_down_s", 10*sim.Second),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("partition-heal", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"partition-heal": func(env Env, p modelreg.Params) (Model, error) {
 		m := PartitionHeal{
 			At:         p.Duration("at_s", 30*sim.Second),
 			Outage:     p.Duration("outage_s", 30*sim.Second),
 			RegionFrac: p.Get("region_frac", 0.5),
 		}
 		return m, p.Err()
-	})
-}
+	},
+}, func(m Model, env Env) error {
+	env.Nodes = 0
+	_, err := m.Schedule(env, sim.NewRNG(0))
+	return err
+})

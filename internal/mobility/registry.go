@@ -17,37 +17,14 @@ type Env struct {
 	Pause    sim.Duration
 }
 
-// Builder constructs a configured Model from the scenario environment and a
-// model-specific parameter map. Builders must be pure and must reject
-// unknown parameter names (use modelreg.Params.Err) so misspelled keys fail
-// loudly instead of silently selecting defaults.
-type Builder func(env Env, params modelreg.Params) (Model, error)
-
-// Models is the mobility-model registry: scenario specs, the campaign
-// engine and the cmd tools resolve names through it, and code outside this
-// package plugs new models in with Models.Register. An empty name selects
-// the study's random waypoint. Every built model is validated with a
-// zero-node dry run, so an out-of-range parameter (gauss-markov alpha=1.5,
-// manhattan turn_prob=2, …) fails at Spec.Validate / campaign-submission
-// time rather than mid-campaign — which is why Model.Generate must
-// tolerate n=0.
-var Models = modelreg.NewModels("mobility", "waypoint",
-	func(b Builder, env Env, p modelreg.Params) (Model, error) { return b(env, p) },
-	func(m Model, _ Env) error {
-		_, err := m.Generate(0, 0, sim.NewRNG(0))
-		return err
-	})
-
-// New resolves a model name through Models and builds it for the given
-// environment.
-func New(name string, env Env, params map[string]float64) (Model, error) {
-	return Models.Build(name, env, params)
-}
-
-// The built-in models self-register so that scenario specs, campaign axes
-// and external registrations all resolve through one mechanism.
-func init() {
-	Models.MustRegister("waypoint", func(env Env, p modelreg.Params) (Model, error) {
+// Models is the mobility-model table: scenario specs, the campaign engine
+// and the cmd tools resolve names through it. An empty name selects the
+// study's random waypoint. Every built model is validated with a zero-node
+// dry run, so an out-of-range parameter (gauss-markov alpha=1.5, manhattan
+// turn_prob=2, …) fails at Spec.Validate / campaign-submission time rather
+// than mid-campaign — which is why Model.Generate must tolerate n=0.
+var Models = modelreg.NewModels("mobility", "waypoint", map[string]func(Env, modelreg.Params) (Model, error){
+	"waypoint": func(env Env, p modelreg.Params) (Model, error) {
 		m := RandomWaypoint{
 			Area:     env.Area,
 			MinSpeed: p.Get("min_speed_mps", env.MinSpeed),
@@ -55,8 +32,8 @@ func init() {
 			Pause:    p.Duration("pause_s", env.Pause),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("walk", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"walk": func(env Env, p modelreg.Params) (Model, error) {
 		m := RandomWalk{
 			Area:     env.Area,
 			MinSpeed: p.Get("min_speed_mps", env.MinSpeed),
@@ -64,8 +41,8 @@ func init() {
 			Step:     p.Duration("step_s", 10*sim.Second),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("gauss-markov", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"gauss-markov": func(env Env, p modelreg.Params) (Model, error) {
 		min := p.Get("min_speed_mps", env.MinSpeed)
 		max := p.Get("max_speed_mps", env.MaxSpeed)
 		m := GaussMarkov{
@@ -80,8 +57,8 @@ func init() {
 			Margin:     p.Get("margin_m", 0),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("manhattan", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"manhattan": func(env Env, p modelreg.Params) (Model, error) {
 		m := Manhattan{
 			Area:     env.Area,
 			BlocksX:  int(p.Get("blocks_x", 0)),
@@ -91,8 +68,8 @@ func init() {
 			TurnProb: p.Get("turn_prob", 0.25),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("rpgm", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"rpgm": func(env Env, p modelreg.Params) (Model, error) {
 		m := GroupMobility{
 			Area:     env.Area,
 			Groups:   int(p.Get("groups", 4)),
@@ -103,12 +80,21 @@ func init() {
 			Resample: p.Duration("resample_s", 10*sim.Second),
 		}
 		return m, p.Err()
-	})
-	Models.MustRegister("static-grid", func(env Env, p modelreg.Params) (Model, error) {
+	},
+	"static-grid": func(env Env, p modelreg.Params) (Model, error) {
 		m := StaticGrid{
 			Area:   env.Area,
 			Jitter: p.Get("jitter_m", 25),
 		}
 		return m, p.Err()
-	})
+	},
+}, func(m Model, _ Env) error {
+	_, err := m.Generate(0, 0, sim.NewRNG(0))
+	return err
+})
+
+// New resolves a model name through Models and builds it for the given
+// environment.
+func New(name string, env Env, params map[string]float64) (Model, error) {
+	return Models.Build(name, env, params)
 }

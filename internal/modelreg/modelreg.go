@@ -1,16 +1,16 @@
-// Package modelreg is the one registry mechanism of the simulator. Its five
-// users are core's routing-protocol table and the four scenario-model kinds
-// (mobility, traffic, radio, lifecycle): a Registry is the case-insensitive
-// named-builder table with a default entry, Models adds what every model
-// kind needs on top — build by name with the kind's own validation hook and
-// parameter discovery — and Params is the read-tracking parameter-map view
-// builders consume. Registration semantics (name canonicalization,
-// duplicate/nil rejection, error wording) therefore cannot drift between
-// the five.
+// Package modelreg holds the simulator's named-builder tables. A Registry is
+// a case-insensitive table with a default entry; core's routing-protocol
+// table is one, and the only table code can add to (core.RegisterProtocol).
+// Models is one scenario-model kind (mobility, traffic, radio, lifecycle): a
+// closed builder table, declared once, that builds by name with the kind's
+// own validation hook and reports each model's parameters. Params is the
+// read-tracking parameter-map view builders consume. Name canonicalization
+// and error wording are therefore the same for protocols and models.
 package modelreg
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -117,56 +117,71 @@ func (r *Registry[B]) Lookup(name string) (B, string, error) {
 	return b, key, nil
 }
 
-// Models is the registry of one scenario-model kind: a Registry of the
-// kind's builders B, which turn an environment E and a parameter map into
-// a model M.
-type Models[B, E, M any] struct {
-	*Registry[B]
-	call  func(B, E, Params) (M, error)
+// Models is one scenario-model kind: its builders, declared once as a
+// table, each turning an environment E and a parameter map into a model M.
+// The table is closed: a kind's models are exactly its declaration.
+type Models[E, M any] struct {
+	reg   *Registry[func(E, Params) (M, error)]
 	check func(M, E) error
 }
 
-// NewModels creates a model-kind registry. call invokes one builder
-// (builder signatures are the kind's own); check, when non-nil, validates
-// every built model, so an out-of-range parameter fails at Spec.Validate /
-// campaign-submission time rather than mid-campaign.
-func NewModels[B, E, M any](kind, defaultName string, call func(B, E, Params) (M, error), check func(M, E) error) *Models[B, E, M] {
-	return &Models[B, E, M]{Registry: New[B](kind, "model", defaultName, Canonical), call: call, check: check}
+// NewModels creates a model kind from its builder table. check, when
+// non-nil, validates every built model, so an out-of-range parameter fails
+// at Spec.Validate / campaign-submission time rather than mid-campaign.
+func NewModels[E, M any](kind, defaultName string, builders map[string]func(E, Params) (M, error), check func(M, E) error) *Models[E, M] {
+	reg := New[func(E, Params) (M, error)](kind, "model", defaultName, Canonical)
+	for name, b := range builders {
+		reg.MustRegister(name, b)
+	}
+	return &Models[E, M]{reg: reg, check: check}
 }
+
+// Kind returns the kind's name ("mobility", "traffic", …).
+func (k *Models[E, M]) Kind() string { return k.reg.Kind() }
+
+// Default returns the model an empty name selects.
+func (k *Models[E, M]) Default() string { return k.reg.Default() }
+
+// Names returns every model name, sorted.
+func (k *Models[E, M]) Names() []string { return k.reg.Names() }
+
+// Known reports whether a name resolves (the empty name selects the
+// default model).
+func (k *Models[E, M]) Known(name string) bool { return k.reg.Known(name) }
 
 // Build resolves a model name (empty selects the default model), builds it
 // for the given environment and validates the result.
-func (k *Models[B, E, M]) Build(name string, env E, params map[string]float64) (M, error) {
+func (k *Models[E, M]) Build(name string, env E, params map[string]float64) (M, error) {
 	var zero M
-	b, key, err := k.Lookup(name)
+	b, key, err := k.reg.Lookup(name)
 	if err != nil {
 		return zero, err
 	}
-	model, err := k.call(b, env, NewParams(params))
+	model, err := b(env, NewParams(params))
 	if err == nil && k.check != nil {
 		err = k.check(model, env)
 	}
 	if err != nil {
-		return zero, fmt.Errorf("%s: model %q: %w", k.kind, key, err)
+		return zero, fmt.Errorf("%s: model %q: %w", k.Kind(), key, err)
 	}
 	return model, nil
 }
 
 // ParamNames reports the parameter keys the named model consumes, observed
 // by dry-building it on a zero environment with an empty parameter map.
-func (k *Models[B, E, M]) ParamNames(name string) ([]string, error) {
-	b, _, err := k.Lookup(name)
+func (k *Models[E, M]) ParamNames(name string) ([]string, error) {
+	b, _, err := k.reg.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	var env E
 	p := NewParams(nil)
-	_, _ = k.call(b, env, p) // only the keys it read matter
+	_, _ = b(env, p) // only the keys it read matter
 	return p.Used(), nil
 }
 
-// Listing is the builder-type-free view of a Models registry — what a
-// table of model kinds holds.
+// Listing is the type-free view of a model kind — what a table of model
+// kinds holds.
 type Listing interface {
 	Kind() string
 	Default() string
@@ -218,22 +233,25 @@ func (p Params) Used() []string {
 }
 
 // Err reports the first parameter key that no Get/Duration call consumed —
-// the guard against silently-ignored misspellings. Builders call it last.
+// the guard against silently-ignored misspellings — and otherwise the first
+// non-finite value: strconv.ParseFloat reads "nan" and "inf", so a CLI flag
+// or a Go caller can supply one (JSON cannot). Builders call it last.
 func (p Params) Err() error {
-	var unknown []string
-	for k := range p.m {
+	var unknown, nonFinite []string
+	for k, v := range p.m {
 		if !p.used[k] {
 			unknown = append(unknown, k)
+		} else if math.IsNaN(v) || math.IsInf(v, 0) {
+			nonFinite = append(nonFinite, k)
 		}
 	}
-	if len(unknown) == 0 {
-		return nil
-	}
 	sort.Strings(unknown)
-	known := make([]string, 0, len(p.used))
-	for k := range p.used {
-		known = append(known, k)
+	sort.Strings(nonFinite)
+	switch {
+	case len(unknown) > 0:
+		return fmt.Errorf("unknown parameter %q (known: %s)", unknown[0], strings.Join(p.Used(), ", "))
+	case len(nonFinite) > 0:
+		return fmt.Errorf("parameter %q is %v, not a finite number", nonFinite[0], p.m[nonFinite[0]])
 	}
-	sort.Strings(known)
-	return fmt.Errorf("unknown parameter %q (known: %s)", unknown[0], strings.Join(known, ", "))
+	return nil
 }

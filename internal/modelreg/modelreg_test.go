@@ -2,6 +2,7 @@ package modelreg
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,18 +105,16 @@ func TestLookup(t *testing.T) {
 // canonical model name, passes the environment through, and ParamNames
 // reports the keys a dry build on the zero environment reads.
 func TestModels(t *testing.T) {
-	type build func(scale int, p Params) (int, error)
-	k := NewModels("gain", "unit",
-		func(b build, scale int, p Params) (int, error) { return b(scale, p) },
-		func(m int, _ int) error {
-			if m < 0 {
-				return errors.New("negative gain")
-			}
-			return nil
-		})
-	k.MustRegister("unit", func(scale int, p Params) (int, error) { return scale, p.Err() })
-	k.MustRegister("Linear", func(scale int, p Params) (int, error) {
-		return scale * int(p.Get("slope", 2)+p.Get("offset", 0)), p.Err()
+	k := NewModels("gain", "unit", map[string]func(int, Params) (int, error){
+		"unit": func(scale int, p Params) (int, error) { return scale, p.Err() },
+		"Linear": func(scale int, p Params) (int, error) {
+			return scale * int(p.Get("slope", 2)+p.Get("offset", 0)), p.Err()
+		},
+	}, func(m int, _ int) error {
+		if m < 0 {
+			return errors.New("negative gain")
+		}
+		return nil
 	})
 	if got, err := k.Build("", 7, nil); err != nil || got != 7 {
 		t.Errorf("Build of the default = (%d, %v), want 7", got, err)
@@ -183,6 +182,21 @@ func TestParams(t *testing.T) {
 	p.Get("zeta", 0)
 	if err := p.Err(); err != nil {
 		t.Errorf("Err() = %v with every supplied key read", err)
+	}
+
+	// NaN and ±Inf parse from "nan" and "inf" on the command line; Err
+	// names the first non-finite key, once no key is unknown.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := NewParams(map[string]float64{"alpha": 0.5, "sigma": v, "zeta": v})
+		p.Get("alpha", 0)
+		p.Get("sigma", 0)
+		if err := p.Err(); err == nil || !strings.Contains(err.Error(), `unknown parameter "zeta"`) {
+			t.Errorf("%v: Err() = %v, want the unknown zeta first", v, err)
+		}
+		p.Get("zeta", 0)
+		if err := p.Err(); err == nil || !strings.Contains(err.Error(), `parameter "sigma" is `) {
+			t.Errorf("%v: Err() = %v, want it to name sigma", v, err)
+		}
 	}
 
 	// A nil map is an empty parameter set.

@@ -30,10 +30,8 @@ type Receiver interface {
 // SpeedBound to amortise the reindex cost (network.NewWorld does).
 type Config struct {
 	// BruteForce disables the spatial index and restores the legacy
-	// all-radios transmit loop. Kept for parity testing and for custom
-	// propagation models whose power is not monotone in distance (the
-	// index prunes by distance and would miss such a model's far-field
-	// lobes).
+	// all-radios transmit loop, the reference the parity tests hold the
+	// index to.
 	BruteForce bool
 	// ReindexInterval bounds how stale the indexed positions may grow
 	// before the channel re-captures every radio's position. Zero means
@@ -233,7 +231,7 @@ func (c *Channel) reindex(now sim.Time) {
 			// nominal CS range. Widen to the distance where even a
 			// maximum-gain draw falls below the threshold; the clamp the
 			// models enforce is what keeps this bound finite and the
-			// distance-pruning index exact (see GainBounded).
+			// distance-pruning index exact (see LinkPropagation).
 			c.csRange = c.params.rangeFor(c.params.CSThreshold / g)
 		}
 		slack := c.cfg.SpeedBound * c.cfg.ReindexInterval.Seconds()

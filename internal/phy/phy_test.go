@@ -53,6 +53,44 @@ func TestParamsForRange(t *testing.T) {
 	}
 }
 
+// gainProp is a link model declaring the gain bound g.
+type gainProp struct {
+	TwoRayGround
+	g float64
+}
+
+func (m gainProp) LinkRxPower(txPower, d float64, _, _ pkt.NodeID, _ uint64) float64 {
+	return m.RxPower(txPower, d)
+}
+
+func (m gainProp) MaxGainLinear() float64 { return m.g }
+
+// TestValidateRejectsNaN: every bound Validate checks fails on NaN, which a
+// plain x <= 0 comparison lets through, and the gain bound on +Inf.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for what, mut := range map[string]func(*RadioParams){
+		"tx power":      func(p *RadioParams) { p.TxPower = nan },
+		"rx threshold":  func(p *RadioParams) { p.RxThreshold = nan },
+		"cs threshold":  func(p *RadioParams) { p.CSThreshold = nan },
+		"capture ratio": func(p *RadioParams) { p.CaptureRatio = nan },
+		"noise floor":   func(p *RadioParams) { p.NoiseW = nan },
+		"gain bound":    func(p *RadioParams) { p.Prop = gainProp{p.Prop.(TwoRayGround), nan} },
+		"infinite gain": func(p *RadioParams) { p.Prop = gainProp{p.Prop.(TwoRayGround), math.Inf(1)} },
+	} {
+		p := DefaultParams()
+		mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", what)
+		}
+	}
+	p := DefaultParams()
+	p.Prop = gainProp{p.Prop.(TwoRayGround), 2}
+	if err := p.Validate(); err != nil {
+		t.Errorf("finite gain bound 2 rejected: %v", err)
+	}
+}
+
 func TestFreeSpaceInverseSquare(t *testing.T) {
 	fs := FreeSpace{Gt: 1, Gr: 1, Lambda: 0.3, L: 1}
 	r1 := fs.RxPower(1, 100)

@@ -40,27 +40,24 @@ type Propagation interface {
 // receiver) leg regardless of the order receivers are probed in — the
 // spatial index and the brute-force loop probe different candidate sets,
 // and only content-derived draws keep them bit-identical.
+//
+// MaxGainLinear bounds how far above the nominal RxPower a single link or
+// reception can land (a linear power factor ≥ 1). The channel widens its
+// candidate query by this factor so the distance-pruning spatial index can
+// never miss a lucky link that clears the carrier-sense threshold from
+// beyond the nominal range. Models must clamp their draws to honour it.
 type LinkPropagation interface {
 	Propagation
 	LinkRxPower(txPower, d float64, from, to pkt.NodeID, txSeq uint64) float64
-}
-
-// GainBounded is implemented by stochastic propagation models to bound how
-// far above the nominal RxPower a single link or reception can land
-// (linear power factor ≥ 1). The channel widens its candidate query by
-// this factor so the distance-pruning spatial index can never miss a
-// lucky link that clears the carrier-sense threshold from beyond the
-// nominal range. Models must clamp their draws to honour the bound.
-type GainBounded interface {
 	MaxGainLinear() float64
 }
 
 // MaxGain returns the propagation model's upward deviation bound: its
-// MaxGainLinear when it declares one, else exactly 1 (deterministic
-// models never exceed their nominal power).
+// MaxGainLinear when it is a LinkPropagation, else exactly 1
+// (deterministic models never exceed their nominal power).
 func MaxGain(prop Propagation) float64 {
-	if gb, ok := prop.(GainBounded); ok {
-		return gb.MaxGainLinear()
+	if lp, ok := prop.(LinkPropagation); ok {
+		return lp.MaxGainLinear()
 	}
 	return 1
 }
@@ -143,26 +140,28 @@ type RadioParams struct {
 // bad capture ratio or threshold ordering fails at spec/campaign
 // submission time instead of deep inside a worker goroutine.
 func (p RadioParams) Validate() error {
+	// Each bound is written to fail on NaN: !(x > 0), where x <= 0 would
+	// let NaN through.
 	if p.Prop == nil {
 		return fmt.Errorf("phy: nil propagation model")
 	}
-	if p.TxPower <= 0 {
+	if !(p.TxPower > 0) {
 		return fmt.Errorf("phy: non-positive transmit power %v W", p.TxPower)
 	}
-	if p.RxThreshold <= 0 || p.CSThreshold <= 0 {
+	if !(p.RxThreshold > 0) || !(p.CSThreshold > 0) {
 		return fmt.Errorf("phy: non-positive threshold (rx %v W, cs %v W)", p.RxThreshold, p.CSThreshold)
 	}
 	if p.CSThreshold > p.RxThreshold {
 		return fmt.Errorf("phy: carrier-sense threshold %v W above reception threshold %v W (CS range must cover rx range)",
 			p.CSThreshold, p.RxThreshold)
 	}
-	if p.CaptureRatio <= 1 {
+	if !(p.CaptureRatio > 1) {
 		return fmt.Errorf("phy: capture ratio must exceed 1, got %v", p.CaptureRatio)
 	}
-	if p.NoiseW < 0 || math.IsNaN(p.NoiseW) {
+	if !(p.NoiseW >= 0) {
 		return fmt.Errorf("phy: invalid noise floor %v W", p.NoiseW)
 	}
-	if g := MaxGain(p.Prop); g < 1 || math.IsInf(g, 1) || math.IsNaN(g) {
+	if g := MaxGain(p.Prop); !(g >= 1) || math.IsInf(g, 1) {
 		return fmt.Errorf("phy: propagation gain bound %v outside [1, ∞)", g)
 	}
 	return nil

@@ -180,6 +180,8 @@ func (m flicker) LinkRxPower(txPower, d float64, from, to pkt.NodeID, txSeq uint
 	return p
 }
 
+func (flicker) MaxGainLinear() float64 { return 1 }
+
 // TestLinkDependentPowerNeverMemoised: a model whose power is keyed by the
 // transmission must be re-derived per transmit even in a scene at rest.
 func TestLinkDependentPowerNeverMemoised(t *testing.T) {

@@ -58,9 +58,8 @@ func NewShadowing(base phy.Propagation, sigmaDB, maxDevDB float64, seed int64) *
 // RxPower implements phy.Propagation with the nominal (median) power.
 func (s *Shadowing) RxPower(txPower, d float64) float64 { return s.Base.RxPower(txPower, d) }
 
-// LinkGain returns the linear power factor of link a–b (exported for
-// tests and for composition by external models).
-func (s *Shadowing) LinkGain(a, b pkt.NodeID) float64 {
+// linkGain returns the linear power factor of link a–b.
+func (s *Shadowing) linkGain(a, b pkt.NodeID) float64 {
 	i, j := a, b
 	if j < i {
 		i, j = j, i
@@ -86,10 +85,10 @@ func (s *Shadowing) LinkGain(a, b pkt.NodeID) float64 {
 
 // LinkRxPower implements phy.LinkPropagation.
 func (s *Shadowing) LinkRxPower(txPower, d float64, from, to pkt.NodeID, _ uint64) float64 {
-	return s.Base.RxPower(txPower, d) * s.LinkGain(from, to)
+	return s.Base.RxPower(txPower, d) * s.linkGain(from, to)
 }
 
-// MaxGainLinear implements phy.GainBounded: the clamp is the bound.
+// MaxGainLinear implements phy.LinkPropagation: the clamp is the bound.
 func (s *Shadowing) MaxGainLinear() float64 { return dbToLinear(s.MaxDevDB) }
 
 // Fading is small-scale Ricean fading (K = 0 degenerates to Rayleigh)
@@ -123,9 +122,8 @@ func NewFading(base phy.Propagation, k, maxGainDB float64, seed int64) *Fading {
 // RxPower implements phy.Propagation with the nominal (unit-mean) power.
 func (f *Fading) RxPower(txPower, d float64) float64 { return f.Base.RxPower(txPower, d) }
 
-// LegGain returns the fading power factor of one transmission leg
-// (exported for tests).
-func (f *Fading) LegGain(from, to pkt.NodeID, txSeq uint64) float64 {
+// legGain returns the fading power factor of one transmission leg.
+func (f *Fading) legGain(from, to pkt.NodeID, txSeq uint64) float64 {
 	x, y := gaussPair(sim.DeriveSeedValues(f.Seed, int64(from), int64(to), int64(txSeq)))
 	los := math.Sqrt(2 * f.K)
 	// float64(x*y) rounds the product, so no CPU fuses it into the sum.
@@ -138,8 +136,8 @@ func (f *Fading) LegGain(from, to pkt.NodeID, txSeq uint64) float64 {
 
 // LinkRxPower implements phy.LinkPropagation.
 func (f *Fading) LinkRxPower(txPower, d float64, from, to pkt.NodeID, txSeq uint64) float64 {
-	return f.Base.RxPower(txPower, d) * f.LegGain(from, to, txSeq)
+	return f.Base.RxPower(txPower, d) * f.legGain(from, to, txSeq)
 }
 
-// MaxGainLinear implements phy.GainBounded.
+// MaxGainLinear implements phy.LinkPropagation: the clamp is the bound.
 func (f *Fading) MaxGainLinear() float64 { return f.MaxGain }

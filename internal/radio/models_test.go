@@ -117,7 +117,7 @@ func TestFadingUnitMean(t *testing.T) {
 		sum := 0.0
 		const n = 20_000
 		for i := 0; i < n; i++ {
-			sum += f.LegGain(1, 2, uint64(i))
+			sum += f.legGain(1, 2, uint64(i))
 		}
 		if mean := sum / n; mean < 0.93 || mean > 1.07 {
 			t.Fatalf("%s: mean fading gain %v, want ≈1", name, mean)
@@ -137,7 +137,7 @@ func TestShadowingDeviationSpread(t *testing.T) {
 	n := 0
 	for i := pkt.NodeID(0); i < 60; i++ {
 		for j := i + 1; j < 60; j++ {
-			dev := 10 * math.Log10(s.LinkGain(i, j))
+			dev := 10 * math.Log10(s.linkGain(i, j))
 			sum += dev
 			sumSq += dev * dev
 			n++
@@ -169,7 +169,7 @@ func TestRiceanConcentratesAroundLOS(t *testing.T) {
 		var sum, sumSq float64
 		const n = 5000
 		for i := 0; i < n; i++ {
-			g := f.LegGain(0, 1, uint64(i))
+			g := f.legGain(0, 1, uint64(i))
 			sum += g
 			sumSq += g * g
 		}

@@ -1,5 +1,5 @@
-// Package radio is the registry of named, serializable radio/propagation
-// models — the third scenario-model registry next to mobility and traffic.
+// Package radio is the table of named, serializable radio/propagation
+// models — the third scenario-model kind next to mobility and traffic.
 // A scenario selects a model by name with a JSON-friendly parameter map
 // (scenario.RadioSpec) and the builder resolves it to concrete
 // phy.RadioParams, so campaigns and the HTTP service can sweep channel
@@ -11,8 +11,8 @@
 // The stochastic models derive every draw from the run seed
 // (sim.DeriveSeed / sim.DeriveSeedValues), so runs stay bit-reproducible
 // across processes and under campaign checkpoint/resume, and they clamp
-// their deviations and declare the bound (phy.GainBounded) so the spatial
-// index's distance pruning stays exact.
+// their deviations and declare the bound (phy.LinkPropagation's
+// MaxGainLinear) so the spatial index's distance pruning stays exact.
 package radio
 
 import (
@@ -60,20 +60,54 @@ func (e Env) ranges() (rx, cs float64, err error) {
 	return rx, cs, nil
 }
 
-// Builder constructs concrete radio parameters from the scenario
-// environment and a model-specific parameter map. Builders must be pure
-// and must reject unknown parameter names (use modelreg.Params.Err) so
-// misspelled keys fail loudly instead of silently selecting defaults.
-type Builder func(env Env, params modelreg.Params) (phy.RadioParams, error)
-
-// Models is the radio-model registry; an empty name selects the study's
+// Models is the radio-model table; an empty name selects the study's
 // two-ray ground reflection. Built parameters are validated eagerly
 // (phy.RadioParams.Validate), so a capture ratio at or below 1, inverted
 // thresholds, or an out-of-range model parameter fails at Spec.Validate /
 // campaign-submission time rather than mid-campaign.
-var Models = modelreg.NewModels("radio", "tworay",
-	func(b Builder, env Env, p modelreg.Params) (phy.RadioParams, error) { return b(env, p) },
-	func(p phy.RadioParams, _ Env) error { return p.Validate() })
+var Models = modelreg.NewModels("radio", "tworay", map[string]func(Env, modelreg.Params) (phy.RadioParams, error){
+	// tworay reproduces the pre-registry scenario logic bit-for-bit: the
+	// zero-valued env yields exactly phy.DefaultParams, and explicit
+	// ranges go through phy.ParamsForRange — the golden seed-parity tests
+	// pin this.
+	"tworay": func(env Env, p modelreg.Params) (phy.RadioParams, error) {
+		rx, cs, err := env.ranges()
+		if err != nil {
+			return phy.RadioParams{}, err
+		}
+		params := phy.DefaultParams()
+		if env.TxRange > 0 && env.TxRange != 250 || env.CSRange > 0 {
+			params = phy.ParamsForRange(rx, cs)
+		}
+		common(&params, p)
+		return params, p.Err()
+	},
+	"freespace": func(env Env, p modelreg.Params) (phy.RadioParams, error) {
+		return nominal(env, p, func() (phy.Propagation, error) { return studyFreeSpace(), nil })
+	},
+	"pathloss": func(env Env, p modelreg.Params) (phy.RadioParams, error) {
+		return nominal(env, p, func() (phy.Propagation, error) { return pathLossFor(p, 3) })
+	},
+	"shadowing": func(env Env, p modelreg.Params) (phy.RadioParams, error) {
+		return nominal(env, p, func() (phy.Propagation, error) {
+			base, err := pathLossFor(p, 2.8)
+			if err != nil {
+				return nil, err
+			}
+			sigma := p.Get("sigma_db", 4)
+			maxDev := p.Get("max_dev_db", 2*sigma)
+			if sigma < 0 {
+				return nil, fmt.Errorf("sigma_db must be non-negative, got %v", sigma)
+			}
+			if maxDev < 0 {
+				return nil, fmt.Errorf("max_dev_db must be non-negative, got %v", maxDev)
+			}
+			return NewShadowing(base, sigma, maxDev, env.Seed), nil
+		})
+	},
+	"ricean":   fading(6, false),
+	"rayleigh": fading(0, true),
+}, func(p phy.RadioParams, _ Env) error { return p.Validate() })
 
 // New resolves a radio model name through Models and builds it for the
 // given environment.
@@ -93,19 +127,6 @@ func studyTwoRay() phy.TwoRayGround {
 func studyFreeSpace() phy.FreeSpace {
 	tr := studyTwoRay()
 	return phy.FreeSpace{Gt: tr.Gt, Gr: tr.Gr, Lambda: tr.Lambda, L: tr.L}
-}
-
-// paramsFor derives thresholds for the given nominal model so that the
-// reception range is exactly rx metres and the carrier-sense range cs
-// metres — the same derivation idiom as phy.ParamsForRange, generalised
-// to any propagation model. Transmit power and capture ratio come from
-// the study defaults.
-func paramsFor(prop phy.Propagation, rx, cs float64) phy.RadioParams {
-	p := phy.DefaultParams()
-	p.Prop = prop
-	p.RxThreshold = prop.RxPower(p.TxPower, rx)
-	p.CSThreshold = prop.RxPower(p.TxPower, cs)
-	return p
 }
 
 // common applies the parameters every builder understands: the capture /
@@ -131,90 +152,43 @@ func pathLossFor(params modelreg.Params, defExp float64) (phy.PathLossExp, error
 	return phy.PathLossExp{FS: studyFreeSpace(), D0: d0, Exp: exp}, nil
 }
 
-// The built-in models self-register so that scenario specs, campaign axes
-// and external registrations all resolve through one mechanism.
-func init() {
-	// tworay reproduces the pre-registry scenario logic bit-for-bit: the
-	// zero-valued env yields exactly phy.DefaultParams, and explicit
-	// ranges go through phy.ParamsForRange — the golden seed-parity tests
-	// pin this.
-	Models.MustRegister("tworay", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
-		if _, _, err := env.ranges(); err != nil {
-			return phy.RadioParams{}, err
-		}
-		params := phy.DefaultParams()
-		if env.TxRange > 0 && env.TxRange != 250 || env.CSRange > 0 {
-			cs := env.CSRange
-			if cs <= 0 {
-				cs = 2.2 * env.TxRange
-			}
-			params = phy.ParamsForRange(env.TxRange, cs)
-		}
-		common(&params, p)
-		return params, p.Err()
-	})
-	Models.MustRegister("freespace", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
-		rx, cs, err := env.ranges()
-		if err != nil {
-			return phy.RadioParams{}, err
-		}
-		params := paramsFor(studyFreeSpace(), rx, cs)
-		common(&params, p)
-		return params, p.Err()
-	})
-	Models.MustRegister("pathloss", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
-		rx, cs, err := env.ranges()
-		if err != nil {
-			return phy.RadioParams{}, err
-		}
-		prop, err := pathLossFor(p, 3)
-		if err != nil {
-			return phy.RadioParams{}, err
-		}
-		params := paramsFor(prop, rx, cs)
-		common(&params, p)
-		return params, p.Err()
-	})
-	Models.MustRegister("shadowing", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
-		rx, cs, err := env.ranges()
-		if err != nil {
-			return phy.RadioParams{}, err
-		}
-		base, err := pathLossFor(p, 2.8)
-		if err != nil {
-			return phy.RadioParams{}, err
-		}
-		sigma := p.Get("sigma_db", 4)
-		maxDev := p.Get("max_dev_db", 2*sigma)
-		if sigma < 0 {
-			return phy.RadioParams{}, fmt.Errorf("sigma_db must be non-negative, got %v", sigma)
-		}
-		if maxDev < 0 {
-			return phy.RadioParams{}, fmt.Errorf("max_dev_db must be non-negative, got %v", maxDev)
-		}
-		params := paramsFor(NewShadowing(base, sigma, maxDev, env.Seed), rx, cs)
-		common(&params, p)
-		return params, p.Err()
-	})
-	fading := func(defaultKdB float64, fixedRayleigh bool) Builder {
-		return func(env Env, p modelreg.Params) (phy.RadioParams, error) {
-			rx, cs, err := env.ranges()
-			if err != nil {
-				return phy.RadioParams{}, err
-			}
+// nominal builds the parameters of every model but tworay: it resolves the
+// env's ranges, then the propagation model prop builds, and derives the
+// thresholds so that the reception range under the model's nominal power
+// is exactly rx metres and the carrier-sense range cs metres — the
+// derivation of phy.ParamsForRange, generalised to any model. Transmit
+// power and, unless set, capture ratio come from the study defaults.
+func nominal(env Env, p modelreg.Params, prop func() (phy.Propagation, error)) (phy.RadioParams, error) {
+	rx, cs, err := env.ranges()
+	if err != nil {
+		return phy.RadioParams{}, err
+	}
+	m, err := prop()
+	if err != nil {
+		return phy.RadioParams{}, err
+	}
+	params := phy.DefaultParams()
+	params.Prop = m
+	params.RxThreshold = m.RxPower(params.TxPower, rx)
+	params.CSThreshold = m.RxPower(params.TxPower, cs)
+	common(&params, p)
+	return params, p.Err()
+}
+
+// fading builds the Ricean builder with the given default K factor, or
+// with fixedRayleigh the Rayleigh one (K = 0, no k_db parameter).
+func fading(defaultKdB float64, fixedRayleigh bool) func(Env, modelreg.Params) (phy.RadioParams, error) {
+	return func(env Env, p modelreg.Params) (phy.RadioParams, error) {
+		return nominal(env, p, func() (phy.Propagation, error) {
 			k := 0.0
 			if !fixedRayleigh {
 				k = math.Pow(10, p.Get("k_db", defaultKdB)/10)
 			}
 			maxGainDB := p.Get("max_gain_db", 6)
 			if maxGainDB < 0 {
-				return phy.RadioParams{}, fmt.Errorf("max_gain_db must be non-negative, got %v", maxGainDB)
+				return nil, fmt.Errorf("max_gain_db must be non-negative, got %v", maxGainDB)
 			}
-			params := paramsFor(NewFading(studyTwoRay(), k, maxGainDB, env.Seed), rx, cs)
-			common(&params, p)
-			return params, p.Err()
-		}
+			return NewFading(studyTwoRay(), k, maxGainDB, env.Seed), nil
+		})
 	}
-	Models.MustRegister("ricean", fading(6, false))
-	Models.MustRegister("rayleigh", fading(0, true))
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"adhocsim/internal/modelreg"
 	"adhocsim/internal/phy"
 )
 
@@ -112,16 +111,20 @@ func TestNoiseParam(t *testing.T) {
 	}
 }
 
-// TestRegisterOpenSurface: a model registered from outside the built-in
-// set builds under any spelling of its name.
-func TestRegisterOpenSurface(t *testing.T) {
-	err := Models.Register("test-const", func(env Env, p modelreg.Params) (phy.RadioParams, error) {
-		return phy.DefaultParams(), p.Err()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New("TEST-CONST", Env{}, nil); err != nil {
-		t.Fatal(err)
+// TestCSRangeAloneKeepsDefaultRx: a carrier-sense range with no reception
+// range leaves the reception range at the documented 250 m default under
+// every model.
+func TestCSRangeAloneKeepsDefaultRx(t *testing.T) {
+	for _, name := range Models.Names() {
+		p, err := New(name, Env{CSRange: 700}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r := p.RxRange(); math.Abs(r-250) > 1 {
+			t.Errorf("%s: rx range %.2f, want 250", name, r)
+		}
+		if r := p.CSRange(); math.Abs(r-700) > 1 {
+			t.Errorf("%s: cs range %.2f, want 700", name, r)
+		}
 	}
 }

@@ -5,8 +5,8 @@
 //
 // The four scenario-model kinds — mobility, traffic, radio, lifecycle — are
 // named, parameterized and JSON-serializable (ModelSpec) and resolve
-// through the open registries in their packages, so campaigns and the HTTP
-// service can select and sweep scenario families without Go-side hooks.
+// through the closed model table in their packages, so campaigns and the
+// HTTP service can select and sweep scenario families by name.
 // ModelKinds is the one table describing them; every layer above iterates
 // it instead of naming kinds. Zero-valued specs select the study models
 // (random waypoint, CBR, two-ray ground with pairwise capture, static
@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"adhocsim/internal/geo"
@@ -64,7 +65,7 @@ type ModelKind struct {
 	// Aliases are further accepted spellings of the axis name, beyond
 	// Name and Label.
 	Aliases []string
-	// Models lists the kind's registry.
+	// Models lists the kind's models.
 	Models modelreg.Listing
 	// Ref locates the kind's model name and parameters inside a Spec.
 	Ref func(*Spec) (name *string, params *map[string]float64)
@@ -259,6 +260,17 @@ func (s Spec) Validate() error {
 // resolves the model specs, and Generate resolves them itself (once) so a
 // run does not build every model twice.
 func (s Spec) validateFields() error {
+	// strconv.ParseFloat reads "nan" and "inf", so a CLI flag or a Go
+	// caller can supply them (JSON cannot); NaN passes every bound below.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Area.W", s.Area.W}, {"Area.H", s.Area.H}, {"MinSpeed", s.MinSpeed}, {"MaxSpeed", s.MaxSpeed},
+		{"Rate", s.Rate}, {"TxRange", s.TxRange}, {"CSRange", s.CSRange}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s is %v, not a finite number", f.name, f.v)
+		}
+	}
 	if s.Nodes < 2 {
 		return fmt.Errorf("scenario: need at least 2 nodes, got %d", s.Nodes)
 	}

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adhocsim/internal/geo"
@@ -72,6 +74,34 @@ func TestValidationCatchesBadSpecs(t *testing.T) {
 		}
 		if _, err := s.Generate(1); err == nil {
 			t.Fatalf("bad spec %d generated", i)
+		}
+	}
+}
+
+// TestValidationRejectsNonFinite: a NaN or infinite scalar field fails
+// Validate and Generate with an error naming the field, where NaN passed
+// every bound and an infinite speed hung track generation.
+func TestValidationRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Spec, float64){
+		"Area.W":   func(s *Spec, v float64) { s.Area.W = v },
+		"Area.H":   func(s *Spec, v float64) { s.Area.H = v },
+		"MinSpeed": func(s *Spec, v float64) { s.MinSpeed = v },
+		"MaxSpeed": func(s *Spec, v float64) { s.MaxSpeed = v },
+		"Rate":     func(s *Spec, v float64) { s.Rate = v },
+		"TxRange":  func(s *Spec, v float64) { s.TxRange = v },
+		"CSRange":  func(s *Spec, v float64) { s.CSRange = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := Default()
+			s.Duration = 10 * sim.Second
+			set(&s, v)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), name+" is ") {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming the field", name, v, err)
+			}
+			if _, err := s.Generate(1); err == nil || !strings.Contains(err.Error(), name+" is ") {
+				t.Errorf("%s = %v: Generate() = %v, want an error naming the field", name, v, err)
+			}
 		}
 	}
 }

@@ -34,79 +34,57 @@ type Generator interface {
 	Connections(env Env, rng *sim.RNG) ([]Connection, error)
 }
 
-// Builder constructs a configured Generator from a model-specific parameter
-// map. Builders must reject unknown parameter names (use modelreg.Params.Err).
-type Builder func(params modelreg.Params) (Generator, error)
+// Models is the traffic-model table; an empty name selects the study's CBR.
+// Builders take no environment (a generator sees it at Connections time)
+// and need no post-build validation.
+var Models = modelreg.NewModels("traffic", ProcessCBR, map[string]func(struct{}, modelreg.Params) (Generator, error){
+	ProcessCBR:     func(_ struct{}, p modelreg.Params) (Generator, error) { return cbr, p.Err() },
+	ProcessPoisson: func(_ struct{}, p modelreg.Params) (Generator, error) { return poisson, p.Err() },
+	ProcessExpOnOff: func(_ struct{}, p modelreg.Params) (Generator, error) {
+		g := generator{process: ProcessExpOnOff, onMean: p.Get("on_s", 1), offMean: p.Get("off_s", 1)}
+		if g.onMean <= 0 {
+			return nil, fmt.Errorf("on_s must be positive, got %v", g.onMean)
+		}
+		if g.offMean < 0 {
+			return nil, fmt.Errorf("negative off_s %v", g.offMean)
+		}
+		return g, p.Err()
+	},
+}, nil)
 
-// Models is the traffic-model registry; an empty name selects the study's
-// CBR. Builders take no environment (a generator sees it at Connections
-// time) and need no post-build validation.
-var Models = modelreg.NewModels("traffic", ProcessCBR,
-	func(b Builder, _ struct{}, p modelreg.Params) (Generator, error) { return b(p) }, nil)
+// cbr and poisson take no parameters, so each is boxed once, not per build.
+var cbr, poisson Generator = generator{process: ProcessCBR}, generator{process: ProcessPoisson}
 
 // New resolves a traffic model name through Models and builds it.
 func New(name string, params map[string]float64) (Generator, error) {
 	return Models.Build(name, struct{}{}, params)
 }
 
-// CBR is the study's cbrgen workload: Sources distinct (src,dst) pairs,
-// each a constant-bit-rate flow from a staggered start time.
-type CBR struct{}
-
-// Connections draws the cbrgen pair list. This is the original scenario
-// generator verbatim — its rng consumption is part of the bit-identity
-// contract with pre-registry study runs.
-func (CBR) Connections(env Env, rng *sim.RNG) ([]Connection, error) {
-	return drawPairs(env, rng)
+// generator lays out the cbrgen pair list and stamps each connection with
+// its emission process: CBR (the study's workload, left unstamped), Poisson
+// (memoryless emission, exponential gaps with mean 1/Rate: CBR's offered
+// load on average, arriving in bursts) or expoo (ns-2's Exponential On/Off
+// VBR source: exponential ON bursts at the full rate with mean onMean
+// seconds, separated by exponential OFF gaps with mean offMean; mean load
+// Rate·On/(On+Off)). A stochastic process's per-connection emission seed
+// derives from the run seed.
+type generator struct {
+	process         string
+	onMean, offMean float64
 }
 
-// Poisson is CBR's pair layout with memoryless packet emission: each
-// connection's inter-packet gaps are exponential with mean 1/Rate, so the
-// offered load matches CBR on average but arrives in bursts.
-type Poisson struct{}
-
-// Connections draws the pair list and attaches per-connection Poisson
-// emission seeds derived from the run seed.
-func (Poisson) Connections(env Env, rng *sim.RNG) ([]Connection, error) {
+// Connections draws the pair list — for CBR, the original scenario
+// generator verbatim: its rng consumption is part of the bit-identity
+// contract with pre-registry study runs — and stamps the process.
+func (g generator) Connections(env Env, rng *sim.RNG) ([]Connection, error) {
 	conns, err := drawPairs(env, rng)
-	if err != nil {
-		return nil, err
+	if err != nil || g.process == ProcessCBR {
+		return conns, err
 	}
 	for i := range conns {
-		conns[i].Process = ProcessPoisson
-		conns[i].Seed = sim.DeriveSeed(env.Seed, fmt.Sprintf("traffic|poisson|conn=%d", i))
-	}
-	return conns, nil
-}
-
-// ExpOnOff is the exponential on/off VBR source (ns-2's Exponential
-// On/Off): a connection alternates exponentially-distributed ON bursts —
-// during which it emits at the full CBR rate — with exponentially-
-// distributed silent OFF gaps. Mean offered load is Rate·On/(On+Off).
-type ExpOnOff struct {
-	// OnMean / OffMean are the mean burst and gap lengths in seconds.
-	OnMean  float64
-	OffMean float64
-}
-
-// Connections draws the pair list and attaches the on/off process
-// parameters plus per-connection emission seeds.
-func (g ExpOnOff) Connections(env Env, rng *sim.RNG) ([]Connection, error) {
-	if g.OnMean <= 0 {
-		return nil, fmt.Errorf("traffic: ExpOnOff.OnMean must be positive, got %v", g.OnMean)
-	}
-	if g.OffMean < 0 {
-		return nil, fmt.Errorf("traffic: negative ExpOnOff.OffMean %v", g.OffMean)
-	}
-	conns, err := drawPairs(env, rng)
-	if err != nil {
-		return nil, err
-	}
-	for i := range conns {
-		conns[i].Process = ProcessExpOnOff
-		conns[i].OnMean = g.OnMean
-		conns[i].OffMean = g.OffMean
-		conns[i].Seed = sim.DeriveSeed(env.Seed, fmt.Sprintf("traffic|expoo|conn=%d", i))
+		conns[i].Process = g.process
+		conns[i].OnMean, conns[i].OffMean = g.onMean, g.offMean
+		conns[i].Seed = sim.DeriveSeed(env.Seed, fmt.Sprintf("traffic|%s|conn=%d", g.process, i))
 	}
 	return conns, nil
 }
@@ -152,24 +130,4 @@ func drawPairs(env Env, rng *sim.RNG) ([]Connection, error) {
 		})
 	}
 	return conns, nil
-}
-
-// The built-in traffic models self-register.
-func init() {
-	Models.MustRegister(ProcessCBR, func(p modelreg.Params) (Generator, error) {
-		return CBR{}, p.Err()
-	})
-	Models.MustRegister(ProcessPoisson, func(p modelreg.Params) (Generator, error) {
-		return Poisson{}, p.Err()
-	})
-	Models.MustRegister(ProcessExpOnOff, func(p modelreg.Params) (Generator, error) {
-		g := ExpOnOff{OnMean: p.Get("on_s", 1), OffMean: p.Get("off_s", 1)}
-		if g.OnMean <= 0 {
-			return nil, fmt.Errorf("on_s must be positive, got %v", g.OnMean)
-		}
-		if g.OffMean < 0 {
-			return nil, fmt.Errorf("negative off_s %v", g.OffMean)
-		}
-		return g, p.Err()
-	})
 }

@@ -2,7 +2,7 @@
 // study's workload is constant bit rate (ns-2 "cbrgen"): each connection
 // sends fixed-size packets at a fixed rate from a staggered start time.
 // Alternative emission processes — Poisson arrivals and exponential on/off
-// (VBR) bursts — resolve through an open registry (Register/New) so
+// (VBR) bursts — resolve by name through the Models table (New), so
 // campaigns can sweep the traffic model like any other axis. The sink side
 // performs duplicate suppression and feeds the metrics collector.
 package traffic
