@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"adhocsim/internal/metrics"
 	"adhocsim/internal/stats"
@@ -98,7 +99,9 @@ type Result struct {
 // cellState is the engine-side accumulation for one cell.
 type cellState struct {
 	// results[rep] is set when that replication has completed (executed or
-	// replayed from the journal); commits consume the contiguous prefix.
+	// replayed from the journal); commits consume the contiguous prefix,
+	// and settle reads results[0:committed] for the merged metric set and
+	// the stream digests.
 	results []*stats.Results
 	// issued[rep] marks replications handed out and not released, or
 	// landed, so the cursor never double-runs one and Release queues each
@@ -110,40 +113,42 @@ type cellState struct {
 	committed  int
 	acc        []stats.Welford // parallel to Plan.Metrics
 	stopReason string          // why the cell stopped; "" while it runs
-	// sketches and series aggregate the committed replications' stream
-	// digests, folded strictly in replication order by commitLocked — the
-	// same in-order discipline as acc, so resume and distributed execution
-	// reproduce bit-identical percentiles.
-	sketches map[string]*metrics.Sketch
-	series   *metrics.SeriesState
 }
 
-// foldStreams merges one committed run's stream digest into the cell
-// aggregate. Kinds are independent sketches, so map iteration order does not
-// affect any per-kind result. Returns the first geometry error (impossible
-// for digests produced by the same plan).
-func (cs *cellState) foldStreams(st *metrics.RunStreams) error {
-	if st == nil {
-		return nil
-	}
-	if len(st.Sketches) > 0 && cs.sketches == nil {
-		cs.sketches = make(map[string]*metrics.Sketch, len(st.Sketches))
-	}
-	for name, state := range st.Sketches {
-		if sk := cs.sketches[name]; sk != nil {
-			sk.MergeState(state)
-		} else {
-			cs.sketches[name] = metrics.FromState(state)
+// foldStreams merges the stream digests of a cell's committed replications,
+// strictly in replication order — the same in-order discipline as acc, so
+// resume and distributed execution reproduce bit-identical percentiles.
+// Settle calls it once per cell. Kinds are independent sketches, so map
+// iteration order does not affect any per-kind result. Digests are checked
+// where they enter (Plan.SeriesGeometry), so the geometry error it returns
+// is a backstop for Go callers of CompleteUnit.
+func foldStreams(reps []*stats.Results) (map[string]*metrics.Sketch, *metrics.SeriesState, error) {
+	var sketches map[string]*metrics.Sketch
+	var series *metrics.SeriesState
+	for _, r := range reps {
+		st := r.Streams
+		if st == nil {
+			continue
+		}
+		if len(st.Sketches) > 0 && sketches == nil {
+			sketches = make(map[string]*metrics.Sketch, len(st.Sketches))
+		}
+		for name, state := range st.Sketches {
+			if sk := sketches[name]; sk != nil {
+				sk.MergeState(state)
+			} else {
+				sketches[name] = metrics.FromState(state)
+			}
+		}
+		if st.Series != nil {
+			if series == nil {
+				series = st.Series.Clone()
+			} else if err := series.Merge(st.Series); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	if st.Series != nil {
-		if cs.series == nil {
-			cs.series = st.Series.Clone()
-		} else if err := cs.series.Merge(st.Series); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sketches, series, nil
 }
 
 // Campaign executes one expanded Plan. Create with New, run once with Run;
@@ -375,34 +380,26 @@ func (c *Campaign) settle(ctx context.Context) (*Result, error) {
 		}
 		return nil, c.err
 	}
+	// Cells share no state, so they fold in parallel; each folds its own
+	// replications in order, so no value depends on the split.
 	cells := make([]CellResult, len(c.plan.Cells))
-	for ci := range c.plan.Cells {
-		cs := &c.cells[ci]
-		reps := make([]stats.Results, cs.committed)
-		for r := 0; r < cs.committed; r++ {
-			reps[r] = *cs.results[r]
-		}
-		summaries := make(map[string]stats.Summary, len(c.plan.Metrics))
-		for mi, m := range c.plan.Metrics {
-			summaries[m.Name] = cs.acc[mi].Summary()
-		}
-		var quantiles map[string]metrics.QuantileSummary
-		if len(cs.sketches) > 0 {
-			quantiles = make(map[string]metrics.QuantileSummary, len(cs.sketches))
-			for name, sk := range cs.sketches {
-				quantiles[name] = sk.Summary()
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(cells)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := int(next.Add(1) - 1); ci < len(cells); ci = int(next.Add(1) - 1) {
+				cells[ci], errs[ci] = c.cellResult(ci)
 			}
-		}
-		cells[ci] = CellResult{
-			Protocol:   c.plan.Cells[ci].Protocol,
-			Point:      c.plan.Cells[ci].Point,
-			Label:      c.plan.Cells[ci].Label,
-			Reps:       cs.committed,
-			StopReason: cs.stopReason,
-			Merged:     stats.MergeResults(reps),
-			Metrics:    summaries,
-			Quantiles:  quantiles,
-			Series:     cs.series,
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			c.err, c.state = err, StateFailed
+			return nil, err
 		}
 	}
 	labels := c.plan.Labels
@@ -422,6 +419,42 @@ func (c *Campaign) settle(ctx context.Context) (*Result, error) {
 	}
 	c.state = StateDone
 	return c.result, nil
+}
+
+// cellResult aggregates one cell's committed replications. It reads only
+// the cell's own state, so settle runs it for all cells at once.
+func (c *Campaign) cellResult(ci int) (CellResult, error) {
+	cs := &c.cells[ci]
+	sketches, series, err := foldStreams(cs.results[:cs.committed])
+	if err != nil {
+		return CellResult{}, fmt.Errorf("campaign: cell %q: %w", c.plan.Cells[ci].Label, err)
+	}
+	reps := make([]stats.Results, cs.committed)
+	for r := range reps {
+		reps[r] = *cs.results[r]
+	}
+	summaries := make(map[string]stats.Summary, len(c.plan.Metrics))
+	for mi, m := range c.plan.Metrics {
+		summaries[m.Name] = cs.acc[mi].Summary()
+	}
+	var quantiles map[string]metrics.QuantileSummary
+	if len(sketches) > 0 {
+		quantiles = make(map[string]metrics.QuantileSummary, len(sketches))
+		for name, sk := range sketches {
+			quantiles[name] = sk.Summary()
+		}
+	}
+	return CellResult{
+		Protocol:   c.plan.Cells[ci].Protocol,
+		Point:      c.plan.Cells[ci].Point,
+		Label:      c.plan.Cells[ci].Label,
+		Reps:       cs.committed,
+		StopReason: cs.stopReason,
+		Merged:     stats.MergeResults(reps),
+		Metrics:    summaries,
+		Quantiles:  quantiles,
+		Series:     series,
+	}, nil
 }
 
 // NextUnit hands out the next useful (cell, replication) pair: first any
@@ -595,10 +628,6 @@ func (c *Campaign) commitLocked(ci int) bool {
 		r := cs.results[cs.committed]
 		for mi := range c.plan.Metrics {
 			cs.acc[mi].Add(c.plan.Metrics[mi].Value(*r))
-		}
-		if err := cs.foldStreams(r.Streams); err != nil {
-			c.setErrLocked(err)
-			return false
 		}
 		cs.committed++
 		if c.epsilonMetLocked(cs) {

@@ -127,7 +127,7 @@ func openJournal(path string, plan *Plan) (*journal, []journalEntry, error) {
 
 	var entries []journalEntry
 	validLen := len(data) - len(rest)
-	for {
+	for n := 2; ; n++ { // n numbers the line; the header is line 1
 		line, tail, ok := cutLine(rest)
 		if !ok {
 			break // unterminated trailing line: drop it
@@ -137,14 +137,15 @@ func openJournal(path string, plan *Plan) (*journal, []journalEntry, error) {
 			break // torn write: drop this line and everything after
 		}
 		if e.Cell < 0 || e.Cell >= len(plan.Cells) || e.Rep < 0 || e.Rep >= plan.Spec.MaxReps {
-			return nil, nil, fmt.Errorf("campaign: journal %s: entry (cell %d, rep %d) outside the plan", path, e.Cell, e.Rep)
+			return nil, nil, fmt.Errorf("campaign: journal %s: line %d: entry (cell %d, rep %d) outside the plan", path, n, e.Cell, e.Rep)
 		}
 		if want := plan.SeedFor(e.Cell, e.Rep); e.Seed != want {
-			return nil, nil, fmt.Errorf("campaign: journal %s: entry (cell %d, rep %d) has seed %d, want %d",
-				path, e.Cell, e.Rep, e.Seed, want)
+			return nil, nil, fmt.Errorf("campaign: journal %s: line %d: entry (cell %d, rep %d) has seed %d, want %d",
+				path, n, e.Cell, e.Rep, e.Seed, want)
 		}
-		if err := e.Results.Streams.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("campaign: journal %s: entry (cell %d, rep %d) is malformed: %w", path, e.Cell, e.Rep, err)
+		if err := e.Results.Streams.Check(plan.SeriesGeometry(e.Cell)); err != nil {
+			return nil, nil, fmt.Errorf("campaign: journal %s: line %d: entry (cell %d, rep %d) is malformed: %w",
+				path, n, e.Cell, e.Rep, err)
 		}
 		entries = append(entries, e)
 		rest = tail

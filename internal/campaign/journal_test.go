@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"adhocsim/internal/metrics"
+	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
 )
 
@@ -17,7 +19,8 @@ import (
 // followed by tail: the entries of the longest run of complete lines that
 // each decode, and the byte length of that run. outOfPlan reports that one
 // of those entries names a unit or seed the plan does not hold, or carries a
-// malformed sketch, which rejects the whole journal.
+// malformed sketch or a time series of another geometry than its cell's,
+// which rejects the whole journal.
 func replayOracle(plan *Plan, tail []byte) (entries []journalEntry, valid int, outOfPlan bool) {
 	for rest := tail; ; {
 		i := bytes.IndexByte(rest, '\n')
@@ -29,7 +32,7 @@ func replayOracle(plan *Plan, tail []byte) (entries []journalEntry, valid int, o
 			return entries, valid, false
 		}
 		if e.Cell < 0 || e.Cell >= len(plan.Cells) || e.Rep < 0 || e.Rep >= plan.Spec.MaxReps ||
-			e.Seed != plan.SeedFor(e.Cell, e.Rep) || e.Results.Streams.Validate() != nil {
+			e.Seed != plan.SeedFor(e.Cell, e.Rep) || e.Results.Streams.Check(plan.SeriesGeometry(e.Cell)) != nil {
 			return nil, 0, true
 		}
 		entries = append(entries, e)
@@ -74,6 +77,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(line(0, 0, plan.SeedFor(0, 0)+1, sample))                 // wrong seed
 	f.Add([]byte("\n\n" + strings.Repeat("{\"cell\":", 3) + "\n"))  // empty lines first
 	f.Add(line(0, 0, plan.SeedFor(0, 0), malformedSketch()))        // sketch with a mean but no weight
+	f.Add(line(1, 0, plan.SeedFor(1, 0), shortSeries(plan, 1)))     // 59 delay buckets of 60
 
 	enc, err := json.Marshal(sample)
 	if err != nil {
@@ -161,6 +165,61 @@ func malformedSketch() stats.Results {
 	return stats.Results{Streams: &metrics.RunStreams{Sketches: map[string]metrics.SketchState{
 		"delay": {Compression: metrics.DefaultCompression, Count: 1, Means: []float64{1, 2}, Weights: []float64{1}},
 	}}}
+}
+
+// shortSeries is a result whose time series has one delay bucket fewer
+// than the cell's window: folding it into the cell's series fails.
+func shortSeries(plan *Plan, cell int) stats.Results {
+	g := plan.SeriesGeometry(cell)
+	series := metrics.NewWindow(sim.Duration(g.Buckets)*g.Width, g.Buckets).State()
+	series.Counts["delay"] = series.Counts["delay"][1:]
+	series.Sums["delay"] = series.Sums["delay"][1:]
+	return stats.Results{Streams: &metrics.RunStreams{Series: series}}
+}
+
+// TestJournalRejectsSeriesOfAnotherGeometry: a journaled run whose time
+// series would fail its cell's fold makes the open fail with an error that
+// names the line, and the file stays as it was.
+func TestJournalRejectsSeriesOfAnotherGeometry(t *testing.T) {
+	plan, err := resumeSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := plan.ExecuteUnit(context.Background(), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Streams.Series.CheckGeometry(plan.SeriesGeometry(1)); err != nil {
+		t.Fatalf("an executed unit's series: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	j, _, err := startFresh(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []journalEntry{
+		{Cell: 1, Rep: 0, Seed: plan.SeedFor(1, 0), Results: good},
+		{Cell: 1, Rep: 1, Seed: plan.SeedFor(1, 1), Results: shortSeries(plan, 1)},
+	} {
+		if err := j.writeLine(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _, err := openJournal(path, plan); err == nil || !strings.Contains(err.Error(), "line 3: entry (cell 1, rep 1) is malformed") ||
+		!strings.Contains(err.Error(), `geometry mismatch for "delay"`) {
+		if err == nil {
+			j.Close()
+		}
+		t.Fatalf("open = %v, want a malformed-entry error naming line 3 and the kind", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, written) {
+		t.Fatal("a rejected journal was modified")
+	}
 }
 
 // TestJournalRejectsMalformedSketch: a journaled run whose sketch would

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"adhocsim/internal/core"
 	"adhocsim/internal/metrics"
@@ -187,6 +188,15 @@ type Plan struct {
 	Cells     []Cell
 	Metrics   []core.Metric
 	Hash      string
+
+	// unitKeys[cell] is the cell's UnitKey payload up to the seed, encoded
+	// by the first UnitKey call that names the cell.
+	unitKeys []unitKeyPrefix
+}
+
+type unitKeyPrefix struct {
+	once sync.Once
+	b    []byte
 }
 
 // maxCells and maxUnits bound a plan before it is enumerated: a 1 MiB POST
@@ -228,28 +238,45 @@ func (p *Plan) ExecuteUnit(ctx context.Context, cell, rep int) (stats.Results, e
 	return res, nil
 }
 
+// SeriesGeometry is the layout of the time series ExecuteUnit records for a
+// cell's runs. A result whose series has another cannot join the cell's.
+func (p *Plan) SeriesGeometry(cell int) metrics.Geometry {
+	return metrics.WindowGeometry(p.Cells[cell].spec.Duration, metrics.DefaultSeriesBuckets)
+}
+
 // UnitKey is the content address of one run unit: a digest of everything
 // that determines its result — the cell's fully-resolved scenario, the
 // protocol, and the derived seed. Two campaigns whose grids overlap (same
 // base scenario, same base seed) produce identical keys for the shared
 // units, so a content-addressed result cache serves across campaign
-// boundaries, not just on exact resubmission. (encoding/json sorts map
-// keys, so the digest is canonical.)
+// boundaries, not just on exact resubmission.
+//
+// The digest is of json.Marshal's encoding of
+//
+//	struct{Scenario scenario.Spec; Protocol string; Seed int64; Format int}
+//
+// (encoding/json sorts map keys, so it is canonical). Format versions the
+// result payload a unit produces: v2 added Results.Streams, and bumping it
+// invalidates cache entries recorded without stream digests rather than
+// serving them silently. The encoding up to the seed is the cell's, made
+// once; each key appends the seed and the format to it.
 func (p *Plan) UnitKey(cell, rep int) string {
-	payload := struct {
-		Scenario scenario.Spec
-		Protocol string
-		Seed     int64
-		// Format versions the result payload a unit produces. v2 added
-		// Results.Streams; bumping it invalidates cache entries recorded
-		// without stream digests rather than serving them silently.
-		Format int
-	}{p.Cells[cell].spec, p.Cells[cell].Protocol, p.SeedFor(cell, rep), 2}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		// A plan that expanded cannot fail to marshal; guard anyway.
-		panic(fmt.Sprintf("campaign: hashing unit: %v", err))
-	}
+	k := &p.unitKeys[cell]
+	k.once.Do(func() {
+		b, err := json.Marshal(struct {
+			Scenario scenario.Spec
+			Protocol string
+		}{p.Cells[cell].spec, p.Cells[cell].Protocol})
+		if err != nil {
+			// A plan that expanded cannot fail to marshal; guard anyway.
+			panic(fmt.Sprintf("campaign: hashing unit: %v", err))
+		}
+		k.b = append(b[:len(b)-1], `,"Seed":`...) // b ends in '}'
+	})
+	b := make([]byte, 0, len(k.b)+32)
+	b = append(b, k.b...)
+	b = strconv.AppendInt(b, p.SeedFor(cell, rep), 10)
+	b = append(b, `,"Format":2}`...)
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
@@ -410,6 +437,7 @@ func (s Spec) Expand() (*Plan, error) {
 		Points:    cross,
 		Cells:     cells,
 		Metrics:   core.Metrics(),
+		unitKeys:  make([]unitKeyPrefix, len(cells)),
 	}
 	hash, err := p.hash()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"adhocsim/internal/metrics"
 	"adhocsim/internal/stats"
 )
 
@@ -28,11 +29,17 @@ import (
 // journals the loaded bytes on a hit, so a cached unit is never encoded
 // again. Callers must not modify enc.
 //
+// series is the geometry the unit's time series must have
+// (campaign.Plan.SeriesGeometry). A store that reads entries from outside
+// the process checks a hit's stream digests against it and reports an
+// entry that fails as a miss; the coordinator checks results where they
+// enter, so what a store holds in memory came through that check.
+//
 // Implementations must be safe for concurrent use. Load reports a miss
 // with found == false; errors are reserved for real faults (I/O), and
 // callers are expected to degrade a faulty cache to a miss.
 type Store interface {
-	Load(key string) (res stats.Results, enc []byte, found bool, err error)
+	Load(key string, series metrics.Geometry) (res stats.Results, enc []byte, found bool, err error)
 	Save(key string, res stats.Results, enc []byte) error
 }
 
@@ -55,7 +62,8 @@ func NewMemStore() *MemStore {
 }
 
 // Load looks a key up; enc is nil when the result was saved without one.
-func (s *MemStore) Load(key string) (stats.Results, []byte, bool, error) {
+// Entries are returned as saved, unchecked.
+func (s *MemStore) Load(key string, _ metrics.Geometry) (stats.Results, []byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.m[key]
@@ -106,9 +114,15 @@ func (s *FSStore) path(key string) string {
 }
 
 // Load looks a key up. Absent files are misses, and so are files that do
-// not decode, that hold a malformed sketch, or that hold a newline: enc must
-// fit inside one journal line, so a hand-edited entry can never tear one.
-func (s *FSStore) Load(key string) (stats.Results, []byte, bool, error) {
+// not decode, that hold a malformed sketch or a time series of another
+// geometry than series, or that hold a newline: enc must fit inside one
+// journal line, so a hand-edited entry can never tear one.
+func (s *FSStore) Load(key string, series metrics.Geometry) (stats.Results, []byte, bool, error) {
+	return s.load(key, &series)
+}
+
+// load is Load; a nil series skips the time series' geometry check.
+func (s *FSStore) load(key string, series *metrics.Geometry) (stats.Results, []byte, bool, error) {
 	if len(key) < 2 {
 		return stats.Results{}, nil, false, fmt.Errorf("dist: malformed cache key %q", key)
 	}
@@ -123,7 +137,14 @@ func (s *FSStore) Load(key string) (stats.Results, []byte, bool, error) {
 		return stats.Results{}, nil, false, nil
 	}
 	var res stats.Results
-	if err := json.Unmarshal(data, &res); err != nil || res.Streams.Validate() != nil {
+	if err = json.Unmarshal(data, &res); err == nil {
+		if series != nil {
+			err = res.Streams.Check(*series)
+		} else {
+			err = res.Streams.Validate()
+		}
+	}
+	if err != nil {
 		return stats.Results{}, nil, false, nil // corrupt entry: treat as a miss
 	}
 	return res, data, true, nil
@@ -165,10 +186,10 @@ func (s *FSStore) Save(key string, res stats.Results, enc []byte) error {
 	return nil
 }
 
-// Get is Load without the encoding, kept because the benchmark's store
-// probe times it.
+// Get is Load without the encoding or the geometry check, kept because the
+// benchmark's store probe times it.
 func (s *FSStore) Get(key string) (stats.Results, bool, error) {
-	res, _, found, err := s.Load(key)
+	res, _, found, err := s.load(key, nil)
 	return res, found, err
 }
 

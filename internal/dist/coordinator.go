@@ -307,7 +307,8 @@ func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc [
 	if s.opts.Cache == nil {
 		return res, nil, false
 	}
-	got, enc, found, err := s.opts.Cache.Load(m.c.Plan().UnitKey(ci, rep))
+	plan := m.c.Plan()
+	got, enc, found, err := s.opts.Cache.Load(plan.UnitKey(ci, rep), plan.SeriesGeometry(ci))
 	if err != nil || !found {
 		return res, nil, false
 	}
@@ -628,9 +629,11 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unit (cell %d, rep %d) outside the plan", req.Cell, req.Rep))
 		return
 	}
-	if err := req.Results.Streams.Validate(); err != nil {
-		// Journaled, a malformed digest would panic the fold that follows
-		// and again on every replay.
+	if err := req.Results.Streams.Check(plan.SeriesGeometry(req.Cell)); err != nil {
+		// Journaled, a malformed sketch would panic the cell's fold at
+		// settle, and a series of another geometry fail it, on every replay
+		// too. The commit path checks nothing more: results enter here,
+		// from the journal and from a file cache, and each checks them.
 		httpError(w, http.StatusBadRequest, fmt.Errorf("unit (cell %d, rep %d): %w", req.Cell, req.Rep, err))
 		return
 	}

@@ -594,6 +594,55 @@ func TestCommitRejectsMalformedSketch(t *testing.T) {
 	}
 }
 
+// TestCommitRejectsSeriesOfAnotherGeometry: a commit whose time series has
+// 59 delay buckets where its cell's window has 60 gets 400, as a malformed
+// sketch does. Were it journaled, the cell's fold would fail the campaign,
+// and fail it again on every replay of the journal. The good commits that
+// follow complete the campaign to the single-process result.
+func TestCommitRejectsSeriesOfAnotherGeometry(t *testing.T) {
+	spec := testSpec()
+	s, base := newTestServer(t, ServerOptions{LocalWorkers: -1})
+	created := submitSpec(t, base, spec)
+	plan, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(rep int, r stats.Results, want int) {
+		t.Helper()
+		body, _ := json.Marshal(CommitRequest{
+			Worker: "w", Campaign: created.ID, SpecHash: plan.Hash, Cell: 0, Rep: rep, Results: r,
+		})
+		resp, err := http.Post(base+"/dist/commit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, want, nil)
+	}
+	good := make([]stats.Results, 2)
+	for rep := range good {
+		if good[rep], err = plan.ExecuteUnit(context.Background(), 0, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := good[1]
+	series := good[1].Streams.Series.Clone()
+	series.Counts["delay"] = series.Counts["delay"][1:]
+	series.Sums["delay"] = series.Sums["delay"][1:]
+	bad.Streams = &metrics.RunStreams{Sketches: good[1].Streams.Sketches, Series: series}
+	commit(1, bad, http.StatusBadRequest)
+	if got := s.lookup(created.ID).c.Snapshot().RunsDone; got != 0 {
+		t.Fatalf("%d runs recorded after a rejected commit", got)
+	}
+	commit(0, good[0], http.StatusOK)
+	commit(1, good[1], http.StatusOK)
+
+	startWorker(t, base, 1)
+	waitDone(t, base, created.ID, time.Minute)
+	if got := s.lookup(created.ID).c.Result(); !reflect.DeepEqual(singleProcessResult(t, spec), got) {
+		t.Error("result differs from single-process")
+	}
+}
+
 // TestDeleteWhileRunning cancels a distributed campaign while its only
 // worker slot holds one of its units. The lease is the only way the worker
 // hears of it: the delete drops the lease, and the next renewal (every

@@ -1,9 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"adhocsim/internal/campaign"
+	"adhocsim/internal/metrics"
+	"adhocsim/internal/sim"
 	"adhocsim/internal/stats"
 )
 
@@ -94,14 +101,14 @@ func sampleResults(n int) stats.Results {
 
 func TestMemStore(t *testing.T) {
 	s := NewMemStore()
-	if _, _, found, err := s.Load("k1"); found || err != nil {
+	if _, _, found, err := s.Load("k1", metrics.Geometry{}); found || err != nil {
 		t.Fatalf("empty store: found=%v err=%v", found, err)
 	}
 	want := sampleResults(10)
 	if err := s.Save("k1", want, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, enc, found, err := s.Load("k1")
+	got, enc, found, err := s.Load("k1", metrics.Geometry{})
 	if err != nil || !found || enc != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("roundtrip: got=%+v enc=%q found=%v err=%v", got, enc, found, err)
 	}
@@ -148,6 +155,23 @@ func TestFSStore(t *testing.T) {
 	}
 	if _, found, err := s.Get(key); found || err != nil {
 		t.Fatalf("corrupt entry: found=%v err=%v, want miss", found, err)
+	}
+
+	// An entry whose time series has another geometry than the unit's
+	// window is a miss too: it would fail the cell's fold.
+	g := metrics.WindowGeometry(sim.Seconds(10), metrics.DefaultSeriesBuckets)
+	withSeries := want
+	withSeries.Streams = &metrics.RunStreams{Series: metrics.NewWindow(sim.Seconds(10), metrics.DefaultSeriesBuckets).State()}
+	if err := s.Put(key, withSeries); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, found, err := s.Load(key, g); err != nil || !found || !reflect.DeepEqual(got, withSeries) {
+		t.Fatalf("entry of the unit's geometry: found=%v err=%v", found, err)
+	}
+	for _, other := range []metrics.Geometry{{Width: g.Width, Buckets: g.Buckets - 1}, {Width: g.Width / 2, Buckets: g.Buckets}} {
+		if _, _, found, err := s.Load(key, other); found || err != nil {
+			t.Fatalf("entry of geometry %+v loaded for %+v: found=%v err=%v, want miss", g, other, found, err)
+		}
 	}
 
 	// Malformed keys are rejected, not mapped to surprising paths.
@@ -263,4 +287,61 @@ func TestRetryHonorsContext(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("f never ran")
 	}
+}
+
+// BenchmarkCachedResubmission prices a resubmission served wholly from the
+// result cache, the phase campaign_cluster's cached_units_per_s times, less
+// its HTTP round trips. The store is filled once from a 20-cell campaign;
+// each iteration submits the spec to a fresh coordinator that has that
+// store and its own journal directory, and the campaign settles inside the
+// submission.
+func BenchmarkCachedResubmission(b *testing.B) {
+	nodes, area, dur, sources := 8, 300.0, 5.0, 2
+	spec, err := json.Marshal(campaign.Spec{
+		Name:    "cached-resubmission",
+		Base:    campaign.ScenarioPatch{Nodes: &nodes, AreaW: &area, DurationS: &dur, Sources: &sources},
+		Axes:    []campaign.AxisSpec{{Name: "pause", Values: []float64{0, 5, 10, 20}}},
+		MaxReps: 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, dir := NewMemStore(), b.TempDir()
+	submit := func(local int) (*Server, *campaign.Campaign, string) {
+		journals, err := os.MkdirTemp(dir, "journal-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewServer(ServerOptions{LocalWorkers: local, JournalDir: journals, Cache: store})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", bytes.NewReader(spec)))
+		var created createdResponse
+		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
+			b.Fatalf("submit: %d %s", rec.Code, rec.Body)
+		}
+		return s, s.lookup(created.ID).c, journals
+	}
+	s, c, journals := submit(0)
+	for !c.Closed() {
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	os.RemoveAll(journals)
+	units := c.Plan().MaxRuns()
+	if len(c.Plan().Cells) != 20 || store.Len() != units {
+		b.Fatalf("%d cells, %d of %d units cached", len(c.Plan().Cells), store.Len(), units)
+	}
+
+	b.ResetTimer()
+	for range b.N {
+		s, c, journals := submit(-1)
+		b.StopTimer()
+		s.Close()
+		os.RemoveAll(journals)
+		if snap := c.Snapshot(); snap.State != campaign.StateDone || snap.RunsFromCache != units {
+			b.Fatalf("resubmission ended %s with %d of %d units from cache", snap.State, snap.RunsFromCache, units)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(units*b.N)/b.Elapsed().Seconds(), "units/s")
 }

@@ -64,6 +64,15 @@ func (r *RunStreams) Validate() error {
 	return nil
 }
 
+// Check is Validate plus SeriesState.CheckGeometry: digests that pass it
+// with one geometry fold together without a panic or an error.
+func (r *RunStreams) Check(series Geometry) error {
+	if err := r.Validate(); err != nil || r == nil {
+		return err
+	}
+	return r.Series.CheckGeometry(series)
+}
+
 // SketchedKinds is the kind set the campaign pipeline sketches: the
 // distribution-valued metrics (per-packet delay and hop count). Counter-like
 // kinds are covered by the time series instead.

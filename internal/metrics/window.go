@@ -25,9 +25,15 @@ type Window struct {
 	sums    [NumKinds][]float64
 }
 
-// NewWindow creates a window covering [0, horizon) with at most maxBuckets
-// buckets. Samples at or beyond the horizon clamp into the last bucket.
-func NewWindow(horizon sim.Duration, maxBuckets int) *Window {
+// Geometry is a window's bucket layout. States of windows with one
+// geometry merge bucket-wise.
+type Geometry struct {
+	Width   sim.Duration
+	Buckets int
+}
+
+// WindowGeometry is the layout NewWindow(horizon, maxBuckets) builds.
+func WindowGeometry(horizon sim.Duration, maxBuckets int) Geometry {
 	if maxBuckets < 1 {
 		maxBuckets = 1
 	}
@@ -42,10 +48,17 @@ func NewWindow(horizon sim.Duration, maxBuckets int) *Window {
 	if buckets > maxBuckets {
 		buckets = maxBuckets
 	}
-	w := &Window{width: width, buckets: buckets}
+	return Geometry{Width: width, Buckets: buckets}
+}
+
+// NewWindow creates a window covering [0, horizon) with at most maxBuckets
+// buckets. Samples at or beyond the horizon clamp into the last bucket.
+func NewWindow(horizon sim.Duration, maxBuckets int) *Window {
+	g := WindowGeometry(horizon, maxBuckets)
+	w := &Window{width: g.Width, buckets: g.Buckets}
 	for k := range w.counts {
-		w.counts[k] = make([]float64, buckets)
-		w.sums[k] = make([]float64, buckets)
+		w.counts[k] = make([]float64, g.Buckets)
+		w.sums[k] = make([]float64, g.Buckets)
 	}
 	return w
 }
@@ -88,6 +101,28 @@ func (w *Window) State() *SeriesState {
 		st.Sums[k.String()] = append([]float64(nil), w.sums[k]...)
 	}
 	return st
+}
+
+// CheckGeometry reports whether s is the state of a window with geometry g:
+// its bucket width, and counts and sums of every kind, each g.Buckets long.
+// States that pass merge without error. A nil state passes.
+func (s *SeriesState) CheckGeometry(g Geometry) error {
+	if s == nil {
+		return nil
+	}
+	if s.BucketS != g.Width.Seconds() {
+		return fmt.Errorf("metrics: series bucket width %v s, want %v s", s.BucketS, g.Width.Seconds())
+	}
+	if len(s.Counts) != int(NumKinds) || len(s.Sums) != int(NumKinds) {
+		return fmt.Errorf("metrics: series has %d count and %d sum kinds, want %d", len(s.Counts), len(s.Sums), NumKinds)
+	}
+	for _, name := range kindNames {
+		if len(s.Counts[name]) != g.Buckets || len(s.Sums[name]) != g.Buckets {
+			return fmt.Errorf("metrics: series geometry mismatch for %q: %d count and %d sum buckets, want %d",
+				name, len(s.Counts[name]), len(s.Sums[name]), g.Buckets)
+		}
+	}
+	return nil
 }
 
 // Merge adds o's buckets into s element-wise. Both states must come from

@@ -46,27 +46,29 @@ type GaussMarkov struct {
 // so a bad parameterization fails at Spec.Validate / campaign-submission
 // time instead of mid-campaign.
 func (m GaussMarkov) check() error {
-	if m.Area.W <= 0 || m.Area.H <= 0 {
+	// Each bound is written so that NaN, which fails every comparison,
+	// fails it.
+	if !(m.Area.W > 0 && m.Area.H > 0) || math.IsInf(m.Area.W, 0) || math.IsInf(m.Area.H, 0) {
 		return fmt.Errorf("mobility: degenerate area %+v", m.Area)
 	}
-	if m.MaxSpeed < m.MinSpeed || m.MinSpeed < 0 {
+	if !(m.MinSpeed >= 0 && m.MinSpeed <= m.MaxSpeed) || math.IsInf(m.MaxSpeed, 0) {
 		return fmt.Errorf("mobility: bad speed range [%v,%v]", m.MinSpeed, m.MaxSpeed)
 	}
-	if m.Alpha < 0 || m.Alpha >= 1 {
+	if !(m.Alpha >= 0 && m.Alpha < 1) {
 		return fmt.Errorf("mobility: GaussMarkov.Alpha %v outside [0,1)", m.Alpha)
 	}
-	if m.SigmaSpeed < 0 || m.SigmaDir < 0 {
-		return fmt.Errorf("mobility: negative GaussMarkov noise scale")
+	if !(m.SigmaSpeed >= 0 && m.SigmaDir >= 0) || math.IsInf(m.SigmaSpeed, 0) || math.IsInf(m.SigmaDir, 0) {
+		return fmt.Errorf("mobility: GaussMarkov noise scales %v, %v not finite and ≥ 0", m.SigmaSpeed, m.SigmaDir)
 	}
-	if m.MeanSpeed < m.MinSpeed || m.MeanSpeed > m.MaxSpeed {
+	if !(m.MeanSpeed >= m.MinSpeed && m.MeanSpeed <= m.MaxSpeed) {
 		return fmt.Errorf("mobility: GaussMarkov mean speed %v outside [%v,%v]",
 			m.MeanSpeed, m.MinSpeed, m.MaxSpeed)
 	}
 	if m.Tick < 0 {
 		return fmt.Errorf("mobility: negative GaussMarkov tick %v", m.Tick)
 	}
-	if m.Margin < 0 {
-		return fmt.Errorf("mobility: negative GaussMarkov margin %v", m.Margin)
+	if !(m.Margin >= 0) || math.IsInf(m.Margin, 0) {
+		return fmt.Errorf("mobility: GaussMarkov margin %v not finite and ≥ 0", m.Margin)
 	}
 	return nil
 }

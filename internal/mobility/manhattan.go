@@ -40,13 +40,15 @@ var manhattanDirs = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 // too, so a bad parameterization fails at Spec.Validate time instead of
 // mid-campaign.
 func (m Manhattan) check() error {
-	if m.Area.W <= 0 || m.Area.H <= 0 {
+	// Each bound is written so that NaN, which fails every comparison,
+	// fails it.
+	if !(m.Area.W > 0 && m.Area.H > 0) || math.IsInf(m.Area.W, 0) || math.IsInf(m.Area.H, 0) {
 		return fmt.Errorf("mobility: degenerate area %+v", m.Area)
 	}
-	if m.MaxSpeed < m.MinSpeed || m.MinSpeed < 0 {
+	if !(m.MinSpeed >= 0 && m.MinSpeed <= m.MaxSpeed) || math.IsInf(m.MaxSpeed, 0) {
 		return fmt.Errorf("mobility: bad speed range [%v,%v]", m.MinSpeed, m.MaxSpeed)
 	}
-	if m.TurnProb < 0 || m.TurnProb > 1 {
+	if !(m.TurnProb >= 0 && m.TurnProb <= 1) {
 		return fmt.Errorf("mobility: Manhattan.TurnProb %v outside [0,1]", m.TurnProb)
 	}
 	if m.BlocksX < 0 || m.BlocksY < 0 {

@@ -1,7 +1,9 @@
 package mobility
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adhocsim/internal/geo"
@@ -225,6 +227,50 @@ func TestDefaultModelMatchesExplicitWaypoint(t *testing.T) {
 	for i := range a {
 		if !reflect.DeepEqual(a[i].Segments(), c[i].Segments()) {
 			t.Fatalf("registry waypoint diverges from direct construction at track %d", i)
+		}
+	}
+}
+
+// TestCheckRejectsNaN: GaussMarkov and Manhattan built directly, with NaN
+// in any one float field, fail Generate. NaN fails no comparison, so a
+// bound written as x < lo || x > hi lets it through.
+func TestCheckRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	area := geo.Rect{W: 1500, H: 300}
+	gm := func(set func(*GaussMarkov)) Model {
+		m := GaussMarkov{Area: area, MinSpeed: 1, MaxSpeed: 20, MeanSpeed: 10, Alpha: 0.75, SigmaSpeed: 1, SigmaDir: 0.5}
+		set(&m)
+		return m
+	}
+	mh := func(set func(*Manhattan)) Model {
+		m := Manhattan{Area: area, MinSpeed: 1, MaxSpeed: 20, TurnProb: 0.5}
+		set(&m)
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		m    Model
+	}{
+		{"gauss-markov valid", gm(func(*GaussMarkov) {})},
+		{"gauss-markov Area.W", gm(func(m *GaussMarkov) { m.Area.W = nan })},
+		{"gauss-markov Area.H", gm(func(m *GaussMarkov) { m.Area.H = nan })},
+		{"gauss-markov MinSpeed", gm(func(m *GaussMarkov) { m.MinSpeed = nan })},
+		{"gauss-markov MaxSpeed", gm(func(m *GaussMarkov) { m.MaxSpeed = nan })},
+		{"gauss-markov MeanSpeed", gm(func(m *GaussMarkov) { m.MeanSpeed = nan })},
+		{"gauss-markov Alpha", gm(func(m *GaussMarkov) { m.Alpha = nan })},
+		{"gauss-markov SigmaSpeed", gm(func(m *GaussMarkov) { m.SigmaSpeed = nan })},
+		{"gauss-markov SigmaDir", gm(func(m *GaussMarkov) { m.SigmaDir = nan })},
+		{"gauss-markov Margin", gm(func(m *GaussMarkov) { m.Margin = nan })},
+		{"manhattan valid", mh(func(*Manhattan) {})},
+		{"manhattan Area.W", mh(func(m *Manhattan) { m.Area.W = nan })},
+		{"manhattan Area.H", mh(func(m *Manhattan) { m.Area.H = nan })},
+		{"manhattan MinSpeed", mh(func(m *Manhattan) { m.MinSpeed = nan })},
+		{"manhattan MaxSpeed", mh(func(m *Manhattan) { m.MaxSpeed = nan })},
+		{"manhattan TurnProb", mh(func(m *Manhattan) { m.TurnProb = nan })},
+	} {
+		_, err := tc.m.Generate(3, 10*sim.Second, sim.NewRNG(1))
+		if valid := strings.HasSuffix(tc.name, "valid"); valid != (err == nil) {
+			t.Errorf("%s: Generate error = %v", tc.name, err)
 		}
 	}
 }
