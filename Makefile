@@ -74,7 +74,7 @@ changes-cap:
 ## subset: make fuzz FUZZ='sim:FuzzEventHeap topo:FuzzOracleHopDist'
 FUZZ ?= sim:FuzzLaneDispatchOrder sim:FuzzEventHeap sim:FuzzRNGMatchesMathRand \
 	campaign:FuzzJournalReplay campaign:FuzzSpecExpand campaign:FuzzUnitDispatch \
-	metrics:FuzzSketchState metrics:FuzzStreamsJSON topo:FuzzOracleHopDist \
+	metrics:FuzzSketchState metrics:FuzzSketchMergePass metrics:FuzzStreamsJSON topo:FuzzOracleHopDist \
 	lifecycle:FuzzLifecycleSchedule
 fuzz:
 	@failed=; for t in $(FUZZ); do \

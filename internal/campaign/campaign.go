@@ -322,7 +322,9 @@ func (c *Campaign) Finish(ctx context.Context) (*Result, error) {
 // CloseJournal flushes and closes the checkpoint journal without settling
 // the campaign, which accepts no completion from then on. The
 // graceful-shutdown path uses it to leave a suspended campaign's journal as
-// clean, resumable recovery state; Finish calls it on the normal path.
+// clean, resumable recovery state; Finish calls it on the normal path. A
+// held line that fails to write here is lost to the file only: resume
+// serves it from the cache again.
 func (c *Campaign) CloseJournal() {
 	c.mu.Lock()
 	j := c.journal
@@ -355,6 +357,9 @@ func (c *Campaign) settle(ctx context.Context) (*Result, error) {
 	case StateFailed, StateCancelled:
 		return nil, c.err
 	}
+	// Every held line is on disk before the campaign settles; a failed
+	// write fails it.
+	c.flushJournalLocked()
 	// A campaign whose every cell has stopped is complete: a cancellation
 	// that only interrupted speculative (never-to-be-committed) runs, or
 	// that landed after the final commit, must not throw the aggregate
@@ -544,10 +549,11 @@ type Outcome struct {
 // original worker turned out to be alive) are ignored — the first result
 // wins, and determinism makes every copy identical anyway. fromCache marks
 // results replayed from the content-addressed result cache; they are
-// counted separately in snapshots but journaled like live completions, so
-// a resumed campaign never depends on the cache still being populated.
-// Completions arriving after the campaign settled or closed its journal
-// are dropped.
+// counted separately in snapshots and journaled like live completions, so
+// a resumed campaign never depends on the cache still being populated, but
+// their lines are held until FlushJournal, the next live line or settle
+// writes them. Completions arriving after the campaign settled or closed
+// its journal are dropped.
 func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) {
 	c.CompleteUnitEncoded(ci, rep, res, nil, fromCache)
 }
@@ -584,7 +590,7 @@ func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byt
 			}
 		}
 		if err == nil {
-			err = c.journal.appendEncoded(ci, rep, c.plan.SeedFor(ci, rep), enc)
+			err = c.journal.appendEncoded(ci, rep, c.plan.SeedFor(ci, rep), enc, fromCache)
 		}
 		if err != nil {
 			c.setErrLocked(err)
@@ -599,6 +605,25 @@ func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byt
 		c.opts.OnProgress(out.Snapshot)
 	}
 	return out
+}
+
+// FlushJournal writes the journal lines held for cache-served completions
+// in one Write. A coordinator calls it when a sweep over its result cache
+// returns. A failed write fails the campaign, as a failed append does: it
+// is returned and recorded, and the caller should Finish.
+func (c *Campaign) FlushJournal() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.flushJournalLocked()
+}
+
+func (c *Campaign) flushJournalLocked() error {
+	if c.journal == nil {
+		return nil
+	}
+	err := c.journal.flush()
+	c.setErrLocked(err)
+	return err
 }
 
 // replayLocked feeds one journaled run back into the engine: the result is

@@ -14,7 +14,8 @@ import (
 
 // The journal is a JSONL checkpoint: a header line identifying the campaign
 // spec, then one line per completed run. Lines are appended as runs finish,
-// so a killed campaign loses at most the in-flight runs; a trailing partial
+// so a killed campaign loses at most the in-flight runs (and the
+// cache-served lines a sweep still holds, see journal); a trailing partial
 // line (death mid-write) is detected and truncated away on resume. Because
 // run seeds are content-derived and runs are deterministic, replaying the
 // journal and re-executing only the missing runs reproduces the
@@ -41,10 +42,22 @@ type journalEntry struct {
 }
 
 // journal appends completed runs to the checkpoint file.
+//
+// A live run's line is written before its commit returns. A cache-served
+// run's line is held in buf instead, and a coordinator's sweep over the
+// result cache writes its held lines in one Write when it returns (or once
+// they pass heldCap). A crash can therefore lose only the current sweep's
+// cache-served lines, which resume serves from the cache again. Held lines
+// go out ahead of any later line, so the file holds the lines in commit
+// order, byte for byte as if each had been written on its own.
 type journal struct {
-	f    *os.File
-	line []byte // entry line buffer, reused across appends
+	f   *os.File
+	buf []byte // held lines, then the line being appended; reused
 }
+
+// heldCap bounds the held lines: an append that takes them past it writes
+// them.
+const heldCap = 1 << 20
 
 // openFileLocked opens the journal file and takes an exclusive advisory
 // lock (where the platform supports one), so two processes resuming the
@@ -183,14 +196,21 @@ func (j *journal) writeLine(v any) error {
 	if err != nil {
 		return fmt.Errorf("campaign: encoding journal line: %w", err)
 	}
-	return j.write(append(b, '\n'))
+	j.buf = append(append(j.buf, b...), '\n')
+	return j.flush()
 }
 
-// write appends one complete line in a single Write call, so concurrent
+// flush writes the buffered lines in a single Write call, so concurrent
 // appends (serialized by the campaign mutex) and crashes can tear at most
-// the final line.
-func (j *journal) write(line []byte) error {
-	if _, err := j.f.Write(line); err != nil {
+// the final line. The buffer empties whether or not the Write succeeds: a
+// failed write fails the campaign, and nothing is written twice.
+func (j *journal) flush() error {
+	if len(j.buf) == 0 {
+		return nil
+	}
+	_, err := j.f.Write(j.buf)
+	j.buf = j.buf[:0]
+	if err != nil {
 		return fmt.Errorf("campaign: appending journal line: %w", err)
 	}
 	return nil
@@ -202,9 +222,10 @@ func (j *journal) write(line []byte) error {
 // json.Marshal lays out a journalEntry — fields in declaration order,
 // integers in decimal — so it is byte-identical to
 // append(json.Marshal(journalEntry{cell, rep, seed, res}), '\n') without
-// re-encoding the Results.
-func (j *journal) appendEncoded(cell, rep int, seed int64, enc []byte) error {
-	b := append(j.line[:0], `{"cell":`...)
+// re-encoding the Results. A held line stays in the buffer until a flush,
+// a later unheld line or heldCap writes it.
+func (j *journal) appendEncoded(cell, rep int, seed int64, enc []byte, hold bool) error {
+	b := append(j.buf, `{"cell":`...)
 	b = strconv.AppendInt(b, int64(cell), 10)
 	b = append(b, `,"rep":`...)
 	b = strconv.AppendInt(b, int64(rep), 10)
@@ -213,13 +234,21 @@ func (j *journal) appendEncoded(cell, rep int, seed int64, enc []byte) error {
 	b = append(b, `,"results":`...)
 	b = append(b, enc...)
 	b = append(b, "}\n"...)
-	j.line = b
-	return j.write(b)
+	j.buf = b
+	if hold && len(b) < heldCap {
+		return nil
+	}
+	return j.flush()
 }
 
+// Close writes any held lines and closes the file.
 func (j *journal) Close() error {
 	if j == nil || j.f == nil {
 		return nil
 	}
-	return j.f.Close()
+	err := j.flush()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,8 +50,9 @@ func sameEntries(a, b []journalEntry) bool {
 // bytes. It must never panic; it must replay exactly the complete,
 // decodable prefix (cutting the rest off the file) or reject an entry
 // outside the plan or with a malformed sketch; a second open must replay the same entries; and an
-// entry appended from encoded bytes must be the line json.Marshal writes
-// for it and replay to its Results.
+// entry appended from encoded bytes must reach the file as the line
+// json.Marshal writes for it, right after the valid prefix, and replay to
+// its Results.
 func FuzzJournalReplay(f *testing.F) {
 	plan, err := resumeSpec().Expand()
 	if err != nil {
@@ -133,15 +135,15 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal("second open replayed different entries")
 		}
 		seed := plan.SeedFor(0, 1)
-		if err := j.appendEncoded(0, 1, seed, enc); err != nil {
+		if err := j.appendEncoded(0, 1, seed, enc, false); err != nil {
 			j.Close()
 			t.Fatal(err)
 		}
-		if wantLine := line(0, 1, seed, sample); !bytes.Equal(j.line, wantLine) {
-			j.Close()
-			t.Fatalf("appended line\n%s\nwant json.Marshal's\n%s", j.line, wantLine)
-		}
 		j.Close()
+		wantLine := line(0, 1, seed, sample)
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, append(bytes.Clone(written[:header+valid]), wantLine...)) {
+			t.Fatalf("file after append\n%s\nwant the valid prefix, then json.Marshal's line\n%s", after, wantLine)
+		}
 
 		j, third, err := openJournal(path, plan)
 		if err != nil {
@@ -251,5 +253,177 @@ func TestJournalRejectsMalformedSketch(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, written) {
 		t.Fatal("a rejected journal was modified")
+	}
+}
+
+// heldSweep is a campaign whose cache-served lines pass heldCap: MaxReps
+// replications of two cells, each completed with its cell's one executed
+// result, under a journal at path. It returns the started campaign and the
+// result of each cell.
+func heldSweep(t *testing.T, path string) (*Campaign, [2]stats.Results) {
+	t.Helper()
+	spec := resumeSpec()
+	spec.MaxReps = 250
+	c, err := New(spec, Options{JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res [2]stats.Results
+	for ci := range res {
+		if res[ci], err = c.Plan().ExecuteUnit(context.Background(), ci, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return c, res
+}
+
+// perLineJournal is the journal a campaign writes when every line goes out
+// on its own: its header, then json.Marshal's line for each unit in
+// dispatch order.
+func perLineJournal(t *testing.T, c *Campaign, res [2]stats.Results) []byte {
+	t.Helper()
+	plan := c.Plan()
+	want, err := json.Marshal(journalHeader{
+		Version: journalVersion, SpecHash: plan.Hash, Name: plan.Spec.Name,
+		Cells: len(plan.Cells), MaxReps: plan.Spec.MaxReps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	for rep := range plan.Spec.MaxReps {
+		for ci := range plan.Cells {
+			line, err := json.Marshal(journalEntry{Cell: ci, Rep: rep, Seed: plan.SeedFor(ci, rep), Results: res[ci]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, line...), '\n')
+		}
+	}
+	return want
+}
+
+// fileSize is the length of the file at path.
+func fileSize(t *testing.T, path string) int {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(fi.Size())
+}
+
+// TestHeldJournalMatchesPerLineJournal: a sweep of cache-served
+// completions holds its lines and writes them when they pass heldCap and
+// at settle, and the file it leaves is byte-identical to a journal of
+// live completions in the same order — the header, then json.Marshal's
+// lines in commit order — and so is the result.
+func TestHeldJournalMatchesPerLineJournal(t *testing.T) {
+	dir := t.TempDir()
+	results := map[bool]*Result{}
+	for _, fromCache := range []bool{false, true} {
+		path := filepath.Join(dir, fmt.Sprintf("cache-%v.jsonl", fromCache))
+		c, res := heldSweep(t, path)
+		header := fileSize(t, path)
+		want := perLineJournal(t, c, res)
+		if len(want)-header < 2*heldCap {
+			t.Fatalf("%d bytes of lines, want more than two heldCaps", len(want)-header)
+		}
+		for {
+			ci, rep, ok := c.NextUnit()
+			if !ok {
+				break
+			}
+			c.CompleteUnit(ci, rep, res[ci], fromCache)
+		}
+		switch got := fileSize(t, path); {
+		case !fromCache && got != len(want):
+			t.Fatalf("live completions left %d bytes on disk, want all %d", got, len(want))
+		case fromCache && (got <= len(want)-heldCap || got >= len(want)):
+			t.Fatalf("a held sweep left %d of %d bytes on disk, want all but less than heldCap", got, len(want))
+		}
+		r, err := c.Finish(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[fromCache] = r
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("fromCache=%v: journal of %d bytes differs from the %d-byte per-line journal (%v)", fromCache, len(got), len(want), err)
+		}
+	}
+	if !reflect.DeepEqual(results[true], results[false]) {
+		t.Fatal("a held sweep settled to another result")
+	}
+}
+
+// TestLiveLineFollowsHeldLines: a live completion's line is on disk when
+// its commit returns, after every line a sweep held before it.
+func TestLiveLineFollowsHeldLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	c, res := heldSweep(t, path)
+	header := fileSize(t, path)
+	want := perLineJournal(t, c, res)
+	var units int
+	for range 5 {
+		ci, rep, _ := c.NextUnit()
+		c.CompleteUnit(ci, rep, res[ci], true)
+		units++
+	}
+	if got := fileSize(t, path); got != header {
+		t.Fatalf("%d bytes on disk after held lines, want the %d-byte header", got, header)
+	}
+	ci, rep, _ := c.NextUnit()
+	c.CompleteUnit(ci, rep, res[ci], false)
+	units++
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(got, []byte{'\n'}); n != units+1 || !bytes.HasPrefix(want, got) {
+		t.Fatalf("after a live line the file holds %d lines, want the header and %d lines in commit order", n, units)
+	}
+	c.CloseJournal()
+}
+
+// TestFailedHeldWriteFailsCampaign: a journal whose Write fails fails the
+// campaign wherever the held lines go out — past heldCap inside a commit,
+// when a sweep flushes, at settle — and Finish returns that error, not a
+// result.
+func TestFailedHeldWriteFailsCampaign(t *testing.T) {
+	for _, at := range []string{"cap", "sweep", "settle"} {
+		t.Run(at, func(t *testing.T) {
+			c, res := heldSweep(t, filepath.Join(t.TempDir(), "j.jsonl"))
+			c.journal.f.Close() // every later Write fails
+			units := 0
+			for ; ; units++ {
+				ci, rep, ok := c.NextUnit()
+				if !ok || at != "cap" && units == 10 {
+					break
+				}
+				if out := c.CompleteUnitEncoded(ci, rep, res[ci], nil, true); out.Failed {
+					break
+				}
+			}
+			switch at {
+			case "cap":
+				if units == c.Plan().MaxRuns() || c.Err() == nil {
+					t.Fatalf("no commit failed in %d units", units)
+				}
+			case "sweep":
+				if err := c.FlushJournal(); err == nil || c.Err() != err {
+					t.Fatalf("FlushJournal = %v, campaign error %v; want the same write error", err, c.Err())
+				}
+			}
+			r, err := c.Finish(context.Background())
+			if r != nil || err == nil || !strings.Contains(err.Error(), "appending journal line") {
+				t.Fatalf("Finish = %v, %v; want no result and the write error", r, err)
+			}
+			if st := c.Snapshot().State; st != StateFailed {
+				t.Fatalf("state %s, want %s", st, StateFailed)
+			}
+		})
 	}
 }

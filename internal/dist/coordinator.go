@@ -319,8 +319,21 @@ func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc [
 // then the cursor), committing cache hits, and returns the first unit that
 // must run. Submission calls it too, so a fully-cached campaign completes
 // without any worker, while dispatch stays lazy otherwise: early-stop
-// decisions prune speculative work before it is ever leased.
+// decisions prune speculative work before it is ever leased. The journal
+// holds the sweep's cache-hit lines and writes them in one Write before
+// the sweep returns; a failed write fails the campaign like a failed
+// append.
 func (s *Server) nextLocked(m *managed) (ci, rep int, ok bool) {
+	ci, rep, ok = s.sweepLocked(m)
+	if m.c.FlushJournal() != nil {
+		s.finishLocked(m)
+		return 0, 0, false
+	}
+	return ci, rep, ok
+}
+
+// sweepLocked is nextLocked's walk, before the held lines are written.
+func (s *Server) sweepLocked(m *managed) (ci, rep int, ok bool) {
 	for !m.c.Closed() {
 		if ci, rep, ok = m.c.NextUnit(); !ok {
 			return 0, 0, false

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"adhocsim/internal/campaign"
 )
 
 // Journal edge cases under distribution: the JSONL checkpoint is the
@@ -178,5 +180,39 @@ func TestResumeHalfJournalHalfCache(t *testing.T) {
 	}
 	if n := bytes.Count(data, []byte("\n")); n != created2.MaxRuns+1 {
 		t.Errorf("resumed journal has %d lines, want %d", n, created2.MaxRuns+1)
+	}
+}
+
+// TestSweepWritesHeldLinesBeforeItReturns: a submission's sweep commits
+// the cached units ahead of its first miss, then returns with no executor
+// to run that miss. Every cache-hit line it held is on disk by then, in the
+// bytes and order of the live run's journal.
+func TestSweepWritesHeldLinesBeforeItReturns(t *testing.T) {
+	cache := NewMemStore()
+	_, base1 := newTestServer(t, ServerOptions{LocalWorkers: 1, Cache: cache, JournalDir: t.TempDir()})
+	created1 := submitSpec(t, base1, testSpec())
+	waitDone(t, base1, created1.ID, time.Minute)
+
+	// One replication more: another plan and header, but the same units
+	// first, each cached, in the order one executor ran them.
+	more := testSpec()
+	more.MaxReps++
+	s2, base2 := newTestServer(t, ServerOptions{LocalWorkers: -1, Cache: cache, JournalDir: t.TempDir()})
+	created2 := submitSpec(t, base2, more)
+	if snap := s2.lookup(created2.ID).c.Snapshot(); snap.State != campaign.StateRunning || snap.RunsFromCache != created1.MaxRuns {
+		t.Fatalf("after submission: %s with %d runs from cache, want running with %d", snap.State, snap.RunsFromCache, created1.MaxRuns)
+	}
+	live, err := os.ReadFile(created1.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept, err := os.ReadFile(created2.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, liveLines, _ := bytes.Cut(live, []byte{'\n'})
+	_, sweptLines, _ := bytes.Cut(swept, []byte{'\n'})
+	if !bytes.Equal(sweptLines, liveLines) {
+		t.Fatalf("the sweep's journal lines (%d bytes) differ from the live run's (%d bytes)", len(sweptLines), len(liveLines))
 	}
 }

@@ -291,53 +291,91 @@ func TestRetryHonorsContext(t *testing.T) {
 
 // BenchmarkCachedResubmission prices a resubmission served wholly from the
 // result cache, the phase campaign_cluster's cached_units_per_s times, less
-// its HTTP round trips. The store is filled once from a 20-cell campaign;
-// each iteration submits the spec to a fresh coordinator that has that
-// store and its own journal directory, and the campaign settles inside the
-// submission.
+// its HTTP round trips. Each shape's store is filled once, by a campaign on
+// GOMAXPROCS local executors; each iteration submits the spec to a fresh
+// coordinator that has that store and its own journal directory, and the
+// campaign settles inside the submission. small is 20 cells of 20 short
+// replications. cluster-shape is campaign_cluster's spec — 12 nodes on
+// 600×300 m for 20 s, 3 sources, 5 protocols × 4 pauses × 200
+// replications, base seed 1 — whose fill runs its 4 000 units once (about
+// 10 s on two cores); a sample of 40 resubmissions then takes about 3 s:
+//
+//	go test -run '^$' -bench 'CachedResubmission/cluster-shape' -benchtime 40x -count 10 ./internal/dist
 func BenchmarkCachedResubmission(b *testing.B) {
-	nodes, area, dur, sources := 8, 300.0, 5.0, 2
-	spec, err := json.Marshal(campaign.Spec{
-		Name:    "cached-resubmission",
-		Base:    campaign.ScenarioPatch{Nodes: &nodes, AreaW: &area, DurationS: &dur, Sources: &sources},
-		Axes:    []campaign.AxisSpec{{Name: "pause", Values: []float64{0, 5, 10, 20}}},
-		MaxReps: 20,
-	})
+	small := func() campaign.Spec {
+		nodes, area, dur, sources := 8, 300.0, 5.0, 2
+		return campaign.Spec{
+			Name:    "cached-resubmission",
+			Base:    campaign.ScenarioPatch{Nodes: &nodes, AreaW: &area, DurationS: &dur, Sources: &sources},
+			Axes:    []campaign.AxisSpec{{Name: "pause", Values: []float64{0, 5, 10, 20}}},
+			MaxReps: 20,
+		}
+	}
+	cluster := func() campaign.Spec {
+		nodes, w, h, dur, sources := 12, 600.0, 300.0, 20.0, 3
+		return campaign.Spec{
+			Name:     "campaign_cluster",
+			Base:     campaign.ScenarioPatch{Nodes: &nodes, AreaW: &w, AreaH: &h, DurationS: &dur, Sources: &sources},
+			Axes:     []campaign.AxisSpec{{Name: "pause", Values: []float64{0, 5, 10, 20}}},
+			BaseSeed: 1,
+			MaxReps:  200,
+		}
+	}
+	for _, shape := range []struct {
+		name string
+		spec campaign.Spec
+	}{{"small", small()}, {"cluster-shape", cluster()}} {
+		var store *MemStore // filled on the shape's first run
+		b.Run(shape.name, func(b *testing.B) { benchCachedResubmission(b, shape.spec, &store) })
+	}
+}
+
+// benchCachedResubmission times b.N cache-served submissions of spec,
+// filling *store by one computed campaign first if it is nil.
+func benchCachedResubmission(b *testing.B, spec campaign.Spec, store **MemStore) {
+	body, err := json.Marshal(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	store, dir := NewMemStore(), b.TempDir()
+	fill := *store == nil
+	if fill {
+		*store = NewMemStore()
+	}
+	dir := b.TempDir()
 	submit := func(local int) (*Server, *campaign.Campaign, string) {
 		journals, err := os.MkdirTemp(dir, "journal-")
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := NewServer(ServerOptions{LocalWorkers: local, JournalDir: journals, Cache: store})
+		s := NewServer(ServerOptions{LocalWorkers: local, JournalDir: journals, Cache: *store})
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", bytes.NewReader(spec)))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", bytes.NewReader(body)))
 		var created createdResponse
 		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
 			b.Fatalf("submit: %d %s", rec.Code, rec.Body)
 		}
 		return s, s.lookup(created.ID).c, journals
 	}
-	s, c, journals := submit(0)
-	for !c.Closed() {
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	os.RemoveAll(journals)
-	units := c.Plan().MaxRuns()
-	if len(c.Plan().Cells) != 20 || store.Len() != units {
-		b.Fatalf("%d cells, %d of %d units cached", len(c.Plan().Cells), store.Len(), units)
+	if fill {
+		s, c, journals := submit(0)
+		for !c.Closed() {
+			time.Sleep(time.Millisecond)
+		}
+		s.Close()
+		os.RemoveAll(journals)
+		if units := c.Plan().MaxRuns(); (*store).Len() != units {
+			b.Fatalf("%d of %d units cached", (*store).Len(), units)
+		}
 	}
 
+	var units int
 	b.ResetTimer()
 	for range b.N {
 		s, c, journals := submit(-1)
 		b.StopTimer()
 		s.Close()
 		os.RemoveAll(journals)
+		units = c.Plan().MaxRuns()
 		if snap := c.Snapshot(); snap.State != campaign.StateDone || snap.RunsFromCache != units {
 			b.Fatalf("resubmission ended %s with %d of %d units from cache", snap.State, snap.RunsFromCache, units)
 		}

@@ -161,30 +161,75 @@ func (s *Sketch) compress() {
 // mergePass runs the greedy t-digest merge over a sorted centroid list,
 // appending the result to outM/outW (which must be empty, possibly sharing
 // no storage with ms/ws).
+//
+// The open centroid takes the next one while q ≤ kInv(k(x)+1), x the
+// weight fraction before it. With y = 2x−1 and c = 2π/δ that bound is
+// (sin(asin(y)+c)+1)/2, whose closed form (y·cos c + √(1−y²)·sin c + 1)/2
+// needs no trig once sin c and cos c are known. closedLimit computes it
+// only away from y = ±1, where Asin loses precision, and from y = cos c,
+// where the bound reaches 1; there it is within 1e-13 of the trig value.
+// A q more than limitMargin from it is therefore decided the same way as
+// by the trig value, and only a q closer than that computes the trig
+// value, at most once per emitted centroid. The pass emits exactly the
+// centroids the trig comparison does (TestMergePassMatchesTrigPass,
+// FuzzSketchMergePass).
 func (s *Sketch) mergePass(ms, ws, outM, outW []float64) ([]float64, []float64) {
 	var total float64
 	for _, w := range ws {
 		total += w
 	}
-	var wSoFar float64
+	sinC, cosC := math.Sincos(2 * math.Pi / s.compression)
+	var x, wSoFar float64
+	approx, closed := closedLimit(x, sinC, cosC)
+	var exact float64
+	haveExact := false
 	curM, curW := ms[0], ws[0]
-	qLimit := s.kInv(s.k(0) + 1)
 	for idx := 1; idx < len(ms); idx++ {
 		q := (wSoFar + curW + ws[idx]) / total
-		if q <= qLimit {
+		var take bool
+		if closed && math.Abs(q-approx) > limitMargin {
+			take = q <= approx
+		} else {
+			if !haveExact {
+				exact, haveExact = s.kInv(s.k(x)+1), true
+			}
+			take = q <= exact
+		}
+		if take {
 			curW += ws[idx]
 			curM += ws[idx] * (ms[idx] - curM) / curW
 		} else {
 			outM = append(outM, curM)
 			outW = append(outW, curW)
 			wSoFar += curW
-			qLimit = s.kInv(s.k(wSoFar/total) + 1)
+			x = wSoFar / total
+			approx, closed = closedLimit(x, sinC, cosC)
+			haveExact = false
 			curM, curW = ms[idx], ws[idx]
 		}
 	}
 	outM = append(outM, curM)
 	outW = append(outW, curW)
 	return outM, outW
+}
+
+// limitMargin is how far from the closed-form bound a q must lie for the
+// merge pass to decide by it: four orders of magnitude above the two
+// bounds' largest difference in closedLimit's domain.
+const limitMargin = 1e-9
+
+// closedLimit is mergePass's closed-form bound for weight fraction x, and
+// whether x lies in the domain where it is within 1e-13 of kInv(k(x)+1):
+// 1−y² ≥ 1e-6 bounds Asin's error near y = ±1, and y ≤ cos c − 1e-6 keeps
+// the trig bound below 1.
+func closedLimit(x, sinC, cosC float64) (float64, bool) {
+	y := float64(2*x) - 1
+	r := (1 - y) * (1 + y)
+	if !(r >= 1e-6 && y <= cosC-1e-6) {
+		return 0, false
+	}
+	// Each product is rounded before it feeds a sum, so no CPU fuses them.
+	return (float64(y*cosC) + float64(math.Sqrt(r)*sinC) + 1) / 2, true
 }
 
 // Merge folds o into s. The merge is deterministic in call order: both

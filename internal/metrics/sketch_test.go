@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -214,4 +215,156 @@ func TestQuantileSummary(t *testing.T) {
 	if math.Abs(sum.P50-500) > 15 || math.Abs(sum.P99-990) > 10 {
 		t.Fatalf("percentiles off: %+v", sum)
 	}
+}
+
+// trigMergePass is the reference merge pass: every centroid it emits
+// recomputes the bound as kInv(k(x)+1), with trig. mergePass must emit
+// its centroids bit for bit.
+func trigMergePass(s *Sketch, ms, ws []float64) (outM, outW []float64) {
+	var total float64
+	for _, w := range ws {
+		total += w
+	}
+	var wSoFar float64
+	curM, curW := ms[0], ws[0]
+	qLimit := s.kInv(s.k(0) + 1)
+	for idx := 1; idx < len(ms); idx++ {
+		q := (wSoFar + curW + ws[idx]) / total
+		if q <= qLimit {
+			curW += ws[idx]
+			curM += ws[idx] * (ms[idx] - curM) / curW
+		} else {
+			outM = append(outM, curM)
+			outW = append(outW, curW)
+			wSoFar += curW
+			qLimit = s.kInv(s.k(wSoFar/total) + 1)
+			curM, curW = ms[idx], ws[idx]
+		}
+	}
+	return append(outM, curM), append(outW, curW)
+}
+
+// checkMergePass runs mergePass and trigMergePass on one centroid list and
+// reports the first centroid where they differ in any bit.
+func checkMergePass(t *testing.T, compression float64, ms, ws []float64) {
+	t.Helper()
+	s := &Sketch{compression: compression} // the pass reads only δ
+	gotM, gotW := s.mergePass(ms, ws, nil, nil)
+	wantM, wantW := trigMergePass(s, ms, ws)
+	if len(gotM) != len(wantM) {
+		t.Fatalf("δ=%v, %d centroids: emitted %d, trig pass %d", compression, len(ms), len(gotM), len(wantM))
+	}
+	for i := range gotM {
+		if math.Float64bits(gotM[i]) != math.Float64bits(wantM[i]) || math.Float64bits(gotW[i]) != math.Float64bits(wantW[i]) {
+			t.Fatalf("δ=%v, %d centroids: centroid %d is (%v, %v), trig pass (%v, %v)",
+				compression, len(ms), i, gotM[i], gotW[i], wantM[i], wantW[i])
+		}
+	}
+}
+
+// centroidWeight decodes one weight: 1 (a buffered value) when b0 < 128,
+// otherwise a whole number in [2^e, 2^(e+1)) with e < 52, so weights reach
+// 2⁵², where a state's count stops.
+func centroidWeight(b0 byte, mant uint16) float64 {
+	if b0 < 128 {
+		return 1
+	}
+	return math.Floor(math.Ldexp(1+float64(mant)/65536, int(b0-128)%52))
+}
+
+// TestMergePassMatchesTrigPass compares the merge pass with the trig pass
+// on 200 000 random sorted centroid lists of up to 600 centroids, at the
+// compressions the campaign pipeline and a state can use and at random ones
+// between. A third of the lists have unit weights (a buffer compressed on
+// its own, which reaches the tail where the bound is 1), a third weights
+// up to 1 024 (merged digests), and a third centroidWeight's mix of unit
+// and log-uniform weights up to 2⁵². -short (the race run) takes 20 000.
+func TestMergePassMatchesTrigPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fixed := []float64{20, 50, DefaultCompression, 200, 1000, maxStateCompression}
+	buf := make([]float64, 2*600)
+	passes := 200_000
+	if testing.Short() {
+		passes = 20_000
+	}
+	for i := range passes {
+		compression := 20 + rng.Float64()*(maxStateCompression-20)
+		if i%2 == 0 {
+			compression = fixed[rng.Intn(len(fixed))]
+		}
+		n := 1 + rng.Intn(600)
+		ms, ws := buf[:n], buf[600:600+n]
+		var m float64
+		for j := range ms {
+			r := rng.Uint64()
+			m += float64(r >> 40)
+			ms[j] = m
+			switch i % 3 {
+			case 0:
+				ws[j] = 1
+			case 1:
+				ws[j] = float64(1 + r&1023)
+			default:
+				ws[j] = centroidWeight(byte(r), uint16(r>>8))
+			}
+		}
+		checkMergePass(t, compression, ms, ws)
+	}
+}
+
+// TestMergePassAtTheBound puts q on the trig bound itself and a few
+// weight units either side of it, where the closed form must not decide:
+// the open centroid starts at x = w0/2⁵², from the first weights to the
+// last, and the next centroid takes the merged weight to ⌊kInv(k(x)+1)·2⁵²⌋
+// + d for d in −2…2. Random lists almost never land that close.
+func TestMergePassAtTheBound(t *testing.T) {
+	const total = 1 << 52
+	rng := rand.New(rand.NewSource(2))
+	starts := []float64{1, 2, 3, 4, 1 << 10, 1 << 26, total / 2, total - 1<<30}
+	for range 200 {
+		starts = append(starts, float64(1+rng.Int63n(total-1)))
+	}
+	for _, compression := range []float64{20, 50, DefaultCompression, 200, 1000, maxStateCompression} {
+		s := &Sketch{compression: compression}
+		for _, w0 := range starts {
+			bound := math.Floor(s.kInv(s.k(w0/total)+1) * total)
+			for d := -2.0; d <= 2; d++ {
+				// w0 closes at once; w1 then takes the merged weight to one
+				// below the target, and the unit w2 onto it; w3 fills the total.
+				w1 := bound + d - w0 - 1
+				w3 := total - (bound + d)
+				if w1 < 1 || w3 < 1 {
+					continue
+				}
+				checkMergePass(t, compression, []float64{1, 2, 3, 4}, []float64{w0, w1, 1, w3})
+			}
+		}
+	}
+}
+
+// FuzzSketchMergePass compares the merge pass with the trig pass bit for
+// bit on fuzzed centroid lists: four bytes a centroid (a weight as
+// centroidWeight decodes it, then a mean step), at a compression from 20 to
+// maxStateCompression.
+func FuzzSketchMergePass(f *testing.F) {
+	f.Add(uint16(4000), []byte{})
+	f.Add(uint16(0), bytes.Repeat([]byte{0, 0, 0, 1}, 400))
+	f.Add(uint16(65535), bytes.Repeat([]byte{0, 1, 2, 3, 200, 9, 9, 0}, 300))
+	f.Add(uint16(500), bytes.Repeat([]byte{179, 255, 255, 7, 0, 0, 0, 1, 0, 0, 0, 0}, 100))
+	f.Fuzz(func(t *testing.T, delta uint16, data []byte) {
+		compression := 20 + float64(delta)*(maxStateCompression-20)/math.MaxUint16
+		n := min(len(data)/4, 2000)
+		if n == 0 {
+			return
+		}
+		ms, ws := make([]float64, n), make([]float64, n)
+		var m float64
+		for j := range n {
+			b := data[4*j : 4*j+4]
+			ws[j] = centroidWeight(b[0], uint16(b[1])<<8|uint16(b[2]))
+			m += float64(b[3]) / 16
+			ms[j] = m
+		}
+		checkMergePass(t, compression, ms, ws)
+	})
 }

@@ -127,7 +127,9 @@ func (s *SeriesState) CheckGeometry(g Geometry) error {
 
 // Merge adds o's buckets into s element-wise. Both states must come from
 // windows of identical geometry (same spec → same horizon and bucket count);
-// a mismatch is an error and leaves s unchanged.
+// a mismatch is an error and leaves s unchanged. Each of o's maps is walked
+// once: the check pairs every kind's buckets with s's, and the adds run
+// from those pairs only once every kind has matched.
 func (s *SeriesState) Merge(o *SeriesState) error {
 	if o == nil {
 		return nil
@@ -135,29 +137,34 @@ func (s *SeriesState) Merge(o *SeriesState) error {
 	if s.BucketS != o.BucketS {
 		return fmt.Errorf("metrics: series bucket width mismatch: %v vs %v", s.BucketS, o.BucketS)
 	}
-	for name, ob := range o.Counts {
-		if sb, ok := s.Counts[name]; !ok || len(sb) != len(ob) {
-			return fmt.Errorf("metrics: series geometry mismatch for %q", name)
-		}
+	var buf [2 * NumKinds][2][]float64
+	pairs, err := pairBuckets(buf[:0], s.Counts, o.Counts)
+	if err == nil {
+		pairs, err = pairBuckets(pairs, s.Sums, o.Sums)
 	}
-	for name, ob := range o.Sums {
-		if sb, ok := s.Sums[name]; !ok || len(sb) != len(ob) {
-			return fmt.Errorf("metrics: series geometry mismatch for %q", name)
-		}
+	if err != nil {
+		return err
 	}
-	for name, ob := range o.Counts {
-		sb := s.Counts[name]
-		for i := range ob {
-			sb[i] += ob[i]
-		}
-	}
-	for name, ob := range o.Sums {
-		sb := s.Sums[name]
-		for i := range ob {
-			sb[i] += ob[i]
+	for _, p := range pairs {
+		dst, src := p[0], p[1]
+		for i := range src {
+			dst[i] += src[i]
 		}
 	}
 	return nil
+}
+
+// pairBuckets appends a (dst, src) bucket-slice pair for every kind of src,
+// or fails on the first kind dst lacks or holds at another length.
+func pairBuckets(pairs [][2][]float64, dst, src map[string][]float64) ([][2][]float64, error) {
+	for name, sb := range src {
+		db, ok := dst[name]
+		if !ok || len(db) != len(sb) {
+			return nil, fmt.Errorf("metrics: series geometry mismatch for %q", name)
+		}
+		pairs = append(pairs, [2][]float64{db, sb})
+	}
+	return pairs, nil
 }
 
 // Clone deep-copies the state (nil stays nil).

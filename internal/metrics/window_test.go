@@ -84,6 +84,20 @@ func TestSeriesStateMergeAndRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a, before) {
 		t.Fatal("failed merge must not mutate the receiver")
 	}
+	// A partial mismatch — every count kind matches, one sum kind is a
+	// bucket short — is found only after the counts checked out, and still
+	// leaves the receiver as it was.
+	partial := mk(1)
+	partial.Sums[Delay.String()] = partial.Sums[Delay.String()][1:]
+	if err := a.Merge(partial); err == nil || !strings.Contains(err.Error(), `"delay"`) {
+		t.Fatalf("partial mismatch: Merge = %v, want an error naming delay", err)
+	}
+	if !reflect.DeepEqual(a, before) {
+		t.Fatal("a partially matching merge must not mutate the receiver")
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = before.Clone().Merge(b) }) - testing.AllocsPerRun(10, func() { before.Clone() }); n != 0 {
+		t.Fatalf("Merge allocates %v objects, want 0", n)
+	}
 	// JSON round-trip is exact.
 	blob, err := json.Marshal(a)
 	if err != nil {
