@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt vet build test figs bench profile allocs race loc changes-cap fuzz
+.PHONY: verify fmt vet build test figs bench profile allocs race loc changes-cap fuzz pairs
 
 ## verify: the tier-1 gate — formatting, vet, build, tests.
 verify: fmt vet build test
@@ -86,6 +86,16 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 20s -fuzzminimizetime 0 ./internal/$$pkg || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz targets failed:$$failed"; exit 1; fi
+
+## pairs: alternating parent/working-tree pairs of one command (cmd/pairs):
+## wall and CPU time, and the METRIC list (comma-separated) of a
+## `benchmark -workload` summary; median [q1–q3] per side, wins and the
+## sign test. An adhocsim command's stdout must match across every run.
+##   make pairs PARENT=HEAD~1 N=10 CMD='benchmark -workload campaign_cluster' METRIC=cached_units_per_s
+PARENT ?= HEAD
+N ?= 10
+pairs:
+	$(GO) run ./cmd/pairs -parent '$(PARENT)' -n '$(N)' -metric '$(METRIC)' -- $(CMD)
 
 ## bench: smoke-scale benchmarks (1 iteration each, shape check). The
 ## measurement path is `go run ./benchmark` (see benchmark/README.md).

@@ -113,6 +113,9 @@ type cellState struct {
 	committed  int
 	acc        []stats.Welford // parallel to Plan.Metrics
 	stopReason string          // why the cell stopped; "" while it runs
+	// keys[rep] is where results[rep] lives in the campaign's store; nil
+	// until a result that lives there lands.
+	keys []storedAs
 }
 
 // foldStreams merges the stream digests of a cell's committed replications,
@@ -165,7 +168,8 @@ type Campaign struct {
 	cells           []cellState
 	cellsStopped    int
 	journal         *journal
-	closed          bool // CloseJournal ran: completions are refused
+	store           Store // SetStore: units' store, where cells keep their folds
+	closed          bool  // CloseJournal ran: completions are refused
 	cursorRound     int
 	cursorCell      int
 	released        []unit // re-issue queue, served before the cursor
@@ -427,9 +431,33 @@ func (c *Campaign) settle(ctx context.Context) (*Result, error) {
 }
 
 // cellResult aggregates one cell's committed replications. It reads only
-// the cell's own state, so settle runs it for all cells at once.
+// the cell's own state, so settle runs it for all cells at once. With a
+// store, a cell whose every committed replication was served from it
+// reads its fold from there when the store holds it (cellKey); otherwise
+// it folds, and saves the fold when every committed replication is in the
+// store. The metric summaries always come from the cell's accumulators.
 func (c *Campaign) cellResult(ci int) (CellResult, error) {
 	cs := &c.cells[ci]
+	summaries := make(map[string]stats.Summary, len(c.plan.Metrics))
+	for mi, m := range c.plan.Metrics {
+		summaries[m.Name] = cs.acc[mi].Summary()
+	}
+	out := CellResult{
+		Protocol:   c.plan.Cells[ci].Protocol,
+		Point:      c.plan.Cells[ci].Point,
+		Label:      c.plan.Cells[ci].Label,
+		Reps:       cs.committed,
+		StopReason: cs.stopReason,
+		Metrics:    summaries,
+	}
+	key, served := c.cellKey(cs)
+	if served {
+		// A faulty store degrades to a miss, as it does for a unit.
+		if e, _, found, err := c.store.Load(key, c.plan.SeriesGeometry(ci)); err == nil && found {
+			out.Merged, out.Quantiles, out.Series = fromFoldEntry(e)
+			return out, nil
+		}
+	}
 	sketches, series, err := foldStreams(cs.results[:cs.committed])
 	if err != nil {
 		return CellResult{}, fmt.Errorf("campaign: cell %q: %w", c.plan.Cells[ci].Label, err)
@@ -438,28 +466,18 @@ func (c *Campaign) cellResult(ci int) (CellResult, error) {
 	for r := range reps {
 		reps[r] = *cs.results[r]
 	}
-	summaries := make(map[string]stats.Summary, len(c.plan.Metrics))
-	for mi, m := range c.plan.Metrics {
-		summaries[m.Name] = cs.acc[mi].Summary()
-	}
-	var quantiles map[string]metrics.QuantileSummary
+	out.Merged, out.Series = stats.MergeResults(reps), series
 	if len(sketches) > 0 {
-		quantiles = make(map[string]metrics.QuantileSummary, len(sketches))
+		out.Quantiles = make(map[string]metrics.QuantileSummary, len(sketches))
 		for name, sk := range sketches {
-			quantiles[name] = sk.Summary()
+			out.Quantiles[name] = sk.Summary()
 		}
 	}
-	return CellResult{
-		Protocol:   c.plan.Cells[ci].Protocol,
-		Point:      c.plan.Cells[ci].Point,
-		Label:      c.plan.Cells[ci].Label,
-		Reps:       cs.committed,
-		StopReason: cs.stopReason,
-		Merged:     stats.MergeResults(reps),
-		Metrics:    summaries,
-		Quantiles:  quantiles,
-		Series:     series,
-	}, nil
+	if key != "" {
+		// A faulty store must not fail the campaign; it only costs reuse.
+		_ = c.store.Save(key, foldEntry(out.Merged, sketches, series), nil)
+	}
+	return out, nil
 }
 
 // NextUnit hands out the next useful (cell, replication) pair: first any
@@ -553,9 +571,10 @@ type Outcome struct {
 // a resumed campaign never depends on the cache still being populated, but
 // their lines are held until FlushJournal, the next live line or settle
 // writes them. Completions arriving after the campaign settled or closed
-// its journal are dropped.
+// its journal are dropped. A result handed over here is in no store, so
+// its cell neither reads nor saves a fold entry.
 func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) {
-	c.CompleteUnitEncoded(ci, rep, res, nil, fromCache)
+	c.CompleteUnitEncoded(ci, rep, res, nil, "", fromCache)
 }
 
 // CompleteUnitEncoded is CompleteUnit for a caller that may already hold
@@ -563,8 +582,11 @@ func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) 
 // such as json.Marshal(res) or the bytes a worker committed (a result cache
 // keeps it beside the result) — and that acts on the outcome. The journal
 // writes enc verbatim; only when enc is nil and a journal is open is res
-// encoded, once. Callers must not modify enc afterwards.
-func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte, fromCache bool) Outcome {
+// encoded, once. Callers must not modify enc afterwards. key is the unit
+// key res lives under in the campaign's store (SetStore): the entry it was
+// served from when fromCache, else the one the caller saves it under once
+// it has landed; "" when res is in no store.
+func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte, key string, fromCache bool) Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs := &c.cells[ci]
@@ -578,6 +600,12 @@ func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byt
 	// Remote and cache completions may bypass NextUnit entirely.
 	cs.issued[rep] = true
 	cs.results[rep] = &res
+	if key != "" && c.store != nil {
+		if cs.keys == nil {
+			cs.keys = make([]storedAs, c.plan.Spec.MaxReps)
+		}
+		cs.keys[rep] = storedAs{key, fromCache}
+	}
 	c.runsDone++
 	if fromCache {
 		c.runsFromCache++
@@ -681,13 +709,6 @@ func (c *Campaign) epsilonMetLocked(cs *cellState) bool {
 		}
 	}
 	return true
-}
-
-// Err returns the first fatal error recorded so far (nil while healthy).
-func (c *Campaign) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
 }
 
 // Abort records a fatal execution error; dispatch stops handing out units

@@ -101,7 +101,7 @@ func FuzzUnitDispatch(f *testing.F) {
 			return true
 		}
 		complete := func(u unitID) {
-			got := c.CompleteUnitEncoded(u.cell, u.rep, results[u], nil, false)
+			got := c.CompleteUnitEncoded(u.cell, u.rep, results[u], nil, "", false)
 			if landed[u] {
 				if got.Landed || got.Winner == nil || !reflect.DeepEqual(*got.Winner, results[u]) {
 					t.Fatalf("duplicate of %v: landed %v, winner %v", u, got.Landed, got.Winner != nil)

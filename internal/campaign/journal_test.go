@@ -403,7 +403,7 @@ func TestFailedHeldWriteFailsCampaign(t *testing.T) {
 				if !ok || at != "cap" && units == 10 {
 					break
 				}
-				if out := c.CompleteUnitEncoded(ci, rep, res[ci], nil, true); out.Failed {
+				if out := c.CompleteUnitEncoded(ci, rep, res[ci], nil, "", true); out.Failed {
 					break
 				}
 			}
@@ -426,4 +426,11 @@ func TestFailedHeldWriteFailsCampaign(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Err returns the first fatal error recorded so far (nil while healthy).
+func (c *Campaign) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }

@@ -10,38 +10,14 @@ import (
 	"path/filepath"
 	"sync"
 
+	"adhocsim/internal/campaign"
 	"adhocsim/internal/metrics"
 	"adhocsim/internal/stats"
 )
 
-// Store is the content-addressed result cache: run results keyed by
-// campaign.Plan.UnitKey — a digest of the fully-resolved scenario,
-// protocol, and derived seed, i.e. of everything that determines the
-// result. Because runs are deterministic, a hit is exactly the result a
-// re-execution would produce, so the coordinator consults the store
-// before leasing any unit and resubmitted or overlapping campaigns reuse
-// finished runs instead of recomputing them.
-//
-// A result travels with its encoding: enc is nil or json.Marshal(res)'s
-// output — more precisely, JSON that decodes to res and contains no
-// newline, so the journal can embed it verbatim as part of one line. The
-// coordinator saves the bytes its journal wrote on a live commit and
-// journals the loaded bytes on a hit, so a cached unit is never encoded
-// again. Callers must not modify enc.
-//
-// series is the geometry the unit's time series must have
-// (campaign.Plan.SeriesGeometry). A store that reads entries from outside
-// the process checks a hit's stream digests against it and reports an
-// entry that fails as a miss; the coordinator checks results where they
-// enter, so what a store holds in memory came through that check.
-//
-// Implementations must be safe for concurrent use. Load reports a miss
-// with found == false; errors are reserved for real faults (I/O), and
-// callers are expected to degrade a faulty cache to a miss.
-type Store interface {
-	Load(key string, series metrics.Geometry) (res stats.Results, enc []byte, found bool, err error)
-	Save(key string, res stats.Results, enc []byte) error
-}
+// Store is the content-addressed result cache the coordinator serves units
+// from and hands to each campaign for its cells' folds; see campaign.Store.
+type Store = campaign.Store
 
 // MemStore is an in-memory Store: per-process reuse and tests. It keeps
 // each result decoded and encoded (about 5 KB more per entry with stream
@@ -113,10 +89,11 @@ func (s *FSStore) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
-// Load looks a key up. Absent files are misses, and so are files that do
-// not decode, that hold a malformed sketch or a time series of another
-// geometry than series, or that hold a newline: enc must fit inside one
-// journal line, so a hand-edited entry can never tear one.
+// Load looks a key up, a unit's or a cell fold's alike. Absent files are
+// misses, and so are files that do not decode, that hold a malformed
+// sketch or a time series of another geometry than series, or that hold a
+// newline: enc must fit inside one journal line, so a hand-edited entry
+// can never tear one.
 func (s *FSStore) Load(key string, series metrics.Geometry) (stats.Results, []byte, bool, error) {
 	return s.load(key, &series)
 }

@@ -105,9 +105,6 @@ func NewServer(opts ServerOptions) *Server {
 	return s
 }
 
-// Hub exposes the progress bus (in-process subscribers, tests).
-func (s *Server) Hub() *Hub { return s.hub }
-
 // reap periodically re-queues units whose leases expired without renewal.
 func (s *Server) reap() {
 	defer close(s.reapDone)
@@ -222,6 +219,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	if s.opts.Cache != nil {
+		c.SetStore(s.opts.Cache)
+	}
 	journalPath := ""
 	if s.opts.JournalDir != "" {
 		// Keyed by spec hash, not campaign id: resubmitting a spec resumes
@@ -302,17 +302,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // cachedResult consults the content-addressed store and returns a hit with
-// its stored encoding (possibly nil); cache faults degrade to misses.
-func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc []byte, hit bool) {
+// its stored encoding (possibly nil) and its key; cache faults degrade to
+// misses.
+func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc []byte, key string, hit bool) {
 	if s.opts.Cache == nil {
-		return res, nil, false
+		return res, nil, "", false
 	}
 	plan := m.c.Plan()
-	got, enc, found, err := s.opts.Cache.Load(plan.UnitKey(ci, rep), plan.SeriesGeometry(ci))
+	key = plan.UnitKey(ci, rep)
+	got, enc, found, err := s.opts.Cache.Load(key, plan.SeriesGeometry(ci))
 	if err != nil || !found {
-		return res, nil, false
+		return res, nil, "", false
 	}
-	return got, enc, true
+	return got, enc, key, true
 }
 
 // nextLocked walks the campaign's dispatch order (released units first,
@@ -338,11 +340,11 @@ func (s *Server) sweepLocked(m *managed) (ci, rep int, ok bool) {
 		if ci, rep, ok = m.c.NextUnit(); !ok {
 			return 0, 0, false
 		}
-		res, enc, hit := s.cachedResult(m, ci, rep)
+		res, enc, key, hit := s.cachedResult(m, ci, rep)
 		if !hit {
 			return ci, rep, true
 		}
-		s.commitLocked(m, ci, rep, res, enc, true)
+		s.commitLocked(m, ci, rep, res, enc, key, true)
 	}
 	return 0, 0, false
 }
@@ -388,11 +390,16 @@ func (s *Server) runLocal(m *managed) {
 	}
 }
 
-// commit is the locked wrapper around commitLocked for a live result.
+// commit is the locked wrapper around commitLocked for a live result,
+// which is cached under its unit key, hashed before the lock is taken.
 func (s *Server) commit(m *managed, ci, rep int, res stats.Results, enc []byte) campaign.Outcome {
+	key := ""
+	if s.opts.Cache != nil {
+		key = m.c.Plan().UnitKey(ci, rep)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return s.commitLocked(m, ci, rep, res, enc, false)
+	return s.commitLocked(m, ci, rep, res, enc, key, false)
 }
 
 // commitLocked lands one result through the campaign's single commit call
@@ -400,10 +407,11 @@ func (s *Server) commit(m *managed, ci, rep int, res stats.Results, enc []byte) 
 // replication order — then populates the cache, publishes progress events
 // and settles the campaign once it is done or failed. enc is the result's
 // encoding when the caller holds one — a cache hit's stored bytes, a remote
-// commit's body — and nil otherwise; a live result is cached with the
-// encoding its journal line was built from.
-func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []byte, fromCache bool) campaign.Outcome {
-	out := m.c.CompleteUnitEncoded(ci, rep, res, enc, fromCache)
+// commit's body — and nil otherwise; key is the unit key of a hit, or the
+// one a live result is cached under with the encoding its journal line was
+// built from ("" without a cache).
+func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []byte, key string, fromCache bool) campaign.Outcome {
+	out := m.c.CompleteUnitEncoded(ci, rep, res, enc, key, fromCache)
 	if !out.Landed {
 		return out
 	}
@@ -412,9 +420,9 @@ func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []
 		s.finishLocked(m)
 		return out
 	}
-	if !fromCache && s.opts.Cache != nil {
+	if !fromCache && key != "" {
 		// A faulty cache must not fail the campaign; it only costs reuse.
-		_ = s.opts.Cache.Save(m.c.Plan().UnitKey(ci, rep), res, out.Enc)
+		_ = s.opts.Cache.Save(key, res, out.Enc)
 	}
 	snap, cell, repIdx := out.Snapshot, ci, rep
 	runEvt := Event{

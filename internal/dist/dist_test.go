@@ -302,7 +302,7 @@ func TestWorkerHardAbortAndRestart(t *testing.T) {
 	})
 
 	created := submitSpec(t, base, spec)
-	sub := s.Hub().Subscribe(CampaignTopic(created.ID), 64)
+	sub := s.hub.Subscribe(CampaignTopic(created.ID), 64)
 	defer sub.Cancel()
 
 	hard, abort := context.WithCancel(context.Background())
@@ -374,7 +374,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	s1 := restart()
 	startWorker(t, hs.URL, 1)
 	created := submitSpec(t, hs.URL, biggerSpec())
-	sub := s1.Hub().Subscribe(CampaignTopic(created.ID), 64)
+	sub := s1.hub.Subscribe(CampaignTopic(created.ID), 64)
 	defer sub.Cancel()
 	deadline := time.After(time.Minute)
 	for committed := false; !committed; {
@@ -655,7 +655,7 @@ func TestDeleteWhileRunning(t *testing.T) {
 	dur := 50000.0
 	slow.Base.DurationS = &dur
 	created := submitSpec(t, base, slow)
-	sub := s.Hub().Subscribe(CampaignTopic(created.ID), 64)
+	sub := s.hub.Subscribe(CampaignTopic(created.ID), 64)
 	defer sub.Cancel()
 
 	startWorker(t, base, 1)
@@ -845,13 +845,13 @@ func TestHubNeverReadingSubscribers(t *testing.T) {
 	topic := CampaignTopic(created.ID)
 	subs := make([]*Sub, 100)
 	for i := range subs {
-		subs[i] = s.Hub().Subscribe(topic, 1+i%4)
+		subs[i] = s.hub.Subscribe(topic, 1+i%4)
 		defer subs[i].Cancel()
 	}
 	// Publish hands an event to every subscriber in one call, under the
 	// hub's lock: once this reader sees campaign_done and that call has
 	// returned, every other buffer has it too.
-	watch := s.Hub().Subscribe(topic, 64)
+	watch := s.hub.Subscribe(topic, 64)
 	defer watch.Cancel()
 	startWorker(t, base, 2)
 	for deadline := time.After(time.Minute); ; {
@@ -867,8 +867,8 @@ func TestHubNeverReadingSubscribers(t *testing.T) {
 	}
 	// The reader wakes as soon as its send lands, while that Publish may
 	// still be filling the other buffers; taking the lock waits it out.
-	s.Hub().mu.Lock()
-	s.Hub().mu.Unlock()
+	s.hub.mu.Lock()
+	s.hub.mu.Unlock()
 	for i, sub := range subs {
 		var types []string
 		last := -1
@@ -903,7 +903,7 @@ func TestGracefulShutdownCheckpoints(t *testing.T) {
 	hs1 := httptest.NewServer(s1.Handler())
 	created := submitSpec(t, hs1.URL, spec)
 
-	sub := s1.Hub().Subscribe(CampaignTopic(created.ID), 64)
+	sub := s1.hub.Subscribe(CampaignTopic(created.ID), 64)
 	deadline := time.After(time.Minute)
 	for committed := false; !committed; {
 		select {

@@ -134,8 +134,9 @@ func TestResumeHalfJournalHalfCache(t *testing.T) {
 	created1 := submitSpec(t, base1, spec)
 	waitDone(t, base1, created1.ID, time.Minute)
 	s1.Close()
-	if cache.Len() != created1.MaxRuns {
-		t.Fatalf("cache holds %d results, want %d", cache.Len(), created1.MaxRuns)
+	// One entry per unit, and one fold entry per cell.
+	if cache.Len() != created1.MaxRuns+created1.Cells {
+		t.Fatalf("cache holds %d entries, want %d units and %d cells", cache.Len(), created1.MaxRuns, created1.Cells)
 	}
 
 	// Second journal dir: header + the first half of the entries.

@@ -363,8 +363,9 @@ func benchCachedResubmission(b *testing.B, spec campaign.Spec, store **MemStore)
 		}
 		s.Close()
 		os.RemoveAll(journals)
-		if units := c.Plan().MaxRuns(); (*store).Len() != units {
-			b.Fatalf("%d of %d units cached", (*store).Len(), units)
+		// One entry per unit, and one fold entry per cell.
+		if plan := c.Plan(); (*store).Len() != plan.MaxRuns()+len(plan.Cells) {
+			b.Fatalf("%d entries cached, want %d units and %d cells", (*store).Len(), plan.MaxRuns(), len(plan.Cells))
 		}
 	}
 

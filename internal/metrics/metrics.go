@@ -68,16 +68,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindByName resolves a wire name back to its Kind.
-func KindByName(name string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("metrics: unknown kind %q", name)
-}
-
 // Sample is one typed metric observation at a point in virtual time.
 type Sample struct {
 	At    sim.Time

@@ -3,12 +3,23 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"adhocsim/internal/sim"
 )
+
+// KindByName resolves a wire name back to its Kind.
+func KindByName(name string) (Kind, error) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("metrics: unknown kind %q", name)
+}
 
 func TestKindNamesRoundTrip(t *testing.T) {
 	seen := map[string]bool{}

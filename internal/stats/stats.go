@@ -5,6 +5,7 @@
 package stats
 
 import (
+	"maps"
 	"sort"
 
 	"adhocsim/internal/metrics"
@@ -311,6 +312,15 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
+// Clone returns r with private copies of its maps (nil stays nil). Streams
+// is shared: stream digests are read, never changed in place.
+func (r Results) Clone() Results {
+	r.RoutingByType = maps.Clone(r.RoutingByType)
+	r.HopExcess = maps.Clone(r.HopExcess)
+	r.Drops = maps.Clone(r.Drops)
+	return r
+}
+
 // PathOptimalityShare returns the fraction of delivered packets that took
 // exactly the optimal path length.
 func (r Results) PathOptimalityShare() float64 {
@@ -325,13 +335,4 @@ func (r Results) PathOptimalityShare() float64 {
 		return 0
 	}
 	return float64(opt) / float64(total)
-}
-
-// TotalDrops sums all recorded drops.
-func (r Results) TotalDrops() uint64 {
-	var t uint64
-	for _, n := range r.Drops {
-		t += n
-	}
-	return t
 }

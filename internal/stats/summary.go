@@ -20,36 +20,6 @@ type Summary struct {
 	CI95 float64
 }
 
-// Summarize computes a Summary over xs. An empty sample yields zeros.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.StdDev = math.Sqrt(ss / float64(s.N-1))
-	}
-	s.CI95 = ci95(s.N, s.StdDev)
-	return s
-}
-
 // ci95 returns the half-width of the 95% confidence interval for the mean of
 // an n-sample with the given sample standard deviation, using Student's t
 // quantiles. Zero for samples of size < 2.
@@ -78,13 +48,14 @@ func t95(df int) float64 {
 // seeds) into one Results, summing the histograms and counters. Drop maps
 // and per-type overhead are summed; rates are averaged. Stream digests are
 // dropped: cross-run sketch aggregation lives in the campaign layer, where
-// merge order is pinned to replication order.
+// merge order is pinned to replication order. The maps are the merge's
+// own, also for a single run.
 func MergeResults(rs []Results) Results {
 	if len(rs) == 0 {
 		return Results{}
 	}
 	if len(rs) == 1 {
-		r := rs[0]
+		r := rs[0].Clone()
 		r.Streams = nil
 		return r
 	}
