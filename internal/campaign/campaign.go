@@ -247,27 +247,27 @@ func (c *Campaign) Closed() bool {
 // unit through NextUnit/Release/CompleteUnit/Finish instead of a local
 // pool. The campaign keeps all per-unit dispatch state: a scheduler holds
 // no queue or shadow copy of its own.
+//
+// The campaign becomes Running only once its journal is open and replayed,
+// all under one hold of the lock: until then NextUnit hands out nothing and
+// a completion is refused, so no unit can land without its journal line.
 func (c *Campaign) Start() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.state != StatePending {
-		c.mu.Unlock()
 		return fmt.Errorf("campaign: started twice")
 	}
-	c.state = StateRunning
-	c.mu.Unlock()
-
 	if c.opts.JournalPath != "" {
 		j, entries, err := openJournal(c.opts.JournalPath, c.plan)
 		if err != nil {
-			return c.fail(err)
+			return c.failLocked(err)
 		}
-		c.mu.Lock()
 		c.journal = j
 		for _, e := range entries {
 			c.replayLocked(e)
 		}
-		c.mu.Unlock()
 	}
+	c.state = StateRunning
 	return nil
 }
 
@@ -338,10 +338,8 @@ func (c *Campaign) CloseJournal() {
 	j.Close()
 }
 
-// fail records a pre-execution failure and returns it.
-func (c *Campaign) fail(err error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// failLocked records a pre-execution failure and returns it.
+func (c *Campaign) failLocked(err error) error {
 	c.setErrLocked(err)
 	c.state = StateFailed
 	if isCancel(c.err) {
@@ -487,11 +485,12 @@ func (c *Campaign) cellResult(ci int) (CellResult, error) {
 // stopping only removes work, so it visits each pair at most once. New work
 // appears only through Release — the in-process pool never releases, so its
 // workers exit on !ok; a distributed coordinator releases the units of
-// expired or returned leases and polls again.
+// expired or returned leases and polls again. A campaign that is not
+// Running (Start has not returned, or it has settled) hands out nothing.
 func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
+	if c.err != nil || c.state != StateRunning {
 		return 0, 0, false
 	}
 	for len(c.released) > 0 {

@@ -241,7 +241,7 @@ func TestSequentialStopping(t *testing.T) {
 	}
 	// Speculative results beyond the stop point were stored but never
 	// folded into the accumulators.
-	if n := cs.acc[0].N(); n != 3 {
+	if n := cs.acc[0].Summary().N; n != 3 {
 		t.Fatalf("accumulator n = %d", n)
 	}
 }

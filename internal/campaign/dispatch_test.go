@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -182,4 +183,27 @@ func FuzzUnitDispatch(f *testing.F) {
 			t.Fatal("the drained Result differs from campaign.Run's")
 		}
 	})
+}
+
+// TestNoUnitBeforeStart: until Start has opened and replayed the journal, a
+// campaign hands out no unit and lands no completion, so no unit can land
+// without its journal line.
+func TestNoUnitBeforeStart(t *testing.T) {
+	c, err := New(dispatchSpec(), Options{JournalPath: filepath.Join(t.TempDir(), "j.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ci, rep, ok := c.NextUnit(); ok {
+		t.Fatalf("NextUnit handed out unit (%d, %d) before Start", ci, rep)
+	}
+	if out := c.CompleteUnitEncoded(0, 0, stats.Results{}, nil, "", false); out.Landed {
+		t.Fatal("a completion landed before Start")
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseJournal()
+	if ci, rep, ok := c.NextUnit(); !ok || ci != 0 || rep != 0 {
+		t.Fatalf("first unit after Start = (%d, %d, %v), want (0, 0, true)", ci, rep, ok)
+	}
 }

@@ -385,27 +385,6 @@ type GridResult struct {
 	Cells map[string][]stats.Results
 }
 
-// Point returns the index into Cells rows for the given axis values, or -1
-// if the combination is not part of the grid.
-func (g *GridResult) Point(values ...float64) int {
-	for i, pt := range g.Points {
-		if len(pt) != len(values) {
-			return -1
-		}
-		match := true
-		for a := range pt {
-			if pt[a] != values[a] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
-	}
-	return -1
-}
-
 // CrossPoints enumerates the axes' full cross product in row-major order
 // (last axis fastest). Axes must already have values; zero axes yield one
 // nil point (the single-cell degenerate case). Grid and the campaign
@@ -478,7 +457,7 @@ func Grid(ctx context.Context, opts Options, axes ...Axis) (*GridResult, error) 
 			value := axes[0].FormatValue(pt[0])
 			for _, seed := range opts.Seeds {
 				jobs = append(jobs, runJob{
-					rc:    RunConfig{Spec: spec, Protocol: p, Seed: seed, Mac: opts.Mac, Tweaks: opts.Tweaks},
+					rc:    RunConfig{Spec: spec, Protocol: p, Seed: seed},
 					axis:  axisLabel,
 					x:     pt[0],
 					value: value,

@@ -180,12 +180,6 @@ func TestGridCrossProduct(t *testing.T) {
 			t.Fatalf("point %d = %v, want %v (last axis fastest)", i, grid.Points[i], want)
 		}
 	}
-	if i := grid.Point(250, 8); i != 3 {
-		t.Fatalf("Point(250,8) = %d", i)
-	}
-	if i := grid.Point(99, 99); i != -1 {
-		t.Fatalf("Point(99,99) = %d, want -1", i)
-	}
 	cells := grid.Cells[DSR]
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d", len(cells))
@@ -273,7 +267,7 @@ func TestSweepRejectsInvalidAxis(t *testing.T) {
 
 func TestScaleAxisHoldsDensity(t *testing.T) {
 	base := scenario.Default() // 40 nodes over 1500×300
-	density := float64(base.Nodes) / base.Area.Area()
+	density := float64(base.Nodes) / (base.Area.W * base.Area.H)
 	a := ScaleAxis(nil)
 	if a.Label != "nodes_scaled" {
 		t.Fatalf("label = %q", a.Label)
@@ -284,7 +278,7 @@ func TestScaleAxisHoldsDensity(t *testing.T) {
 		if s.Nodes != int(x) {
 			t.Fatalf("nodes = %d, want %d", s.Nodes, int(x))
 		}
-		got := float64(s.Nodes) / s.Area.Area()
+		got := float64(s.Nodes) / (s.Area.W * s.Area.H)
 		if rel := (got - density) / density; rel > 0.01 || rel < -0.01 {
 			t.Fatalf("x=%v: density %.3g, want %.3g (area %+v)", x, got, density, s.Area)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"adhocsim/internal/scenario"
@@ -235,10 +234,4 @@ func RenderRegistries() string {
 		}
 	}
 	return b.String()
-}
-
-// SortProtocols orders protocol names in canonical study order.
-func SortProtocols(ps []string) {
-	order := map[string]int{DSR: 0, AODV: 1, PAODV: 2, CBRP: 3, DSDV: 4, Flood: 5}
-	sort.Slice(ps, func(i, j int) bool { return order[ps[i]] < order[ps[j]] })
 }

@@ -7,7 +7,6 @@ import (
 
 	"adhocsim/internal/lifecycle"
 	"adhocsim/internal/mobility"
-	"adhocsim/internal/modelreg"
 	"adhocsim/internal/network"
 	"adhocsim/internal/phy"
 	"adhocsim/internal/pkt"
@@ -80,7 +79,10 @@ func TestRegistrySemantics(t *testing.T) {
 		lookupSemantics(t, protocols, DSR, func(name string) error { _, _, err := protocols.Lookup(name); return err })
 	})
 	for _, k := range []struct {
-		models  modelreg.Listing
+		models interface {
+			names
+			ParamNames(name string) ([]string, error)
+		}
 		builtin string
 	}{
 		{mobility.Models, "waypoint"},

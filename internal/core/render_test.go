@@ -150,14 +150,3 @@ func TestDefaultPausesScaling(t *testing.T) {
 		t.Fatalf("scaled pauses = %v", half)
 	}
 }
-
-func TestSortProtocols(t *testing.T) {
-	ps := []string{DSDV, Flood, DSR, CBRP, AODV, PAODV}
-	SortProtocols(ps)
-	want := []string{DSR, AODV, PAODV, CBRP, DSDV, Flood}
-	for i := range want {
-		if ps[i] != want[i] {
-			t.Fatalf("sorted = %v", ps)
-		}
-	}
-}

@@ -207,8 +207,6 @@ type Options struct {
 	Protocols []string
 	Seeds     []int64
 	Workers   int
-	Mac       mac.Config
-	Tweaks    ProtocolTweaks
 	// OnProgress, when non-nil, is invoked after every completed run of a
 	// sweep or grid.
 	OnProgress ProgressFunc

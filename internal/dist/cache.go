@@ -58,13 +58,6 @@ func (s *MemStore) Save(key string, res stats.Results, enc []byte) error {
 // a store with it.
 func (s *MemStore) Put(key string, res stats.Results) error { return s.Save(key, res, nil) }
 
-// Len reports the number of cached results.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
 // FSStore is a filesystem-backed Store: one JSON file per result at
 // <dir>/<key[:2]>/<key>.json (the two-character fan-out keeps directories
 // small at scale). The file holds the result's encoding, so a hit returns

@@ -735,7 +735,7 @@ func testCacheResubmit(t *testing.T, cache Store) {
 	created1 := submitSpec(t, base1, spec)
 	waitDone(t, base1, created1.ID, time.Minute)
 	want := s1.lookup(created1.ID).c.Result()
-	if mem, ok := cache.(*MemStore); ok && mem.Len() == 0 {
+	if mem, ok := cache.(*MemStore); ok && len(mem.m) == 0 {
 		t.Fatal("completed campaign populated no cache entries")
 	}
 

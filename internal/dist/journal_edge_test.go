@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -119,6 +120,80 @@ func TestJournalTornTailWithConcurrentCommitters(t *testing.T) {
 	}
 }
 
+// TestStartupCommitsAreJournaled: a worker is polling while campaigns
+// whose journals have torn tails are submitted, and the result cache holds
+// every unit, so a unit handed out is committed at once. Every committed
+// unit has its journal line, and every campaign completes: a campaign
+// hands out nothing until Start has opened and repaired its journal, so no
+// commit lands before the journal can take its line, and none is refused
+// while its unit stays issued.
+func TestStartupCommitsAreJournaled(t *testing.T) {
+	const campaigns = 40
+	cache := NewMemStore()
+	dir := t.TempDir()
+	specs := make([]campaign.Spec, campaigns)
+	paths := make([]string, campaigns)
+
+	// Fill the cache and every journal, then tear each journal's tail.
+	_, base1 := newTestServer(t, ServerOptions{LocalWorkers: 2, JournalDir: dir, Cache: cache})
+	for i := range specs {
+		specs[i] = testSpec()
+		specs[i].BaseSeed = int64(i + 1)
+		plan, err := specs[i].Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, plan.Hash[:16]+".jsonl")
+		waitDone(t, base1, submitSpec(t, base1, specs[i]).ID, time.Minute)
+	}
+	for _, path := range paths {
+		// The journal is free once its campaign closed it.
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		torn := append(append([]byte{}, lines[0]...), lines[1][:len(lines[1])/2]...)
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, base2 := newTestServer(t, ServerOptions{LocalWorkers: -1, JournalDir: dir, Cache: cache})
+	ctx, cancel := context.WithCancel(context.Background())
+	worker := make(chan error, 1)
+	go func() {
+		worker <- RunWorker(ctx, WorkerOptions{
+			Coordinator:  base2,
+			Slots:        4,
+			PollInterval: time.Millisecond,
+			BackoffBase:  time.Millisecond,
+			BackoffMax:   10 * time.Millisecond,
+		})
+	}()
+	defer func() {
+		cancel()
+		if err := <-worker; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+	ids := make([]string, campaigns)
+	for i, spec := range specs {
+		ids[i] = submitSpec(t, base2, spec).ID
+	}
+	for i, id := range ids {
+		snap := waitDone(t, base2, id, 30*time.Second)
+		data, err := os.ReadFile(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(data, []byte("\n")); snap.RunsDone != snap.MaxRuns || n != 1+snap.RunsDone {
+			t.Errorf("campaign %s: %d of %d runs committed, journal holds %d complete lines, want the header and one per run",
+				id, snap.RunsDone, snap.MaxRuns, n)
+		}
+	}
+}
+
 // TestResumeHalfJournalHalfCache: a campaign resumes from a journal
 // holding half its runs while the result cache supplies the other half —
 // the campaign completes at submission time (zero executions) and the
@@ -135,8 +210,8 @@ func TestResumeHalfJournalHalfCache(t *testing.T) {
 	waitDone(t, base1, created1.ID, time.Minute)
 	s1.Close()
 	// One entry per unit, and one fold entry per cell.
-	if cache.Len() != created1.MaxRuns+created1.Cells {
-		t.Fatalf("cache holds %d entries, want %d units and %d cells", cache.Len(), created1.MaxRuns, created1.Cells)
+	if len(cache.m) != created1.MaxRuns+created1.Cells {
+		t.Fatalf("cache holds %d entries, want %d units and %d cells", len(cache.m), created1.MaxRuns, created1.Cells)
 	}
 
 	// Second journal dir: header + the first half of the entries.

@@ -112,8 +112,8 @@ func TestMemStore(t *testing.T) {
 	if err != nil || !found || enc != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("roundtrip: got=%+v enc=%q found=%v err=%v", got, enc, found, err)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.m) != 1 {
+		t.Errorf("%d entries stored, want 1", len(s.m))
 	}
 }
 
@@ -364,8 +364,8 @@ func benchCachedResubmission(b *testing.B, spec campaign.Spec, store **MemStore)
 		s.Close()
 		os.RemoveAll(journals)
 		// One entry per unit, and one fold entry per cell.
-		if plan := c.Plan(); (*store).Len() != plan.MaxRuns()+len(plan.Cells) {
-			b.Fatalf("%d entries cached, want %d units and %d cells", (*store).Len(), plan.MaxRuns(), len(plan.Cells))
+		if plan := c.Plan(); len((*store).m) != plan.MaxRuns()+len(plan.Cells) {
+			b.Fatalf("%d entries cached, want %d units and %d cells", len((*store).m), plan.MaxRuns(), len(plan.Cells))
 		}
 	}
 

@@ -18,18 +18,6 @@ func Pt(x, y float64) Point { return Point{x, y} }
 // Add returns p+q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
-// Dot returns the dot product p·q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Len returns the Euclidean norm of p.
-func (p Point) Len() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -47,15 +35,6 @@ func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + float64((q.X-p.X)*t), p.Y + float64((q.Y-p.Y)*t)}
 }
 
-// Unit returns p normalized to length 1, or the zero point if p is zero.
-func (p Point) Unit() Point {
-	l := p.Len()
-	if l == 0 {
-		return Point{}
-	}
-	return Point{p.X / l, p.Y / l}
-}
-
 // String renders the point as "(x, y)".
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 
@@ -65,18 +44,7 @@ type Rect struct {
 	W, H float64
 }
 
-// Contains reports whether p lies in the rectangle (inclusive of edges).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= 0 && p.X <= r.W && p.Y >= 0 && p.Y <= r.H
-}
-
 // Clamp returns p moved to the nearest point inside the rectangle.
 func (r Rect) Clamp(p Point) Point {
 	return Point{math.Min(math.Max(p.X, 0), r.W), math.Min(math.Max(p.Y, 0), r.H)}
 }
-
-// Area returns the rectangle's area in m².
-func (r Rect) Area() float64 { return r.W * r.H }
-
-// Diagonal returns the length of the rectangle's diagonal.
-func (r Rect) Diagonal() float64 { return math.Hypot(r.W, r.H) }

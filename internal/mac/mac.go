@@ -40,8 +40,6 @@ type Stats struct {
 
 // Config tunes the MAC.
 type Config struct {
-	// QueueLimit is the interface queue depth (default 50, as in ns-2).
-	QueueLimit int
 	// RTSThreshold disables RTS/CTS for unicast data shorter than this
 	// many bytes. 0 (default) means RTS/CTS precedes every unicast data
 	// frame, matching the CMU study configuration. Set very large to
@@ -109,7 +107,7 @@ func New(eng *sim.Engine, id pkt.NodeID, radio *phy.Radio, up UpperLayer, rng *s
 		up:       up,
 		rng:      rng,
 		cfg:      cfg,
-		queue:    newIfQueue(cfg.QueueLimit),
+		queue:    newIfQueue(queueLimit),
 		cw:       CWMin,
 		dupCache: make(map[pkt.NodeID]uint16),
 	}
@@ -121,10 +119,6 @@ func New(eng *sim.Engine, id pkt.NodeID, radio *phy.Radio, up UpperLayer, rng *s
 	m.finishFn = m.finishCurrent
 	return m
 }
-
-// QueueLen returns the current interface-queue depth (excluding the packet
-// being transmitted).
-func (m *Mac) QueueLen() int { return m.queue.len() }
 
 // Holds reports whether p is queued or in flight: until it is neither, the
 // MAC may still put p on the air or hand it back to the upper layer.

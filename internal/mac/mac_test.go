@@ -201,9 +201,9 @@ func TestQueueDrainsInOrder(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	r := chainRig(2, 600, Config{QueueLimit: 5}) // unreachable peer keeps MAC busy
+	r := chainRig(2, 600, Config{}) // unreachable peer keeps MAC busy
 	r.eng.ScheduleIn(0, func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < queueLimit+5; i++ {
 			r.macs[0].Send(data(0, 1, 64), 1)
 		}
 	})
@@ -211,7 +211,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.macs[0].Stats.QueueDrops != 4 {
-		// 1 in flight + 5 queued = 6 accepted, 4 dropped.
+		// 1 in flight + 50 queued = 51 accepted, 4 dropped.
 		t.Fatalf("queue drops = %d, want 4", r.macs[0].Stats.QueueDrops)
 	}
 }
@@ -361,7 +361,7 @@ func TestFlushDest(t *testing.T) {
 			r.macs[0].Send(data(0, 1, 64), 1)
 		}
 	})
-	r.eng.ScheduleIn(sim.Millis(1), func() { r.macs[0].FlushDest(1) })
+	r.eng.ScheduleIn(sim.Millisecond, func() { r.macs[0].FlushDest(1) })
 	if err := r.eng.Run(sim.At(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestFlushDest(t *testing.T) {
 
 func TestTxTimeMath(t *testing.T) {
 	// 64-byte frame at 2 Mbit/s: 192 µs PLCP + 256 µs payload.
-	if got := TxTime(64); got != sim.Micros(192+256) {
+	if got := TxTime(64); got != (192+256)*sim.Microsecond {
 		t.Fatalf("TxTime(64) = %v", got)
 	}
 	f := &Frame{Kind: FrameData, Pkt: data(0, 1, 64)}

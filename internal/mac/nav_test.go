@@ -19,7 +19,7 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	p21 := data(2, 1, 512)
 	r.eng.ScheduleIn(0, func() { r.macs[0].Send(p01, 1) })
 	// Node 2 queues its packet shortly after node 0 wins the channel.
-	r.eng.ScheduleIn(sim.Micros(400), func() { r.macs[2].Send(p21, 1) })
+	r.eng.ScheduleIn(400*sim.Microsecond, func() { r.macs[2].Send(p21, 1) })
 	if err := r.eng.Run(sim.At(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBroadcastSharesOnePacket(t *testing.T) {
 // can carry and checks accounting consistency: everything sent is either
 // delivered, queued, or counted as a drop.
 func TestSaturatedChannelDropsAreCounted(t *testing.T) {
-	r := chainRig(2, 150, Config{QueueLimit: 10})
+	r := chainRig(2, 150, Config{})
 	const n = 300
 	r.eng.ScheduleIn(0, func() {
 		for i := 0; i < n; i++ {
@@ -88,7 +88,7 @@ func TestSaturatedChannelDropsAreCounted(t *testing.T) {
 	}
 	delivered := uint64(len(r.uppers[1].recv))
 	dropped := r.macs[0].Stats.QueueDrops
-	pending := uint64(r.macs[0].QueueLen())
+	pending := uint64(len(r.macs[0].queue.items))
 	inFlight := uint64(0)
 	if r.macs[0].cur.p != nil {
 		inFlight = 1

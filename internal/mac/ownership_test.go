@@ -32,7 +32,7 @@ func quietRig(positions []geo.Point) *rig {
 // long ended.
 func sendAndSettle(tb testing.TB, r *rig, p *pkt.Packet, to pkt.NodeID) {
 	r.macs[0].Send(p, to)
-	if err := r.eng.Run(r.eng.Now().Add(sim.Millis(5))); err != nil {
+	if err := r.eng.Run(r.eng.Now().Add(5 * sim.Millisecond)); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -21,12 +21,10 @@ type ifQueue struct {
 	nRouting int
 }
 
-func newIfQueue(limit int) *ifQueue {
-	if limit <= 0 {
-		limit = 50
-	}
-	return &ifQueue{limit: limit}
-}
+// queueLimit is the interface queue depth of every MAC, 50 as in ns-2.
+const queueLimit = 50
+
+func newIfQueue(limit int) *ifQueue { return &ifQueue{limit: limit} }
 
 // push enqueues op. It reports false (and drops) when the queue is full.
 func (q *ifQueue) push(op outPkt) bool {
@@ -60,8 +58,6 @@ func (q *ifQueue) pop() (outPkt, bool) {
 	}
 	return op, true
 }
-
-func (q *ifQueue) len() int { return len(q.items) }
 
 // holds reports whether p is queued.
 func (q *ifQueue) holds(p *pkt.Packet) bool {

@@ -93,8 +93,10 @@ func TestQueuePropertyRemoveDestPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestQueueLimitZeroUsesDefault: a MAC built from the zero Config queues 50
+// packets, as ns-2 does.
 func TestQueueLimitZeroUsesDefault(t *testing.T) {
-	q := newIfQueue(0)
+	q := chainRig(2, 150, Config{}).macs[0].queue
 	for i := 0; i < 50; i++ {
 		if !q.push(outPkt{p: pkt.DataPacket(0, 1, uint32(i), 8, 0), to: 1}) {
 			t.Fatalf("default-limit queue full at %d", i)

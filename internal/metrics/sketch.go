@@ -22,8 +22,8 @@ const DefaultCompression = 100
 // Determinism: every operation is a fixed sequence of float64 ops over
 // deterministic state. Compression sorts the buffer (sort.Float64s) and
 // merges with a stable tie-break (existing centroids before new values, left
-// list before right on Merge), so the same values in the same order — and
-// the same Merge call order — reproduce bit-identical centroids. State
+// list before right on MergeState), so the same values in the same order —
+// and the same MergeState call order — reproduce bit-identical centroids. State
 // survives a JSON round-trip exactly (its codec writes, as encoding/json
 // does, the shortest float64 that reads back exactly), which the campaign
 // journal and the distributed result cache rely on for reflect.DeepEqual
@@ -48,7 +48,7 @@ func NewSketch(compression float64) *Sketch {
 		compression = 20
 	}
 	bufCap := 4 * int(compression)
-	centCap := int(2*compression) + 8
+	centCap := int(2*compression) + 8 // a merge pass emits at most 2δ+8 centroids
 	return &Sketch{
 		compression: compression,
 		means:       make([]float64, 0, centCap),
@@ -98,16 +98,6 @@ func (s *Sketch) Max() float64 {
 	}
 	return s.max
 }
-
-// Centroids returns the current centroid count (after folding the buffer).
-func (s *Sketch) Centroids() int {
-	s.compress()
-	return len(s.means)
-}
-
-// MaxCentroids is the hard bound on Centroids() for this sketch's
-// compression: the merge pass cannot emit more than 2δ+8 centroids.
-func (s *Sketch) MaxCentroids() int { return int(2*s.compression) + 8 }
 
 // k is the k₁ scale function mapping quantile to centroid index space.
 func (s *Sketch) k(q float64) float64 {
@@ -232,21 +222,12 @@ func closedLimit(x, sinC, cosC float64) (float64, bool) {
 	return (float64(y*cosC) + float64(math.Sqrt(r)*sinC) + 1) / 2, true
 }
 
-// Merge folds o into s. The merge is deterministic in call order: both
-// sketches are compressed, the centroid lists are interleaved by mean (ties
-// keep s's centroids first), and one merge pass re-compresses. o is
-// compressed but otherwise unchanged.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil {
-		return
-	}
-	o.compress()
-	s.mergeCentroids(o.count, o.min, o.max, o.means, o.weights)
-}
-
 // mergeCentroids folds a compressed digest — its count, range and sorted
-// centroids — into s. The interleave goes through s's scratch slices, so
-// a merge allocates nothing once they have grown.
+// centroids — into s. The merge is deterministic in call order: s is
+// compressed, the centroid lists are interleaved by mean (ties keep s's
+// centroids first), and one merge pass re-compresses. The interleave goes
+// through s's scratch slices, so a merge allocates nothing once they have
+// grown.
 func (s *Sketch) mergeCentroids(count, lo, hi float64, means, weights []float64) {
 	if count == 0 {
 		return
@@ -408,10 +389,9 @@ func FromState(st SketchState) *Sketch {
 	return s
 }
 
-// MergeState folds a serialized sketch into s, equivalent to
-// s.Merge(FromState(st)) but without building that sketch: a state's
-// centroids are already compressed, and its compression does not enter a
-// merge.
+// MergeState folds a serialized sketch into s without building that
+// sketch: a state's centroids are already compressed, and its compression
+// does not enter a merge.
 func (s *Sketch) MergeState(st SketchState) {
 	s.mergeCentroids(st.Count, st.Min, st.Max, st.Means, st.Weights)
 }

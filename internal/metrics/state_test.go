@@ -20,7 +20,7 @@ func fedSketch(seed int64, n int) *Sketch {
 
 func TestSketchStateValidate(t *testing.T) {
 	merged := fedSketch(1, 5000)
-	merged.Merge(fedSketch(2, 700))
+	merged.MergeState(fedSketch(2, 700).State())
 	for name, st := range map[string]SketchState{
 		"empty":     NewSketch(DefaultCompression).State(),
 		"singleton": fedSketch(3, 1).State(),
@@ -104,15 +104,15 @@ func FuzzSketchState(f *testing.F) {
 			if into.Count() != want {
 				t.Fatalf("merged count %v, want %v", into.Count(), want)
 			}
-			ref.Merge(FromState(st))
+			ref.MergeState(FromState(st).State())
 			// The second merge reuses the scratch slices the first grew.
 			for i := range 2 {
 				if i > 0 {
 					into.MergeState(st)
-					ref.Merge(FromState(st))
+					ref.MergeState(FromState(st).State())
 				}
 				if !reflect.DeepEqual(into.State(), ref.State()) {
-					t.Fatalf("merge %d: MergeState left another sketch than Merge(FromState(st))", i+1)
+					t.Fatalf("merge %d: MergeState(st) left another sketch than MergeState(FromState(st).State())", i+1)
 				}
 			}
 			into.Summary()

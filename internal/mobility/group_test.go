@@ -19,7 +19,7 @@ func TestGroupMobilityStaysInArea(t *testing.T) {
 	}
 	for id, tr := range tracks {
 		for s := 0.0; s <= 200; s += 3.7 {
-			if p := tr.At(sim.At(s)); !area.Contains(p) {
+			if p := tr.At(sim.At(s)); area.Clamp(p) != p {
 				t.Fatalf("member %d at %v outside area", id, p)
 			}
 		}

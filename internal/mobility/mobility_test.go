@@ -25,9 +25,6 @@ func TestStaticTrack(t *testing.T) {
 		if tr.At(at) != geo.Pt(10, 20) {
 			t.Fatalf("static track moved at %v", at)
 		}
-		if tr.VelocityAt(at) != (geo.Point{}) {
-			t.Fatal("static track has velocity")
-		}
 	}
 }
 
@@ -43,6 +40,7 @@ func TestTrackInterpolation(t *testing.T) {
 	}{
 		{0, geo.Pt(0, 0)},
 		{sim.At(5), geo.Pt(50, 0)},
+		{sim.At(5.5), geo.Pt(55, 0)},
 		{sim.At(10), geo.Pt(100, 0)},
 		{sim.At(20), geo.Pt(100, 0)},
 	}
@@ -52,12 +50,8 @@ func TestTrackInterpolation(t *testing.T) {
 			t.Fatalf("At(%v) = %v, want %v", c.at, got, c.want)
 		}
 	}
-	v := tr.VelocityAt(sim.At(5))
-	if v.Dist(geo.Pt(10, 0)) > 1e-9 {
-		t.Fatalf("VelocityAt(5) = %v, want (10,0)", v)
-	}
-	if tr.VelocityAt(sim.At(15)) != (geo.Point{}) {
-		t.Fatal("velocity nonzero during pause")
+	if tr.At(sim.At(15)) != tr.At(sim.At(16)) {
+		t.Fatal("moved during pause")
 	}
 }
 
@@ -71,8 +65,8 @@ func TestTrackArrivalBeforeNextSegment(t *testing.T) {
 	if got := tr.At(sim.At(7)); got.Dist(geo.Pt(50, 0)) > 1e-6 {
 		t.Fatalf("At(7) = %v, want parked at destination", got)
 	}
-	if tr.VelocityAt(sim.At(7)) != (geo.Point{}) {
-		t.Fatal("velocity nonzero after arrival")
+	if tr.At(sim.At(7)) != tr.At(sim.At(19)) {
+		t.Fatal("moved after arrival")
 	}
 }
 
@@ -110,7 +104,7 @@ func TestRandomWaypointStaysInArea(t *testing.T) {
 	for id, tr := range tracks {
 		for s := 0.0; s <= 900; s += 7.3 {
 			p := tr.At(sim.At(s))
-			if !area.Contains(p) {
+			if area.Clamp(p) != p {
 				t.Fatalf("node %d at %v outside area at t=%.1f", id, p, s)
 			}
 		}
@@ -146,7 +140,7 @@ func TestRandomWaypointPauseZeroKeepsMoving(t *testing.T) {
 	for id, tr := range tracks {
 		moving := 0
 		for s := 0.0; s < 120; s += 1 {
-			if tr.VelocityAt(sim.At(s)).Len() > 0 {
+			if tr.At(sim.At(s)) != tr.At(sim.At(s+0.1)) {
 				moving++
 			}
 		}
@@ -207,7 +201,7 @@ func TestRandomWalkStaysInArea(t *testing.T) {
 	}
 	for id, tr := range tracks {
 		for s := 0.0; s <= 300; s += 2.1 {
-			if p := tr.At(sim.At(s)); !area.Contains(p) {
+			if p := tr.At(sim.At(s)); area.Clamp(p) != p {
 				t.Fatalf("walker %d at %v outside area", id, p)
 			}
 		}
@@ -237,7 +231,7 @@ func TestStaticGridLayout(t *testing.T) {
 			t.Fatalf("duplicate grid position %v", p)
 		}
 		seen[p] = true
-		if !m.Area.Contains(p) {
+		if m.Area.Clamp(p) != p {
 			t.Fatalf("grid point %v outside area", p)
 		}
 	}
@@ -250,16 +244,5 @@ func TestChainSpacing(t *testing.T) {
 		if tr.At(sim.At(42)) != want {
 			t.Fatalf("chain node %d at %v, want %v", i, tr.At(0), want)
 		}
-	}
-}
-
-func TestChangeTimes(t *testing.T) {
-	tr := MustTrack([]Segment{
-		{Start: 0, From: geo.Pt(0, 0), To: geo.Pt(1, 0), Speed: 1},
-		{Start: sim.At(1), From: geo.Pt(1, 0), To: geo.Pt(1, 0), Speed: 0},
-	})
-	ct := tr.ChangeTimes()
-	if len(ct) != 2 || ct[0] != 0 || ct[1] != sim.At(1) {
-		t.Fatalf("ChangeTimes = %v", ct)
 	}
 }

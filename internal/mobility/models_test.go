@@ -38,7 +38,7 @@ func TestRegistryDeterminism(t *testing.T) {
 				t.Fatalf("tracks = %d", len(a))
 			}
 			for i := range a {
-				if !reflect.DeepEqual(a[i].Segments(), b[i].Segments()) {
+				if !reflect.DeepEqual(a[i].segs, b[i].segs) {
 					t.Fatalf("track %d differs between builds", i)
 				}
 			}
@@ -160,7 +160,7 @@ func TestManhattanSnapsToStreets(t *testing.T) {
 		return k-float64(int(k+0.5)) < eps && k-float64(int(k+0.5)) > -eps
 	}
 	for i, tr := range tracks {
-		for _, s := range tr.Segments() {
+		for _, s := range tr.segs {
 			// Every leg runs along one street: endpoints share a street
 			// coordinate on at least one axis.
 			horiz := onStreet(s.From.Y, 300, 2) && s.From.Y == s.To.Y
@@ -212,7 +212,7 @@ func TestDefaultModelMatchesExplicitWaypoint(t *testing.T) {
 	}
 	a, b := gen(""), gen("waypoint")
 	for i := range a {
-		if !reflect.DeepEqual(a[i].Segments(), b[i].Segments()) {
+		if !reflect.DeepEqual(a[i].segs, b[i].segs) {
 			t.Fatalf("track %d differs", i)
 		}
 	}
@@ -225,7 +225,7 @@ func TestDefaultModelMatchesExplicitWaypoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if !reflect.DeepEqual(a[i].Segments(), c[i].Segments()) {
+		if !reflect.DeepEqual(a[i].segs, c[i].segs) {
 			t.Fatalf("registry waypoint diverges from direct construction at track %d", i)
 		}
 	}

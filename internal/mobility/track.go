@@ -104,23 +104,6 @@ func MaxTrackSpeed(tracks []*Track) float64 {
 	return max
 }
 
-// VelocityAt returns the node's velocity vector (m/s) at time t.
-func (tr *Track) VelocityAt(t sim.Time) geo.Point {
-	s := tr.segmentAt(t)
-	if s.Speed == 0 {
-		return geo.Point{}
-	}
-	total := s.From.Dist(s.To)
-	if total == 0 {
-		return geo.Point{}
-	}
-	travelled := s.Speed * t.Sub(s.Start).Seconds()
-	if travelled >= total {
-		return geo.Point{} // arrived, waiting for next segment
-	}
-	return s.To.Sub(s.From).Unit().Scale(s.Speed)
-}
-
 func (tr *Track) segmentAt(t sim.Time) Segment {
 	// Binary search for the last segment with Start <= t.
 	i := sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].Start > t })
@@ -128,17 +111,4 @@ func (tr *Track) segmentAt(t sim.Time) Segment {
 		return tr.segs[0]
 	}
 	return tr.segs[i-1]
-}
-
-// Segments exposes the underlying schedule (read-only by convention).
-func (tr *Track) Segments() []Segment { return tr.segs }
-
-// ChangeTimes returns every time at which the node's course changes
-// (segment boundaries), for listeners that resample positions adaptively.
-func (tr *Track) ChangeTimes() []sim.Time {
-	out := make([]sim.Time, len(tr.segs))
-	for i, s := range tr.segs {
-		out[i] = s.Start
-	}
-	return out
 }

@@ -183,7 +183,6 @@ func (k *Models[E, M]) ParamNames(name string) ([]string, error) {
 // Listing is the type-free view of a model kind — what a table of model
 // kinds holds.
 type Listing interface {
-	Kind() string
 	Default() string
 	Names() []string
 	Known(name string) bool

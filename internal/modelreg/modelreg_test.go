@@ -143,8 +143,8 @@ func TestModels(t *testing.T) {
 		t.Error("ParamNames accepted an unregistered name")
 	}
 	var l Listing = k
-	if l.Kind() != "gain" || l.Default() != "unit" || !l.Known("") {
-		t.Errorf("Listing = kind %q default %q", l.Kind(), l.Default())
+	if l.Default() != "unit" || !l.Known("") {
+		t.Errorf("Listing = default %q", l.Default())
 	}
 }
 

@@ -31,8 +31,8 @@ func TestCapturePropertyRandomized(t *testing.T) {
 			mobility.Static(geo.Pt(d1, 0)),
 			mobility.Static(geo.Pt(0, d2)),
 		}, []Receiver{rx, &collector{}, &collector{}})
-		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("one", sim.Millis(1)) })
-		eng.Schedule(sim.Time(gap), func() { ch.Radio(2).Transmit("two", sim.Millis(1)) })
+		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("one", sim.Millisecond) })
+		eng.Schedule(sim.Time(gap), func() { ch.Radio(2).Transmit("two", sim.Millisecond) })
 		if err := eng.Run(sim.At(1)); err != nil {
 			t.Fatal(err)
 		}
@@ -90,8 +90,8 @@ func TestSINRPropertyRandomized(t *testing.T) {
 				mobility.Static(geo.Pt(d1, 0)),
 				mobility.Static(geo.Pt(0, d2)),
 			}, []Receiver{rx, &collector{}, &collector{}})
-			eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("one", sim.Millis(1)) })
-			eng.Schedule(sim.Time(gap), func() { ch.Radio(2).Transmit("two", sim.Millis(1)) })
+			eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("one", sim.Millisecond) })
+			eng.Schedule(sim.Time(gap), func() { ch.Radio(2).Transmit("two", sim.Millisecond) })
 			if err := eng.Run(sim.At(1)); err != nil {
 				t.Fatal(err)
 			}
@@ -148,10 +148,10 @@ func TestCumulativeInterferenceKillsReception(t *testing.T) {
 		ch := NewChannelWithConfig(eng, DefaultParams(), cfg)
 		rx := &collector{}
 		attachTracks(ch, tracks, []Receiver{rx, &collector{}, &collector{}, &collector{}, &collector{}})
-		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("sig", sim.Millis(1)) })
+		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("sig", sim.Millisecond) })
 		for i, at := range []sim.Duration{100 * sim.Microsecond, 150 * sim.Microsecond, 200 * sim.Microsecond} {
 			who := pkt.NodeID(2 + i)
-			eng.ScheduleIn(at, func() { ch.Radio(who).Transmit("noise", sim.Millis(1)) })
+			eng.ScheduleIn(at, func() { ch.Radio(who).Transmit("noise", sim.Millisecond) })
 		}
 		if err := eng.Run(sim.At(1)); err != nil {
 			t.Fatal(err)
@@ -189,10 +189,10 @@ func TestSubRxCumulativeInterference(t *testing.T) {
 			mobility.Static(geo.Pt(-430, 0)),
 			mobility.Static(geo.Pt(0, -430)),
 		}, []Receiver{rx, &collector{}, &collector{}, &collector{}, &collector{}})
-		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("sig", sim.Millis(1)) })
+		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("sig", sim.Millisecond) })
 		for i, at := range []sim.Duration{100 * sim.Microsecond, 150 * sim.Microsecond, 200 * sim.Microsecond} {
 			who := pkt.NodeID(2 + i)
-			eng.ScheduleIn(at, func() { ch.Radio(who).Transmit("hum", sim.Millis(1)) })
+			eng.ScheduleIn(at, func() { ch.Radio(who).Transmit("hum", sim.Millisecond) })
 		}
 		if err := eng.Run(sim.At(1)); err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestSINRSoloTrafficMatchesCapture(t *testing.T) {
 			attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(d, 0))}, []Receiver{rx, &collector{}})
 			for i := 0; i < 3; i++ {
 				at := sim.At(float64(i) * 0.01)
-				eng.Schedule(at, func() { ch.Radio(1).Transmit("x", sim.Millis(1)) })
+				eng.Schedule(at, func() { ch.Radio(1).Transmit("x", sim.Millisecond) })
 			}
 			if err := eng.Run(sim.At(1)); err != nil {
 				t.Fatal(err)
@@ -241,7 +241,7 @@ func TestInterferenceOnlyNeverDecodes(t *testing.T) {
 		ch := NewChannel(eng, DefaultParams())
 		rx := &collector{}
 		attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(d, 0))}, []Receiver{rx, &collector{}})
-		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("x", sim.Millis(1)) })
+		eng.ScheduleIn(0, func() { ch.Radio(1).Transmit("x", sim.Millisecond) })
 		if err := eng.Run(sim.At(1)); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestRadioStatsAccounting(t *testing.T) {
 	attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), mobility.Static(geo.Pt(100, 0))}, []Receiver{rx, &collector{}})
 	for i := 0; i < 5; i++ {
 		at := sim.At(float64(i) * 0.01)
-		eng.Schedule(at, func() { ch.Radio(1).Transmit("x", sim.Millis(1)) })
+		eng.Schedule(at, func() { ch.Radio(1).Transmit("x", sim.Millisecond) })
 	}
 	if err := eng.Run(sim.At(1)); err != nil {
 		t.Fatal(err)

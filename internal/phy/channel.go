@@ -141,9 +141,6 @@ func NewChannelWithConfig(eng *sim.Engine, params RadioParams, cfg Config) *Chan
 	return c
 }
 
-// Params returns the channel's physical-layer constants.
-func (c *Channel) Params() RadioParams { return c.params }
-
 // AttachRadio creates and registers the radio for node id. Radios must be
 // attached in id order starting from 0, after a position table covering id
 // is installed (SetPositionTable); the table serves every position lookup.
@@ -402,13 +399,4 @@ func (c *Channel) propagate(sender, to pkt.NodeID, from geo.Point, now sim.Time)
 		delay = sim.Nanosecond
 	}
 	c.legs = append(c.legs, leg{to: to, power: power, delay: delay})
-}
-
-// InRange reports whether b currently receives a's transmissions (power at
-// or above the reception threshold). Symmetric under the default models.
-// Stochastic models are judged at their nominal power — connectivity
-// oracles reason about the median link, not individual draws.
-func (c *Channel) InRange(a, b pkt.NodeID, at sim.Time) bool {
-	d := c.posAt(a, at).Dist(c.posAt(b, at))
-	return c.params.Prop.RxPower(c.params.TxPower, d) >= c.params.RxThreshold
 }

@@ -46,7 +46,7 @@ func TestLaneBatchOnEveryTransmitPath(t *testing.T) {
 		"sinr":    {SINR: true},
 	} {
 		eng, ch, cols := buildTableWorld(n, 4, cfg)
-		ch.Radio(7).Transmit("frame", sim.Millis(1))
+		ch.Radio(7).Transmit("frame", sim.Millisecond)
 		if got := ch.arrivals.Len(); got != n-1 {
 			t.Fatalf("%s: arrival lane holds %d of %d legs", name, got, n-1)
 		}

@@ -136,8 +136,8 @@ func TestIntervalWithoutSpeedBoundStaysExact(t *testing.T) {
 	c0, c1 := &countingReceiver{}, &countingReceiver{}
 	track := mobility.MustTrack([]mobility.Segment{{Start: 0, From: geo.Pt(5000, 0), To: geo.Pt(100, 0), Speed: 700}})
 	attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), track}, []*countingReceiver{c0, c1})
-	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("far", sim.Millis(1)) })
-	eng.Schedule(sim.At(7), func() { ch.Radio(0).Transmit("near", sim.Millis(1)) })
+	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("far", sim.Millisecond) })
+	eng.Schedule(sim.At(7), func() { ch.Radio(0).Transmit("near", sim.Millisecond) })
 	if err := eng.Run(sim.At(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestExactReindexDefault(t *testing.T) {
 	// Node 1 warps from far out of range to 100 m between transmissions.
 	track := mobility.MustTrack([]mobility.Segment{{Start: 0, From: geo.Pt(5000, 0), To: geo.Pt(100, 0), Speed: 700}})
 	attachTracks(ch, []*mobility.Track{mobility.Static(geo.Pt(0, 0)), track}, []*countingReceiver{c0, c1})
-	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("far", sim.Millis(1)) })
-	eng.Schedule(sim.At(7), func() { ch.Radio(0).Transmit("near", sim.Millis(1)) })
+	eng.ScheduleIn(0, func() { ch.Radio(0).Transmit("far", sim.Millisecond) })
+	eng.Schedule(sim.At(7), func() { ch.Radio(0).Transmit("near", sim.Millisecond) })
 	if err := eng.Run(sim.At(10)); err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,6 @@ type Radio struct {
 	notifiedBusy  bool
 }
 
-// ID returns the radio's node id.
-func (r *Radio) ID() pkt.NodeID { return r.id }
-
 // SetReceiver installs the upper layer. AttachRadio permits a nil receiver
 // so that a MAC — which needs the radio to construct itself — can be wired
 // in afterwards; no frames may arrive before the receiver is set.

@@ -567,12 +567,3 @@ func (a *AODV) installRoute(dst, nextHop pkt.NodeID, hops int, seq uint32, seqVa
 	// destinations die on expired reverse paths (RFC 3561 §6.5).
 	a.extend(r, max(activeRouteTimeout, 2*netTraversalTime))
 }
-
-// NextHop exposes the active next hop toward dst (tests/diagnostics).
-func (a *AODV) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {
-	r := a.validRoute(dst)
-	if r == nil {
-		return 0, false
-	}
-	return r.nextHop, true
-}

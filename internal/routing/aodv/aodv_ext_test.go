@@ -1,17 +1,16 @@
-package aodv_test
+package aodv
 
 import (
 	"testing"
 
 	"adhocsim/internal/geo"
 	"adhocsim/internal/mobility"
-	"adhocsim/internal/routing/aodv"
 	"adhocsim/internal/routing/rtest"
 	"adhocsim/internal/sim"
 )
 
 func TestHelloBeaconsOnlyWithActiveRoutes(t *testing.T) {
-	cfg := aodv.Config{HelloInterval: sim.Second}
+	cfg := Config{HelloInterval: sim.Second}
 	h := rtest.NewChain(t, 3, 200, factory(cfg))
 	// No traffic for 5 s: no active routes, hence no hellos.
 	h.Run(5)
@@ -33,8 +32,8 @@ func TestHelloDetectsSilentNeighbor(t *testing.T) {
 	// 0→2 via 1. Node 1 leaves at t=4. Even with NO further data traffic
 	// (so no link-layer feedback), hello loss must invalidate the route
 	// and produce a RERR.
-	var agents []*aodv.AODV
-	cfg := aodv.Config{HelloInterval: sim.Second}
+	var agents []*AODV
+	cfg := Config{HelloInterval: sim.Second}
 	tracks := []*mobility.Track{
 		mobility.Static(geo.Pt(0, 0)),
 		rtest.MovingAwayTrack(geo.Pt(200, 0), geo.Pt(200, 5000), sim.At(4), 1000),
@@ -44,7 +43,7 @@ func TestHelloDetectsSilentNeighbor(t *testing.T) {
 	// A short burst establishes routes, then silence.
 	h.SendMany(0, 2, 3, sim.At(1), 100*sim.Millisecond)
 	h.Run(12)
-	if _, ok := agents[0].NextHop(2); ok {
+	if agents[0].validRoute(2) != nil {
 		t.Fatal("route via vanished neighbour still valid after hello loss")
 	}
 }
@@ -61,7 +60,7 @@ func TestLocalRepairSalvagesAtIntermediate(t *testing.T) {
 			mobility.Static(geo.Pt(600, 0)),
 			mobility.Static(geo.Pt(400, 80)), // bridges 1 and 3
 		}
-		cfg := aodv.Config{LocalRepair: repair}
+		cfg := Config{LocalRepair: repair}
 		h := rtest.NewTracks(t, tracks, factory(cfg))
 		h.SendMany(0, 3, 40, sim.At(1), 250*sim.Millisecond)
 		h.Run(25)
@@ -88,7 +87,7 @@ func TestLocalRepairSalvagesAtIntermediate(t *testing.T) {
 // destination to also be a traffic source and gaps longer than the route
 // lifetime, so it is exercised end-to-end.
 func TestExpiredRouteDoesNotVetoFreshRREP(t *testing.T) {
-	h := rtest.NewChain(t, 6, 200, factory(aodv.Config{}))
+	h := rtest.NewChain(t, 6, 200, factory(Config{}))
 	// Phase 1: node 5 (the later destination) runs its own discovery,
 	// poisoning reverse routes to itself along the chain.
 	h.SendAt(5, 0, sim.At(1))

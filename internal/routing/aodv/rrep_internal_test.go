@@ -24,8 +24,8 @@ func TestForwardRREPForSelf(t *testing.T) {
 	// A 0→2 discovery leaves node 1 with a valid reverse route to node 0.
 	h.SendAt(0, 2, sim.At(1))
 	h.Run(1.5)
-	if nh, ok := agents[1].NextHop(0); !ok || nh != 0 {
-		t.Fatalf("node 1 reverse next hop = %v,%v want 0", nh, ok)
+	if r := agents[1].validRoute(0); r == nil || r.nextHop != 0 {
+		t.Fatalf("node 1 reverse next hop: route %+v, want one via 0", r)
 	}
 	before := h.World.Collector.Finalize().RoutingByType["RREP"]
 

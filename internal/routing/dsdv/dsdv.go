@@ -304,15 +304,3 @@ func (d *DSDV) newUpdate(n int) (*pkt.Packet, *update) {
 	}
 	return p, m
 }
-
-// TableSize exposes the number of known destinations (diagnostics/tests).
-func (d *DSDV) TableSize() int { return len(d.table) }
-
-// NextHop exposes the current next hop for dst (diagnostics/tests).
-func (d *DSDV) NextHop(dst pkt.NodeID) (pkt.NodeID, bool) {
-	e := d.lookup(dst)
-	if e == nil {
-		return 0, false
-	}
-	return e.nextHop, true
-}

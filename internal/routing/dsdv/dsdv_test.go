@@ -1,4 +1,4 @@
-package dsdv_test
+package dsdv
 
 import (
 	"testing"
@@ -7,44 +7,43 @@ import (
 	"adhocsim/internal/mobility"
 	"adhocsim/internal/network"
 	"adhocsim/internal/pkt"
-	"adhocsim/internal/routing/dsdv"
 	"adhocsim/internal/routing/rtest"
 	"adhocsim/internal/sim"
 )
 
-func factory(cfg dsdv.Config) network.ProtocolFactory { return dsdv.Factory(cfg) }
+func factory(cfg Config) network.ProtocolFactory { return Factory(cfg) }
 
-func instrumented(cfg dsdv.Config, agents *[]*dsdv.DSDV) network.ProtocolFactory {
+func instrumented(cfg Config, agents *[]*DSDV) network.ProtocolFactory {
 	return func(pkt.NodeID) network.Protocol {
-		a := dsdv.New(cfg)
+		a := New(cfg)
 		*agents = append(*agents, a)
 		return a
 	}
 }
 
 // fast returns a config with quick convergence for short tests.
-func fast() dsdv.Config {
-	return dsdv.Config{UpdateInterval: 2 * sim.Second, MinTriggerGap: 200 * sim.Millisecond}
+func fast() Config {
+	return Config{UpdateInterval: 2 * sim.Second, MinTriggerGap: 200 * sim.Millisecond}
 }
 
 func TestTableConvergenceOnChain(t *testing.T) {
-	var agents []*dsdv.DSDV
+	var agents []*DSDV
 	h := rtest.NewChain(t, 5, 200, instrumented(fast(), &agents))
 	h.Run(15)
 	for i, a := range agents {
-		if a.TableSize() != 4 {
-			t.Fatalf("node %d knows %d destinations, want 4", i, a.TableSize())
+		if len(a.table) != 4 {
+			t.Fatalf("node %d knows %d destinations, want 4", i, len(a.table))
 		}
 	}
 	// Next hops follow the chain.
-	if nh, ok := agents[0].NextHop(4); !ok || nh != 1 {
-		t.Fatalf("n0→4 next hop = %v,%v want 1", nh, ok)
+	if r := agents[0].lookup(4); r == nil || r.nextHop != 1 {
+		t.Fatalf("n0→4 next hop: route %+v, want one via 1", r)
 	}
-	if nh, ok := agents[2].NextHop(0); !ok || nh != 1 {
-		t.Fatalf("n2→0 next hop = %v,%v want 1", nh, ok)
+	if r := agents[2].lookup(0); r == nil || r.nextHop != 1 {
+		t.Fatalf("n2→0 next hop: route %+v, want one via 1", r)
 	}
-	if nh, ok := agents[4].NextHop(0); !ok || nh != 3 {
-		t.Fatalf("n4→0 next hop = %v,%v want 3", nh, ok)
+	if r := agents[4].lookup(0); r == nil || r.nextHop != 3 {
+		t.Fatalf("n4→0 next hop: route %+v, want one via 3", r)
 	}
 }
 
@@ -65,7 +64,7 @@ func TestDataFollowsConvergedRoutes(t *testing.T) {
 }
 
 func TestNoRouteDropsBeforeConvergence(t *testing.T) {
-	h := rtest.NewChain(t, 5, 200, factory(dsdv.Config{UpdateInterval: 10 * sim.Second}))
+	h := rtest.NewChain(t, 5, 200, factory(Config{UpdateInterval: 10 * sim.Second}))
 	// Send immediately: far destination is unknown, DSDV drops.
 	h.SendAt(0, 4, sim.At(0.5))
 	h.Run(2)
@@ -81,7 +80,7 @@ func TestNoRouteDropsBeforeConvergence(t *testing.T) {
 func TestBrokenLinkMarksInfinityAndHeals(t *testing.T) {
 	// Chain with a redundant bypass: 0-1-2 plus node 3 near the middle.
 	// When 1 vanishes, routes via 1 must break and re-form via 3.
-	var agents []*dsdv.DSDV
+	var agents []*DSDV
 	tracks := []*mobility.Track{
 		mobility.Static(geo.Pt(0, 0)),
 		rtest.MovingAwayTrack(geo.Pt(200, 0), geo.Pt(200, 5000), sim.At(10), 500),
@@ -96,19 +95,19 @@ func TestBrokenLinkMarksInfinityAndHeals(t *testing.T) {
 		t.Fatalf("delivered %d/60 across DSDV break+heal", got)
 	}
 	// After healing, node 0 must route to 2 via 3.
-	if nh, ok := agents[0].NextHop(2); !ok || nh != 3 {
-		t.Fatalf("healed next hop = %v,%v want 3", nh, ok)
+	if r := agents[0].lookup(2); r == nil || r.nextHop != 3 {
+		t.Fatalf("healed next hop: route %+v, want one via 3", r)
 	}
 }
 
 func TestPeriodicOverheadIndependentOfTraffic(t *testing.T) {
-	quiet := rtest.NewChain(t, 4, 200, factory(dsdv.Config{UpdateInterval: 3 * sim.Second}))
+	quiet := rtest.NewChain(t, 4, 200, factory(Config{UpdateInterval: 3 * sim.Second}))
 	quiet.Run(30)
 	quietTx := quiet.RoutingTx()
 	if quietTx == 0 {
 		t.Fatal("proactive protocol silent")
 	}
-	busy := rtest.NewChain(t, 4, 200, factory(dsdv.Config{UpdateInterval: 3 * sim.Second}))
+	busy := rtest.NewChain(t, 4, 200, factory(Config{UpdateInterval: 3 * sim.Second}))
 	busy.SendMany(0, 3, 20, sim.At(10), 500*sim.Millisecond)
 	busy.Run(30)
 	busyTx := busy.RoutingTx()
@@ -120,15 +119,15 @@ func TestPeriodicOverheadIndependentOfTraffic(t *testing.T) {
 }
 
 func TestTriggeredUpdatesAccelerateConvergence(t *testing.T) {
-	slowCfg := dsdv.Config{UpdateInterval: 5 * sim.Second, DisableTriggered: true}
-	fastCfg := dsdv.Config{UpdateInterval: 5 * sim.Second, MinTriggerGap: 200 * sim.Millisecond}
-	measure := func(cfg dsdv.Config) int {
-		var agents []*dsdv.DSDV
+	slowCfg := Config{UpdateInterval: 5 * sim.Second, DisableTriggered: true}
+	fastCfg := Config{UpdateInterval: 5 * sim.Second, MinTriggerGap: 200 * sim.Millisecond}
+	measure := func(cfg Config) int {
+		var agents []*DSDV
 		h := rtest.NewChain(t, 6, 200, instrumented(cfg, &agents))
 		h.Run(7) // just past one full dump cycle
 		known := 0
 		for _, a := range agents {
-			known += a.TableSize()
+			known += len(a.table)
 		}
 		return known
 	}

@@ -119,6 +119,3 @@ func (c *PathCache) RemoveLink(a, b pkt.NodeID) int {
 	c.paths = kept
 	return touched
 }
-
-// Len returns the number of cached paths.
-func (c *PathCache) Len() int { return len(c.paths) }

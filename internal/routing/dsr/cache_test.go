@@ -59,16 +59,16 @@ func TestCacheShortestWins(t *testing.T) {
 func TestCacheRejectsLoopsAndDuplicates(t *testing.T) {
 	c := NewPathCache(0, 8)
 	c.Add(ids(0, 1, 0))
-	if c.Len() != 0 {
+	if len(c.paths) != 0 {
 		t.Fatal("looping path cached")
 	}
 	c.Add(ids(0, 1, 2))
 	c.Add(ids(0, 1, 2))
-	if c.Len() != 1 {
-		t.Fatalf("duplicate path cached: %d", c.Len())
+	if len(c.paths) != 1 {
+		t.Fatalf("duplicate path cached: %d", len(c.paths))
 	}
 	c.Add(ids(5))
-	if c.Len() != 1 {
+	if len(c.paths) != 1 {
 		t.Fatal("single-node path cached")
 	}
 }

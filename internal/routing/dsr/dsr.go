@@ -65,9 +65,6 @@ func (d *DSR) Start(env network.Env) {
 	d.disc.Init(&d.Base, d, 0, d.cfg.SendBufferTimeout)
 }
 
-// Cache exposes the path cache (tests/diagnostics).
-func (d *DSR) Cache() *PathCache { return d.cache }
-
 // --- data path -------------------------------------------------------------
 
 // SendData implements network.Protocol.

@@ -1,4 +1,4 @@
-package dsr_test
+package dsr
 
 import (
 	"testing"
@@ -7,23 +7,22 @@ import (
 	"adhocsim/internal/mobility"
 	"adhocsim/internal/network"
 	"adhocsim/internal/pkt"
-	"adhocsim/internal/routing/dsr"
 	"adhocsim/internal/routing/rtest"
 	"adhocsim/internal/sim"
 )
 
-func factory(cfg dsr.Config) network.ProtocolFactory { return dsr.Factory(cfg) }
+func factory(cfg Config) network.ProtocolFactory { return Factory(cfg) }
 
-func instrumented(cfg dsr.Config, agents *[]*dsr.DSR) network.ProtocolFactory {
+func instrumented(cfg Config, agents *[]*DSR) network.ProtocolFactory {
 	return func(pkt.NodeID) network.Protocol {
-		a := dsr.New(cfg)
+		a := New(cfg)
 		*agents = append(*agents, a)
 		return a
 	}
 }
 
 func TestChainDiscoveryAndDelivery(t *testing.T) {
-	h := rtest.NewChain(t, 5, 200, factory(dsr.Config{}))
+	h := rtest.NewChain(t, 5, 200, factory(Config{}))
 	h.SendMany(0, 4, 10, sim.At(1), 100*sim.Millisecond)
 	h.Run(10)
 	if got := h.DeliveredUnique(4); got != 10 {
@@ -32,7 +31,7 @@ func TestChainDiscoveryAndDelivery(t *testing.T) {
 }
 
 func TestSourceRouteCarriedAndHopsCounted(t *testing.T) {
-	h := rtest.NewChain(t, 4, 200, factory(dsr.Config{}))
+	h := rtest.NewChain(t, 4, 200, factory(Config{}))
 	h.SendAt(0, 3, sim.At(1))
 	h.Run(5)
 	if len(h.Deliveries) != 1 {
@@ -52,7 +51,7 @@ func TestSourceRouteCarriedAndHopsCounted(t *testing.T) {
 }
 
 func TestRouteCachedAfterFirstDiscovery(t *testing.T) {
-	h := rtest.NewChain(t, 4, 200, factory(dsr.Config{}))
+	h := rtest.NewChain(t, 4, 200, factory(Config{}))
 	h.SendAt(0, 3, sim.At(1))
 	h.Run(3)
 	afterFirst := h.World.Collector.Finalize().RoutingByType["RREQ"]
@@ -71,7 +70,7 @@ func TestRouteCachedAfterFirstDiscovery(t *testing.T) {
 func TestNonPropagatingRequestFirst(t *testing.T) {
 	// Adjacent target: the TTL-1 request suffices, so exactly one RREQ
 	// transmission happens (nobody refloods).
-	h := rtest.NewChain(t, 6, 200, factory(dsr.Config{}))
+	h := rtest.NewChain(t, 6, 200, factory(Config{}))
 	h.SendAt(0, 1, sim.At(1))
 	h.Run(5)
 	res := h.World.Collector.Finalize()
@@ -87,8 +86,8 @@ func TestReplyFromCache(t *testing.T) {
 	// Prime node 1's cache with a route to 4 (flow 1→4), then let node 0
 	// discover 4: node 1 answers from cache, so no RREQ is ever
 	// transmitted by nodes beyond it.
-	var agents []*dsr.DSR
-	h := rtest.NewChain(t, 5, 200, instrumented(dsr.Config{}, &agents))
+	var agents []*DSR
+	h := rtest.NewChain(t, 5, 200, instrumented(Config{}, &agents))
 	h.SendAt(1, 4, sim.At(1))
 	h.Run(3)
 	base := h.World.Collector.Finalize().RoutingByType["RREQ"]
@@ -104,13 +103,13 @@ func TestReplyFromCache(t *testing.T) {
 	if grew > 1 {
 		t.Fatalf("reply-from-cache failed: %d extra RREQ transmissions", grew)
 	}
-	if agents[0].Cache().Find(4) == nil {
+	if agents[0].cache.Find(4) == nil {
 		t.Fatal("origin did not cache the spliced route")
 	}
 }
 
 func TestReplyFromCacheDisabled(t *testing.T) {
-	h := rtest.NewChain(t, 5, 200, factory(dsr.Config{DisableReplyFromCache: true}))
+	h := rtest.NewChain(t, 5, 200, factory(Config{DisableReplyFromCache: true}))
 	h.SendAt(1, 4, sim.At(1))
 	h.Run(3)
 	base := h.World.Collector.Finalize().RoutingByType["RREQ"]
@@ -133,7 +132,7 @@ func TestSalvageOnLinkBreak(t *testing.T) {
 		mobility.Static(geo.Pt(120, 160)), // in range of both 0 and 3
 		mobility.Static(geo.Pt(300, 150)),
 	}
-	h := rtest.NewTracks(t, tracks, factory(dsr.Config{}))
+	h := rtest.NewTracks(t, tracks, factory(Config{}))
 	h.SendMany(0, 3, 40, sim.At(1), 250*sim.Millisecond)
 	h.Run(20)
 	if got := h.DeliveredUnique(3); got < 34 {
@@ -144,20 +143,20 @@ func TestSalvageOnLinkBreak(t *testing.T) {
 func TestRERRPropagatesToSource(t *testing.T) {
 	// Break at the far hop: intermediate node 1 must send a RERR to the
 	// source, and the source's cache must drop routes over the dead link.
-	var agents []*dsr.DSR
+	var agents []*DSR
 	tracks := []*mobility.Track{
 		mobility.Static(geo.Pt(0, 0)),
 		mobility.Static(geo.Pt(200, 0)),
 		rtest.MovingAwayTrack(geo.Pt(400, 0), geo.Pt(5000, 0), sim.At(4), 800),
 	}
-	h := rtest.NewTracks(t, tracks, instrumented(dsr.Config{}, &agents))
+	h := rtest.NewTracks(t, tracks, instrumented(Config{}, &agents))
 	h.SendMany(0, 2, 30, sim.At(1), 300*sim.Millisecond)
 	h.Run(20)
 	res := h.World.Collector.Finalize()
 	if res.RoutingByType["RERR"] == 0 {
 		t.Fatal("no RERR on far-hop break")
 	}
-	if r := agents[0].Cache().Find(2); r != nil {
+	if r := agents[0].cache.Find(2); r != nil {
 		t.Fatalf("source still caches a route to the vanished node: %v", r)
 	}
 }
@@ -166,27 +165,27 @@ func TestPromiscuousLearning(t *testing.T) {
 	// Triangle: 0 and 2 talk via the chain, node 3 sits in earshot of the
 	// whole exchange but is never addressed. With promiscuous learning it
 	// must still populate its cache.
-	var agents []*dsr.DSR
+	var agents []*DSR
 	positions := []geo.Point{geo.Pt(0, 0), geo.Pt(200, 0), geo.Pt(400, 0), geo.Pt(200, 100)}
-	h := rtest.NewPositions(t, positions, instrumented(dsr.Config{}, &agents))
+	h := rtest.NewPositions(t, positions, instrumented(Config{}, &agents))
 	h.SendMany(0, 2, 5, sim.At(1), 200*sim.Millisecond)
 	h.Run(5)
-	if agents[3].Cache().Len() == 0 {
+	if len(agents[3].cache.paths) == 0 {
 		t.Fatal("bystander learned nothing promiscuously")
 	}
 	// And with the optimization off, it must learn only what the flood
 	// itself teaches (RREQ broadcasts still reach it).
-	var deaf []*dsr.DSR
-	h2 := rtest.NewPositions(t, positions, instrumented(dsr.Config{DisablePromiscuous: true}, &deaf))
+	var deaf []*DSR
+	h2 := rtest.NewPositions(t, positions, instrumented(Config{DisablePromiscuous: true}, &deaf))
 	h2.SendMany(0, 2, 5, sim.At(1), 200*sim.Millisecond)
 	h2.Run(5)
-	if deaf[3].Cache().Len() > agents[3].Cache().Len() {
+	if len(deaf[3].cache.paths) > len(agents[3].cache.paths) {
 		t.Fatal("promiscuous learning made the cache smaller")
 	}
 }
 
 func TestNoControlTrafficWithoutData(t *testing.T) {
-	h := rtest.NewChain(t, 5, 200, factory(dsr.Config{}))
+	h := rtest.NewChain(t, 5, 200, factory(Config{}))
 	h.Run(30)
 	if tx := h.RoutingTx(); tx != 0 {
 		t.Fatalf("idle DSR transmitted %d routing packets", tx)

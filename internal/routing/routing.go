@@ -130,12 +130,6 @@ func (b *SendBuffer) HasDest(dst pkt.NodeID, now sim.Time) bool {
 	return false
 }
 
-// Len returns the number of buffered packets.
-func (b *SendBuffer) Len(now sim.Time) int {
-	b.expire(now)
-	return len(b.items)
-}
-
 func (b *SendBuffer) expire(now sim.Time) {
 	kept := b.items[:0]
 	for _, it := range b.items {

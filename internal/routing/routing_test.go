@@ -35,8 +35,8 @@ func TestSendBufferPopDest(t *testing.T) {
 	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 2 {
 		t.Fatalf("PopDest = %v", got)
 	}
-	if b.Len(0) != 1 {
-		t.Fatalf("Len = %d", b.Len(0))
+	if len(b.items) != 1 {
+		t.Fatalf("%d packets buffered, want 1", len(b.items))
 	}
 	if len(b.PopDest(1, 0)) != 0 {
 		t.Fatal("double pop returned packets")
@@ -76,8 +76,8 @@ func TestSendBufferDefaults(t *testing.T) {
 	for i := 0; i < DefaultSendBufferCap; i++ {
 		b.Push(dp(1, uint32(i)), 0)
 	}
-	if b.Len(0) != DefaultSendBufferCap {
-		t.Fatalf("default capacity = %d", b.Len(0))
+	if len(b.items) != DefaultSendBufferCap {
+		t.Fatalf("default capacity = %d", len(b.items))
 	}
 }
 

@@ -256,7 +256,7 @@ func TestNamedDefaultsMatchZeroValue(t *testing.T) {
 		t.Fatal("named cbr produced different connections")
 	}
 	for i := range a.Tracks {
-		if !reflect.DeepEqual(a.Tracks[i].Segments(), b.Tracks[i].Segments()) {
+		if !reflect.DeepEqual(a.Tracks[i], b.Tracks[i]) {
 			t.Fatalf("named waypoint produced a different track %d", i)
 		}
 	}
@@ -363,7 +363,7 @@ func TestNewModelsGenerateDeterministically(t *testing.T) {
 					t.Fatal("same seed, different connections")
 				}
 				for i := range a.Tracks {
-					if !reflect.DeepEqual(a.Tracks[i].Segments(), b.Tracks[i].Segments()) {
+					if !reflect.DeepEqual(a.Tracks[i], b.Tracks[i]) {
 						t.Fatalf("same seed, different track %d", i)
 					}
 				}
@@ -376,7 +376,7 @@ func TestNewModelsGenerateDeterministically(t *testing.T) {
 				}
 				same := 0
 				for i := range a.Tracks {
-					if reflect.DeepEqual(a.Tracks[i].Segments(), c.Tracks[i].Segments()) {
+					if reflect.DeepEqual(a.Tracks[i], c.Tracks[i]) {
 						same++
 					}
 				}

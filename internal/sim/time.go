@@ -35,12 +35,6 @@ const Never Time = 1<<63 - 1
 // Seconds constructs a Duration from (possibly fractional) seconds.
 func Seconds(s float64) Duration { return Duration(s * 1e9) }
 
-// Millis constructs a Duration from (possibly fractional) milliseconds.
-func Millis(ms float64) Duration { return Duration(ms * 1e6) }
-
-// Micros constructs a Duration from (possibly fractional) microseconds.
-func Micros(us float64) Duration { return Duration(us * 1e3) }
-
 // At constructs a Time from (possibly fractional) seconds.
 func At(s float64) Time { return Time(s * 1e9) }
 
@@ -52,9 +46,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
-
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
 
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
@@ -75,6 +66,3 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // String renders the duration compactly.
 func (d Duration) String() string { return d.Std().String() }
-
-// Scale multiplies d by a float factor, rounding toward zero.
-func (d Duration) Scale(f float64) Duration { return Duration(float64(d) * f) }

@@ -6,31 +6,19 @@ import (
 	"time"
 )
 
-func TestDurationScale(t *testing.T) {
-	if Second.Scale(0.5) != 500*Millisecond {
-		t.Fatalf("Scale = %v", Second.Scale(0.5))
-	}
-	if Second.Scale(2) != 2*Second {
-		t.Fatal("Scale(2)")
-	}
-}
-
 func TestDurationStd(t *testing.T) {
 	if Second.Std() != time.Second {
 		t.Fatal("Std conversion")
 	}
-	if Millis(1.5).Std() != 1500*time.Microsecond {
-		t.Fatal("fractional millis")
+	if Seconds(1.5).Std() != 1500*time.Millisecond {
+		t.Fatal("fractional seconds")
 	}
 }
 
 func TestTimeOrderingProperties(t *testing.T) {
 	f := func(a, b int32) bool {
 		ta, tb := Time(a), Time(b)
-		if ta.Before(tb) && tb.Before(ta) {
-			return false
-		}
-		if ta.Before(tb) {
+		if ta < tb {
 			return tb.After(ta)
 		}
 		return true
@@ -52,7 +40,7 @@ func TestAddSubRoundTrip(t *testing.T) {
 }
 
 func TestDurationStringSmoke(t *testing.T) {
-	if Second.String() == "" || Millis(5).String() == "" {
+	if Second.String() == "" || (5*Millisecond).String() == "" {
 		t.Fatal("empty duration strings")
 	}
 }

@@ -17,10 +17,3 @@ func (s *WelfordSink) Record(sm metrics.Sample) { s.cells[sm.Kind].Add(sm.Value)
 
 // Cell returns the accumulator for a kind.
 func (s *WelfordSink) Cell(k metrics.Kind) *Welford { return &s.cells[k] }
-
-// Merge folds another sink's cells into s via Welford.Merge.
-func (s *WelfordSink) Merge(o *WelfordSink) {
-	for k := range s.cells {
-		s.cells[k].Merge(o.cells[k])
-	}
-}

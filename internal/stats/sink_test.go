@@ -12,22 +12,13 @@ func TestWelfordSinkPerKindCells(t *testing.T) {
 	s.Record(metrics.Sample{Kind: metrics.Delay, Value: 0.010})
 	s.Record(metrics.Sample{Kind: metrics.Delay, Value: 0.030})
 	s.Record(metrics.Sample{Kind: metrics.Hops, Value: 3})
-	if n := s.Cell(metrics.Delay).N(); n != 2 {
+	if n := s.Cell(metrics.Delay).Summary().N; n != 2 {
 		t.Fatalf("delay cell N = %d", n)
 	}
 	if m := s.Cell(metrics.Delay).Mean(); math.Abs(m-0.020) > 1e-15 {
 		t.Fatalf("delay mean = %v", m)
 	}
-	if n := s.Cell(metrics.RoutingTx).N(); n != 0 {
+	if n := s.Cell(metrics.RoutingTx).Summary().N; n != 0 {
 		t.Fatalf("untouched cell N = %d", n)
-	}
-	o := NewWelfordSink()
-	o.Record(metrics.Sample{Kind: metrics.Delay, Value: 0.050})
-	s.Merge(o)
-	if n := s.Cell(metrics.Delay).N(); n != 3 {
-		t.Fatalf("merged delay N = %d", n)
-	}
-	if m := s.Cell(metrics.Delay).Mean(); math.Abs(m-0.030) > 1e-15 {
-		t.Fatalf("merged delay mean = %v", m)
 	}
 }

@@ -34,37 +34,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += float64(d * (x - w.mean)) // rounded: no fused multiply-add
 }
 
-// Merge folds another accumulator into w using the pairwise
-// parallel-variance combine (Chan et al.): the result matches what a single
-// accumulator over the concatenated samples would report, up to float64
-// rounding. Deterministic in call order; it does NOT bit-match a sequential
-// Add of the same observations, so the campaign's checkpoint-identical
-// rep folding keeps using Add.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	wf, of := float64(w.n), float64(o.n)
-	w.m2 += o.m2 + delta*delta*wf*of/float64(n)
-	w.mean += delta * of / float64(n)
-	w.n = n
-}
-
-// N returns the number of observations fed so far.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 for an empty accumulator).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -78,12 +47,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the sample standard deviation; 0 for n < 2.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
 
 // CI95 returns the half-width of the 95% confidence interval for the mean
 // (Student-t); 0 for n < 2.

@@ -12,8 +12,8 @@ func TestWelfordKnownSample(t *testing.T) {
 	for _, x := range []float64{10, 12, 14, 16, 18} {
 		w.Add(x)
 	}
-	if w.N() != 5 || w.Min() != 10 || w.Max() != 18 {
-		t.Fatalf("welford = %+v", w)
+	if s := w.Summary(); s.N != 5 || s.Min != 10 || s.Max != 18 {
+		t.Fatalf("welford = %+v", s)
 	}
 	if math.Abs(w.Mean()-14) > 1e-12 {
 		t.Fatalf("mean = %v", w.Mean())
@@ -46,11 +46,11 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 
 func TestWelfordEdgeCases(t *testing.T) {
 	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.StdDev() != 0 || w.CI95() != 0 {
+	if w.Summary() != (Summary{}) {
 		t.Fatalf("zero value = %+v", w.Summary())
 	}
 	w.Add(42)
-	if w.Mean() != 42 || w.Min() != 42 || w.Max() != 42 || w.CI95() != 0 {
+	if s := w.Summary(); s != (Summary{N: 1, Mean: 42, Min: 42, Max: 42}) {
 		t.Fatalf("single sample = %+v", w.Summary())
 	}
 }
@@ -69,64 +69,6 @@ func TestWelfordDeterministicReplay(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("replayed state differs: %+v vs %+v", a, b)
-	}
-}
-
-func TestWelfordMergeKnownSample(t *testing.T) {
-	// Split {10,12,14,16,18,20} as {10,12}+{14,16,18,20}: merged mean 15,
-	// sample variance 14, min 10, max 20 — the parallel combine must match
-	// the one-accumulator result to float64 noise.
-	var a, b Welford
-	for _, x := range []float64{10, 12} {
-		a.Add(x)
-	}
-	for _, x := range []float64{14, 16, 18, 20} {
-		b.Add(x)
-	}
-	a.Merge(b)
-	if a.N() != 6 || a.Min() != 10 || a.Max() != 20 {
-		t.Fatalf("merged = %+v", a.Summary())
-	}
-	if math.Abs(a.Mean()-15) > 1e-12 {
-		t.Fatalf("merged mean = %v, want 15", a.Mean())
-	}
-	if math.Abs(a.Variance()-14) > 1e-12 {
-		t.Fatalf("merged variance = %v, want 14", a.Variance())
-	}
-	// Uneven magnitudes and negative values against a sequential reference.
-	xs := []float64{3.5, -1.25, 0, 7.75, 2.25, 100.5, -42, 13}
-	var left, right, seq Welford
-	for _, x := range xs[:3] {
-		left.Add(x)
-	}
-	for _, x := range xs[3:] {
-		right.Add(x)
-	}
-	for _, x := range xs {
-		seq.Add(x)
-	}
-	left.Merge(right)
-	if left.N() != seq.N() || left.Min() != seq.Min() || left.Max() != seq.Max() {
-		t.Fatalf("merged %+v vs sequential %+v", left.Summary(), seq.Summary())
-	}
-	if math.Abs(left.Mean()-seq.Mean()) > 1e-12 || math.Abs(left.Variance()-seq.Variance()) > 1e-9 {
-		t.Fatalf("merged %+v vs sequential %+v", left.Summary(), seq.Summary())
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var w Welford
-	w.Add(1)
-	w.Add(3)
-	before := w
-	w.Merge(Welford{})
-	if w != before {
-		t.Fatal("merging an empty accumulator must be a no-op")
-	}
-	var e Welford
-	e.Merge(before)
-	if e != before {
-		t.Fatal("merging into an empty accumulator must adopt the source")
 	}
 }
 

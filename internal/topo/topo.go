@@ -66,21 +66,6 @@ func (sb *snapshotBuf) build(g *Graph, tracks []*mobility.Track, t sim.Time, rad
 // N returns the node count.
 func (g *Graph) N() int { return len(g.adj) }
 
-// Neighbors returns the adjacency list of node i (not a copy).
-func (g *Graph) Neighbors(i int32) []int32 { return g.adj[i] }
-
-// Degree returns the number of neighbours of node i.
-func (g *Graph) Degree(i int32) int { return len(g.adj[i]) }
-
-// HopDist returns the BFS hop count from src to dst, or -1 if unreachable.
-func (g *Graph) HopDist(src, dst int32) int {
-	if src == dst {
-		return 0
-	}
-	dist := g.BFS(src)
-	return dist[dst]
-}
-
 // BFS returns hop distances from src to every node (-1 when unreachable).
 func (g *Graph) BFS(src int32) []int {
 	dist := make([]int, len(g.adj))
@@ -187,14 +172,6 @@ func NewOracle(tracks []*mobility.Track, radioRange float64) *Oracle {
 		resolution: sim.Second,
 		bfsFrom:    make(map[int32][]int),
 	}
-}
-
-// GraphAt returns the cached snapshot graph near time t. The graph is the
-// oracle's own and stays valid only until its next refresh: a later query
-// at a time beyond the resolution rewrites it in place.
-func (o *Oracle) GraphAt(t sim.Time) *Graph {
-	o.refresh(t)
-	return &o.snap
 }
 
 func (o *Oracle) refresh(t sim.Time) {

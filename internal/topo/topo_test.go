@@ -20,17 +20,17 @@ func TestChainConnectivity(t *testing.T) {
 		if i == 0 || i == 4 {
 			wantDeg = 1
 		}
-		if g.Degree(i) != wantDeg {
-			t.Fatalf("node %d degree = %d, want %d", i, g.Degree(i), wantDeg)
+		if len(g.adj[i]) != wantDeg {
+			t.Fatalf("node %d degree = %d, want %d", i, len(g.adj[i]), wantDeg)
 		}
 	}
 	if !g.Connected() {
 		t.Fatal("chain should be connected")
 	}
-	if d := g.HopDist(0, 4); d != 4 {
+	if d := g.BFS(0)[4]; d != 4 {
 		t.Fatalf("HopDist(0,4) = %d, want 4", d)
 	}
-	if d := g.HopDist(2, 2); d != 0 {
+	if d := g.BFS(2)[2]; d != 0 {
 		t.Fatalf("HopDist(self) = %d", d)
 	}
 }
@@ -50,7 +50,7 @@ func TestPartition(t *testing.T) {
 	if c := g.Components(); c != 2 {
 		t.Fatalf("components = %d, want 2", c)
 	}
-	if d := g.HopDist(0, 2); d != -1 {
+	if d := g.BFS(0)[2]; d != -1 {
 		t.Fatalf("HopDist across partition = %d, want -1", d)
 	}
 }
@@ -62,10 +62,10 @@ func TestRangeBoundaryInclusive(t *testing.T) {
 		mobility.Static(geo.Pt(500.5, 0)),
 	}
 	g := Snapshot(tracks, 0, 250)
-	if g.Degree(0) != 1 {
+	if len(g.adj[0]) != 1 {
 		t.Fatal("edge exactly at range missing")
 	}
-	if g.HopDist(1, 2) != -1 {
+	if g.BFS(1)[2] != -1 {
 		t.Fatal("edge slightly beyond range present")
 	}
 }
@@ -122,8 +122,7 @@ func TestOracleCachingAndRefresh(t *testing.T) {
 	if d := o.HopDist(sim.At(10), 0, 1); d != -1 {
 		t.Fatalf("t=10 dist = %d, want -1", d)
 	}
-	g := o.GraphAt(sim.At(10))
-	if g.Connected() {
+	if o.snap.Connected() {
 		t.Fatal("stale graph returned")
 	}
 }
@@ -190,13 +189,12 @@ func FuzzOracleHopDist(f *testing.F) {
 			src, dst := int32(int(ops[1])%n), int32(int(ops[2])%n)
 			got := o.HopDist(at, src, dst)
 			fresh := Snapshot(tracks, o.snapAt, r)
-			if want := fresh.HopDist(src, dst); got != want {
+			if want := fresh.BFS(src)[dst]; got != want {
 				t.Fatalf("HopDist(%v, %d, %d) = %d, a fresh snapshot at %v says %d", at, src, dst, got, o.snapAt, want)
 			}
-			g := o.GraphAt(at)
 			for i := range n {
-				if !slices.Equal(g.Neighbors(int32(i)), fresh.Neighbors(int32(i))) {
-					t.Fatalf("at %v node %d: oracle neighbours %v, fresh snapshot %v", at, i, g.Neighbors(int32(i)), fresh.Neighbors(int32(i)))
+				if !slices.Equal(o.snap.adj[i], fresh.adj[i]) {
+					t.Fatalf("at %v node %d: oracle neighbours %v, fresh snapshot %v", at, i, o.snap.adj[i], fresh.adj[i])
 				}
 			}
 		}

@@ -149,21 +149,20 @@ func TestTrafficRegistryErrors(t *testing.T) {
 // checks the emitted count is near the configured mean rate, and that the
 // same connection seed reproduces the exact schedule.
 func TestPoissonSourceEmits(t *testing.T) {
-	run := func() uint32 {
+	run := func() uint64 {
 		w := world(t, 2, 100)
 		conn := traffic.Connection{
 			Src: 0, Dst: 1, Rate: 10, PayloadBytes: 64, Start: sim.At(1),
 			Process: traffic.ProcessPoisson, Seed: 77,
 		}
-		srcs, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(101))
-		if err != nil {
+		if _, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(101)); err != nil {
 			t.Fatal(err)
 		}
 		w.Start()
 		if err := w.Run(context.Background(), sim.At(101)); err != nil {
 			t.Fatal(err)
 		}
-		return srcs[0].Sent()
+		return w.Collector.Finalize().DataSent
 	}
 	a, b := run(), run()
 	if a != b {
@@ -183,15 +182,14 @@ func TestExpOnOffSourceDutyCycle(t *testing.T) {
 		Src: 0, Dst: 1, Rate: 20, PayloadBytes: 64, Start: sim.At(1),
 		Process: traffic.ProcessExpOnOff, OnMean: 1, OffMean: 1, Seed: 13,
 	}
-	srcs, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(201))
-	if err != nil {
+	if _, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(201)); err != nil {
 		t.Fatal(err)
 	}
 	w.Start()
 	if err := w.Run(context.Background(), sim.At(201)); err != nil {
 		t.Fatal(err)
 	}
-	sent := float64(srcs[0].Sent())
+	sent := float64(w.Collector.Finalize().DataSent)
 	// Full-rate would be ~4000 packets over 200 s; 50% duty cycle → ~2000.
 	if sent < 1200 || sent > 2800 {
 		t.Fatalf("expoo emitted %.0f packets, want ≈2000 (50%% duty cycle)", sent)
@@ -199,17 +197,16 @@ func TestExpOnOffSourceDutyCycle(t *testing.T) {
 }
 
 // TestStochasticSourcesHonorStopAndHorizon mirrors the CBR stop tests for
-// the new processes.
+// the stochastic processes: they stop at the horizon.
 func TestStochasticSourcesHonorStopAndHorizon(t *testing.T) {
 	for _, conn := range []traffic.Connection{
-		{Src: 0, Dst: 1, Rate: 50, PayloadBytes: 64, Start: sim.At(1), Stop: sim.At(3),
+		{Src: 0, Dst: 1, Rate: 50, PayloadBytes: 64, Start: sim.At(1),
 			Process: traffic.ProcessPoisson, Seed: 5},
-		{Src: 0, Dst: 1, Rate: 50, PayloadBytes: 64, Start: sim.At(1), Stop: sim.At(3),
+		{Src: 0, Dst: 1, Rate: 50, PayloadBytes: 64, Start: sim.At(1),
 			Process: traffic.ProcessExpOnOff, OnMean: 0.5, OffMean: 0.1, Seed: 5},
 	} {
 		w := world(t, 2, 100)
-		srcs, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(100))
-		if err != nil {
+		if _, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(3)); err != nil {
 			t.Fatal(err)
 		}
 		w.Start()
@@ -217,8 +214,8 @@ func TestStochasticSourcesHonorStopAndHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 		// ≤ 2 s live window at ≤ 50 pkt/s, plus slack for burst pacing.
-		if sent := srcs[0].Sent(); sent > 130 {
-			t.Fatalf("%s kept sending past Stop: %d", conn.Process, sent)
+		if sent := w.Collector.Finalize().DataSent; sent > 130 {
+			t.Fatalf("%s kept sending past the horizon: %d", conn.Process, sent)
 		}
 	}
 }

@@ -30,9 +30,8 @@ type Connection struct {
 	Rate float64
 	// PayloadBytes per packet (64 in the study).
 	PayloadBytes int
-	// Start is when the flow begins; Stop (0 = never) ends it.
+	// Start is when the flow begins; it runs to the horizon.
 	Start sim.Time
-	Stop  sim.Time
 	// Process selects the packet emission process: "" or ProcessCBR emits
 	// at the fixed CBR interval, ProcessPoisson draws exponential
 	// inter-packet gaps with mean 1/Rate, ProcessExpOnOff alternates
@@ -60,10 +59,6 @@ func (c Connection) Validate(numNodes int) error {
 	}
 	if c.PayloadBytes <= 0 {
 		return fmt.Errorf("traffic: non-positive payload %d", c.PayloadBytes)
-	}
-	if c.Stop != 0 && c.Stop <= c.Start {
-		return fmt.Errorf("traffic: connection %v->%v stops at %v, at or before its start %v",
-			c.Src, c.Dst, c.Stop, c.Start)
 	}
 	switch c.Process {
 	case "", ProcessCBR, ProcessPoisson:
@@ -93,7 +88,7 @@ type Source struct {
 
 // Install wires connections and sinks into the world: every destination node
 // gets a deduplicating sink, every source a CBR generator. It returns the
-// sources (mainly for tests).
+// sources.
 func Install(w *network.World, conns []Connection, horizon sim.Time) ([]*Source, error) {
 	sinks := make(map[pkt.NodeID]*Sink)
 	var sources []*Source
@@ -147,10 +142,8 @@ func (s *Source) startCBR(w *network.World, horizon sim.Time) {
 	})
 }
 
-// ended reports whether the flow is past its stop time or the horizon.
-func (s *Source) ended(now, horizon sim.Time) bool {
-	return (s.conn.Stop != 0 && now.After(s.conn.Stop)) || now.After(horizon)
-}
+// ended reports whether the flow is past the horizon.
+func (s *Source) ended(now, horizon sim.Time) bool { return now.After(horizon) }
 
 // emit originates one data packet at now.
 func (s *Source) emit(now sim.Time) {
@@ -207,15 +200,11 @@ func (s *Source) startExpOnOff(w *network.World, horizon sim.Time) {
 	w.Eng.Schedule(s.conn.Start, startBurst)
 }
 
-// Sent reports how many packets this source has originated.
-func (s *Source) Sent() uint32 { return s.seq }
-
 // Sink accepts data packets at a destination node, suppressing duplicates
 // per flow.
 type Sink struct {
 	w    *network.World
 	seen map[flowKey]map[uint32]struct{}
-	n    uint64
 }
 
 type flowKey struct{ src pkt.NodeID }
@@ -238,9 +227,5 @@ func (s *Sink) Accept(p *pkt.Packet, from pkt.NodeID) {
 		return
 	}
 	m[p.Seq] = struct{}{}
-	s.n++
 	s.w.Collector.OnDataDelivered(p, s.w.Eng.Now(), false)
 }
-
-// Received reports unique packets accepted.
-func (s *Sink) Received() uint64 { return s.n }

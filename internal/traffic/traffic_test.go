@@ -38,22 +38,14 @@ func TestConnectionValidate(t *testing.T) {
 		{Src: -1, Dst: 1, Rate: 4, PayloadBytes: 64},
 		{Src: 0, Dst: 1, Rate: 0, PayloadBytes: 64},
 		{Src: 0, Dst: 1, Rate: 4, PayloadBytes: 0},
-		// Stop at or before Start: the flow would silently never send.
-		{Src: 0, Dst: 1, Rate: 4, PayloadBytes: 64, Start: sim.At(10), Stop: sim.At(5)},
-		{Src: 0, Dst: 1, Rate: 4, PayloadBytes: 64, Start: sim.At(10), Stop: sim.At(10)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(2); err == nil {
 			t.Fatalf("bad connection %d accepted", i)
 		}
 	}
-	// Stop == 0 still means "never stops", and a Stop after Start is fine.
-	open := traffic.Connection{Src: 0, Dst: 1, Rate: 4, PayloadBytes: 64, Start: sim.At(10)}
-	if err := open.Validate(2); err != nil {
-		t.Fatal(err)
-	}
-	bounded := traffic.Connection{Src: 0, Dst: 1, Rate: 4, PayloadBytes: 64, Start: sim.At(1), Stop: sim.At(3)}
-	if err := bounded.Validate(2); err != nil {
+	late := traffic.Connection{Src: 0, Dst: 1, Rate: 4, PayloadBytes: 64, Start: sim.At(10)}
+	if err := late.Validate(2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,8 +53,7 @@ func TestConnectionValidate(t *testing.T) {
 func TestCBRPacing(t *testing.T) {
 	w := world(t, 2, 100)
 	conn := traffic.Connection{Src: 0, Dst: 1, Rate: 4, PayloadBytes: 64, Start: sim.At(1)}
-	srcs, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(100))
-	if err != nil {
+	if _, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(100)); err != nil {
 		t.Fatal(err)
 	}
 	w.Start()
@@ -71,30 +62,27 @@ func TestCBRPacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 pkt/s from t=1 to t=11: first at 1.0, then every 250 ms → 41.
-	if got := srcs[0].Sent(); got != 41 {
-		t.Fatalf("sent %d packets, want 41", got)
-	}
 	res := w.Collector.Finalize()
 	if res.DataSent != 41 {
-		t.Fatalf("collector counted %d", res.DataSent)
+		t.Fatalf("sent %d packets, want 41", res.DataSent)
 	}
 	if res.DataDelivered != 41 {
 		t.Fatalf("delivered %d/41 over one hop", res.DataDelivered)
 	}
 }
 
+// TestStopTimeHonored: a source stops at the horizon, to the packet.
 func TestStopTimeHonored(t *testing.T) {
 	w := world(t, 2, 100)
-	conn := traffic.Connection{Src: 0, Dst: 1, Rate: 10, PayloadBytes: 64, Start: sim.At(1), Stop: sim.At(3)}
-	srcs, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(100))
-	if err != nil {
+	conn := traffic.Connection{Src: 0, Dst: 1, Rate: 10, PayloadBytes: 64, Start: sim.At(1)}
+	if _, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(3)); err != nil {
 		t.Fatal(err)
 	}
 	w.Start()
 	if err := w.Run(context.Background(), sim.At(20)); err != nil {
 		t.Fatal(err)
 	}
-	sent := srcs[0].Sent()
+	sent := w.Collector.Finalize().DataSent
 	if sent < 19 || sent > 21 {
 		t.Fatalf("sent %d packets in a 2 s window at 10 pkt/s", sent)
 	}
@@ -109,9 +97,6 @@ func TestSinkDeduplicates(t *testing.T) {
 	sink.Accept(p.Clone(), 0) // same (src,seq): duplicate
 	q := pkt.DataPacket(0, 1, 8, 64, 0)
 	sink.Accept(q, 0)
-	if sink.Received() != 2 {
-		t.Fatalf("sink accepted %d unique, want 2", sink.Received())
-	}
 	res := w.Collector.Finalize()
 	if res.DataDelivered != 2 || res.DupDelivered != 1 {
 		t.Fatalf("delivered/dup = %d/%d", res.DataDelivered, res.DupDelivered)
@@ -129,15 +114,14 @@ func TestInstallRejectsBadConnection(t *testing.T) {
 func TestHorizonStopsSources(t *testing.T) {
 	w := world(t, 2, 100)
 	conn := traffic.Connection{Src: 0, Dst: 1, Rate: 100, PayloadBytes: 64, Start: sim.At(1)}
-	srcs, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(2))
-	if err != nil {
+	if _, err := traffic.Install(w, []traffic.Connection{conn}, sim.At(2)); err != nil {
 		t.Fatal(err)
 	}
 	w.Start()
 	if err := w.Run(context.Background(), sim.At(10)); err != nil {
 		t.Fatal(err)
 	}
-	sent := srcs[0].Sent()
+	sent := w.Collector.Finalize().DataSent
 	if sent > 105 {
 		t.Fatalf("source kept sending past the horizon: %d", sent)
 	}
