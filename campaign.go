@@ -32,6 +32,10 @@ type CampaignOptions = campaign.Options
 // CampaignSnapshot is a live progress view of a running campaign.
 type CampaignSnapshot = campaign.Snapshot
 
+// CampaignProgress is one completed run and the progress view it left; see
+// CampaignOptions.OnProgress.
+type CampaignProgress = campaign.Progress
+
 // CampaignResult is the final aggregate: per-cell merged Results plus
 // per-metric summaries with 95% confidence half-widths.
 type CampaignResult = campaign.Result

@@ -41,7 +41,7 @@ func campaignCmd(c *cli, args []string) int {
 	res, err := adhocsim.RunCampaign(ctx, spec, adhocsim.CampaignOptions{
 		Workers:     *c.workers,
 		JournalPath: *checkpoint,
-		OnProgress: func(s adhocsim.CampaignSnapshot) {
+		OnProgress: func(s adhocsim.CampaignProgress) {
 			fmt.Fprintf(os.Stderr, "\r[%d/%d runs, %d/%d cells settled]   ",
 				s.RunsDone, s.MaxRuns, s.CellsStopped, s.Cells)
 		},

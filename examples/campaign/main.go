@@ -43,7 +43,7 @@ func main() {
 	defer stop()
 	res, err := adhocsim.RunCampaign(ctx, spec, adhocsim.CampaignOptions{
 		JournalPath: "campaign.jsonl",
-		OnProgress: func(s adhocsim.CampaignSnapshot) {
+		OnProgress: func(s adhocsim.CampaignProgress) {
 			fmt.Fprintf(os.Stderr, "\r[%d/%d runs, %d/%d cells settled]   ",
 				s.RunsDone, s.MaxRuns, s.CellsStopped, s.Cells)
 		},

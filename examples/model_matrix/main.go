@@ -42,7 +42,7 @@ func main() {
 	}
 
 	res, err := adhocsim.RunCampaign(context.Background(), spec, adhocsim.CampaignOptions{
-		OnProgress: func(s adhocsim.CampaignSnapshot) {
+		OnProgress: func(s adhocsim.CampaignProgress) {
 			fmt.Fprintf(os.Stderr, "\r[%d/%d runs]   ", s.RunsDone, s.MaxRuns)
 		},
 	})

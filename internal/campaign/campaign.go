@@ -38,10 +38,22 @@ type Options struct {
 	// JSONL file. If the file already holds a journal of the same spec, the
 	// campaign resumes from it instead of starting over.
 	JournalPath string
-	// OnProgress, when non-nil, observes a Snapshot after every completed
-	// run. Calls are serialized under the campaign mutex: keep it fast and
-	// do not call back into the campaign from it.
-	OnProgress func(Snapshot)
+	// OnProgress, when non-nil, observes every unit that lands — executed,
+	// or served from the campaign's store — but not a journal replay. Calls
+	// are serialized under the campaign mutex, in commit order: keep it
+	// fast and do not call back into the campaign from it.
+	OnProgress func(Progress)
+}
+
+// Progress is one landed unit and the progress view it left.
+type Progress struct {
+	Snapshot
+	// Cell and Rep name the unit; Results is its result, shared with the
+	// campaign: do not modify it.
+	Cell, Rep int
+	Results   *stats.Results
+	// Stopped reports that this unit stopped its cell (once per cell).
+	Stopped bool
 }
 
 // Snapshot is a point-in-time view of campaign progress, safe to read while
@@ -113,8 +125,9 @@ type cellState struct {
 	committed  int
 	acc        []stats.Welford // parallel to Plan.Metrics
 	stopReason string          // why the cell stopped; "" while it runs
-	// keys[rep] is where results[rep] lives in the campaign's store; nil
-	// until a result that lives there lands.
+	// keys[rep] is the unit's key in the campaign's store and whether
+	// results[rep] lives there; nil until the campaign with a store first
+	// meets one of the cell's units.
 	keys []storedAs
 }
 
@@ -486,11 +499,41 @@ func (c *Campaign) cellResult(ci int) (CellResult, error) {
 // appears only through Release — the in-process pool never releases, so its
 // workers exit on !ok; a distributed coordinator releases the units of
 // expired or returned leases and polls again. A campaign that is not
-// Running (Start has not returned, or it has settled) hands out nothing.
+// Running (Start has not returned, or it has settled) or whose journal is
+// closed hands out nothing.
+//
+// With a store (SetStore), NextUnit walks the same order but lands every
+// unit the store holds, as a cache-served completion, and hands out the
+// first one it lacks. So a fully-stored campaign completes in one call,
+// while dispatch stays lazy otherwise: early-stop decisions prune
+// speculative work before it is ever handed out. The journal holds the
+// served units' lines and writes them in one Write before NextUnit
+// returns; a failed write fails the campaign as a failed append does.
 func (c *Campaign) NextUnit() (ci, rep int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil || c.state != StateRunning {
+	served := false
+	for {
+		if ci, rep, ok = c.issueLocked(); !ok || c.store == nil {
+			break
+		}
+		k := c.keyLocked(ci, rep)
+		res, enc, found, err := c.store.Load(k.key, c.plan.SeriesGeometry(ci))
+		if err != nil || !found {
+			break // a faulty store degrades to a miss
+		}
+		c.landLocked(ci, rep, res, enc, true, true)
+		served = true
+	}
+	if served && c.flushJournalLocked() != nil {
+		return 0, 0, false
+	}
+	return ci, rep, ok
+}
+
+// issueLocked is NextUnit's walk over the dispatch order, one unit a call.
+func (c *Campaign) issueLocked() (ci, rep int, ok bool) {
+	if c.err != nil || c.state != StateRunning || c.closed {
 		return 0, 0, false
 	}
 	for len(c.released) > 0 {
@@ -547,47 +590,49 @@ type Outcome struct {
 	// unset when the campaign accepts no completions.
 	Landed bool
 	Winner *stats.Results
-	// Failed reports that the campaign holds a fatal error (a journal write
-	// failed, say): the caller should Finish. When the journal write itself
-	// failed, the fields below are unset.
-	Failed bool
-	// Enc is enc itself or, when enc was nil, the fresh encoding the journal
-	// wrote (nil with no journal open).
-	Enc []byte
-	// Stopped reports that this result stopped its cell (once per cell);
-	// Done that every cell has now stopped, so the caller should Finish.
-	Stopped, Done bool
-	// Snapshot is the progress view this commit left.
-	Snapshot Snapshot
+	// Over reports that every cell has now stopped, or that the campaign
+	// holds a fatal error (a journal write failed, say): the caller should
+	// Finish.
+	Over bool
 }
 
 // CompleteUnit records one executed run: journal it, then commit in
 // replication order. Duplicates (journal overlap, a re-issued lease whose
 // original worker turned out to be alive) are ignored — the first result
 // wins, and determinism makes every copy identical anyway. fromCache marks
-// results replayed from the content-addressed result cache; they are
+// results a Go caller took from a result cache of its own; they are
 // counted separately in snapshots and journaled like live completions, so
 // a resumed campaign never depends on the cache still being populated, but
-// their lines are held until FlushJournal, the next live line or settle
-// writes them. Completions arriving after the campaign settled or closed
-// its journal are dropped. A result handed over here is in no store, so
-// its cell neither reads nor saves a fold entry.
+// their lines are held until the next live line, a NextUnit that served
+// units from the store or settle writes them. Completions arriving after
+// the campaign settled or closed its journal are dropped. A result handed
+// over here is in no store, so it is not saved there and its cell neither
+// reads nor saves a fold entry.
 func (c *Campaign) CompleteUnit(ci, rep int, res stats.Results, fromCache bool) {
-	c.CompleteUnitEncoded(ci, rep, res, nil, "", fromCache)
-}
-
-// CompleteUnitEncoded is CompleteUnit for a caller that may already hold
-// enc, an encoding of res — JSON that decodes to res and holds no newline,
-// such as json.Marshal(res) or the bytes a worker committed (a result cache
-// keeps it beside the result) — and that acts on the outcome. The journal
-// writes enc verbatim; only when enc is nil and a journal is open is res
-// encoded, once. Callers must not modify enc afterwards. key is the unit
-// key res lives under in the campaign's store (SetStore): the entry it was
-// served from when fromCache, else the one the caller saves it under once
-// it has landed; "" when res is in no store.
-func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte, key string, fromCache bool) Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.landLocked(ci, rep, res, nil, fromCache, false)
+}
+
+// CompleteUnitEncoded records a live result, executed for this campaign,
+// for a caller that may already hold enc, an encoding of res — JSON that
+// decodes to res and holds no newline, such as json.Marshal(res) or the
+// bytes a worker committed — and that acts on the outcome. The journal
+// writes enc verbatim; only when enc is nil and a journal is open is res
+// encoded, once. With a store, a result that lands is saved there under
+// its unit key with the journal's encoding. Callers must not modify enc
+// afterwards.
+func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byte) Outcome {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.landLocked(ci, rep, res, enc, false, true)
+}
+
+// landLocked records one completion: journal it (held when fromCache),
+// note where it lives in the store when stored — served from it when
+// fromCache, else saved under its unit key here — commit in replication
+// order and report the unit to OnProgress.
+func (c *Campaign) landLocked(ci, rep int, res stats.Results, enc []byte, fromCache, stored bool) Outcome {
 	cs := &c.cells[ci]
 	if prev := cs.results[rep]; prev != nil {
 		winner := *prev
@@ -596,15 +641,9 @@ func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byt
 	if c.state != StateRunning || c.closed {
 		return Outcome{}
 	}
-	// Remote and cache completions may bypass NextUnit entirely.
+	// Remote completions may bypass NextUnit entirely.
 	cs.issued[rep] = true
 	cs.results[rep] = &res
-	if key != "" && c.store != nil {
-		if cs.keys == nil {
-			cs.keys = make([]storedAs, c.plan.Spec.MaxReps)
-		}
-		cs.keys[rep] = storedAs{key, fromCache}
-	}
 	c.runsDone++
 	if fromCache {
 		c.runsFromCache++
@@ -621,27 +660,22 @@ func (c *Campaign) CompleteUnitEncoded(ci, rep int, res stats.Results, enc []byt
 		}
 		if err != nil {
 			c.setErrLocked(err)
-			return Outcome{Landed: true, Failed: true}
+			return Outcome{Landed: true, Over: true}
 		}
 	}
-	out := Outcome{Landed: true, Enc: enc, Stopped: c.commitLocked(ci)}
-	out.Done = c.cellsStopped == len(c.cells)
-	out.Failed = c.err != nil
-	out.Snapshot = c.snapshotLocked()
-	if c.opts.OnProgress != nil {
-		c.opts.OnProgress(out.Snapshot)
+	if stored && c.store != nil {
+		k := c.keyLocked(ci, rep)
+		k.in, k.served = true, fromCache
+		if !fromCache {
+			// A faulty store must not fail the campaign; it only costs reuse.
+			_ = c.store.Save(k.key, res, enc)
+		}
 	}
-	return out
-}
-
-// FlushJournal writes the journal lines held for cache-served completions
-// in one Write. A coordinator calls it when a sweep over its result cache
-// returns. A failed write fails the campaign, as a failed append does: it
-// is returned and recorded, and the caller should Finish.
-func (c *Campaign) FlushJournal() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flushJournalLocked()
+	stopped := c.commitLocked(ci)
+	if c.opts.OnProgress != nil {
+		c.opts.OnProgress(Progress{Snapshot: c.snapshotLocked(), Cell: ci, Rep: rep, Results: &res, Stopped: stopped})
+	}
+	return Outcome{Landed: true, Over: c.err != nil || c.cellsStopped == len(c.cells)}
 }
 
 func (c *Campaign) flushJournalLocked() error {

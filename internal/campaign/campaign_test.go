@@ -295,7 +295,7 @@ func TestLateCancelKeepsCompleteResult(t *testing.T) {
 	defer cancel()
 	c, err := New(spec, Options{
 		Workers: 1,
-		OnProgress: func(s Snapshot) {
+		OnProgress: func(s Progress) {
 			if s.RunsDone == s.MaxRuns {
 				cancel()
 			}

@@ -31,9 +31,9 @@ func dispatchSpec() Spec {
 // then drains it. No landed unit and no unit of a stopped cell is handed
 // out, a unit is handed out again only after a release, every released
 // unit still needed comes back before NextUnit runs dry, a duplicate learns
-// the first result, "stopped its cell" fires at most once per cell, "done"
-// holds exactly when every cell has stopped, and the drained Result is
-// campaign.Run's.
+// the first result, each landed unit and no duplicate reaches OnProgress,
+// "stopped its cell" fires at most once per cell, "over" holds exactly
+// when every cell has stopped, and the drained Result is campaign.Run's.
 func FuzzUnitDispatch(f *testing.F) {
 	spec := dispatchSpec()
 	want, err := Run(context.Background(), spec, Options{})
@@ -65,7 +65,8 @@ func FuzzUnitDispatch(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 5, 1, 10, 1, 15, 1, 1, 1, 6, 0, 0, 2, 1, 2, 0x80})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
-		c, err := New(spec, Options{})
+		var last *Progress // the latest OnProgress call; nil after a duplicate
+		c, err := New(spec, Options{OnProgress: func(p Progress) { last = &p }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,20 +103,21 @@ func FuzzUnitDispatch(f *testing.F) {
 			return true
 		}
 		complete := func(u unitID) {
-			got := c.CompleteUnitEncoded(u.cell, u.rep, results[u], nil, "", false)
+			last = nil
+			got := c.CompleteUnitEncoded(u.cell, u.rep, results[u], nil)
 			if landed[u] {
-				if got.Landed || got.Winner == nil || !reflect.DeepEqual(*got.Winner, results[u]) {
-					t.Fatalf("duplicate of %v: landed %v, winner %v", u, got.Landed, got.Winner != nil)
+				if got.Landed || got.Winner == nil || !reflect.DeepEqual(*got.Winner, results[u]) || last != nil {
+					t.Fatalf("duplicate of %v: landed %v, winner %v, progress %+v", u, got.Landed, got.Winner != nil, last)
 				}
 				return
 			}
-			if !got.Landed || got.Failed {
-				t.Fatalf("first result for %v: %+v", u, got)
+			if !got.Landed || last == nil || last.Cell != u.cell || last.Rep != u.rep || !reflect.DeepEqual(*last.Results, results[u]) {
+				t.Fatalf("first result for %v: %+v, progress %+v", u, got, last)
 			}
 			landed[u] = true
 			delete(out, u)
 			delete(awaiting, u)
-			if got.Stopped {
+			if last.Stopped {
 				if stopped[u.cell] {
 					t.Fatalf("cell %d stopped twice", u.cell)
 				}
@@ -127,9 +129,9 @@ func FuzzUnitDispatch(f *testing.F) {
 					}
 				}
 			}
-			if got.Done != (nStopped == cells) || got.Snapshot.CellsStopped != nStopped || got.Snapshot.RunsDone != len(landed) {
-				t.Fatalf("after %v: done %v, snapshot %+v, %d of %d cells stopped, %d landed",
-					u, got.Done, got.Snapshot, nStopped, cells, len(landed))
+			if got.Over != (nStopped == cells) || last.CellsStopped != nStopped || last.RunsDone != len(landed) {
+				t.Fatalf("after %v: over %v, snapshot %+v, %d of %d cells stopped, %d landed",
+					u, got.Over, last.Snapshot, nStopped, cells, len(landed))
 			}
 		}
 		pick := func(target byte) unitID {
@@ -196,7 +198,7 @@ func TestNoUnitBeforeStart(t *testing.T) {
 	if ci, rep, ok := c.NextUnit(); ok {
 		t.Fatalf("NextUnit handed out unit (%d, %d) before Start", ci, rep)
 	}
-	if out := c.CompleteUnitEncoded(0, 0, stats.Results{}, nil, "", false); out.Landed {
+	if out := c.CompleteUnitEncoded(0, 0, stats.Results{}, nil); out.Landed {
 		t.Fatal("a completion landed before Start")
 	}
 	if err := c.Start(); err != nil {

@@ -15,11 +15,11 @@ import (
 // The journal is a JSONL checkpoint: a header line identifying the campaign
 // spec, then one line per completed run. Lines are appended as runs finish,
 // so a killed campaign loses at most the in-flight runs (and the
-// cache-served lines a sweep still holds, see journal); a trailing partial
-// line (death mid-write) is detected and truncated away on resume. Because
-// run seeds are content-derived and runs are deterministic, replaying the
-// journal and re-executing only the missing runs reproduces the
-// uninterrupted campaign bit-for-bit.
+// store-served lines a NextUnit still holds, see journal); a trailing
+// partial line (death mid-write) is detected and truncated away on resume.
+// Because run seeds are content-derived and runs are deterministic,
+// replaying the journal and re-executing only the missing runs reproduces
+// the uninterrupted campaign bit-for-bit.
 
 // journalVersion 2 added serialized stream digests (Results.Streams) to
 // every entry; v1 journals are rejected rather than resumed into results
@@ -44,12 +44,13 @@ type journalEntry struct {
 // journal appends completed runs to the checkpoint file.
 //
 // A live run's line is written before its commit returns. A cache-served
-// run's line is held in buf instead, and a coordinator's sweep over the
-// result cache writes its held lines in one Write when it returns (or once
-// they pass heldCap). A crash can therefore lose only the current sweep's
-// cache-served lines, which resume serves from the cache again. Held lines
-// go out ahead of any later line, so the file holds the lines in commit
-// order, byte for byte as if each had been written on its own.
+// run's line is held in buf instead, and a NextUnit that served units from
+// the campaign's store writes its held lines in one Write before it
+// returns (or once they pass heldCap). A crash can therefore lose only the
+// current NextUnit's served lines, which resume serves from the store
+// again. Held lines go out ahead of any later line, so the file holds the
+// lines in commit order, byte for byte as if each had been written on its
+// own.
 type journal struct {
 	f   *os.File
 	buf []byte // held lines, then the line being appended; reused

@@ -258,9 +258,10 @@ func TestJournalRejectsMalformedSketch(t *testing.T) {
 
 // heldSweep is a campaign whose cache-served lines pass heldCap: MaxReps
 // replications of two cells, each completed with its cell's one executed
-// result, under a journal at path. It returns the started campaign and the
-// result of each cell.
-func heldSweep(t *testing.T, path string) (*Campaign, [2]stats.Results) {
+// result, under a journal at path. With stored > 0 the campaign has a
+// store that holds the first stored units in dispatch order. It returns
+// the started campaign and the result of each cell.
+func heldSweep(t *testing.T, path string, stored int) (*Campaign, [2]stats.Results) {
 	t.Helper()
 	spec := resumeSpec()
 	spec.MaxReps = 250
@@ -273,6 +274,14 @@ func heldSweep(t *testing.T, path string) (*Campaign, [2]stats.Results) {
 		if res[ci], err = c.Plan().ExecuteUnit(context.Background(), ci, 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if stored > 0 {
+		store := newMapStore()
+		for u := range stored {
+			ci, rep := u%len(res), u/len(res)
+			store.m[c.Plan().UnitKey(ci, rep)] = res[ci]
+		}
+		c.SetStore(store)
 	}
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
@@ -326,7 +335,7 @@ func TestHeldJournalMatchesPerLineJournal(t *testing.T) {
 	results := map[bool]*Result{}
 	for _, fromCache := range []bool{false, true} {
 		path := filepath.Join(dir, fmt.Sprintf("cache-%v.jsonl", fromCache))
-		c, res := heldSweep(t, path)
+		c, res := heldSweep(t, path, 0)
 		header := fileSize(t, path)
 		want := perLineJournal(t, c, res)
 		if len(want)-header < 2*heldCap {
@@ -363,7 +372,7 @@ func TestHeldJournalMatchesPerLineJournal(t *testing.T) {
 // its commit returns, after every line a sweep held before it.
 func TestLiveLineFollowsHeldLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	c, res := heldSweep(t, path)
+	c, res := heldSweep(t, path, 0)
 	header := fileSize(t, path)
 	want := perLineJournal(t, c, res)
 	var units int
@@ -390,22 +399,24 @@ func TestLiveLineFollowsHeldLines(t *testing.T) {
 
 // TestFailedHeldWriteFailsCampaign: a journal whose Write fails fails the
 // campaign wherever the held lines go out — past heldCap inside a commit,
-// when a sweep flushes, at settle — and Finish returns that error, not a
-// result.
+// when a NextUnit's sweep over the store returns, at settle — and Finish
+// returns that error, not a result.
 func TestFailedHeldWriteFailsCampaign(t *testing.T) {
 	for _, at := range []string{"cap", "sweep", "settle"} {
 		t.Run(at, func(t *testing.T) {
-			c, res := heldSweep(t, filepath.Join(t.TempDir(), "j.jsonl"))
+			stored := 0
+			if at == "sweep" {
+				stored = 10
+			}
+			c, res := heldSweep(t, filepath.Join(t.TempDir(), "j.jsonl"), stored)
 			c.journal.f.Close() // every later Write fails
 			units := 0
-			for ; ; units++ {
+			for ; c.Err() == nil && (at == "cap" || units < 10); units++ {
 				ci, rep, ok := c.NextUnit()
-				if !ok || at != "cap" && units == 10 {
+				if !ok {
 					break
 				}
-				if out := c.CompleteUnitEncoded(ci, rep, res[ci], nil, "", true); out.Failed {
-					break
-				}
+				c.CompleteUnit(ci, rep, res[ci], true)
 			}
 			switch at {
 			case "cap":
@@ -413,8 +424,9 @@ func TestFailedHeldWriteFailsCampaign(t *testing.T) {
 					t.Fatalf("no commit failed in %d units", units)
 				}
 			case "sweep":
-				if err := c.FlushJournal(); err == nil || c.Err() != err {
-					t.Fatalf("FlushJournal = %v, campaign error %v; want the same write error", err, c.Err())
+				if units != 0 || c.Snapshot().RunsFromCache != stored || c.Err() == nil {
+					t.Fatalf("NextUnit handed out %d units and served %d with error %v; want none, %d and the write error",
+						units, c.Snapshot().RunsFromCache, c.Err(), stored)
 				}
 			}
 			r, err := c.Finish(context.Background())

@@ -125,7 +125,7 @@ func TestResumeAfterCancellation(t *testing.T) {
 	_, err = Run(ctx, resumeSpec(), Options{
 		JournalPath: path,
 		Workers:     2,
-		OnProgress: func(s Snapshot) {
+		OnProgress: func(s Progress) {
 			if s.RunsDone >= 2 {
 				cancel()
 			}

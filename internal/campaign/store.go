@@ -12,16 +12,17 @@ import (
 // Plan.UnitKey — a digest of the fully-resolved scenario, protocol, and
 // derived seed, i.e. of everything that determines the result. Because
 // runs are deterministic, a hit is exactly the result a re-execution
-// would produce, so a coordinator consults the store before leasing any
-// unit and resubmitted or overlapping campaigns reuse finished runs
-// instead of recomputing them. A campaign given a store (SetStore) keeps
-// each cell's fold in it as well, under a cell key (see cellKey).
+// would produce, so a campaign given a store (SetStore) serves every unit
+// the store holds instead of handing it out (NextUnit), and resubmitted or
+// overlapping campaigns reuse finished runs instead of recomputing them.
+// It keeps each cell's fold in the store as well, under a cell key (see
+// cellKey).
 //
 // A result travels with its encoding: enc is nil or json.Marshal(res)'s
 // output — more precisely, JSON that decodes to res and contains no
 // newline, so the journal can embed it verbatim as part of one line. The
-// coordinator saves the bytes its journal wrote on a live commit and
-// journals the loaded bytes on a hit, so a cached unit is never encoded
+// campaign saves the bytes its journal wrote on a live commit and
+// journals the loaded bytes on a hit, so a stored unit is never encoded
 // again. Callers must not modify enc.
 //
 // series is the geometry the entry's time series must have
@@ -33,30 +34,43 @@ import (
 //
 // Implementations must be safe for concurrent use. Load reports a miss
 // with found == false; errors are reserved for real faults (I/O), and
-// callers are expected to degrade a faulty cache to a miss.
+// the campaign degrades a faulty store to a miss.
 type Store interface {
 	Load(key string, series metrics.Geometry) (res stats.Results, enc []byte, found bool, err error)
 	Save(key string, res stats.Results, enc []byte) error
 }
 
-// SetStore hands the campaign the store its caller serves units from, so
-// that settle can keep each cell's fold there. The caller keeps its side
-// of the contract through CompleteUnitEncoded: a key names the store
-// entry the result was served from or that the caller saves it under. It
-// must be called before Start.
+// SetStore hands the campaign its result store: NextUnit serves units
+// from it, CompleteUnitEncoded saves live results in it, and settle keeps
+// each cell's fold there. It must be called before Start.
 func (c *Campaign) SetStore(s Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.store = s
 }
 
-// storedAs records where a landed result lives in the campaign's store:
-// the unit key it was served from (served) or that its caller saves it
-// under, or "" when it is in no store — a journal replay, or a result
-// handed straight to CompleteUnit.
+// storedAs is a unit's key in the campaign's store, hashed once a
+// campaign, and where its result stands: in reports that results[rep]
+// lives there — served from it (served), or saved under the key when it
+// landed live. A journal replay or a result handed straight to
+// CompleteUnit is in no store.
 type storedAs struct {
-	key    string
-	served bool
+	key        string
+	in, served bool
+}
+
+// keyLocked returns the store record of unit (ci, rep), hashing its key
+// the first time the campaign meets it.
+func (c *Campaign) keyLocked(ci, rep int) *storedAs {
+	cs := &c.cells[ci]
+	if cs.keys == nil {
+		cs.keys = make([]storedAs, c.plan.Spec.MaxReps)
+	}
+	k := &cs.keys[rep]
+	if k.key == "" {
+		k.key = c.plan.UnitKey(ci, rep)
+	}
+	return k
 }
 
 // cellKeyVersion versions the fold entry: bump it when the fold's shape
@@ -81,7 +95,7 @@ func (c *Campaign) cellKey(cs *cellState) (key string, served bool) {
 	b = append(b, cellKeyVersion...)
 	served = true
 	for _, k := range cs.keys[:cs.committed] {
-		if k.key == "" {
+		if !k.in {
 			return "", false
 		}
 		b = append(b, k.key...) // fixed-length hex: no separator needed

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -68,10 +70,10 @@ func storeSpec() Spec {
 	return Spec{Scenario: tinyScenario(), Protocols: []string{core.DSR, core.AODV}, MaxReps: 3}
 }
 
-// settleWith runs spec as a coordinator does: every unit is served from
-// store under its unit key when serve says so, and otherwise executed,
-// landed with its key and saved under it.
-func settleWith(t *testing.T, spec Spec, store *mapStore, serve func(ci, rep int) bool) *Result {
+// settleWith runs spec as a coordinator does: NextUnit serves every unit
+// store holds, and each one it hands out is executed and landed live,
+// which saves it under its unit key.
+func settleWith(t *testing.T, spec Spec, store *mapStore) *Result {
 	t.Helper()
 	c, err := New(spec, Options{})
 	if err != nil {
@@ -81,28 +83,16 @@ func settleWith(t *testing.T, spec Spec, store *mapStore, serve func(ci, rep int
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	plan := c.Plan()
 	for {
 		ci, rep, ok := c.NextUnit()
 		if !ok {
 			break
 		}
-		key := plan.UnitKey(ci, rep)
-		if serve(ci, rep) {
-			res, enc, found, _ := store.Load(key, plan.SeriesGeometry(ci))
-			if !found {
-				t.Fatalf("unit (%d, %d) is not in the store", ci, rep)
-			}
-			c.CompleteUnitEncoded(ci, rep, res, enc, key, true)
-			continue
-		}
-		res, err := plan.ExecuteUnit(context.Background(), ci, rep)
+		res, err := c.Plan().ExecuteUnit(context.Background(), ci, rep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := c.CompleteUnitEncoded(ci, rep, res, nil, key, false); out.Landed {
-			store.Save(key, res, out.Enc)
-		}
+		c.CompleteUnitEncoded(ci, rep, res, nil)
 	}
 	res, err := c.Finish(context.Background())
 	if err != nil {
@@ -110,9 +100,6 @@ func settleWith(t *testing.T, spec Spec, store *mapStore, serve func(ci, rep int
 	}
 	return res
 }
-
-func always(int, int) bool { return true }
-func never(int, int) bool  { return false }
 
 // TestFoldEntryHitMatchesFold: a campaign whose units all run live saves
 // one fold entry per cell and reads none; a resubmission served wholly
@@ -131,7 +118,7 @@ func TestFoldEntryHitMatchesFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := newMapStore()
-	live := settleWith(t, spec, store, never)
+	live := settleWith(t, spec, store)
 	if loads, saves := store.cellLog(plan); len(loads) != 0 || len(saves) != len(plan.Cells) {
 		t.Fatalf("live campaign: %d fold loads and %d saves, want 0 and %d", len(loads), len(saves), len(plan.Cells))
 	}
@@ -140,7 +127,7 @@ func TestFoldEntryHitMatchesFold(t *testing.T) {
 	}
 	vandalise(live) // the entries it saved must not see this
 	for round := range 2 {
-		served := settleWith(t, spec, store, always)
+		served := settleWith(t, spec, store)
 		loads, saves := store.cellLog(plan)
 		if len(loads) != len(plan.Cells) || len(saves) != 0 {
 			t.Fatalf("round %d: %d fold loads and %d saves, want %d and 0", round, len(loads), len(saves), len(plan.Cells))
@@ -180,7 +167,7 @@ func TestFoldEntryOnlyForStoredReps(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := newMapStore()
-	settleWith(t, spec, store, never)
+	settleWith(t, spec, store)
 	store.cellLog(plan)
 
 	t.Run("CompleteUnit", func(t *testing.T) {
@@ -192,13 +179,13 @@ func TestFoldEntryOnlyForStoredReps(t *testing.T) {
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
-		for {
-			ci, rep, ok := c.NextUnit()
-			if !ok {
-				break
+		// NextUnit would serve the units from the store: complete them
+		// without it, in dispatch order.
+		for rep := range plan.Spec.MaxReps {
+			for ci := range plan.Cells {
+				res, _, _, _ := store.Load(plan.UnitKey(ci, rep), plan.SeriesGeometry(ci))
+				c.CompleteUnit(ci, rep, res, true)
 			}
-			res, _, _, _ := store.Load(plan.UnitKey(ci, rep), plan.SeriesGeometry(ci))
-			c.CompleteUnit(ci, rep, res, true)
 		}
 		got, err := c.Finish(context.Background())
 		if err != nil || !reflect.DeepEqual(got, ref) {
@@ -234,7 +221,10 @@ func TestFoldEntryOnlyForStoredReps(t *testing.T) {
 
 	t.Run("served and live", func(t *testing.T) {
 		// Replication 1 of every cell runs live; the others are served.
-		got := settleWith(t, spec, store, func(_, rep int) bool { return rep != 1 })
+		for ci := range plan.Cells {
+			delete(store.m, plan.UnitKey(ci, 1))
+		}
+		got := settleWith(t, spec, store)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatal("Result differs from in-process Run")
 		}
@@ -242,4 +232,68 @@ func TestFoldEntryOnlyForStoredReps(t *testing.T) {
 			t.Fatalf("%d fold loads and %d saves, want 0 and %d", len(loads), len(saves), len(plan.Cells))
 		}
 	})
+}
+
+// TestNextUnitServesStoredUnits: with a store, NextUnit lands every unit
+// the store holds and hands out only the one it lacks. Each served unit
+// counts in RunsFromCache, and its journal line is on disk when NextUnit
+// returns. Settle reads the fold entry of the cell it served wholly.
+func TestNextUnitServesStoredUnits(t *testing.T) {
+	spec := storeSpec()
+	ref, err := Run(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := newMapStore()
+	settleWith(t, spec, store)
+	store.cellLog(plan)
+	delete(store.m, plan.UnitKey(1, 2)) // the last unit in dispatch order
+
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	c, err := New(spec, Options{JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetStore(store)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	served := plan.MaxRuns() - 1
+	if ci, rep, ok := c.NextUnit(); !ok || ci != 1 || rep != 2 {
+		t.Fatalf("NextUnit = (%d, %d, %v), want (1, 2, true), the one unit the store lacks", ci, rep, ok)
+	}
+	if n := c.Snapshot().RunsFromCache; n != served {
+		t.Fatalf("%d runs from cache, want %d", n, served)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(journal, []byte{'\n'}); n != 1+served {
+		t.Fatalf("the journal holds %d lines when NextUnit returns, want the header and %d", n, served)
+	}
+	res, err := plan.ExecuteUnit(context.Background(), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CompleteUnit(1, 2, res, false)
+	if ci, rep, ok := c.NextUnit(); ok {
+		t.Fatalf("NextUnit handed out (%d, %d) after every unit landed", ci, rep)
+	}
+	got, err := c.Finish(context.Background())
+	if err != nil || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("Finish = %v; or the Result differs from in-process Run", err)
+	}
+	// Cell 1 holds a Go caller's result, so only cell 0 reads an entry.
+	loads, saves := store.cellLog(plan)
+	if len(loads) != 1 || len(saves) != 0 {
+		t.Fatalf("%d fold loads and %d saves, want 1 and 0", len(loads), len(saves))
+	}
+	if _, found := store.m[loads[0]]; !found {
+		t.Fatal("settle missed the served cell's fold entry")
+	}
 }

@@ -15,8 +15,9 @@ import (
 	"adhocsim/internal/stats"
 )
 
-// Store is the content-addressed result cache the coordinator serves units
-// from and hands to each campaign for its cells' folds; see campaign.Store.
+// Store is the content-addressed result cache the coordinator hands to each
+// campaign, which serves units from it, saves live results and keeps its
+// cells' folds there; see campaign.Store.
 type Store = campaign.Store
 
 // MemStore is an in-memory Store: per-process reuse and tests. It keeps

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -29,8 +28,9 @@ type ServerOptions struct {
 	// JournalDir, when non-empty, checkpoints every campaign to
 	// <dir>/<spec-hash[:16]>.jsonl; resubmitting a spec resumes its journal.
 	JournalDir string
-	// Cache, when non-nil, is the content-addressed result store consulted
-	// before leasing any unit and fed by every live commit.
+	// Cache, when non-nil, is the content-addressed result store handed to
+	// every campaign: it serves the units it holds before any is leased,
+	// and saves every live result.
 	Cache Store
 	// LeaseTTL bounds how long a silent worker keeps a unit (default 30s).
 	LeaseTTL time.Duration
@@ -52,9 +52,11 @@ type Server struct {
 	base       context.Context
 	cancelBase context.CancelFunc
 
-	mu        sync.Mutex
-	seq       int
-	campaigns map[string]*managed
+	mu sync.Mutex
+	// campaigns is in submission order, and only ever appended to: a copy
+	// of the slice taken under mu is a snapshot. byID indexes it.
+	campaigns []*managed
+	byID      map[string]*managed
 	draining  bool
 
 	reapOnce sync.Once // stops the reaper exactly once
@@ -72,11 +74,12 @@ type managed struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// mu serializes dispatch, commit and finish for this campaign. The
-	// campaign owns every per-unit decision (what runs next, what landed,
-	// which cell stopped); this lock keeps the cache walk, the event
-	// fan-out order — which is what makes SSE run counts monotone — and
-	// settlement in step with them.
+	// mu orders a lease grant against settle: a unit handed out before the
+	// campaign settles gets its lease before settle drops the campaign's
+	// leases, so no lease outlives its campaign; and settle runs once.
+	// Commits do not take it: the campaign owns every per-unit decision
+	// (what runs next, what the store serves, what landed, which cell
+	// stopped) and publishes their events under its own lock.
 	mu sync.Mutex
 
 	wg sync.WaitGroup // local executors
@@ -97,7 +100,7 @@ func NewServer(opts ServerOptions) *Server {
 		leases:     newLeaseTable(time.Now),
 		base:       base,
 		cancelBase: cancel,
-		campaigns:  make(map[string]*managed),
+		byID:       make(map[string]*managed),
 		reapStop:   make(chan struct{}),
 		reapDone:   make(chan struct{}),
 	}
@@ -153,7 +156,14 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) lookup(id string) *managed {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.campaigns[id]
+	return s.byID[id]
+}
+
+// all returns the coordinator's campaigns in submission order.
+func (s *Server) all() []*managed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.campaigns
 }
 
 // isDraining reports whether a graceful shutdown is underway (dispatch
@@ -214,7 +224,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		decodeError(w, "spec", err)
 		return
 	}
-	c, err := campaign.New(spec, campaign.Options{})
+	// The campaign reports every landed unit under its lock, so the events
+	// go out in commit order; m.id is set before Start, and so before any
+	// unit lands.
+	m := &managed{}
+	c, err := campaign.New(spec, campaign.Options{OnProgress: func(p campaign.Progress) { s.publish(m, p) }})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -229,14 +243,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		journalPath = filepath.Join(s.opts.JournalDir, c.Plan().Hash[:16]+".jsonl")
 		c.SetJournalPath(journalPath)
 	}
-
-	ctx, cancel := context.WithCancel(s.base)
-	m := &managed{c: c, ctx: ctx, cancel: cancel}
+	m.c = c
+	m.ctx, m.cancel = context.WithCancel(s.base)
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		cancel()
+		m.cancel()
 		httpError(w, http.StatusServiceUnavailable, errors.New("coordinator is shutting down"))
 		return
 	}
@@ -247,38 +260,35 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		for _, other := range s.campaigns {
 			if other.c.JournalPath() == journalPath && !other.c.Closed() {
 				s.mu.Unlock()
-				cancel()
+				m.cancel()
 				httpError(w, http.StatusConflict,
 					fmt.Errorf("campaign %s is already running this spec (journal %s)", other.id, journalPath))
 				return
 			}
 		}
 	}
-	s.seq++
-	m.id = fmt.Sprintf("c%d", s.seq)
-	s.campaigns[m.id] = m
+	m.id = fmt.Sprintf("c%d", len(s.campaigns)+1)
+	s.campaigns = append(s.campaigns, m)
+	s.byID[m.id] = m
 	s.mu.Unlock()
 
 	// Start opens and replays the journal; a spec-hash mismatch or a
 	// concurrently-locked checkpoint surfaces here, at submission time.
 	if err := c.Start(); err != nil {
 		c.CloseJournal()
-		cancel()
+		m.cancel()
 		httpError(w, http.StatusConflict, err)
 		return
 	}
 
-	// Drain any leading cache hits (and a journal that already holds the
-	// whole campaign) before any executor spins up: a fully-cached
-	// resubmission completes right here with zero leases granted.
-	m.mu.Lock()
-	if snap := c.Snapshot(); snap.CellsStopped == snap.Cells || snap.Err != "" {
-		s.finishLocked(m)
-	} else if ci, rep, ok := s.nextLocked(m); ok {
+	// Land the leading stored units (and settle a journal that already
+	// holds the whole campaign) before any executor spins up: a
+	// fully-cached resubmission completes right here with zero leases
+	// granted.
+	if ci, rep, _, ok := s.dispatch(m, "", 0); ok {
 		c.Release(ci, rep) // the first miss waits for an executor
 	}
 	finished := c.Closed()
-	m.mu.Unlock()
 
 	if !finished {
 		local := s.opts.LocalWorkers
@@ -301,57 +311,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cachedResult consults the content-addressed store and returns a hit with
-// its stored encoding (possibly nil) and its key; cache faults degrade to
-// misses.
-func (s *Server) cachedResult(m *managed, ci, rep int) (res stats.Results, enc []byte, key string, hit bool) {
-	if s.opts.Cache == nil {
-		return res, nil, "", false
-	}
-	plan := m.c.Plan()
-	key = plan.UnitKey(ci, rep)
-	got, enc, found, err := s.opts.Cache.Load(key, plan.SeriesGeometry(ci))
-	if err != nil || !found {
-		return res, nil, "", false
-	}
-	return got, enc, key, true
-}
-
-// nextLocked walks the campaign's dispatch order (released units first,
-// then the cursor), committing cache hits, and returns the first unit that
-// must run. Submission calls it too, so a fully-cached campaign completes
-// without any worker, while dispatch stays lazy otherwise: early-stop
-// decisions prune speculative work before it is ever leased. The journal
-// holds the sweep's cache-hit lines and writes them in one Write before
-// the sweep returns; a failed write fails the campaign like a failed
-// append.
-func (s *Server) nextLocked(m *managed) (ci, rep int, ok bool) {
-	ci, rep, ok = s.sweepLocked(m)
-	if m.c.FlushJournal() != nil {
-		s.finishLocked(m)
-		return 0, 0, false
-	}
-	return ci, rep, ok
-}
-
-// sweepLocked is nextLocked's walk, before the held lines are written.
-func (s *Server) sweepLocked(m *managed) (ci, rep int, ok bool) {
-	for !m.c.Closed() {
-		if ci, rep, ok = m.c.NextUnit(); !ok {
-			return 0, 0, false
-		}
-		res, enc, key, hit := s.cachedResult(m, ci, rep)
-		if !hit {
-			return ci, rep, true
-		}
-		s.commitLocked(m, ci, rep, res, enc, key, true)
-	}
-	return 0, 0, false
-}
-
-// dispatch hands out the next unit of a campaign, committing cache hits
-// inline. ttl > 0 grants a worker lease; local executors pass ttl == 0 and
-// run leaseless (they cannot die silently — process death takes the
+// dispatch hands out the next unit of a campaign that its store does not
+// hold, and settles the campaign when there is none because it is over.
+// ttl > 0 grants a worker lease; local executors pass ttl == 0 and run
+// leaseless (they cannot die silently — process death takes the
 // coordinator and its lease table with it, and the journal is the
 // recovery story).
 func (s *Server) dispatch(m *managed, worker string, ttl time.Duration) (ci, rep int, l *Lease, ok bool) {
@@ -360,8 +323,14 @@ func (s *Server) dispatch(m *managed, worker string, ttl time.Duration) (ci, rep
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ci, rep, ok = s.nextLocked(m); ok && ttl > 0 {
+	ci, rep, ok = m.c.NextUnit()
+	switch {
+	case ok && ttl > 0:
 		l = s.leases.grant(m.id, ci, rep, worker, ttl)
+	case !ok:
+		if snap := m.c.Snapshot(); snap.CellsStopped == snap.Cells || snap.Err != "" {
+			s.finishLocked(m)
+		}
 	}
 	return ci, rep, l, ok
 }
@@ -381,68 +350,51 @@ func (s *Server) runLocal(m *managed) {
 				return // campaign cancelled or finished under us
 			}
 			m.c.Abort(err)
-			m.mu.Lock()
-			s.finishLocked(m)
-			m.mu.Unlock()
+			s.finish(m)
 			return
 		}
 		s.commit(m, ci, rep, res, nil)
 	}
 }
 
-// commit is the locked wrapper around commitLocked for a live result,
-// which is cached under its unit key, hashed before the lock is taken.
+// commit lands one live result through the campaign's single commit call
+// — which detects duplicates (first result wins), journals it, saves it
+// to the store and commits in replication order — and settles the
+// campaign once it is over. enc is the result's encoding when the caller
+// holds one (a remote commit's body), nil otherwise.
 func (s *Server) commit(m *managed, ci, rep int, res stats.Results, enc []byte) campaign.Outcome {
-	key := ""
-	if s.opts.Cache != nil {
-		key = m.c.Plan().UnitKey(ci, rep)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return s.commitLocked(m, ci, rep, res, enc, key, false)
-}
-
-// commitLocked lands one result through the campaign's single commit call
-// — which detects duplicates (first result wins), journals and commits in
-// replication order — then populates the cache, publishes progress events
-// and settles the campaign once it is done or failed. enc is the result's
-// encoding when the caller holds one — a cache hit's stored bytes, a remote
-// commit's body — and nil otherwise; key is the unit key of a hit, or the
-// one a live result is cached under with the encoding its journal line was
-// built from ("" without a cache).
-func (s *Server) commitLocked(m *managed, ci, rep int, res stats.Results, enc []byte, key string, fromCache bool) campaign.Outcome {
-	out := m.c.CompleteUnitEncoded(ci, rep, res, enc, key, fromCache)
-	if !out.Landed {
-		return out
-	}
-	if out.Failed {
-		// A journal append failed, say: the campaign is broken; settle it.
-		s.finishLocked(m)
-		return out
-	}
-	if !fromCache && key != "" {
-		// A faulty cache must not fail the campaign; it only costs reuse.
-		_ = s.opts.Cache.Save(key, res, out.Enc)
-	}
-	snap, cell, repIdx := out.Snapshot, ci, rep
-	runEvt := Event{
-		Type: EventRunCommitted, Campaign: m.id, Snapshot: &snap,
-		Cell: &cell, Rep: &repIdx, Label: m.c.Plan().Cells[ci].Label,
-	}
-	if res.Streams != nil {
-		runEvt.Series = res.Streams.Series
-	}
-	s.hub.Publish(CampaignTopic(m.id), runEvt)
-	if out.Stopped {
-		s.hub.Publish(CampaignTopic(m.id), Event{
-			Type: EventCellConverged, Campaign: m.id,
-			Cell: &cell, Label: m.c.Plan().Cells[ci].Label,
-		})
-	}
-	if out.Done {
-		s.finishLocked(m)
+	out := m.c.CompleteUnitEncoded(ci, rep, res, enc)
+	if out.Over {
+		s.finish(m)
 	}
 	return out
+}
+
+// publish fans one landed unit out on its campaign's topic. The campaign
+// calls it under its lock, so the events go out in commit order.
+func (s *Server) publish(m *managed, p campaign.Progress) {
+	snap, cell, rep := p.Snapshot, p.Cell, p.Rep
+	label := m.c.Plan().Cells[cell].Label
+	runEvt := Event{
+		Type: EventRunCommitted, Campaign: m.id, Snapshot: &snap,
+		Cell: &cell, Rep: &rep, Label: label,
+	}
+	if p.Results.Streams != nil {
+		runEvt.Series = p.Results.Streams.Series
+	}
+	s.hub.Publish(CampaignTopic(m.id), runEvt)
+	if p.Stopped {
+		s.hub.Publish(CampaignTopic(m.id), Event{
+			Type: EventCellConverged, Campaign: m.id, Cell: &cell, Label: label,
+		})
+	}
+}
+
+// finish is finishLocked under m.mu.
+func (s *Server) finish(m *managed) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s.finishLocked(m)
 }
 
 // finishLocked settles a campaign exactly once: the engine computes the
@@ -467,29 +419,14 @@ func (s *Server) finishLocked(m *managed) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.campaigns))
-	for id := range s.campaigns {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	// Numeric-suffix ids ("c1", "c2", …): length-then-value sort is
-	// submission order.
-	sort.Slice(ids, func(i, j int) bool {
-		if len(ids[i]) != len(ids[j]) {
-			return len(ids[i]) < len(ids[j])
-		}
-		return ids[i] < ids[j]
-	})
 	type listed struct {
 		ID string `json:"id"`
 		campaign.Snapshot
 	}
-	out := make([]listed, 0, len(ids))
-	for _, id := range ids {
-		if m := s.lookup(id); m != nil {
-			out = append(out, listed{ID: id, Snapshot: m.c.Snapshot()})
-		}
+	ms := s.all()
+	out := make([]listed, len(ms))
+	for i, m := range ms {
+		out[i] = listed{ID: m.id, Snapshot: m.c.Snapshot()}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -530,9 +467,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// promptly, then settle. Remote workers learn from the dropped leases:
 	// their next renewal gets 410 and any commit is refused.
 	m.cancel()
-	m.mu.Lock()
-	s.finishLocked(m)
-	m.mu.Unlock()
+	s.finish(m)
 	m.wg.Wait() // local executors have drained; the campaign is settled
 	writeJSON(w, http.StatusOK, m.c.Snapshot())
 }
@@ -555,23 +490,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 // that has one, or returns nil when none has: the answer to a lease
 // request, and the next unit a commit asks for.
 func (s *Server) leaseNext(worker string) *LeaseGrant {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.campaigns))
-	for id, m := range s.campaigns {
-		if !m.c.Closed() {
-			ids = append(ids, id)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool {
-		if len(ids[i]) != len(ids[j]) {
-			return len(ids[i]) < len(ids[j])
-		}
-		return ids[i] < ids[j]
-	})
-	for _, id := range ids {
-		m := s.lookup(id)
-		if m == nil {
+	for _, m := range s.all() {
+		if m.c.Closed() {
 			continue
 		}
 		ci, rep, l, ok := s.dispatch(m, worker, s.opts.LeaseTTL)
@@ -706,12 +626,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ms := make([]*managed, 0, len(s.campaigns))
-	for _, m := range s.campaigns {
-		ms = append(ms, m)
-	}
-	s.mu.Unlock()
+	ms := s.all()
 	st := StatusResponse{Campaigns: len(ms), Leases: s.leases.count("")}
 	for _, m := range ms {
 		if !m.c.Closed() {
@@ -734,10 +649,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	ms := make([]*managed, 0, len(s.campaigns))
-	for _, m := range s.campaigns {
-		ms = append(ms, m)
-	}
+	ms := s.campaigns
 	s.mu.Unlock()
 	s.reapOnce.Do(func() { close(s.reapStop) })
 	<-s.reapDone

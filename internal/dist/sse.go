@@ -61,7 +61,10 @@ func (s *sseWriter) comment(text string) error {
 // handleEvents streams one campaign's progress: an initial snapshot, then
 // run_committed / cell_converged events through to the terminal
 // campaign_done. Subscription happens before the initial snapshot is read,
-// so a terminal transition can never fall between the two unobserved.
+// so a terminal transition can never fall between the two unobserved. A
+// commit that lands between the two is counted in the snapshot already:
+// its events, which the subscription buffered, are skipped, so RunsDone
+// never steps back.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	m := s.lookup(r.PathValue("id"))
 	if m == nil {
@@ -87,11 +90,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
+	stale := false // the last run_committed is counted in snap
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case e := <-sub.C():
+			// A commit's cell_converged directly follows its run_committed.
+			switch e.Type {
+			case EventRunCommitted:
+				stale = e.Snapshot.RunsDone <= snap.RunsDone
+			case EventCampaignDone:
+				stale = false
+			}
+			if stale {
+				continue
+			}
 			if err := sw.event(e); err != nil {
 				return
 			}

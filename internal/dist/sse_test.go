@@ -3,10 +3,14 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,5 +92,102 @@ func TestCancelledStreamEndsOnCampaignDone(t *testing.T) {
 	}
 	if last.State != campaign.StateCancelled || last.Snapshot == nil || last.Snapshot.State != campaign.StateCancelled {
 		t.Fatalf("terminal event %+v lacks the cancelled state or its snapshot", last)
+	}
+}
+
+// gatedWriter is a streaming ResponseWriter whose first Flush, the one
+// that sends an event stream's headers, waits for gate. Every Flush
+// reports on flushed.
+type gatedWriter struct {
+	header  http.Header
+	gate    chan struct{}
+	flushed chan struct{}
+
+	mu      sync.Mutex
+	body    bytes.Buffer
+	flushes int
+}
+
+func (w *gatedWriter) Header() http.Header { return w.header }
+func (w *gatedWriter) WriteHeader(int)     {}
+
+func (w *gatedWriter) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.Write(b)
+}
+
+func (w *gatedWriter) Flush() {
+	w.mu.Lock()
+	w.flushes++
+	first := w.flushes == 1
+	w.mu.Unlock()
+	w.flushed <- struct{}{}
+	if first {
+		<-w.gate
+	}
+}
+
+// TestSnapshotLeadsBufferedEvents: two commits that land after an event
+// stream subscribed but before it read its initial snapshot are counted
+// in that snapshot, and the stream does not send their events after it:
+// RunsDone never steps back.
+func TestSnapshotLeadsBufferedEvents(t *testing.T) {
+	s, base := newTestServer(t, ServerOptions{LocalWorkers: -1})
+	spec := biggerSpec()
+	created := submitSpec(t, base, spec)
+	plan, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := &gatedWriter{header: http.Header{}, gate: make(chan struct{}), flushed: make(chan struct{}, 64)}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, created.Events, nil))
+	}()
+	<-w.flushed // subscribed; the snapshot is not read yet
+	for range 2 {
+		var g LeaseGrant
+		status, body := postJSON(t, base+"/dist/lease", LeaseRequest{Worker: "w"})
+		if status != http.StatusOK || json.Unmarshal(body, &g) != nil {
+			t.Fatalf("lease: %d %s", status, body)
+		}
+		res, err := plan.ExecuteUnit(context.Background(), g.Cell, g.Rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, body = postJSON(t, base+"/dist/commit", CommitRequest{
+			LeaseID: g.LeaseID, Worker: "w", Campaign: g.Campaign, SpecHash: g.SpecHash,
+			Cell: g.Cell, Rep: g.Rep, Results: res,
+		})
+		if status != http.StatusOK {
+			t.Fatalf("commit: %d %s", status, body)
+		}
+	}
+	close(w.gate)
+	<-w.flushed // the initial snapshot is out
+	deleteCampaign(t, base, created.ID)
+	<-served
+
+	last := -1
+	var types []string
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := readSSE(&w.body, func(e Event) {
+		types = append(types, e.Type)
+		if e.Snapshot == nil {
+			return
+		}
+		if e.Snapshot.RunsDone < last {
+			t.Errorf("runs_done went backwards: %d after %d", e.Snapshot.RunsDone, last)
+		}
+		last = e.Snapshot.RunsDone
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{EventSnapshot, EventCampaignDone}; !reflect.DeepEqual(types, want) || last != 2 {
+		t.Fatalf("stream = %v ending at runs_done %d, want %v at 2", types, last, want)
 	}
 }
