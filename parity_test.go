@@ -1,6 +1,7 @@
 package adhocsim_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
@@ -223,5 +224,32 @@ func TestOnDemandSeedSweepPinned(t *testing.T) {
 				t.Errorf("seeds 2..17 hash = %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// TestGridJSONPinned pins a whole replicated grid, as the figures see it:
+// the SHA-256 of GridJSON for all five protocols × pause {0, 20} ×
+// mobility {waypoint, gauss-markov} on a 20-node, 20 s scene, seeds 1–3.
+// It holds the sweep executor to the runner's seeds and merge order.
+func TestGridJSONPinned(t *testing.T) {
+	opts := adhocsim.DefaultOptions()
+	opts.Base.Nodes = 20
+	opts.Base.Duration = 20 * adhocsim.Second
+	opts.Seeds = []int64{1, 2, 3}
+	mob, err := adhocsim.ModelAxis("mobility", []string{"waypoint", "gauss-markov"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := adhocsim.Grid(context.Background(), opts, adhocsim.PauseAxis([]float64{0, 20}), mob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := adhocsim.GridJSON(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "01f9008a1c3c8bcf6aff523beb398f4b7f6b9b95f92fecced2d4671468394a80"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("GridJSON hash = %s, want %s", got, want)
 	}
 }
