@@ -41,9 +41,10 @@
 //
 // Scenario dimensions are swept through first-class Axis values. The
 // catalogue (PauseAxis, NodesAxis, RateAxis, SpeedAxis, SourcesAxis,
-// TxRangeAxis, CSRangeAxis, AreaWidthAxis, PayloadAxis) covers the study
-// axes plus radio and traffic dimensions the study never varied, and a
-// custom Apply function sweeps anything else:
+// TxRangeAxis, CSRangeAxis, AreaWidthAxis, PayloadAxis, ModelAxis) covers
+// the study axes plus radio and traffic dimensions the study never varied.
+// Sweeps and grids run as campaigns, so replication r of every cell runs
+// seed Seeds[0] + r and the protocols compare on paired scenarios:
 //
 //	sweep, err := adhocsim.Sweep(ctx, opts, adhocsim.TxRangeAxis(nil))
 //	grid, err := adhocsim.Grid(ctx, opts, adhocsim.TxRangeAxis(nil), adhocsim.RateAxis(nil))
@@ -92,6 +93,7 @@ import (
 	"context"
 	"io"
 
+	"adhocsim/internal/campaign"
 	"adhocsim/internal/core"
 	"adhocsim/internal/geo"
 	"adhocsim/internal/network"
@@ -259,32 +261,32 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) { return cor
 
 // RunReplicatedContext executes rc once per seed (in parallel, workers ≤ 0
 // meaning GOMAXPROCS) and merges the results in seed order; nil seeds run
-// seed 1.
+// seed 1. Several seeds must be consecutive and ascending, and run only
+// rc's Spec and Protocol.
 func RunReplicatedContext(ctx context.Context, rc RunConfig, seeds []int64, workers int) (Results, error) {
-	return core.RunReplicatedContext(ctx, rc, seeds, workers)
+	return campaign.RunReplicatedContext(ctx, rc, seeds, workers)
 }
 
 // CompareContext runs every protocol in opts on the base scenario at pause
 // 0 and returns per-protocol results.
 func CompareContext(ctx context.Context, opts Options) (map[string]Results, error) {
-	sweep, err := core.Sweep(ctx, opts, core.PauseAxis([]float64{0}))
+	sweep, err := campaign.Sweep(ctx, opts, core.PauseAxis([]float64{0}))
 	if err != nil {
 		return nil, err
 	}
 	return core.SummaryTable(sweep), nil
 }
 
-// Sweep evaluates every protocol at every value of one axis, in parallel,
-// merging replication seeds per point. Any Spec dimension an Axis can
-// Apply is sweepable.
+// Sweep evaluates every protocol at every value of one catalogue axis, in
+// parallel, merging replication seeds per point.
 func Sweep(ctx context.Context, opts Options, axis Axis) (*SweepResult, error) {
-	return core.Sweep(ctx, opts, axis)
+	return campaign.Sweep(ctx, opts, axis)
 }
 
 // Grid evaluates every protocol at every combination of several axes (full
 // cross product) on one shared worker pool.
 func Grid(ctx context.Context, opts Options, axes ...Axis) (*GridResult, error) {
-	return core.Grid(ctx, opts, axes...)
+	return campaign.Grid(ctx, opts, axes...)
 }
 
 // The axis catalogue. Each constructor accepts explicit values; nil selects

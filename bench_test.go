@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"adhocsim"
+	"adhocsim/internal/campaign"
 	"adhocsim/internal/core"
 	"adhocsim/internal/geo"
 	"adhocsim/internal/mac"
@@ -54,7 +55,7 @@ func runPauseSweep(b *testing.B, opts core.Options) *core.SweepResult {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.Sweep(context.Background(), opts, core.PauseAxis(benchPauses))
+		sweep, err = campaign.Sweep(context.Background(), opts, core.PauseAxis(benchPauses))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func runPauseSweep(b *testing.B, opts core.Options) *core.SweepResult {
 // view.
 func pauseZeroSweep(b *testing.B, opts core.Options) *core.SweepResult {
 	b.Helper()
-	sweep, err := core.Sweep(context.Background(), opts, core.PauseAxis([]float64{0}))
+	sweep, err := campaign.Sweep(context.Background(), opts, core.PauseAxis([]float64{0}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func BenchmarkFig6_Density(b *testing.B) {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.Sweep(context.Background(), opts, core.NodesAxis([]float64{10, 20, 30}))
+		sweep, err = campaign.Sweep(context.Background(), opts, core.NodesAxis([]float64{10, 20, 30}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func BenchmarkFig7_Load(b *testing.B) {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.Sweep(context.Background(), opts, core.RateAxis([]float64{1, 4, 8}))
+		sweep, err = campaign.Sweep(context.Background(), opts, core.RateAxis([]float64{1, 4, 8}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func BenchmarkFig8_Speed(b *testing.B) {
 	var sweep *core.SweepResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		sweep, err = core.Sweep(context.Background(), opts, core.SpeedAxis([]float64{1, 10, 20}))
+		sweep, err = campaign.Sweep(context.Background(), opts, core.SpeedAxis([]float64{1, 10, 20}))
 		if err != nil {
 			b.Fatal(err)
 		}

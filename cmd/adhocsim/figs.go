@@ -9,7 +9,9 @@ import (
 	"strconv"
 	"strings"
 
+	"adhocsim/internal/campaign"
 	"adhocsim/internal/core"
+	"adhocsim/internal/scenario"
 	"adhocsim/internal/sim"
 )
 
@@ -77,7 +79,7 @@ func figsCmd(c *cli, args []string) int {
 	// -json and an id, the sweep itself.
 	runSweep := func(what, id string, axis core.Axis, figs []core.Figure, sel func(string) bool) *core.SweepResult {
 		fmt.Printf("running %s...\n", what)
-		sweep, err := core.Sweep(ctx, opts, axis)
+		sweep, err := campaign.Sweep(ctx, opts, axis)
 		if err != nil {
 			c.fatal(err)
 		}
@@ -196,9 +198,8 @@ func parseAxis(s string) (core.Axis, error) {
 			}
 		}
 	}
-	axis, err := core.AxisByName(name, values, models)
-	if err == nil && axis.Format != nil && values != nil {
-		err = fmt.Errorf("axis %q takes model names, not numbers", name)
+	if _, isKind := scenario.ModelKindByName(name); isKind && values != nil {
+		return core.Axis{}, fmt.Errorf("axis %q takes model names, not numbers", name)
 	}
-	return axis, err
+	return core.AxisByName(name, values, models)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/signal"
 
+	"adhocsim/internal/campaign"
 	"adhocsim/internal/core"
 	"adhocsim/internal/sim"
 )
@@ -33,7 +34,7 @@ func verifyCmd(c *cli, args []string) int {
 
 	fmt.Printf("verifying %d findings (%d protocols, %.0f s runs, %d seeds)...\n\n",
 		len(core.Findings()), len(opts.Protocols), *c.dur, *c.seeds)
-	results, err := core.Verify(ctx, opts)
+	results, err := campaign.Verify(ctx, opts)
 	if err != nil {
 		c.fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // aggregation while any number of worker processes lease run units over
 // HTTP, execute them locally, and commit results back. Results are
 // bit-identical (reflect.DeepEqual) to a single-process run of the same
-// spec: seeds are content-derived, units are pure functions of the plan,
+// spec: seeds follow from the spec, units are pure functions of the plan,
 // and the coordinator commits replications in order. A content-addressed
 // result cache short-circuits units whose results are already known, and a
 // server-sent-events stream publishes live per-campaign progress.

@@ -68,17 +68,15 @@ func TestSpecExpandGrid(t *testing.T) {
 	if plan.Cells[1].Label != "DSR|pause_s=0|rate_pps=4" || plan.Cells[6].Protocol != "AODV" {
 		t.Fatalf("order: %q / %q", plan.Cells[1].Label, plan.Cells[6].Protocol)
 	}
-	// Seeds are content-derived: distinct across cells and reps, stable
-	// across re-expansion.
+	// Replication r of every cell runs BaseSeed + r, stable across
+	// re-expansion.
 	plan2, _ := spec.Expand()
-	seen := make(map[int64]bool)
 	for ci := range plan.Cells {
 		for r := 0; r < plan.Spec.MaxReps; r++ {
 			s := plan.SeedFor(ci, r)
-			if seen[s] {
-				t.Fatalf("duplicate seed %d", s)
+			if want := plan.Spec.BaseSeed + int64(r); s != want {
+				t.Fatalf("cell %d rep %d runs seed %d, want %d", ci, r, s, want)
 			}
-			seen[s] = true
 			if s != plan2.SeedFor(ci, r) {
 				t.Fatal("seed not stable across expansions")
 			}
@@ -364,11 +362,11 @@ func TestPlanHashPinned(t *testing.T) {
 		wantLabel, wantHash, key string
 	}{
 		{Spec{Protocols: []string{"DSR"}, MaxReps: 2}, 0, "DSR",
-			"7976893a4421490d0169fabf4fb4a9d2cba096b61366392c24a28fdbcba8f7ad",
-			"7ef5c8a1efbd9cc1cfb06bc8f7430c9c71c0156089b028ef368dec333b002d61"},
+			"2ebfb3e0de4990cd26d7ea050c8bbe73494d2848f99e79eaa60c4cd7f8eb66ad",
+			"05b7c7d5f03cada352ee69487000923102c590e4161ca928e3c856f4c77532b8"},
 		{models, 3, "DSR|radio_model=shadowing|lifecycle_model=onoff-fail",
-			"6ce5098ee23038d159c6e8b43d1c1574bd27dac231b02ac6d633187e4f8f8200",
-			"bb9d553b6924c14c7681ceb6f192c918332d248cc9e00e8a4e939c8eaf118b2c"},
+			"705771f7de99f97e3dab65b69a95e91e665f4000233eba07fb2c30b905848fb2",
+			"61a4ac0cc6f1bc0df68e62ebd8359ddc5afb5cc53cf30c5e49b4583d772002d6"},
 	} {
 		plan, err := tc.spec.Expand()
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 // so a killed campaign loses at most the in-flight runs (and the
 // store-served lines a NextUnit still holds, see journal); a trailing
 // partial line (death mid-write) is detected and truncated away on resume.
-// Because run seeds are content-derived and runs are deterministic,
+// Because run seeds follow the plan and runs are deterministic,
 // replaying the journal and re-executing only the missing runs reproduces
 // the uninterrupted campaign bit-for-bit.
 

@@ -23,7 +23,7 @@ func writeJournal(t *testing.T, path, header string, entries []string) {
 }
 
 // TestExpandModelAxis: a grid axis sweeping mobility model names must
-// produce one cell per model with name-carrying (seed-deriving) labels.
+// produce one cell per model with name-carrying labels, on paired seeds.
 func TestExpandModelAxis(t *testing.T) {
 	plan, err := Spec{
 		Protocols: []string{"DSR"},
@@ -48,9 +48,11 @@ func TestExpandModelAxis(t *testing.T) {
 			t.Fatalf("cell %d label = %q, want %q", i, cell.Label, want[i])
 		}
 	}
-	// Labels carry names, so replication seeds differ per model.
-	if plan.SeedFor(0, 0) == plan.SeedFor(1, 0) {
-		t.Fatal("model cells share replication seeds")
+	// Replication r of every model's cell runs BaseSeed + r.
+	for ci := range plan.Cells {
+		if got := plan.SeedFor(ci, 0); got != plan.Spec.BaseSeed {
+			t.Fatalf("cell %d rep 0 runs seed %d, want %d", ci, got, plan.Spec.BaseSeed)
+		}
 	}
 }
 
@@ -127,8 +129,8 @@ func TestScenarioPatchModels(t *testing.T) {
 }
 
 // TestExpandRadioAxisAndPatch: the radio model rides the same grid
-// machinery as mobility/traffic — name-carrying labels, per-model seeds —
-// and the HTTP patch selects a radio model with parameters and the SINR
+// machinery as mobility/traffic — name-carrying labels, paired seeds — and
+// the HTTP patch selects a radio model with parameters and the SINR
 // reception switch.
 func TestExpandRadioAxisAndPatch(t *testing.T) {
 	plan, err := Spec{
@@ -151,8 +153,10 @@ func TestExpandRadioAxisAndPatch(t *testing.T) {
 			t.Fatalf("cell %d label = %q, want %q", i, cell.Label, want[i])
 		}
 	}
-	if plan.SeedFor(0, 0) == plan.SeedFor(2, 0) {
-		t.Fatal("radio model cells share replication seeds")
+	for ci := range plan.Cells {
+		if got := plan.SeedFor(ci, 0); got != plan.Spec.BaseSeed {
+			t.Fatalf("radio cell %d rep 0 runs seed %d, want %d", ci, got, plan.Spec.BaseSeed)
+		}
 	}
 
 	var spec Spec
@@ -195,8 +199,8 @@ func TestExpandRadioAxisAndPatch(t *testing.T) {
 
 // TestShadowingSINRResumeDeterminism: a campaign under a stochastic radio
 // model with SINR reception must replay bit-identically from its journal —
-// the per-link shadowing field derives from each run's content-derived
-// seed, so re-executed and journal-replayed runs agree exactly.
+// the per-link shadowing field derives from each run's seed, so
+// re-executed and journal-replayed runs agree exactly.
 func TestShadowingSINRResumeDeterminism(t *testing.T) {
 	spec := func() Spec {
 		s := tinyScenario()

@@ -1,18 +1,21 @@
-// Package campaign is the batch layer over the experiment API: it expands a
-// declarative Spec (protocols × sweep axes × replication policy) into a run
-// set, executes it on a work-stealing worker pool over the cancellable
-// core runner, aggregates every metric cell online (Welford moments,
-// Student-t 95% confidence intervals), stops cells early once their
-// estimates are tight enough, and journals completed runs to a JSONL
-// checkpoint so a killed campaign resumes bit-identically.
+// Package campaign is the batch layer over the experiment API and its one
+// sweep executor: it expands a declarative Spec (protocols × sweep axes ×
+// replication policy) into a run set, executes it on a work-stealing
+// worker pool over the cancellable core runner, aggregates every metric
+// cell online (Welford moments, Student-t 95% confidence intervals), stops
+// cells early once their estimates are tight enough, and journals
+// completed runs to a JSONL checkpoint so a killed campaign resumes
+// bit-identically. Sweep, Grid, RunReplicatedContext and Verify run the
+// experiment API's replicated runs as campaigns.
 //
-// Determinism contract: every run's seed is content-derived from the base
-// seed and the cell label (sim.DeriveSeed), runs themselves are
-// deterministic, and per-cell aggregation commits replications in
-// replication order regardless of completion order. A campaign that is
-// interrupted (context cancellation or process death) and resumed from its
-// journal therefore produces a Result that is reflect.DeepEqual to the
-// uninterrupted one.
+// Determinism contract: replication r of every cell runs seed BaseSeed + r,
+// so the cells of one replication are paired — every protocol and every
+// axis point sees the same seed, as the figures compare them. Runs
+// themselves are deterministic, and per-cell aggregation commits
+// replications in replication order regardless of completion order. A
+// campaign that is interrupted (context cancellation or process death) and
+// resumed from its journal therefore produces a Result that is
+// reflect.DeepEqual to the uninterrupted one.
 package campaign
 
 import (
@@ -21,6 +24,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -147,7 +151,8 @@ type Spec struct {
 	Protocols []string `json:"protocols,omitempty"`
 	// Axes are crossed into the cell grid; empty runs a single point.
 	Axes []AxisSpec `json:"axes,omitempty"`
-	// BaseSeed roots the deterministic per-run seed derivation (default 1).
+	// BaseSeed is replication 0's seed: replication r of every cell runs
+	// BaseSeed + r (default 1).
 	BaseSeed int64 `json:"base_seed,omitempty"`
 	// MinReps is the minimum replications per cell before the sequential
 	// stopping rule may fire (default 2 when Epsilon is set, else MaxReps).
@@ -168,9 +173,9 @@ type Cell struct {
 	Index    int       `json:"index"`
 	Protocol string    `json:"protocol"`
 	Point    []float64 `json:"point,omitempty"`
-	// Label is the human-readable and seed-derivation identity of the cell,
-	// e.g. "DSR|pause_s=0". It is content-derived, so reordering protocols
-	// or axis values does not change any cell's replication seeds.
+	// Label is the human-readable identity of the cell, e.g.
+	// "DSR|pause_s=0"; the plan hash fingerprints it. It names model axes'
+	// models, not their list positions.
 	Label string `json:"label"`
 
 	spec scenario.Spec
@@ -207,9 +212,14 @@ const maxCells, maxUnits = 1 << 16, 1 << 24
 // MaxRuns is the size of the run set before early stopping.
 func (p *Plan) MaxRuns() int { return len(p.Cells) * p.Spec.MaxReps }
 
-// SeedFor derives the deterministic seed of one (cell, replication) run.
+// seedRule names SeedFor's rule in the plan hash, so a journal written
+// under another rule is not resumed as this plan's.
+const seedRule = "base_seed+rep"
+
+// SeedFor is the seed of one (cell, replication) run: BaseSeed + rep for
+// every cell, so one replication's cells are paired.
 func (p *Plan) SeedFor(cell, rep int) int64 {
-	return sim.DeriveSeed(p.Spec.BaseSeed, p.Cells[cell].Label+"|rep="+strconv.Itoa(rep))
+	return p.Spec.BaseSeed + int64(rep)
 }
 
 // ExecuteUnit runs one (cell, replication) unit of the plan. It is a pure
@@ -246,10 +256,10 @@ func (p *Plan) SeriesGeometry(cell int) metrics.Geometry {
 
 // UnitKey is the content address of one run unit: a digest of everything
 // that determines its result — the cell's fully-resolved scenario, the
-// protocol, and the derived seed. Two campaigns whose grids overlap (same
-// base scenario, same base seed) produce identical keys for the shared
-// units, so a content-addressed result cache serves across campaign
-// boundaries, not just on exact resubmission.
+// protocol, and the seed. Two campaigns whose grids overlap (same base
+// scenario, same base seed) produce identical keys for the shared units,
+// so a content-addressed result cache serves across campaign boundaries,
+// not just on exact resubmission.
 //
 // The digest is of json.Marshal's encoding of
 //
@@ -307,6 +317,9 @@ func (s Spec) Expand() (*Plan, error) {
 	if s.MinReps < 1 || s.MinReps > s.MaxReps {
 		return nil, fmt.Errorf("campaign: min_reps %d outside [1, max_reps=%d]", s.MinReps, s.MaxReps)
 	}
+	if s.BaseSeed > math.MaxInt64-int64(s.MaxReps-1) {
+		return nil, fmt.Errorf("campaign: base_seed %d + max_reps %d overflows the last replication's seed", s.BaseSeed, s.MaxReps)
+	}
 	eps := make(map[string]float64, len(s.Epsilon))
 	for name, e := range s.Epsilon {
 		m, err := core.MetricByName(name)
@@ -341,7 +354,7 @@ func (s Spec) Expand() (*Plan, error) {
 		}
 		if seenProto[canon] {
 			// Duplicates would produce cells with identical labels and
-			// therefore identical replication seeds — pure wasted work.
+			// identical runs — pure wasted work.
 			return nil, fmt.Errorf("campaign: protocol %q listed twice", canon)
 		}
 		seenProto[canon] = true
@@ -393,7 +406,7 @@ func (s Spec) Expand() (*Plan, error) {
 		return nil, fmt.Errorf("campaign: %d cells × max_reps %d is more than %d runs", nCells, s.MaxReps, maxUnits)
 	}
 
-	// The cell grid enumerates in the same order core.Grid does. Each grid
+	// The cell grid enumerates protocol-major, then core.CrossPoints. Each grid
 	// point's patched scenario is dry-run validated here — a sweep value
 	// that produces an impossible run (a churn window past the horizon, a
 	// source count above a swept-down node count) fails at submission time,
@@ -448,8 +461,8 @@ func (s Spec) Expand() (*Plan, error) {
 }
 
 // hash fingerprints everything that determines the run set and its
-// aggregation: the resolved scenario, protocols, grid, seeds and stopping
-// policy. Journals record it so a checkpoint cannot silently resume under a
+// aggregation: the resolved scenario, protocols, grid, seeds and their
+// rule, and stopping policy. Journals record it so a checkpoint cannot silently resume under a
 // different spec. (encoding/json sorts map keys, so the digest is canonical.)
 func (p *Plan) hash() (string, error) {
 	// Cell labels fingerprint the formatted axis values too: categorical
@@ -466,10 +479,11 @@ func (p *Plan) hash() (string, error) {
 		Points     [][]float64
 		CellLabels []string
 		BaseSeed   int64
+		SeedRule   string
 		MinReps    int
 		MaxReps    int
 		Epsilon    map[string]float64
-	}{p.Base, p.Protocols, p.Labels, p.Points, cellLabels, p.Spec.BaseSeed, p.Spec.MinReps, p.Spec.MaxReps, p.Spec.Epsilon}
+	}{p.Base, p.Protocols, p.Labels, p.Points, cellLabels, p.Spec.BaseSeed, seedRule, p.Spec.MinReps, p.Spec.MaxReps, p.Spec.Epsilon}
 	b, err := json.Marshal(fingerprint)
 	if err != nil {
 		return "", fmt.Errorf("campaign: hashing spec: %w", err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -14,46 +13,54 @@ import (
 	"adhocsim/internal/stats"
 )
 
-// Axis is one sweepable scenario dimension: a label for rendering, the
-// values to visit, and a function that writes one value into a Spec. Any
-// Spec field can be swept — the catalogue below covers the study axes plus
-// the radio/traffic dimensions the original harness could not express, and
-// callers can define their own Apply for anything else.
+// Axis is one sweepable scenario dimension of the catalogue below: a label
+// for rendering, the values to visit, and how one value writes into a Spec.
+// The catalogue covers the study axes plus the radio/traffic dimensions the
+// original harness could not express. Only its axes sweep: a sweep runs as
+// a campaign, whose spec names each axis (ByName).
 type Axis struct {
 	Label  string
 	Values []float64
-	Apply  func(*scenario.Spec, float64)
-	// Defaults, when non-nil and Values is empty, derives the values to
-	// visit from the sweep's base spec at Sweep/Grid time. Catalogue
-	// constructors with static defaults fill Values directly; PauseAxis
-	// uses this hook because its defaults scale with scenario duration.
-	Defaults func(scenario.Spec) []float64
-	// Format, when non-nil, renders a value for labels (campaign cell
-	// labels, renders). Categorical axes — the mobility/traffic model
-	// axes, whose float values index a name list — use it so labels read
-	// "mobility_model=gauss-markov" rather than an opaque index, and so
-	// campaign replication seeds derive from model names instead of list
-	// positions.
-	Format func(float64) string
-	// CheckValue, when non-nil, validates each value at Resolved time.
-	// Categorical axes reject non-integer or out-of-range indices here, so
-	// a bad index fails the sweep/campaign at expansion instead of
-	// silently running a mislabeled default-model cell.
-	CheckValue func(float64) error
+	// name is the AxisByName key ("" for an axis the catalogue did not
+	// build). models is a model axis's name list, which its values index,
+	// so labels read "mobility_model=gauss-markov", not an index. defaults,
+	// when Values is empty, derives them from the sweep's base spec
+	// (PauseAxis(nil): its defaults scale with the duration). apply writes
+	// one value into a Spec.
+	name     string
+	models   []string
+	defaults func(scenario.Spec) []float64
+	apply    func(*scenario.Spec, float64)
 }
 
-// FormatValue renders one axis value for labels: Format when set, else the
-// shortest exact float form.
+// FormatValue renders one axis value for labels: the model name on a model
+// axis, else the shortest exact float form.
 func (a Axis) FormatValue(x float64) string {
-	if a.Format != nil {
-		return a.Format(x)
+	if i := int(x); float64(i) == x && i >= 0 && i < len(a.models) {
+		return a.models[i]
 	}
 	return strconv.FormatFloat(x, 'g', -1, 64)
 }
 
+// Apply writes one axis value into a spec.
+func (a Axis) Apply(s *scenario.Spec, x float64) { a.apply(s, x) }
+
+// ByName returns the AxisByName arguments that rebuild the axis at its
+// values: the catalogue name and the values, or on a model axis the names
+// its values index. Call it on a Resolved axis.
+func (a Axis) ByName() (name string, values []float64, models []string) {
+	if a.models == nil {
+		return a.name, a.Values, nil
+	}
+	for _, v := range a.Values {
+		models = append(models, a.models[int(v)])
+	}
+	return a.name, nil, models
+}
+
 func (a Axis) validate() error {
-	if a.Apply == nil {
-		return fmt.Errorf("core: axis %q has no Apply function", a.Label)
+	if a.name == "" {
+		return fmt.Errorf("core: axis %q was not built by the axis catalogue", a.Label)
 	}
 	if len(a.Values) == 0 {
 		return fmt.Errorf("core: axis %q has no values", a.Label)
@@ -65,16 +72,15 @@ func (a Axis) validate() error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("core: axis %q: value %v is not a finite number", a.Label, v)
 		}
-		if a.CheckValue != nil {
-			if err := a.CheckValue(v); err != nil {
-				return fmt.Errorf("core: axis %q: %w", a.Label, err)
-			}
+		// A bad index would run a mislabeled default-model cell.
+		if i := int(v); a.models != nil && (float64(i) != v || i < 0 || i >= len(a.models)) {
+			return fmt.Errorf("core: axis %q: value %v does not index the model list %v", a.Label, v, a.models)
 		}
 		// Duplicate points would expand into cells with identical labels
-		// and therefore identical content-derived replication seeds — pure
-		// wasted work, same hazard campaign.Expand rejects for duplicate
-		// protocols. Compare formatted values so categorical axes catch
-		// index pairs that alias the same model name.
+		// and identical runs — pure wasted work, same hazard
+		// campaign.Expand rejects for duplicate protocols. Compare
+		// formatted values so model axes catch index pairs that alias the
+		// same model name.
 		key := a.FormatValue(v)
 		if seen[key] {
 			return fmt.Errorf("core: axis %q visits %s twice", a.Label, key)
@@ -84,24 +90,32 @@ func (a Axis) validate() error {
 	return nil
 }
 
-// Resolved fills empty Values from the Defaults hook against the given base
-// spec, then validates. Sweep/Grid call it internally; the campaign engine
-// resolves axes through it too, so default values cannot drift between the
-// two layers.
+// Resolved fills empty Values from the defaults against the given base
+// spec, then validates. The campaign engine resolves every axis through
+// it, a sweep's before it is named in a spec and again from that spec.
 func (a Axis) Resolved(base scenario.Spec) (Axis, error) {
-	if len(a.Values) == 0 && a.Defaults != nil {
-		a.Values = a.Defaults(base)
+	if len(a.Values) == 0 && a.defaults != nil {
+		a.Values = a.defaults(base)
 	}
 	return a, a.validate()
 }
 
 // WithValues returns a copy of the axis visiting exactly the given values
-// (the Defaults hook is dropped: an empty vs makes the axis invalid rather
-// than reverting to defaults).
+// (the defaults are dropped: an empty vs makes the axis invalid rather
+// than reverting to them).
 func (a Axis) WithValues(vs []float64) Axis {
 	a.Values = append([]float64(nil), vs...)
-	a.Defaults = nil
+	a.defaults = nil
 	return a
+}
+
+// numericAxis is a catalogue axis whose values are the numbers it writes;
+// nil vs selects its defaults.
+func numericAxis(name, label string, vs, defaults []float64, apply func(*scenario.Spec, float64)) Axis {
+	if vs == nil {
+		vs = defaults
+	}
+	return Axis{Label: label, Values: vs, name: name, apply: apply}
 }
 
 // The axis catalogue. Each constructor accepts explicit values; nil selects
@@ -115,15 +129,11 @@ func (a Axis) WithValues(vs []float64) Axis {
 // Nil values select the Broch-style defaults, scaled to the base spec's
 // duration when the sweep runs.
 func PauseAxis(vs []float64) Axis {
-	a := Axis{
-		Label:  "pause_s",
-		Values: vs,
-		Apply: func(s *scenario.Spec, x float64) {
-			s.Pause = sim.Seconds(x)
-		},
-	}
+	a := numericAxis("pause", "pause_s", vs, nil, func(s *scenario.Spec, x float64) {
+		s.Pause = sim.Seconds(x)
+	})
 	if vs == nil {
-		a.Defaults = func(base scenario.Spec) []float64 {
+		a.defaults = func(base scenario.Spec) []float64 {
 			return DefaultPauses(base.Duration)
 		}
 	}
@@ -132,12 +142,9 @@ func PauseAxis(vs []float64) Axis {
 
 // NodesAxis sweeps the node count (Figure 6).
 func NodesAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{10, 20, 30, 40}
-	}
-	return Axis{Label: "nodes", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("nodes", "nodes", vs, []float64{10, 20, 30, 40}, func(s *scenario.Spec, x float64) {
 		s.Nodes = int(x)
-	}}
+	})
 }
 
 // ScaleAxis sweeps the node count at constant node density: the simulation
@@ -146,107 +153,84 @@ func NodesAxis(vs []float64) Axis {
 // transmit path exists for; the default points reach well beyond the
 // study's 40-node scenes.
 func ScaleAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{50, 100, 200, 350, 500, 1000, 2000, 5000, 10000}
-	}
-	return Axis{Label: "nodes_scaled", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	defaults := []float64{50, 100, 200, 350, 500, 1000, 2000, 5000, 10000}
+	return numericAxis("scale", "nodes_scaled", vs, defaults, func(s *scenario.Spec, x float64) {
 		if s.Nodes > 0 {
 			k := math.Sqrt(x / float64(s.Nodes))
 			s.Area.W *= k
 			s.Area.H *= k
 		}
 		s.Nodes = int(x)
-	}}
+	})
 }
 
 // RateAxis sweeps the per-connection packet rate in packets/s (Figure 7).
 func RateAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{1, 2, 4, 8, 12}
-	}
-	return Axis{Label: "rate_pps", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("rate", "rate_pps", vs, []float64{1, 2, 4, 8, 12}, func(s *scenario.Spec, x float64) {
 		s.Rate = x
-	}}
+	})
 }
 
 // SpeedAxis sweeps the maximum node speed in m/s (Figure 8), clamping the
 // minimum speed when needed.
 func SpeedAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{1, 5, 10, 15, 20}
-	}
-	return Axis{Label: "speed_mps", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("speed", "speed_mps", vs, []float64{1, 5, 10, 15, 20}, func(s *scenario.Spec, x float64) {
 		s.MaxSpeed = x
 		if s.MinSpeed > x {
 			s.MinSpeed = x
 		}
-	}}
+	})
 }
 
 // SourcesAxis sweeps the number of CBR connections (the 10/20/30-source
 // variants of Figures 1–2).
 func SourcesAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{10, 20, 30}
-	}
-	return Axis{Label: "sources", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("sources", "sources", vs, []float64{10, 20, 30}, func(s *scenario.Spec, x float64) {
 		s.Sources = int(x)
-	}}
+	})
 }
 
 // TxRangeAxis sweeps the radio transmission range in metres; the
 // carrier-sense range follows at its default 2.2× ratio unless the spec
 // pins it. The v1 API had no sweep for this axis.
 func TxRangeAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{100, 150, 200, 250}
-	}
-	return Axis{Label: "txrange_m", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("txrange", "txrange_m", vs, []float64{100, 150, 200, 250}, func(s *scenario.Spec, x float64) {
 		s.TxRange = x
-	}}
+	})
 }
 
 // CSRangeAxis sweeps the carrier-sense range in metres independently of the
 // transmission range (the cumulative-interference studies' axis).
 func CSRangeAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{300, 450, 550, 700}
-	}
-	return Axis{Label: "csrange_m", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("csrange", "csrange_m", vs, []float64{300, 450, 550, 700}, func(s *scenario.Spec, x float64) {
 		s.CSRange = x
-	}}
+	})
 }
 
 // AreaWidthAxis sweeps the simulation-area width in metres (node density at
 // fixed population).
 func AreaWidthAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{1000, 1500, 2250, 3000}
-	}
-	return Axis{Label: "area_w_m", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("width", "area_w_m", vs, []float64{1000, 1500, 2250, 3000}, func(s *scenario.Spec, x float64) {
 		s.Area.W = x
-	}}
+	})
 }
 
 // PayloadAxis sweeps the CBR payload size in bytes.
 func PayloadAxis(vs []float64) Axis {
-	if vs == nil {
-		vs = []float64{64, 256, 512, 1024}
-	}
-	return Axis{Label: "payload_B", Values: vs, Apply: func(s *scenario.Spec, x float64) {
+	return numericAxis("payload", "payload_B", vs, []float64{64, 256, 512, 1024}, func(s *scenario.Spec, x float64) {
 		s.PayloadBytes = int(x)
-	}}
+	})
 }
 
 // ModelAxis sweeps one scenario-model kind (any spelling in
 // scenario.ModelKinds: "mobility", "traffic_model", "churn", …) by registry
 // name — the scenario-family dimensions the study held fixed. Nil names
 // selects every registered model, sorted. Values are indices into names;
-// Format renders them back to names, so campaign cell labels — and the
-// replication seeds derived from them — carry model names, not list
-// positions. Every name is validated against the registry, so a typo fails
-// at expansion time rather than mid-campaign, and duplicates are rejected:
-// they would expand into cells with identical labels and seeds.
+// Format renders them back to names, so campaign cell labels carry model
+// names, not list positions. Every name is validated against the registry,
+// so a typo fails at expansion time rather than mid-campaign, and
+// duplicates are rejected: they would expand into cells with identical
+// labels and runs.
 //
 // When the applied name is the base spec's own model its tuned Params are
 // kept (so a parameterized base can be compared against other models);
@@ -287,7 +271,9 @@ func ModelAxis(kind string, names []string) (Axis, error) {
 	return Axis{
 		Label:  k.Label,
 		Values: vs,
-		Apply: func(s *scenario.Spec, x float64) {
+		name:   k.Name,
+		models: names,
+		apply: func(s *scenario.Spec, x float64) {
 			if i := int(x); i >= 0 && i < len(names) {
 				name, params := k.Ref(s)
 				if resolve(*name) != resolve(names[i]) {
@@ -295,18 +281,6 @@ func ModelAxis(kind string, names []string) (Axis, error) {
 				}
 				*name = names[i]
 			}
-		},
-		Format: func(x float64) string {
-			if i := int(x); i >= 0 && i < len(names) && float64(i) == x {
-				return names[i]
-			}
-			return strconv.FormatFloat(x, 'g', -1, 64)
-		},
-		CheckValue: func(x float64) error {
-			if i := int(x); float64(i) != x || i < 0 || i >= len(names) {
-				return fmt.Errorf("value %v does not index the model list %v", x, names)
-			}
-			return nil
 		},
 	}, nil
 }
@@ -387,9 +361,8 @@ type GridResult struct {
 
 // CrossPoints enumerates the axes' full cross product in row-major order
 // (last axis fastest). Axes must already have values; zero axes yield one
-// nil point (the single-cell degenerate case). Grid and the campaign
-// engine share this enumeration — campaign cell labels, and therefore the
-// content-derived replication seeds and journal hashes, depend on it.
+// nil point (the single-cell degenerate case). The campaign engine's cell
+// grid, and so its cell labels and journal hashes, follow this order.
 func CrossPoints(axes []Axis) [][]float64 {
 	if len(axes) == 0 {
 		return [][]float64{nil}
@@ -419,80 +392,4 @@ func CrossPoints(axes []Axis) [][]float64 {
 		}
 	}
 	return cross
-}
-
-// Grid evaluates every protocol at every combination of the axes' values
-// (full cross product) on the shared worker pool. A single axis degenerates
-// to Sweep; two or more axes express experiments the v1 API could not, such
-// as TxRange × offered load.
-func Grid(ctx context.Context, opts Options, axes ...Axis) (*GridResult, error) {
-	if len(axes) == 0 {
-		return nil, fmt.Errorf("core: Grid needs at least one axis")
-	}
-	opts = opts.normalized()
-	// Resolve into a private slice: callers passing a shared []Axis via
-	// axes... must not observe default-filled Values.
-	resolvedAxes := make([]Axis, len(axes))
-	labels := make([]string, len(axes))
-	for i := range axes {
-		a, err := axes[i].Resolved(opts.Base)
-		if err != nil {
-			return nil, err
-		}
-		resolvedAxes[i] = a
-		labels[i] = a.Label
-	}
-	axes = resolvedAxes
-
-	cross := CrossPoints(axes)
-
-	axisLabel := strings.Join(labels, "×")
-	jobs := make([]runJob, 0, len(opts.Protocols)*len(cross)*len(opts.Seeds))
-	for _, p := range opts.Protocols {
-		for _, pt := range cross {
-			spec := opts.Base
-			for a := range axes {
-				axes[a].Apply(&spec, pt[a])
-			}
-			value := axes[0].FormatValue(pt[0])
-			for _, seed := range opts.Seeds {
-				jobs = append(jobs, runJob{
-					rc:    RunConfig{Spec: spec, Protocol: p, Seed: seed},
-					axis:  axisLabel,
-					x:     pt[0],
-					value: value,
-				})
-			}
-		}
-	}
-	results, err := runJobs(ctx, opts.Workers, opts.OnProgress, jobs)
-	if err != nil {
-		return nil, err
-	}
-	pointLabels := make([][]string, len(cross))
-	for i, pt := range cross {
-		row := make([]string, len(axes))
-		for a := range axes {
-			row[a] = axes[a].FormatValue(pt[a])
-		}
-		pointLabels[i] = row
-	}
-	out := &GridResult{
-		Labels:      labels,
-		Points:      cross,
-		PointLabels: pointLabels,
-		Protocols:   append([]string(nil), opts.Protocols...),
-		Cells:       make(map[string][]stats.Results, len(opts.Protocols)),
-	}
-	ri := 0
-	for _, p := range opts.Protocols {
-		row := make([]stats.Results, len(cross))
-		for pi := range cross {
-			reps := results[ri : ri+len(opts.Seeds)]
-			ri += len(opts.Seeds)
-			row[pi] = stats.MergeResults(reps)
-		}
-		out.Cells[p] = row
-	}
-	return out, nil
 }

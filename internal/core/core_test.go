@@ -189,22 +189,6 @@ func TestGridBruteforceParityEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunReplicatedMergesSeeds(t *testing.T) {
-	spec := smallSpec()
-	spec.Duration = 30 * sim.Second
-	res, err := RunReplicatedContext(context.Background(), RunConfig{Spec: spec, Protocol: DSR}, []int64{1, 2, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Run(context.Background(), RunConfig{Spec: spec, Protocol: DSR, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DataSent <= single.DataSent {
-		t.Fatalf("merged DataSent %d not cumulative over seeds (single %d)", res.DataSent, single.DataSent)
-	}
-}
-
 func TestFactoryUnknownProtocol(t *testing.T) {
 	if _, err := FactoryFor("OSPF", phy.DefaultParams(), ProtocolTweaks{}); err == nil {
 		t.Fatal("unknown protocol accepted")

@@ -1,24 +1,23 @@
 // Package core is the comparison-study harness — the paper's contribution.
-// It executes scenario×protocol×seed simulation runs (in parallel across
-// runs, each run single-threaded and deterministic), aggregates replication
-// seeds, and regenerates every figure and table of the evaluation.
+// It executes one scenario×protocol×seed simulation run (Run,
+// single-threaded and deterministic) and holds what the evaluation reads
+// off many: the axis catalogue, the metrics, the study's findings and the
+// figure and table renders. The campaign package runs the replicated
+// sweeps and grids on its one worker pool.
 //
 // The experiment API is open on three axes: protocols resolve through a
 // registry (RegisterProtocol), scenario dimensions are swept through
-// first-class Axis values (Sweep, Grid), and long experiments are
-// cancellable and observable (context.Context plus Options.OnProgress).
+// first-class Axis values, and long experiments are cancellable and
+// observable (context.Context plus Options.OnProgress).
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"adhocsim/internal/mac"
 	"adhocsim/internal/metrics"
@@ -141,31 +140,6 @@ func Run(ctx context.Context, rc RunConfig) (stats.Results, error) {
 	return world.Collector.Finalize(), nil
 }
 
-// RunReplicatedContext executes the run for each seed on the shared worker pool
-// and merges the results in seed order. A single seed is a plain Run.
-func RunReplicatedContext(ctx context.Context, rc RunConfig, seeds []int64, workers int) (stats.Results, error) {
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
-	if len(seeds) == 1 {
-		rc.Seed = seeds[0]
-		return Run(ctx, rc)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobs := make([]runJob, len(seeds))
-	for i, seed := range seeds {
-		jobs[i].rc = rc
-		jobs[i].rc.Seed = seed
-	}
-	results, err := runJobs(ctx, workers, nil, jobs)
-	if err != nil {
-		return stats.Results{}, err
-	}
-	return stats.MergeResults(results), nil
-}
-
 // Progress reports one completed run inside a sweep or grid.
 type Progress struct {
 	// Done runs out of Total have finished (including this one).
@@ -201,7 +175,8 @@ func ProgressPrinter(w io.Writer) ProgressFunc {
 }
 
 // Options configure a sweep: the scenario template, the protocols compared,
-// replication seeds and parallelism.
+// replication seeds (consecutive and ascending: replication r runs
+// Seeds[0] + r) and parallelism.
 type Options struct {
 	Base      scenario.Spec
 	Protocols []string
@@ -219,104 +194,6 @@ func DefaultOptions() Options {
 		Protocols: StudyProtocols(),
 		Seeds:     []int64{1, 2, 3},
 	}
-}
-
-// normalized fills the zero-value defaults of Options.
-func (o Options) normalized() Options {
-	if len(o.Protocols) == 0 {
-		o.Protocols = StudyProtocols()
-	}
-	if len(o.Seeds) == 0 {
-		o.Seeds = []int64{1}
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
-// runJob is one unit of work for the shared worker pool: a fully-resolved
-// run plus the progress annotations of the axis point it came from.
-type runJob struct {
-	rc    RunConfig
-	axis  string
-	x     float64
-	value string
-}
-
-// runJobs executes every job on a pool of workers goroutines and returns
-// results in job order (a flat indexed slice — deterministic, no per-job
-// map allocation or struct-key hashing on the dispatch path). Cancelling
-// the context stops dispatch and interrupts in-flight simulations; the
-// context's error is returned unless an earlier job failed on its own.
-func runJobs(ctx context.Context, workers int, onProgress ProgressFunc, jobs []runJob) ([]stats.Results, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]stats.Results, len(jobs))
-	errs := make([]error, len(jobs))
-
-	var progressMu sync.Mutex
-	done := 0
-	report := func(i int) {
-		if onProgress == nil {
-			return
-		}
-		j := jobs[i]
-		progressMu.Lock()
-		done++
-		p := Progress{
-			Done:     done,
-			Total:    len(jobs),
-			Protocol: j.rc.Protocol,
-			Seed:     j.rc.Seed,
-			Axis:     j.axis,
-			X:        j.x,
-			Value:    j.value,
-		}
-		onProgress(p)
-		progressMu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				results[i], errs[i] = Run(ctx, jobs[i].rc)
-				report(i)
-			}
-		}()
-	}
-dispatch:
-	for i := range jobs {
-		select {
-		case ch <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(ch)
-	wg.Wait()
-	if err := firstError(ctx, errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// firstError picks the error to surface from a batch: the first failure
-// that is not itself a symptom of cancellation, else the context's error.
-// This guarantees a cancelled sweep reports context.Canceled (or
-// DeadlineExceeded) rather than an arbitrary wrapped per-run error.
-func firstError(ctx context.Context, errs []error) error {
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-	}
-	return ctx.Err()
 }
 
 // SweepResult holds merged results for each protocol at each sweep point.
@@ -340,31 +217,6 @@ func (sr *SweepResult) Tick(xi int) string {
 		return sr.XTicks[xi]
 	}
 	return strconv.FormatFloat(sr.Xs[xi], 'g', -1, 64)
-}
-
-// Sweep evaluates every protocol in opts at every value of the axis,
-// parallelising across (protocol, value, seed) on one shared worker pool
-// and merging replication seeds per point. It subsumes the four hard-coded
-// study sweeps: any Spec dimension an Axis can Apply is sweepable. Sweep is
-// the one-axis case of Grid.
-func Sweep(ctx context.Context, opts Options, axis Axis) (*SweepResult, error) {
-	g, err := Grid(ctx, opts, axis)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]float64, len(g.Points))
-	ticks := make([]string, len(g.Points))
-	for i, pt := range g.Points {
-		xs[i] = pt[0]
-		ticks[i] = g.PointLabels[i][0]
-	}
-	return &SweepResult{
-		XLabel:    g.Labels[0],
-		Xs:        xs,
-		XTicks:    ticks,
-		Protocols: g.Protocols,
-		Cells:     g.Cells,
-	}, nil
 }
 
 // Metric extracts a scalar from run results for rendering.

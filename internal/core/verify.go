@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -127,14 +126,9 @@ type VerifyResult struct {
 	Detail  string
 }
 
-// Verify runs the two reference configurations (pause 0 and fully static)
-// and evaluates every finding. Options follow the usual semantics; the
-// pause axis is overridden internally.
-func Verify(ctx context.Context, opts Options) ([]VerifyResult, error) {
-	sweep, err := Sweep(ctx, opts, PauseAxis([]float64{0, opts.Base.Duration.Seconds()}))
-	if err != nil {
-		return nil, err
-	}
+// CheckFindings evaluates every finding on a sweep of two points: constant
+// motion (pause 0) first, then fully static (a pause as long as the run).
+func CheckFindings(sweep *SweepResult) []VerifyResult {
 	mobile := make(map[string]stats.Results)
 	static := make(map[string]stats.Results)
 	for _, p := range sweep.Protocols {
@@ -146,7 +140,7 @@ func Verify(ctx context.Context, opts Options) ([]VerifyResult, error) {
 		ok, detail := f.Check(mobile, static)
 		out = append(out, VerifyResult{Finding: f, Pass: ok, Detail: detail})
 	}
-	return out, nil
+	return out
 }
 
 // RenderVerify formats verification results as a report.

@@ -26,7 +26,7 @@ import (
 //
 // A worker never receives scenario objects per unit: it fetches the spec
 // once per campaign, expands it locally into the identical plan (seeds and
-// cell grids are content-derived, so expansion is reproducible anywhere),
+// cell grids follow from the spec, so expansion is reproducible anywhere),
 // and verifies the plan hash against the coordinator's before executing
 // anything — version skew between binaries is caught before it can corrupt
 // an aggregate.
