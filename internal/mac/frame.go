@@ -5,10 +5,14 @@
 // interface queue that gives routing packets priority (as the CMU ns-2
 // extensions do).
 //
-// Simplifications relative to the full standard, none of which affect the
-// relative comparison of routing protocols: no EIFS, no fragmentation, a
-// single data rate for control and data frames, and backoff that freezes as
-// remaining time rather than discrete slot counts.
+// Simplifications relative to the full standard: no fragmentation and a
+// single data rate for control and data frames. Known gaps against the
+// models the study is read beside, unmeasured for the routing comparison:
+//   - backoff freezes as remaining time, banking a partial slot, where
+//     ns-2's BackoffTimer::pause subtracts whole slots only;
+//   - no EIFS after a frame received in error;
+//   - finite retry limits (ShortRetryLimit, LongRetryLimit), where
+//     Bianchi's saturation model assumes a packet retries until it is sent.
 package mac
 
 import (
