@@ -58,23 +58,29 @@ func (a Axis) ByName() (name string, values []float64, models []string) {
 	return a.name, nil, models
 }
 
-func (a Axis) validate() error {
+// Resolved fills empty Values from the defaults against the given base
+// spec, then validates. The campaign engine resolves every axis through
+// it, a sweep's before it is named in a spec and again from that spec.
+func (a Axis) Resolved(base scenario.Spec) (Axis, error) {
+	if len(a.Values) == 0 && a.defaults != nil {
+		a.Values = a.defaults(base)
+	}
 	if a.name == "" {
-		return fmt.Errorf("core: axis %q was not built by the axis catalogue", a.Label)
+		return Axis{}, fmt.Errorf("core: axis %q was not built by the axis catalogue", a.Label)
 	}
 	if len(a.Values) == 0 {
-		return fmt.Errorf("core: axis %q has no values", a.Label)
+		return Axis{}, fmt.Errorf("core: axis %q has no values", a.Label)
 	}
 	seen := make(map[string]bool, len(a.Values))
 	for _, v := range a.Values {
 		// Apply converts values to durations and counts, and Go leaves
 		// converting NaN or ±Inf to an integer to the implementation.
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: axis %q: value %v is not a finite number", a.Label, v)
+			return Axis{}, fmt.Errorf("core: axis %q: value %v is not a finite number", a.Label, v)
 		}
 		// A bad index would run a mislabeled default-model cell.
 		if i := int(v); a.models != nil && (float64(i) != v || i < 0 || i >= len(a.models)) {
-			return fmt.Errorf("core: axis %q: value %v does not index the model list %v", a.Label, v, a.models)
+			return Axis{}, fmt.Errorf("core: axis %q: value %v does not index the model list %v", a.Label, v, a.models)
 		}
 		// Duplicate points would expand into cells with identical labels
 		// and identical runs — pure wasted work, same hazard
@@ -83,21 +89,11 @@ func (a Axis) validate() error {
 		// same model name.
 		key := a.FormatValue(v)
 		if seen[key] {
-			return fmt.Errorf("core: axis %q visits %s twice", a.Label, key)
+			return Axis{}, fmt.Errorf("core: axis %q visits %s twice", a.Label, key)
 		}
 		seen[key] = true
 	}
-	return nil
-}
-
-// Resolved fills empty Values from the defaults against the given base
-// spec, then validates. The campaign engine resolves every axis through
-// it, a sweep's before it is named in a spec and again from that spec.
-func (a Axis) Resolved(base scenario.Spec) (Axis, error) {
-	if len(a.Values) == 0 && a.defaults != nil {
-		a.Values = a.defaults(base)
-	}
-	return a, a.validate()
+	return a, nil
 }
 
 // WithValues returns a copy of the axis visiting exactly the given values
@@ -226,7 +222,7 @@ func PayloadAxis(vs []float64) Axis {
 // scenario.ModelKinds: "mobility", "traffic_model", "churn", …) by registry
 // name — the scenario-family dimensions the study held fixed. Nil names
 // selects every registered model, sorted. Values are indices into names;
-// Format renders them back to names, so campaign cell labels carry model
+// FormatValue renders them back to names, so campaign cell labels carry model
 // names, not list positions. Every name is validated against the registry,
 // so a typo fails at expansion time rather than mid-campaign, and
 // duplicates are rejected: they would expand into cells with identical
