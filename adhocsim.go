@@ -39,12 +39,14 @@
 //		return func(id adhocsim.NodeID) adhocsim.Protocol { return newMyProto(id) }, nil
 //	})
 //
-// Scenario dimensions are swept through first-class Axis values. The
-// catalogue (PauseAxis, NodesAxis, RateAxis, SpeedAxis, SourcesAxis,
-// TxRangeAxis, CSRangeAxis, AreaWidthAxis, PayloadAxis, ModelAxis) covers
-// the study axes plus radio and traffic dimensions the study never varied.
-// Sweeps and grids run as campaigns, so replication r of every cell runs
-// seed Seeds[0] + r and the protocols compare on paired scenarios:
+// Scenario dimensions are swept through Axis values: a catalogue name and
+// the values to visit, the same value a CampaignSpec's Axes hold and POST
+// /campaigns decodes. The catalogue (PauseAxis, NodesAxis, RateAxis,
+// SpeedAxis, SourcesAxis, TxRangeAxis, CSRangeAxis, AreaWidthAxis,
+// PayloadAxis, ModelAxis) covers the study axes plus radio and traffic
+// dimensions the study never varied. Sweeps and grids run as campaigns, so
+// replication r of every cell runs seed Seeds[0] + r and the protocols
+// compare on paired scenarios:
 //
 //	sweep, err := adhocsim.Sweep(ctx, opts, adhocsim.TxRangeAxis(nil))
 //	grid, err := adhocsim.Grid(ctx, opts, adhocsim.TxRangeAxis(nil), adhocsim.RateAxis(nil))
@@ -189,8 +191,10 @@ type ProgressFunc = core.ProgressFunc
 // progress line to w (typically os.Stderr).
 func ProgressPrinter(w io.Writer) ProgressFunc { return core.ProgressPrinter(w) }
 
-// Axis is one sweepable scenario dimension; see the axis catalogue
-// (PauseAxis and friends) and ModelAxis.
+// Axis is one sweepable scenario dimension — a catalogue name and the
+// values (or, on a model axis, the model names) to visit — in sweeps,
+// grids and CampaignSpec alike; see the axis catalogue (PauseAxis and
+// friends) and ModelAxis.
 type Axis = core.Axis
 
 // SweepResult holds per-protocol results along a swept axis.
@@ -302,9 +306,9 @@ func CSRangeAxis(vs []float64) Axis   { return core.CSRangeAxis(vs) }
 func AreaWidthAxis(vs []float64) Axis { return core.AreaWidthAxis(vs) }
 func PayloadAxis(vs []float64) Axis   { return core.PayloadAxis(vs) }
 
-// ModelAxis sweeps the scenario family itself: its values index a list of
-// one kind's model names (nil selects every model of the kind), so a
-// Grid can cross protocols × mobility × traffic models.
+// ModelAxis sweeps the scenario family itself: one kind's model names (nil
+// selects every model of the kind), so a Grid can cross protocols ×
+// mobility × traffic models. The kind and names are checked here.
 func ModelAxis(kind string, names []string) (Axis, error) { return core.ModelAxis(kind, names) }
 
 // RenderFigure renders a figure as an aligned text table.

@@ -18,9 +18,6 @@ import (
 // CampaignSpec declares a replication campaign; see the campaign package.
 type CampaignSpec = campaign.Spec
 
-// CampaignAxis names a catalogue axis and its values inside a CampaignSpec.
-type CampaignAxis = campaign.AxisSpec
-
 // CampaignScenarioPatch overrides study-default scenario fields in
 // JSON-friendly units (the HTTP-facing half of CampaignSpec).
 type CampaignScenarioPatch = campaign.ScenarioPatch

@@ -98,12 +98,11 @@ func figsCmd(c *cli, args []string) int {
 
 	// A custom axis sweep replaces the study figure set.
 	if *axisFlag != "" {
-		axis, err := parseAxis(*axisFlag)
+		axis, l, err := parseAxis(*axisFlag, opts.Base)
 		if err != nil {
 			c.fatal(err)
 		}
 		fmt.Println(core.RenderParameters(opts))
-		l := axis.Label
 		runSweep(l+" sweep", l+"_sweep", axis, []core.Figure{
 			{ID: l + "_pdr", Title: "PDR vs " + l, Metric: core.MetricPDR},
 			{ID: l + "_delay", Title: "Delay vs " + l, Metric: core.MetricDelay},
@@ -183,23 +182,28 @@ func figsCmd(c *cli, args []string) int {
 
 // parseAxis parses "-axis name=v1,v2,...": numbers for a numeric axis,
 // model names for a model axis ("mobility=waypoint,manhattan"); an empty or
-// omitted list selects the axis defaults.
-func parseAxis(s string) (core.Axis, error) {
+// omitted list selects the axis defaults. It expands the axis on the base
+// scenario, so a bad axis fails before any output, and returns its label,
+// which names the sweep's files.
+func parseAxis(s string, base scenario.Spec) (core.Axis, string, error) {
 	name, list, _ := strings.Cut(s, "=")
-	var values []float64
-	var models []string
+	axis := core.Axis{Name: name}
 	if strings.TrimSpace(list) != "" {
 		for _, field := range strings.Split(list, ",") {
 			field = strings.TrimSpace(field)
 			if v, err := strconv.ParseFloat(field, 64); err == nil {
-				values = append(values, v)
+				axis.Values = append(axis.Values, v)
 			} else {
-				models = append(models, field)
+				axis.Models = append(axis.Models, field)
 			}
 		}
 	}
-	if _, isKind := scenario.ModelKindByName(name); isKind && values != nil {
-		return core.Axis{}, fmt.Errorf("axis %q takes model names, not numbers", name)
+	if _, isKind := scenario.ModelKindByName(name); isKind && axis.Values != nil {
+		return axis, "", fmt.Errorf("axis %q takes model names, not numbers", name)
 	}
-	return core.AxisByName(name, values, models)
+	plan, err := campaign.Spec{Scenario: &base, Axes: []core.Axis{axis}, MaxReps: 1}.Expand()
+	if err != nil {
+		return axis, "", err
+	}
+	return axis, plan.Labels[0], nil
 }

@@ -152,6 +152,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"scene", "-every", "0"},
 		{"scene", "-every", "-1"},
 		{"verify", "-seeds", "0"},
+		{"verify", "-dur", "0"},
 		{"figs", "-dur", "-5"},
 		{"-workers", "-1"},
 	} {

@@ -22,6 +22,9 @@ func verifyCmd(c *cli, args []string) int {
 	c.progressFlag()
 	c.profileFlags()
 	c.parse(args, 0)
+	if *c.dur == 0 {
+		c.usageError("-dur 0: the findings compare pause 0 with a pause as long as the run, so it must be positive")
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -30,11 +30,9 @@ func main() {
 		Name:      "pause-replication",
 		Scenario:  &sc,
 		Protocols: []string{adhocsim.DSR, adhocsim.AODV},
-		Axes: []adhocsim.CampaignAxis{
-			{Name: "pause", Values: []float64{0, 60}},
-		},
-		MinReps: 2,
-		MaxReps: 6,
+		Axes:      []adhocsim.Axis{adhocsim.PauseAxis([]float64{0, 60})},
+		MinReps:   2,
+		MaxReps:   6,
 		// Stop a cell early once PDR is known to ±5 percentage points.
 		Epsilon: map[string]float64{"pdr": 5},
 	}

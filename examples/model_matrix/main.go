@@ -32,7 +32,7 @@ func main() {
 			Radio: &adhocsim.RadioSpec{SINR: true},
 		},
 		Protocols: []string{adhocsim.DSR, adhocsim.AODV},
-		Axes: []adhocsim.CampaignAxis{
+		Axes: []adhocsim.Axis{
 			{Name: "mobility", Models: []string{"waypoint", "gauss-markov", "manhattan"}},
 			{Name: "traffic", Models: []string{"cbr", "expoo"}},
 			{Name: "radio", Models: []string{"tworay", "shadowing"}},

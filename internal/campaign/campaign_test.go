@@ -98,6 +98,13 @@ func TestSpecExpandErrors(t *testing.T) {
 		{MinReps: 5, MaxReps: 2},
 		{MaxReps: -1},
 	}
+	// JSON's empty list is a list with no values, not a request for the
+	// axis defaults (which nil, an absent "values", selects).
+	var noValues Spec
+	if err := json.Unmarshal([]byte(`{"axes": [{"name": "pause", "values": []}]}`), &noValues); err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, noValues)
 	for i, spec := range cases {
 		if _, err := spec.Expand(); err == nil {
 			t.Fatalf("spec %d accepted", i)
@@ -333,6 +340,41 @@ func TestCampaignCancel(t *testing.T) {
 	}
 	if _, err := c.Run(context.Background()); err == nil {
 		t.Fatal("second Run accepted")
+	}
+}
+
+// TestCatalogueAxesMatchTheirJSON: a campaign axis is one value in Go and
+// over HTTP, so a spec built from the catalogue constructors expands to the
+// same plan as the same spec decoded from JSON.
+func TestCatalogueAxesMatchTheirJSON(t *testing.T) {
+	mob, err := core.ModelAxis("mobility", []string{"waypoint", "gauss-markov"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := Spec{Protocols: []string{"DSR"}, Axes: []core.Axis{core.PauseAxis([]float64{0, 30}), mob}, MaxReps: 2}
+	var decoded Spec
+	if err := json.Unmarshal([]byte(`{"protocols": ["DSR"], "max_reps": 2, "axes": [
+	  {"name": "pause", "values": [0, 30]},
+	  {"name": "mobility", "models": ["waypoint", "gauss-markov"]}]}`), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	var plans [2]*Plan
+	for i, spec := range []Spec{built, decoded} {
+		if plans[i], err = spec.Expand(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plans[0].Hash != plans[1].Hash {
+		t.Fatalf("built plan hash %s, decoded %s", plans[0].Hash, plans[1].Hash)
+	}
+	labels := func(p *Plan) (out []string) {
+		for _, c := range p.Cells {
+			out = append(out, c.Label)
+		}
+		return out
+	}
+	if got, want := labels(plans[0]), labels(plans[1]); !reflect.DeepEqual(got, want) || want[3] != "DSR|pause_s=30|mobility_model=gauss-markov" {
+		t.Fatalf("built cells %q, decoded %q", got, want)
 	}
 }
 

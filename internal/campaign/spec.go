@@ -36,18 +36,8 @@ import (
 	"adhocsim/internal/stats"
 )
 
-// AxisSpec names a catalogue axis ("pause", "nodes", "txrange", …; see
-// core.AxisNames) and the values to visit. Nil or empty Values select the
-// axis defaults. The categorical model axes (scenario.ModelKinds:
-// "mobility", "traffic", "radio", "lifecycle") take registry model names
-// via Models instead — e.g.
-// {"name": "mobility", "models": ["waypoint", "gauss-markov", "manhattan"]} —
-// and sweep the scenario family as a grid dimension.
-type AxisSpec struct {
-	Name   string    `json:"name"`
-	Values []float64 `json:"values,omitempty"`
-	Models []string  `json:"models,omitempty"`
-}
+// AxisSpec is core.Axis: a campaign spec's axes are catalogue axes.
+type AxisSpec = core.Axis
 
 // ScenarioPatch overrides individual fields of the default study scenario
 // (scenario.Default) in JSON-friendly units. Only fields present in the JSON
@@ -150,7 +140,7 @@ type Spec struct {
 	// Protocols to compare; empty selects the five study protocols.
 	Protocols []string `json:"protocols,omitempty"`
 	// Axes are crossed into the cell grid; empty runs a single point.
-	Axes []AxisSpec `json:"axes,omitempty"`
+	Axes []core.Axis `json:"axes,omitempty"`
 	// BaseSeed is replication 0's seed: replication r of every cell runs
 	// BaseSeed + r (default 1).
 	BaseSeed int64 `json:"base_seed,omitempty"`
@@ -194,6 +184,8 @@ type Plan struct {
 	Metrics   []core.Metric
 	Hash      string
 
+	// ticks[i][a] renders Points[i][a], as the cell labels do.
+	ticks [][]string
 	// unitKeys[cell] is the cell's UnitKey payload up to the seed, encoded
 	// by the first UnitKey call that names the cell.
 	unitKeys []unitKeyPrefix
@@ -372,72 +364,40 @@ func (s Spec) Expand() (*Plan, error) {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
-	// Axes: resolve catalogue names and default values against the base.
-	axes := make([]core.Axis, len(s.Axes))
-	labels := make([]string, len(s.Axes))
-	seenAxis := make(map[string]bool, len(s.Axes))
-	for i, as := range s.Axes {
-		axis, err := core.AxisByName(as.Name, as.Values, as.Models)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
+	// Axes: the plan holds at most maxCells cells (protocols × points) and
+	// maxUnits runs (cells × max_reps). CrossAxes checks the point count
+	// before it enumerates a point. Each grid point's patched scenario is
+	// dry-run validated here — a sweep value that produces an impossible
+	// run (a churn window past the horizon, a source count above a
+	// swept-down node count) fails at submission time, not mid-campaign.
+	// Points share their spec across protocols, so each is checked once.
+	maxPoints := min(maxCells, maxUnits/s.MaxReps) / len(protocols)
+	if maxPoints < 1 {
+		return nil, fmt.Errorf("campaign: %d protocols × max_reps %d is more than %d runs", len(protocols), s.MaxReps, maxUnits)
+	}
+	grid, err := core.CrossAxes(base, s.Axes, maxPoints)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	pointLabels := make([]string, len(grid.Points))
+	for pi, ticks := range grid.Ticks {
+		for a, tick := range ticks {
+			pointLabels[pi] += "|" + grid.Labels[a] + "=" + tick
 		}
-		axis, err = axis.Resolved(base)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
+		if err := grid.Specs[pi].Validate(); err != nil {
+			return nil, fmt.Errorf("campaign: cell %q: %w", strings.TrimPrefix(pointLabels[pi], "|"), err)
 		}
-		if seenAxis[axis.Label] {
-			return nil, fmt.Errorf("campaign: axis %q listed twice", as.Name)
-		}
-		seenAxis[axis.Label] = true
-		axes[i] = axis
-		labels[i] = axis.Label
 	}
 
-	// Every protocol list and axis is non-empty by now, so the divisions
-	// are safe and the product never leaves int range.
-	nCells := len(protocols)
-	for _, a := range axes {
-		if nCells > maxCells/len(a.Values) {
-			return nil, fmt.Errorf("campaign: protocols × axes expand to more than %d cells", maxCells)
-		}
-		nCells *= len(a.Values)
-	}
-	if s.MaxReps > maxUnits/nCells {
-		return nil, fmt.Errorf("campaign: %d cells × max_reps %d is more than %d runs", nCells, s.MaxReps, maxUnits)
-	}
-
-	// The cell grid enumerates protocol-major, then core.CrossPoints. Each grid
-	// point's patched scenario is dry-run validated here — a sweep value
-	// that produces an impossible run (a churn window past the horizon, a
-	// source count above a swept-down node count) fails at submission time,
-	// not mid-campaign. Points share their spec across protocols, so each
-	// is checked once.
-	cross := core.CrossPoints(axes)
-	pointSpecs := make([]scenario.Spec, len(cross))
-	pointLabels := make([]string, len(cross))
-	for pi, pt := range cross {
-		spec := base
-		label := ""
-		for a := range axes {
-			axes[a].Apply(&spec, pt[a])
-			label += "|" + axes[a].Label + "=" + axes[a].FormatValue(pt[a])
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("campaign: cell %q: %w", strings.TrimPrefix(label, "|"), err)
-		}
-		pointSpecs[pi] = spec
-		pointLabels[pi] = label
-	}
-
-	cells := make([]Cell, 0, nCells)
+	cells := make([]Cell, 0, len(protocols)*len(grid.Points))
 	for _, proto := range protocols {
-		for pi, pt := range cross {
+		for pi, pt := range grid.Points {
 			cells = append(cells, Cell{
 				Index:    len(cells),
 				Protocol: proto,
 				Point:    pt,
 				Label:    proto + pointLabels[pi],
-				spec:     pointSpecs[pi],
+				spec:     grid.Specs[pi],
 			})
 		}
 	}
@@ -446,10 +406,11 @@ func (s Spec) Expand() (*Plan, error) {
 		Spec:      s,
 		Base:      base,
 		Protocols: protocols,
-		Labels:    labels,
-		Points:    cross,
+		Labels:    grid.Labels,
+		Points:    grid.Points,
 		Cells:     cells,
 		Metrics:   core.Metrics(),
+		ticks:     grid.Ticks,
 		unitKeys:  make([]unitKeyPrefix, len(cells)),
 	}
 	hash, err := p.hash()

@@ -13,8 +13,10 @@ import (
 
 // The experiment API's replicated runs — sweeps, grids, replicated single
 // runs and the findings check — run as campaigns: opts.Base is the Spec's
-// Scenario, each catalogue axis an AxisSpec by name, opts.Seeds its
-// BaseSeed and MaxReps, and each cell's result its CellResult.Merged.
+// Scenario, the axes its Axes, opts.Seeds its BaseSeed and MaxReps, and
+// each cell's result its CellResult.Merged. What a grid reports of its axes
+// — labels, points and their rendered values — is read off the expanded
+// Plan.
 
 // Sweep evaluates every protocol in opts at every value of the axis,
 // merging replication seeds per point. It is the one-axis case of Grid.
@@ -43,44 +45,35 @@ func Grid(ctx context.Context, opts core.Options, axes ...core.Axis) (*core.Grid
 	if len(opts.Seeds) == 0 {
 		opts.Seeds = []int64{1}
 	}
-	g := &core.GridResult{Protocols: append([]string(nil), opts.Protocols...), Cells: map[string][]stats.Results{}}
-	spec := Spec{Protocols: opts.Protocols}
-	resolved := make([]core.Axis, len(axes))
-	for i := range axes {
-		a, err := axes[i].Resolved(opts.Base)
-		if err != nil {
-			return nil, err
-		}
-		name, values, models := a.ByName()
-		spec.Axes = append(spec.Axes, AxisSpec{Name: name, Values: values, Models: models})
-		resolved[i], g.Labels = a, append(g.Labels, a.Label)
-	}
-	// A model axis's spec renumbers the models it visits, so the points and
-	// their labels are the caller's axes', in the campaign's cell order.
-	g.Points = core.CrossPoints(resolved)
-	for _, pt := range g.Points {
-		row := make([]string, len(pt))
-		for a := range pt {
-			row[a] = resolved[a].FormatValue(pt[a])
-		}
-		g.PointLabels = append(g.PointLabels, row)
-	}
-	n, axisLabel := len(g.Points), strings.Join(g.Labels, "×")
+	// The plan is read once New has expanded it, before any unit lands.
+	var (
+		plan      *Plan
+		n         int
+		axisLabel string
+	)
 	var onProgress func(Progress)
 	if opts.OnProgress != nil {
 		onProgress = func(p Progress) {
 			pi := p.Cell % n
 			opts.OnProgress(core.Progress{Done: p.RunsDone, Total: p.MaxRuns, Protocol: opts.Protocols[p.Cell/n],
-				Seed: opts.Seeds[p.Rep], Axis: axisLabel, X: g.Points[pi][0], Value: g.PointLabels[pi][0]})
+				Seed: opts.Seeds[p.Rep], Axis: axisLabel, X: plan.Points[pi][0], Value: plan.ticks[pi][0]})
 		}
 	}
-	cells, err := runReplicated(ctx, spec, opts.Base, opts.Seeds, Options{Workers: opts.Workers, OnProgress: onProgress})
+	c, err := replicated(Spec{Protocols: opts.Protocols, Axes: axes}, opts.Base, opts.Seeds, Options{Workers: opts.Workers, OnProgress: onProgress})
 	if err != nil {
 		return nil, err
 	}
+	plan = c.Plan()
+	n, axisLabel = len(plan.Points), strings.Join(plan.Labels, "×")
+	res, err := c.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	g := &core.GridResult{Labels: plan.Labels, Points: plan.Points, PointLabels: plan.ticks,
+		Protocols: append([]string(nil), opts.Protocols...), Cells: map[string][]stats.Results{}}
 	for i, p := range opts.Protocols {
-		for _, c := range cells[i*n : (i+1)*n] {
-			g.Cells[p] = append(g.Cells[p], c.Merged)
+		for _, cell := range res.Cells[i*n : (i+1)*n] {
+			g.Cells[p] = append(g.Cells[p], cell.Merged)
 		}
 	}
 	return g, nil
@@ -102,11 +95,15 @@ func RunReplicatedContext(ctx context.Context, rc core.RunConfig, seeds []int64,
 	if !reflect.ValueOf(rest).IsZero() {
 		return stats.Results{}, fmt.Errorf("campaign: Mac, Phy, Tweaks, Tracer and Sinks need a single seed")
 	}
-	cells, err := runReplicated(ctx, Spec{Protocols: []string{rc.Protocol}}, rc.Spec, seeds, Options{Workers: workers})
+	c, err := replicated(Spec{Protocols: []string{rc.Protocol}}, rc.Spec, seeds, Options{Workers: workers})
 	if err != nil {
 		return stats.Results{}, err
 	}
-	return cells[0].Merged, nil
+	res, err := c.Run(ctx)
+	if err != nil {
+		return stats.Results{}, err
+	}
+	return res.Cells[0].Merged, nil
 }
 
 // Verify runs the findings' two reference configurations, pause 0 and a
@@ -119,20 +116,20 @@ func Verify(ctx context.Context, opts core.Options) ([]core.VerifyResult, error)
 	return core.CheckFindings(sweep), nil
 }
 
-// runReplicated runs spec on the base scenario with one replication per
-// seed and returns its cells. Replication r runs BaseSeed + r, so the seeds
-// must be consecutive and ascending, and must not start at 0, which a Spec
-// reads as its default base seed 1.
-func runReplicated(ctx context.Context, spec Spec, base scenario.Spec, s []int64, opts Options) ([]CellResult, error) {
+// replicated builds the campaign of spec on the base scenario with one
+// replication per seed. Replication r runs BaseSeed + r, so the seeds must
+// be consecutive and ascending, and must not start at 0, which a Spec reads
+// as its default base seed 1.
+func replicated(spec Spec, base scenario.Spec, s []int64, opts Options) (*Campaign, error) {
+	const rule = "replication r runs seed BaseSeed + r"
+	if s[0] == 0 {
+		return nil, fmt.Errorf("campaign: seeds %v: the first seed must be non-zero, as 0 selects the default base seed: %s", s, rule)
+	}
 	for i := range s {
-		if s[i] != s[0]+int64(i) || s[0] == 0 {
-			return nil, fmt.Errorf("campaign: seeds %v are not consecutive and ascending from a non-zero seed: replication r runs seed %d + r", s, s[0])
+		if s[i] != s[0]+int64(i) {
+			return nil, fmt.Errorf("campaign: seeds %v are not consecutive and ascending: %s", s, rule)
 		}
 	}
 	spec.Scenario, spec.BaseSeed, spec.MaxReps = &base, s[0], len(s)
-	res, err := Run(ctx, spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Cells, nil
+	return New(spec, opts)
 }

@@ -61,7 +61,7 @@ func TestSweepInputRefusals(t *testing.T) {
 		{"grid seeds descending", grid(2, 1), rule},
 		{"replicated seeds repeated", replicated(core.RunConfig{}, 4, 4), rule},
 		{"replicated run with a MAC config", replicated(core.RunConfig{Mac: mac.Config{RTSThreshold: 3000}}, 1, 2), "single seed"},
-		{"axis the catalogue did not build", sweep(core.Axis{Label: "custom", Values: []float64{1}}, 1), "axis catalogue"},
+		{"axis the catalogue does not name", sweep(core.Axis{Name: "custom", Values: []float64{1}}, 1), "unknown axis"},
 	} {
 		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want it refused (%q)", tc.name, err, tc.want)

@@ -214,15 +214,12 @@ func TestGridCrossProduct(t *testing.T) {
 func TestSweepRejectsInvalidAxis(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Base = smallSpec()
-	if _, err := campaign.Sweep(context.Background(), opts, core.Axis{Label: "broken"}); err == nil {
-		t.Fatal("axis without Apply accepted")
-	}
-	if _, err := campaign.Sweep(context.Background(), opts, core.TxRangeAxis(nil).WithValues(nil)); err == nil {
-		t.Fatal("axis without values accepted")
+	if _, err := campaign.Sweep(context.Background(), opts, core.Axis{Name: "broken"}); err == nil {
+		t.Fatal("unknown axis accepted")
 	}
 	// An explicit empty slice must error loudly, never fall back to the
-	// full default sweep — even for PauseAxis, whose nil form has a
-	// Defaults hook.
+	// full default sweep — even for PauseAxis, whose nil form derives its
+	// defaults from the base spec.
 	if _, err := campaign.Sweep(context.Background(), opts, core.PauseAxis([]float64{})); err == nil {
 		t.Fatal("empty pause list accepted")
 	}
@@ -234,7 +231,7 @@ func TestSweepRejectsInvalidAxis(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, axis := range []core.Axis{core.PauseAxis([]float64{v}), core.NodesAxis([]float64{v}), core.PayloadAxis([]float64{10, v})} {
 			if _, err := campaign.Sweep(context.Background(), opts, axis); err == nil || !strings.Contains(err.Error(), "not a finite number") {
-				t.Errorf("axis %q value %v: err = %v, want it refused as not finite", axis.Label, v, err)
+				t.Errorf("axis %q value %v: err = %v, want it refused as not finite", axis.Name, v, err)
 			}
 		}
 	}
